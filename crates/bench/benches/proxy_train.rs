@@ -1,5 +1,5 @@
 //! Proxy-training bench: the naive per-image reference kernels vs the
-//! batched im2col+GEMM compute engine at 1 and 4 workers.
+//! batched direct-kernel compute engine at 1 and 4 workers.
 //!
 //! Two parts:
 //!

@@ -1,32 +1,35 @@
-//! The convolution compute engine: batched im2col+GEMM with a naive
+//! The convolution compute engine: batched direct kernels with a naive
 //! fallback.
 //!
 //! [`Engine`] selects how the runtime executes (depth-wise)
 //! convolutions:
 //!
-//! * [`Engine::Gemm`] — the fast path. Inputs are lowered with
-//!   [`crate::im2col::im2row`], multiplied with the blocked
-//!   multi-threaded kernels in [`crate::gemm`], and un-interleaved back
-//!   to `N x C x H x W`; a whole mini-batch is **one** GEMM per layer.
-//!   The backward-data pass runs as a transposed convolution through
-//!   the very same lowering, and weight/bias gradients accumulate
-//!   per-image subtotals in image order.
+//! * [`Engine::Gemm`] — the fast path. Whole mini-batches run through
+//!   the implicit-GEMM kernels of [`crate::gemm`], which read every
+//!   patch row straight from the planar `N x C x H x W` buffers (from a
+//!   zero-padded copy for `k > 1`) and write planar output — nothing is
+//!   lowered or un-interleaved. The backward-data pass is the same
+//!   kernel run as a transposed convolution over flipped weights, and
+//!   weight/bias gradients accumulate per-image subtotals in image
+//!   order. The network's backward pass asks for no input gradient at
+//!   layer 0 (see `Network::backward_batch`).
 //! * [`Engine::Reference`] — the retained per-image naive loops of
 //!   [`crate::reference`], used as ground truth by tests and benches.
 //!
 //! Both paths accumulate every output element in the same canonical
 //! order (see the [`crate::reference`] docs), so they are
-//! **bit-identical** to each other — and the GEMM path is bit-identical
-//! to itself at any worker count, because threads only partition output
-//! rows.
+//! **bit-identical** to each other — and the direct path is
+//! bit-identical to itself at any worker count, because threads only
+//! partition images.
 
-use crate::gemm::{gemm_nn_acc, gemm_nt};
-use crate::im2col::{flip_weights, im2row_grid};
+use crate::gemm::{self, ConvShape};
+use crate::im2col::flip_weights;
 use crate::layers::{ConvParams, DwConvParams};
 use crate::reference;
 use crate::scratch;
+use crate::simd;
 use crate::tensor::Tensor;
-use codesign_parallel::{parallel_chunks_mut, Parallelism};
+use codesign_parallel::Parallelism;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -35,7 +38,8 @@ use std::fmt;
 pub enum Engine {
     /// Per-image naive nested loops (the retained seed kernels).
     Reference,
-    /// Batched im2col+GEMM with the given worker-count knob.
+    /// Batched direct (implicit-GEMM) kernels with the given
+    /// worker-count knob.
     Gemm(Parallelism),
 }
 
@@ -46,7 +50,7 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// Worker count the GEMM kernels run with (1 for the reference
+    /// Worker count the direct kernels run with (1 for the reference
     /// path, which is strictly sequential).
     pub fn threads(self) -> usize {
         match self {
@@ -93,28 +97,6 @@ impl fmt::Display for Engine {
     }
 }
 
-/// Un-interleaves a GEMM result whose rows are output pixels
-/// (`[n * plane][cols]`) into `cols`-major planes (`[n][cols][plane]`,
-/// i.e. `N x C x H x W`).
-fn rows_to_planes(rows: &[f32], n: usize, plane: usize, cols: usize, threads: usize) -> Vec<f32> {
-    // Every element is written below, so the arena buffer needs no
-    // zeroing. (The result usually escapes into a `Tensor`, which is
-    // fine — escaped buffers are just never recycled.)
-    let mut out = scratch::take(n * cols * plane);
-    let threads =
-        crate::gemm::capped_threads(threads, out.len(), crate::gemm::COPY_ELEMS_PER_WORKER);
-    parallel_chunks_mut(&mut out, cols * plane, threads, |img, chunk| {
-        let row0 = img * plane;
-        for c in 0..cols {
-            let dst = &mut chunk[c * plane..(c + 1) * plane];
-            for (p, d) in dst.iter_mut().enumerate() {
-                *d = rows[(row0 + p) * cols + c];
-            }
-        }
-    });
-    out
-}
-
 fn map_images(x: &Tensor, f: impl Fn(&Tensor) -> Tensor) -> Tensor {
     let images: Vec<Tensor> = x.unstack().iter().map(f).collect();
     Tensor::stack(&images)
@@ -123,7 +105,7 @@ fn map_images(x: &Tensor, f: impl Fn(&Tensor) -> Tensor) -> Tensor {
 /// Shared assembly of the per-image reference backward paths: runs
 /// `backward` on every `(image, gradient)` pair and sums the parameter
 /// gradients as per-image subtotals in image order — the canonical
-/// grouping the batched GEMM path reproduces bit-for-bit. One helper
+/// grouping the batched direct path reproduces bit-for-bit. One helper
 /// for both conv and dwconv so the two cannot drift.
 fn reference_backward_batch(
     x: &Tensor,
@@ -148,161 +130,133 @@ fn reference_backward_batch(
     (Tensor::stack(&dxs), dw, db)
 }
 
-/// The grouped dot-product kernel shared by the depth-wise forward and
-/// backward-data passes: for every `(group, pixel)` patch row, one dot
-/// against that group's channel weights, seeded with the channel bias
-/// (`None` for gradient passes). Groups cycle through `ch` channels.
-#[allow(clippy::too_many_arguments)]
-fn dw_dot_planes(
-    rows: &[f32],
+/// The direct-kernel geometry of a convolution over one image (rank 3)
+/// or a batch (rank 4).
+fn shape_of(x: &Tensor, cin: usize, cout: usize, k: usize, depthwise: bool) -> ConvShape {
+    let (n, c, h, w) = match *x.shape() {
+        [c, h, w] => (1, c, h, w),
+        _ => x.dims4(),
+    };
+    assert_eq!(c, cin, "convolution input channel mismatch");
+    ConvShape {
+        n,
+        cin,
+        cout,
+        h,
+        w,
+        k,
+        depthwise,
+    }
+}
+
+/// The shape of `x` with `c` channels in place of its own.
+fn with_channels(x: &Tensor, c: usize) -> Vec<usize> {
+    let mut shape = x.shape().to_vec();
+    let rank = shape.len();
+    shape[rank - 3] = c;
+    shape
+}
+
+/// "Same" convolution forward pass over one image or a batch: the
+/// output grid is the input grid for every kernel size (even-k kernels
+/// included).
+fn forward(
+    x: &Tensor,
+    s: &ConvShape,
     weights: &[f32],
-    bias: Option<&[f32]>,
-    ch: usize,
-    plane: usize,
-    kk: usize,
-    threads: usize,
-    out: &mut [f32],
-) {
-    let threads =
-        crate::gemm::capped_threads(threads, out.len() * kk, crate::gemm::GEMM_FLOPS_PER_WORKER);
-    parallel_chunks_mut(out, plane, threads, |g, chunk| {
-        let c = g % ch;
-        let wrow = &weights[c * kk..(c + 1) * kk];
-        let init = bias.map_or(0.0, |b| b[c]);
-        let base = g * plane;
-        // Four pixels at a time: four independent accumulator chains
-        // (each strictly sequential in the patch dimension, preserving
-        // the bit-identity contract) share every `wrow` load.
-        let mut pp = 0;
-        while pp + 4 <= chunk.len() {
-            let quad = &rows[(base + pp) * kk..(base + pp + 4) * kk];
-            let (r0, rest) = quad.split_at(kk);
-            let (r1, rest) = rest.split_at(kk);
-            let (r2, r3) = rest.split_at(kk);
-            let (mut s0, mut s1, mut s2, mut s3) = (init, init, init, init);
-            for ((((&w, &v0), &v1), &v2), &v3) in wrow.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
-                s0 += v0 * w;
-                s1 += v1 * w;
-                s2 += v2 * w;
-                s3 += v3 * w;
-            }
-            chunk[pp] = s0;
-            chunk[pp + 1] = s1;
-            chunk[pp + 2] = s2;
-            chunk[pp + 3] = s3;
-            pp += 4;
+    bias: &[f32],
+    engine: Engine,
+    reference: impl Fn(&Tensor) -> Tensor,
+) -> Tensor {
+    match engine {
+        Engine::Reference if x.shape().len() == 3 => reference(x),
+        Engine::Reference => map_images(x, reference),
+        Engine::Gemm(par) => {
+            let level = simd::active_level();
+            let y = gemm::correlate(
+                level,
+                s,
+                x.data(),
+                weights,
+                Some(bias),
+                s.k / 2,
+                par.threads(),
+            );
+            Tensor::from_vec(&with_channels(x, s.cout), y)
         }
-        for (pp, o) in chunk.iter_mut().enumerate().skip(pp) {
-            let row = &rows[(base + pp) * kk..(base + pp + 1) * kk];
-            let mut acc = init;
-            for (a, b) in row.iter().zip(wrow) {
-                acc += a * b;
-            }
-            *o = acc;
+    }
+}
+
+/// Backward pass over one image or a batch: `(dx, dweights, dbias)`,
+/// with `dx` computed only when `input_grad` asks for it. Parameter
+/// gradients are per-image subtotals summed in image order.
+fn grads(
+    x: &Tensor,
+    dy: &Tensor,
+    s: &ConvShape,
+    weights: &[f32],
+    engine: Engine,
+    input_grad: bool,
+    reference: impl Fn(&Tensor, &Tensor) -> (Tensor, Vec<f32>, Vec<f32>),
+) -> (Option<Tensor>, Vec<f32>, Vec<f32>) {
+    assert_eq!(
+        dy.shape(),
+        with_channels(x, s.cout),
+        "convolution gradient shape mismatch"
+    );
+    let threads = match engine {
+        Engine::Gemm(par) => par.threads(),
+        Engine::Reference => {
+            let (dx, dw, db) = if x.shape().len() == 3 {
+                reference(x, dy)
+            } else {
+                reference_backward_batch(x, dy, weights.len(), s.cout, reference)
+            };
+            return (input_grad.then_some(dx), dw, db);
         }
+    };
+    let level = simd::active_level();
+    let plane = s.h * s.w;
+    // Bias gradient: row-major pixel sums, one subtotal per image.
+    let mut db = vec![0.0f32; s.cout];
+    for g in dy.data().chunks_exact(s.cout * plane) {
+        for (d, gc) in db.iter_mut().zip(g.chunks_exact(plane)) {
+            let mut sum = 0.0f32;
+            for &v in gc {
+                sum += v;
+            }
+            *d += sum;
+        }
+    }
+    let dw = gemm::weight_grads(level, s, x.data(), dy.data(), threads);
+    // Data gradient: the transposed convolution — the same kernel over
+    // dY with flipped, channel-transposed weights, padded `k - 1 - pad`
+    // (equal to `pad` only for odd kernels).
+    let dx = input_grad.then(|| {
+        let flipped = flip_weights(weights, s.cout, s.patch_channels(), s.k);
+        let t = ConvShape {
+            cin: s.cout,
+            cout: s.cin,
+            ..*s
+        };
+        let dx = gemm::correlate(
+            level,
+            &t,
+            dy.data(),
+            &flipped,
+            None,
+            s.k - 1 - s.k / 2,
+            threads,
+        );
+        scratch::recycle(flipped);
+        Tensor::from_vec(x.shape(), dx)
     });
+    (dx, dw, db)
 }
 
 // ---------------------------------------------------------------------
 // Standard convolution
 // ---------------------------------------------------------------------
-
-fn conv_forward_gemm(
-    x: &[f32],
-    n: usize,
-    c: usize,
-    h: usize,
-    w: usize,
-    p: &ConvParams,
-    threads: usize,
-) -> Vec<f32> {
-    // "Same" convolution: the output grid is the input grid for every
-    // kernel size (even-k kernels included), matching the reference.
-    let rows = im2row_grid(x, n, c, h, w, p.k, 1, p.k / 2, (h, w), threads);
-    let ymat = gemm_nt(
-        &rows,
-        &p.weights,
-        c * p.k * p.k,
-        p.out_ch,
-        Some(&p.bias),
-        threads,
-    );
-    scratch::recycle(rows);
-    let y = rows_to_planes(&ymat, n, h * w, p.out_ch, threads);
-    scratch::recycle(ymat);
-    y
-}
-
-#[allow(clippy::too_many_arguments)]
-fn conv_backward_gemm(
-    x: &[f32],
-    dy: &[f32],
-    n: usize,
-    c: usize,
-    h: usize,
-    w: usize,
-    p: &ConvParams,
-    threads: usize,
-) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
-    let plane = h * w;
-    let ckk = c * p.k * p.k;
-    let pad = p.k / 2;
-
-    // Bias gradient: row-major pixel sums, one subtotal per image.
-    let mut db = vec![0.0f32; p.out_ch];
-    for img in 0..n {
-        for (oc, d) in db.iter_mut().enumerate() {
-            let g = &dy[(img * p.out_ch + oc) * plane..(img * p.out_ch + oc + 1) * plane];
-            let mut s = 0.0f32;
-            for &v in g {
-                s += v;
-            }
-            *d += s;
-        }
-    }
-
-    // Weight gradient: dW_img = dY_img · patch-matrix_img, accumulated
-    // as per-image subtotals in image order (the same grouping the
-    // per-image reference path produces).
-    let rows_x = im2row_grid(x, n, c, h, w, p.k, 1, pad, (h, w), threads);
-    let mut dw = vec![0.0f32; p.weights.len()];
-    let mut subtotal = scratch::take(p.weights.len());
-    for img in 0..n {
-        subtotal.fill(0.0);
-        let g = &dy[img * p.out_ch * plane..(img + 1) * p.out_ch * plane];
-        let b = &rows_x[img * plane * ckk..(img + 1) * plane * ckk];
-        gemm_nn_acc(g, b, plane, ckk, &mut subtotal, threads);
-        for (d, s) in dw.iter_mut().zip(&subtotal) {
-            *d += s;
-        }
-    }
-    scratch::recycle(subtotal);
-    scratch::recycle(rows_x);
-
-    // Data gradient: transposed convolution through the same lowering —
-    // im2row over dY, dotted against flipped channel-transposed
-    // weights. The transposed conv pads with `k - 1 - pad` (equal to
-    // `pad` only for odd kernels).
-    let flipped = flip_weights(&p.weights, p.out_ch, c, p.k);
-    let rows_g = im2row_grid(
-        dy,
-        n,
-        p.out_ch,
-        h,
-        w,
-        p.k,
-        1,
-        p.k - 1 - pad,
-        (h, w),
-        threads,
-    );
-    let dxmat = gemm_nt(&rows_g, &flipped, p.out_ch * p.k * p.k, c, None, threads);
-    scratch::recycle(rows_g);
-    scratch::recycle(flipped);
-    let dx = rows_to_planes(&dxmat, n, plane, c, threads);
-    scratch::recycle(dxmat);
-    (dx, dw, db)
-}
 
 /// Batched convolution forward pass over an `N x C x H x W` tensor.
 ///
@@ -311,30 +265,32 @@ fn conv_backward_gemm(
 /// Panics when `x` is not rank 4 or disagrees with the parameter
 /// geometry.
 pub fn conv_forward_batch(x: &Tensor, p: &ConvParams, engine: Engine) -> Tensor {
-    let (n, c, h, w) = x.dims4();
-    assert_eq!(c, p.in_ch, "conv input channel mismatch");
-    match engine {
-        Engine::Reference => map_images(x, |img| reference::conv_forward(img, p)),
-        Engine::Gemm(par) => Tensor::from_vec(
-            &[n, p.out_ch, h, w],
-            conv_forward_gemm(x.data(), n, c, h, w, p, par.threads()),
-        ),
-    }
+    x.dims4();
+    conv_forward_single(x, p, engine)
 }
 
 /// Single-image convolution forward pass (same padding, stride 1).
 pub fn conv_forward_single(x: &Tensor, p: &ConvParams, engine: Engine) -> Tensor {
-    match engine {
-        Engine::Reference => reference::conv_forward(x, p),
-        Engine::Gemm(par) => {
-            assert_eq!(x.channels(), p.in_ch, "conv input channel mismatch");
-            let (c, h, w) = (x.channels(), x.height(), x.width());
-            Tensor::from_vec(
-                &[p.out_ch, h, w],
-                conv_forward_gemm(x.data(), 1, c, h, w, p, par.threads()),
-            )
-        }
-    }
+    let s = shape_of(x, p.in_ch, p.out_ch, p.k, false);
+    forward(x, &s, &p.weights, &p.bias, engine, |img| {
+        reference::conv_forward(img, p)
+    })
+}
+
+/// Convolution backward pass over one image or a batch, with the input
+/// gradient only when `input_grad` asks for it (the network input's
+/// gradient is never read).
+pub(crate) fn conv_grads(
+    x: &Tensor,
+    p: &ConvParams,
+    dy: &Tensor,
+    engine: Engine,
+    input_grad: bool,
+) -> (Option<Tensor>, Vec<f32>, Vec<f32>) {
+    let s = shape_of(x, p.in_ch, p.out_ch, p.k, false);
+    grads(x, dy, &s, &p.weights, engine, input_grad, |xi, gi| {
+        reference::conv_backward(xi, p, gi)
+    })
 }
 
 /// Batched convolution backward pass: `(dx, dweights, dbias)`, with
@@ -346,25 +302,8 @@ pub fn conv_backward_batch(
     dy: &Tensor,
     engine: Engine,
 ) -> (Tensor, Vec<f32>, Vec<f32>) {
-    let (n, c, h, w) = x.dims4();
-    assert_eq!(c, p.in_ch, "conv input channel mismatch");
-    assert_eq!(
-        dy.dims4(),
-        (n, p.out_ch, h, w),
-        "conv gradient shape mismatch"
-    );
-    match engine {
-        Engine::Reference => {
-            reference_backward_batch(x, dy, p.weights.len(), p.out_ch, |xi, gi| {
-                reference::conv_backward(xi, p, gi)
-            })
-        }
-        Engine::Gemm(par) => {
-            let (dx, dw, db) =
-                conv_backward_gemm(x.data(), dy.data(), n, c, h, w, p, par.threads());
-            (Tensor::from_vec(&[n, c, h, w], dx), dw, db)
-        }
-    }
+    x.dims4();
+    conv_backward_single(x, p, dy, engine)
 }
 
 /// Single-image convolution backward pass: `(dx, dweights, dbias)`.
@@ -374,125 +313,13 @@ pub fn conv_backward_single(
     dy: &Tensor,
     engine: Engine,
 ) -> (Tensor, Vec<f32>, Vec<f32>) {
-    match engine {
-        Engine::Reference => reference::conv_backward(x, p, dy),
-        Engine::Gemm(par) => {
-            let (c, h, w) = (x.channels(), x.height(), x.width());
-            assert_eq!(c, p.in_ch, "conv input channel mismatch");
-            assert_eq!(dy.shape(), [p.out_ch, h, w], "conv gradient shape mismatch");
-            let (dx, dw, db) =
-                conv_backward_gemm(x.data(), dy.data(), 1, c, h, w, p, par.threads());
-            (Tensor::from_vec(&[c, h, w], dx), dw, db)
-        }
-    }
+    let (dx, dw, db) = conv_grads(x, p, dy, engine, true);
+    (dx.expect("input gradient requested"), dw, db)
 }
 
 // ---------------------------------------------------------------------
-// Depth-wise convolution (grouped GEMM: one group per channel)
+// Depth-wise convolution (one single-channel convolution per channel)
 // ---------------------------------------------------------------------
-
-fn dwconv_forward_gemm(
-    x: &[f32],
-    groups: usize,
-    ch: usize,
-    h: usize,
-    w: usize,
-    p: &DwConvParams,
-    threads: usize,
-) -> Vec<f32> {
-    let kk = p.k * p.k;
-    let plane = h * w;
-    // One im2row over `groups * ch` single-channel planes gives every
-    // group's patch matrix in one buffer; the output grid is pinned to
-    // the input grid ("same" convolution, any kernel size).
-    let rows = im2row_grid(x, groups * ch, 1, h, w, p.k, 1, p.k / 2, (h, w), threads);
-    let mut y = scratch::take(groups * ch * plane);
-    dw_dot_planes(
-        &rows,
-        &p.weights,
-        Some(&p.bias),
-        ch,
-        plane,
-        kk,
-        threads,
-        &mut y,
-    );
-    scratch::recycle(rows);
-    y
-}
-
-#[allow(clippy::too_many_arguments)]
-fn dwconv_backward_gemm(
-    x: &[f32],
-    dy: &[f32],
-    groups: usize,
-    ch: usize,
-    h: usize,
-    w: usize,
-    p: &DwConvParams,
-    threads: usize,
-) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
-    let kk = p.k * p.k;
-    let plane = h * w;
-    let pad = p.k / 2;
-
-    let mut db = vec![0.0f32; ch];
-    for img in 0..groups {
-        for (c, d) in db.iter_mut().enumerate() {
-            let g = &dy[(img * ch + c) * plane..(img * ch + c + 1) * plane];
-            let mut s = 0.0f32;
-            for &v in g {
-                s += v;
-            }
-            *d += s;
-        }
-    }
-
-    let rows_x = im2row_grid(x, groups * ch, 1, h, w, p.k, 1, pad, (h, w), threads);
-    let mut dw = vec![0.0f32; p.weights.len()];
-    let mut subtotal = scratch::take(kk);
-    for img in 0..groups {
-        for c in 0..ch {
-            let plane_idx = img * ch + c;
-            let g = &dy[plane_idx * plane..(plane_idx + 1) * plane];
-            subtotal.fill(0.0);
-            for (pp, &gv) in g.iter().enumerate() {
-                let row = &rows_x[(plane_idx * plane + pp) * kk..(plane_idx * plane + pp + 1) * kk];
-                for (s, &b) in subtotal.iter_mut().zip(row) {
-                    *s += gv * b;
-                }
-            }
-            for (d, s) in dw[c * kk..(c + 1) * kk].iter_mut().zip(&subtotal) {
-                *d += s;
-            }
-        }
-    }
-    scratch::recycle(subtotal);
-    scratch::recycle(rows_x);
-
-    // Data gradient: per-channel transposed convolution. Each channel
-    // is its own single-input-channel group, so the standard flip with
-    // ic = 1 gives the per-channel spatially reversed kernels.
-    let flipped = flip_weights(&p.weights, ch, 1, p.k);
-    // Transposed-convolution padding: `k - 1 - pad`.
-    let rows_g = im2row_grid(
-        dy,
-        groups * ch,
-        1,
-        h,
-        w,
-        p.k,
-        1,
-        p.k - 1 - pad,
-        (h, w),
-        threads,
-    );
-    let mut dx = scratch::take(groups * ch * plane);
-    dw_dot_planes(&rows_g, &flipped, None, ch, plane, kk, threads, &mut dx);
-    scratch::recycle(rows_g);
-    scratch::recycle(flipped);
-    (dx, dw, db)
-}
 
 /// Batched depth-wise convolution forward pass.
 ///
@@ -501,30 +328,30 @@ fn dwconv_backward_gemm(
 /// Panics when `x` is not rank 4 or disagrees with the parameter
 /// geometry.
 pub fn dwconv_forward_batch(x: &Tensor, p: &DwConvParams, engine: Engine) -> Tensor {
-    let (n, c, h, w) = x.dims4();
-    assert_eq!(c, p.ch, "dwconv channel mismatch");
-    match engine {
-        Engine::Reference => map_images(x, |img| reference::dwconv_forward(img, p)),
-        Engine::Gemm(par) => Tensor::from_vec(
-            &[n, c, h, w],
-            dwconv_forward_gemm(x.data(), n, c, h, w, p, par.threads()),
-        ),
-    }
+    x.dims4();
+    dwconv_forward_single(x, p, engine)
 }
 
 /// Single-image depth-wise convolution forward pass.
 pub fn dwconv_forward_single(x: &Tensor, p: &DwConvParams, engine: Engine) -> Tensor {
-    match engine {
-        Engine::Reference => reference::dwconv_forward(x, p),
-        Engine::Gemm(par) => {
-            assert_eq!(x.channels(), p.ch, "dwconv channel mismatch");
-            let (c, h, w) = (x.channels(), x.height(), x.width());
-            Tensor::from_vec(
-                &[c, h, w],
-                dwconv_forward_gemm(x.data(), 1, c, h, w, p, par.threads()),
-            )
-        }
-    }
+    let s = shape_of(x, p.ch, p.ch, p.k, true);
+    forward(x, &s, &p.weights, &p.bias, engine, |img| {
+        reference::dwconv_forward(img, p)
+    })
+}
+
+/// Depth-wise counterpart of [`conv_grads`].
+pub(crate) fn dwconv_grads(
+    x: &Tensor,
+    p: &DwConvParams,
+    dy: &Tensor,
+    engine: Engine,
+    input_grad: bool,
+) -> (Option<Tensor>, Vec<f32>, Vec<f32>) {
+    let s = shape_of(x, p.ch, p.ch, p.k, true);
+    grads(x, dy, &s, &p.weights, engine, input_grad, |xi, gi| {
+        reference::dwconv_backward(xi, p, gi)
+    })
 }
 
 /// Batched depth-wise convolution backward pass: `(dx, dweights,
@@ -535,19 +362,8 @@ pub fn dwconv_backward_batch(
     dy: &Tensor,
     engine: Engine,
 ) -> (Tensor, Vec<f32>, Vec<f32>) {
-    let (n, c, h, w) = x.dims4();
-    assert_eq!(c, p.ch, "dwconv channel mismatch");
-    assert_eq!(dy.dims4(), (n, c, h, w), "dwconv gradient shape mismatch");
-    match engine {
-        Engine::Reference => reference_backward_batch(x, dy, p.weights.len(), c, |xi, gi| {
-            reference::dwconv_backward(xi, p, gi)
-        }),
-        Engine::Gemm(par) => {
-            let (dx, dw, db) =
-                dwconv_backward_gemm(x.data(), dy.data(), n, c, h, w, p, par.threads());
-            (Tensor::from_vec(&[n, c, h, w], dx), dw, db)
-        }
-    }
+    x.dims4();
+    dwconv_backward_single(x, p, dy, engine)
 }
 
 /// Single-image depth-wise convolution backward pass.
@@ -557,15 +373,6 @@ pub fn dwconv_backward_single(
     dy: &Tensor,
     engine: Engine,
 ) -> (Tensor, Vec<f32>, Vec<f32>) {
-    match engine {
-        Engine::Reference => reference::dwconv_backward(x, p, dy),
-        Engine::Gemm(par) => {
-            let (c, h, w) = (x.channels(), x.height(), x.width());
-            assert_eq!(c, p.ch, "dwconv channel mismatch");
-            assert_eq!(dy.shape(), [c, h, w], "dwconv gradient shape mismatch");
-            let (dx, dw, db) =
-                dwconv_backward_gemm(x.data(), dy.data(), 1, c, h, w, p, par.threads());
-            (Tensor::from_vec(&[c, h, w], dx), dw, db)
-        }
-    }
+    let (dx, dw, db) = dwconv_grads(x, p, dy, engine, true);
+    (dx.expect("input gradient requested"), dw, db)
 }

@@ -1,55 +1,44 @@
-//! Packed, register-blocked, multi-threaded GEMM kernels with a
-//! bit-reproducibility contract.
+//! Implicit-GEMM f32 convolution kernels with a bit-reproducibility
+//! contract.
 //!
-//! The compute engine lowers every convolution to matrix multiply (the
-//! standard accelerator-modeling practice), so these two kernels carry
-//! the entire hot path of proxy training:
+//! A stride-1 "same" convolution is the matrix product
+//! `Y[oc][p] = init[oc] + Σ_t W[oc][t] · X[t][p]` over the patch
+//! matrix `X`, whose row `t = (ic, ky, kx)` is the input plane `ic`
+//! shifted by `(ky, kx)`. These kernels never materialize `X`: a tap
+//! table holds the offset of every row `t` inside the (zero-padded)
+//! input, and the micro-kernels in [`crate::simd`] read each row
+//! straight from the planar `N x C x H x W` buffer. Two kernels cover
+//! the three convolution passes of training:
 //!
-//! * [`gemm_nt`] — `C = init + A · Bᵀ` with both operands row-major, the
-//!   cache-friendly "dot-product" form used by the forward and
-//!   backward-data passes. The hot loop is a register-blocked
-//!   micro-kernel over *packed panels*: 4 `A` rows and `nr` `B` rows are
-//!   interleaved k-major into contiguous `[k][4]` / `[k][nr]` panels
-//!   (reused from the thread-local scratch arena), so the inner loop
-//!   reads exactly two contiguous streams and every load feeds a full
-//!   tile of multiply-adds. The tile itself is dispatched through
-//!   [`crate::simd`] to the best instruction level the CPU supports
-//!   (scalar / SSE2 / AVX2; `nr` widens with the vector registers, see
-//!   [`SimdLevel::nr`]). Leftover rows/columns (`m % 4`, `n % nr`) fall
-//!   back to the scalar dot kernel.
-//! * [`gemm_nn_acc`] — `C += A · B`, the accumulating "axpy" form used
-//!   by the weight-gradient pass (row-parallel; its inner loop already
-//!   streams both operands contiguously, so it needs no packing).
+//! * [`correlate`] — the forward pass, and the backward-data pass as
+//!   the transposed convolution over flipped weights
+//!   ([`crate::im2col::flip_weights`]) with `k - 1 - pad` padding.
+//!   Output rows (or, for `k = 1`, whole output planes, read with no
+//!   padded copy) advance 8 positions at a time, with blocks of 4
+//!   output channels sharing every input load.
+//! * [`weight_grads`] — `dW = dY · Xᵀ`, one subtotal per image, with
+//!   the output channels of a pixel-major copy of `dY` as vector lanes.
 //!
 //! # Determinism contract
 //!
-//! Every output element is a strict, sequential `f32` accumulation over
-//! the shared dimension in **ascending `k` order**, starting from its
-//! init value. Threads (via [`codesign_parallel::parallel_chunks_mut`])
-//! only partition *which rows* a worker computes — never the
-//! accumulation order within an element — so the result is
-//! byte-identical to a sequential run at any worker count, and
-//! byte-identical to any other kernel that sums the same terms in the
-//! same order (in particular the naive loops in [`crate::reference`]).
-//! Packing only permutes *where operands sit in memory*, and register
-//! blocking (of any vector width — the SIMD levels only change how many
-//! independent chains advance per instruction) exploits instruction
-//! parallelism *across* output elements while keeping each element's
-//! chain sequential in `k` — so neither weakens the contract.
-//! `tests/simd_equivalence.rs` pins scalar / SSE2 / AVX2 bit-identity.
+//! Every output element is a strict, sequential `f32` accumulation in
+//! the **canonical order** of [`crate::reference`]: the init value (the
+//! bias, or `0.0`), then the taps in ascending `(ic, ky, kx)` order —
+//! padding taps included, as explicit `w x 0` terms read from the
+//! zero-padded copy — for convolutions; output pixels in row-major
+//! ascending order, one `0.0`-seeded subtotal per image summed in
+//! image order, for weight gradients. Threads (via
+//! [`codesign_parallel::parallel_chunks_mut`]) only partition *which
+//! images* a worker computes, and vector width and channel blocking
+//! only decide how many independent chains advance per instruction, so
+//! the result is byte-identical at any worker count, at every
+//! [`SimdLevel`], and to the naive loops in [`crate::reference`].
+//! `tests/simd_equivalence.rs` and `tests/engine_equivalence.rs` pin
+//! both.
 
 use crate::scratch;
-use crate::simd::{self, SimdLevel};
+use crate::simd::{self, SimdLevel, LANES};
 use codesign_parallel::parallel_chunks_mut;
-
-/// Rows per parallel work item. Fixed (never derived from the worker
-/// count) so the partition, and with it the memory-access pattern, is
-/// identical for every `threads` value.
-const ROW_BLOCK: usize = 32;
-
-/// Micro-kernel tile rows: `MR` packed `A` rows per tile (the column
-/// count comes from the dispatch level, [`SimdLevel::nr`]).
-const MR: usize = simd::MR;
 
 /// Hardware thread count, resolved once per process.
 pub(crate) fn hardware_threads() -> usize {
@@ -82,194 +71,330 @@ pub(crate) const GEMM_FLOPS_PER_WORKER: usize = 1 << 20;
 /// single-threaded per extra worker.
 pub(crate) const COPY_ELEMS_PER_WORKER: usize = 1 << 18;
 
-/// `C[m x n] = init + A · Bᵀ` with `A[m x k]` and `B[n x k]` row-major,
-/// dispatched at the process-wide SIMD level
-/// ([`crate::simd::active_level`]).
-///
-/// `init` seeds every element of output row `i`, column `j`, with
-/// `bias[j]` (`None` means zero). Parallelized over blocks of output
-/// rows; see the module docs for the determinism contract.
-///
-/// # Panics
-///
-/// Panics when slice lengths are inconsistent with `k`/`n` or when
-/// `bias` is not `n` long.
-pub fn gemm_nt(
-    a: &[f32],
-    b: &[f32],
-    k: usize,
-    n: usize,
-    bias: Option<&[f32]>,
-    threads: usize,
-) -> Vec<f32> {
-    gemm_nt_at(simd::active_level(), a, b, k, n, bias, threads)
+/// Weight-gradient taps per micro-kernel call.
+const GRAD_TAPS: usize = 8;
+
+/// Geometry of a batch of stride-1 "same" convolutions over
+/// `n x cin x h x w` input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ConvShape {
+    /// Images in the batch.
+    pub n: usize,
+    /// Input channels.
+    pub cin: usize,
+    /// Output channels.
+    pub cout: usize,
+    /// Plane height (input and output).
+    pub h: usize,
+    /// Plane width (input and output).
+    pub w: usize,
+    /// Kernel size.
+    pub k: usize,
+    /// Depth-wise: `cin == cout` and output channel `c` reads input
+    /// channel `c` only, with weights `[c][k][k]`.
+    pub depthwise: bool,
 }
 
-/// [`gemm_nt`] pinned to an explicit dispatch level — results are
-/// byte-identical at every level; only throughput changes. Tests and
-/// benches use this to compare levels side by side without touching
-/// process-global state.
-///
-/// # Panics
-///
-/// Panics like [`gemm_nt`].
-pub fn gemm_nt_at(
-    level: SimdLevel,
-    a: &[f32],
-    b: &[f32],
-    k: usize,
-    n: usize,
-    bias: Option<&[f32]>,
-    threads: usize,
-) -> Vec<f32> {
-    assert!(k > 0 && n > 0, "gemm_nt needs positive dimensions");
-    assert_eq!(a.len() % k, 0, "lhs length not a multiple of k");
-    assert_eq!(b.len(), n * k, "rhs length disagrees with n x k");
-    if let Some(bias) = bias {
-        assert_eq!(bias.len(), n, "bias length disagrees with n");
-    }
-    let m = a.len() / k;
-    let nr = level.nr();
-    let threads = capped_threads(threads, m * n * k, GEMM_FLOPS_PER_WORKER);
-    // Pack full nr-column groups of B once, k-major interleaved, so the
-    // micro-kernel streams one contiguous panel per column group. The
-    // panel for columns [j0, j0+nr) lives at bpack[j0*k..(j0+nr)*k].
-    let n_main = n - n % nr;
-    let mut bpack = scratch::take(n_main * k);
-    for j0 in (0..n_main).step_by(nr) {
-        let panel = &mut bpack[j0 * k..(j0 + nr) * k];
-        for jj in 0..nr {
-            let col = &b[(j0 + jj) * k..(j0 + jj + 1) * k];
-            for (kk, &v) in col.iter().enumerate() {
-                panel[kk * nr + jj] = v;
-            }
+impl ConvShape {
+    /// Input channels one output channel reads: 1 when depth-wise.
+    pub fn patch_channels(&self) -> usize {
+        if self.depthwise {
+            1
+        } else {
+            self.cin
         }
     }
-    let mut out = scratch::take(m * n);
-    parallel_chunks_mut(&mut out, ROW_BLOCK * n, threads, |block, chunk| {
-        let row0 = block * ROW_BLOCK;
-        let rows = chunk.len() / n;
-        // Per-worker A panel from the thread-local arena: persistent
-        // workers reuse it across every GEMM call they ever run.
-        let mut apack = scratch::take(MR * k);
-        let mut r = 0;
-        while r + MR <= rows {
-            // Pack MR rows of A, k-major interleaved, mirroring bpack.
+
+    /// Weight count, `cout x patch_channels x k x k`.
+    pub fn weights_len(&self) -> usize {
+        self.cout * self.patch_channels() * self.k * self.k
+    }
+
+    fn assert_input(&self, x: &[f32]) {
+        assert!(self.k > 0, "kernel size must be positive");
+        assert!(
+            !self.depthwise || self.cin == self.cout,
+            "depth-wise convolution needs cin == cout"
+        );
+        assert_eq!(
+            x.len(),
+            self.n * self.cin * self.h * self.w,
+            "input length disagrees with shape"
+        );
+    }
+}
+
+/// Where one image's patch-matrix rows live: tap offsets in canonical
+/// `(ic, ky, kx)` order, the `(rows, len, stride)` walk of the output
+/// grid over the source, and the size of one source plane.
+struct Layout {
+    taps: Vec<usize>,
+    geometry: (usize, usize, usize),
+    src_plane: usize,
+}
+
+impl Layout {
+    /// `k = 1` reads the image itself as whole planes; larger kernels
+    /// read rows of a zero-padded copy whose rows are widened to whole
+    /// `LANES` chunks, so every output row runs vector-wide.
+    fn new(s: &ConvShape) -> Layout {
+        let (h, w, k) = (s.h, s.w, s.k);
+        let (geometry, src_plane) = if k == 1 {
+            ((1, h * w, 0), h * w)
+        } else {
+            let stride = w.next_multiple_of(LANES) + k - 1;
+            ((h, w, stride), (h + k - 1) * stride)
+        };
+        let stride = geometry.2;
+        let taps = (0..s.patch_channels())
+            .flat_map(|ic| {
+                (0..k).flat_map(move |ky| (0..k).map(move |kx| ic * src_plane + ky * stride + kx))
+            })
+            .collect();
+        Layout {
+            taps,
+            geometry,
+            src_plane,
+        }
+    }
+
+    /// The source of one image's `planes`: the image itself for
+    /// `k = 1` (`None`), else its zero-padded copy with `pad` rows and
+    /// columns before the image and zeros after.
+    fn padded(&self, x: &[f32], planes: usize, s: &ConvShape, pad: usize) -> Option<Vec<f32>> {
+        if s.k == 1 {
+            return None;
+        }
+        let stride = self.geometry.2;
+        let mut out = scratch::take_zeroed(planes * self.src_plane);
+        for (src, dst) in x
+            .chunks_exact(s.h * s.w)
+            .zip(out.chunks_exact_mut(self.src_plane))
+        {
+            for (row, drow) in src
+                .chunks_exact(s.w)
+                .zip(dst[pad * stride..].chunks_exact_mut(stride))
             {
-                let (a0, a1, a2, a3) = (
-                    &a[(row0 + r) * k..(row0 + r + 1) * k],
-                    &a[(row0 + r + 1) * k..(row0 + r + 2) * k],
-                    &a[(row0 + r + 2) * k..(row0 + r + 3) * k],
-                    &a[(row0 + r + 3) * k..(row0 + r + 4) * k],
-                );
-                for (kk, slot) in apack.chunks_exact_mut(MR).enumerate() {
-                    slot[0] = a0[kk];
-                    slot[1] = a1[kk];
-                    slot[2] = a2[kk];
-                    slot[3] = a3[kk];
-                }
-            }
-            for j0 in (0..n_main).step_by(nr) {
-                // MR x nr micro-tile: independent accumulators, each a
-                // strictly sequential k-ascending chain seeded with its
-                // column's bias — the same per-element arithmetic as
-                // the naive triple loop, a whole tile at a time.
-                let mut init = [0.0f32; simd::MAX_NR];
-                if let Some(bias) = bias {
-                    init[..nr].copy_from_slice(&bias[j0..j0 + nr]);
-                }
-                let panel = &bpack[j0 * k..(j0 + nr) * k];
-                let mut acc = [0.0f32; MR * simd::MAX_NR];
-                simd::f32_tile(level, &apack, panel, &init[..nr], &mut acc);
-                for i in 0..MR {
-                    chunk[(r + i) * n + j0..(r + i) * n + j0 + nr]
-                        .copy_from_slice(&acc[i * nr..i * nr + nr]);
-                }
-            }
-            // Leftover columns (n % nr): scalar dot per row, same
-            // k-ascending order.
-            for j in n_main..n {
-                let b_row = &b[j * k..(j + 1) * k];
-                for i in 0..MR {
-                    let a_row = &a[(row0 + r + i) * k..(row0 + r + i + 1) * k];
-                    let mut s = bias.map_or(0.0, |bias| bias[j]);
-                    for (x, y) in a_row.iter().zip(b_row) {
-                        s += x * y;
-                    }
-                    chunk[(r + i) * n + j] = s;
-                }
-            }
-            r += MR;
-        }
-        // Leftover rows (m % MR within this block): scalar dot kernel
-        // over every column.
-        for r in r..rows {
-            let a_row = &a[(row0 + r) * k..(row0 + r + 1) * k];
-            let out_row = &mut chunk[r * n..(r + 1) * n];
-            for (j, o) in out_row.iter_mut().enumerate() {
-                let b_row = &b[j * k..(j + 1) * k];
-                let mut s = bias.map_or(0.0, |bias| bias[j]);
-                for (x, y) in a_row.iter().zip(b_row) {
-                    s += x * y;
-                }
-                *o = s;
+                drow[pad..pad + s.w].copy_from_slice(row);
             }
         }
-        scratch::recycle(apack);
-    });
-    scratch::recycle(bpack);
+        Some(out)
+    }
+}
+
+/// Output channels per block: 4 while they last, then single channels
+/// (wider blocks spill the accumulators out of the 16 vector
+/// registers). Depth-wise channels read planes of their own, so each is
+/// a block. The packed weights follow the same partition.
+fn block_width(s: &ConvShape, oc: usize) -> usize {
+    if !s.depthwise && s.cout - oc >= 4 {
+        4
+    } else {
+        1
+    }
+}
+
+/// `[oc][t]` weights repacked block by block as `[t][ob]`, so the block
+/// starting at channel `oc` sits at `oc * ckk`.
+fn pack_blocks(s: &ConvShape, weights: &[f32], ckk: usize) -> Vec<f32> {
+    let mut out = scratch::take(weights.len());
+    let mut oc = 0;
+    while oc < s.cout {
+        let ob = block_width(s, oc);
+        for t in 0..ckk {
+            for j in 0..ob {
+                out[oc * ckk + t * ob + j] = weights[(oc + j) * ckk + t];
+            }
+        }
+        oc += ob;
+    }
     out
 }
 
-/// `C[m x n] += A · B` with `A[m x k]` and `B[k x n]` row-major.
-///
-/// The axpy form: for each `A` element (taken in ascending `k` order)
-/// a scaled `B` row is added to the matching `C` row, so every `C`
-/// element accumulates its terms in ascending `k` order on top of
-/// whatever `C` already holds. Parallelized over single output rows
-/// (the weight-gradient matrices this serves have few, long rows).
+/// The direct convolution: `n x cout x h x w` output with
+/// `y[oc][oy][ox] = init[oc] + Σ_(ic, ky, kx) w[oc][ic][ky][kx] · x[ic][oy + ky - pad][ox + kx - pad]`,
+/// out-of-image taps reading `0.0`, each element accumulated in that
+/// order (see the module docs), at SIMD `level`. `init` of `None`
+/// seeds with zeros.
 ///
 /// # Panics
 ///
-/// Panics when slice lengths are inconsistent.
-pub fn gemm_nn_acc(a: &[f32], b: &[f32], k: usize, n: usize, c: &mut [f32], threads: usize) {
-    assert!(k > 0 && n > 0, "gemm_nn_acc needs positive dimensions");
-    assert_eq!(a.len() % k, 0, "lhs length not a multiple of k");
-    assert_eq!(b.len(), k * n, "rhs length disagrees with k x n");
-    let m = a.len() / k;
-    assert_eq!(c.len(), m * n, "output length disagrees with m x n");
-    let threads = capped_threads(threads, m * n * k, GEMM_FLOPS_PER_WORKER);
-    parallel_chunks_mut(c, n, threads, |i, c_row| {
-        let a_row = &a[i * k..(i + 1) * k];
-        for (kk, &aik) in a_row.iter().enumerate() {
-            let b_row = &b[kk * n..(kk + 1) * n];
-            for (cv, &bv) in c_row.iter_mut().zip(b_row) {
-                *cv += aik * bv;
+/// Panics when `x`, `weights` or `init` disagree with the shape, or
+/// `pad >= k`.
+pub fn correlate(
+    level: SimdLevel,
+    s: &ConvShape,
+    x: &[f32],
+    weights: &[f32],
+    init: Option<&[f32]>,
+    pad: usize,
+    threads: usize,
+) -> Vec<f32> {
+    s.assert_input(x);
+    assert_eq!(
+        weights.len(),
+        s.weights_len(),
+        "weight length disagrees with shape"
+    );
+    assert!(pad < s.k, "padding {pad} must be below the kernel size");
+    if let Some(init) = init {
+        assert_eq!(init.len(), s.cout, "init length disagrees with cout");
+    }
+    let layout = Layout::new(s);
+    let ckk = layout.taps.len();
+    let plane = s.h * s.w;
+    let wpack = pack_blocks(s, weights, ckk);
+    let mut out = scratch::take(s.n * s.cout * plane);
+    let threads = capped_threads(threads, out.len() * ckk, GEMM_FLOPS_PER_WORKER);
+    parallel_chunks_mut(&mut out, s.cout * plane, threads, |img, y| {
+        let xi = &x[img * s.cin * plane..(img + 1) * s.cin * plane];
+        let padded = layout.padded(xi, s.cin, s, pad);
+        let image = padded.as_deref().unwrap_or(xi);
+        let seed = |oc: usize| init.map_or(0.0, |b| b[oc]);
+        let (taps, geo) = (&layout.taps, layout.geometry);
+        let mut oc = 0;
+        while oc < s.cout {
+            let ob = block_width(s, oc);
+            let src = if s.depthwise {
+                &image[oc * layout.src_plane..(oc + 1) * layout.src_plane]
+            } else {
+                image
+            };
+            let wb = &wpack[oc * ckk..(oc + ob) * ckk];
+            let yb = &mut y[oc * plane..(oc + ob) * plane];
+            if ob == 4 {
+                let init = std::array::from_fn(|j| seed(oc + j));
+                simd::f32_conv_rows::<4>(level, src, taps, wb, init, geo, yb, plane);
+            } else {
+                simd::f32_conv_rows::<1>(level, src, taps, wb, [seed(oc)], geo, yb, plane);
             }
+            oc += ob;
+        }
+        if let Some(buf) = padded {
+            scratch::recycle(buf);
         }
     });
+    scratch::recycle(wpack);
+    out
+}
+
+/// Weight gradient of the convolution [`correlate`] computes with
+/// `pad = k / 2`: for every image, `dw_img[oc][t] = Σ_p dy[oc][p] ·
+/// X[t][p]` over output pixels `p` in row-major ascending order,
+/// starting from `0.0`; the result sums those subtotals in image
+/// order. Weight layout as in [`correlate`].
+///
+/// # Panics
+///
+/// Panics when `x` or `dy` disagree with the shape.
+pub fn weight_grads(
+    level: SimdLevel,
+    s: &ConvShape,
+    x: &[f32],
+    dy: &[f32],
+    threads: usize,
+) -> Vec<f32> {
+    s.assert_input(x);
+    let wlen = s.weights_len();
+    let plane = s.h * s.w;
+    assert_eq!(
+        dy.len(),
+        s.n * s.cout * plane,
+        "gradient length disagrees with shape"
+    );
+    let layout = Layout::new(s);
+    let ckk = layout.taps.len();
+    let mut subs = scratch::take(s.n * wlen);
+    let threads = capped_threads(threads, subs.len() * plane, GEMM_FLOPS_PER_WORKER);
+    parallel_chunks_mut(&mut subs, wlen, threads, |img, sub| {
+        let xi = &x[img * s.cin * plane..(img + 1) * s.cin * plane];
+        let padded = layout.padded(xi, s.cin, s, s.k / 2);
+        let src = padded.as_deref().unwrap_or(xi);
+        let g = &dy[img * s.cout * plane..(img + 1) * s.cout * plane];
+        if s.depthwise {
+            for (c, (gc, subc)) in g
+                .chunks_exact(plane)
+                .zip(sub.chunks_exact_mut(ckk))
+                .enumerate()
+            {
+                let src = &src[c * layout.src_plane..(c + 1) * layout.src_plane];
+                grad_taps::<1>(level, src, &layout, gc, 1, |t, _, v| subc[t] = v);
+            }
+        } else {
+            // Pixel-major copy of dY, output channels zero-padded to
+            // whole lanes (padding lanes compute chains nobody stores).
+            let ld = s.cout.next_multiple_of(LANES);
+            let mut dyt = scratch::take_zeroed(plane * ld);
+            for (oc, gc) in g.chunks_exact(plane).enumerate() {
+                for (p, &v) in gc.iter().enumerate() {
+                    dyt[p * ld + oc] = v;
+                }
+            }
+            for v in (0..s.cout).step_by(LANES) {
+                grad_taps::<LANES>(level, src, &layout, &dyt[v..], ld, |t, l, val| {
+                    if v + l < s.cout {
+                        sub[(v + l) * ckk + t] = val;
+                    }
+                });
+            }
+            scratch::recycle(dyt);
+        }
+        if let Some(buf) = padded {
+            scratch::recycle(buf);
+        }
+    });
+    let mut dw = vec![0.0f32; wlen];
+    for sub in subs.chunks_exact(wlen) {
+        for (d, v) in dw.iter_mut().zip(sub) {
+            *d += v;
+        }
+    }
+    scratch::recycle(subs);
+    dw
+}
+
+/// Runs every tap through the gradient micro-kernel, [`GRAD_TAPS`] at
+/// a time and the remainder one by one, handing each finished chain to
+/// `store(tap, lane, value)`.
+fn grad_taps<const L: usize>(
+    level: SimdLevel,
+    src: &[f32],
+    layout: &Layout,
+    dyt: &[f32],
+    ld: usize,
+    mut store: impl FnMut(usize, usize, f32),
+) {
+    let mut t0 = 0;
+    for block in layout.taps.chunks(GRAD_TAPS) {
+        if let Ok(taps) = <&[usize; GRAD_TAPS]>::try_from(block) {
+            let acc =
+                simd::f32_grad_taps::<GRAD_TAPS, L>(level, src, taps, dyt, ld, layout.geometry);
+            for (j, lanes) in acc.iter().enumerate() {
+                for (l, &v) in lanes.iter().enumerate() {
+                    store(t0 + j, l, v);
+                }
+            }
+        } else {
+            for (j, &tap) in block.iter().enumerate() {
+                let [lanes] =
+                    simd::f32_grad_taps::<1, L>(level, src, &[tap], dyt, ld, layout.geometry);
+                for (l, &v) in lanes.iter().enumerate() {
+                    store(t0 + j, l, v);
+                }
+            }
+        }
+        t0 += block.len();
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::active_level;
     use proptest::prelude::*;
 
-    /// Textbook triple loop in the same per-element order as the
-    /// kernels: init, then ascending k.
-    fn naive_nt(a: &[f32], b: &[f32], k: usize, n: usize, bias: Option<&[f32]>) -> Vec<f32> {
-        let m = a.len() / k;
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = bias.map_or(0.0, |bias| bias[j]);
-                for kk in 0..k {
-                    acc += a[i * k + kk] * b[j * k + kk];
-                }
-                out[i * n + j] = acc;
-            }
-        }
-        out
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     fn ramp(len: usize, scale: f32) -> Vec<f32> {
@@ -278,87 +403,218 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn nt_matches_naive_bitwise_at_any_thread_count() {
-        for (m, k, n) in [(1, 1, 1), (5, 7, 3), (70, 13, 9), (33, 27, 4)] {
-            let a = ramp(m * k, 0.05);
-            let b = ramp(n * k, 0.03);
-            let bias = ramp(n, 0.2);
-            let expect = naive_nt(&a, &b, k, n, Some(&bias));
-            for threads in [1, 2, 4, 8] {
-                assert_eq!(
-                    gemm_nt(&a, &b, k, n, Some(&bias), threads),
-                    expect,
-                    "m={m} k={k} n={n} threads={threads}"
-                );
-            }
-            let expect0 = naive_nt(&a, &b, k, n, None);
-            assert_eq!(gemm_nt(&a, &b, k, n, None, 4), expect0);
+    fn shape(
+        n: usize,
+        cin: usize,
+        cout: usize,
+        h: usize,
+        w: usize,
+        k: usize,
+        dw: bool,
+    ) -> ConvShape {
+        ConvShape {
+            n,
+            cin,
+            cout: if dw { cin } else { cout },
+            h,
+            w,
+            k,
+            depthwise: dw,
         }
     }
 
-    #[test]
-    fn nt_is_bitwise_identical_at_every_simd_level() {
-        for (m, k, n) in [(4, 8, 8), (17, 31, 13), (33, 9, 20)] {
-            let a = ramp(m * k, 0.05);
-            let b = ramp(n * k, 0.03);
-            let bias = ramp(n, 0.2);
-            let expect = naive_nt(&a, &b, k, n, Some(&bias));
-            for level in crate::simd::available_levels() {
-                assert_eq!(
-                    gemm_nt_at(level, &a, &b, k, n, Some(&bias), 2),
-                    expect,
-                    "level {level} diverged at m={m} k={k} n={n}"
-                );
-            }
+    /// Input value at `(img, ic, iy, ix)`, zero outside the image.
+    fn at(s: &ConvShape, x: &[f32], img: usize, ic: usize, iy: isize, ix: isize) -> f32 {
+        if iy < 0 || ix < 0 || iy >= s.h as isize || ix >= s.w as isize {
+            return 0.0;
         }
+        x[((img * s.cin + ic) * s.h + iy as usize) * s.w + ix as usize]
     }
 
-    #[test]
-    fn nn_acc_accumulates_on_top() {
-        let (m, k, n) = (3, 5, 4);
-        let a = ramp(m * k, 0.1);
-        let b = ramp(k * n, 0.07);
-        let mut c = ramp(m * n, 1.0);
-        let mut expect = c.clone();
-        for i in 0..m {
-            for kk in 0..k {
-                for j in 0..n {
-                    expect[i * n + j] += a[i * k + kk] * b[kk * n + j];
+    /// Textbook nested loops in the canonical order: init, then
+    /// ascending `(ic, ky, kx)`.
+    fn naive_correlate(
+        s: &ConvShape,
+        x: &[f32],
+        wts: &[f32],
+        init: Option<&[f32]>,
+        pad: usize,
+    ) -> Vec<f32> {
+        let patch_ch = s.patch_channels();
+        let mut out = Vec::new();
+        for img in 0..s.n {
+            for oc in 0..s.cout {
+                for oy in 0..s.h {
+                    for ox in 0..s.w {
+                        let mut acc = init.map_or(0.0, |b| b[oc]);
+                        for ci in 0..patch_ch {
+                            let ic = if s.depthwise { oc } else { ci };
+                            for ky in 0..s.k {
+                                for kx in 0..s.k {
+                                    let iy = (oy + ky) as isize - pad as isize;
+                                    let ix = (ox + kx) as isize - pad as isize;
+                                    let wv = wts[((oc * patch_ch + ci) * s.k + ky) * s.k + kx];
+                                    acc += at(s, x, img, ic, iy, ix) * wv;
+                                }
+                            }
+                        }
+                        out.push(acc);
+                    }
                 }
             }
         }
-        let seq = {
-            let mut c1 = c.clone();
-            gemm_nn_acc(&a, &b, k, n, &mut c1, 1);
-            c1
-        };
-        assert_eq!(seq, expect);
-        gemm_nn_acc(&a, &b, k, n, &mut c, 4);
-        assert_eq!(c, seq, "thread count changed the accumulation");
+        out
+    }
+
+    /// Per-image `0.0`-seeded subtotals over row-major pixels, summed
+    /// in image order.
+    fn naive_weight_grads(s: &ConvShape, x: &[f32], dy: &[f32]) -> Vec<f32> {
+        let patch_ch = s.patch_channels();
+        let pad = s.k / 2;
+        let mut dw = vec![0.0f32; s.weights_len()];
+        for img in 0..s.n {
+            for oc in 0..s.cout {
+                for ci in 0..patch_ch {
+                    let ic = if s.depthwise { oc } else { ci };
+                    for ky in 0..s.k {
+                        for kx in 0..s.k {
+                            let mut acc = 0.0f32;
+                            for oy in 0..s.h {
+                                for ox in 0..s.w {
+                                    let g = dy[((img * s.cout + oc) * s.h + oy) * s.w + ox];
+                                    let iy = (oy + ky) as isize - pad as isize;
+                                    let ix = (ox + kx) as isize - pad as isize;
+                                    acc += g * at(s, x, img, ic, iy, ix);
+                                }
+                            }
+                            dw[((oc * patch_ch + ci) * s.k + ky) * s.k + kx] += acc;
+                        }
+                    }
+                }
+            }
+        }
+        dw
+    }
+
+    const SHAPES: [(usize, usize, usize, usize, usize, usize, bool); 7] = [
+        (1, 1, 1, 1, 1, 1, false),
+        (2, 3, 8, 5, 11, 3, false),
+        (1, 5, 13, 4, 9, 1, false),
+        (2, 4, 3, 6, 17, 2, false),
+        (1, 2, 5, 3, 8, 5, false),
+        (2, 6, 6, 7, 19, 3, true),
+        (1, 3, 3, 2, 9, 4, true),
+    ];
+
+    #[test]
+    fn correlate_matches_naive_bitwise_at_any_thread_count() {
+        for (n, cin, cout, h, w, k, dw) in SHAPES {
+            let s = shape(n, cin, cout, h, w, k, dw);
+            let x = ramp(n * cin * h * w, 0.05);
+            let wts = ramp(s.weights_len(), 0.03);
+            let bias = ramp(s.cout, 0.2);
+            for pad in [k / 2, k - 1 - k / 2] {
+                let expect = naive_correlate(&s, &x, &wts, Some(&bias), pad);
+                for threads in [1, 2, 4, 8] {
+                    assert_eq!(
+                        bits(&correlate(
+                            active_level(),
+                            &s,
+                            &x,
+                            &wts,
+                            Some(&bias),
+                            pad,
+                            threads
+                        )),
+                        bits(&expect),
+                        "{s:?} pad={pad} threads={threads}"
+                    );
+                }
+                let expect0 = naive_correlate(&s, &x, &wts, None, pad);
+                assert_eq!(
+                    bits(&correlate(active_level(), &s, &x, &wts, None, pad, 4)),
+                    bits(&expect0)
+                );
+            }
+        }
     }
 
     #[test]
-    #[should_panic(expected = "rhs length disagrees")]
-    fn nt_rejects_bad_shapes() {
-        let _ = gemm_nt(&[1.0; 6], &[1.0; 5], 3, 2, None, 1);
+    fn correlate_is_bitwise_identical_at_every_simd_level() {
+        for (n, cin, cout, h, w, k, dw) in SHAPES {
+            let s = shape(n, cin, cout, h, w, k, dw);
+            let x = ramp(n * cin * h * w, 0.05);
+            let wts = ramp(s.weights_len(), 0.03);
+            let bias = ramp(s.cout, 0.2);
+            let expect = naive_correlate(&s, &x, &wts, Some(&bias), k / 2);
+            let dy = ramp(n * s.cout * h * w, 0.07);
+            let expect_dw = naive_weight_grads(&s, &x, &dy);
+            for level in crate::simd::available_levels() {
+                assert_eq!(
+                    bits(&correlate(level, &s, &x, &wts, Some(&bias), k / 2, 2)),
+                    bits(&expect),
+                    "level {level} diverged at {s:?}"
+                );
+                assert_eq!(
+                    bits(&weight_grads(level, &s, &x, &dy, 2)),
+                    bits(&expect_dw),
+                    "level {level} weight gradient diverged at {s:?}"
+                );
+            }
+        }
+    }
+
+    /// Weight gradients are per-image subtotals summed in image order,
+    /// at any worker count.
+    #[test]
+    fn weight_grads_sum_per_image_subtotals() {
+        for (n, cin, cout, h, w, k, dw) in SHAPES {
+            let s = shape(n, cin, cout, h, w, k, dw);
+            let x = ramp(n * cin * h * w, 0.1);
+            let dy = ramp(n * s.cout * h * w, 0.07);
+            let expect = naive_weight_grads(&s, &x, &dy);
+            for threads in [1, 4] {
+                assert_eq!(
+                    bits(&weight_grads(active_level(), &s, &x, &dy, threads)),
+                    bits(&expect),
+                    "{s:?} threads={threads}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "weight length disagrees")]
+    fn correlate_rejects_bad_shapes() {
+        let s = shape(1, 2, 3, 2, 2, 3, false);
+        let _ = correlate(active_level(), &s, &[1.0; 8], &[1.0; 5], None, 1, 1);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         #[test]
-        fn prop_nt_bitwise_stable(
-            m in 1usize..40,
-            k in 1usize..30,
-            n in 1usize..12,
+        fn prop_correlate_bitwise_stable(
+            n in 1usize..3,
+            cin in 1usize..6,
+            cout in 1usize..14,
+            h in 1usize..6,
+            w in 1usize..20,
+            k in 1usize..5,
+            dw in 0u8..2,
             threads in 1usize..6,
         ) {
-            let a = ramp(m * k, 0.02);
-            let b = ramp(n * k, 0.04);
+            let s = shape(n, cin, cout, h, w, k, dw == 1);
+            let x = ramp(n * cin * h * w, 0.02);
+            let wts = ramp(s.weights_len(), 0.04);
             prop_assert_eq!(
-                gemm_nt(&a, &b, k, n, None, threads),
-                naive_nt(&a, &b, k, n, None)
+                bits(&correlate(active_level(), &s, &x, &wts, None, k / 2, threads)),
+                bits(&naive_correlate(&s, &x, &wts, None, k / 2))
+            );
+            let dy = ramp(n * s.cout * h * w, 0.03);
+            prop_assert_eq!(
+                bits(&weight_grads(active_level(), &s, &x, &dy, threads)),
+                bits(&naive_weight_grads(&s, &x, &dy))
             );
         }
     }

@@ -1,19 +1,19 @@
-//! im2col lowering: convolutions as matrix multiplies.
+//! im2col lowering for the int8 engine, and the weight flip of the
+//! transposed convolution.
 //!
-//! [`im2row`] unrolls every output pixel's receptive field into one
-//! contiguous row of a patch matrix (the row-major flavour of the
-//! classic im2col), so a convolution becomes a single
-//! [`crate::gemm::gemm_nt`] call: patch-matrix rows dotted against
-//! weight rows. Padding is materialized as explicit zeros, which moves
-//! every boundary branch out of the GEMM inner loop *and* pins the
-//! accumulation-order contract: the GEMM path adds the same
-//! `weight x 0` terms, in the same `(channel, ky, kx)` order, as the
-//! reference kernels in [`crate::reference`], keeping the two paths
-//! bit-identical.
+//! [`im2row_grid_i8`] unrolls every output pixel's receptive field into
+//! one contiguous row of a patch matrix (the row-major flavour of the
+//! classic im2col), so a quantized convolution becomes a single
+//! [`crate::qgemm::qgemm_nt`] call: patch-matrix rows dotted against
+//! weight rows. Padding is materialized as explicit zero codes, which
+//! moves every boundary branch out of the GEMM inner loop; under the
+//! symmetric quantization grid code `0` *is* real `0.0`, so the integer
+//! path adds the same `weight x 0` padding terms as the float paths.
 //!
-//! The backward-data pass reuses the same lowering as a *transposed*
-//! convolution — the output gradient is im2row-unrolled and dotted
-//! against spatially flipped, channel-transposed weights — so no
+//! The f32 engine does not lower at all: its implicit-GEMM kernels
+//! ([`crate::gemm`]) read the patch rows straight from the planar
+//! input. It shares [`flip_weights`], which turns the backward-data
+//! pass into a transposed convolution over the output gradient — so no
 //! scatter-style `col2im` is needed anywhere.
 //!
 //! Layouts (all row-major):
@@ -46,81 +46,15 @@ pub fn conv_output_size(h: usize, w: usize, k: usize, stride: usize, pad: usize)
     )
 }
 
-/// Unrolls `groups` image planes of `c x h x w` into the patch matrix
-/// described in the module docs, parallelized over planes.
-///
-/// Returns the matrix and the output spatial size `(oh, ow)`.
-///
-/// # Panics
-///
-/// Panics when `x` is not `groups * c * h * w` long or the geometry is
-/// invalid (see [`conv_output_size`]).
-#[allow(clippy::too_many_arguments)] // raw geometry is the whole API
-pub fn im2row(
-    x: &[f32],
-    groups: usize,
-    c: usize,
-    h: usize,
-    w: usize,
-    k: usize,
-    stride: usize,
-    pad: usize,
-    threads: usize,
-) -> (Vec<f32>, usize, usize) {
-    let (oh, ow) = conv_output_size(h, w, k, stride, pad);
-    let rows = im2row_grid(x, groups, c, h, w, k, stride, pad, (oh, ow), threads);
-    (rows, oh, ow)
-}
-
-/// Like [`im2row`] but with the output grid given explicitly instead of
-/// derived from the geometry.
+/// Unrolls `groups` planes of `i8` activation codes into the patch
+/// matrix described in the module docs, over an explicit output grid,
+/// parallelized over planes.
 ///
 /// "Same"-size convolutions keep the input grid (`oh = h`, `ow = w`)
-/// for *every* kernel size — with `pad = k / 2` the derived size only
-/// coincides for odd `k` — so the compute engine pins the grid here.
-/// Taps reaching past the padded input (possible when the grid is
-/// larger than the derived one) read as zeros, like padding.
-///
-/// # Panics
-///
-/// Panics when `x` is not `groups * c * h * w` long or `stride` is 0.
-#[allow(clippy::too_many_arguments)] // raw geometry is the whole API
-pub fn im2row_grid(
-    x: &[f32],
-    groups: usize,
-    c: usize,
-    h: usize,
-    w: usize,
-    k: usize,
-    stride: usize,
-    pad: usize,
-    (oh, ow): (usize, usize),
-    threads: usize,
-) -> Vec<f32> {
-    // Zeroed arena buffer: the patch matrix relies on zero
-    // initialization to materialize padding. Callers on the hot path
-    // recycle it after the GEMM (`crate::scratch::recycle`).
-    let mut rows = scratch::take_zeroed(groups * c * k * k * oh * ow);
-    fill_patch_rows(
-        x,
-        &mut rows,
-        groups,
-        c,
-        h,
-        w,
-        k,
-        stride,
-        pad,
-        (oh, ow),
-        threads,
-    );
-    rows
-}
-
-/// [`im2row_grid`] over `i8` activation codes — the quantized engine's
-/// lowering. Padding materializes as code `0`, which under the
-/// symmetric quantization grid *is* real `0.0`, so the int8 GEMM adds
-/// the same `weight x 0` padding terms as the float paths.
+/// for *every* kernel size — with `pad = k / 2` the size
+/// [`conv_output_size`] derives only coincides for odd `k` — so the
+/// engine pins the grid here. Taps reaching past the padded input read
+/// as code `0`, like padding.
 ///
 /// # Panics
 ///
@@ -155,9 +89,8 @@ pub fn im2row_grid_i8(
     rows
 }
 
-/// Element-type-generic patch gather behind both `im2row_grid`
-/// flavours; `rows` must arrive zeroed (padding taps are skipped, not
-/// written).
+/// Element-type-generic patch gather behind [`im2row_grid_i8`]; `rows`
+/// must arrive zeroed (padding taps are skipped, not written).
 #[allow(clippy::too_many_arguments)]
 fn fill_patch_rows<T: Copy + Send + Sync>(
     x: &[T],
@@ -216,8 +149,9 @@ fn fill_patch_rows<T: Copy + Send + Sync>(
 /// backward-data (transposed-convolution) pass.
 ///
 /// Input layout `[oc][ic][ky][kx]` (flattened), output layout
-/// `[ic][oc][ky][kx]` with both spatial axes reversed, so that
-/// `dx = im2row(dy) · flippedᵀ` accumulates each element's terms in
+/// `[ic][oc][ky][kx]` with both spatial axes reversed, so that the
+/// transposed convolution of `dy` with the flipped weights
+/// ([`crate::gemm::correlate`]) accumulates each element's terms in
 /// ascending `(oc, ky, kx)` order.
 pub fn flip_weights(weights: &[f32], oc: usize, ic: usize, k: usize) -> Vec<f32> {
     assert_eq!(weights.len(), oc * ic * k * k, "weight length disagrees");
@@ -289,11 +223,37 @@ mod tests {
         rows
     }
 
+    /// `i8` codes cycling through the whole range.
+    fn codes(len: usize) -> Vec<i8> {
+        (0..len)
+            .map(|i| ((i * 11 % 255) as i32 - 127) as i8)
+            .collect()
+    }
+
+    /// The `i8` lowering read as floats, for comparison with [`gather`].
+    #[allow(clippy::too_many_arguments)]
+    fn lower_as_f32(
+        x: &[i8],
+        groups: usize,
+        c: usize,
+        h: usize,
+        w: usize,
+        k: usize,
+        stride: usize,
+        pad: usize,
+        threads: usize,
+    ) -> Vec<f32> {
+        let grid = conv_output_size(h, w, k, stride, pad);
+        im2row_grid_i8(x, groups, c, h, w, k, stride, pad, grid, threads)
+            .iter()
+            .map(|&v| v as f32)
+            .collect()
+    }
+
     #[test]
     fn identity_1x1_lowering() {
-        let x = ramp(2 * 3 * 4);
-        let (rows, oh, ow) = im2row(&x, 1, 2, 3, 4, 1, 1, 0, 1);
-        assert_eq!((oh, ow), (3, 4));
+        let x = codes(2 * 3 * 4);
+        let rows = im2row_grid_i8(&x, 1, 2, 3, 4, 1, 1, 0, (3, 4), 1);
         // Each row is the pixel's 2 channel values.
         assert_eq!(rows.len(), 3 * 4 * 2);
         assert_eq!(rows[0], x[0]);
@@ -326,14 +286,13 @@ mod tests {
     fn i8_lowering_matches_float_lowering() {
         let (groups, c, h, w, k, stride) = (2usize, 2usize, 5usize, 6usize, 3usize, 1usize);
         let pad = k / 2;
-        let xi: Vec<i8> = (0..groups * c * h * w)
-            .map(|i| ((i * 11 % 255) as i32 - 127) as i8)
-            .collect();
+        let xi = codes(groups * c * h * w);
         let xf: Vec<f32> = xi.iter().map(|&v| v as f32).collect();
-        let rows_i = im2row_grid_i8(&xi, groups, c, h, w, k, stride, pad, (h, w), 2);
-        let rows_f = im2row_grid(&xf, groups, c, h, w, k, stride, pad, (h, w), 2);
-        let as_f: Vec<f32> = rows_i.iter().map(|&v| v as f32).collect();
-        assert_eq!(as_f, rows_f, "integer and float lowerings disagree");
+        assert_eq!(
+            lower_as_f32(&xi, groups, c, h, w, k, stride, pad, 2),
+            gather(&xf, groups, c, h, w, k, stride, pad),
+            "integer and float lowerings disagree"
+        );
     }
 
     proptest! {
@@ -352,9 +311,12 @@ mod tests {
             // `pad = k / 2` keeps the kernel inside the padded input
             // for every sampled shape.
             let pad = k / 2;
-            let x = ramp(groups * c * h * w);
-            let (rows, _, _) = im2row(&x, groups, c, h, w, k, stride, pad, threads);
-            prop_assert_eq!(rows, gather(&x, groups, c, h, w, k, stride, pad));
+            let x = codes(groups * c * h * w);
+            let xf: Vec<f32> = x.iter().map(|&v| v as f32).collect();
+            prop_assert_eq!(
+                lower_as_f32(&x, groups, c, h, w, k, stride, pad, threads),
+                gather(&xf, groups, c, h, w, k, stride, pad)
+            );
         }
     }
 }

@@ -3,7 +3,7 @@
 //! All spatial operators use the same conventions as the hardware IR in
 //! [`codesign_dnn::layer`]: "same" padding for convolutions (stride 1)
 //! and non-overlapping windows for pooling. The convolution entry
-//! points here delegate to the im2col+GEMM compute engine
+//! points here delegate to the direct-kernel compute engine
 //! ([`crate::engine`]) with its default configuration; the original
 //! naive kernels live on in [`crate::reference`]. The `*_batch`
 //! variants operate on rank-4 `N x C x H x W` tensors (see
@@ -101,7 +101,7 @@ impl ScaleBiasParams {
 }
 
 /// Standard convolution forward pass, same padding, stride 1, on the
-/// default compute engine (im2col+GEMM).
+/// default compute engine (direct kernels).
 ///
 /// # Panics
 ///
@@ -116,7 +116,7 @@ pub fn conv_backward(x: &Tensor, p: &ConvParams, dy: &Tensor) -> (Tensor, Vec<f3
 }
 
 /// Depth-wise convolution forward pass, same padding, stride 1, on the
-/// default compute engine (grouped im2col+GEMM).
+/// default compute engine (direct kernels).
 pub fn dwconv_forward(x: &Tensor, p: &DwConvParams) -> Tensor {
     crate::engine::dwconv_forward_single(x, p, crate::engine::default_resolved())
 }
@@ -236,12 +236,21 @@ fn scale_bias_backward_core(
     db: &mut [f32],
 ) {
     for (cc, &s) in p.scale.iter().enumerate() {
-        for i in cc * plane..(cc + 1) * plane {
-            let gv = g[i];
-            ds[cc] += gv * x[i];
-            db[cc] += gv;
-            dx[i] = gv * s;
+        let span = cc * plane..(cc + 1) * plane;
+        // Same accumulation order as summing into `ds` / `db` directly,
+        // but in registers: one write per channel.
+        let (mut dsc, mut dbc) = (ds[cc], db[cc]);
+        for ((d, &gv), &xv) in dx[span.clone()]
+            .iter_mut()
+            .zip(&g[span.clone()])
+            .zip(&x[span])
+        {
+            dsc += gv * xv;
+            dbc += gv;
+            *d = gv * s;
         }
+        ds[cc] = dsc;
+        db[cc] = dbc;
     }
 }
 

@@ -11,12 +11,15 @@
 //!   co-design IP pool: convolution, depth-wise convolution, max / avg
 //!   pooling, folded batch-norm (scale + bias), the `Relu` / `Relu4` /
 //!   `Relu8` activations and global average pooling.
-//! * [`engine`], [`gemm`], [`im2col`] — the batched compute engine:
-//!   convolutions lowered to blocked, multi-threaded matrix multiplies
-//!   with a bit-reproducibility contract (any worker count, batched or
-//!   per-image, GEMM or naive — same bits).
-//! * [`simd`] — runtime-dispatched micro-kernels behind the GEMMs:
-//!   scalar / SSE2 / AVX2 variants selected once per process from CPU
+//! * [`engine`], [`gemm`] — the batched compute engine: direct
+//!   (implicit-GEMM) convolution kernels that read patch rows straight
+//!   from the planar buffers, register-blocked over output channels and
+//!   multi-threaded over images, with a bit-reproducibility contract
+//!   (any worker count, batched or per-image, direct or naive — same
+//!   bits). Training never computes the gradient of the network input.
+//! * [`simd`] — runtime-dispatched micro-kernels: the f32 convolution
+//!   kernels in a baseline and an AVX2 build, the int8 GEMM tiles in
+//!   scalar / SSE2 / AVX2 variants, selected once per process from CPU
 //!   feature detection (override with `CODESIGN_SIMD=scalar|sse2|avx2`).
 //!   Every level preserves the canonical accumulation order, so the
 //!   bit-reproducibility contract survives the dispatch.
@@ -24,14 +27,14 @@
 //!   is verified against.
 //! * [`network`] — compiles a [`codesign_dnn::Dnn`] into an executable,
 //!   trainable network; SGD with momentum.
-//! * [`quantized`], [`qgemm`] — post-training int8 / int16 quantized
-//!   inference. Besides the fake-quantized float path that mirrors the
-//!   accelerator's rounding, the Int8 scheme compiles to a real integer
-//!   engine: `i8` codes end-to-end through an exact `i8 x i8 -> i32`
-//!   GEMM with its own SIMD kernels.
+//! * [`quantized`], [`qgemm`], [`im2col`] — post-training int8 / int16
+//!   quantized inference. Besides the fake-quantized float path that
+//!   mirrors the accelerator's rounding, the Int8 scheme compiles to a
+//!   real integer engine: `i8` codes end-to-end, lowered with im2col
+//!   into an exact `i8 x i8 -> i32` GEMM with its own SIMD kernels.
 //! * [`train`] — the training loop: mini-batch SGD on a bounding-box
 //!   regression loss, matching the paper's 20-epoch proxy training;
-//!   executes whole mini-batches through the GEMM engine.
+//!   executes whole mini-batches through the direct kernels.
 //!
 //! # Example
 //!

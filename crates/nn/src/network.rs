@@ -1,9 +1,8 @@
 //! Executable, trainable networks compiled from the co-design DNN IR.
 
 use crate::engine::{
-    conv_backward_batch, conv_backward_single, conv_forward_batch, conv_forward_single,
-    dwconv_backward_batch, dwconv_backward_single, dwconv_forward_batch, dwconv_forward_single,
-    Engine,
+    conv_forward_batch, conv_forward_single, conv_grads, dwconv_forward_batch,
+    dwconv_forward_single, dwconv_grads, Engine,
 };
 use crate::layers::{
     activation_backward, activation_forward, avgpool_backward, avgpool_backward_batch,
@@ -267,7 +266,9 @@ impl Network {
 
     /// Backward pass: accumulates parameter gradients from `grad_out`
     /// (the loss gradient w.r.t. the network output) using the cache
-    /// from [`Network::forward_train`].
+    /// from [`Network::forward_train`]. It stops once layer 0's
+    /// parameter gradients are accumulated: the gradient of the network
+    /// input is never computed.
     ///
     /// # Panics
     ///
@@ -279,15 +280,19 @@ impl Network {
         let mut g = grad_out.clone();
         for (i, layer) in self.layers.iter().enumerate().rev() {
             let x = &cache[i];
+            // Layer 0's input gradient is the network input's, which
+            // nothing reads: its convolutions skip that pass.
             g = match layer {
                 NnLayer::Conv(p) => {
-                    let (dx, dw, db) = conv_backward_single(x, p, &g, engine);
+                    let (dx, dw, db) = conv_grads(x, p, &g, engine, i > 0);
                     accumulate(&mut self.state[i], &dw, &db);
+                    let Some(dx) = dx else { break };
                     dx
                 }
                 NnLayer::DwConv(p) => {
-                    let (dx, dw, db) = dwconv_backward_single(x, p, &g, engine);
+                    let (dx, dw, db) = dwconv_grads(x, p, &g, engine, i > 0);
                     accumulate(&mut self.state[i], &dw, &db);
+                    let Some(dx) = dx else { break };
                     dx
                 }
                 NnLayer::MaxPool(k) => maxpool_backward(x, *k, &g),
@@ -310,7 +315,9 @@ impl Network {
     /// Parameter gradients are summed over the batch as **per-image
     /// subtotals in image order**, so one batched call accumulates
     /// bit-identical state to `N` per-image [`Network::backward`] calls
-    /// — the mini-batch SGD semantics are engine-independent.
+    /// — the mini-batch SGD semantics are engine-independent. Like
+    /// [`Network::backward`], it never computes the gradient of the
+    /// network input.
     ///
     /// # Panics
     ///
@@ -322,15 +329,18 @@ impl Network {
         let mut g = grad_out.clone();
         for (i, layer) in self.layers.iter().enumerate().rev() {
             let x = &cache[i];
+            // As in `backward`: no gradient of the network input.
             g = match layer {
                 NnLayer::Conv(p) => {
-                    let (dx, dw, db) = conv_backward_batch(x, p, &g, engine);
+                    let (dx, dw, db) = conv_grads(x, p, &g, engine, i > 0);
                     accumulate(&mut self.state[i], &dw, &db);
+                    let Some(dx) = dx else { break };
                     dx
                 }
                 NnLayer::DwConv(p) => {
-                    let (dx, dw, db) = dwconv_backward_batch(x, p, &g, engine);
+                    let (dx, dw, db) = dwconv_grads(x, p, &g, engine, i > 0);
                     accumulate(&mut self.state[i], &dw, &db);
+                    let Some(dx) = dx else { break };
                     dx
                 }
                 NnLayer::MaxPool(k) => maxpool_backward_batch(x, *k, &g),

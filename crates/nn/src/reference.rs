@@ -1,22 +1,22 @@
 //! Naive reference convolution kernels.
 //!
-//! These are the original per-image, deeply nested loops the GEMM
-//! compute engine replaced — retained as the semantic ground truth the
-//! fast path is tested (and benchmarked) against. Each output element
-//! is a strict sequential `f32` accumulation in the **canonical order**
-//! shared with the im2col+GEMM lowering:
+//! These are the original per-image, deeply nested loops the compute
+//! engine replaced — retained as the semantic ground truth the fast
+//! path is tested (and benchmarked) against. Each output element is a
+//! strict sequential `f32` accumulation in the **canonical order**
+//! shared with the direct kernels of [`crate::gemm`]:
 //!
 //! * forward: bias first, then `(ic, ky, kx)` ascending, with
 //!   out-of-image taps contributing explicit `weight x 0` terms (the
-//!   zeros im2col materializes);
+//!   zeros the direct kernels read from their zero-padded copy);
 //! * backward data: `(oc, ky, kx)` ascending over the *flipped* kernel
 //!   (the transposed-convolution order of
 //!   [`crate::im2col::flip_weights`]);
 //! * backward weights/bias: output pixels in row-major ascending order.
 //!
-//! Because both paths sum identical terms in identical order, the GEMM
-//! engine is bit-identical to these kernels — that equivalence is
-//! pinned by property tests and by the proxy-training determinism
+//! Because both paths sum identical terms in identical order, the
+//! direct engine is bit-identical to these kernels — that equivalence
+//! is pinned by property tests and by the proxy-training determinism
 //! suite.
 
 use crate::layers::{ConvParams, DwConvParams};

@@ -1,8 +1,8 @@
 //! Thread-local reusable scratch buffers for the compute engine.
 //!
-//! The im2col+GEMM hot path used to allocate (and zero) fresh vectors
-//! for every kernel call: the patch matrix, the GEMM result, the
-//! packed panels, flipped weights, and the per-image gradient scratch.
+//! The convolution hot path would otherwise allocate (and zero) fresh
+//! vectors for every kernel call: padded input copies, packed weights,
+//! flipped weights, kernel outputs, and the per-image gradient scratch.
 //! Proxy training issues thousands of such calls per run, so the
 //! allocator traffic was a measurable slice of the wall clock. This
 //! module keeps a small per-thread pool of retired buffers and hands
@@ -74,8 +74,8 @@ macro_rules! typed_pool {
         }
 
         /// Checks out a buffer of exactly `len` zeroed elements — for
-        /// kernels that rely on zero initialization (the im2col patch
-        /// matrix's materialized padding).
+        /// kernels that rely on zero initialization (materialized
+        /// padding: the padded copies and im2col patch matrices).
         pub(crate) fn $take_zeroed(len: usize) -> Vec<$ty> {
             if len == 0 {
                 return Vec::new();

@@ -1,30 +1,31 @@
-//! Runtime-dispatched SIMD micro-kernels for the GEMM hot loops.
+//! Runtime-dispatched SIMD micro-kernels for the compute hot loops.
 //!
-//! The packed-panel GEMM in [`crate::gemm`] leaned on autovectorization;
-//! this module makes the vector shape explicit. At process start the
-//! best available instruction level is detected once
-//! (`is_x86_feature_detected!`, cached in a `OnceLock`) and every GEMM
-//! call dispatches its inner tile through the crate-private `f32_tile`
-//! / `i8_tile` entry points at that level:
+//! At process start the best available instruction level is detected
+//! once (`is_x86_feature_detected!`, cached in a `OnceLock`) and every
+//! kernel call dispatches at that level:
 //!
-//! * [`SimdLevel::Scalar`] — the portable fallback (and the only level
-//!   on non-x86 targets): plain Rust accumulator arrays, exactly the
-//!   PR-5 micro-kernel the autovectorizer turns into 4-lane ops.
-//! * [`SimdLevel::Sse2`] — explicit `__m128` arithmetic, 4 output
-//!   columns per tile. SSE2 is part of the `x86_64` baseline, so this
-//!   is the floor on every x86-64 machine.
-//! * [`SimdLevel::Avx2`] — `__m256` arithmetic, 8 output columns per
-//!   tile (the packed panels widen with the level; see
-//!   [`SimdLevel::nr`]).
+//! * f32 — `f32_conv_rows` and `f32_grad_taps`, the micro-kernels of
+//!   the implicit-GEMM convolutions in [`crate::gemm`]. One plain Rust
+//!   body over fixed 8-lane arrays is compiled twice: for
+//!   the baseline target ([`SimdLevel::Scalar`] and [`SimdLevel::Sse2`]
+//!   — SSE2 is part of the `x86_64` baseline, so the autovectorizer
+//!   already emits 4-lane ops there) and inside an
+//!   `#[target_feature(enable = "avx2")]` wrapper
+//!   ([`SimdLevel::Avx2`], one `__m256` per chunk).
+//! * int8 — the crate-private `i8_tile` of the quantized GEMM, with
+//!   explicit scalar, SSE2 (`__m128i`, 4 output columns per tile) and
+//!   AVX2 (`__m256i`, 8 columns; see [`SimdLevel::nr`]) variants.
+//!
+//! On non-x86 targets only the scalar builds exist.
 //!
 //! # Determinism
 //!
 //! The float kernels keep the repo-wide bit-reproducibility contract:
 //! every output element is a strict sequential `f32` chain
-//! `((init + a₀·b) + a₁·b) + …` in ascending `k` order. Vector width
+//! `((init + a₀·b₀) + a₁·b₁) + …` in the canonical order. Vector width
 //! only decides *how many independent chains* advance per instruction,
-//! never the order within a chain — and the AVX2 kernel deliberately
-//! uses separate multiply and add (no FMA contraction), because a fused
+//! never the order within a chain — and multiply and add stay separate
+//! operations (Rust never contracts them into FMA), because a fused
 //! multiply-add skips the intermediate rounding step and would produce
 //! different bits than the scalar chain. The int8 kernels accumulate in
 //! exact integer arithmetic, where grouping is immaterial. Either way:
@@ -38,19 +39,19 @@
 //! a requested level the CPU lacks clamps down to the best available
 //! one. The variable is read once per process.
 
-/// Instruction-set tier of the GEMM micro-kernels.
+/// Instruction-set tier of the SIMD micro-kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdLevel {
-    /// Portable scalar kernel (autovectorized 4x4 tile).
+    /// Portable kernels (baseline f32 build, scalar int8 4x4 tile).
     Scalar,
-    /// Explicit SSE2 `__m128` kernel (4x4 tile).
+    /// Baseline f32 build, explicit SSE2 int8 4x4 tile.
     Sse2,
-    /// Explicit AVX2 `__m256` kernel (4x8 tile).
+    /// AVX2 f32 build, explicit AVX2 int8 4x8 tile.
     Avx2,
 }
 
-/// Rows per micro-tile — fixed across levels; only the column count
-/// ([`SimdLevel::nr`]) widens with the vector registers.
+/// Rows per int8 micro-tile — fixed across levels; only the column
+/// count ([`SimdLevel::nr`]) widens with the vector registers.
 pub const MR: usize = 4;
 
 /// Widest tile any level produces (`MR x 8` for AVX2); sizes the
@@ -58,7 +59,7 @@ pub const MR: usize = 4;
 pub const MAX_NR: usize = 8;
 
 impl SimdLevel {
-    /// Output columns per micro-tile at this level. The GEMM packs its
+    /// Output columns per int8 micro-tile at this level. The GEMM packs its
     /// `B` panels `nr` columns wide, so the panel layout follows the
     /// dispatch level while the per-element accumulation order does not.
     pub fn nr(self) -> usize {
@@ -151,104 +152,192 @@ pub fn active_level() -> SimdLevel {
 }
 
 // ---------------------------------------------------------------------
-// f32 tiles
+// f32 direct-convolution kernels
 // ---------------------------------------------------------------------
 
-/// One `MR x nr` float tile: `acc[i][j] = init[j] + Σ_k a[k][i]·b[k][j]`
-/// with each element's chain strictly sequential in ascending `k`.
+/// Lanes of one f32 chunk in the direct-convolution kernels: one AVX2
+/// register, or two SSE2 registers in the baseline build.
+pub(crate) const LANES: usize = 8;
+
+/// Rows of the implicit GEMM behind every f32 convolution: for `OB`
+/// output channels `j`, rows `r < rows` and columns `x < len`,
+/// `dst[j * plane + r * len + x] = init[j] + Σ_t wpack[t * OB + j] · src[taps[t] + r * stride + x]`,
+/// each chain strictly sequential in ascending `t` (the canonical
+/// `(ic, ky, kx)` order of the tap offsets). Columns advance [`LANES`]
+/// at a time with `OB` register-resident accumulators; a tail shorter
+/// than a chunk runs full-width where `src` extends far enough (the
+/// padded copies are built so) and one column at a time otherwise.
 ///
-/// `apack` is `[k][MR]` interleaved, `panel` is `[k][nr]` interleaved
-/// (`nr = level.nr()`), `init` is `nr` long, and the tile is written
-/// row-major into `acc[..MR * nr]`.
-#[inline]
-pub(crate) fn f32_tile(
+/// # Panics
+///
+/// Panics when `wpack` disagrees with `taps`, a tap reaches past `src`,
+/// or `dst` is too short.
+#[allow(clippy::too_many_arguments)] // raw geometry is the whole API
+pub(crate) fn f32_conv_rows<const OB: usize>(
     level: SimdLevel,
-    apack: &[f32],
-    panel: &[f32],
-    init: &[f32],
-    acc: &mut [f32; MR * MAX_NR],
+    src: &[f32],
+    taps: &[usize],
+    wpack: &[f32],
+    init: [f32; OB],
+    geometry: (usize, usize, usize),
+    dst: &mut [f32],
+    plane: usize,
 ) {
+    assert_eq!(wpack.len(), taps.len() * OB, "weights disagree with taps");
     match level {
-        SimdLevel::Scalar => f32_tile_scalar(apack, panel, init, acc),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: levels above Scalar are only constructed after
+        // SAFETY: `Avx2` is only constructed after
         // `is_x86_feature_detected!` confirmed the feature (detection,
-        // `clamp_available`, and the test/bench iteration over
+        // `clamp_available`, and the test iteration over
         // `available_levels` all gate on it).
-        SimdLevel::Sse2 => unsafe { f32_tile_sse2(apack, panel, init, acc) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { f32_tile_avx2(apack, panel, init, acc) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => f32_tile_scalar(apack, panel, init, acc),
+        SimdLevel::Avx2 => unsafe { conv_rows_avx2(src, taps, wpack, init, geometry, dst, plane) },
+        _ => conv_rows(src, taps, wpack, init, geometry, dst, plane),
     }
 }
 
-/// Portable 4x4 tile — the PR-5 micro-kernel verbatim: 16 independent
-/// accumulator chains the autovectorizer turns into 4-lane ops.
-fn f32_tile_scalar(apack: &[f32], panel: &[f32], init: &[f32], acc: &mut [f32; MR * MAX_NR]) {
-    const NR: usize = 4;
-    let mut t = [[init[0], init[1], init[2], init[3]]; MR];
-    for (av, bv) in apack.chunks_exact(MR).zip(panel.chunks_exact(NR)) {
-        for (acc_row, &ai) in t.iter_mut().zip(av) {
-            for (s, &bj) in acc_row.iter_mut().zip(bv) {
-                *s += ai * bj;
+/// [`conv_rows`] compiled with AVX2 enabled.
+///
+/// # Safety
+///
+/// The running CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn conv_rows_avx2<const OB: usize>(
+    src: &[f32],
+    taps: &[usize],
+    wpack: &[f32],
+    init: [f32; OB],
+    geometry: (usize, usize, usize),
+    dst: &mut [f32],
+    plane: usize,
+) {
+    conv_rows(src, taps, wpack, init, geometry, dst, plane);
+}
+
+/// The one body behind every level, compiled once for the baseline
+/// target and once inside the AVX2 wrapper.
+#[inline(always)]
+fn conv_rows<const OB: usize>(
+    src: &[f32],
+    taps: &[usize],
+    wpack: &[f32],
+    init: [f32; OB],
+    (rows, len, stride): (usize, usize, usize),
+    dst: &mut [f32],
+    plane: usize,
+) {
+    // How far past a chunk's start the source reaches in every tap.
+    let reach = src.len().saturating_sub(taps.last().map_or(0, |&t| t));
+    for r in 0..rows {
+        let mut x = 0;
+        while x < len {
+            let (base, out) = (r * stride + x, r * len + x);
+            if x + LANES <= len || base + LANES <= reach {
+                let n = LANES.min(len - x);
+                let acc = conv_chunk::<OB, LANES>(src, taps, wpack, init, base);
+                for (j, a) in acc.iter().enumerate() {
+                    dst[j * plane + out..j * plane + out + n].copy_from_slice(&a[..n]);
+                }
+                x += n;
+            } else {
+                let acc = conv_chunk::<OB, 1>(src, taps, wpack, init, base);
+                for (j, a) in acc.iter().enumerate() {
+                    dst[j * plane + out] = a[0];
+                }
+                x += 1;
             }
         }
     }
-    for (i, row) in t.iter().enumerate() {
-        acc[i * NR..(i + 1) * NR].copy_from_slice(row);
-    }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn f32_tile_sse2(apack: &[f32], panel: &[f32], init: &[f32], acc: &mut [f32; MR * MAX_NR]) {
-    use std::arch::x86_64::*;
-    const NR: usize = 4;
-    let k = apack.len() / MR;
-    debug_assert_eq!(panel.len(), k * NR);
-    let init_v = _mm_loadu_ps(init.as_ptr());
-    let mut t = [init_v; MR];
-    let a = apack.as_ptr();
-    let b = panel.as_ptr();
-    for kk in 0..k {
-        let bv = _mm_loadu_ps(b.add(kk * NR));
-        for (i, acc_row) in t.iter_mut().enumerate() {
-            let ai = _mm_set1_ps(*a.add(kk * MR + i));
-            // mul then add — matching the scalar `s += ai * bj` chain
-            // bit for bit (no FMA contraction).
-            *acc_row = _mm_add_ps(*acc_row, _mm_mul_ps(ai, bv));
+#[inline(always)]
+fn conv_chunk<const OB: usize, const L: usize>(
+    src: &[f32],
+    taps: &[usize],
+    wpack: &[f32],
+    init: [f32; OB],
+    base: usize,
+) -> [[f32; L]; OB] {
+    let mut acc = init.map(|b| [b; L]);
+    for (&off, w) in taps.iter().zip(wpack.chunks_exact(OB)) {
+        let s: &[f32; L] = src[off + base..off + base + L]
+            .try_into()
+            .expect("a slice of L lanes");
+        for (a, &wj) in acc.iter_mut().zip(w) {
+            for (al, &sl) in a.iter_mut().zip(s) {
+                *al += wj * sl;
+            }
         }
     }
-    for (i, acc_row) in t.iter().enumerate() {
-        _mm_storeu_ps(acc.as_mut_ptr().add(i * NR), *acc_row);
+    acc
+}
+
+/// `TB` weight-gradient chains per lane, the transposed implicit GEMM:
+/// for taps `j < TB` and lanes `l < L`,
+/// `out[j][l] = Σ_(r, x) src[taps[j] + r * stride + x] · dyt[(r * len + x) * ld + l]`
+/// over output pixels `(r, x)` in row-major ascending order, every chain
+/// starting from `0.0`. The lanes are output channels of a pixel-major
+/// gradient (`ld` apart per pixel); `L = 1` serves depth-wise layers.
+///
+/// # Panics
+///
+/// Panics when a tap reaches past `src` or `dyt` is too short.
+pub(crate) fn f32_grad_taps<const TB: usize, const L: usize>(
+    level: SimdLevel,
+    src: &[f32],
+    taps: &[usize; TB],
+    dyt: &[f32],
+    ld: usize,
+    geometry: (usize, usize, usize),
+) -> [[f32; L]; TB] {
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: same detection invariant as `f32_conv_rows`.
+        SimdLevel::Avx2 => unsafe { grad_taps_avx2(src, taps, dyt, ld, geometry) },
+        _ => grad_taps(src, taps, dyt, ld, geometry),
     }
 }
 
+/// [`grad_taps`] compiled with AVX2 enabled.
+///
+/// # Safety
+///
+/// The running CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn f32_tile_avx2(apack: &[f32], panel: &[f32], init: &[f32], acc: &mut [f32; MR * MAX_NR]) {
-    use std::arch::x86_64::*;
-    const NR: usize = 8;
-    let k = apack.len() / MR;
-    debug_assert_eq!(panel.len(), k * NR);
-    let init_v = _mm256_loadu_ps(init.as_ptr());
-    let mut t = [init_v; MR];
-    let a = apack.as_ptr();
-    let b = panel.as_ptr();
-    for kk in 0..k {
-        let bv = _mm256_loadu_ps(b.add(kk * NR));
-        for (i, acc_row) in t.iter_mut().enumerate() {
-            let ai = _mm256_set1_ps(*a.add(kk * MR + i));
-            // Deliberately NOT `_mm256_fmadd_ps`: the fused form skips
-            // the intermediate rounding and would break bit-identity
-            // with the scalar chain.
-            *acc_row = _mm256_add_ps(*acc_row, _mm256_mul_ps(ai, bv));
+unsafe fn grad_taps_avx2<const TB: usize, const L: usize>(
+    src: &[f32],
+    taps: &[usize; TB],
+    dyt: &[f32],
+    ld: usize,
+    geometry: (usize, usize, usize),
+) -> [[f32; L]; TB] {
+    grad_taps(src, taps, dyt, ld, geometry)
+}
+
+#[inline(always)]
+fn grad_taps<const TB: usize, const L: usize>(
+    src: &[f32],
+    taps: &[usize; TB],
+    dyt: &[f32],
+    ld: usize,
+    (rows, len, stride): (usize, usize, usize),
+) -> [[f32; L]; TB] {
+    let mut acc = [[0.0f32; L]; TB];
+    for r in 0..rows {
+        let srows: [&[f32]; TB] = taps.map(|off| &src[off + r * stride..off + r * stride + len]);
+        for x in 0..len {
+            let p = (r * len + x) * ld;
+            let d: &[f32; L] = dyt[p..p + L].try_into().expect("a slice of L lanes");
+            for (a, s) in acc.iter_mut().zip(&srows) {
+                let xv = s[x];
+                for (al, &dl) in a.iter_mut().zip(d) {
+                    *al += dl * xv;
+                }
+            }
         }
     }
-    for (i, acc_row) in t.iter().enumerate() {
-        _mm256_storeu_ps(acc.as_mut_ptr().add(i * NR), *acc_row);
-    }
+    acc
 }
 
 // ---------------------------------------------------------------------
@@ -275,7 +364,7 @@ pub(crate) fn i8_tile(
     match level {
         SimdLevel::Scalar => i8_tile_scalar(apack, panel, acc),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: same detection invariant as `f32_tile`.
+        // SAFETY: same detection invariant as `f32_conv_rows`.
         SimdLevel::Sse2 => unsafe { i8_tile_sse2(apack, panel, acc) },
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => unsafe { i8_tile_avx2(apack, panel, acc) },
@@ -396,25 +485,64 @@ mod tests {
         assert!(SimdLevel::Avx2.nr() <= MAX_NR);
     }
 
-    /// Direct tile-level cross-check; the integration suite pins the
-    /// same property through the full GEMM.
+    /// Direct kernel-level cross-check against the scalar chains; the
+    /// integration suite pins the same property through the full
+    /// convolutions.
     #[test]
     fn f32_tiles_agree_across_available_levels() {
-        let k = 13;
+        // 2 rows of 11 columns (one full chunk plus a 3-column tail)
+        // over a 13-wide source, 5 taps, 4 interleaved channels.
+        let (rows, len, stride, ob) = (2, 11, 13, 4);
+        let taps = [0usize, 1, 2, 13, 27];
+        let src: Vec<f32> = (0..64).map(|i| (i % 7) as f32 * 0.25 - 0.5).collect();
+        let wpack: Vec<f32> = (0..taps.len() * ob)
+            .map(|i| (i % 5) as f32 * 0.5 - 1.0)
+            .collect();
+        let init = [0.125f32, -0.0, 0.5, -1.0];
+        let dyt: Vec<f32> = (0..rows * len * LANES)
+            .map(|i| (i % 9) as f32 * 0.3 - 1.1)
+            .collect();
         for level in available_levels() {
-            let nr = level.nr();
-            let apack: Vec<f32> = (0..k * MR).map(|i| (i % 7) as f32 * 0.25 - 0.5).collect();
-            let panel: Vec<f32> = (0..k * nr).map(|i| (i % 5) as f32 * 0.5 - 1.0).collect();
-            let init: Vec<f32> = (0..nr).map(|j| j as f32 * 0.125).collect();
-            let mut acc = [0.0f32; MR * MAX_NR];
-            f32_tile(level, &apack, &panel, &init, &mut acc);
-            for i in 0..MR {
-                for j in 0..nr {
-                    let mut s = init[j];
-                    for kk in 0..k {
-                        s += apack[kk * MR + i] * panel[kk * nr + j];
+            let mut dst = vec![0.0f32; ob * rows * len];
+            f32_conv_rows::<4>(
+                level,
+                &src,
+                &taps,
+                &wpack,
+                init,
+                (rows, len, stride),
+                &mut dst,
+                rows * len,
+            );
+            let grads =
+                f32_grad_taps::<5, LANES>(level, &src, &taps, &dyt, LANES, (rows, len, stride));
+            for r in 0..rows {
+                for x in 0..len {
+                    for j in 0..ob {
+                        let mut s = init[j];
+                        for (t, &off) in taps.iter().enumerate() {
+                            s += wpack[t * ob + j] * src[off + r * stride + x];
+                        }
+                        let got = dst[j * rows * len + r * len + x];
+                        assert_eq!(
+                            got.to_bits(),
+                            s.to_bits(),
+                            "level {level} conv ({j},{r},{x})"
+                        );
                     }
-                    assert_eq!(acc[i * nr + j], s, "level {level} tile ({i},{j})");
+                }
+            }
+            for (t, &off) in taps.iter().enumerate() {
+                for l in 0..LANES {
+                    let mut s = 0.0f32;
+                    for p in 0..rows * len {
+                        s += dyt[p * LANES + l] * src[off + (p / len) * stride + p % len];
+                    }
+                    assert_eq!(
+                        grads[t][l].to_bits(),
+                        s.to_bits(),
+                        "level {level} grad ({t},{l})"
+                    );
                 }
             }
         }

@@ -1,5 +1,5 @@
 //! Dense `f32` tensors in channel-major (`C x H x W`) layout, with an
-//! `N x C x H x W` batch view for the GEMM compute engine.
+//! `N x C x H x W` batch view for the batched compute engine.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

@@ -12,7 +12,7 @@
 //! [`Network::sgd_step`] fires **once per batch** with the learning
 //! rate divided by the batch length. Under [`crate::engine::Engine::Gemm`]
 //! the whole batch executes as one stacked `N x C x H x W` pass (one
-//! GEMM per layer); under [`crate::engine::Engine::Reference`] images
+//! kernel call per layer); under [`crate::engine::Engine::Reference`] images
 //! run one at a time through the naive kernels. Both produce
 //! bit-identical parameter updates — the batched path sums per-image
 //! gradient subtotals in image order, exactly like the per-image loop.
@@ -109,7 +109,7 @@ impl Trainer {
     /// trajectory.
     ///
     /// The execution strategy follows [`Network::engine`]: whole
-    /// mini-batches through the GEMM engine, or the per-image legacy
+    /// mini-batches through the direct kernels, or the per-image legacy
     /// loop under [`crate::engine::Engine::Reference`] — with bit-identical parameter
     /// updates either way (see the module docs).
     ///
@@ -202,8 +202,8 @@ impl Trainer {
 
     /// Mean IoU-style evaluation hook: average loss of `net` on a
     /// held-out set (lower is better; IoU proper lives in the dataset
-    /// crate, which owns box geometry). Runs batched under the GEMM
-    /// engine, per-image under [`crate::engine::Engine::Reference`], with identical
+    /// crate, which owns box geometry). Runs batched under the direct
+    /// kernels, per-image under [`crate::engine::Engine::Reference`], with identical
     /// results.
     pub fn evaluate_loss(&self, net: &Network, images: &[Tensor], boxes: &[[f32; 4]]) -> f32 {
         assert_eq!(images.len(), boxes.len());

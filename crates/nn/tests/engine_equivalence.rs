@@ -1,7 +1,9 @@
-//! The compute-engine contract: the im2col+GEMM path is **bit-identical**
-//! to the retained naive reference kernels — forward and backward, for
-//! any shape, kernel size and worker count, batched or per-image — and
-//! mini-batch SGD produces identical parameter updates on either path.
+//! The compute-engine contract: the direct-kernel path is
+//! **bit-identical** to the retained naive reference kernels — forward
+//! and backward, for any shape, kernel size and worker count, batched
+//! or per-image — and mini-batch SGD produces identical parameter
+//! updates on either path. Every comparison is on bits (`to_bits`), so
+//! `-0.0` and `+0.0` count as different results.
 
 use codesign_dnn::builder::DnnBuilder;
 use codesign_dnn::bundle::{bundle_by_id, BundleId};
@@ -12,6 +14,7 @@ use codesign_nn::engine::{
     dwconv_backward_batch, dwconv_backward_single, dwconv_forward_batch, dwconv_forward_single,
 };
 use codesign_nn::layers::{ConvParams, DwConvParams};
+use codesign_nn::network::NnLayer;
 use codesign_nn::train::{TrainConfig, Trainer};
 use codesign_nn::{Engine, Network, Tensor};
 use codesign_parallel::Parallelism;
@@ -46,24 +49,47 @@ fn rng_dwconv(k: usize, ch: usize, rng: &mut StdRng) -> DwConvParams {
     p
 }
 
-// Odd and even sizes: even kernels keep the input grid too, via the
-// explicit-grid lowering and k-1-pad transposed-conv padding.
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Every trainable parameter of `net`, as bits, in layer order.
+fn param_bits(net: &Network) -> Vec<u32> {
+    let mut out = Vec::new();
+    for layer in net.layers() {
+        let (w, b) = match layer {
+            NnLayer::Conv(p) => (&p.weights, &p.bias),
+            NnLayer::DwConv(p) => (&p.weights, &p.bias),
+            NnLayer::ScaleBias(p) => (&p.scale, &p.bias),
+            _ => continue,
+        };
+        out.extend(bits(w));
+        out.extend(bits(b));
+    }
+    out
+}
+
+// Odd and even sizes: even kernels keep the input grid too, via
+// `k - 1 - pad` transposed-conv padding.
 const KERNELS: [usize; 5] = [1, 2, 3, 4, 5];
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    // Few cases over the proxy network's shapes (planes up to 24 x 48,
+    // up to 32 channels), so both the vector-wide main loops and their
+    // tails run.
+    #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Forward + backward of the standard convolution: GEMM at any
+    /// Forward + backward of the standard convolution: direct kernels at any
     /// worker count, batched or not, equals the naive reference bit for
     /// bit.
     #[test]
     fn prop_conv_matches_reference_bitwise(
         seed in 0u64..1000,
-        n in 1usize..4,
-        ic in 1usize..5,
-        oc in 1usize..7,
-        h in 1usize..9,
-        w in 1usize..9,
+        n in 1usize..3,
+        ic in 1usize..33,
+        oc in 1usize..33,
+        h in 1usize..25,
+        w in 1usize..50,
         k_idx in 0usize..5,
         threads in 1usize..5,
     ) {
@@ -76,30 +102,30 @@ proptest! {
 
         let y_ref = conv_forward_batch(&batch, &p, Engine::Reference);
         let y_gemm = conv_forward_batch(&batch, &p, gemm);
-        prop_assert_eq!(&y_ref, &y_gemm);
+        prop_assert_eq!(bits(y_ref.data()), bits(y_gemm.data()));
         // Per-image entry point agrees with the batched rows.
         let y_single = conv_forward_single(&images[0], &p, gemm);
-        prop_assert_eq!(y_single.data(), y_gemm.image(0));
+        prop_assert_eq!(bits(y_single.data()), bits(y_gemm.image(0)));
 
         let dy: Vec<Tensor> = (0..n).map(|_| rng_tensor(&[oc, h, w], &mut rng)).collect();
         let dy_batch = Tensor::stack(&dy);
         let (dx_r, dw_r, db_r) = conv_backward_batch(&batch, &p, &dy_batch, Engine::Reference);
         let (dx_g, dw_g, db_g) = conv_backward_batch(&batch, &p, &dy_batch, gemm);
-        prop_assert_eq!(&dx_r, &dx_g);
-        prop_assert_eq!(&dw_r, &dw_g);
-        prop_assert_eq!(&db_r, &db_g);
+        prop_assert_eq!(bits(dx_r.data()), bits(dx_g.data()));
+        prop_assert_eq!(bits(&dw_r), bits(&dw_g));
+        prop_assert_eq!(bits(&db_r), bits(&db_g));
         let (dx_1, _, _) = conv_backward_single(&images[0], &p, &dy[0], gemm);
-        prop_assert_eq!(dx_1.data(), dx_g.image(0));
+        prop_assert_eq!(bits(dx_1.data()), bits(dx_g.image(0)));
     }
 
-    /// Same contract for the depth-wise convolution (grouped GEMM).
+    /// Same contract for the depth-wise convolution.
     #[test]
     fn prop_dwconv_matches_reference_bitwise(
         seed in 0u64..1000,
-        n in 1usize..4,
-        ch in 1usize..6,
-        h in 1usize..9,
-        w in 1usize..9,
+        n in 1usize..3,
+        ch in 1usize..33,
+        h in 1usize..25,
+        w in 1usize..50,
         k_idx in 0usize..5,
         threads in 1usize..5,
     ) {
@@ -112,19 +138,19 @@ proptest! {
 
         let y_ref = dwconv_forward_batch(&batch, &p, Engine::Reference);
         let y_gemm = dwconv_forward_batch(&batch, &p, gemm);
-        prop_assert_eq!(&y_ref, &y_gemm);
+        prop_assert_eq!(bits(y_ref.data()), bits(y_gemm.data()));
         let y_single = dwconv_forward_single(&images[0], &p, gemm);
-        prop_assert_eq!(y_single.data(), y_gemm.image(0));
+        prop_assert_eq!(bits(y_single.data()), bits(y_gemm.image(0)));
 
         let dy: Vec<Tensor> = (0..n).map(|_| rng_tensor(&[ch, h, w], &mut rng)).collect();
         let dy_batch = Tensor::stack(&dy);
         let (dx_r, dw_r, db_r) = dwconv_backward_batch(&batch, &p, &dy_batch, Engine::Reference);
         let (dx_g, dw_g, db_g) = dwconv_backward_batch(&batch, &p, &dy_batch, gemm);
-        prop_assert_eq!(&dx_r, &dx_g);
-        prop_assert_eq!(&dw_r, &dw_g);
-        prop_assert_eq!(&db_r, &db_g);
+        prop_assert_eq!(bits(dx_r.data()), bits(dx_g.data()));
+        prop_assert_eq!(bits(&dw_r), bits(&dw_g));
+        prop_assert_eq!(bits(&db_r), bits(&db_g));
         let (dx_1, _, _) = dwconv_backward_single(&images[0], &p, &dy[0], gemm);
-        prop_assert_eq!(dx_1.data(), dx_g.image(0));
+        prop_assert_eq!(bits(dx_1.data()), bits(dx_g.image(0)));
     }
 }
 
@@ -163,8 +189,8 @@ fn batched_network_forward_matches_per_image() {
     assert_eq!(out.shape(), &[5, 4]);
     for (i, img) in images.iter().enumerate() {
         assert_eq!(
-            out.image(i),
-            net.forward(img).data(),
+            bits(out.image(i)),
+            bits(net.forward(img).data()),
             "batched row {i} diverged from per-image forward"
         );
     }
@@ -191,17 +217,18 @@ fn per_image_and_batched_training_update_parameters_identically() {
         let mut batched = tiny_net(21).with_engine(Engine::Gemm(Parallelism::Fixed(threads)));
         let report = trainer.train(&mut batched, &images, &boxes);
         assert_eq!(
-            per_image.layers(),
-            batched.layers(),
+            param_bits(&per_image),
+            param_bits(&batched),
             "parameters diverged at {threads} workers"
         );
         assert_eq!(
-            report_ref.epoch_losses, report.epoch_losses,
+            bits(&report_ref.epoch_losses),
+            bits(&report.epoch_losses),
             "loss trajectory diverged at {threads} workers"
         );
         assert_eq!(
-            trainer.evaluate_loss(&per_image, &images, &boxes),
-            trainer.evaluate_loss(&batched, &images, &boxes)
+            trainer.evaluate_loss(&per_image, &images, &boxes).to_bits(),
+            trainer.evaluate_loss(&batched, &images, &boxes).to_bits()
         );
     }
 }
@@ -233,5 +260,55 @@ fn sgd_steps_once_per_batch() {
     let mut batched = tiny_net(33).with_engine(Engine::Gemm(Parallelism::Fixed(2)));
     trainer.train(&mut batched, &images, &boxes);
 
-    assert_eq!(manual.layers(), batched.layers());
+    assert_eq!(param_bits(&manual), param_bits(&batched));
+}
+
+/// A kernel that skipped padding taps would keep the sign of a `-0.0`
+/// result: here only the explicit `w x 0` padding terms turn the
+/// reference's `-0.0 + (-0.0 x w)` into `+0.0`.
+#[test]
+fn padding_taps_decide_the_sign_of_zero() {
+    let x = Tensor::from_vec(&[1, 1, 1, 1], vec![-0.0]);
+    let mut conv = ConvParams::zeros(3, 1, 1);
+    conv.weights.fill(0.5);
+    conv.bias[0] = -0.0;
+    let mut dw = DwConvParams::zeros(3, 1);
+    dw.weights.fill(0.5);
+    dw.bias[0] = -0.0;
+    for engine in [Engine::Reference, Engine::Gemm(Parallelism::Fixed(1))] {
+        let y = conv_forward_batch(&x, &conv, engine);
+        assert_eq!(bits(y.data()), [0.0f32.to_bits()], "conv under {engine}");
+        let y = dwconv_forward_batch(&x, &dw, engine);
+        assert_eq!(bits(y.data()), [0.0f32.to_bits()], "dwconv under {engine}");
+    }
+}
+
+/// Three SGD steps on a network whose layer 0 is a 3x3 convolution —
+/// the layer whose input gradient the batched backward pass skips —
+/// leave bit-identical parameters under the reference engine and the
+/// direct kernels at 1 and 2 workers.
+#[test]
+fn three_sgd_steps_match_reference_with_3x3_first_conv() {
+    let (images, boxes) = synthetic_set(6, 13);
+    let trainer = Trainer::new(TrainConfig {
+        epochs: 1,
+        learning_rate: 0.05,
+        momentum: 0.9,
+        batch_size: 2, // three batches: three steps
+    });
+    let mut reference = tiny_net(5).with_engine(Engine::Reference);
+    assert!(
+        matches!(&reference.layers()[0], NnLayer::Conv(p) if p.k == 3),
+        "layer 0 must be a 3x3 convolution"
+    );
+    trainer.train(&mut reference, &images, &boxes);
+    for threads in [1, 2] {
+        let mut direct = tiny_net(5).with_engine(Engine::Gemm(Parallelism::Fixed(threads)));
+        trainer.train(&mut direct, &images, &boxes);
+        assert_eq!(
+            param_bits(&reference),
+            param_bits(&direct),
+            "parameters diverged at {threads} workers"
+        );
+    }
 }

@@ -2,13 +2,15 @@
 //! offers — scalar, SSE2, AVX2 — produces **bit-identical** GEMM
 //! results at every shape and worker count.
 //!
-//! For the f32 kernel that holds because every level advances the same
-//! per-element init-then-ascending-k accumulation chains (vector width
-//! only changes how many independent chains move per instruction, and
-//! the kernels use separate multiply + add, never FMA). For the int8
-//! kernel it holds trivially: integer arithmetic is exact.
+//! For the f32 implicit-GEMM convolutions that holds because every
+//! level advances the same per-element accumulation chains in the
+//! canonical order (vector width only changes how many independent
+//! chains move per instruction, and the kernels keep multiply and add
+//! separate, never FMA); the comparisons are on bits, so even the sign
+//! of a zero must agree. For the int8 kernel it holds trivially: integer
+//! arithmetic is exact.
 
-use codesign_nn::gemm::gemm_nt_at;
+use codesign_nn::gemm::{correlate, weight_grads, ConvShape};
 use codesign_nn::qgemm::qgemm_nt_at;
 use codesign_nn::simd::{available_levels, detected_best, SimdLevel};
 use proptest::prelude::*;
@@ -31,30 +33,79 @@ fn scalar_level_is_always_available() {
     assert!(available_levels().contains(&detected_best()));
 }
 
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Forward, backward-data (transposed padding) and weight-gradient
+/// results of one shape at one level and worker count.
+fn f32_conv_at(level: SimdLevel, s: &ConvShape, threads: usize, rng: &mut StdRng) -> Vec<Vec<u32>> {
+    let x = rng_vec(s.n * s.cin * s.h * s.w, rng);
+    let wts = rng_vec(s.weights_len(), rng);
+    let bias = rng_vec(s.cout, rng);
+    let dy = rng_vec(s.n * s.cout * s.h * s.w, rng);
+    vec![
+        bits(&correlate(
+            level,
+            s,
+            &x,
+            &wts,
+            Some(&bias),
+            s.k / 2,
+            threads,
+        )),
+        bits(&correlate(
+            level,
+            s,
+            &x,
+            &wts,
+            None,
+            s.k - 1 - s.k / 2,
+            threads,
+        )),
+        bits(&weight_grads(level, s, &x, &dy, threads)),
+    ]
+}
+
+fn conv_shape(
+    n: usize,
+    cin: usize,
+    cout: usize,
+    hw: (usize, usize),
+    k: usize,
+    dw: bool,
+) -> ConvShape {
+    ConvShape {
+        n,
+        cin,
+        cout: if dw { cin } else { cout },
+        h: hw.0,
+        w: hw.1,
+        k,
+        depthwise: dw,
+    }
+}
+
 #[test]
 fn f32_gemm_levels_agree_on_awkward_shapes() {
-    let mut rng = StdRng::seed_from_u64(41);
-    // Shapes straddling every remainder case: sub-tile, exact multiples
-    // of the widest tile, and ragged edges in both m and n.
-    for (m, k, n) in [
-        (1, 1, 1),
-        (3, 5, 7),
-        (4, 16, 8),
-        (17, 13, 31),
-        (32, 27, 40),
-        (65, 9, 23),
+    // Shapes straddling every remainder case: sub-chunk planes, exact
+    // multiples of the lane width, ragged rows, and channel counts off
+    // the output-channel blocks.
+    for (n, cin, cout, hw, k, dw) in [
+        (1, 1, 1, (1, 1), 1, false),
+        (2, 3, 5, (3, 7), 3, false),
+        (1, 4, 8, (4, 16), 1, false),
+        (2, 5, 13, (5, 17), 2, false),
+        (1, 3, 3, (24, 48), 3, false),
+        (2, 9, 9, (6, 13), 3, true),
+        (1, 4, 4, (3, 6), 5, true),
     ] {
-        let a = rng_vec(m * k, &mut rng);
-        let b = rng_vec(n * k, &mut rng);
-        let bias = rng_vec(n, &mut rng);
-        let baseline = gemm_nt_at(SimdLevel::Scalar, &a, &b, k, n, Some(&bias), 1);
+        let s = conv_shape(n, cin, cout, hw, k, dw);
+        let baseline = f32_conv_at(SimdLevel::Scalar, &s, 1, &mut StdRng::seed_from_u64(41));
         for level in available_levels() {
             for threads in [1, 3, 4] {
-                let out = gemm_nt_at(level, &a, &b, k, n, Some(&bias), threads);
-                assert_eq!(
-                    out, baseline,
-                    "f32 {level} x{threads} diverges at m={m} k={k} n={n}"
-                );
+                let out = f32_conv_at(level, &s, threads, &mut StdRng::seed_from_u64(41));
+                assert_eq!(out, baseline, "f32 {level} x{threads} diverges at {s:?}");
             }
         }
     }
@@ -85,21 +136,20 @@ proptest! {
     /// Random shapes, data, worker counts: all levels, bit-identical.
     #[test]
     fn prop_f32_gemm_is_level_invariant(
-        m in 1usize..40,
-        k in 1usize..48,
-        n in 1usize..24,
+        n in 1usize..3,
+        cin in 1usize..10,
+        cout in 1usize..12,
+        h in 1usize..8,
+        w in 1usize..20,
+        k in 1usize..5,
+        dw in 0u8..2,
         threads in 1usize..6,
-        with_bias in 0u8..2,
         seed in 0u64..1024,
     ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let a = rng_vec(m * k, &mut rng);
-        let b = rng_vec(n * k, &mut rng);
-        let bias = rng_vec(n, &mut rng);
-        let bias = (with_bias == 1).then_some(bias.as_slice());
-        let baseline = gemm_nt_at(SimdLevel::Scalar, &a, &b, k, n, bias, 1);
+        let s = conv_shape(n, cin, cout, (h, w), k, dw == 1);
+        let baseline = f32_conv_at(SimdLevel::Scalar, &s, 1, &mut StdRng::seed_from_u64(seed));
         for level in available_levels() {
-            let out = gemm_nt_at(level, &a, &b, k, n, bias, threads);
+            let out = f32_conv_at(level, &s, threads, &mut StdRng::seed_from_u64(seed));
             prop_assert_eq!(&out, &baseline);
         }
     }
