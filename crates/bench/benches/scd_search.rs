@@ -20,10 +20,11 @@ use codesign_bench::{emit_bench_json, BenchRecord};
 use codesign_core::accuracy::AccuracyModel;
 use codesign_core::flow::{CoDesignFlow, FlowConfig};
 use codesign_core::parallel::Parallelism;
+use codesign_core::pipeline::calibrate;
 use codesign_core::search::{scd_search, ScdConfig};
 use codesign_dnn::bundle::{bundle_by_id, Bundle, BundleId};
+use codesign_dnn::quant::Activation;
 use codesign_dnn::space::DesignPoint;
-use codesign_hls::calibrate::calibrate_bundle_with;
 use codesign_hls::incremental::{EstimatePlan, MoveCoord};
 use codesign_hls::model::HlsEstimator;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -41,8 +42,7 @@ fn walk_bundle() -> Bundle {
 
 fn walk_estimator() -> HlsEstimator {
     let bundle = walk_bundle();
-    let params =
-        calibrate_bundle_with(&bundle, &default_device(), &[1, 2, 3, 4], 96).expect("calibration");
+    let params = calibrate(&bundle, &default_device()).expect("calibration");
     HlsEstimator::new(params, default_device())
 }
 
@@ -160,7 +160,7 @@ fn bench_scd_search(c: &mut Criterion) {
     let model = AccuracyModel::paper_calibrated();
     let bundle = walk_bundle();
     group.bench_function("search/end_to_end", |b| {
-        b.iter(|| scd_search(&bundle, &estimator, &model, &scd_cfg))
+        b.iter(|| scd_search(&bundle, &estimator, &model, &scd_cfg, Activation::Relu))
     });
     group.finish();
 
@@ -196,7 +196,8 @@ fn bench_scd_search(c: &mut Criterion) {
         total_probes / t_inc.as_secs_f64(),
     );
 
-    let (scd_found, t_scd) = time(|| scd_search(&bundle, &estimator, &model, &scd_cfg));
+    let (scd_found, t_scd) =
+        time(|| scd_search(&bundle, &estimator, &model, &scd_cfg, Activation::Relu));
     println!(
         "scd_search: end-to-end search found {} candidates in {t_scd:?}",
         scd_found.len()

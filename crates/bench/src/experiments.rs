@@ -394,13 +394,13 @@ pub struct ScdAblationOutcome {
 ///
 /// Propagates simulator failures from calibration.
 pub fn scd_ablation(device: &FpgaDevice) -> Result<ScdAblationOutcome, SimError> {
-    use codesign_core::search::{random_search, scd_search_with_activation, ScdConfig};
+    use codesign_core::pipeline::calibrate;
+    use codesign_core::search::{random_search, scd_search, ScdConfig};
     use codesign_dnn::quant::Activation;
-    use codesign_hls::calibrate::calibrate_bundle_with;
     use codesign_hls::model::HlsEstimator;
 
     let bundle = enumerate_bundles()[12].clone(); // Bundle 13
-    let params = calibrate_bundle_with(&bundle, device, &[1, 2, 3, 4], 96)?;
+    let params = calibrate(&bundle, device)?;
     let estimator = HlsEstimator::new(params, device.clone());
     let model = AccuracyModel::paper_calibrated();
     let cfg = ScdConfig {
@@ -411,7 +411,7 @@ pub fn scd_ablation(device: &FpgaDevice) -> Result<ScdAblationOutcome, SimError>
         max_iterations: 150,
         seed: 77,
     };
-    let scd = scd_search_with_activation(&bundle, &estimator, &model, &cfg, Activation::Relu4);
+    let scd = scd_search(&bundle, &estimator, &model, &cfg, Activation::Relu4);
     let (random, _) = random_search(&bundle, &estimator, &model, &cfg, Activation::Relu4);
     let best = |v: &[codesign_core::search::Candidate]| {
         v.iter().map(|c| c.accuracy).fold(0.0f64, f64::max)

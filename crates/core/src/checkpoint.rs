@@ -23,7 +23,8 @@
 //! # The config fingerprint
 //!
 //! The first record of every checkpoint log is an FNV-1a fingerprint of
-//! the canonical encoding of everything the search results depend on:
+//! [`encode_config`], the canonical encoding of everything the search
+//! results depend on:
 //! device, targets, clock, tolerance, candidate count, PF sweep,
 //! replications, seed. `parallelism` is deliberately excluded — results
 //! are bit-identical at any worker count, so a checkpoint taken at
@@ -37,12 +38,14 @@
 
 use crate::evaluate::BundleEvaluation;
 use crate::flow::FlowConfig;
+use crate::parallel::Parallelism;
 use crate::search::Candidate;
 use codesign_dnn::bundle::{bundle_by_id, BundleId};
 use codesign_dnn::quant::Activation;
 use codesign_dnn::space::DesignPoint;
 use codesign_hls::calibrate::CalibratedParams;
 use codesign_hls::model::Estimate;
+use codesign_sim::device::FpgaDevice;
 use codesign_sim::report::ResourceUsage;
 use codesign_store::{fnv1a, ByteReader, ByteWriter, CodecError, LogError, RecordLog, StreamKind};
 use std::fmt;
@@ -530,19 +533,21 @@ pub fn decode_candidate(r: &mut ByteReader<'_>) -> Result<Candidate, CodecError>
     })
 }
 
-/// FNV-1a fingerprint of everything the search results depend on.
-/// `parallelism` is excluded: results are bit-identical at any worker
-/// count, so it must not invalidate a resume.
-pub fn config_fingerprint(config: &FlowConfig) -> u64 {
-    let mut w = ByteWriter::new();
-    w.put_str(&config.device.name);
-    w.put_varint(config.device.dsp);
-    w.put_varint(config.device.lut);
-    w.put_varint(config.device.ff);
-    w.put_varint(config.device.bram_18k);
-    w.put_f64(config.device.dram_bytes_per_cycle);
-    w.put_len(config.device.clock_mhz.len());
-    for &mhz in &config.device.clock_mhz {
+/// Encodes everything the search results depend on: device, targets,
+/// clock, tolerance, candidate count, PF sweep, replications, seed.
+/// `parallelism` is left out — results are bit-identical at any worker
+/// count. The bytes are part of two on-disk formats (the checkpoint
+/// fingerprint and the shard sweep spec), so they must never change.
+pub fn encode_config(w: &mut ByteWriter, config: &FlowConfig) {
+    let dev = &config.device;
+    w.put_str(&dev.name);
+    w.put_varint(dev.dsp);
+    w.put_varint(dev.lut);
+    w.put_varint(dev.ff);
+    w.put_varint(dev.bram_18k);
+    w.put_f64(dev.dram_bytes_per_cycle);
+    w.put_len(dev.clock_mhz.len());
+    for &mhz in &dev.clock_mhz {
         w.put_f64(mhz);
     }
     w.put_len(config.targets_fps.len());
@@ -558,13 +563,58 @@ pub fn config_fingerprint(config: &FlowConfig) -> u64 {
     }
     w.put_varint(config.eval_replications as u64);
     w.put_u64(config.seed);
+}
+
+/// Decodes a config written by [`encode_config`]. The encoding carries
+/// no `parallelism`, so the decoded config runs sequentially
+/// (`Fixed(1)`).
+///
+/// # Errors
+///
+/// [`CodecError`] on truncated input.
+pub fn decode_config(r: &mut ByteReader<'_>) -> Result<FlowConfig, CodecError> {
+    // Struct fields evaluate in source order, which is the wire order.
+    Ok(FlowConfig {
+        device: FpgaDevice {
+            name: r.read_str()?,
+            dsp: r.read_varint()?,
+            lut: r.read_varint()?,
+            ff: r.read_varint()?,
+            bram_18k: r.read_varint()?,
+            dram_bytes_per_cycle: r.read_f64()?,
+            clock_mhz: read_list(r, ByteReader::read_f64)?,
+        },
+        targets_fps: read_list(r, ByteReader::read_f64)?,
+        clock_mhz: r.read_f64()?,
+        fps_tolerance: r.read_f64()?,
+        candidates_per_bundle: r.read_varint()? as usize,
+        coarse_pf_sweep: read_list(r, |r| Ok(r.read_varint()? as usize))?,
+        eval_replications: r.read_varint()? as usize,
+        seed: r.read_u64()?,
+        parallelism: Parallelism::Fixed(1),
+    })
+}
+
+fn read_list<'a, T>(
+    r: &mut ByteReader<'a>,
+    mut item: impl FnMut(&mut ByteReader<'a>) -> Result<T, CodecError>,
+) -> Result<Vec<T>, CodecError> {
+    let n = r.read_len()?;
+    (0..n).map(|_| item(r)).collect()
+}
+
+/// FNV-1a fingerprint of [`encode_config`]: everything the search
+/// results depend on, `parallelism` excluded so it never invalidates a
+/// resume.
+pub fn config_fingerprint(config: &FlowConfig) -> u64 {
+    let mut w = ByteWriter::new();
+    encode_config(&mut w, config);
     fnv1a(w.as_bytes())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::Parallelism;
     use codesign_sim::device::{pynq_z1, ultra96};
     use std::path::PathBuf;
 
@@ -607,6 +657,28 @@ mod tests {
         let mut other_device = base.clone();
         other_device.device = ultra96();
         assert_ne!(config_fingerprint(&base), config_fingerprint(&other_device));
+    }
+
+    #[test]
+    fn paper_config_fingerprint_is_pinned() {
+        // Checkpoints and shard directories written before the config
+        // codec was factored out must still open.
+        let paper = FlowConfig::for_device(pynq_z1());
+        assert_eq!(config_fingerprint(&paper), 0x22f2_89fc_022c_f444);
+    }
+
+    #[test]
+    fn config_codec_round_trips() {
+        let cfg = FlowConfig {
+            device: ultra96(),
+            parallelism: Parallelism::Fixed(1),
+            ..config()
+        };
+        let mut w = ByteWriter::new();
+        encode_config(&mut w, &cfg);
+        let mut r = ByteReader::new(w.as_bytes());
+        assert_eq!(decode_config(&mut r).unwrap(), cfg);
+        r.finish().unwrap();
     }
 
     #[test]

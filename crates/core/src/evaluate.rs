@@ -79,31 +79,15 @@ pub fn evaluation_point(bundle: &Bundle, method: EvalMethod, pf: usize) -> Desig
 }
 
 /// Coarse-grained evaluation of `bundles` on `device` across a parallel
-/// factor sweep.
+/// factor sweep, fanned out over the persistent worker pool: each
+/// Bundle is one work item and results are merged in Bundle order, so
+/// the output is byte-identical for any `threads` (1 runs inline).
 ///
 /// # Errors
 ///
-/// Propagates simulator failures ([`SimError`]); Bundles whose
-/// evaluation DNN cannot be elaborated are skipped (they cannot be
-/// implemented at this input resolution at all).
-pub fn coarse_evaluate(
-    bundles: &[Bundle],
-    device: &FpgaDevice,
-    pf_sweep: &[usize],
-    method: EvalMethod,
-    model: &AccuracyModel,
-    clock_mhz: f64,
-) -> Result<Vec<BundleEvaluation>, SimError> {
-    coarse_evaluate_parallel(bundles, device, pf_sweep, method, model, clock_mhz, 1)
-}
-
-/// [`coarse_evaluate`] fanned out over the persistent worker pool: each
-/// Bundle is one work item, results are merged in Bundle order, so the
-/// output is byte-identical to the sequential run for any `threads`.
-///
-/// # Errors
-///
-/// Propagates the first simulator failure in Bundle order.
+/// Propagates the first simulator failure in Bundle order; Bundles
+/// whose evaluation DNN cannot be elaborated are skipped (they cannot
+/// be implemented at this input resolution at all).
 pub fn coarse_evaluate_parallel(
     bundles: &[Bundle],
     device: &FpgaDevice,
@@ -236,13 +220,14 @@ mod tests {
     use codesign_sim::device::pynq_z1;
 
     fn run_coarse(method: EvalMethod) -> Vec<BundleEvaluation> {
-        coarse_evaluate(
+        coarse_evaluate_parallel(
             &enumerate_bundles(),
             &pynq_z1(),
             &[16],
             method,
             &AccuracyModel::paper_calibrated(),
             100.0,
+            1,
         )
         .unwrap()
     }
@@ -293,13 +278,14 @@ mod tests {
 
     #[test]
     fn pf_sweep_changes_latency_not_accuracy() {
-        let evals = coarse_evaluate(
+        let evals = coarse_evaluate_parallel(
             &enumerate_bundles()[..1],
             &pynq_z1(),
             &[4, 8, 16],
             EvalMethod::Replicated { n: 2 },
             &AccuracyModel::paper_calibrated(),
             100.0,
+            1,
         )
         .unwrap();
         assert_eq!(evals.len(), 3);

@@ -8,6 +8,10 @@
 //! *and* their FPGA accelerators (synthesizable C plus a synthesis-style
 //! report).
 //!
+//! The recipe itself is written once, in [`crate::pipeline`]; this
+//! module is its in-process executor, adding a thread pool, progress
+//! events, cancellation and stage checkpoints around it.
+//!
 //! Configurations are built with [`FlowConfig::builder`] (paper
 //! defaults, typed validation), runs are observed and cancelled through
 //! [`CoDesignFlow::run_observed`], and results are presented through
@@ -16,24 +20,23 @@
 
 use crate::accuracy::{AccuracyModel, ProxyEvaluator};
 use crate::checkpoint::FlowCheckpoint;
-use crate::evaluate::{coarse_evaluate_parallel, select_bundles, BundleEvaluation, EvalMethod};
+use crate::evaluate::BundleEvaluation;
 use crate::observe::{CancelState, CancelToken, FlowEvent, FlowObserver, NullObserver};
-use crate::parallel::{derive_seed, try_parallel_map, Parallelism};
-use crate::search::{scd_search_with_activation, Candidate, ScdConfig};
-use codesign_dnn::builder::DnnBuilder;
-use codesign_dnn::bundle::{enumerate_bundles, Bundle, BundleId};
+use crate::parallel::{try_parallel_map, Parallelism};
+use crate::pipeline;
+use crate::search::Candidate;
+use codesign_dnn::bundle::{enumerate_bundles, BundleId};
 use codesign_dnn::quant::Activation;
 use codesign_dnn::space::DesignPoint;
 use codesign_dnn::Dnn;
 use codesign_hls::cache::EstimateCache;
-use codesign_hls::calibrate::{calibrate_bundle_with, CalibratedParams};
-use codesign_hls::codegen::CodeGenerator;
+use codesign_hls::calibrate::CalibratedParams;
 use codesign_hls::model::HlsEstimator;
 use codesign_sim::device::{pynq_z1, FpgaDevice};
 use codesign_sim::error::SimError;
-use codesign_sim::pipeline::{simulate, AccelConfig};
 use codesign_sim::report::{CacheStats, SimReport};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -513,12 +516,6 @@ pub enum FlowError {
         /// Description of the underlying I/O failure.
         reason: String,
     },
-    /// A multi-process sharded run of the flow failed (supervisor,
-    /// worker, or merge error from `codesign-shard`).
-    Sharded {
-        /// Description of the shard-layer failure.
-        reason: String,
-    },
 }
 
 impl fmt::Display for FlowError {
@@ -529,7 +526,6 @@ impl fmt::Display for FlowError {
             FlowError::Cancelled => write!(f, "flow cancelled"),
             FlowError::DeadlineExceeded => write!(f, "flow deadline exceeded"),
             FlowError::Checkpoint { reason } => write!(f, "checkpoint write failed: {reason}"),
-            FlowError::Sharded { reason } => write!(f, "sharded search failed: {reason}"),
         }
     }
 }
@@ -669,13 +665,7 @@ impl CoDesignFlow {
         observer: &dyn FlowObserver,
         cancel: &CancelToken,
     ) -> Result<FlowOutput, FlowError> {
-        let result = self.run_observed_inner(observer, cancel, None);
-        match result {
-            Err(FlowError::Cancelled) => observer.on_event(&FlowEvent::Cancelled),
-            Err(FlowError::DeadlineExceeded) => observer.on_event(&FlowEvent::TimedOut),
-            _ => {}
-        }
-        result
+        self.run_inner(observer, cancel, None)
     }
 
     /// Runs the flow against a stage checkpoint: completed stages found
@@ -699,22 +689,39 @@ impl CoDesignFlow {
         observer: &dyn FlowObserver,
         cancel: &CancelToken,
     ) -> Result<FlowOutput, FlowError> {
-        let result = self.run_observed_inner(observer, cancel, Some(checkpoint));
-        match result {
+        self.run_inner(observer, cancel, Some(checkpoint))
+    }
+
+    /// [`run_stages`](Self::run_stages) plus the terminal bookkeeping
+    /// shared by every entry point: the closing `Cancelled` / `TimedOut`
+    /// event, and deleting the checkpoint of a successful run.
+    fn run_inner(
+        &self,
+        observer: &dyn FlowObserver,
+        cancel: &CancelToken,
+        ckpt: Option<&FlowCheckpoint>,
+    ) -> Result<FlowOutput, FlowError> {
+        let result = self.run_stages(observer, cancel, ckpt);
+        match &result {
             Err(FlowError::Cancelled) => observer.on_event(&FlowEvent::Cancelled),
             Err(FlowError::DeadlineExceeded) => observer.on_event(&FlowEvent::TimedOut),
-            _ => {}
-        }
-        if result.is_ok() {
             // A leftover checkpoint means "interrupted run"; failing to
             // delete it only costs a redundant replay next time, so it
             // must not fail an otherwise-successful run.
-            let _ = checkpoint.finish();
+            Ok(_) => {
+                if let Some(c) = ckpt {
+                    let _ = c.finish();
+                }
+            }
+            Err(_) => {}
         }
         result
     }
 
-    fn run_observed_inner(
+    /// The [`pipeline`] recipe with this executor's own concerns around
+    /// it: progress events, cancellation checks at every work-item
+    /// boundary, and the checkpoint's replay / record hooks.
+    fn run_stages(
         &self,
         observer: &dyn FlowObserver,
         cancel: &CancelToken,
@@ -727,12 +734,13 @@ impl CoDesignFlow {
             .cache
             .clone()
             .unwrap_or_else(|| Arc::new(EstimateCache::new()));
-        let checkpoint = || -> Result<(), FlowError> {
-            match cancel.state() {
-                CancelState::Cancelled => Err(FlowError::Cancelled),
-                CancelState::TimedOut => Err(FlowError::DeadlineExceeded),
-                CancelState::Live => Ok(()),
-            }
+        let live = || match cancel.state() {
+            CancelState::Cancelled => Err(FlowError::Cancelled),
+            CancelState::TimedOut => Err(FlowError::DeadlineExceeded),
+            CancelState::Live => Ok(()),
+        };
+        let ckpt_write = |e: std::io::Error| FlowError::Checkpoint {
+            reason: e.to_string(),
         };
 
         let all_bundles = enumerate_bundles();
@@ -741,35 +749,11 @@ impl CoDesignFlow {
             bundles: all_bundles.len(),
         });
 
-        let ckpt_write = |e: std::io::Error| FlowError::Checkpoint {
-            reason: e.to_string(),
-        };
-
-        // Step 2: coarse evaluation (one work item per Bundle) + Bundle
-        // selection. (Step 1, the analytic modeling, happens inside
-        // calibrate_bundle_with below.)
-        checkpoint()?;
+        live()?;
         let (coarse, selected) = match ckpt.and_then(FlowCheckpoint::take_coarse) {
             Some(restored) => restored,
             None => {
-                let coarse = coarse_evaluate_parallel(
-                    &all_bundles,
-                    &cfg.device,
-                    &cfg.coarse_pf_sweep,
-                    EvalMethod::Replicated {
-                        n: cfg.eval_replications,
-                    },
-                    &self.model,
-                    cfg.clock_mhz,
-                    threads,
-                )?;
-                let max_pf = cfg.coarse_pf_sweep.iter().copied().max().unwrap_or(16);
-                let at_max_pf: Vec<BundleEvaluation> = coarse
-                    .iter()
-                    .filter(|e| e.parallel_factor == max_pf)
-                    .cloned()
-                    .collect();
-                let selected = select_bundles(&at_max_pf);
+                let (coarse, selected) = pipeline::coarse_stage(cfg, &self.model)?;
                 if let Some(c) = ckpt {
                     c.record_coarse(&coarse, &selected).map_err(ckpt_write)?;
                 }
@@ -780,24 +764,18 @@ impl CoDesignFlow {
             selected: selected.iter().map(|b| b.0).collect(),
         });
 
-        // Step 1: analytic-model calibration, once per selected Bundle
-        // (shared across every FPS target) in the deployment PF regime —
-        // the overlap factors fitted at tiny PFs do not transfer to the
-        // near-full-DSP designs the search emits. All estimators share
-        // one estimate cache. A checkpointed resume replays the fitted
-        // coefficients and only rebuilds the (cheap) estimator shells,
-        // skipping the per-Bundle progress events.
-        checkpoint()?;
+        // Calibration, once per selected Bundle and shared by every
+        // target. A resume replays the fitted coefficients and skips the
+        // per-Bundle progress events.
+        live()?;
         let params_list: Vec<(BundleId, CalibratedParams)> =
             match ckpt.and_then(FlowCheckpoint::take_calibration) {
                 Some(restored) => restored,
                 None => {
                     let calibrated = AtomicUsize::new(0);
                     let list = try_parallel_map(&selected, threads, |_, id| {
-                        checkpoint()?;
-                        let bundle = all_bundles[id.0 - 1].clone();
-                        let params = calibrate_bundle_with(&bundle, &cfg.device, &[1, 2, 3, 4], 96)
-                            .map_err(FlowError::Sim)?;
+                        live()?;
+                        let params = pipeline::calibrate(&all_bundles[id.0 - 1], &cfg.device)?;
                         observer.on_event(&FlowEvent::BundleCalibrated {
                             bundle: id.0,
                             done: calibrated.fetch_add(1, Ordering::Relaxed) + 1,
@@ -811,87 +789,38 @@ impl CoDesignFlow {
                     list
                 }
             };
-        let estimators: Vec<(Bundle, HlsEstimator)> = params_list
+        // All estimators share one estimate cache.
+        let estimators: BTreeMap<BundleId, HlsEstimator> = params_list
             .into_iter()
             .map(|(id, params)| {
-                let bundle = all_bundles[id.0 - 1].clone();
                 let estimator =
                     HlsEstimator::new(params, cfg.device.clone()).with_cache(Arc::clone(&cache));
-                (bundle, estimator)
+                (id, estimator)
             })
             .collect();
 
-        // Step 3: SCD searches, one work item per (FPS target, Bundle,
-        // quantization arm). The scheme Q is a co-design variable
-        // (Table 1): both the 16-bit (Relu) and 8-bit (Relu4) arms are
-        // searched and accuracy arbitrates.
-        struct ScdItem<'a> {
-            ti: usize,
-            fps: f64,
-            bundle: &'a Bundle,
-            estimator: &'a HlsEstimator,
-            arm: u64,
-            activation: Activation,
-        }
-        let mut items: Vec<ScdItem<'_>> = Vec::new();
-        for (ti, &fps) in cfg.targets_fps.iter().enumerate() {
-            for (bundle, estimator) in &estimators {
-                for (arm, activation) in [Activation::Relu, Activation::Relu4]
-                    .into_iter()
-                    .enumerate()
-                {
-                    items.push(ScdItem {
-                        ti,
-                        fps,
-                        bundle,
-                        estimator,
-                        arm: arm as u64,
-                        activation,
-                    });
-                }
-            }
-        }
-        let restored_scd = ckpt.and_then(FlowCheckpoint::take_scd);
-        let found: Vec<Vec<Candidate>> = match restored_scd {
-            // The fingerprint check at open pins everything the item
+        let cells = pipeline::cells(&cfg.targets_fps, &selected);
+        let found: Vec<Vec<Candidate>> = match ckpt.and_then(FlowCheckpoint::take_scd) {
+            // The fingerprint check at open pins everything the cell
             // list is derived from, so a restored stage always aligns
-            // with `items`; a short vector (torn record survived the
-            // tag check) falls through to recompute.
-            Some(restored) if restored.len() == items.len() => restored,
+            // with `cells`; a short vector (torn record survived the tag
+            // check) falls through to recompute.
+            Some(restored) if restored.len() == cells.len() => restored,
             _ => {
                 let searched = AtomicUsize::new(0);
-                let found = try_parallel_map(&items, threads, |_, item| {
-                    checkpoint()?;
-                    let target_ms = 1000.0 / item.fps;
-                    let tolerance_ms = target_ms - 1000.0 / (item.fps + cfg.fps_tolerance);
-                    // The stream id depends only on what the item *is*
-                    // (target, Bundle, arm), never on scheduling.
-                    let stream =
-                        ((item.ti as u64) << 32) | ((item.bundle.id().0 as u64) << 8) | item.arm;
-                    let scd = ScdConfig {
-                        latency_target_ms: target_ms,
-                        tolerance_ms,
-                        clock_mhz: cfg.clock_mhz,
-                        candidates: cfg.candidates_per_bundle,
-                        max_iterations: 400,
-                        seed: derive_seed(cfg.seed, stream),
-                    };
-                    let cell = scd_search_with_activation(
-                        item.bundle,
-                        item.estimator,
-                        &self.model,
-                        &scd,
-                        item.activation,
-                    );
+                let found = try_parallel_map(&cells, threads, |_, cell| {
+                    live()?;
+                    let found =
+                        pipeline::run_cell(cfg, cell, &estimators[&cell.bundle], &self.model);
                     observer.on_event(&FlowEvent::ScdSearchFinished {
-                        target_fps: item.fps,
-                        bundle: item.bundle.id().0,
-                        activation: item.activation,
-                        found: cell.len(),
+                        target_fps: cell.fps,
+                        bundle: cell.bundle.0,
+                        activation: cell.activation,
+                        found: found.len(),
                         done: searched.fetch_add(1, Ordering::Relaxed) + 1,
-                        total: items.len(),
+                        total: cells.len(),
                     });
-                    Ok::<_, FlowError>(cell)
+                    Ok::<_, FlowError>(found)
                 })?;
                 if let Some(c) = ckpt {
                     c.record_scd(&found).map_err(ckpt_write)?;
@@ -900,31 +829,11 @@ impl CoDesignFlow {
             }
         };
 
-        // Deterministic merge: item order reproduces the legacy nested
-        // target → Bundle → arm loop exactly.
-        let mut candidates: Vec<(f64, Candidate)> = Vec::new();
-        let mut best_per_target: Vec<(f64, Candidate)> = Vec::new();
-        for (ti, &fps) in cfg.targets_fps.iter().enumerate() {
-            let target_candidates: Vec<Candidate> = items
-                .iter()
-                .zip(&found)
-                .filter(|(item, _)| item.ti == ti)
-                .flat_map(|(_, cs)| cs.iter().cloned())
-                .collect();
-            // Best accuracy per target becomes the published design.
-            if let Some(best) = target_candidates
-                .iter()
-                .max_by(|a, b| a.accuracy.total_cmp(&b.accuracy))
-                .cloned()
-            {
-                best_per_target.push((fps, best));
-            }
-            candidates.extend(target_candidates.into_iter().map(|c| (fps, c)));
-        }
+        let (candidates, best_per_target) = pipeline::merge(cfg, &cells, &found);
         let mut designs: Vec<DesignOutcome> = Vec::new();
         for (fps, best) in &best_per_target {
-            checkpoint()?;
-            let design = self.finalize(*fps, best)?;
+            live()?;
+            let design = pipeline::finalize(cfg, *fps, best, self.measured_quant.as_ref())?;
             observer.on_event(&FlowEvent::DesignFinalized {
                 target_fps: *fps,
                 accuracy: design.accuracy,
@@ -945,37 +854,6 @@ impl CoDesignFlow {
             candidates,
             designs,
             cache_stats: cache.stats(),
-        })
-    }
-
-    /// Finalizes a candidate: full simulation and Auto-HLS generation.
-    fn finalize(&self, target_fps: f64, candidate: &Candidate) -> Result<DesignOutcome, FlowError> {
-        let dnn = DnnBuilder::new()
-            .build(&candidate.point)
-            .expect("search candidates elaborate");
-        let accel = AccelConfig::for_point(&candidate.point);
-        let report = simulate(&dnn, &accel, &self.config.device)?;
-        let code = CodeGenerator::new(accel).generate(&dnn);
-        let latency_ms = report.latency_ms(self.config.clock_mhz);
-        // Optional measured-quantization scoring: proxy-train the winner
-        // and run held-out inference through the quantized engine under
-        // the scheme its activation fixes. Failures (unbuildable at the
-        // proxy resolution) degrade to `None`, never to a flow error.
-        let measured_iou = self.measured_quant.as_ref().and_then(|eval| {
-            let mut eval = eval.clone();
-            eval.quantization = Some(candidate.point.activation.quantization());
-            eval.evaluate(&candidate.point).ok()
-        });
-        Ok(DesignOutcome {
-            target_fps,
-            point: candidate.point.clone(),
-            accuracy: candidate.accuracy,
-            latency_ms,
-            fps: 1000.0 / latency_ms,
-            report,
-            code,
-            dnn,
-            measured_iou,
         })
     }
 }

@@ -18,10 +18,13 @@
 //!   the Stochastic Coordinate Descent unit (Algorithm 1) updating the
 //!   replication count `N`, channel expansion `Π` and down-sampling `X`
 //!   under latency and resource constraints.
-//! * [`flow`] — the overall co-design flow of Fig. 1 wiring Bundle
-//!   modeling, Bundle selection, SCD search, Auto-HLS generation and
-//!   final simulation together, configured through a validating
-//!   builder ([`flow::FlowConfig::builder`]).
+//! * [`pipeline`] — the co-design recipe of Fig. 1, written once as
+//!   plain functions: coarse stage, SCD cell grid, calibration, one
+//!   SCD search per cell, merge, and finalization (full simulation +
+//!   Auto-HLS generation). Every executor calls it.
+//! * [`flow`] — the in-process executor of that recipe, configured
+//!   through a validating builder ([`flow::FlowConfig::builder`]),
+//!   with events, cancellation and stage checkpoints around it.
 //! * [`observe`] — progress observation ([`observe::FlowObserver`])
 //!   and cooperative cancellation ([`observe::CancelToken`]) for
 //!   long-running flows; the surface the serving layer builds on.
@@ -60,13 +63,14 @@ pub mod flow;
 pub mod observe;
 pub mod parallel;
 pub mod pareto;
+pub mod pipeline;
 pub mod search;
 
 pub use accuracy::{AccuracyModel, ProxyEvaluator};
 pub use checkpoint::FlowCheckpoint;
-pub use evaluate::{coarse_evaluate, coarse_evaluate_parallel, select_bundles, BundleEvaluation};
+pub use evaluate::{coarse_evaluate_parallel, select_bundles, BundleEvaluation};
 pub use flow::{CoDesignFlow, FlowConfig, FlowConfigBuilder, FlowOutput, FlowSummary};
 pub use observe::{CancelState, CancelToken, FlowEvent, FlowObserver, NullObserver};
 pub use parallel::{derive_seed, parallel_map, Parallelism};
 pub use pareto::pareto_front;
-pub use search::{random_search, scd_search, scd_search_with_activation, Candidate, ScdConfig};
+pub use search::{random_search, scd_search, Candidate, ScdConfig};

@@ -19,6 +19,7 @@
 use crate::accuracy::AccuracyModel;
 use codesign_dnn::builder::DnnBuilder;
 use codesign_dnn::bundle::Bundle;
+use codesign_dnn::quant::Activation;
 use codesign_dnn::space::{DesignPoint, MAX_PARALLEL_FACTOR, PARALLEL_FACTOR_STEP};
 use codesign_hls::incremental::{EstimatePlan, MoveCoord};
 use codesign_hls::model::{Estimate, HlsEstimator};
@@ -121,29 +122,13 @@ pub fn choose_max_parallel_factor_with(plan: &EstimatePlan, point: &DesignPoint)
     lo * PARALLEL_FACTOR_STEP
 }
 
-/// Runs the SCD unit (Algorithm 1) for one Bundle with the default
-/// 16-bit (`Relu`) quantization arm.
+/// Runs the SCD unit (Algorithm 1) for one Bundle under one
+/// activation / quantization arm (the co-design variable `Q` of
+/// Table 1).
 ///
 /// Returns up to `cfg.candidates` designs whose estimated latency lies
 /// within `ε` of the target under the resource budget of the
 /// estimator's device. The run is deterministic for a given seed.
-pub fn scd_search(
-    bundle: &Bundle,
-    estimator: &HlsEstimator,
-    model: &AccuracyModel,
-    cfg: &ScdConfig,
-) -> Vec<Candidate> {
-    scd_search_with_activation(
-        bundle,
-        estimator,
-        model,
-        cfg,
-        codesign_dnn::quant::Activation::Relu,
-    )
-}
-
-/// Runs the SCD unit with an explicit activation / quantization arm
-/// (the co-design variable `Q` of Table 1).
 ///
 /// Every probe goes through an incremental [`EstimatePlan`] instead of
 /// rebuilding a DNN per query: the plan elaborates the current point
@@ -151,12 +136,12 @@ pub fn scd_search(
 /// bit-identical to the full model (so results — and, estimator cache
 /// attached, the deterministic lookup count — are unchanged from the
 /// rebuild-per-probe implementation).
-pub fn scd_search_with_activation(
+pub fn scd_search(
     bundle: &Bundle,
     estimator: &HlsEstimator,
     model: &AccuracyModel,
     cfg: &ScdConfig,
-    activation: codesign_dnn::quant::Activation,
+    activation: Activation,
 ) -> Vec<Candidate> {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let builder = DnnBuilder::new();
@@ -293,7 +278,7 @@ pub fn random_search(
     estimator: &HlsEstimator,
     model: &AccuracyModel,
     cfg: &ScdConfig,
-    activation: codesign_dnn::quant::Activation,
+    activation: Activation,
 ) -> (Vec<Candidate>, usize) {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let builder = DnnBuilder::new();
@@ -346,6 +331,16 @@ mod tests {
     use codesign_hls::calibrate::calibrate_bundle;
     use codesign_sim::device::pynq_z1;
 
+    fn relu_search(b: &Bundle, est: &HlsEstimator, cfg: &ScdConfig) -> Vec<Candidate> {
+        scd_search(
+            b,
+            est,
+            &AccuracyModel::paper_calibrated(),
+            cfg,
+            Activation::Relu,
+        )
+    }
+
     fn estimator(id: usize) -> (Bundle, HlsEstimator) {
         let b = bundle_by_id(BundleId(id)).unwrap();
         let params = calibrate_bundle(&b, &pynq_z1()).unwrap();
@@ -361,7 +356,7 @@ mod tests {
             candidates: 3,
             ..ScdConfig::default()
         };
-        let found = scd_search(&b, &est, &AccuracyModel::paper_calibrated(), &cfg);
+        let found = relu_search(&b, &est, &cfg);
         assert!(!found.is_empty(), "no candidates found");
         for c in &found {
             assert!(
@@ -383,7 +378,7 @@ mod tests {
             candidates: 4,
             ..ScdConfig::default()
         };
-        let found = scd_search(&b, &est, &AccuracyModel::paper_calibrated(), &cfg);
+        let found = relu_search(&b, &est, &cfg);
         for i in 0..found.len() {
             for j in (i + 1)..found.len() {
                 assert_ne!(found[i].point, found[j].point);
@@ -401,8 +396,8 @@ mod tests {
             seed: 11,
             ..ScdConfig::default()
         };
-        let a = scd_search(&b, &est, &AccuracyModel::paper_calibrated(), &cfg);
-        let b2 = scd_search(&b, &est, &AccuracyModel::paper_calibrated(), &cfg);
+        let a = relu_search(&b, &est, &cfg);
+        let b2 = relu_search(&b, &est, &cfg);
         assert_eq!(a, b2);
     }
 
@@ -416,7 +411,7 @@ mod tests {
             max_iterations: 50,
             ..ScdConfig::default()
         };
-        let found = scd_search(&b, &est, &AccuracyModel::paper_calibrated(), &cfg);
+        let found = relu_search(&b, &est, &cfg);
         assert!(found.is_empty());
     }
 
@@ -433,14 +428,8 @@ mod tests {
             ..ScdConfig::default()
         };
         let model = AccuracyModel::paper_calibrated();
-        let scd = scd_search(&b, &est, &model, &cfg);
-        let (random, _) = random_search(
-            &b,
-            &est,
-            &model,
-            &cfg,
-            codesign_dnn::quant::Activation::Relu,
-        );
+        let scd = scd_search(&b, &est, &model, &cfg, Activation::Relu);
+        let (random, _) = random_search(&b, &est, &model, &cfg, Activation::Relu);
         assert!(
             scd.len() >= random.len(),
             "SCD found {} candidates, random found {}",
@@ -465,7 +454,7 @@ mod tests {
             &est,
             &AccuracyModel::paper_calibrated(),
             &cfg,
-            codesign_dnn::quant::Activation::Relu,
+            Activation::Relu,
         );
         assert!(evals > 0);
         for c in &found {

@@ -2,24 +2,24 @@
 //!
 //! ```text
 //! codesign-serve [--addr HOST:PORT] [--max-queue N] [--executors N]
-//!                [--max-finished N] [--store PATH] [--shards N]
+//!                [--max-finished N] [--store PATH]
 //! ```
 //!
-//! `--store PATH` points at a persistent estimate log: the server
-//! warm-starts its estimate cache from it and appends new estimates
-//! after every completed job, so a restart keeps every design point
-//! the server has ever priced. `--shards N` (N ≥ 2) fans each job's
-//! search stage out across N crash-tolerant worker *processes*
-//! (re-execs of this binary — worker mode is dispatched before the
-//! server starts). The other flags mirror [`ServeConfig`]; defaults
-//! match `ServeConfig::default()` with `--addr 127.0.0.1:8080`.
+//! Each job runs the in-process co-design flow — the shared
+//! `codesign_core::pipeline` recipe — on one executor thread, streaming
+//! its progress events to the client. `--store PATH` points at a
+//! persistent estimate log: the server warm-starts its estimate cache
+//! from it and appends new estimates after every completed job, so a
+//! restart keeps every design point the server has ever priced. The
+//! other flags mirror [`ServeConfig`]; defaults match
+//! `ServeConfig::default()` with `--addr 127.0.0.1:8080`.
 
 use codesign_serve::{ServeConfig, Server, ShutdownPolicy};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: codesign-serve [--addr HOST:PORT] [--max-queue N] \
-                     [--executors N] [--max-finished N] [--store PATH] [--shards N]";
+                     [--executors N] [--max-finished N] [--store PATH]";
 
 struct Options {
     addr: String,
@@ -50,9 +50,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 options.config.max_finished = parse_count(&value("a job count")?, flag)?;
             }
             "--store" => options.config.store = Some(PathBuf::from(value("a file path")?)),
-            "--shards" => {
-                options.config.shards = parse_count(&value("a worker-process count")?, flag)?;
-            }
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown flag {other}\n{USAGE}")),
         }
@@ -66,9 +63,6 @@ fn parse_count(text: &str, flag: &str) -> Result<usize, String> {
 }
 
 fn main() -> ExitCode {
-    // Sharded jobs re-exec this binary as workers; worker mode runs the
-    // shard and exits inside, so the server never starts in a worker.
-    codesign_shard::maybe_run_worker();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let options = match parse_args(&args) {
         Ok(options) => options,

@@ -67,18 +67,6 @@ pub struct ServeConfig {
     /// passed down to the estimate store's I/O sites. `None` — the
     /// production configuration — costs one `Option` check per site.
     pub faults: Option<Arc<FaultPlan>>,
-    /// When ≥ 2, each job's SCD stage fans out across this many worker
-    /// *processes* via `codesign-shard`'s crash-tolerant supervisor
-    /// instead of running in the executor thread. `0` (default) and
-    /// `1` keep the in-process flow — results are bit-identical either
-    /// way.
-    pub shards: usize,
-    /// Worker binary for sharded execution; `None` re-execs the
-    /// current executable (which must call
-    /// `codesign_shard::maybe_run_worker()` first thing in `main`, as
-    /// `codesign-serve` does). Tests must set this explicitly — a test
-    /// harness re-execing itself would run the whole suite per worker.
-    pub worker_exe: Option<PathBuf>,
 }
 
 impl Default for ServeConfig {
@@ -91,8 +79,6 @@ impl Default for ServeConfig {
             persist_retries: 3,
             persist_backoff_ms: 10,
             faults: None,
-            shards: 0,
-            worker_exe: None,
         }
     }
 }
@@ -375,11 +361,6 @@ struct Shared {
     persist_backoff: Duration,
     /// Serve-layer fault-injection plan (`None` in production).
     faults: Option<Arc<FaultPlan>>,
-    /// Worker-process count for sharded execution (see
-    /// [`ServeConfig::shards`]).
-    shards: usize,
-    /// Worker binary override for sharded execution.
-    worker_exe: Option<PathBuf>,
 }
 
 impl Shared {
@@ -520,8 +501,6 @@ impl Scheduler {
             persist_retries: config.persist_retries,
             persist_backoff: Duration::from_millis(config.persist_backoff_ms),
             faults: config.faults.clone(),
-            shards: config.shards,
-            worker_exe: config.worker_exe.clone(),
         });
         let executors = (0..config.executors)
             .map(|i| {
@@ -902,11 +881,7 @@ fn run_executor(shared: &Shared) {
                     panic!("injected fault: serve.job.panic");
                 }
             }
-            if shared.shards >= 2 {
-                run_sharded(shared, &job)
-            } else {
-                flow.run_observed(&observer, &job.cancel)
-            }
+            flow.run_observed(&observer, &job.cancel)
         }));
         shared
             .metrics
@@ -930,51 +905,6 @@ fn run_executor(shared: &Shared) {
             }
         };
         finish_job(shared, &job, outcome);
-    }
-}
-
-/// Runs one job's flow through `codesign-shard`'s multi-process
-/// supervisor instead of in this thread. The shard directory is
-/// job-private and removed on success; shard-layer failures map onto
-/// [`FlowError::Sharded`] so clients see a typed job failure, never a
-/// wedged executor. Output is bit-identical to the in-process path —
-/// pinned by `codesign-shard`'s own determinism tests.
-fn run_sharded(shared: &Shared, job: &Arc<Job>) -> Result<FlowOutput, FlowError> {
-    let sharded = |reason: String| FlowError::Sharded { reason };
-    let worker_exe = match &shared.worker_exe {
-        Some(exe) => exe.clone(),
-        None => std::env::current_exe()
-            .map_err(|e| sharded(format!("cannot resolve worker executable: {e}")))?,
-    };
-    // Job ids are per-scheduler, so two servers in one process (the
-    // test suite) would collide on `pid + job.id`; a process-wide
-    // counter keeps every sharded run in its own directory.
-    static SHARD_RUN: AtomicU64 = AtomicU64::new(0);
-    let run = SHARD_RUN.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir()
-        .join("codesign_serve_shard")
-        .join(format!("job-{}-{}-{run}", std::process::id(), job.id));
-    let config = codesign_shard::ShardConfig {
-        dir: dir.clone(),
-        flow: job.config.clone(),
-        workers: shared.shards,
-        shards: 0,
-        max_retries: 2,
-        lease: Duration::from_secs(60),
-        worker_exe,
-        fault_spec: None,
-    };
-    let result = codesign_shard::run_with_cancel(&config, &job.cancel);
-    match result {
-        Ok((output, _report)) => {
-            let _ = std::fs::remove_dir_all(&dir);
-            Ok(output)
-        }
-        Err(codesign_shard::ShardError::Cancelled) => match job.cancel.state() {
-            CancelState::TimedOut => Err(FlowError::DeadlineExceeded),
-            _ => Err(FlowError::Cancelled),
-        },
-        Err(e) => Err(sharded(e.to_string())),
     }
 }
 

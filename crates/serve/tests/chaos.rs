@@ -151,7 +151,6 @@ fn chaos_soak_reaches_terminal_states_and_preserves_faultfree_results() {
         persist_retries: 2,
         persist_backoff_ms: 1,
         faults: Some(Arc::clone(&plan)),
-        ..ServeConfig::default()
     })
     .expect("start server");
     let addr = server.addr();

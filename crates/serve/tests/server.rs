@@ -233,54 +233,3 @@ fn client_errors_get_client_status_codes() {
     assert_eq!(parse(&body).unwrap().get("ok"), Some(&Json::Bool(true)));
     server.shutdown();
 }
-
-#[test]
-fn sharded_jobs_serve_bytes_identical_to_in_process_jobs() {
-    // `codesign-serve` itself is the worker binary: its `main` calls
-    // `codesign_shard::maybe_run_worker()` before the server starts.
-    let mut server = Server::start(ServeConfig {
-        max_queue: 4,
-        executors: 1,
-        shards: 2,
-        worker_exe: Some(env!("CARGO_BIN_EXE_codesign-serve").into()),
-        ..ServeConfig::default()
-    })
-    .expect("start server");
-    let client = Client::new(server.addr());
-    let job_id = client.submit_job(&small_body(41)).expect("submit");
-    let (status, served) = client.wait_result(job_id).expect("result");
-    assert_eq!(status, 200, "{served}");
-    let direct = CoDesignFlow::new(small_config(41)).run().unwrap();
-    assert_eq!(
-        served,
-        flow_result_body(&direct),
-        "sharded execution changed the served bytes"
-    );
-    server.shutdown();
-}
-
-#[test]
-fn sharded_job_with_a_broken_worker_fails_gracefully() {
-    // A worker exe that cannot spawn must fail the job — not the
-    // executor, not the server.
-    let mut server = Server::start(ServeConfig {
-        max_queue: 4,
-        executors: 1,
-        shards: 2,
-        worker_exe: Some("/nonexistent/codesign-shard-worker".into()),
-        ..ServeConfig::default()
-    })
-    .expect("start server");
-    let client = Client::new(server.addr());
-    let job_id = client.submit_job(&small_body(42)).expect("submit");
-    let lines = client.events(job_id).expect("events");
-    let last = lines.last().expect("terminal event");
-    assert!(last.contains("\"failed\""), "{last}");
-    assert!(last.contains("sharded search failed"), "{last}");
-    let (status, _) = client.get(&format!("/jobs/{job_id}/result")).unwrap();
-    assert_eq!(status, 409, "a failed job has no result");
-    // The executor survived: the server still answers.
-    let (status, body) = client.get("/healthz").unwrap();
-    assert_eq!(status, 200, "{body}");
-    server.shutdown();
-}

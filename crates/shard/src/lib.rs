@@ -1,18 +1,21 @@
 //! Crash-tolerant multi-process sharded co-design search.
 //!
-//! The DAC'19 flow's SCD stage is a pure grid: one independent search
-//! per `(FPS target, selected Bundle, quantization arm)` cell, each
-//! seeded from what the cell *is* rather than when it runs. That makes
-//! it safe to split across OS processes — and this crate does exactly
-//! that, with the supervision needed to survive the processes dying:
+//! The co-design recipe lives once, in [`codesign_core::pipeline`]; its
+//! SCD stage is a pure grid of [`Cell`]s, one independent search per
+//! `(FPS target, selected Bundle, quantization arm)`, each seeded from
+//! what the cell *is* rather than when it runs. That makes it safe to
+//! split across OS processes. This crate adds only the process
+//! supervision needed to survive those processes dying; every result
+//! comes from the same `pipeline` calls the in-process flow makes:
 //!
-//! * [`supervisor`] — partitions the grid into shards, spawns worker
-//!   processes (re-execs of this crate's own binary), hands out shards
-//!   under heartbeat leases, reclaims leases from crashed or hung
-//!   workers, retries with a bounded budget, and quarantines shards
-//!   that keep failing instead of retrying forever.
+//! * [`supervisor`] — runs the coarse stage, partitions the grid into
+//!   shards, spawns worker processes (re-execs of this crate's own
+//!   binary), hands out shards under heartbeat leases, reclaims leases
+//!   from crashed or hung workers, retries with a bounded budget,
+//!   quarantines shards that keep failing instead of retrying forever,
+//!   and merges and finalizes the results.
 //! * [`worker`] — the child-process side: reads the [`spec`], computes
-//!   its cell range, appends results to its own [`segment`] log, and
+//!   its cells, appends results to its own [`segment`] log, and
 //!   resumes mid-shard after a crash by replaying what the torn-tail
 //!   recovery of its segment preserved.
 //! * [`manifest`] — the supervisor's checksummed record of claims,
@@ -31,6 +34,7 @@
 #![warn(missing_docs)]
 
 use codesign_core::flow::FlowError;
+use codesign_sim::error::SimError;
 use codesign_store::{CodecError, LogError};
 use std::fmt;
 use std::io;
@@ -60,7 +64,8 @@ pub enum ShardError {
     Log(LogError),
     /// Stored bytes did not decode.
     Codec(CodecError),
-    /// The coarse stage or merge-side finalization failed.
+    /// A stage of the shared recipe failed (coarse stage, calibration,
+    /// or finalization).
     Flow(FlowError),
     /// The sweep spec was missing, corrupt, or pinned a different
     /// configuration than this run's.
@@ -137,5 +142,11 @@ impl From<CodecError> for ShardError {
 impl From<FlowError> for ShardError {
     fn from(e: FlowError) -> Self {
         ShardError::Flow(e)
+    }
+}
+
+impl From<SimError> for ShardError {
+    fn from(e: SimError) -> Self {
+        ShardError::Flow(e.into())
     }
 }

@@ -1,72 +1,52 @@
 //! The sweep spec: what the supervisor tells its workers to compute.
 //!
 //! A [`SweepSpec`] pins everything a worker needs to reproduce its
-//! slice of the flow's SCD stage bit-for-bit: the full
-//! [`FlowConfig`] (minus parallelism, which never affects results),
-//! the Bundle selection the supervisor computed, and the shard count.
-//! The supervisor writes it once to `spec.bin` in the shard directory;
+//! slice of the SCD stage bit-for-bit: the [`FlowConfig`] (minus
+//! parallelism, which never affects results), the Bundle selection the
+//! supervisor's coarse stage computed, and the shard count. The
+//! supervisor writes it once to `spec.bin` in the shard directory;
 //! each worker (including the retry of a crashed one) reads it back
 //! and derives its cell range from its shard index alone.
 //!
 //! # Work grid
 //!
-//! The grid is the flow's own SCD item list: the nested
-//! `FPS target × selected Bundle × quantization arm` loop, flattened
-//! in that exact order into [`Cell`]s with global indices. Shard `i`
-//! of `S` owns the contiguous range [`shard_range`]`(cells, S, i)`.
-//! Contiguity matters for determinism only in that every cell is owned
-//! by exactly one shard; the merge keys on the global cell index, so
-//! any partition would produce the same bytes.
+//! The grid is the shared recipe's
+//! [`pipeline::cells`](codesign_core::pipeline::cells): one [`Cell`]
+//! per `FPS target × selected Bundle × quantization arm`, with global
+//! indices. Shard `i` of `S` owns the contiguous range
+//! [`shard_range`]`(cells, S, i)`. Contiguity matters for determinism
+//! only in that every cell is owned by exactly one shard; the merge
+//! keys on the global cell index, so any partition would produce the
+//! same bytes.
 //!
 //! # File format
 //!
 //! ```text
 //! magic "CDSHSPC1" (8) | payload_len u32 LE | fnv1a(payload) u64 LE | payload
+//! payload = encode_config | selected Bundle ids | shards | config_fingerprint
 //! ```
 //!
-//! The payload is the codec encoding of the fields above plus the
-//! [`config_fingerprint`] of the equivalent flow config, re-verified
+//! The config uses the checkpoint log's own codec
+//! ([`encode_config`]), and its [`config_fingerprint`] is re-verified
 //! on read so a worker can never run somebody else's sweep.
 
-use codesign_core::checkpoint::config_fingerprint;
+use codesign_core::checkpoint::{config_fingerprint, decode_config, encode_config};
 use codesign_core::flow::FlowConfig;
-use codesign_core::parallel::Parallelism;
+use codesign_core::pipeline::cells;
 use codesign_dnn::bundle::BundleId;
-use codesign_dnn::quant::Activation;
-use codesign_sim::device::FpgaDevice;
 use codesign_store::{fnv1a, ByteReader, ByteWriter, CodecError};
 use std::ops::Range;
 use std::path::Path;
 
 use crate::ShardError;
 
+pub use codesign_core::pipeline::{Cell, ARMS};
+
 /// Magic bytes opening a `spec.bin`.
 pub const SPEC_MAGIC: [u8; 8] = *b"CDSHSPC1";
 
 /// File name of the spec inside a shard directory.
 pub const SPEC_FILE: &str = "spec.bin";
-
-/// The search arms every cell sweeps (the flow's 16-bit and 8-bit
-/// quantization arms, in its exact order).
-pub const ARMS: [Activation; 2] = [Activation::Relu, Activation::Relu4];
-
-/// One cell of the (target × Bundle × arm) work grid.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Cell {
-    /// Global index in the flattened grid (the merge key).
-    pub index: usize,
-    /// Index of the FPS target in `config.targets_fps`.
-    pub ti: usize,
-    /// The FPS target itself.
-    pub fps: f64,
-    /// The Bundle this cell searches.
-    pub bundle: BundleId,
-    /// Quantization-arm index (0 = Relu, 1 = Relu4) — part of the
-    /// seed-stream id.
-    pub arm: u64,
-    /// The activation the arm index denotes.
-    pub activation: Activation,
-}
 
 /// Everything a worker needs to compute its shard deterministically.
 #[derive(Debug, Clone)]
@@ -82,24 +62,9 @@ pub struct SweepSpec {
 }
 
 impl SweepSpec {
-    /// The flattened work grid, in the flow's item order.
+    /// The flattened work grid, in the flow's cell order.
     pub fn cells(&self) -> Vec<Cell> {
-        let mut cells = Vec::new();
-        for (ti, &fps) in self.config.targets_fps.iter().enumerate() {
-            for &bundle in &self.selected {
-                for (arm, activation) in ARMS.into_iter().enumerate() {
-                    cells.push(Cell {
-                        index: cells.len(),
-                        ti,
-                        fps,
-                        bundle,
-                        arm: arm as u64,
-                        activation,
-                    });
-                }
-            }
-        }
-        cells
+        cells(&self.config.targets_fps, &self.selected)
     }
 
     /// Global cell range owned by `shard`.
@@ -110,30 +75,7 @@ impl SweepSpec {
     /// Serializes the spec to its framed byte form.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        let dev = &self.config.device;
-        w.put_str(&dev.name);
-        w.put_varint(dev.dsp);
-        w.put_varint(dev.lut);
-        w.put_varint(dev.ff);
-        w.put_varint(dev.bram_18k);
-        w.put_f64(dev.dram_bytes_per_cycle);
-        w.put_len(dev.clock_mhz.len());
-        for &mhz in &dev.clock_mhz {
-            w.put_f64(mhz);
-        }
-        w.put_len(self.config.targets_fps.len());
-        for &fps in &self.config.targets_fps {
-            w.put_f64(fps);
-        }
-        w.put_f64(self.config.clock_mhz);
-        w.put_f64(self.config.fps_tolerance);
-        w.put_varint(self.config.candidates_per_bundle as u64);
-        w.put_len(self.config.coarse_pf_sweep.len());
-        for &pf in &self.config.coarse_pf_sweep {
-            w.put_varint(pf as u64);
-        }
-        w.put_varint(self.config.eval_replications as u64);
-        w.put_u64(self.config.seed);
+        encode_config(&mut w, &self.config);
         w.put_len(self.selected.len());
         for id in &self.selected {
             w.put_varint(id.0 as u64);
@@ -183,63 +125,18 @@ impl SweepSpec {
     }
 
     fn decode_payload(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        let name = r.read_str()?;
-        let dsp = r.read_varint()?;
-        let lut = r.read_varint()?;
-        let ff = r.read_varint()?;
-        let bram_18k = r.read_varint()?;
-        let dram_bytes_per_cycle = r.read_f64()?;
-        let n = r.read_len()?;
-        let mut clock_mhz_list = Vec::with_capacity(n.min(64));
-        for _ in 0..n {
-            clock_mhz_list.push(r.read_f64()?);
-        }
-        let device = FpgaDevice {
-            name,
-            dsp,
-            lut,
-            ff,
-            bram_18k,
-            dram_bytes_per_cycle,
-            clock_mhz: clock_mhz_list,
-        };
-        let n = r.read_len()?;
-        let mut targets_fps = Vec::with_capacity(n.min(64));
-        for _ in 0..n {
-            targets_fps.push(r.read_f64()?);
-        }
-        let clock_mhz = r.read_f64()?;
-        let fps_tolerance = r.read_f64()?;
-        let candidates_per_bundle = r.read_varint()? as usize;
-        let n = r.read_len()?;
-        let mut coarse_pf_sweep = Vec::with_capacity(n.min(64));
-        for _ in 0..n {
-            coarse_pf_sweep.push(r.read_varint()? as usize);
-        }
-        let eval_replications = r.read_varint()? as usize;
-        let seed = r.read_u64()?;
+        // Workers run their cells sequentially, and parallelism never
+        // affects results, so the spec carries none.
+        let config = decode_config(r)?;
         let n = r.read_len()?;
         let mut selected = Vec::with_capacity(n.min(1024));
         for _ in 0..n {
             selected.push(BundleId(r.read_varint()? as usize));
         }
-        let shards = r.read_varint()? as usize;
         Ok(Self {
-            config: FlowConfig {
-                device,
-                targets_fps,
-                clock_mhz,
-                fps_tolerance,
-                candidates_per_bundle,
-                coarse_pf_sweep,
-                eval_replications,
-                seed,
-                // Workers run their cells sequentially; parallelism
-                // never affects results, so it is not part of the spec.
-                parallelism: Parallelism::Fixed(1),
-            },
+            config,
             selected,
-            shards,
+            shards: r.read_varint()? as usize,
         })
     }
 
@@ -279,6 +176,7 @@ pub fn shard_range(cells: usize, shards: usize, shard: usize) -> Range<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use codesign_core::parallel::Parallelism;
     use codesign_sim::device::pynq_z1;
 
     fn spec() -> SweepSpec {
@@ -305,6 +203,19 @@ mod tests {
     }
 
     #[test]
+    fn spec_bytes_are_pinned() {
+        // Shard directories written before the config codec moved to
+        // `codesign-core` must still resume: the payload checksum of
+        // this fixed spec is frozen.
+        let bytes = spec().to_bytes();
+        assert_eq!(bytes.len(), 139);
+        assert_eq!(
+            u64::from_le_bytes(bytes[12..20].try_into().unwrap()),
+            0xbab7_716c_cd81_f286
+        );
+    }
+
+    #[test]
     fn corrupt_spec_is_rejected() {
         let s = spec();
         let mut bytes = s.to_bytes();
@@ -316,25 +227,6 @@ mod tests {
         let whole = s.to_bytes();
         for keep in 0..whole.len() {
             assert!(SweepSpec::from_bytes(&whole[..keep]).is_err(), "cut {keep}");
-        }
-    }
-
-    #[test]
-    fn cells_follow_the_flow_item_order() {
-        let s = spec();
-        let cells = s.cells();
-        // 3 targets × 3 bundles × 2 arms.
-        assert_eq!(cells.len(), 18);
-        assert_eq!(cells[0].ti, 0);
-        assert_eq!(cells[0].bundle, BundleId(1));
-        assert_eq!(cells[0].arm, 0);
-        assert_eq!(cells[0].activation, Activation::Relu);
-        assert_eq!(cells[1].arm, 1);
-        assert_eq!(cells[1].activation, Activation::Relu4);
-        assert_eq!(cells[2].bundle, BundleId(3));
-        assert_eq!(cells[6].ti, 1);
-        for (i, c) in cells.iter().enumerate() {
-            assert_eq!(c.index, i);
         }
     }
 

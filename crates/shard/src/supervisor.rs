@@ -1,9 +1,10 @@
 //! The supervisor: spawn, lease, reclaim, retry, quarantine, merge.
 //!
-//! [`run`] executes the full co-design flow with its SCD stage fanned
-//! out across worker *processes* (not threads): the supervisor runs
-//! the coarse stage itself, writes the [`SweepSpec`], and then drives
-//! a simple state machine over the shards —
+//! [`run`] executes the shared co-design recipe
+//! ([`codesign_core::pipeline`]) with its SCD cells fanned out across
+//! worker *processes* (not threads): the supervisor runs
+//! `pipeline::coarse_stage` itself, writes the [`SweepSpec`], and then
+//! drives a simple state machine over the shards —
 //!
 //! ```text
 //! pending ──spawn──▶ running ──exit 0 + segment verified──▶ done
@@ -17,29 +18,25 @@
 //! file at least once per lease period or the supervisor `SIGKILL`s it
 //! and reclaims the shard. Exit status is *not* trusted on its own —
 //! a worker that exits 0 with an incomplete segment (torn tail ate its
-//! last cells) is treated as a failure and retried.
+//! last cells) is treated as a failure and retried. Workers still
+//! running when the supervisor returns — on success, cancellation or
+//! an error — are killed and reaped.
 //!
 //! When every shard is done, segments are merged in canonical cell
-//! order and the flow's own merge/finalize recipe reproduces the
-//! in-process [`FlowOutput`] byte for byte — see
+//! order and `pipeline::merge` and `pipeline::finalize` — the same
+//! calls the in-process flow makes — reproduce its [`FlowOutput`] byte
+//! for byte — see
 //! [`canonical_output_bytes`](crate::canonical_output_bytes) for what
 //! "byte for byte" means. A run with quarantined shards returns
 //! [`ShardError::Quarantined`] instead of a silently-partial output.
 
 use codesign_core::checkpoint::config_fingerprint;
-use codesign_core::evaluate::EvalMethod;
-use codesign_core::flow::{DesignOutcome, FlowConfig, FlowError, FlowOutput};
+use codesign_core::flow::{DesignOutcome, FlowConfig, FlowOutput};
 use codesign_core::observe::CancelState;
-use codesign_core::{
-    coarse_evaluate_parallel, select_bundles, AccuracyModel, BundleEvaluation, CancelToken,
-    Candidate,
-};
-use codesign_dnn::bundle::enumerate_bundles;
-use codesign_dnn::DnnBuilder;
+use codesign_core::pipeline;
+use codesign_core::{AccuracyModel, CancelToken, Candidate};
 use codesign_faults::SPEC_ENV;
 use codesign_hls::cache::EstimateCache;
-use codesign_hls::codegen::CodeGenerator;
-use codesign_sim::pipeline::{simulate, AccelConfig};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -128,6 +125,20 @@ struct Running {
     deadline: Instant,
 }
 
+/// The live worker processes. Dropping a `std::process::Child` does not
+/// kill it, so every way out of the supervision loop — an error
+/// included — goes through this guard, which kills and reaps them all.
+struct Workers(Vec<Running>);
+
+impl Drop for Workers {
+    fn drop(&mut self) {
+        for r in &mut self.0 {
+            let _ = r.child.kill();
+            let _ = r.child.wait();
+        }
+    }
+}
+
 /// Runs the sharded search to completion. Equivalent to
 /// [`run_with_cancel`] with a token that never fires.
 ///
@@ -154,45 +165,25 @@ pub fn run_with_cancel(
     config.flow.validate()?;
     std::fs::create_dir_all(&config.dir)?;
     let cfg = &config.flow;
-    let model = AccuracyModel::paper_calibrated();
 
     // The coarse stage runs in-process: it is cheap, fully
     // deterministic, and its output (the Bundle selection) is an input
     // to the sharding plan itself.
-    let all_bundles = enumerate_bundles();
-    let coarse = coarse_evaluate_parallel(
-        &all_bundles,
-        &cfg.device,
-        &cfg.coarse_pf_sweep,
-        EvalMethod::Replicated {
-            n: cfg.eval_replications,
-        },
-        &model,
-        cfg.clock_mhz,
-        cfg.parallelism.threads(),
-    )
-    .map_err(|e| ShardError::Flow(FlowError::Sim(e)))?;
-    let max_pf = cfg.coarse_pf_sweep.iter().copied().max().unwrap_or(16);
-    let at_max_pf: Vec<BundleEvaluation> = coarse
-        .iter()
-        .filter(|e| e.parallel_factor == max_pf)
-        .cloned()
-        .collect();
-    let selected = select_bundles(&at_max_pf);
+    let (coarse, selected) = pipeline::coarse_stage(cfg, &AccuracyModel::paper_calibrated())?;
 
+    let cells = pipeline::cells(&cfg.targets_fps, &selected);
     let workers = config.workers.max(1);
-    let cell_count = cfg.targets_fps.len() * selected.len() * crate::spec::ARMS.len();
     let shards = match config.shards {
-        0 => (2 * workers).clamp(1, cell_count.max(1)),
-        n => n.clamp(1, cell_count.max(1)),
-    };
+        0 => 2 * workers,
+        n => n,
+    }
+    .clamp(1, cells.len().max(1));
     let spec = SweepSpec {
         config: cfg.clone(),
         selected: selected.clone(),
         shards,
     };
     spec.write(&config.dir)?;
-    let cells = spec.cells();
 
     // Manifest: open (exclusive — a second supervisor is locked out),
     // replay, and either verify or record the plan.
@@ -213,16 +204,18 @@ pub fn run_with_cancel(
         }
     }
 
+    // A shard is complete when its segment covers every cell it owns.
+    let complete = |shard: usize| -> Result<bool, ShardError> {
+        let covered = read_segment(&segment_path(&config.dir, shard))?;
+        Ok(spec.shard_cells(shard).all(|i| covered.contains_key(&i)))
+    };
+
     // Re-verify previously-Done shards against their segments; a
     // recorded Done whose segment lost cells (tampering, partial copy)
     // is demoted and recomputed rather than trusted.
     let mut done: BTreeSet<usize> = BTreeSet::new();
     for &shard in &state.done {
-        if shard >= shards {
-            continue;
-        }
-        let covered = read_segment(&segment_path(&config.dir, shard))?;
-        if spec.shard_cells(shard).all(|i| covered.contains_key(&i)) {
+        if shard < shards && complete(shard)? {
             done.insert(shard);
         }
     }
@@ -237,26 +230,15 @@ pub fn run_with_cancel(
     let mut pending: VecDeque<usize> = (0..shards).filter(|s| !done.contains(s)).collect();
     let mut attempts: Vec<u32> = vec![0; shards];
     let mut quarantined: BTreeSet<usize> = BTreeSet::new();
-    let mut running: Vec<Running> = Vec::new();
+    let mut running = Workers(Vec::new());
 
-    let kill_all = |running: &mut Vec<Running>| {
-        for r in running.iter_mut() {
-            let _ = r.child.kill();
-            let _ = r.child.wait();
-        }
-        running.clear();
-    };
-
-    let result: Result<(), ShardError> = loop {
-        if done.len() + quarantined.len() == shards {
-            break Ok(());
-        }
+    while done.len() + quarantined.len() < shards {
         if cancel.state() != CancelState::Live {
-            break Err(ShardError::Cancelled);
+            return Err(ShardError::Cancelled);
         }
 
         // Spawn up to the worker budget.
-        while running.len() < workers {
+        while running.0.len() < workers {
             let Some(shard) = pending.pop_front() else {
                 break;
             };
@@ -274,59 +256,49 @@ pub fn run_with_cancel(
                 None => cmd.env_remove(SPEC_ENV),
             };
             let child = cmd.spawn()?;
-            manifest.record_claim(shard, attempt, child.id())?;
-            running.push(Running {
+            let pid = child.id();
+            running.0.push(Running {
                 shard,
                 attempt,
                 child,
                 heartbeat: None,
                 deadline: Instant::now() + config.lease,
             });
+            manifest.record_claim(shard, attempt, pid)?;
         }
 
-        // Poll: exits first, then leases.
-        let mut failed: Vec<(usize, String)> = Vec::new();
-        let mut finished: Vec<usize> = Vec::new();
-        for (idx, r) in running.iter_mut().enumerate() {
-            if let Some(status) = r.child.try_wait()? {
-                if status.success() {
-                    let covered = read_segment(&segment_path(&config.dir, r.shard))?;
-                    if spec.shard_cells(r.shard).all(|i| covered.contains_key(&i)) {
-                        manifest.record_done(r.shard, r.attempt)?;
-                        done.insert(r.shard);
-                        finished.push(idx);
-                    } else {
-                        failed.push((idx, "exited 0 with incomplete segment".to_string()));
-                    }
+        // Poll back to front, so `swap_remove` only moves entries that
+        // were already polled.
+        for idx in (0..running.0.len()).rev() {
+            let r = &mut running.0[idx];
+            let failure = if let Some(status) = r.child.try_wait()? {
+                if !status.success() {
+                    Some(format!("worker {status}"))
+                } else if complete(r.shard)? {
+                    manifest.record_done(r.shard, r.attempt)?;
+                    done.insert(r.shard);
+                    None
                 } else {
-                    failed.push((idx, format!("worker {status}")));
+                    Some("exited 0 with incomplete segment".to_string())
                 }
-                continue;
-            }
-            // Still running: lease bookkeeping off the heartbeat file.
-            let beat = std::fs::read(heartbeat_path(&config.dir, r.shard)).ok();
-            if beat.is_some() && beat != r.heartbeat {
-                r.heartbeat = beat;
-                r.deadline = Instant::now() + config.lease;
-            } else if Instant::now() > r.deadline {
+            } else {
+                // Still running: lease bookkeeping off the heartbeat file.
+                let beat = std::fs::read(heartbeat_path(&config.dir, r.shard)).ok();
+                if beat.is_some() && beat != r.heartbeat {
+                    r.heartbeat = beat;
+                    r.deadline = Instant::now() + config.lease;
+                    continue;
+                }
+                if Instant::now() <= r.deadline {
+                    continue;
+                }
                 let _ = r.child.kill();
                 let _ = r.child.wait();
                 report.lease_reclaims += 1;
-                failed.push((idx, "lease expired (no heartbeat)".to_string()));
-            }
-        }
-
-        // Remove finished/failed entries back-to-front so indices stay
-        // valid, recording failures against the manifest.
-        let mut remove: Vec<(usize, Option<String>)> = finished
-            .into_iter()
-            .map(|i| (i, None))
-            .chain(failed.into_iter().map(|(i, reason)| (i, Some(reason))))
-            .collect();
-        remove.sort_by_key(|(i, _)| std::cmp::Reverse(*i));
-        for (idx, reason) in remove {
-            let r = running.swap_remove(idx);
-            let Some(reason) = reason else {
+                Some("lease expired (no heartbeat)".to_string())
+            };
+            let r = running.0.swap_remove(idx);
+            let Some(reason) = failure else {
                 continue;
             };
             manifest.record_failed(r.shard, r.attempt, &reason)?;
@@ -341,10 +313,7 @@ pub fn run_with_cancel(
         }
 
         std::thread::sleep(Duration::from_millis(15));
-    };
-
-    kill_all(&mut running);
-    result?;
+    }
     if !quarantined.is_empty() {
         return Err(ShardError::Quarantined {
             shards: quarantined.into_iter().collect(),
@@ -363,36 +332,16 @@ pub fn run_with_cancel(
     if !missing.is_empty() {
         return Err(ShardError::IncompleteMerge { missing });
     }
-    let found: Vec<Vec<Candidate>> = (0..cells.len())
-        .map(|i| by_cell.remove(&i).unwrap())
-        .collect();
+    let found: Vec<Vec<Candidate>> = by_cell.into_values().collect();
 
-    // From here on this is the flow's own merge + finalize recipe,
-    // reproduced over (cells, found) instead of (items, found).
-    let mut candidates: Vec<(f64, Candidate)> = Vec::new();
-    let mut best_per_target: Vec<(f64, Candidate)> = Vec::new();
-    for (ti, &fps) in cfg.targets_fps.iter().enumerate() {
-        let target_candidates: Vec<Candidate> = cells
-            .iter()
-            .zip(&found)
-            .filter(|(cell, _)| cell.ti == ti)
-            .flat_map(|(_, cs)| cs.iter().cloned())
-            .collect();
-        if let Some(best) = target_candidates
-            .iter()
-            .max_by(|a, b| a.accuracy.total_cmp(&b.accuracy))
-            .cloned()
-        {
-            best_per_target.push((fps, best));
-        }
-        candidates.extend(target_candidates.into_iter().map(|c| (fps, c)));
-    }
+    let (candidates, best_per_target) = pipeline::merge(cfg, &cells, &found);
     let mut designs: Vec<DesignOutcome> = Vec::new();
     for (fps, best) in &best_per_target {
         if cancel.state() != CancelState::Live {
             return Err(ShardError::Cancelled);
         }
-        designs.push(finalize(cfg, *fps, best)?);
+        // Measured quantization is an in-process flow option only.
+        designs.push(pipeline::finalize(cfg, *fps, best, None)?);
     }
 
     let output = FlowOutput {
@@ -406,36 +355,6 @@ pub fn run_with_cancel(
         cache_stats: EstimateCache::new().stats(),
     };
     Ok((output, report))
-}
-
-/// The flow's finalization step (full simulation + Auto-HLS codegen),
-/// reproduced verbatim so the merged designs match the in-process
-/// flow's bit for bit. Measured quantization is a flow-only option and
-/// stays `None` here.
-fn finalize(
-    cfg: &FlowConfig,
-    target_fps: f64,
-    candidate: &Candidate,
-) -> Result<DesignOutcome, ShardError> {
-    let dnn = DnnBuilder::new()
-        .build(&candidate.point)
-        .expect("search candidates elaborate");
-    let accel = AccelConfig::for_point(&candidate.point);
-    let report =
-        simulate(&dnn, &accel, &cfg.device).map_err(|e| ShardError::Flow(FlowError::Sim(e)))?;
-    let code = CodeGenerator::new(accel).generate(&dnn);
-    let latency_ms = report.latency_ms(cfg.clock_mhz);
-    Ok(DesignOutcome {
-        target_fps,
-        point: candidate.point.clone(),
-        accuracy: candidate.accuracy,
-        latency_ms,
-        fps: 1000.0 / latency_ms,
-        report,
-        code,
-        dnn,
-        measured_iou: None,
-    })
 }
 
 #[cfg(test)]
@@ -454,26 +373,73 @@ mod tests {
         assert_eq!(cfg.max_retries, 2);
     }
 
+    fn small_config(dir: PathBuf) -> ShardConfig {
+        let _ = std::fs::remove_dir_all(&dir);
+        let flow = FlowConfig {
+            targets_fps: vec![15.0],
+            candidates_per_bundle: 2,
+            coarse_pf_sweep: vec![16],
+            ..FlowConfig::for_device(codesign_sim::device::pynq_z1())
+        };
+        ShardConfig::new(dir, flow).unwrap()
+    }
+
     #[test]
     fn spawn_failure_surfaces_as_io_error() {
         let dir =
             std::env::temp_dir().join(format!("codesign_shard_badexe_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut cfg = ShardConfig::new(
-            dir.clone(),
-            FlowConfig {
-                targets_fps: vec![15.0],
-                candidates_per_bundle: 2,
-                coarse_pf_sweep: vec![16],
-                ..FlowConfig::for_device(codesign_sim::device::pynq_z1())
-            },
-        )
-        .unwrap();
+        let mut cfg = small_config(dir.clone());
         cfg.worker_exe = PathBuf::from("/nonexistent/worker/binary");
         match run(&cfg) {
             Err(ShardError::Io(_)) => {}
             other => panic!("expected Io error, got {:?}", other.map(|(_, r)| r)),
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn an_early_error_kills_the_running_workers() {
+        use std::os::unix::fs::PermissionsExt;
+        let dir =
+            std::env::temp_dir().join(format!("codesign_shard_orphan_{}", std::process::id()));
+        let mut cfg = small_config(dir.clone());
+        cfg.workers = 2;
+        cfg.shards = 2;
+        std::fs::create_dir_all(&dir).unwrap();
+        // Shard 1 records its pid and sleeps; shard 0 waits for that,
+        // then leaves a segment that fails to decode and exits 0, so the
+        // supervisor errors out while shard 1 is still running.
+        let script = dir.join("worker.sh");
+        std::fs::write(
+            &script,
+            r#"#!/bin/sh
+d="$CODESIGN_SHARD_DIR"
+if [ "$CODESIGN_SHARD_INDEX" = 1 ]; then
+    echo $$ > "$d/pid.tmp" && mv "$d/pid.tmp" "$d/pid-1"
+    exec sleep 30
+fi
+while [ ! -f "$d/pid-1" ]; do sleep 0.01; done
+printf 'junk-junk-junk-junk!' > "$d/seg-0.log"
+"#,
+        )
+        .unwrap();
+        std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755)).unwrap();
+        cfg.worker_exe = script;
+
+        assert!(run(&cfg).is_err(), "a junk segment must fail the run");
+        let pid = std::fs::read_to_string(dir.join("pid-1")).unwrap();
+        let alive = Command::new("sh")
+            .args(["-c", &format!("kill -0 {}", pid.trim())])
+            .stderr(Stdio::null())
+            .status()
+            .unwrap()
+            .success();
+        assert!(
+            !alive,
+            "shard 1's worker (pid {}) outlived the supervisor",
+            pid.trim()
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

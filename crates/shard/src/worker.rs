@@ -3,12 +3,17 @@
 //! A worker is a re-exec of the supervisor's own binary with a handful
 //! of environment variables (see the `*_ENV` constants) naming the
 //! shard directory, the shard index, and the attempt number. It reads
-//! the [`SweepSpec`], derives its contiguous cell
-//! range from the shard index alone, and appends one record per
-//! computed cell to its private segment log. Everything it computes is
-//! seeded from what the cell *is*, so two attempts at the same shard —
-//! including an attempt resuming after its predecessor was
-//! `kill -9`'d mid-append — write byte-identical records.
+//! the [`SweepSpec`], derives its contiguous cell range from the shard
+//! index alone, computes each cell with the shared recipe
+//! ([`pipeline::calibrate`] once per Bundle, then
+//! [`pipeline::run_cell`]), and appends one record per cell to its
+//! private segment log. Everything a cell computes is seeded from what
+//! the cell *is*, so two attempts at the same shard — including an
+//! attempt resuming after its predecessor was `kill -9`'d mid-append —
+//! write byte-identical records.
+//!
+//! [`pipeline::calibrate`]: codesign_core::pipeline::calibrate
+//! [`pipeline::run_cell`]: codesign_core::pipeline::run_cell
 //!
 //! # Liveness protocol
 //!
@@ -34,14 +39,13 @@
 //! * `shard.cell.delay` — sleep before computing a cell (keyed by the
 //!   cell's global index), widening race windows for kill tests.
 
-use codesign_core::parallel::derive_seed;
-use codesign_core::{scd_search_with_activation, AccuracyModel, ScdConfig};
+use codesign_core::pipeline::{calibrate, run_cell};
+use codesign_core::AccuracyModel;
 use codesign_dnn::bundle::{bundle_by_id, BundleId};
 use codesign_faults::{plan_from_env, FaultAction, FaultPlan};
 use codesign_hls::cache::EstimateCache;
-use codesign_hls::calibrate::calibrate_bundle_with;
 use codesign_hls::model::HlsEstimator;
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -173,25 +177,10 @@ pub fn run_worker(
     let model = AccuracyModel::paper_calibrated();
     let cache = Arc::new(EstimateCache::new());
 
-    // Calibrate each Bundle this worker actually needs, exactly as the
-    // flow does (deterministic per Bundle × device, so workers that
-    // share a Bundle agree with each other and with the in-process
-    // flow).
+    // Bundles are calibrated on first use: calibration is deterministic
+    // per Bundle × device, so workers that share a Bundle agree with
+    // each other and with the in-process flow.
     let mut estimators: BTreeMap<BundleId, HlsEstimator> = BTreeMap::new();
-    for cell in &pending {
-        if estimators.contains_key(&cell.bundle) {
-            continue;
-        }
-        let bundle = bundle_by_id(cell.bundle).ok_or_else(|| {
-            ShardError::Spec(format!("spec selects unknown bundle {}", cell.bundle.0))
-        })?;
-        let params = calibrate_bundle_with(&bundle, &cfg.device, &[1, 2, 3, 4], 96)
-            .map_err(|e| ShardError::Spec(format!("calibration failed: {e}")))?;
-        let estimator =
-            HlsEstimator::new(params, cfg.device.clone()).with_cache(Arc::clone(&cache));
-        estimators.insert(cell.bundle, estimator);
-    }
-
     let mut beats = 0u64;
     for (appended, cell) in pending.iter().enumerate() {
         beats += 1;
@@ -225,22 +214,19 @@ pub fn run_worker(
             std::thread::sleep(d);
         }
 
-        let bundle = bundle_by_id(cell.bundle).expect("validated above");
-        let estimator = &estimators[&cell.bundle];
-        let target_ms = 1000.0 / cell.fps;
-        let tolerance_ms = target_ms - 1000.0 / (cell.fps + cfg.fps_tolerance);
-        // Identical to the flow's stream id: what the cell is, never
-        // when or where it runs.
-        let stream = ((cell.ti as u64) << 32) | ((cell.bundle.0 as u64) << 8) | cell.arm;
-        let scd = ScdConfig {
-            latency_target_ms: target_ms,
-            tolerance_ms,
-            clock_mhz: cfg.clock_mhz,
-            candidates: cfg.candidates_per_bundle,
-            max_iterations: 400,
-            seed: derive_seed(cfg.seed, stream),
+        let estimator = match estimators.entry(cell.bundle) {
+            Entry::Occupied(slot) => slot.into_mut(),
+            Entry::Vacant(slot) => {
+                let bundle = bundle_by_id(cell.bundle).ok_or_else(|| {
+                    ShardError::Spec(format!("spec selects unknown bundle {}", cell.bundle.0))
+                })?;
+                let params = calibrate(&bundle, &cfg.device)?;
+                slot.insert(
+                    HlsEstimator::new(params, cfg.device.clone()).with_cache(Arc::clone(&cache)),
+                )
+            }
         };
-        let found = scd_search_with_activation(&bundle, estimator, &model, &scd, cell.activation);
+        let found = run_cell(cfg, cell, estimator, &model);
         log.append(&encode_segment_record(cell.index, &found))?;
     }
     // Edge case: a crash shard with nothing pending (all cells resumed

@@ -8,10 +8,10 @@
 //! Run with: `cargo run --example quickstart`
 
 use fpga_dnn_codesign::core::accuracy::AccuracyModel;
+use fpga_dnn_codesign::core::pipeline::calibrate;
 use fpga_dnn_codesign::dnn::builder::DnnBuilder;
 use fpga_dnn_codesign::dnn::bundle::{bundle_by_id, BundleId};
 use fpga_dnn_codesign::dnn::space::DesignPoint;
-use fpga_dnn_codesign::hls::calibrate::calibrate_bundle_with;
 use fpga_dnn_codesign::hls::codegen::CodeGenerator;
 use fpga_dnn_codesign::hls::model::HlsEstimator;
 use fpga_dnn_codesign::sim::device::pynq_z1;
@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 3. Fast analytic estimate (Auto-HLS model, Eqs. 1-5).
-    let params = calibrate_bundle_with(&bundle, &device, &[1, 2, 3], 96)?;
+    let params = calibrate(&bundle, &device)?;
     let estimator = HlsEstimator::new(params, device.clone());
     let estimate = estimator.estimate_point(&point)?;
     println!(

@@ -8,6 +8,7 @@ use codesign_core::search::{scd_search, ScdConfig};
 use codesign_dnn::builder::DnnBuilder;
 use codesign_dnn::bundle::{bundle_by_id, Bundle, BundleId};
 use codesign_dnn::error::DnnError;
+use codesign_dnn::quant::Activation;
 use codesign_dnn::space::DesignPoint;
 use codesign_hls::calibrate::calibrate_bundle;
 use codesign_hls::model::HlsEstimator;
@@ -81,6 +82,7 @@ fn scd_with_impossible_target_terminates_empty() {
             max_iterations: 60,
             ..ScdConfig::default()
         },
+        Activation::Relu,
     );
     assert!(found.is_empty());
 }
