@@ -176,9 +176,10 @@ pub fn quantization_penalty(act: Activation) -> f64 {
 /// Real proxy training of down-scaled candidates on the synthetic
 /// detection task (the paper's 20-epoch protocol).
 ///
-/// Training and evaluation run on the batched im2col+GEMM compute
-/// engine by default; the [`ProxyEvaluator::engine`] knob can pin a
-/// worker count or fall back to the naive per-image reference kernels.
+/// Training and evaluation run on the batched direct-convolution
+/// (implicit-GEMM) compute engine by default; the
+/// [`ProxyEvaluator::engine`] knob can pin a worker count or fall back
+/// to the naive per-image reference kernels.
 /// The measured IoU is **bit-identical** across all engine settings
 /// (`tests/determinism.rs` pins this), so the knob only trades wall
 /// clock.
@@ -196,7 +197,8 @@ pub struct ProxyEvaluator {
     pub config: TrainConfig,
     /// Dataset / initialization seed.
     pub seed: u64,
-    /// NN compute engine (default: batched GEMM, one worker per core).
+    /// NN compute engine (default: batched direct kernels, one worker
+    /// per core).
     pub engine: Engine,
     /// When set, held-out evaluation runs through the quantized
     /// inference engine under this scheme ([`Quantization::Int8`] uses

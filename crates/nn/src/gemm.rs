@@ -17,7 +17,9 @@
 //!   padded copy) advance 8 positions at a time, with blocks of 4
 //!   output channels sharing every input load.
 //! * [`weight_grads`] — `dW = dY · Xᵀ`, one subtotal per image, with
-//!   the output channels of a pixel-major copy of `dY` as vector lanes.
+//!   the output channels of a pixel-major copy of `dY` as vector lanes
+//!   (for depth-wise layers, the channels of channel-last copies of
+//!   the padded input and of `dY`).
 //!
 //! # Determinism contract
 //!
@@ -71,7 +73,8 @@ pub(crate) const GEMM_FLOPS_PER_WORKER: usize = 1 << 20;
 /// single-threaded per extra worker.
 pub(crate) const COPY_ELEMS_PER_WORKER: usize = 1 << 18;
 
-/// Weight-gradient taps per micro-kernel call.
+/// Weight-gradient taps per micro-kernel call when nine do not divide
+/// the taps.
 const GRAD_TAPS: usize = 8;
 
 /// Geometry of a batch of stride-1 "same" convolutions over
@@ -184,10 +187,11 @@ impl Layout {
 
 /// Output channels per block: 4 while they last, then single channels
 /// (wider blocks spill the accumulators out of the 16 vector
-/// registers). Depth-wise channels read planes of their own, so each is
-/// a block. The packed weights follow the same partition.
+/// registers). A standard block shares every input load; a depth-wise
+/// block reads one plane per channel, and gains four independent
+/// chains. The packed weights follow the same partition.
 fn block_width(s: &ConvShape, oc: usize) -> usize {
-    if !s.depthwise && s.cout - oc >= 4 {
+    if s.cout - oc >= 4 {
         4
     } else {
         1
@@ -255,18 +259,20 @@ pub fn correlate(
         let mut oc = 0;
         while oc < s.cout {
             let ob = block_width(s, oc);
-            let src = if s.depthwise {
-                &image[oc * layout.src_plane..(oc + 1) * layout.src_plane]
+            // Depth-wise channels read their own planes, one apart.
+            let (src, step) = if s.depthwise {
+                let planes = oc * layout.src_plane..(oc + ob) * layout.src_plane;
+                (&image[planes], layout.src_plane)
             } else {
-                image
+                (image, 0)
             };
             let wb = &wpack[oc * ckk..(oc + ob) * ckk];
             let yb = &mut y[oc * plane..(oc + ob) * plane];
             if ob == 4 {
                 let init = std::array::from_fn(|j| seed(oc + j));
-                simd::f32_conv_rows::<4>(level, src, taps, wb, init, geo, yb, plane);
+                simd::f32_conv_rows::<4>(level, src, step, taps, wb, init, geo, yb, plane);
             } else {
-                simd::f32_conv_rows::<1>(level, src, taps, wb, [seed(oc)], geo, yb, plane);
+                simd::f32_conv_rows::<1>(level, src, step, taps, wb, [seed(oc)], geo, yb, plane);
             }
             oc += ob;
         }
@@ -308,37 +314,33 @@ pub fn weight_grads(
     let threads = capped_threads(threads, subs.len() * plane, GEMM_FLOPS_PER_WORKER);
     parallel_chunks_mut(&mut subs, wlen, threads, |img, sub| {
         let xi = &x[img * s.cin * plane..(img + 1) * s.cin * plane];
-        let padded = layout.padded(xi, s.cin, s, s.k / 2);
-        let src = padded.as_deref().unwrap_or(xi);
         let g = &dy[img * s.cout * plane..(img + 1) * s.cout * plane];
         if s.depthwise {
-            for (c, (gc, subc)) in g
-                .chunks_exact(plane)
-                .zip(sub.chunks_exact_mut(ckk))
-                .enumerate()
-            {
-                let src = &src[c * layout.src_plane..(c + 1) * layout.src_plane];
-                grad_taps::<1>(level, src, &layout, gc, 1, |t, _, v| subc[t] = v);
-            }
-        } else {
-            // Pixel-major copy of dY, output channels zero-padded to
-            // whole lanes (padding lanes compute chains nobody stores).
-            let ld = s.cout.next_multiple_of(LANES);
-            let mut dyt = scratch::take_zeroed(plane * ld);
-            for (oc, gc) in g.chunks_exact(plane).enumerate() {
-                for (p, &v) in gc.iter().enumerate() {
-                    dyt[p * ld + oc] = v;
-                }
-            }
-            for v in (0..s.cout).step_by(LANES) {
-                grad_taps::<LANES>(level, src, &layout, &dyt[v..], ld, |t, l, val| {
+            return depthwise_grads(level, s, xi, g, sub);
+        }
+        let padded = layout.padded(xi, s.cin, s, s.k / 2);
+        let src = padded.as_deref().unwrap_or(xi);
+        // Pixel-major copy of dY, output channels zero-padded to whole
+        // lanes (padding lanes compute chains nobody stores).
+        let ld = s.cout.next_multiple_of(LANES);
+        let mut dyt = scratch::take_zeroed(plane * ld);
+        channel_last(g, s.h, s.w, 0, s.w, ld, &mut dyt);
+        for v in (0..s.cout).step_by(LANES) {
+            grad_taps::<false>(
+                level,
+                src,
+                &layout.taps,
+                &dyt[v..],
+                ld,
+                layout.geometry,
+                |t, l, val| {
                     if v + l < s.cout {
                         sub[(v + l) * ckk + t] = val;
                     }
-                });
-            }
-            scratch::recycle(dyt);
+                },
+            );
         }
+        scratch::recycle(dyt);
         if let Some(buf) = padded {
             scratch::recycle(buf);
         }
@@ -353,37 +355,131 @@ pub fn weight_grads(
     dw
 }
 
-/// Runs every tap through the gradient micro-kernel, [`GRAD_TAPS`] at
-/// a time and the remainder one by one, handing each finished chain to
-/// `store(tap, lane, value)`.
-fn grad_taps<const L: usize>(
-    level: SimdLevel,
-    src: &[f32],
-    layout: &Layout,
-    dyt: &[f32],
-    ld: usize,
-    mut store: impl FnMut(usize, usize, f32),
-) {
-    let mut t0 = 0;
-    for block in layout.taps.chunks(GRAD_TAPS) {
-        if let Ok(taps) = <&[usize; GRAD_TAPS]>::try_from(block) {
-            let acc =
-                simd::f32_grad_taps::<GRAD_TAPS, L>(level, src, taps, dyt, ld, layout.geometry);
-            for (j, lanes) in acc.iter().enumerate() {
-                for (l, &v) in lanes.iter().enumerate() {
-                    store(t0 + j, l, v);
+/// One image's depth-wise weight gradient, `sub[c][t]`, with channels
+/// as vector lanes: channel-last copies of the zero-padded input and of
+/// `dY`, channels padded to whole lanes, so each lane is one channel's
+/// chain over output pixels in row-major order.
+fn depthwise_grads(level: SimdLevel, s: &ConvShape, x: &[f32], g: &[f32], sub: &mut [f32]) {
+    let (h, w, k) = (s.h, s.w, s.k);
+    let (pad, plane, kk) = (k / 2, h * w, k * k);
+    let ld = s.cin.next_multiple_of(LANES);
+    let stride = w + k - 1;
+    let mut xt = scratch::take_zeroed((h + k - 1) * stride * ld);
+    let mut gt = scratch::take_zeroed(plane * ld);
+    channel_last(x, h, w, pad, stride, ld, &mut xt);
+    channel_last(g, h, w, 0, w, ld, &mut gt);
+    let taps: Vec<usize> = (0..k)
+        .flat_map(|ky| (0..k).map(move |kx| (ky * stride + kx) * ld))
+        .collect();
+    for v in (0..s.cin).step_by(LANES) {
+        grad_taps::<true>(
+            level,
+            &xt[v..],
+            &taps,
+            &gt[v..],
+            ld,
+            (h, w, stride),
+            |t, l, val| {
+                if v + l < s.cin {
+                    sub[(v + l) * kk + t] = val;
                 }
-            }
-        } else {
-            for (j, &tap) in block.iter().enumerate() {
-                let [lanes] =
-                    simd::f32_grad_taps::<1, L>(level, src, &[tap], dyt, ld, layout.geometry);
-                for (l, &v) in lanes.iter().enumerate() {
-                    store(t0 + j, l, v);
+            },
+        );
+    }
+    scratch::recycle(xt);
+    scratch::recycle(gt);
+}
+
+/// Copies the `h x w` planes of `src` into the channel-last `dst`:
+/// element `(c, r, i)` lands at `dst[((r + pad) * stride + pad + i) * ld + c]`,
+/// leaving every other element as it was. Whole blocks of [`LANES`]
+/// channels move as one `LANES`-wide store per pixel.
+fn channel_last(
+    src: &[f32],
+    h: usize,
+    w: usize,
+    pad: usize,
+    stride: usize,
+    ld: usize,
+    dst: &mut [f32],
+) {
+    let plane = h * w;
+    let channels = src.len() / plane;
+    for c0 in (0..channels).step_by(LANES) {
+        let nb = LANES.min(channels - c0);
+        for r in 0..h {
+            let out = &mut dst[((r + pad) * stride + pad) * ld..][..w * ld];
+            let row = |l: usize| &src[(c0 + l) * plane + r * w..][..w];
+            if nb == LANES {
+                let rows: [&[f32]; LANES] = std::array::from_fn(row);
+                for (i, o) in out.chunks_exact_mut(ld).enumerate() {
+                    let o: &mut [f32; LANES] = (&mut o[c0..c0 + LANES]).try_into().expect("lanes");
+                    for (ol, rl) in o.iter_mut().zip(&rows) {
+                        *ol = rl[i];
+                    }
+                }
+            } else {
+                for l in 0..nb {
+                    for (o, &v) in out.chunks_exact_mut(ld).zip(row(l)) {
+                        o[c0 + l] = v;
+                    }
                 }
             }
         }
-        t0 += block.len();
+    }
+}
+
+/// Runs every tap through the gradient micro-kernel, handing each
+/// finished chain to `store(tap, lane, value)`: in blocks of nine when
+/// they divide the taps (every 3x3 kernel), else [`GRAD_TAPS`] at a
+/// time and the remainder one by one. A block's chains advance
+/// together, so wider blocks hide more of the add latency.
+fn grad_taps<const CHANNEL_LAST: bool>(
+    level: SimdLevel,
+    src: &[f32],
+    taps: &[usize],
+    dyt: &[f32],
+    ld: usize,
+    geometry: (usize, usize, usize),
+    mut store: impl FnMut(usize, usize, f32),
+) {
+    let kernel = (level, src, dyt, ld, geometry);
+    if taps.len().is_multiple_of(9) {
+        grad_blocks::<9, CHANNEL_LAST>(kernel, taps, 0, &mut store);
+    } else {
+        let whole = taps.len() / GRAD_TAPS * GRAD_TAPS;
+        grad_blocks::<GRAD_TAPS, CHANNEL_LAST>(kernel, &taps[..whole], 0, &mut store);
+        grad_blocks::<1, CHANNEL_LAST>(kernel, &taps[whole..], whole, &mut store);
+    }
+}
+
+/// What every gradient micro-kernel call of one [`grad_taps`] shares:
+/// level, source, gradient, lane distance and geometry.
+type GradKernel<'a> = (
+    SimdLevel,
+    &'a [f32],
+    &'a [f32],
+    usize,
+    (usize, usize, usize),
+);
+
+/// [`grad_taps`] over whole blocks of `TB` taps, the first being tap
+/// `t0`.
+fn grad_blocks<const TB: usize, const CHANNEL_LAST: bool>(
+    (level, src, dyt, ld, geometry): GradKernel<'_>,
+    taps: &[usize],
+    t0: usize,
+    store: &mut impl FnMut(usize, usize, f32),
+) {
+    for (b, block) in taps.chunks_exact(TB).enumerate() {
+        let block = block.try_into().expect("a block of TB taps");
+        let acc =
+            simd::f32_grad_taps::<TB, LANES, CHANNEL_LAST>(level, src, block, dyt, ld, geometry);
+        for (j, lanes) in acc.iter().enumerate() {
+            for (l, &v) in lanes.iter().enumerate() {
+                store(t0 + b * TB + j, l, v);
+            }
+        }
     }
 }
 
@@ -616,6 +712,27 @@ mod tests {
                 bits(&weight_grads(active_level(), &s, &x, &dy, threads)),
                 bits(&naive_weight_grads(&s, &x, &dy))
             );
+        }
+
+        /// Depth-wise weight gradients run with channels as vector
+        /// lanes; channel counts on both sides of a lane multiple must
+        /// match the naive per-channel chains at every SIMD level.
+        #[test]
+        fn prop_depthwise_weight_grads_bitwise_at_every_level(
+            n in 1usize..3,
+            c in 1usize..20,
+            h in 1usize..7,
+            w in 1usize..13,
+            k in 1usize..6,
+            threads in 1usize..4,
+        ) {
+            let s = shape(n, c, c, h, w, k, true);
+            let x = ramp(n * c * h * w, 0.02);
+            let dy = ramp(n * c * h * w, 0.03);
+            let expect = bits(&naive_weight_grads(&s, &x, &dy));
+            for level in crate::simd::available_levels() {
+                prop_assert_eq!(bits(&weight_grads(level, &s, &x, &dy, threads)), expect.clone());
+            }
         }
     }
 }

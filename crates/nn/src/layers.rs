@@ -127,52 +127,130 @@ pub fn dwconv_backward(x: &Tensor, p: &DwConvParams, dy: &Tensor) -> (Tensor, Ve
 }
 
 // Slice-level kernels shared by the single-image and batched entry
-// points: each operates on one contiguous `C x H x W` slab, so the
-// batched variants can walk `Tensor::image` views with zero copies
-// while staying bit-identical to the per-image path.
+// points: each operates on contiguous `C x H x W` slabs (max pooling on
+// any run of `H x W` planes), so the batched variants walk the batch
+// buffer with zero copies while staying bit-identical to the per-image
+// path. The naive loops they replaced live on in [`crate::reference`].
 
-fn maxpool_core(x: &[f32], c: usize, h: usize, w: usize, k: usize, y: &mut [f32]) {
+/// Max pooling of every `h x w` plane of `x` into `y`, window and
+/// stride `k`: each output folds `f32::max` over its window in
+/// row-major order, seeded with `-inf`. Rows and columns past the last
+/// whole window are not read.
+fn maxpool_planes(x: &[f32], h: usize, w: usize, k: usize, y: &mut [f32]) {
     let (oh, ow) = (h / k, w / k);
-    for cc in 0..c {
-        for yy in 0..oh {
-            for xx in 0..ow {
-                let mut m = f32::NEG_INFINITY;
-                for dy in 0..k {
-                    for dx in 0..k {
-                        m = m.max(x[(cc * h + yy * k + dy) * w + xx * k + dx]);
+    if oh * ow == 0 {
+        return;
+    }
+    for (xp, yp) in x.chunks_exact(h * w).zip(y.chunks_exact_mut(oh * ow)) {
+        for (rows, yrow) in xp.chunks_exact(k * w).zip(yp.chunks_exact_mut(ow)) {
+            if k == 2 {
+                // The builder's only window: two rows at a time, which
+                // the compiler turns into vector max operations.
+                let (r0, r1) = rows.split_at(w);
+                for ((o, a), b) in yrow
+                    .iter_mut()
+                    .zip(r0.chunks_exact(2))
+                    .zip(r1.chunks_exact(2))
+                {
+                    *o = f32::NEG_INFINITY.max(a[0]).max(a[1]).max(b[0]).max(b[1]);
+                }
+            } else {
+                yrow.fill(f32::NEG_INFINITY);
+                for row in rows.chunks_exact(w) {
+                    for (o, win) in yrow.iter_mut().zip(row.chunks_exact(k)) {
+                        for &v in win {
+                            *o = o.max(v);
+                        }
                     }
                 }
-                y[(cc * oh + yy) * ow + xx] = m;
             }
         }
     }
 }
 
-fn maxpool_backward_core(
-    x: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    k: usize,
-    g: &[f32],
-    dx: &mut [f32],
-) {
+/// Gradient routing of one 2x2 window `[a0, a1; b0, b1]`: `0.0 + g` at
+/// the first strict maximum in row-major order, scanning from the
+/// window's first element (so an all-`-inf` or all-NaN window routes
+/// there), `0.0` elsewhere. Branch-free, so runs of windows vectorize.
+#[inline(always)]
+fn route_window2(a0: f32, a1: f32, b0: f32, b1: f32, g: f32) -> [f32; 4] {
+    let m0 = f32::NEG_INFINITY.max(a0);
+    let t1 = a1 > m0;
+    let m1 = if t1 { a1 } else { m0 };
+    let t2 = b0 > m1;
+    let m2 = if t2 { b0 } else { m1 };
+    let t3 = b1 > m2;
+    let g = 0.0 + g;
+    let pick = |won: bool| if won { g } else { 0.0 };
+    [
+        pick(!t1 & !t2 & !t3),
+        pick(t1 & !t2 & !t3),
+        pick(t2 & !t3),
+        pick(t3),
+    ]
+}
+
+/// Output columns per fixed-size block of the `k = 2` backward pass:
+/// whole arrays carry no aliasing questions, so the compiler
+/// vectorizes them unconditionally (a plain loop over the two
+/// gradient rows fell back to branchy scalar code). One baseline
+/// vector wide, so narrow planes leave short tails.
+const POOL_BLOCK: usize = 4;
+
+/// Max-pooling backward over every plane: each window's gradient lands
+/// on its first strict maximum (see [`route_window2`]) as `0.0 + g` on
+/// the zeroed `dx`; every other element, leftover rows and columns
+/// included, stays `0.0`.
+fn maxpool_backward_planes(x: &[f32], h: usize, w: usize, k: usize, g: &[f32], dx: &mut [f32]) {
     let (oh, ow) = (h / k, w / k);
-    for cc in 0..c {
-        for yy in 0..oh {
-            for xx in 0..ow {
-                let (mut best, mut by, mut bx) = (f32::NEG_INFINITY, 0, 0);
-                for dy_ in 0..k {
-                    for dx_ in 0..k {
-                        let v = x[(cc * h + yy * k + dy_) * w + xx * k + dx_];
-                        if v > best {
-                            best = v;
-                            by = yy * k + dy_;
-                            bx = xx * k + dx_;
-                        }
+    if oh * ow == 0 {
+        return;
+    }
+    let planes = x
+        .chunks_exact(h * w)
+        .zip(g.chunks_exact(oh * ow))
+        .zip(dx.chunks_exact_mut(h * w));
+    for ((xp, gp), dp) in planes {
+        let bands = xp
+            .chunks_exact(k * w)
+            .zip(gp.chunks_exact(ow))
+            .zip(dp.chunks_exact_mut(k * w));
+        for ((rows, grow), drows) in bands {
+            if k == 2 {
+                let (r0, r1) = rows.split_at(w);
+                let (d0, d1) = drows.split_at_mut(w);
+                let mut j = 0;
+                while j + POOL_BLOCK <= ow {
+                    const B: usize = POOL_BLOCK;
+                    let cols = 2 * j..2 * (j + B);
+                    let a: &[f32; 2 * B] = r0[cols.clone()].try_into().expect("a block");
+                    let b: &[f32; 2 * B] = r1[cols.clone()].try_into().expect("a block");
+                    let gb: &[f32; B] = grow[j..j + B].try_into().expect("a block");
+                    let (mut o0, mut o1) = ([0.0f32; 2 * B], [0.0f32; 2 * B]);
+                    for (l, &gv) in gb.iter().enumerate() {
+                        let [p, q, r, s] =
+                            route_window2(a[2 * l], a[2 * l + 1], b[2 * l], b[2 * l + 1], gv);
+                        (o0[2 * l], o0[2 * l + 1], o1[2 * l], o1[2 * l + 1]) = (p, q, r, s);
                     }
+                    d0[cols.clone()].copy_from_slice(&o0);
+                    d1[cols].copy_from_slice(&o1);
+                    j += B;
                 }
-                dx[(cc * h + by) * w + bx] += g[(cc * oh + yy) * ow + xx];
+                for (j, &gv) in grow.iter().enumerate().skip(j) {
+                    let (c0, c1) = (2 * j, 2 * j + 1);
+                    let [p, q, r, s] = route_window2(r0[c0], r0[c1], r1[c0], r1[c1], gv);
+                    (d0[c0], d0[c1], d1[c0], d1[c1]) = (p, q, r, s);
+                }
+            } else {
+                for (xx, &gv) in grow.iter().enumerate() {
+                    let (mut best, mut arg) = (f32::NEG_INFINITY, xx * k);
+                    for i in (0..k).flat_map(|dy| (0..k).map(move |dx| dy * w + xx * k + dx)) {
+                        let take = rows[i] > best;
+                        best = if take { rows[i] } else { best };
+                        arg = if take { i } else { arg };
+                    }
+                    drows[arg] += gv;
+                }
             }
         }
     }
@@ -224,14 +302,14 @@ fn scale_bias_core(x: &[f32], p: &ScaleBiasParams, plane: usize, y: &mut [f32]) 
     }
 }
 
-/// One image's scale-bias backward: writes `dx`, accumulates this
-/// image's subtotals into `ds` / `db` (callers keep per-image grouping).
+/// One image's scale-bias backward, in place: turns the gradient `g`
+/// into `dx`, accumulates this image's subtotals into `ds` / `db`
+/// (callers keep per-image grouping).
 fn scale_bias_backward_core(
     x: &[f32],
     p: &ScaleBiasParams,
     plane: usize,
-    g: &[f32],
-    dx: &mut [f32],
+    g: &mut [f32],
     ds: &mut [f32],
     db: &mut [f32],
 ) {
@@ -240,14 +318,10 @@ fn scale_bias_backward_core(
         // Same accumulation order as summing into `ds` / `db` directly,
         // but in registers: one write per channel.
         let (mut dsc, mut dbc) = (ds[cc], db[cc]);
-        for ((d, &gv), &xv) in dx[span.clone()]
-            .iter_mut()
-            .zip(&g[span.clone()])
-            .zip(&x[span])
-        {
-            dsc += gv * xv;
-            dbc += gv;
-            *d = gv * s;
+        for (gv, &xv) in g[span.clone()].iter_mut().zip(&x[span]) {
+            dsc += *gv * xv;
+            dbc += *gv;
+            *gv *= s;
         }
         ds[cc] = dsc;
         db[cc] = dbc;
@@ -258,15 +332,17 @@ fn scale_bias_backward_core(
 pub fn maxpool_forward(x: &Tensor, k: usize) -> Tensor {
     let (c, h, w) = (x.channels(), x.height(), x.width());
     let mut y = Tensor::zeros(&[c, h / k, w / k]);
-    maxpool_core(x.data(), c, h, w, k, y.data_mut());
+    maxpool_planes(x.data(), h, w, k, y.data_mut());
     y
 }
 
-/// Max pooling backward: gradient routed to the arg-max element.
+/// Max pooling backward: each window's gradient goes to its first
+/// strict maximum, or to the window's first element when no value
+/// beats `-inf` (all `-inf` or NaN).
 pub fn maxpool_backward(x: &Tensor, k: usize, dy: &Tensor) -> Tensor {
-    let (c, h, w) = (x.channels(), x.height(), x.width());
-    let mut dx = Tensor::zeros(&[c, h, w]);
-    maxpool_backward_core(x.data(), c, h, w, k, dy.data(), dx.data_mut());
+    let (h, w) = (x.height(), x.width());
+    let mut dx = Tensor::zeros(x.shape());
+    maxpool_backward_planes(x.data(), h, w, k, dy.data(), dx.data_mut());
     dx
 }
 
@@ -294,48 +370,39 @@ pub fn scale_bias_forward(x: &Tensor, p: &ScaleBiasParams) -> Tensor {
     y
 }
 
-/// Folded batch-norm backward: `(dx, dscale, dbias)`.
+/// Folded batch-norm backward: `(dx, dscale, dbias)`, with `dx`
+/// written over `dy`'s buffer.
 pub fn scale_bias_backward(
     x: &Tensor,
     p: &ScaleBiasParams,
-    dy: &Tensor,
+    mut dy: Tensor,
 ) -> (Tensor, Vec<f32>, Vec<f32>) {
     let (c, h, w) = (x.channels(), x.height(), x.width());
-    let mut dx = Tensor::zeros(&[c, h, w]);
+    assert_eq!(dy.shape(), x.shape(), "scale-bias gradient shape mismatch");
     let mut ds = vec![0.0f32; c];
     let mut db = vec![0.0f32; c];
-    scale_bias_backward_core(
-        x.data(),
-        p,
-        h * w,
-        dy.data(),
-        dx.data_mut(),
-        &mut ds,
-        &mut db,
-    );
-    (dx, ds, db)
+    scale_bias_backward_core(x.data(), p, h * w, dy.data_mut(), &mut ds, &mut db);
+    (dy, ds, db)
 }
 
-/// Activation forward (element-wise).
+/// Activation forward (element-wise): `max(x, 0)`, then `min(·, clip)`
+/// for the clipped variants.
 pub fn activation_forward(x: &Tensor, act: Activation) -> Tensor {
-    let mut y = x.clone();
-    for v in y.data_mut() {
-        *v = act.apply(*v);
-    }
-    y
+    let clip = act.clip().unwrap_or(f32::INFINITY);
+    let y = x.data().iter().map(|v| v.max(0.0).min(clip)).collect();
+    Tensor::from_vec(x.shape(), y)
 }
 
-/// Activation backward: the gradient passes where the input was in the
-/// active (non-clipped, positive) region.
-pub fn activation_backward(x: &Tensor, act: Activation, dy: &Tensor) -> Tensor {
-    let mut dx = dy.clone();
+/// Activation backward, masking `dy` in place: the gradient passes
+/// where the input was in the active (non-clipped, positive) region,
+/// and where it was NaN.
+pub fn activation_backward(x: &Tensor, act: Activation, mut dy: Tensor) -> Tensor {
+    assert_eq!(dy.shape(), x.shape(), "activation gradient shape mismatch");
     let clip = act.clip().unwrap_or(f32::INFINITY);
-    for (g, &xi) in dx.data_mut().iter_mut().zip(x.data()) {
-        if xi <= 0.0 || xi >= clip {
-            *g = 0.0;
-        }
+    for (g, &xi) in dy.data_mut().iter_mut().zip(x.data()) {
+        *g = if xi <= 0.0 || xi >= clip { 0.0 } else { *g };
     }
-    dx
+    dy
 }
 
 /// Global average pooling: `CxHxW -> [C]`.
@@ -375,19 +442,15 @@ pub fn gap_backward(x: &Tensor, dy: &Tensor) -> Tensor {
 pub fn maxpool_forward_batch(x: &Tensor, k: usize) -> Tensor {
     let (n, c, h, w) = x.dims4();
     let mut y = Tensor::zeros(&[n, c, h / k, w / k]);
-    for i in 0..n {
-        maxpool_core(x.image(i), c, h, w, k, y.image_mut(i));
-    }
+    maxpool_planes(x.data(), h, w, k, y.data_mut());
     y
 }
 
 /// Batched max-pooling backward pass.
 pub fn maxpool_backward_batch(x: &Tensor, k: usize, dy: &Tensor) -> Tensor {
-    let (n, c, h, w) = x.dims4();
-    let mut dx = Tensor::zeros(&[n, c, h, w]);
-    for i in 0..n {
-        maxpool_backward_core(x.image(i), c, h, w, k, dy.image(i), dx.image_mut(i));
-    }
+    let (_, _, h, w) = x.dims4();
+    let mut dx = Tensor::zeros(x.shape());
+    maxpool_backward_planes(x.data(), h, w, k, dy.data(), dx.data_mut());
     dx
 }
 
@@ -422,15 +485,16 @@ pub fn scale_bias_forward_batch(x: &Tensor, p: &ScaleBiasParams) -> Tensor {
 }
 
 /// Batched folded batch-norm backward pass: `(dx, dscale, dbias)` with
-/// the parameter gradients summed over the batch as per-image subtotals
-/// in image order (matching the per-image accumulation path).
+/// `dx` written over `dy`'s buffer and the parameter gradients summed
+/// over the batch as per-image subtotals in image order (matching the
+/// per-image accumulation path).
 pub fn scale_bias_backward_batch(
     x: &Tensor,
     p: &ScaleBiasParams,
-    dy: &Tensor,
+    mut dy: Tensor,
 ) -> (Tensor, Vec<f32>, Vec<f32>) {
     let (n, c, h, w) = x.dims4();
-    let mut dx = Tensor::zeros(x.shape());
+    assert_eq!(dy.shape(), x.shape(), "scale-bias gradient shape mismatch");
     let mut ds = vec![0.0f32; c];
     let mut db = vec![0.0f32; c];
     let mut ds_img = vec![0.0f32; c];
@@ -442,8 +506,7 @@ pub fn scale_bias_backward_batch(
             x.image(i),
             p,
             h * w,
-            dy.image(i),
-            dx.image_mut(i),
+            dy.image_mut(i),
             &mut ds_img,
             &mut db_img,
         );
@@ -454,7 +517,7 @@ pub fn scale_bias_backward_batch(
             *d += s;
         }
     }
-    (dx, ds, db)
+    (dy, ds, db)
 }
 
 /// Batched global average pooling: `N x C x H x W -> [N, C]`.
@@ -649,7 +712,7 @@ mod tests {
         p2.bias = vec![1.0, -1.0];
         let y = scale_bias_forward(&x, &p2);
         assert!((y.at(0, 1, 1) - (x.at(0, 1, 1) * 2.0 + 1.0)).abs() < 1e-6);
-        let (dx, ds, db) = scale_bias_backward(&x, &p2, &Tensor::full(&[2, 3, 3], 1.0));
+        let (dx, ds, db) = scale_bias_backward(&x, &p2, Tensor::full(&[2, 3, 3], 1.0));
         assert!((dx.at(0, 0, 0) - 2.0).abs() < 1e-6);
         assert_eq!(db, vec![9.0, 9.0]);
         assert_eq!(ds.len(), 2);
@@ -660,7 +723,7 @@ mod tests {
         let x = Tensor::from_vec(&[4], vec![-1.0, 2.0, 5.0, 9.0]);
         let y = activation_forward(&x, Activation::Relu4);
         assert_eq!(y.data(), &[0.0, 2.0, 4.0, 4.0]);
-        let dx = activation_backward(&x, Activation::Relu4, &Tensor::full(&[4], 1.0));
+        let dx = activation_backward(&x, Activation::Relu4, Tensor::full(&[4], 1.0));
         assert_eq!(dx.data(), &[0.0, 1.0, 0.0, 0.0]);
     }
 
@@ -697,6 +760,178 @@ mod tests {
         }
     }
 
+    /// Window 1 of a `[1, 2, 4]` input holds only `-inf`: its gradient
+    /// stays inside the window, on its first element `(0, 2)`, and never
+    /// lands on the plane's top-left pixel.
+    #[test]
+    fn maxpool_backward_keeps_gradient_inside_an_all_neg_inf_window() {
+        let ninf = f32::NEG_INFINITY;
+        let x = Tensor::from_vec(&[1, 2, 4], vec![1.0, 2.0, ninf, ninf, 3.0, 5.0, ninf, ninf]);
+        let dy = Tensor::from_vec(&[1, 1, 2], vec![10.0, 20.0]);
+        let expect = [0.0, 0.0, 20.0, 0.0, 0.0, 10.0, 0.0, 0.0];
+        assert_eq!(maxpool_backward(&x, 2, &dy).data(), &expect);
+        assert_eq!(
+            crate::reference::maxpool_backward(&x, 2, &dy).data(),
+            &expect
+        );
+        let xb = Tensor::stack(&[x.clone(), x]);
+        let dyb = Tensor::stack(&[dy.clone(), dy]);
+        let dxb = maxpool_backward_batch(&xb, 2, &dyb);
+        assert_eq!(dxb.image(0), &expect);
+        assert_eq!(dxb.image(1), &expect);
+    }
+
+    /// Values that stress the bit-identity contract: signed zeros,
+    /// exact activation thresholds, infinities, NaN, a subnormal, and
+    /// ties, mixed half and half with an ordinary ramp.
+    fn awkward(len: usize, seed: u64) -> Vec<f32> {
+        const PALETTE: [f32; 10] = [
+            0.0,
+            -0.0,
+            0.0,
+            4.0,
+            8.0,
+            f32::NAN,
+            f32::NEG_INFINITY,
+            f32::INFINITY,
+            1e-40,
+            -2.5,
+        ];
+        let mut state = seed;
+        (0..len)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let r = (state >> 33) as usize;
+                if r.is_multiple_of(2) {
+                    PALETTE[(r / 2) % PALETTE.len()]
+                } else {
+                    ((r / 2) % 1_000) as f32 * 0.013 - 3.0
+                }
+            })
+            .collect()
+    }
+
+    /// Bit patterns, with every NaN as the canonical one: IEEE 754
+    /// leaves NaN signs and payloads to the hardware, and the compiler
+    /// may commute the operands of a product, so only NaN-ness is part
+    /// of the contract.
+    fn vbits(v: &[f32]) -> Vec<u32> {
+        v.iter()
+            .map(|x| if x.is_nan() { f32::NAN } else { *x }.to_bits())
+            .collect()
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        vbits(t.data())
+    }
+
+    /// `n` random `c x h x w` images and their batch.
+    fn images(n: usize, shape: [usize; 3], seed: u64) -> (Vec<Tensor>, Tensor) {
+        let len: usize = shape.iter().product();
+        let imgs: Vec<Tensor> = (0..n as u64)
+            .map(|i| Tensor::from_vec(&shape, awkward(len, seed ^ (i << 40))))
+            .collect();
+        let batch = Tensor::stack(&imgs);
+        (imgs, batch)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Max pooling, single and batched, is bitwise the naive loop
+        /// of `reference`, also for `k = 3` and for planes whose sides
+        /// `k` does not divide (leftover rows and columns get zero
+        /// gradient).
+        #[test]
+        fn prop_maxpool_matches_reference_bitwise(
+            n in 1usize..4,
+            c in 1usize..4,
+            k in 1usize..4,
+            oh in 1usize..5,
+            ow in 1usize..20,
+            extra in 0usize..9,
+            seed in 0u64..u64::MAX,
+        ) {
+            let (h, w) = (oh * k + extra / 3 % k, ow * k + extra % k);
+            let (xs, xb) = images(n, [c, h, w], seed);
+            let (gs, gb) = images(n, [c, oh, ow], !seed);
+            let y = maxpool_forward_batch(&xb, k);
+            let dx = maxpool_backward_batch(&xb, k, &gb);
+            for (i, (x, g)) in xs.iter().zip(&gs).enumerate() {
+                let want_y = crate::reference::maxpool_forward(x, k);
+                let want_dx = crate::reference::maxpool_backward(x, k, g);
+                prop_assert_eq!(bits(&maxpool_forward(x, k)), bits(&want_y));
+                prop_assert_eq!(bits(&maxpool_backward(x, k, g)), bits(&want_dx));
+                prop_assert_eq!(vbits(y.image(i)), bits(&want_y));
+                prop_assert_eq!(vbits(dx.image(i)), bits(&want_dx));
+            }
+        }
+
+        /// Activations, forward and backward, are bitwise the naive
+        /// per-element loops, at every variant.
+        #[test]
+        fn prop_activation_matches_reference_bitwise(
+            len in 1usize..200,
+            seed in 0u64..u64::MAX,
+        ) {
+            let x = Tensor::from_vec(&[len], awkward(len, seed));
+            let g = Tensor::from_vec(&[len], awkward(len, !seed));
+            for act in Activation::ALL {
+                prop_assert_eq!(
+                    bits(&activation_forward(&x, act)),
+                    bits(&crate::reference::activation_forward(&x, act))
+                );
+                prop_assert_eq!(
+                    bits(&activation_backward(&x, act, g.clone())),
+                    bits(&crate::reference::activation_backward(&x, act, &g))
+                );
+            }
+        }
+
+        /// Scale-bias, single and batched, is bitwise the naive loops;
+        /// batched parameter gradients are per-image subtotals summed
+        /// in image order.
+        #[test]
+        fn prop_scale_bias_matches_reference_bitwise(
+            n in 1usize..4,
+            c in 1usize..5,
+            h in 1usize..7,
+            w in 1usize..9,
+            seed in 0u64..u64::MAX,
+        ) {
+            let p = ScaleBiasParams {
+                scale: awkward(c, seed ^ 1),
+                bias: awkward(c, seed ^ 2),
+            };
+            let (xs, xb) = images(n, [c, h, w], seed);
+            let (gs, gb) = images(n, [c, h, w], !seed);
+            let y = scale_bias_forward_batch(&xb, &p);
+            let (dx, ds, db) = scale_bias_backward_batch(&xb, &p, gb);
+            let (mut want_ds, mut want_db) = (vec![0.0f32; c], vec![0.0f32; c]);
+            for (i, (x, g)) in xs.iter().zip(&gs).enumerate() {
+                let want_y = crate::reference::scale_bias_forward(x, &p);
+                let (want_dx, ds_i, db_i) = crate::reference::scale_bias_backward(x, &p, g);
+                prop_assert_eq!(bits(&scale_bias_forward(x, &p)), bits(&want_y));
+                let (dx_i, ds_1, db_1) = scale_bias_backward(x, &p, g.clone());
+                prop_assert_eq!(bits(&dx_i), bits(&want_dx));
+                prop_assert_eq!(vbits(&ds_1), vbits(&ds_i));
+                prop_assert_eq!(vbits(&db_1), vbits(&db_i));
+                prop_assert_eq!(vbits(y.image(i)), bits(&want_y));
+                prop_assert_eq!(vbits(dx.image(i)), bits(&want_dx));
+                for (d, s) in want_ds.iter_mut().zip(&ds_i) {
+                    *d += s;
+                }
+                for (d, s) in want_db.iter_mut().zip(&db_i) {
+                    *d += s;
+                }
+            }
+            prop_assert_eq!(vbits(&ds), vbits(&want_ds));
+            prop_assert_eq!(vbits(&db), vbits(&want_db));
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -706,7 +941,7 @@ mod tests {
             for act in Activation::ALL {
                 let y = activation_forward(&x, act);
                 prop_assert_eq!(y.shape(), x.shape());
-                let dx = activation_backward(&x, act, &y);
+                let dx = activation_backward(&x, act, y);
                 prop_assert_eq!(dx.shape(), x.shape());
             }
         }

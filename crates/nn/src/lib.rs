@@ -23,8 +23,9 @@
 //!   feature detection (override with `CODESIGN_SIMD=scalar|sse2|avx2`).
 //!   Every level preserves the canonical accumulation order, so the
 //!   bit-reproducibility contract survives the dispatch.
-//! * [`mod@reference`] — the retained naive convolution kernels the engine
-//!   is verified against.
+//! * [`mod@reference`] — the retained naive convolution, max-pooling,
+//!   activation and scale-bias loops the fast kernels are verified
+//!   against.
 //! * [`network`] — compiles a [`codesign_dnn::Dnn`] into an executable,
 //!   trainable network; SGD with momentum.
 //! * [`quantized`], [`qgemm`], [`im2col`] — post-training int8 / int16

@@ -245,8 +245,8 @@ impl Network {
         let mut cache = Vec::with_capacity(self.layers.len());
         let mut x = image.clone();
         for layer in &self.layers {
-            cache.push(x.clone());
-            x = Self::forward_layer(layer, &x, self.engine);
+            let y = Self::forward_layer(layer, &x, self.engine);
+            cache.push(std::mem::replace(&mut x, y));
         }
         (x, cache)
     }
@@ -258,8 +258,8 @@ impl Network {
         let mut cache = Vec::with_capacity(self.layers.len());
         let mut x = batch.clone();
         for layer in &self.layers {
-            cache.push(x.clone());
-            x = Self::forward_layer_batch(layer, &x, self.engine);
+            let y = Self::forward_layer_batch(layer, &x, self.engine);
+            cache.push(std::mem::replace(&mut x, y));
         }
         (x, cache)
     }
@@ -298,11 +298,11 @@ impl Network {
                 NnLayer::MaxPool(k) => maxpool_backward(x, *k, &g),
                 NnLayer::AvgPool(k) => avgpool_backward(x, *k, &g),
                 NnLayer::ScaleBias(p) => {
-                    let (dx, ds, db) = scale_bias_backward(x, p, &g);
+                    let (dx, ds, db) = scale_bias_backward(x, p, g);
                     accumulate(&mut self.state[i], &ds, &db);
                     dx
                 }
-                NnLayer::Act(a) => activation_backward(x, *a, &g),
+                NnLayer::Act(a) => activation_backward(x, *a, g),
                 NnLayer::Gap => gap_backward(x, &g),
             };
         }
@@ -346,11 +346,11 @@ impl Network {
                 NnLayer::MaxPool(k) => maxpool_backward_batch(x, *k, &g),
                 NnLayer::AvgPool(k) => avgpool_backward_batch(x, *k, &g),
                 NnLayer::ScaleBias(p) => {
-                    let (dx, ds, db) = scale_bias_backward_batch(x, p, &g);
+                    let (dx, ds, db) = scale_bias_backward_batch(x, p, g);
                     accumulate(&mut self.state[i], &ds, &db);
                     dx
                 }
-                NnLayer::Act(a) => activation_backward(x, *a, &g),
+                NnLayer::Act(a) => activation_backward(x, *a, g),
                 NnLayer::Gap => gap_backward_batch(x, &g),
             };
         }

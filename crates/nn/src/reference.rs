@@ -1,8 +1,10 @@
-//! Naive reference convolution kernels.
+//! Naive reference kernels.
 //!
 //! These are the original per-image, deeply nested loops the compute
-//! engine replaced — retained as the semantic ground truth the fast
-//! path is tested (and benchmarked) against. Each output element is a
+//! engine and the layer kernels of [`crate::layers`] replaced —
+//! retained as the semantic ground truth the fast paths are tested
+//! (and benchmarked) against. Max pooling, activations and scale-bias
+//! are plain per-element loops; each convolution output element is a
 //! strict sequential `f32` accumulation in the **canonical order**
 //! shared with the direct kernels of [`crate::gemm`]:
 //!
@@ -19,8 +21,9 @@
 //! is pinned by property tests and by the proxy-training determinism
 //! suite.
 
-use crate::layers::{ConvParams, DwConvParams};
+use crate::layers::{ConvParams, DwConvParams, ScaleBiasParams};
 use crate::tensor::Tensor;
+use codesign_dnn::quant::Activation;
 
 /// Input value at `(c, y, x)` with zero padding outside the image.
 #[inline]
@@ -191,4 +194,112 @@ pub fn dwconv_backward(x: &Tensor, p: &DwConvParams, dy: &Tensor) -> (Tensor, Ve
         }
     }
     (dx, dw, db)
+}
+
+/// Max pooling with window `k` and stride `k`: `f32::max` folded over
+/// each window in row-major order, seeded with `-inf`.
+pub fn maxpool_forward(x: &Tensor, k: usize) -> Tensor {
+    let (c, h, w) = (x.channels(), x.height(), x.width());
+    let mut y = Tensor::zeros(&[c, h / k, w / k]);
+    for cc in 0..c {
+        for yy in 0..h / k {
+            for xx in 0..w / k {
+                let mut m = f32::NEG_INFINITY;
+                for dy in 0..k {
+                    for dx in 0..k {
+                        m = m.max(x.at(cc, yy * k + dy, xx * k + dx));
+                    }
+                }
+                *y.at_mut(cc, yy, xx) = m;
+            }
+        }
+    }
+    y
+}
+
+/// Max-pooling backward: each window's gradient is added (to a zeroed
+/// `dx`) at its first strict maximum, scanning from the window's first
+/// element, which keeps the gradient when nothing beats `-inf`.
+pub fn maxpool_backward(x: &Tensor, k: usize, dy: &Tensor) -> Tensor {
+    let (c, h, w) = (x.channels(), x.height(), x.width());
+    let mut dx = Tensor::zeros(&[c, h, w]);
+    for cc in 0..c {
+        for yy in 0..h / k {
+            for xx in 0..w / k {
+                let (mut best, mut by, mut bx) = (f32::NEG_INFINITY, yy * k, xx * k);
+                for dy_ in 0..k {
+                    for dx_ in 0..k {
+                        let v = x.at(cc, yy * k + dy_, xx * k + dx_);
+                        if v > best {
+                            best = v;
+                            by = yy * k + dy_;
+                            bx = xx * k + dx_;
+                        }
+                    }
+                }
+                *dx.at_mut(cc, by, bx) += dy.at(cc, yy, xx);
+            }
+        }
+    }
+    dx
+}
+
+/// Activation forward, one [`Activation::apply`] per element.
+pub fn activation_forward(x: &Tensor, act: Activation) -> Tensor {
+    let mut y = x.clone();
+    for v in y.data_mut() {
+        *v = act.apply(*v);
+    }
+    y
+}
+
+/// Activation backward: the gradient is zeroed where `x <= 0` or
+/// `x >= clip`, and passes elsewhere (NaN inputs included).
+pub fn activation_backward(x: &Tensor, act: Activation, dy: &Tensor) -> Tensor {
+    let mut dx = dy.clone();
+    let clip = act.clip().unwrap_or(f32::INFINITY);
+    for (g, &xi) in dx.data_mut().iter_mut().zip(x.data()) {
+        if xi <= 0.0 || xi >= clip {
+            *g = 0.0;
+        }
+    }
+    dx
+}
+
+/// Folded batch-norm forward: `y = x * scale[c] + bias[c]`.
+pub fn scale_bias_forward(x: &Tensor, p: &ScaleBiasParams) -> Tensor {
+    let (c, h, w) = (x.channels(), x.height(), x.width());
+    let mut y = Tensor::zeros(&[c, h, w]);
+    for cc in 0..c {
+        for yy in 0..h {
+            for xx in 0..w {
+                *y.at_mut(cc, yy, xx) = x.at(cc, yy, xx) * p.scale[cc] + p.bias[cc];
+            }
+        }
+    }
+    y
+}
+
+/// Folded batch-norm backward: `(dx, dscale, dbias)`, the parameter
+/// gradients summed over pixels in row-major order from `0.0`.
+pub fn scale_bias_backward(
+    x: &Tensor,
+    p: &ScaleBiasParams,
+    dy: &Tensor,
+) -> (Tensor, Vec<f32>, Vec<f32>) {
+    let (c, h, w) = (x.channels(), x.height(), x.width());
+    let mut dx = Tensor::zeros(&[c, h, w]);
+    let mut ds = vec![0.0f32; c];
+    let mut db = vec![0.0f32; c];
+    for cc in 0..c {
+        for yy in 0..h {
+            for xx in 0..w {
+                let g = dy.at(cc, yy, xx);
+                ds[cc] += g * x.at(cc, yy, xx);
+                db[cc] += g;
+                *dx.at_mut(cc, yy, xx) = g * p.scale[cc];
+            }
+        }
+    }
+    (dx, ds, db)
 }

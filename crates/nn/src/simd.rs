@@ -161,7 +161,9 @@ pub(crate) const LANES: usize = 8;
 
 /// Rows of the implicit GEMM behind every f32 convolution: for `OB`
 /// output channels `j`, rows `r < rows` and columns `x < len`,
-/// `dst[j * plane + r * len + x] = init[j] + Σ_t wpack[t * OB + j] · src[taps[t] + r * stride + x]`,
+/// `dst[j * plane + r * len + x] = init[j] + Σ_t wpack[t * OB + j] · src[j * step + taps[t] + r * stride + x]`,
+/// where `step` is `0` when the channels share one input and a plane
+/// when each reads its own (depth-wise),
 /// each chain strictly sequential in ascending `t` (the canonical
 /// `(ic, ky, kx)` order of the tap offsets). Columns advance [`LANES`]
 /// at a time with `OB` register-resident accumulators; a tail shorter
@@ -176,6 +178,7 @@ pub(crate) const LANES: usize = 8;
 pub(crate) fn f32_conv_rows<const OB: usize>(
     level: SimdLevel,
     src: &[f32],
+    step: usize,
     taps: &[usize],
     wpack: &[f32],
     init: [f32; OB],
@@ -190,8 +193,10 @@ pub(crate) fn f32_conv_rows<const OB: usize>(
         // `is_x86_feature_detected!` confirmed the feature (detection,
         // `clamp_available`, and the test iteration over
         // `available_levels` all gate on it).
-        SimdLevel::Avx2 => unsafe { conv_rows_avx2(src, taps, wpack, init, geometry, dst, plane) },
-        _ => conv_rows(src, taps, wpack, init, geometry, dst, plane),
+        SimdLevel::Avx2 => unsafe {
+            conv_rows_avx2(src, step, taps, wpack, init, geometry, dst, plane)
+        },
+        _ => conv_rows(src, step, taps, wpack, init, geometry, dst, plane),
     }
 }
 
@@ -202,8 +207,10 @@ pub(crate) fn f32_conv_rows<const OB: usize>(
 /// The running CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
 unsafe fn conv_rows_avx2<const OB: usize>(
     src: &[f32],
+    step: usize,
     taps: &[usize],
     wpack: &[f32],
     init: [f32; OB],
@@ -211,14 +218,16 @@ unsafe fn conv_rows_avx2<const OB: usize>(
     dst: &mut [f32],
     plane: usize,
 ) {
-    conv_rows(src, taps, wpack, init, geometry, dst, plane);
+    conv_rows(src, step, taps, wpack, init, geometry, dst, plane);
 }
 
 /// The one body behind every level, compiled once for the baseline
 /// target and once inside the AVX2 wrapper.
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 fn conv_rows<const OB: usize>(
     src: &[f32],
+    step: usize,
     taps: &[usize],
     wpack: &[f32],
     init: [f32; OB],
@@ -226,21 +235,23 @@ fn conv_rows<const OB: usize>(
     dst: &mut [f32],
     plane: usize,
 ) {
-    // How far past a chunk's start the source reaches in every tap.
-    let reach = src.len().saturating_sub(taps.last().map_or(0, |&t| t));
+    // How far past a chunk's start the source reaches in every tap of
+    // every channel.
+    let last = taps.last().map_or(0, |&t| t) + (OB - 1) * step;
+    let reach = src.len().saturating_sub(last);
     for r in 0..rows {
         let mut x = 0;
         while x < len {
             let (base, out) = (r * stride + x, r * len + x);
             if x + LANES <= len || base + LANES <= reach {
                 let n = LANES.min(len - x);
-                let acc = conv_chunk::<OB, LANES>(src, taps, wpack, init, base);
+                let acc = conv_chunk::<OB, LANES>(src, step, taps, wpack, init, base);
                 for (j, a) in acc.iter().enumerate() {
                     dst[j * plane + out..j * plane + out + n].copy_from_slice(&a[..n]);
                 }
                 x += n;
             } else {
-                let acc = conv_chunk::<OB, 1>(src, taps, wpack, init, base);
+                let acc = conv_chunk::<OB, 1>(src, step, taps, wpack, init, base);
                 for (j, a) in acc.iter().enumerate() {
                     dst[j * plane + out] = a[0];
                 }
@@ -253,19 +264,28 @@ fn conv_rows<const OB: usize>(
 #[inline(always)]
 fn conv_chunk<const OB: usize, const L: usize>(
     src: &[f32],
+    step: usize,
     taps: &[usize],
     wpack: &[f32],
     init: [f32; OB],
     base: usize,
 ) -> [[f32; L]; OB] {
     let mut acc = init.map(|b| [b; L]);
+    let lanes =
+        |at: usize| -> &[f32; L] { src[at..at + L].try_into().expect("a slice of L lanes") };
     for (&off, w) in taps.iter().zip(wpack.chunks_exact(OB)) {
-        let s: &[f32; L] = src[off + base..off + base + L]
-            .try_into()
-            .expect("a slice of L lanes");
-        for (a, &wj) in acc.iter_mut().zip(w) {
-            for (al, &sl) in a.iter_mut().zip(s) {
-                *al += wj * sl;
+        if step == 0 {
+            let s = lanes(off + base);
+            for (a, &wj) in acc.iter_mut().zip(w) {
+                for (al, &sl) in a.iter_mut().zip(s) {
+                    *al += wj * sl;
+                }
+            }
+        } else {
+            for (j, (a, &wj)) in acc.iter_mut().zip(w).enumerate() {
+                for (al, &sl) in a.iter_mut().zip(lanes(j * step + off + base)) {
+                    *al += wj * sl;
+                }
             }
         }
     }
@@ -274,15 +294,18 @@ fn conv_chunk<const OB: usize, const L: usize>(
 
 /// `TB` weight-gradient chains per lane, the transposed implicit GEMM:
 /// for taps `j < TB` and lanes `l < L`,
-/// `out[j][l] = Σ_(r, x) src[taps[j] + r * stride + x] · dyt[(r * len + x) * ld + l]`
+/// `out[j][l] = Σ_(r, x) src(j, r, x, l) · dyt[(r * len + x) * ld + l]`
 /// over output pixels `(r, x)` in row-major ascending order, every chain
-/// starting from `0.0`. The lanes are output channels of a pixel-major
-/// gradient (`ld` apart per pixel); `L = 1` serves depth-wise layers.
+/// starting from `0.0`. The lanes sit `ld` apart per pixel in the
+/// gradient. With `CHANNEL_LAST = false` they are output channels that
+/// share one input value, `src(j, r, x, l) = src[taps[j] + r * stride + x]`;
+/// with `CHANNEL_LAST = true` they are the channels of a channel-last
+/// input (depth-wise layers), `src(j, r, x, l) = src[taps[j] + (r * stride + x) * ld + l]`.
 ///
 /// # Panics
 ///
 /// Panics when a tap reaches past `src` or `dyt` is too short.
-pub(crate) fn f32_grad_taps<const TB: usize, const L: usize>(
+pub(crate) fn f32_grad_taps<const TB: usize, const L: usize, const CHANNEL_LAST: bool>(
     level: SimdLevel,
     src: &[f32],
     taps: &[usize; TB],
@@ -293,8 +316,10 @@ pub(crate) fn f32_grad_taps<const TB: usize, const L: usize>(
     match level {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: same detection invariant as `f32_conv_rows`.
-        SimdLevel::Avx2 => unsafe { grad_taps_avx2(src, taps, dyt, ld, geometry) },
-        _ => grad_taps(src, taps, dyt, ld, geometry),
+        SimdLevel::Avx2 => unsafe {
+            grad_taps_avx2::<TB, L, CHANNEL_LAST>(src, taps, dyt, ld, geometry)
+        },
+        _ => grad_taps::<TB, L, CHANNEL_LAST>(src, taps, dyt, ld, geometry),
     }
 }
 
@@ -305,18 +330,18 @@ pub(crate) fn f32_grad_taps<const TB: usize, const L: usize>(
 /// The running CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn grad_taps_avx2<const TB: usize, const L: usize>(
+unsafe fn grad_taps_avx2<const TB: usize, const L: usize, const CHANNEL_LAST: bool>(
     src: &[f32],
     taps: &[usize; TB],
     dyt: &[f32],
     ld: usize,
     geometry: (usize, usize, usize),
 ) -> [[f32; L]; TB] {
-    grad_taps(src, taps, dyt, ld, geometry)
+    grad_taps::<TB, L, CHANNEL_LAST>(src, taps, dyt, ld, geometry)
 }
 
 #[inline(always)]
-fn grad_taps<const TB: usize, const L: usize>(
+fn grad_taps<const TB: usize, const L: usize, const CHANNEL_LAST: bool>(
     src: &[f32],
     taps: &[usize; TB],
     dyt: &[f32],
@@ -324,15 +349,33 @@ fn grad_taps<const TB: usize, const L: usize>(
     (rows, len, stride): (usize, usize, usize),
 ) -> [[f32; L]; TB] {
     let mut acc = [[0.0f32; L]; TB];
+    if len == 0 {
+        return acc;
+    }
+    // Source elements one pixel spans, and the reach of one tap's row.
+    let step = if CHANNEL_LAST { ld } else { 1 };
+    let span = (len - 1) * step + if CHANNEL_LAST { L } else { 1 };
     for r in 0..rows {
-        let srows: [&[f32]; TB] = taps.map(|off| &src[off + r * stride..off + r * stride + len]);
+        let srows: [&[f32]; TB] = taps.map(|off| {
+            let base = off + r * stride * step;
+            &src[base..base + span]
+        });
         for x in 0..len {
             let p = (r * len + x) * ld;
             let d: &[f32; L] = dyt[p..p + L].try_into().expect("a slice of L lanes");
             for (a, s) in acc.iter_mut().zip(&srows) {
-                let xv = s[x];
-                for (al, &dl) in a.iter_mut().zip(d) {
-                    *al += dl * xv;
+                if CHANNEL_LAST {
+                    let s: &[f32; L] = s[x * ld..x * ld + L]
+                        .try_into()
+                        .expect("a slice of L lanes");
+                    for ((al, &dl), &sl) in a.iter_mut().zip(d).zip(s) {
+                        *al += dl * sl;
+                    }
+                } else {
+                    let xv = s[x];
+                    for (al, &dl) in a.iter_mut().zip(d) {
+                        *al += dl * xv;
+                    }
                 }
             }
         }
@@ -507,6 +550,7 @@ mod tests {
             f32_conv_rows::<4>(
                 level,
                 &src,
+                0,
                 &taps,
                 &wpack,
                 init,
@@ -514,8 +558,14 @@ mod tests {
                 &mut dst,
                 rows * len,
             );
-            let grads =
-                f32_grad_taps::<5, LANES>(level, &src, &taps, &dyt, LANES, (rows, len, stride));
+            let grads = f32_grad_taps::<5, LANES, false>(
+                level,
+                &src,
+                &taps,
+                &dyt,
+                LANES,
+                (rows, len, stride),
+            );
             for r in 0..rows {
                 for x in 0..len {
                     for j in 0..ob {

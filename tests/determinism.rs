@@ -151,6 +151,20 @@ fn proxy_training_is_engine_and_worker_invariant() {
     }
 }
 
+/// Golden pin for proxy training itself: the default engine's IoU, bit
+/// for bit. The engine-invariance test above compares paths that share
+/// the pooling, activation and scale-bias kernels, so it cannot catch
+/// drift in those; this value can.
+#[test]
+fn proxy_training_matches_golden_iou() {
+    let iou = proxy_iou(Engine::default());
+    assert_eq!(
+        iou.to_bits(),
+        4_594_843_188_456_620_654,
+        "proxy IoU drifted: {iou}"
+    );
+}
+
 /// Golden pin for the incremental-estimation engine and the sharded
 /// estimate cache: the flow output must be **byte-identical to the
 /// pre-incremental seed** (captured from the full-rebuild,

@@ -120,3 +120,31 @@ fn dataset_and_network_shapes_agree() {
     let out = net.forward(&sample.image);
     assert_eq!(out.len(), 4);
 }
+
+/// Order-sensitive checksum over the bits of every trainable parameter.
+fn parameter_checksum(net: &Network) -> u64 {
+    use codesign_nn::network::NnLayer;
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for layer in net.layers() {
+        let params: [&[f32]; 2] = match layer {
+            NnLayer::Conv(p) => [&p.weights, &p.bias],
+            NnLayer::DwConv(p) => [&p.weights, &p.bias],
+            NnLayer::ScaleBias(p) => [&p.scale, &p.bias],
+            _ => continue,
+        };
+        for v in params.into_iter().flatten() {
+            h = (h ^ u64::from(v.to_bits())).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Golden pin: the trained parameters of one proxy training, bit for
+/// bit. Unlike the engine-equivalence tests, which compare two paths
+/// that share the pooling, activation and scale-bias kernels, this
+/// catches drift in any kernel of the training step.
+#[test]
+fn trained_parameters_match_golden_checksum() {
+    let (net, _, _) = train_small(13, 8);
+    assert_eq!(parameter_checksum(&net), 5_409_200_423_389_946_333);
+}
