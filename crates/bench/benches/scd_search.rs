@@ -3,13 +3,15 @@
 //! end-to-end `scd_search` and `exp_fig4`-style flow wall clock at 1
 //! and 4 workers.
 //!
-//! Three parts:
+//! Four parts:
 //!
 //! * criterion-style timed samples over a fixed SCD-shaped probe walk
 //!   (three unit-move probes, then one committed move — exactly the
 //!   query pattern of Algorithm 1), one per engine arm;
 //! * an uncached head-to-head of the same walk reporting probes/sec and
 //!   the incremental-vs-rebuild speedup (acceptance target: ≥ 3x);
+//! * the walk on a warm estimate cache, every probe a hit, reported as
+//!   ns per probe (the cost of the memo table itself);
 //! * `BENCH_scd.json` (see `codesign_bench::perf`) recording the walk
 //!   arms, the `scd_search` wall clock, and the small-flow wall clock
 //!   at parallelism 1 and 4, so the perf trajectory is machine-readable
@@ -25,9 +27,11 @@ use codesign_core::search::{scd_search, ScdConfig};
 use codesign_dnn::bundle::{bundle_by_id, Bundle, BundleId};
 use codesign_dnn::quant::Activation;
 use codesign_dnn::space::DesignPoint;
+use codesign_hls::cache::EstimateCache;
 use codesign_hls::incremental::{EstimatePlan, MoveCoord};
-use codesign_hls::model::HlsEstimator;
+use codesign_hls::model::{Estimate, EstimateError, HlsEstimator};
 use criterion::{criterion_group, criterion_main, Criterion};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The SCD-shaped probe walk: at each step price all three unit moves
@@ -68,41 +72,14 @@ fn walk_pf(step: usize) -> usize {
     [16, 48, 100, 160, 216][step % 5]
 }
 
-/// The walk priced by full rebuilds (the pre-incremental behavior of
-/// `scd_search`). Returns a latency checksum so the arms can be
-/// compared for bit-identity.
-fn run_walk_full_rebuild(estimator: &HlsEstimator) -> (u64, usize) {
-    let mut point = start_point();
-    let mut checksum = 0u64;
-    let mut probes = 0usize;
-    let mut tally = |est: Result<codesign_hls::model::Estimate, _>, probes: &mut usize| {
-        if let Ok(est) = est {
-            checksum = checksum.wrapping_mul(31).wrapping_add(est.latency_cycles);
-        }
-        *probes += 1;
-    };
-    for step in 0..WALK_STEPS {
-        let moves = walk_moves(step);
-        for &(coord, dir) in &moves {
-            let target = coord.applied(&point, dir);
-            tally(estimator.estimate_point(&target), &mut probes);
-        }
-        let mut pf_probe = point.clone();
-        pf_probe.parallel_factor = walk_pf(step);
-        tally(estimator.estimate_point(&pf_probe), &mut probes);
-        let (coord, dir) = (moves[step % 3].0, moves[step % 3].1);
-        point = coord.applied(&point, dir);
-    }
-    (checksum, probes)
-}
-
-/// The same walk priced through the incremental plan.
+/// The walk priced through the incremental plan, committing each step's
+/// move (no cache: every probe stages).
 fn run_walk_incremental(estimator: &HlsEstimator) -> (u64, usize) {
     let mut point = start_point();
     let mut plan = EstimatePlan::new(estimator, &point).expect("initial point elaborates");
     let mut checksum = 0u64;
     let mut probes = 0usize;
-    let mut tally = |est: Result<codesign_hls::model::Estimate, _>, probes: &mut usize| {
+    let mut tally = |est: Result<Estimate, _>, probes: &mut usize| {
         if let Ok(est) = est {
             checksum = checksum.wrapping_mul(31).wrapping_add(est.latency_cycles);
         }
@@ -124,6 +101,42 @@ fn run_walk_incremental(estimator: &HlsEstimator) -> (u64, usize) {
     (checksum, probes)
 }
 
+/// Every point the walk probes, in probe order.
+fn walk_targets() -> Vec<DesignPoint> {
+    let mut point = start_point();
+    let mut targets = Vec::with_capacity(WALK_STEPS * 4);
+    for step in 0..WALK_STEPS {
+        let moves = walk_moves(step);
+        for &(coord, dir) in &moves {
+            targets.push(coord.applied(&point, dir));
+        }
+        let mut pf_probe = point.clone();
+        pf_probe.parallel_factor = walk_pf(step);
+        targets.push(pf_probe);
+        let (coord, dir) = moves[step % 3];
+        point = coord.applied(&point, dir);
+    }
+    targets
+}
+
+/// Prices the walk's `targets` in order with `price`: by full rebuilds
+/// (the pre-incremental behavior of `scd_search`), or by plan probes on
+/// a warm cache, where every probe is a hit and the timed work is the
+/// hit path alone — key assembly, one hash, one shard probe. Returns a
+/// latency checksum so the arms can be compared for bit-identity.
+fn price_walk(
+    targets: &[DesignPoint],
+    price: impl Fn(&DesignPoint) -> Result<Estimate, EstimateError>,
+) -> (u64, usize) {
+    let mut checksum = 0u64;
+    for target in targets {
+        if let Ok(est) = price(target) {
+            checksum = checksum.wrapping_mul(31).wrapping_add(est.latency_cycles);
+        }
+    }
+    (checksum, targets.len())
+}
+
 fn small_flow(threads: usize) -> CoDesignFlow {
     CoDesignFlow::new(FlowConfig {
         targets_fps: vec![15.0],
@@ -142,10 +155,12 @@ fn time<T>(f: impl FnOnce() -> T) -> (T, Duration) {
 
 fn bench_scd_search(c: &mut Criterion) {
     let estimator = walk_estimator();
+    let targets = walk_targets();
+    let full_rebuild = |p: &DesignPoint| estimator.estimate_point(p);
     let mut group = c.benchmark_group("scd_search");
     group.sample_size(10);
     group.bench_function("probe/full_rebuild", |b| {
-        b.iter(|| run_walk_full_rebuild(&estimator))
+        b.iter(|| price_walk(&targets, full_rebuild))
     });
     group.bench_function("probe/incremental", |b| {
         b.iter(|| run_walk_incremental(&estimator))
@@ -170,7 +185,7 @@ fn bench_scd_search(c: &mut Criterion) {
     let ((full_sum, full_probes), t_full) = time(|| {
         let mut acc = (0u64, 0usize);
         for _ in 0..REPS {
-            acc = run_walk_full_rebuild(&estimator);
+            acc = price_walk(&targets, full_rebuild);
         }
         acc
     });
@@ -186,6 +201,33 @@ fn bench_scd_search(c: &mut Criterion) {
         (inc_sum, inc_probes),
         "incremental walk DIVERGED from the full rebuild — determinism bug!"
     );
+    // Warm-cache arm: the walk once to fill a cache, then timed with
+    // every probe a hit.
+    let cache = Arc::new(EstimateCache::new());
+    let cached = estimator.clone().with_cache(Arc::clone(&cache));
+    let plan = EstimatePlan::new(&cached, &start_point()).expect("initial point elaborates");
+    let warm = |p: &DesignPoint| plan.probe(p);
+    price_walk(&targets, warm);
+    let misses = cache.stats().misses;
+    const WARM_REPS: usize = 200;
+    let ((warm_sum, warm_probes), t_warm) = time(|| {
+        let mut acc = (0u64, 0usize);
+        for _ in 0..WARM_REPS {
+            acc = price_walk(&targets, warm);
+        }
+        acc
+    });
+    assert_eq!(cache.stats().misses, misses, "warm walk missed the cache");
+    assert_eq!(
+        (warm_sum, warm_probes),
+        (full_sum, full_probes),
+        "warm-cache walk DIVERGED from the full rebuild — determinism bug!"
+    );
+    let warm_ns_per_probe = t_warm.as_secs_f64() * 1e9 / (warm_probes * WARM_REPS) as f64;
+    println!(
+        "scd_search: warm-cache walk {t_warm:?}, {warm_ns_per_probe:.0} ns per probe (all hits)"
+    );
+
     let total_probes = (full_probes * REPS) as f64;
     let speedup = t_full.as_secs_f64() / t_inc.as_secs_f64().max(1e-12);
     println!(
@@ -217,6 +259,8 @@ fn bench_scd_search(c: &mut Criterion) {
     let records = [
         BenchRecord::timing("probe_walk_full_rebuild", t_full),
         BenchRecord::speedup_over("probe_walk_incremental", t_inc, t_full),
+        BenchRecord::timing("probe_walk_warm_cache", t_warm)
+            .with_metric("ns_per_probe", warm_ns_per_probe),
         BenchRecord::timing("scd_search_end_to_end", t_scd),
         BenchRecord::timing("flow_small_1_worker", t_flow1),
         BenchRecord::timing("flow_small_4_workers", t_flow4),

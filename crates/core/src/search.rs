@@ -122,6 +122,10 @@ pub fn choose_max_parallel_factor_with(plan: &EstimatePlan, point: &DesignPoint)
     lo * PARALLEL_FACTOR_STEP
 }
 
+/// Restart depths of the SCD unit: a stuck search restarts from
+/// `DesignPoint::initial(n)` with `n` drawn from `1..=RESTART_DEPTHS`.
+const RESTART_DEPTHS: usize = 6;
+
 /// Runs the SCD unit (Algorithm 1) for one Bundle under one
 /// activation / quantization arm (the co-design variable `Q` of
 /// Table 1).
@@ -155,6 +159,11 @@ pub fn scd_search(
 
     let mut candidates: Vec<Candidate> = Vec::new();
     let mut seen: HashSet<Vec<u8>> = HashSet::new();
+    // The plan rebased on each restart depth `DesignPoint::initial(n)`,
+    // kept from the first restart to that depth: there are only
+    // `RESTART_DEPTHS` such points per search, and later restarts reuse
+    // the elaboration instead of redoing it.
+    let mut restart_plans: [Option<EstimatePlan>; RESTART_DEPTHS] = Default::default();
 
     let Ok(mut plan) = EstimatePlan::new(estimator, &point) else {
         return candidates;
@@ -176,16 +185,16 @@ pub fn scd_search(
         }
         let gap = cfg.latency_target_ms - lat;
         if gap.abs() < cfg.tolerance_ms && estimator.fits(&est) {
-            let dnn = builder.build(&point).expect("estimated points build");
-            let accuracy = model.estimate(&point, &dnn);
-            let candidate = Candidate {
-                point: point.clone(),
-                estimate: est,
-                latency_ms: lat,
-                accuracy,
-            };
-            if seen.insert(candidate.point.canonical_key()) {
-                candidates.push(candidate);
+            // A duplicate would be discarded: build and score only new
+            // points.
+            if seen.insert(point.canonical_key()) {
+                let dnn = builder.build(&point).expect("estimated points build");
+                candidates.push(Candidate {
+                    accuracy: model.estimate(&point, &dnn),
+                    point: point.clone(),
+                    estimate: est,
+                    latency_ms: lat,
+                });
             }
             // Perturb to hunt for the next distinct candidate.
             let coord = match rng.random_range(0..3u8) {
@@ -229,7 +238,7 @@ pub fn scd_search(
         }
         if deltas.is_empty() {
             // No coordinate can move: restart from a fresh random depth.
-            let n = rng.random_range(1..=6);
+            let n = rng.random_range(1..=RESTART_DEPTHS);
             point = DesignPoint::initial(bundle.clone(), n);
             point.activation = activation;
             // Rebase the plan on the restart structure first (no cache
@@ -238,7 +247,14 @@ pub fn scd_search(
             // diff on every probe. On a (theoretical) unelaborable
             // restart the plan keeps its old base and the ladder falls
             // back to diff-probing, matching the old error behavior.
-            let _ = plan.commit(&point);
+            match &restart_plans[n - 1] {
+                Some(rebased) => plan.clone_from(rebased),
+                None => {
+                    if plan.commit(&point).is_ok() {
+                        restart_plans[n - 1] = Some(plan.clone());
+                    }
+                }
+            }
             point.parallel_factor = choose_max_parallel_factor_with(&plan, &point);
             if let Ok(e2) = plan.probe(&point) {
                 plan.commit_probed(&point, e2);
@@ -328,8 +344,10 @@ pub fn random_search(
 mod tests {
     use super::*;
     use codesign_dnn::bundle::{bundle_by_id, BundleId};
+    use codesign_hls::cache::EstimateCache;
     use codesign_hls::calibrate::calibrate_bundle;
     use codesign_sim::device::pynq_z1;
+    use std::sync::Arc;
 
     fn relu_search(b: &Bundle, est: &HlsEstimator, cfg: &ScdConfig) -> Vec<Candidate> {
         scd_search(
@@ -413,6 +431,30 @@ mod tests {
         };
         let found = relu_search(&b, &est, &cfg);
         assert!(found.is_empty());
+    }
+
+    #[test]
+    fn restart_heavy_search_lookups_are_pinned() {
+        // An unreachable target keeps SCD stuck, so most iterations end
+        // in a random restart. The restart memo must not change a single
+        // cache lookup: totals and misses recorded before it existed,
+        // one shared cache, single-threaded, both arms.
+        let (b, est) = estimator(13);
+        let cache = Arc::new(EstimateCache::new());
+        let est = est.with_cache(Arc::clone(&cache));
+        let cfg = ScdConfig {
+            latency_target_ms: 1.0,
+            tolerance_ms: 0.1,
+            candidates: 4,
+            max_iterations: 400,
+            ..ScdConfig::default()
+        };
+        let model = AccuracyModel::paper_calibrated();
+        for (arm, total, misses) in [(Activation::Relu, 1805, 95), (Activation::Relu4, 3890, 198)] {
+            assert!(scd_search(&b, &est, &model, &cfg, arm).is_empty());
+            let stats = cache.stats();
+            assert_eq!((stats.total(), stats.misses), (total, misses), "{arm:?}");
+        }
     }
 
     #[test]

@@ -16,12 +16,29 @@
 //! The flow fans SCD work items out across worker threads, and every
 //! probe consults this cache; a single global `Mutex<HashMap>` would
 //! serialize them all. The map is therefore split into
-//! [`DEFAULT_SHARDS`] independently locked shards, selected by a fast
-//! word-wise multiply-mix over the key bytes. Sharding is invisible to callers: a
-//! key lives in exactly one shard, so hit/miss semantics, the
-//! deterministic total-lookup count, and the byte-identical-output
-//! guarantee are unchanged from the single-lock cache — only lock
-//! contention changes.
+//! [`DEFAULT_SHARDS`] independently locked shards. Sharding is
+//! invisible to callers: a key lives in exactly one shard, so hit/miss
+//! semantics, the deterministic total-lookup count, and the
+//! byte-identical-output guarantee are unchanged from the single-lock
+//! cache — only lock contention changes.
+//!
+//! # One hash per lookup
+//!
+//! A lookup hashes its key bytes exactly once, with a seeded
+//! folded-multiply mix: each 16-byte chunk folds into the state with one
+//! 64 × 64 → 128-bit multiply whose high and low halves are XORed
+//! together, and a short tail is zero-padded into one last chunk (the
+//! key length is mixed into the initial state, so padding cannot alias
+//! `[1, 2, 3]` with `[1, 2, 3, 0]`). The 64-bit result picks the shard
+//! (from bits 32 and up) and is also the shard map's own hash: the maps
+//! store it beside each key and hash with a pass-through hasher, so the
+//! in-map probe, the insert after a miss, and [`EstimateCache::preload`]
+//! never hash the bytes again. The seeds come from
+//! [`RandomState`] once per cache, so shard choice is stable within a
+//! cache, while which keys collide depends on a secret drawn at run
+//! time: a store log written beforehand cannot be crafted to pile its
+//! keys onto one shard or one probe sequence. A collision would only
+//! cost probe time: entries compare their full key bytes.
 //!
 //! # The canonical key
 //!
@@ -50,8 +67,9 @@
 //!
 //! Keys are full encodings rather than 64-bit digests so hash collisions
 //! cannot silently return the wrong estimate. Lookups borrow the key as
-//! `&[u8]` — hot paths build it in a stack-resident [`KeyBuf`] and only
-//! a cache *miss* copies it to the heap for insertion. Determinism does
+//! `&[u8]` — hot paths build it in a stack-resident [`KeyBuf`] without
+//! allocating, and only a cache *miss* copies it to the heap for
+//! insertion. Determinism does
 //! not depend on the cache at all — a hit returns byte-identical data to
 //! what the analytic model would recompute, whether that recomputation
 //! is the full rebuild of `estimate_point` or an incremental
@@ -71,7 +89,10 @@
 
 use crate::model::{Estimate, EstimateError};
 use codesign_sim::report::CacheStats;
+use std::borrow::Borrow;
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -89,7 +110,109 @@ struct CacheEntry {
     preloaded: bool,
 }
 
-type ShardMap = HashMap<Vec<u8>, CacheEntry>;
+/// A resident key: its bytes plus the hash computed when it was first
+/// looked up, so the shard map never hashes the bytes again.
+#[derive(Debug)]
+struct StoredKey {
+    hash: u64,
+    bytes: Box<[u8]>,
+}
+
+/// A key as the shard maps see it — resident ([`StoredKey`]) or borrowed
+/// for a lookup (`(hash, &[u8])`). Maps are probed through
+/// `&dyn KeyView`, which lets a borrowed key carry its precomputed hash.
+trait KeyView {
+    fn digest(&self) -> u64;
+    fn bytes(&self) -> &[u8];
+}
+
+impl KeyView for StoredKey {
+    fn digest(&self) -> u64 {
+        self.hash
+    }
+    fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+}
+
+impl KeyView for (u64, &[u8]) {
+    fn digest(&self) -> u64 {
+        self.0
+    }
+    fn bytes(&self) -> &[u8] {
+        self.1
+    }
+}
+
+impl<'a> Borrow<dyn KeyView + 'a> for StoredKey {
+    fn borrow(&self) -> &(dyn KeyView + 'a) {
+        self
+    }
+}
+
+impl Hash for dyn KeyView + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.digest());
+    }
+}
+
+impl PartialEq for dyn KeyView + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.digest() == other.digest() && self.bytes() == other.bytes()
+    }
+}
+
+impl Eq for dyn KeyView + '_ {}
+
+impl Hash for StoredKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+impl PartialEq for StoredKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.bytes == other.bytes
+    }
+}
+
+impl Eq for StoredKey {}
+
+/// The shard maps' hasher: every key arrives already hashed (see
+/// [`EstimateCache::hash`]), so it passes that one `u64` through.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("cache keys hash as their one precomputed u64");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
+type ShardMap = HashMap<StoredKey, CacheEntry, BuildHasherDefault<PassThrough>>;
+
+/// The low and high halves of the full 128-bit product, XORed.
+fn folded_multiply(a: u64, b: u64) -> u64 {
+    let full = u128::from(a) * u128::from(b);
+    (full as u64) ^ ((full >> 64) as u64)
+}
+
+/// Two little-endian words of a 16-byte chunk.
+fn words(chunk: &[u8]) -> (u64, u64) {
+    let (a, b) = chunk.split_at(8);
+    (
+        u64::from_le_bytes(a.try_into().expect("8-byte half")),
+        u64::from_le_bytes(b.try_into().expect("8-byte half")),
+    )
+}
 
 /// A thread-safe, sharded memo table for analytic estimates, with
 /// hit/miss counters.
@@ -97,9 +220,10 @@ type ShardMap = HashMap<Vec<u8>, CacheEntry>;
 /// Attach one to an estimator via
 /// [`HlsEstimator::with_cache`](crate::model::HlsEstimator::with_cache);
 /// clone the [`Arc`](std::sync::Arc) to share it across estimators and
-/// threads. Keys are hashed onto [`shard_count`](Self::shard_count)
-/// independently locked maps, so concurrent lookups from different SCD
-/// work items rarely contend.
+/// threads. Each lookup hashes its key once (see the
+/// [module docs](crate::cache#one-hash-per-lookup)) onto one of
+/// [`shard_count`](Self::shard_count) independently locked maps, so
+/// concurrent lookups from different SCD work items rarely contend.
 ///
 /// # Example
 ///
@@ -128,6 +252,8 @@ type ShardMap = HashMap<Vec<u8>, CacheEntry>;
 #[derive(Debug)]
 pub struct EstimateCache {
     shards: Box<[Mutex<ShardMap>]>,
+    /// Per-cache secret of the key hash (see [`Self::hash`]).
+    seeds: [u64; 2],
     hits: AtomicU64,
     misses: AtomicU64,
     store_hits: AtomicU64,
@@ -150,8 +276,10 @@ impl EstimateCache {
     /// old single-lock cache exactly.
     pub fn with_shards(shards: usize) -> Self {
         let n = shards.max(1).next_power_of_two();
+        let state = RandomState::new();
         Self {
-            shards: (0..n).map(|_| Mutex::new(ShardMap::new())).collect(),
+            shards: (0..n).map(|_| Mutex::new(ShardMap::default())).collect(),
+            seeds: [state.hash_one(0u64), state.hash_one(1u64)],
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             store_hits: AtomicU64::new(0),
@@ -163,23 +291,32 @@ impl EstimateCache {
         self.shards.len()
     }
 
-    /// The shard owning `key`: a word-wise multiply-mix over the key
-    /// bytes, masked onto the power-of-two shard count. Deterministic,
-    /// so a key always lives in exactly one shard; word-wise (not
-    /// byte-wise FNV) because this runs on every single probe and must
-    /// cost nanoseconds, while needing only spread, not collision
-    /// resistance — a collision merely shares a lock.
-    fn shard_for(&self, key: &[u8]) -> &Mutex<ShardMap> {
-        let mut h = 0xCBF2_9CE4_8422_2325u64 ^ key.len() as u64;
-        let mut word = [0u8; 8];
-        for chunk in key.chunks(8) {
-            word[..chunk.len()].copy_from_slice(chunk);
-            word[chunk.len()..].fill(0);
-            h ^= u64::from_le_bytes(word);
-            h = h.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            h ^= h >> 29;
+    /// The key's hash: one seeded folded multiply per 16-byte chunk,
+    /// the tail zero-padded into one last chunk. Computed once per
+    /// lookup; it selects the shard and is the shard map's hash too.
+    fn hash(&self, key: &[u8]) -> u64 {
+        let [s0, s1] = self.seeds;
+        let mut h = s0 ^ key.len() as u64;
+        let mut chunks = key.chunks_exact(16);
+        for chunk in &mut chunks {
+            let (a, b) = words(chunk);
+            h = folded_multiply(h ^ a, s1 ^ b);
         }
-        &self.shards[(h as usize) & (self.shards.len() - 1)]
+        let tail = chunks.remainder();
+        if !tail.is_empty() {
+            let mut last = [0u8; 16];
+            last[..tail.len()].copy_from_slice(tail);
+            let (a, b) = words(&last);
+            h = folded_multiply(h ^ a, s1 ^ b);
+        }
+        h
+    }
+
+    /// The shard owning a key of hash `hash`. It reads bits 32 and up:
+    /// the maps index buckets by the low bits and tag them with the top
+    /// seven, so the shard bits stay out of both.
+    fn shard(&self, hash: u64) -> &Mutex<ShardMap> {
+        &self.shards[((hash >> 32) as usize) & (self.shards.len() - 1)]
     }
 
     /// Current hit/miss counters and entry count.
@@ -233,18 +370,21 @@ impl EstimateCache {
     /// lookup traffic — but hits later served by the entry increment
     /// [`store_hits`](Self::store_hits).
     pub fn preload(&self, key: &[u8], value: Estimate) -> bool {
-        let mut shard = self.shard_for(key).lock().expect("cache shard lock");
-        if shard.contains_key(key) {
-            return false;
+        let hash = self.hash(key);
+        let mut shard = self.shard(hash).lock().expect("cache shard lock");
+        match shard.entry(StoredKey {
+            hash,
+            bytes: key.into(),
+        }) {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(slot) => {
+                slot.insert(CacheEntry {
+                    value: Ok(value),
+                    preloaded: true,
+                });
+                true
+            }
         }
-        shard.insert(
-            key.to_vec(),
-            CacheEntry {
-                value: Ok(value),
-                preloaded: true,
-            },
-        );
-        true
     }
 
     /// All resident `Ok` entries as `(key, estimate)` pairs, sorted by
@@ -258,7 +398,7 @@ impl EstimateCache {
             let shard = shard.lock().expect("cache shard lock");
             for (key, entry) in shard.iter() {
                 if let Ok(est) = &entry.value {
-                    entries.push((key.clone(), *est));
+                    entries.push((key.bytes.to_vec(), *est));
                 }
             }
         }
@@ -278,11 +418,12 @@ impl EstimateCache {
         key: &[u8],
         compute: impl FnOnce() -> Result<Estimate, EstimateError>,
     ) -> Result<Estimate, EstimateError> {
-        if let Some(cached) = self
-            .shard_for(key)
+        let hash = self.hash(key);
+        let shard = self.shard(hash);
+        if let Some(cached) = shard
             .lock()
             .expect("cache shard lock")
-            .get(key)
+            .get(&(hash, key) as &dyn KeyView)
         {
             self.hits.fetch_add(1, Ordering::Relaxed);
             if cached.preloaded {
@@ -292,10 +433,13 @@ impl EstimateCache {
         }
         let value = compute();
         self.misses.fetch_add(1, Ordering::Relaxed);
-        self.shard_for(key)
+        shard
             .lock()
             .expect("cache shard lock")
-            .entry(key.to_vec())
+            .entry(StoredKey {
+                hash,
+                bytes: key.into(),
+            })
             .or_insert_with(|| CacheEntry {
                 value: value.clone(),
                 preloaded: false,
@@ -333,9 +477,16 @@ impl KeyBuf {
         }
     }
 
-    /// Appends a `u64` in little-endian byte order.
+    /// Appends a `u64` in little-endian byte order: one fixed-size
+    /// store into the inline buffer while it has room.
     pub fn push_u64(&mut self, v: u64) {
-        self.extend(&v.to_le_bytes());
+        let end = self.len + 8;
+        if end <= Self::INLINE && self.spill.is_empty() {
+            self.inline[self.len..end].copy_from_slice(&v.to_le_bytes());
+            self.len = end;
+        } else {
+            self.extend(&v.to_le_bytes());
+        }
     }
 
     /// Appends raw bytes.
@@ -508,6 +659,66 @@ mod tests {
     }
 
     #[test]
+    fn near_alias_keys_stay_distinct() {
+        // Keys the chunked hash could plausibly confuse: trailing zero
+        // bytes (the tail is zero-padded), bytes past the last full
+        // word or chunk, and keys longer than KeyBuf::INLINE.
+        let long: Vec<u8> = (0..KeyBuf::INLINE + 40).map(|i| i as u8).collect();
+        let mut long_tail = long.clone();
+        *long_tail.last_mut().unwrap() ^= 1;
+        let mut long_head = long.clone();
+        long_head[0] ^= 1;
+        let nine: Vec<u8> = (1..=9).collect();
+        let seventeen: Vec<u8> = (1..=17).collect();
+        let keys: Vec<Vec<u8>> = vec![
+            vec![],
+            vec![0],
+            vec![1, 2, 3],
+            vec![1, 2, 3, 0],
+            vec![1, 2, 3, 0, 0, 0, 0, 0],
+            vec![1, 2, 3, 0, 0, 0, 0, 0, 0],
+            nine.clone(),
+            [&nine[..8], &[10]].concat(),
+            seventeen.clone(),
+            [&seventeen[..16], &[18]].concat(),
+            [&seventeen[..], &[0]].concat(),
+            long,
+            long_tail,
+            long_head,
+        ];
+        let n = keys.len() as u64;
+        assert_eq!(
+            keys.iter().collect::<std::collections::HashSet<_>>().len() as u64,
+            n
+        );
+        for shards in [1, 16] {
+            let cache = EstimateCache::with_shards(shards);
+            for (i, key) in keys.iter().enumerate() {
+                let got = cache.get_or_insert_with(key, || estimate(i as u64));
+                assert_eq!(got, estimate(i as u64), "key {i} ({shards} shards)");
+            }
+            assert_eq!(cache.len() as u64, n);
+            assert_eq!((cache.stats().hits, cache.stats().misses), (0, n));
+            for (i, key) in keys.iter().enumerate() {
+                let got = cache.get_or_insert_with(key, || estimate(999));
+                assert_eq!(got, estimate(i as u64), "key {i} ({shards} shards)");
+            }
+            assert_eq!((cache.stats().hits, cache.stats().misses), (n, n));
+            assert_eq!(cache.len() as u64, n);
+        }
+    }
+
+    #[test]
+    fn preload_skips_resident_keys() {
+        let cache = EstimateCache::new();
+        let est = estimate(5).unwrap();
+        assert!(cache.preload(&[9, 9], est));
+        assert!(!cache.preload(&[9, 9], estimate(6).unwrap()));
+        assert_eq!(cache.get_or_insert_with(&[9, 9], || estimate(7)), Ok(est));
+        assert_eq!((cache.stats().total(), cache.store_hits()), (1, 1));
+    }
+
+    #[test]
     fn shard_selection_is_deterministic() {
         // A key must always land in the same shard, and keys should
         // spread across shards rather than pile onto one.
@@ -515,8 +726,8 @@ mod tests {
         let mut used = std::collections::HashSet::new();
         for k in 0u64..64 {
             let key: Vec<u8> = k.to_le_bytes().into_iter().cycle().take(40).collect();
-            let a = cache.shard_for(&key) as *const _;
-            let b = cache.shard_for(&key) as *const _;
+            let a = cache.shard(cache.hash(&key)) as *const _;
+            let b = cache.shard(cache.hash(&key)) as *const _;
             assert_eq!(a, b, "shard choice must be stable");
             used.insert(a as usize);
         }

@@ -506,6 +506,56 @@ mod tests {
     }
 
     #[test]
+    fn cache_key_bytes_are_pinned() {
+        // The persistent EstimateStore writes these bytes to disk, so a
+        // change here orphans every existing store log.
+        let b = bundle_by_id(BundleId(13)).unwrap();
+        let est = estimator_for(13);
+        let mut p = DesignPoint::initial(b, 5);
+        p.parallel_factor = 100;
+        p.activation = Activation::Relu4;
+        let mut key = crate::cache::KeyBuf::new();
+        est.write_key(&p, &mut key);
+        let words: [u64; 27] = [
+            // Salt: alpha, beta, phi, gamma, DRAM bytes/cycle, DSP, LUT,
+            // FF, BRAM budget, builder fingerprint.
+            0x3FE7_36DA_EA20_6FF8,
+            0,
+            0,
+            0x3FF0_0000_0000_0000,
+            0x4024_0000_0000_0000,
+            220,
+            53_200,
+            106_400,
+            280,
+            0x31F9_F27E_46A2_A210,
+            // Point: Bundle 13 and its two skeleton ops, N = 5, |X| = 5
+            // (down-sampling after the first four replications), |Π| = 5
+            // (1.0, then 2.0 four times) ...
+            13,
+            2,
+            0x0000_0001_0000_0003,
+            1,
+            5,
+            5,
+            0b1111,
+            5,
+            0x3FF0_0000_0000_0000,
+            0x4000_0000_0000_0000,
+            0x4000_0000_0000_0000,
+            0x4000_0000_0000_0000,
+            0x4000_0000_0000_0000,
+            // ... PF 100, Relu4, base and max channel widths.
+            100,
+            1,
+            32,
+            512,
+        ];
+        let expected: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        assert_eq!(key.as_bytes(), &expected[..]);
+    }
+
+    #[test]
     fn cached_errors_replay() {
         let cache = Arc::new(EstimateCache::new());
         let est = estimator_for(1).with_cache(cache.clone());

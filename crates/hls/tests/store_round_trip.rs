@@ -125,3 +125,40 @@ proptest! {
         let _ = std::fs::remove_file(&path);
     }
 }
+
+/// A store log written before the cache's hash changed (one record: the
+/// PYNQ-Z1 / Bundle 13 / N = 5 / PF 100 / `Relu4` estimate) must still
+/// warm-start: its key bytes are the cache's canonical key, and the
+/// lookup is served from the store without re-estimating.
+#[test]
+fn pinned_store_log_still_warm_starts() {
+    use codesign_hls::calibrate::calibrate_bundle;
+    use codesign_hls::model::HlsEstimator;
+    use codesign_sim::device::pynq_z1;
+    use std::sync::Arc;
+
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/estimate_store_v1.log"
+    );
+    let path = temp_path(0x0123_4567);
+    let _ = std::fs::remove_file(&path);
+    std::fs::copy(fixture, &path).unwrap();
+
+    let bundle = bundle_by_id(BundleId(13)).unwrap();
+    let estimator = HlsEstimator::new(calibrate_bundle(&bundle, &pynq_z1()).unwrap(), pynq_z1());
+    let mut point = DesignPoint::initial(bundle, 5);
+    point.parallel_factor = 100;
+    point.activation = Activation::Relu4;
+
+    let cache = Arc::new(EstimateCache::new());
+    let mut store = EstimateStore::open(&path).unwrap();
+    assert_eq!(store.load_into(&cache), 1);
+    let warm = estimator.clone().with_cache(Arc::clone(&cache));
+    let served = warm.estimate_point(&point).unwrap();
+    assert_eq!(served, estimator.estimate_point(&point).unwrap());
+    assert_eq!(served.latency_cycles, 7_095_707);
+    assert_eq!((cache.store_hits(), cache.stats().misses), (1, 0));
+    drop(store);
+    let _ = std::fs::remove_file(&path);
+}
