@@ -7,8 +7,6 @@
 //! energy-per-image comparison flips in the FPGA's favor — the paper's
 //! headline energy-efficiency claim.
 
-use serde::{Deserialize, Serialize};
-
 /// A simple roofline model of an embedded GPU.
 ///
 /// # Example
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// let lat = tx2.latency_ms(3.5e9, 60.0e6);
 /// assert!(lat > 1.0 && lat < 100.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuModel {
     /// Peak half-precision throughput in MAC/s.
     pub peak_macs_per_s: f64,

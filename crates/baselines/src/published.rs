@@ -1,10 +1,9 @@
 //! Published DAC-SDC 2018 results (paper Table 2, data from the contest report, arXiv:1809.00110).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Contest category.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Category {
     /// PYNQ-Z1 FPGA category.
     Fpga,
@@ -22,7 +21,7 @@ impl fmt::Display for Category {
 }
 
 /// Resource utilization percentages as published (LUT, DSP, BRAM, FF).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PublishedUtilization {
     /// LUT utilization in percent.
     pub lut: f64,
@@ -35,7 +34,7 @@ pub struct PublishedUtilization {
 }
 
 /// One leaderboard row of Table 2.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PublishedResult {
     /// Entry name, e.g. `"1st in FPGA"`.
     pub name: String,

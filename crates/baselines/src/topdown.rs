@@ -18,7 +18,6 @@ use codesign_sim::device::FpgaDevice;
 use codesign_sim::error::SimError;
 use codesign_sim::pipeline::{simulate, AccelConfig};
 use codesign_sim::report::SimReport;
-use serde::{Deserialize, Serialize};
 
 /// Accuracy cost of one 25% channel-pruning round (post-compression
 /// fine-tuning never fully recovers; ~1 IoU point per aggressive round
@@ -29,7 +28,7 @@ pub const PRUNE_ROUND_PENALTY: f64 = 0.010;
 pub const PRUNE_FACTOR: f64 = 0.75;
 
 /// Result of the top-down flow.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TopDownResult {
     /// Channel-pruning rounds applied before the design fit.
     pub prune_rounds: usize,

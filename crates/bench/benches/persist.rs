@@ -6,21 +6,23 @@
 //! The contract being measured is the tentpole of the persistence
 //! layer: a warm start must be *bit-identical* to a cold run (same
 //! Pareto designs, same generated C) while skipping the closed-form
-//! estimate re-derivation for every design point priced before. Emits
+//! estimate re-derivation for every design point priced before. Each
+//! arm is measured with `codesign_bench::perf::measure`; its untimed
+//! set-up gives every sample fresh state (an empty cache, a cache
+//! preloaded from the store, a freshly interrupted checkpoint). Emits
 //! `BENCH_persist.json` (cold wall clock, warm speedup + store hit
-//! rate, resume speedup) via `codesign_bench::perf`.
+//! rate, resume speedup). Everything on disk lives in one scratch
+//! directory, removed when the bench ends or panics.
 
-use codesign_bench::{emit_bench_json, BenchRecord};
+use codesign_bench::perf::{emit_bench_json, measure, BenchRecord};
 use codesign_core::checkpoint::FlowCheckpoint;
 use codesign_core::flow::{CoDesignFlow, FlowConfig, FlowError, FlowOutput};
 use codesign_core::observe::{CancelToken, FlowEvent};
 use codesign_hls::cache::EstimateCache;
 use codesign_hls::store::EstimateStore;
 use codesign_sim::device::pynq_z1;
-use criterion::{criterion_group, criterion_main, Criterion};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// The full default flow (three FPS targets, default sweep) — enough
 /// estimator traffic for the warm/cold gap to be measurable.
@@ -32,18 +34,51 @@ fn config() -> FlowConfig {
         .expect("valid bench config")
 }
 
-fn temp_path(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("codesign_bench_persist");
-    std::fs::create_dir_all(&dir).expect("create bench temp dir");
-    dir.join(format!("{name}_{}.log", std::process::id()))
+/// The bench's scratch directory, removed with everything in it on
+/// drop — also when an assertion fails.
+struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    fn new() -> Self {
+        let dir =
+            std::env::temp_dir().join(format!("codesign_bench_persist_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create bench scratch dir");
+        Self(dir)
+    }
 }
 
-/// Runs the flow against `cache` and returns (output, wall clock).
-fn run_with_cache(cache: &Arc<EstimateCache>) -> (FlowOutput, Duration) {
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Runs the flow against `cache`.
+fn run_with_cache(cache: &Arc<EstimateCache>) -> FlowOutput {
     let flow = CoDesignFlow::new(config()).with_estimate_cache(Arc::clone(cache));
-    let t0 = Instant::now();
-    let out = flow.run().expect("flow run");
-    (out, t0.elapsed())
+    flow.run().expect("flow run")
+}
+
+/// A checkpoint at `path` holding every stage of a run interrupted
+/// after its last SCD cell, reopened for a resume that only has to
+/// finalize.
+fn interrupted_checkpoint(path: &Path) -> (CoDesignFlow, FlowCheckpoint) {
+    {
+        let flow = CoDesignFlow::new(config());
+        let ckpt = FlowCheckpoint::open(path, flow.config()).expect("open checkpoint");
+        let token = CancelToken::new();
+        let trip = token.clone();
+        let observer = move |event: &FlowEvent| {
+            if matches!(event, FlowEvent::ScdSearchFinished { done, total, .. } if done == total) {
+                trip.cancel();
+            }
+        };
+        let interrupted = flow.run_checkpointed(&ckpt, &observer, &token);
+        assert!(matches!(interrupted, Err(FlowError::Cancelled)));
+    }
+    let flow = CoDesignFlow::new(config());
+    let ckpt = FlowCheckpoint::open(path, flow.config()).expect("reopen checkpoint");
+    (flow, ckpt)
 }
 
 fn assert_bit_identical(cold: &FlowOutput, other: &FlowOutput, what: &str) {
@@ -56,96 +91,72 @@ fn assert_bit_identical(cold: &FlowOutput, other: &FlowOutput, what: &str) {
     }
 }
 
-fn bench_persist(_c: &mut Criterion) {
-    let store_path = temp_path("store");
-    let ckpt_path = temp_path("ckpt");
-    let _ = std::fs::remove_file(&store_path);
-    let _ = std::fs::remove_file(&ckpt_path);
+fn main() {
+    let scratch = ScratchDir::new();
+    let store_path = scratch.0.join("store.log");
+    let ckpt_path = scratch.0.join("ckpt.log");
 
-    // Cold: empty cache, then spill everything the run priced.
-    let cold_cache = Arc::new(EstimateCache::new());
-    let (cold_out, cold_wall) = run_with_cache(&cold_cache);
-    let mut store = EstimateStore::open(&store_path).expect("open store");
-    let persisted = store.persist_from(&cold_cache).expect("persist estimates");
-    drop(store);
-    println!(
-        "persist: cold flow {:.1} ms, {persisted} estimates persisted ({} bytes on disk)",
-        cold_wall.as_secs_f64() * 1e3,
-        std::fs::metadata(&store_path).map(|m| m.len()).unwrap_or(0),
+    // Cold: an empty cache per sample; the last one's estimates are
+    // spilled to the store.
+    let cold = measure(
+        5,
+        || Arc::new(EstimateCache::new()),
+        |cache| (run_with_cache(&cache), cache),
     );
+    let (cold_out, cold_cache) = &cold.output;
+    let persisted = EstimateStore::open(&store_path)
+        .expect("open store")
+        .persist_from(cold_cache)
+        .expect("persist estimates");
 
-    // Warm: a "restarted process" preloads the store, then reruns the
-    // identical flow. Every estimate it needs is already priced.
-    let warm_cache = Arc::new(EstimateCache::new());
-    let mut store = EstimateStore::open(&store_path).expect("reopen store");
-    let loaded = store.load_into(&warm_cache);
-    let (warm_out, warm_wall) = run_with_cache(&warm_cache);
-    assert_bit_identical(&cold_out, &warm_out, "warm start");
+    // Warm: each sample is a "restarted process" that preloads the
+    // store, then reruns the identical flow. Every estimate it needs is
+    // already priced.
+    let warm = measure(
+        5,
+        || {
+            let cache = Arc::new(EstimateCache::new());
+            let mut store = EstimateStore::open(&store_path).expect("reopen store");
+            let loaded = store.load_into(&cache);
+            (cache, loaded)
+        },
+        |(cache, loaded)| (run_with_cache(&cache), cache, loaded),
+    );
+    let (warm_out, warm_cache, loaded) = &warm.output;
+    assert_bit_identical(cold_out, warm_out, "warm start");
     let stats = warm_cache.stats();
     let lookups = (stats.hits + stats.misses) as f64;
     let store_hit_rate = warm_cache.store_hits() as f64 / lookups.max(1.0);
-    println!(
-        "persist: warm flow {:.1} ms ({:.2}x), {loaded} estimates loaded, \
-         store hit rate {:.1}%",
-        warm_wall.as_secs_f64() * 1e3,
-        cold_wall.as_secs_f64() / warm_wall.as_secs_f64().max(1e-9),
-        store_hit_rate * 1e2,
-    );
     assert!(
         store_hit_rate > 0.5,
         "warm start must serve most estimates from the store (got {:.1}%)",
         store_hit_rate * 1e2
     );
 
-    // Resume: interrupt a checkpointed run after its last SCD cell,
-    // then resume — all stages replay from disk, only finalization
+    // Resume: all stages replay from disk, only finalization
     // recomputes.
-    {
-        let flow = CoDesignFlow::new(config());
-        let ckpt = FlowCheckpoint::open(&ckpt_path, flow.config()).expect("open checkpoint");
-        let token = CancelToken::new();
-        let trip = token.clone();
-        let observer = move |event: &FlowEvent| {
-            if matches!(event, FlowEvent::ScdSearchFinished { done, total, .. } if done == total) {
-                trip.cancel();
-            }
-        };
-        let interrupted = flow.run_checkpointed(&ckpt, &observer, &token);
-        assert!(matches!(interrupted, Err(FlowError::Cancelled)));
-    }
-    let flow = CoDesignFlow::new(config());
-    let ckpt = FlowCheckpoint::open(&ckpt_path, flow.config()).expect("reopen checkpoint");
-    let t0 = Instant::now();
-    let resumed_out = flow
-        .run_checkpointed(
-            &ckpt,
-            &codesign_core::observe::NullObserver,
-            &CancelToken::new(),
-        )
-        .expect("resume");
-    let resume_wall = t0.elapsed();
-    assert_bit_identical(&cold_out, &resumed_out, "checkpoint resume");
-    println!(
-        "persist: resume {:.1} ms ({:.2}x over cold)",
-        resume_wall.as_secs_f64() * 1e3,
-        cold_wall.as_secs_f64() / resume_wall.as_secs_f64().max(1e-9),
+    let resume = measure(
+        5,
+        || interrupted_checkpoint(&ckpt_path),
+        |(flow, ckpt)| {
+            flow.run_checkpointed(
+                &ckpt,
+                &codesign_core::observe::NullObserver,
+                &CancelToken::new(),
+            )
+            .expect("resume")
+        },
     );
+    assert_bit_identical(cold_out, &resume.output, "checkpoint resume");
 
     let records = [
-        BenchRecord::timing("cold_flow", cold_wall)
+        BenchRecord::timing("cold_flow", cold.timing)
             .with_metric("estimates_persisted", persisted as f64),
-        BenchRecord::speedup_over("warm_flow", warm_wall, cold_wall)
-            .with_metric("estimates_loaded", loaded as f64)
+        BenchRecord::speedup_over("warm_flow", warm.timing, cold.timing)
+            .with_metric("estimates_loaded", *loaded as f64)
             .with_metric("store_hits", warm_cache.store_hits() as f64)
             .with_metric("store_hit_rate", store_hit_rate),
-        BenchRecord::speedup_over("resume_from_checkpoint", resume_wall, cold_wall),
+        BenchRecord::speedup_over("resume_from_checkpoint", resume.timing, cold.timing),
     ];
-    match emit_bench_json("persist", &records) {
-        Ok(path) => println!("persist: wrote {}", path.display()),
-        Err(err) => eprintln!("persist: could not write BENCH_persist.json: {err}"),
-    }
-    let _ = std::fs::remove_file(&store_path);
+    emit_bench_json("persist", &records).expect("write BENCH_persist.json");
 }
-
-criterion_group!(benches, bench_persist);
-criterion_main!(benches);

@@ -7,10 +7,11 @@
 //! not to be fast. The int8 engine executes the same network as `i8`
 //! codes end-to-end through the exact `i8 x i8 -> i32` GEMM, so it must
 //! beat the fake path while staying close to the float outputs; both
-//! facts land in the committed `BENCH_quant.json` (throughput plus the
+//! facts land in the committed `BENCH_quant.json` (one forward pass per
+//! sample, measured with `codesign_bench::perf::measure`, plus the
 //! measured mean output deviations).
 
-use codesign_bench::{emit_bench_json, BenchRecord};
+use codesign_bench::perf::{emit_bench_json, measure, BenchRecord};
 use codesign_core::parallel::Parallelism;
 use codesign_dnn::builder::DnnBuilder;
 use codesign_dnn::bundle::{bundle_by_id, BundleId};
@@ -18,8 +19,6 @@ use codesign_dnn::quant::Quantization;
 use codesign_dnn::space::DesignPoint;
 use codesign_dnn::TensorShape;
 use codesign_nn::{Engine, Network, QuantizedNetwork, Tensor};
-use criterion::{criterion_group, criterion_main, Criterion};
-use std::time::Instant;
 
 fn candidate_net() -> Network {
     // The DNN1-3 block family (dw3x3 + conv1x1) at deployment-like
@@ -43,36 +42,13 @@ fn ramp_image() -> Tensor {
     Tensor::from_vec(&[3, 24, 48], data)
 }
 
-fn bench_quant(c: &mut Criterion) {
+fn main() {
     let net = candidate_net();
     let qnet = QuantizedNetwork::quantize(&net, Quantization::Int8);
     let img = ramp_image();
-
-    let mut group = c.benchmark_group("quant");
-    group.sample_size(10);
-    group.bench_function("forward_f32", |b| b.iter(|| net.forward(&img)));
-    group.bench_function("forward_fake_quant", |b| b.iter(|| qnet.forward(&img)));
-    group.bench_function("forward_int8", |b| b.iter(|| qnet.forward_int8(&img)));
-    group.finish();
-
-    // Timed head-to-head for the committed JSON.
-    const REPS: u32 = 30;
-    let time = |f: &dyn Fn() -> Tensor| {
-        let _warm = f();
-        let t0 = Instant::now();
-        let mut sink = 0.0f32;
-        for _ in 0..REPS {
-            sink += f().data()[0];
-        }
-        (t0.elapsed() / REPS, sink)
-    };
-    let (t_f32, _) = time(&|| net.forward(&img));
-    let (t_fake, _) = time(&|| qnet.forward(&img));
-    let (t_int8, _) = time(&|| qnet.forward_int8(&img));
-    println!(
-        "quant: f32 {t_f32:?}, fake-quant {t_fake:?}, int8 {t_int8:?} ({:.2}x over fake)",
-        t_fake.as_secs_f64() / t_int8.as_secs_f64().max(1e-12)
-    );
+    let f32_forward = measure(50, || (), |()| net.forward(&img));
+    let fake_forward = measure(50, || (), |()| qnet.forward(&img));
+    let int8_forward = measure(50, || (), |()| qnet.forward_int8(&img));
 
     // Accuracy context: mean output deviation from the float network,
     // for both quantized paths, over a handful of calibration images.
@@ -87,17 +63,12 @@ fn bench_quant(c: &mut Criterion) {
     let dev_fake = qnet.deviation_from(&net, &images);
     let dev_int8 = qnet.int8_deviation_from(&net, &images);
 
-    let records = vec![
-        BenchRecord::timing("forward_f32", t_f32),
-        BenchRecord::timing("forward_fake_quant", t_fake).with_metric("deviation", dev_fake as f64),
-        BenchRecord::speedup_over("forward_int8", t_int8, t_fake)
+    let records = [
+        BenchRecord::timing("forward_f32", f32_forward.timing),
+        BenchRecord::timing("forward_fake_quant", fake_forward.timing)
+            .with_metric("deviation", dev_fake as f64),
+        BenchRecord::speedup_over("forward_int8", int8_forward.timing, fake_forward.timing)
             .with_metric("deviation", dev_int8 as f64),
     ];
-    match emit_bench_json("quant", &records) {
-        Ok(path) => println!("quant: wrote {}", path.display()),
-        Err(e) => eprintln!("quant: could not write BENCH_quant.json: {e}"),
-    }
+    emit_bench_json("quant", &records).expect("write BENCH_quant.json");
 }
-
-criterion_group!(benches, bench_quant);
-criterion_main!(benches);

@@ -3,22 +3,21 @@
 //! end-to-end `scd_search` and `exp_fig4`-style flow wall clock at 1
 //! and 4 workers.
 //!
-//! Four parts:
+//! Each arm is measured once with `codesign_bench::perf::measure` and
+//! recorded in `BENCH_scd.json`:
 //!
-//! * criterion-style timed samples over a fixed SCD-shaped probe walk
-//!   (three unit-move probes, then one committed move — exactly the
-//!   query pattern of Algorithm 1), one per engine arm;
-//! * an uncached head-to-head of the same walk reporting probes/sec and
-//!   the incremental-vs-rebuild speedup (acceptance target: ≥ 3x);
-//! * the walk on a warm estimate cache, every probe a hit, reported as
-//!   ns per probe (the cost of the memo table itself);
-//! * `BENCH_scd.json` (see `codesign_bench::perf`) recording the walk
-//!   arms, the `scd_search` wall clock, and the small-flow wall clock
-//!   at parallelism 1 and 4, so the perf trajectory is machine-readable
-//!   from this PR onward.
+//! * one SCD-shaped probe walk (three unit-move probes, then one
+//!   committed move — exactly the query pattern of Algorithm 1) per
+//!   sample, priced by full rebuilds and through the incremental plan,
+//!   uncached, with the incremental-vs-rebuild speedup (target ≥ 3x);
+//! * the same walk on a warm estimate cache, every probe a hit, also
+//!   reported as ns per probe (the cost of the memo table itself);
+//! * one `scd_search`, and one small flow at 1 and at 4 workers.
+//!
+//! Every walk arm must produce the full rebuild's latency checksum.
 
 use codesign_bench::experiments::default_device;
-use codesign_bench::{emit_bench_json, BenchRecord};
+use codesign_bench::perf::{emit_bench_json, measure, BenchRecord};
 use codesign_core::accuracy::AccuracyModel;
 use codesign_core::flow::{CoDesignFlow, FlowConfig};
 use codesign_core::parallel::Parallelism;
@@ -30,9 +29,7 @@ use codesign_dnn::space::DesignPoint;
 use codesign_hls::cache::EstimateCache;
 use codesign_hls::incremental::{EstimatePlan, MoveCoord};
 use codesign_hls::model::{Estimate, EstimateError, HlsEstimator};
-use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// The SCD-shaped probe walk: at each step price all three unit moves
 /// from the current point, then commit one of them (round-robin over
@@ -147,24 +144,33 @@ fn small_flow(threads: usize) -> CoDesignFlow {
     })
 }
 
-fn time<T>(f: impl FnOnce() -> T) -> (T, Duration) {
-    let t0 = Instant::now();
-    let out = f();
-    (out, t0.elapsed())
-}
-
-fn bench_scd_search(c: &mut Criterion) {
+fn main() {
     let estimator = walk_estimator();
     let targets = walk_targets();
     let full_rebuild = |p: &DesignPoint| estimator.estimate_point(p);
-    let mut group = c.benchmark_group("scd_search");
-    group.sample_size(10);
-    group.bench_function("probe/full_rebuild", |b| {
-        b.iter(|| price_walk(&targets, full_rebuild))
-    });
-    group.bench_function("probe/incremental", |b| {
-        b.iter(|| run_walk_incremental(&estimator))
-    });
+    let full = measure(30, || (), |()| price_walk(&targets, full_rebuild));
+    let incremental = measure(30, || (), |()| run_walk_incremental(&estimator));
+    assert_eq!(
+        full.output, incremental.output,
+        "incremental walk DIVERGED from the full rebuild — determinism bug!"
+    );
+
+    // Warm-cache arm: the walk once to fill a cache, then timed with
+    // every probe a hit.
+    let cache = Arc::new(EstimateCache::new());
+    let cached = estimator.clone().with_cache(Arc::clone(&cache));
+    let plan = EstimatePlan::new(&cached, &start_point()).expect("initial point elaborates");
+    let warm = |p: &DesignPoint| plan.probe(p);
+    price_walk(&targets, warm);
+    let misses = cache.stats().misses;
+    let warm_walk = measure(200, || (), |()| price_walk(&targets, warm));
+    assert_eq!(cache.stats().misses, misses, "warm walk missed the cache");
+    assert_eq!(
+        warm_walk.output, full.output,
+        "warm-cache walk DIVERGED from the full rebuild — determinism bug!"
+    );
+    let warm_ns_per_probe = warm_walk.timing.median.as_secs_f64() * 1e9 / targets.len() as f64;
+
     let scd_cfg = ScdConfig {
         latency_target_ms: 60.0,
         tolerance_ms: 5.0,
@@ -174,102 +180,27 @@ fn bench_scd_search(c: &mut Criterion) {
     };
     let model = AccuracyModel::paper_calibrated();
     let bundle = walk_bundle();
-    group.bench_function("search/end_to_end", |b| {
-        b.iter(|| scd_search(&bundle, &estimator, &model, &scd_cfg, Activation::Relu))
-    });
-    group.finish();
-
-    // Head-to-head: identical probe sequences, uncached, repeated until
-    // the slower arm accumulates a stable wall clock.
-    const REPS: usize = 20;
-    let ((full_sum, full_probes), t_full) = time(|| {
-        let mut acc = (0u64, 0usize);
-        for _ in 0..REPS {
-            acc = price_walk(&targets, full_rebuild);
-        }
-        acc
-    });
-    let ((inc_sum, inc_probes), t_inc) = time(|| {
-        let mut acc = (0u64, 0usize);
-        for _ in 0..REPS {
-            acc = run_walk_incremental(&estimator);
-        }
-        acc
-    });
-    assert_eq!(
-        (full_sum, full_probes),
-        (inc_sum, inc_probes),
-        "incremental walk DIVERGED from the full rebuild — determinism bug!"
+    let search = measure(
+        30,
+        || (),
+        |()| scd_search(&bundle, &estimator, &model, &scd_cfg, Activation::Relu),
     );
-    // Warm-cache arm: the walk once to fill a cache, then timed with
-    // every probe a hit.
-    let cache = Arc::new(EstimateCache::new());
-    let cached = estimator.clone().with_cache(Arc::clone(&cache));
-    let plan = EstimatePlan::new(&cached, &start_point()).expect("initial point elaborates");
-    let warm = |p: &DesignPoint| plan.probe(p);
-    price_walk(&targets, warm);
-    let misses = cache.stats().misses;
-    const WARM_REPS: usize = 200;
-    let ((warm_sum, warm_probes), t_warm) = time(|| {
-        let mut acc = (0u64, 0usize);
-        for _ in 0..WARM_REPS {
-            acc = price_walk(&targets, warm);
-        }
-        acc
-    });
-    assert_eq!(cache.stats().misses, misses, "warm walk missed the cache");
-    assert_eq!(
-        (warm_sum, warm_probes),
-        (full_sum, full_probes),
-        "warm-cache walk DIVERGED from the full rebuild — determinism bug!"
-    );
-    let warm_ns_per_probe = t_warm.as_secs_f64() * 1e9 / (warm_probes * WARM_REPS) as f64;
-    println!(
-        "scd_search: warm-cache walk {t_warm:?}, {warm_ns_per_probe:.0} ns per probe (all hits)"
-    );
-
-    let total_probes = (full_probes * REPS) as f64;
-    let speedup = t_full.as_secs_f64() / t_inc.as_secs_f64().max(1e-12);
-    println!(
-        "scd_search: {total_probes} probes — full rebuild {t_full:?} \
-         ({:.0} probes/s), incremental {t_inc:?} ({:.0} probes/s), {speedup:.2}x \
-         (target >= 3x), checksums identical",
-        total_probes / t_full.as_secs_f64(),
-        total_probes / t_inc.as_secs_f64(),
-    );
-
-    let (scd_found, t_scd) =
-        time(|| scd_search(&bundle, &estimator, &model, &scd_cfg, Activation::Relu));
-    println!(
-        "scd_search: end-to-end search found {} candidates in {t_scd:?}",
-        scd_found.len()
-    );
+    assert!(!search.output.is_empty(), "scd_search found no candidate");
 
     // Flow wall clock at 1 and 4 workers: the exp_fig4-scale trajectory
     // numbers (outputs stay bit-identical across worker counts; the
     // determinism suite pins that).
-    let (_, t_flow1) = time(|| small_flow(1).run().unwrap());
-    let (flow4, t_flow4) = time(|| small_flow(4).run().unwrap());
-    println!(
-        "scd_search: small flow 1 worker {t_flow1:?}, 4 workers {t_flow4:?}, \
-         estimate cache: {}",
-        flow4.cache_stats
-    );
+    let flow1 = measure(20, || (), |()| small_flow(1).run().unwrap());
+    let flow4 = measure(20, || (), |()| small_flow(4).run().unwrap());
 
     let records = [
-        BenchRecord::timing("probe_walk_full_rebuild", t_full),
-        BenchRecord::speedup_over("probe_walk_incremental", t_inc, t_full),
-        BenchRecord::timing("probe_walk_warm_cache", t_warm)
+        BenchRecord::timing("probe_walk_full_rebuild", full.timing),
+        BenchRecord::speedup_over("probe_walk_incremental", incremental.timing, full.timing),
+        BenchRecord::timing("probe_walk_warm_cache", warm_walk.timing)
             .with_metric("ns_per_probe", warm_ns_per_probe),
-        BenchRecord::timing("scd_search_end_to_end", t_scd),
-        BenchRecord::timing("flow_small_1_worker", t_flow1),
-        BenchRecord::timing("flow_small_4_workers", t_flow4),
+        BenchRecord::timing("scd_search_end_to_end", search.timing),
+        BenchRecord::timing("flow_small_1_worker", flow1.timing),
+        BenchRecord::timing("flow_small_4_workers", flow4.timing),
     ];
-    match emit_bench_json("scd", &records) {
-        Ok(path) => println!("scd_search: wrote {}", path.display()),
-        Err(e) => eprintln!("scd_search: could not write BENCH_scd.json: {e}"),
-    }
+    emit_bench_json("scd", &records).expect("write BENCH_scd.json");
 }
-
-criterion_group!(benches, bench_scd_search);
-criterion_main!(benches);

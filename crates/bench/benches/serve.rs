@@ -5,18 +5,19 @@
 //! latency is submit → result downloaded, so it includes queueing,
 //! flow execution, and the event stream. Because every job shares the
 //! process-wide estimate cache, later jobs run mostly cache-hot — the
-//! multi-tenant scenario the server exists for. Emits
-//! `BENCH_serve.json` (req/s plus p50/p99 latency per concurrency
-//! level) via `codesign_bench::perf`.
+//! multi-tenant scenario the server exists for. Each concurrency level
+//! is one arm measured with `codesign_bench::perf::measure`, one load
+//! wave per sample; the warm-up wave of the first arm warms the cache.
+//! Emits `BENCH_serve.json`: req/s over the median wave, plus p50/p99
+//! latency of the last wave.
 
-use codesign_bench::{emit_bench_json, BenchRecord};
+use codesign_bench::perf::{emit_bench_json, measure, BenchRecord};
 use codesign_serve::job::ServeConfig;
 use codesign_serve::metrics::percentile;
 use codesign_serve::{Client, Server};
-use criterion::{criterion_group, criterion_main, Criterion};
 use std::net::SocketAddr;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Concurrent client counts, per the acceptance checklist.
 const CONCURRENCY: [usize; 3] = [1, 4, 16];
@@ -30,10 +31,9 @@ const JOBS_PER_CLIENT: usize = 3;
 const REQUEST_BODY: &str =
     r#"{"targets_fps":[15.0],"candidates_per_bundle":2,"coarse_pf_sweep":[16],"parallelism":1}"#;
 
-/// Runs one load wave and returns total wall clock plus per-request
-/// latencies in milliseconds.
-fn drive(addr: SocketAddr, concurrency: usize) -> (Duration, Vec<f64>) {
-    let start = Instant::now();
+/// Runs one load wave and returns its per-request latencies in
+/// milliseconds.
+fn drive(addr: SocketAddr, concurrency: usize) -> Vec<f64> {
     let handles: Vec<_> = (0..concurrency)
         .map(|_| {
             thread::spawn(move || {
@@ -55,10 +55,10 @@ fn drive(addr: SocketAddr, concurrency: usize) -> (Duration, Vec<f64>) {
     for handle in handles {
         all.extend(handle.join().expect("client thread"));
     }
-    (start.elapsed(), all)
+    all
 }
 
-fn bench_serve(_c: &mut Criterion) {
+fn main() {
     let mut server = Server::start(ServeConfig {
         max_queue: 64,
         executors: 8,
@@ -67,30 +67,17 @@ fn bench_serve(_c: &mut Criterion) {
     .expect("start server");
     let addr = server.addr();
 
-    // Warm the shared estimate cache once so the measured waves compare
-    // concurrency levels, not cold-vs-hot cache states.
-    let (_, warm) = drive(addr, 1);
-    println!("serve: warmup request {:.1} ms", warm[0]);
-
     let mut records = Vec::new();
     for concurrency in CONCURRENCY {
-        let (wall, latencies) = drive(addr, concurrency);
+        let wave = measure(5, || (), |()| drive(addr, concurrency));
         let jobs = (concurrency * JOBS_PER_CLIENT) as f64;
-        let req_per_s = jobs / wall.as_secs_f64().max(1e-9);
-        let p50 = percentile(&latencies, 50.0).unwrap();
-        let p99 = percentile(&latencies, 99.0).unwrap();
-        println!(
-            "serve: {concurrency:>2} clients x {JOBS_PER_CLIENT} jobs -> {:.1} req/s, \
-             p50 {p50:.1} ms, p99 {p99:.1} ms ({:.0} ms total)",
-            req_per_s,
-            wall.as_secs_f64() * 1e3,
-        );
+        let req_per_s = jobs / wave.timing.median.as_secs_f64().max(1e-9);
         records.push(
-            BenchRecord::timing(&format!("serve_c{concurrency}"), wall)
+            BenchRecord::timing(&format!("serve_c{concurrency}"), wave.timing)
                 .with_metric("jobs", jobs)
                 .with_metric("req_per_s", req_per_s)
-                .with_metric("p50_ms", p50)
-                .with_metric("p99_ms", p99),
+                .with_metric("p50_ms", percentile(&wave.output, 50.0).unwrap())
+                .with_metric("p99_ms", percentile(&wave.output, 99.0).unwrap()),
         );
     }
 
@@ -100,12 +87,5 @@ fn bench_serve(_c: &mut Criterion) {
         metrics.encode()
     );
     server.shutdown();
-
-    match emit_bench_json("serve", &records) {
-        Ok(path) => println!("serve: wrote {}", path.display()),
-        Err(err) => eprintln!("serve: could not write BENCH_serve.json: {err}"),
-    }
+    emit_bench_json("serve", &records).expect("write BENCH_serve.json");
 }
-
-criterion_group!(benches, bench_serve);
-criterion_main!(benches);

@@ -19,7 +19,6 @@ use codesign_sim::device::{pynq_z1, FpgaDevice};
 use codesign_sim::error::SimError;
 use codesign_sim::pipeline::{simulate, AccelConfig};
 use codesign_sim::power::PowerModel;
-use serde::{Deserialize, Serialize};
 
 /// Images in the official DAC-SDC evaluation set.
 pub const EVAL_IMAGES: u64 = 50_000;
@@ -92,7 +91,7 @@ pub fn fig5(device: &FpgaDevice) -> Result<Vec<FineEvaluation>, SimError> {
 }
 
 /// One explored design of Fig. 6.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExploredDesign {
     /// FPS target band the design was searched for.
     pub target_fps: f64,
@@ -164,7 +163,7 @@ pub fn fig6(
 }
 
 /// One of our rows in Table 2 (one design at one clock).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OursRow {
     /// Design name (DNN1-3).
     pub name: String,
@@ -372,7 +371,7 @@ mod tests {
 }
 
 /// Outcome of the SCD-vs-random-search ablation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScdAblationOutcome {
     /// Iteration budget given to both searchers.
     pub budget: usize,
@@ -426,7 +425,7 @@ pub fn scd_ablation(device: &FpgaDevice) -> Result<ScdAblationOutcome, SimError>
 }
 
 /// One row of the device-portability study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PortabilityRow {
     /// Device name.
     pub device: String,

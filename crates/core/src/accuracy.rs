@@ -24,10 +24,9 @@ use codesign_dnn::{Dnn, DnnError, TensorShape};
 use codesign_nn::network::Network;
 use codesign_nn::train::{TrainConfig, Trainer};
 use codesign_nn::{Engine, QuantizedNetwork, Tensor};
-use serde::{Deserialize, Serialize};
 
 /// Per-Bundle quality coefficients of the analytic model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BundleQuality {
     /// IoU the Bundle's pattern saturates at with unbounded capacity.
     pub potential: f64,
@@ -60,7 +59,7 @@ pub const TRAIN_JITTER: f64 = 0.0004;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccuracyModel {
     table: Vec<BundleQuality>,
 }

@@ -21,11 +21,10 @@ use codesign_sim::device::FpgaDevice;
 use codesign_sim::error::SimError;
 use codesign_sim::pipeline::{simulate, AccelConfig};
 use codesign_sim::report::ResourceUsage;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// How evaluation DNNs are constructed from a Bundle (Sec. 5.1.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvalMethod {
     /// method#1: fixed head and tail, one Bundle replication in the
     /// middle (with one channel expansion so ordering within the Bundle
@@ -45,7 +44,7 @@ pub const MIN_ACCURACY: f64 = 0.45;
 
 /// One coarse-evaluation record: a Bundle implemented at one parallel
 /// factor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BundleEvaluation {
     /// The evaluated Bundle.
     pub bundle_id: BundleId,
@@ -158,7 +157,7 @@ pub fn select_bundles(evaluations: &[BundleEvaluation]) -> Vec<BundleId> {
 
 /// One fine-grained evaluation record (Sec. 5.1.2): a selected Bundle at
 /// a given replication count and activation variant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FineEvaluation {
     /// The evaluated Bundle.
     pub bundle_id: BundleId,

@@ -35,7 +35,6 @@ use codesign_hls::model::HlsEstimator;
 use codesign_sim::device::{pynq_z1, FpgaDevice};
 use codesign_sim::error::SimError;
 use codesign_sim::report::{CacheStats, SimReport};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -46,7 +45,7 @@ use std::sync::Arc;
 /// Construct with [`FlowConfig::builder`] for validated configs, or
 /// [`FlowConfig::for_device`] for the paper's exact experimental setup;
 /// the fields stay public for struct-update syntax in existing callers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowConfig {
     /// Target FPGA device (resource constraints).
     pub device: FpgaDevice,

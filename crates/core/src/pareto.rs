@@ -1,10 +1,8 @@
 //! Pareto-front selection over (latency, accuracy).
 
-use serde::{Deserialize, Serialize};
-
 /// A point in the coarse-evaluation plane: lower `latency_ms` and higher
 /// `accuracy` are both better.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ParetoPoint {
     /// Latency in milliseconds (minimized).
     pub latency_ms: f64,

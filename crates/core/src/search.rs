@@ -25,11 +25,10 @@ use codesign_hls::incremental::{EstimatePlan, MoveCoord};
 use codesign_hls::model::{Estimate, HlsEstimator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// Configuration of one SCD run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScdConfig {
     /// Latency target in milliseconds (at `clock_mhz`).
     pub latency_target_ms: f64,
@@ -61,7 +60,7 @@ impl Default for ScdConfig {
 
 /// A candidate design produced by SCD: within tolerance of the latency
 /// target and inside the resource budget.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Candidate {
     /// The design point.
     pub point: DesignPoint,

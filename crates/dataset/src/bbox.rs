@@ -1,6 +1,5 @@
 //! Bounding-box geometry and IoU.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An axis-aligned bounding box in normalized image coordinates:
@@ -16,7 +15,7 @@ use std::fmt;
 /// // b sits inside a: IoU = area(b) / area(a) = 0.25.
 /// assert!((a.iou(&b) - 0.25).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundingBox {
     /// Center x in `[0, 1]`.
     pub cx: f64,

@@ -11,7 +11,6 @@
 use crate::error::DnnError;
 use crate::layer::LayerOp;
 use crate::quant::Activation;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Maximum number of computational IPs per Bundle for IoT-scale devices.
@@ -23,7 +22,7 @@ pub const PAPER_BUNDLE_COUNT: usize = 18;
 /// One-based identifier of a Bundle candidate, matching the paper's
 /// numbering (e.g. Bundle 13 is `<dw-conv3x3 + conv1x1>`, the block used
 /// by the final DNN1-3 designs in Fig. 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BundleId(pub usize);
 
 impl fmt::Display for BundleId {
@@ -36,7 +35,7 @@ impl fmt::Display for BundleId {
 /// counts are decided. Channel counts are chosen later by the DNN
 /// builder, so the skeleton only records *how* output channels relate to
 /// the Bundle's output width.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SkeletonOp {
     /// Standard convolution with kernel `k`; output channels are set to
     /// the Bundle's output width.
@@ -96,7 +95,7 @@ impl fmt::Display for SkeletonOp {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Bundle {
     id: BundleId,
     ops: Vec<SkeletonOp>,

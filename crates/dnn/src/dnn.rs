@@ -3,11 +3,10 @@
 
 use crate::layer::{LayerOp, TensorShape};
 use crate::quant::Quantization;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One layer of a concrete DNN with resolved input / output shapes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LayerInstance {
     /// The operator.
     pub op: LayerOp,
@@ -58,7 +57,7 @@ impl fmt::Display for LayerInstance {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dnn {
     layers: Vec<LayerInstance>,
     input: TensorShape,

@@ -7,7 +7,6 @@
 
 use crate::error::DnnError;
 use crate::quant::Activation;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Shape of an activation tensor in `C x H x W` layout (one image).
@@ -20,7 +19,7 @@ use std::fmt;
 /// let s = TensorShape::new(32, 80, 160);
 /// assert_eq!(s.elements(), 32 * 80 * 160);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TensorShape {
     /// Number of channels.
     pub c: usize,
@@ -69,7 +68,7 @@ impl fmt::Display for TensorShape {
 }
 
 /// Pooling flavor for the pooling IP.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PoolKind {
     /// Maximum pooling.
     Max,
@@ -92,7 +91,7 @@ impl fmt::Display for PoolKind {
 /// spatial size) except pooling, which divides the spatial size by its
 /// stride. This matches the Tile-Arch accelerator, which keeps a common
 /// tile size across layers (Sec. 4.3 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum LayerOp {
     /// Standard convolution with square kernel `k`, producing
@@ -369,11 +368,6 @@ mod tests {
         assert!(!LayerOp::max_pool(2).is_computational());
         assert!(!LayerOp::BatchNorm.is_computational());
     }
-
-    // NOTE: the seed's serde_json round-trip test was removed — the
-    // offline serde compat shim has no data model to round-trip through.
-    // Restore a JSON round-trip here when real serde/serde_json are
-    // swapped back in (see [workspace.dependencies] in the root manifest).
 
     proptest! {
         #[test]

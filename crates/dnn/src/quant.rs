@@ -8,14 +8,13 @@
 //! one DSP, a 16-bit multiply needs a full slice), which is how the
 //! quantization scheme `Q_j` of Table 1 enters the resource model.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Activation functions available in the IP pool.
 ///
 /// `Relu4` and `Relu8` clip the output to `[0, 4]` / `[0, 8]`, which
 /// bounds the feature-map dynamic range and enables 8-bit feature maps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Activation {
     /// Unbounded rectifier; requires 16-bit feature maps.
     Relu,
@@ -78,7 +77,7 @@ impl fmt::Display for Activation {
 }
 
 /// Fixed-point quantization scheme `Q_j` for weights and feature maps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Quantization {
     /// 8-bit weights and feature maps (used with `Relu4` / `Relu8`).
     Int8,

@@ -10,7 +10,6 @@
 use crate::bundle::{Bundle, SkeletonOp};
 use crate::error::DnnError;
 use crate::quant::{Activation, Quantization};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Channel-expansion factors available to the SCD unit (paper
@@ -49,7 +48,7 @@ pub fn is_legal_parallel_factor(pf: usize) -> bool {
 /// assert_eq!(p.replications(), 3);
 /// assert_eq!(p.channel_expansion().len(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DesignPoint {
     /// The Bundle replicated to build the DNN.
     pub bundle: Bundle,

@@ -23,11 +23,10 @@ use codesign_dnn::space::DesignPoint;
 use codesign_sim::device::FpgaDevice;
 use codesign_sim::error::SimError;
 use codesign_sim::pipeline::{accelerator_resources, simulate, AccelConfig};
-use serde::{Deserialize, Serialize};
 
 /// Coefficients of the analytic model for one Bundle, produced by
 /// [`calibrate_bundle`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CalibratedParams {
     /// Compute-overlap factor `α` of Eq. 2 (how much of the sequential
     /// compute survives pipelining; below 1 for multi-IP Bundles).

@@ -26,13 +26,12 @@ use codesign_sim::device::FpgaDevice;
 use codesign_sim::error::SimError;
 use codesign_sim::pipeline::{accelerator_resources, AccelConfig};
 use codesign_sim::report::ResourceUsage;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
 /// A fast analytic estimate of one design's cost, the quantities
 /// `Est_Lat` and `Est_Res` consumed by Algorithm 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Estimate {
     /// Estimated end-to-end latency in cycles.
     pub latency_cycles: u64,

@@ -30,11 +30,10 @@ use crate::scratch;
 use crate::simd;
 use crate::tensor::Tensor;
 use codesign_parallel::Parallelism;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Convolution execution strategy of a [`crate::network::Network`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Engine {
     /// Per-image naive nested loops (the retained seed kernels).
     Reference,

@@ -11,11 +11,10 @@
 
 use crate::tensor::Tensor;
 use codesign_dnn::quant::Activation;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of a standard convolution: weights `[oc][ic][k][k]`
 /// (flattened) and per-output-channel bias.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConvParams {
     /// Kernel size.
     pub k: usize,
@@ -48,7 +47,7 @@ impl ConvParams {
 }
 
 /// Parameters of a depth-wise convolution: weights `[c][k][k]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DwConvParams {
     /// Kernel size.
     pub k: usize,
@@ -82,7 +81,7 @@ impl DwConvParams {
 /// At inference batch normalization folds into `y = x * scale + bias`;
 /// we train that folded form directly, which keeps the software model
 /// aligned with what the accelerator executes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScaleBiasParams {
     /// Per-channel scale, initialized to 1.
     pub scale: Vec<f32>,

@@ -1,7 +1,6 @@
 //! Dense `f32` tensors in channel-major (`C x H x W`) layout, with an
 //! `N x C x H x W` batch view for the batched compute engine.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense tensor of `f32` values.
@@ -22,7 +21,7 @@ use std::fmt;
 /// assert_eq!(t.at(1, 2, 3), 5.0);
 /// assert_eq!(t.len(), 24);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Vec<usize>,
     data: Vec<f32>,

@@ -19,10 +19,9 @@
 
 use crate::network::Network;
 use crate::tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters of the proxy training run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
     /// Number of passes over the training set (the paper uses 20 for
     /// coarse evaluation).
@@ -47,7 +46,7 @@ impl Default for TrainConfig {
 }
 
 /// Per-epoch training telemetry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainReport {
     /// Mean training loss after each epoch.
     pub epoch_losses: Vec<f32>,

@@ -35,13 +35,12 @@ mod pool;
 
 pub use pool::WorkerPool;
 
-use serde::{Deserialize, Serialize};
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 /// Worker-count knob of the co-design flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
     /// One worker per available hardware thread (the default).
     #[default]

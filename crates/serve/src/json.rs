@@ -1,8 +1,8 @@
 //! Minimal JSON codec for the wire protocol.
 //!
-//! The workspace's offline `serde` shim is a no-op (no data model), so
-//! the server carries its own deliberately small JSON value type with a
-//! recursive-descent parser and a **byte-stable** writer: objects keep
+//! The workspace has no serialization dependency, so the server carries
+//! its own deliberately small JSON value type with a recursive-descent
+//! parser and a **byte-stable** writer: objects keep
 //! insertion order, numbers render through one deterministic rule, and
 //! strings escape the same way every time. Byte stability is
 //! load-bearing — the integration suite asserts that a served job's

@@ -35,8 +35,8 @@
 //!
 //! # Modules
 //!
-//! - [`json`] — ordered, byte-stable JSON codec (the serde shim in this
-//!   tree is a no-op, so the wire format is hand-rolled).
+//! - [`json`] — ordered, byte-stable JSON codec (the workspace has no
+//!   serialization dependency, so the wire format is hand-rolled).
 //! - [`http`] — the `std::net` HTTP/1.1 subset the server speaks.
 //! - [`request`] — wire JSON → validated [`FlowConfig`](codesign_core::flow::FlowConfig).
 //! - [`encode`] — result and progress-event encodings.

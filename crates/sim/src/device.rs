@@ -8,7 +8,6 @@
 
 use crate::error::SimError;
 use crate::report::ResourceUsage;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An embedded FPGA device with its resource budget.
@@ -22,7 +21,7 @@ use std::fmt;
 /// assert_eq!(dev.dsp, 220);
 /// assert_eq!(dev.bram_18k, 280); // 140 x 36Kb blocks = 280 x 18Kb
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FpgaDevice {
     /// Device / board name.
     pub name: String,

@@ -15,7 +15,6 @@ use crate::error::SimError;
 use crate::report::ResourceUsage;
 use codesign_dnn::layer::{LayerOp, PoolKind, TensorShape};
 use codesign_dnn::quant::Quantization;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Pipeline ramp-up cycles per IP invocation (fill + drain of the
@@ -27,7 +26,7 @@ pub const INVOCATION_OVERHEAD: u64 = 24;
 pub const ELEMENTWISE_LANES: u64 = 8;
 
 /// The category of hardware IP template a layer maps to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IpKind {
     /// Standard convolution engine with kernel `k`.
     Conv {
@@ -89,7 +88,7 @@ impl fmt::Display for IpKind {
 /// // 64 int8 MAC lanes pack into 32 DSPs (+ control).
 /// assert!(ip.resources().dsp >= 32);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct IpInstance {
     /// IP template.
     pub kind: IpKind,

@@ -30,7 +30,6 @@ use codesign_dnn::layer::LayerOp;
 use codesign_dnn::quant::Quantization;
 use codesign_dnn::space::DesignPoint;
 use codesign_dnn::{Dnn, LayerInstance};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Default spatial tile height (on the post-stem 180x320 feature map a
@@ -59,7 +58,7 @@ pub const DW_LANE_DIVISOR: usize = 8;
 /// let cfg = AccelConfig::new(64, Quantization::Int8);
 /// assert_eq!(cfg.dw_parallel_factor(), 8);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccelConfig {
     /// Shared parallel factor of the convolution engines.
     pub pf: usize,

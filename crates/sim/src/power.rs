@@ -9,7 +9,6 @@
 //! ≈2.4-2.5 W at 150 MHz for near-full utilization, Table 2).
 
 use crate::report::{ResourceUsage, SimReport, Utilization};
-use serde::{Deserialize, Serialize};
 
 /// Utilization-proportional board power model.
 ///
@@ -24,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// let watts = model.board_power(&util, 0.9, 100.0);
 /// assert!(watts > 1.5 && watts < 3.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerModel {
     /// Static board power in watts (PS, DRAM, rails, idle PL).
     pub static_watts: f64,

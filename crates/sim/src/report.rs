@@ -1,6 +1,5 @@
 //! Synthesis-style reports produced by the simulator.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign};
 
@@ -15,7 +14,7 @@ use std::ops::{Add, AddAssign};
 /// let b = a + a;
 /// assert_eq!(b.dsp, 20);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ResourceUsage {
     /// DSP slices.
     pub dsp: u64,
@@ -85,7 +84,7 @@ impl fmt::Display for ResourceUsage {
 }
 
 /// Fractional utilization of a device's budget, per resource class.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Utilization {
     /// DSP utilization in `[0, 1]` (may exceed 1 for infeasible designs).
     pub dsp: f64,
@@ -137,7 +136,7 @@ impl fmt::Display for Utilization {
 /// Hit/miss counters of a shared estimate cache (see
 /// `codesign_hls::cache::EstimateCache`), surfaced next to synthesis
 /// reports so flow output can show how much analytic work was memoized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups served from the cache.
     pub hits: u64,
@@ -177,7 +176,7 @@ impl fmt::Display for CacheStats {
 }
 
 /// Per-layer cycle breakdown entry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerCycles {
     /// Layer index within the DNN.
     pub layer: usize,
@@ -193,7 +192,7 @@ pub struct LayerCycles {
 }
 
 /// Simulation report for one DNN mapped onto the Tile-Arch accelerator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// End-to-end cycles for one input image.
     pub total_cycles: u64,

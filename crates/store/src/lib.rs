@@ -1,10 +1,10 @@
 //! Persistence primitives: a compact binary codec and a crash-safe
 //! append-only record log.
 //!
-//! The workspace's offline `serde` shim is a no-op (the container has no
-//! registry access), so everything that must survive the process — the
-//! sharded analytic-estimate cache, co-design flow checkpoints — is
-//! serialized through this crate's hand-rolled codec instead:
+//! The workspace has no serialization dependency: everything that must
+//! survive the process — the sharded analytic-estimate cache, co-design
+//! flow checkpoints — is serialized through this crate's hand-rolled
+//! codec:
 //!
 //! * [`codec`] — little-endian fixed-width and LEB128 varint primitives
 //!   over byte buffers, with typed decode errors. No data model, no
