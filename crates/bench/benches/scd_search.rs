@@ -1,7 +1,7 @@
 //! SCD estimator-probe bench: the incremental [`EstimatePlan`] against
-//! the full rebuild-per-probe `estimate_point` baseline, plus the
-//! end-to-end `scd_search` and `exp_fig4`-style flow wall clock at 1
-//! and 4 workers.
+//! the full rebuild-per-probe `estimate_point` baseline, the warm SCD
+//! stage of the paper flow, plus the end-to-end `scd_search` and
+//! `exp_fig4`-style flow wall clock at 1 and 4 workers.
 //!
 //! Each arm is measured once with `codesign_bench::perf::measure` and
 //! recorded in `BENCH_scd.json`:
@@ -11,13 +11,20 @@
 //!   sample, priced by full rebuilds and through the incremental plan,
 //!   uncached, with the incremental-vs-rebuild speedup (target ≥ 3x);
 //! * the same walk on a warm estimate cache, every probe a hit, also
-//!   reported as ns per probe (the cost of the memo table itself);
+//!   reported as ns per probe. One plan prices every sample, so after
+//!   the first sample each probe is a hit in the plan's own probe memo:
+//!   the arm times key assembly, one hash and one memo probe;
+//! * the 30 SCD cells of the paper flow (seed 1) on a warm cache, every
+//!   lookup a hit, on 1 thread and on 2 threads sharing the one cache,
+//!   reported as ns per lookup per thread (each thread runs the whole
+//!   sweep, so a rise at 2 threads is the cost of sharing);
 //! * one `scd_search`, and one small flow at 1 and at 4 workers.
 //!
-//! Every walk arm must produce the full rebuild's latency checksum.
+//! Every walk arm must produce the full rebuild's latency checksum, and
+//! every warm sweep the cold sweep's candidates with no cache miss.
 
-use codesign_bench::experiments::default_device;
-use codesign_bench::perf::{emit_bench_json, measure, BenchRecord};
+use codesign_bench::experiments::{default_device, ScdSweep};
+use codesign_bench::perf::{emit_bench_json, measure, BenchRecord, Timing};
 use codesign_core::accuracy::AccuracyModel;
 use codesign_core::flow::{CoDesignFlow, FlowConfig};
 use codesign_core::parallel::Parallelism;
@@ -69,6 +76,13 @@ fn walk_pf(step: usize) -> usize {
     [16, 48, 100, 160, 216][step % 5]
 }
 
+/// `point` moved `dir` units along `coord`.
+fn moved(point: &DesignPoint, coord: MoveCoord, dir: isize) -> DesignPoint {
+    let mut target = point.clone();
+    coord.apply(&mut target, dir);
+    target
+}
+
 /// The walk priced through the incremental plan, committing each step's
 /// move (no cache: every probe stages).
 fn run_walk_incremental(estimator: &HlsEstimator) -> (u64, usize) {
@@ -85,14 +99,13 @@ fn run_walk_incremental(estimator: &HlsEstimator) -> (u64, usize) {
     for step in 0..WALK_STEPS {
         let moves = walk_moves(step);
         for &(coord, dir) in &moves {
-            let target = coord.applied(&point, dir);
-            tally(plan.probe(&target), &mut probes);
+            tally(plan.probe(&moved(&point, coord, dir)), &mut probes);
         }
         let mut pf_probe = point.clone();
         pf_probe.parallel_factor = walk_pf(step);
         tally(plan.probe(&pf_probe), &mut probes);
-        let (coord, dir) = (moves[step % 3].0, moves[step % 3].1);
-        point = coord.applied(&point, dir);
+        let (coord, dir) = moves[step % 3];
+        coord.apply(&mut point, dir);
         plan.commit(&point).expect("walk stays valid");
     }
     (checksum, probes)
@@ -105,13 +118,13 @@ fn walk_targets() -> Vec<DesignPoint> {
     for step in 0..WALK_STEPS {
         let moves = walk_moves(step);
         for &(coord, dir) in &moves {
-            targets.push(coord.applied(&point, dir));
+            targets.push(moved(&point, coord, dir));
         }
         let mut pf_probe = point.clone();
         pf_probe.parallel_factor = walk_pf(step);
         targets.push(pf_probe);
         let (coord, dir) = moves[step % 3];
-        point = coord.applied(&point, dir);
+        coord.apply(&mut point, dir);
     }
     targets
 }
@@ -171,6 +184,41 @@ fn main() {
     );
     let warm_ns_per_probe = warm_walk.timing.median.as_secs_f64() * 1e9 / targets.len() as f64;
 
+    // Warm SCD sweep: the paper flow's cells once to fill a shared
+    // cache, once more to count a sweep's lookups, then timed on 1
+    // thread and on 2 threads (the caller and one spawned thread) that
+    // each run the whole sweep against the one cache.
+    let sweep_cache = Arc::new(EstimateCache::new());
+    let sweep = ScdSweep::paper(1, &sweep_cache).expect("paper flow cells");
+    let cold = sweep.run();
+    let before = sweep_cache.stats();
+    sweep.run();
+    let lookups = sweep_cache.stats().total() - before.total();
+    let sweep_1 = measure(20, || (), |()| vec![sweep.run()]);
+    let sweep_2 = measure(
+        20,
+        || (),
+        |()| {
+            std::thread::scope(|s| {
+                let other = s.spawn(|| sweep.run());
+                let mine = sweep.run();
+                vec![mine, other.join().expect("sweep thread")]
+            })
+        },
+    );
+    assert_eq!(
+        sweep_cache.stats().misses,
+        before.misses,
+        "warm sweep missed the cache"
+    );
+    for out in sweep_1.output.iter().chain(&sweep_2.output) {
+        assert!(
+            *out == cold,
+            "warm sweep DIVERGED from the cold sweep — determinism bug!"
+        );
+    }
+    let ns_per_lookup = |t: &Timing| t.median.as_secs_f64() * 1e9 / lookups as f64;
+
     let scd_cfg = ScdConfig {
         latency_target_ms: 60.0,
         tolerance_ms: 5.0,
@@ -198,6 +246,12 @@ fn main() {
         BenchRecord::speedup_over("probe_walk_incremental", incremental.timing, full.timing),
         BenchRecord::timing("probe_walk_warm_cache", warm_walk.timing)
             .with_metric("ns_per_probe", warm_ns_per_probe),
+        BenchRecord::timing("warm_sweep_1_worker", sweep_1.timing)
+            .with_metric("lookups", lookups as f64)
+            .with_metric("ns_per_lookup", ns_per_lookup(&sweep_1.timing)),
+        BenchRecord::timing("warm_sweep_2_workers", sweep_2.timing)
+            .with_metric("lookups", lookups as f64)
+            .with_metric("ns_per_lookup", ns_per_lookup(&sweep_2.timing)),
         BenchRecord::timing("scd_search_end_to_end", search.timing),
         BenchRecord::timing("flow_small_1_worker", flow1.timing),
         BenchRecord::timing("flow_small_4_workers", flow4.timing),

@@ -13,12 +13,17 @@ use codesign_core::evaluate::{
 };
 use codesign_core::flow::{CoDesignFlow, FlowConfig};
 use codesign_core::parallel::Parallelism;
+use codesign_core::pipeline::{calibrate, cells, coarse_stage, run_cell, Cell};
+use codesign_core::search::Candidate;
 use codesign_dnn::builder::DnnBuilder;
-use codesign_dnn::bundle::{enumerate_bundles, BundleId};
+use codesign_dnn::bundle::{bundle_by_id, enumerate_bundles, BundleId};
+use codesign_hls::cache::EstimateCache;
+use codesign_hls::model::HlsEstimator;
 use codesign_sim::device::{pynq_z1, FpgaDevice};
 use codesign_sim::error::SimError;
 use codesign_sim::pipeline::{simulate, AccelConfig};
 use codesign_sim::power::PowerModel;
+use std::sync::Arc;
 
 /// Images in the official DAC-SDC evaluation set.
 pub const EVAL_IMAGES: u64 = 50_000;
@@ -287,6 +292,64 @@ pub fn default_device() -> FpgaDevice {
     pynq_z1()
 }
 
+/// The SCD stage of one paper flow (PYNQ-Z1, 10/15/20 FPS, K = 5) on
+/// its own: the cell grid, with each cell's calibrated estimator
+/// attached to one shared cache. The warm-sweep bench arm and the
+/// allocation guard run it twice — once to fill the cache, then with
+/// every lookup a hit.
+pub struct ScdSweep {
+    config: FlowConfig,
+    model: AccuracyModel,
+    cells: Vec<(Cell, HlsEstimator)>,
+}
+
+impl ScdSweep {
+    /// The paper flow's cells at `seed`, with estimators sharing `cache`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulator failures of the coarse stage and the
+    /// calibrations.
+    pub fn paper(seed: u64, cache: &Arc<EstimateCache>) -> Result<Self, SimError> {
+        let config = FlowConfig {
+            seed,
+            ..FlowConfig::for_device(default_device())
+        };
+        let model = AccuracyModel::paper_calibrated();
+        let (_, selected) = coarse_stage(&config, &model)?;
+        let mut estimators = Vec::with_capacity(selected.len());
+        for &id in &selected {
+            let bundle = bundle_by_id(id).expect("selected Bundles are enumerated");
+            let params = calibrate(&bundle, &config.device)?;
+            let estimator = HlsEstimator::new(params, config.device.clone());
+            estimators.push((id, estimator.with_cache(Arc::clone(cache))));
+        }
+        let cells = cells(&config.targets_fps, &selected)
+            .into_iter()
+            .map(|cell| {
+                let (_, estimator) = estimators
+                    .iter()
+                    .find(|(id, _)| *id == cell.bundle)
+                    .expect("every cell's Bundle is calibrated");
+                (cell, estimator.clone())
+            })
+            .collect();
+        Ok(Self {
+            config,
+            model,
+            cells,
+        })
+    }
+
+    /// Searches every cell on the calling thread, in grid order.
+    pub fn run(&self) -> Vec<Vec<Candidate>> {
+        self.cells
+            .iter()
+            .map(|(cell, estimator)| run_cell(&self.config, cell, estimator, &self.model))
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,7 +461,7 @@ pub fn scd_ablation(device: &FpgaDevice) -> Result<ScdAblationOutcome, SimError>
     use codesign_dnn::quant::Activation;
     use codesign_hls::model::HlsEstimator;
 
-    let bundle = enumerate_bundles()[12].clone(); // Bundle 13
+    let bundle = enumerate_bundles()[12]; // Bundle 13
     let params = calibrate(&bundle, device)?;
     let estimator = HlsEstimator::new(params, device.clone());
     let model = AccuracyModel::paper_calibrated();

@@ -51,7 +51,7 @@ pub const TRAIN_JITTER: f64 = 0.0004;
 ///
 /// # fn main() -> Result<(), codesign_dnn::DnnError> {
 /// let model = AccuracyModel::paper_calibrated();
-/// let b = bundle::enumerate_bundles()[12].clone();
+/// let b = bundle::enumerate_bundles()[12];
 /// let point = DesignPoint::initial(b, 4);
 /// let dnn = DnnBuilder::new().build(&point)?;
 /// let iou = model.estimate(&point, &dnn);
@@ -297,7 +297,7 @@ mod tests {
     fn capacity_raises_accuracy() {
         let m = AccuracyModel::paper_calibrated();
         let b = bundle_by_id(BundleId(13)).unwrap();
-        let small = DesignPoint::initial(b.clone(), 2);
+        let small = DesignPoint::initial(b, 2);
         let large = DesignPoint::initial(b, 5);
         assert!(m.estimate(&large, &dnn_for(&large)) > m.estimate(&small, &dnn_for(&small)));
     }
@@ -306,7 +306,7 @@ mod tests {
     fn accuracy_never_exceeds_potential() {
         let m = AccuracyModel::paper_calibrated();
         for b in enumerate_bundles() {
-            let point = DesignPoint::initial(b.clone(), 4);
+            let point = DesignPoint::initial(b, 4);
             let Ok(dnn) = DnnBuilder::new().build(&point) else {
                 continue;
             };
@@ -328,7 +328,7 @@ mod tests {
     fn relu_beats_relu4_on_same_structure() {
         let m = AccuracyModel::paper_calibrated();
         let b = bundle_by_id(BundleId(13)).unwrap();
-        let mut p_relu = DesignPoint::initial(b.clone(), 4);
+        let mut p_relu = DesignPoint::initial(b, 4);
         p_relu.activation = Activation::Relu;
         let mut p_relu4 = DesignPoint::initial(b, 4);
         p_relu4.activation = Activation::Relu4;

@@ -65,13 +65,13 @@ pub struct BundleEvaluation {
 pub fn evaluation_point(bundle: &Bundle, method: EvalMethod, pf: usize) -> DesignPoint {
     let mut point = match method {
         EvalMethod::FixedHeadTail => {
-            let mut p = DesignPoint::initial(bundle.clone(), 1);
+            let mut p = DesignPoint::initial(*bundle, 1);
             // One channel expansion inside the middle Bundle so that IP
             // ordering (e.g. Bundle 13 vs 15) affects latency.
             p.expansion = vec![2.0];
             p
         }
-        EvalMethod::Replicated { n } => DesignPoint::initial(bundle.clone(), n.max(1)),
+        EvalMethod::Replicated { n } => DesignPoint::initial(*bundle, n.max(1)),
     };
     point.parallel_factor = pf;
     point
@@ -191,7 +191,7 @@ pub fn fine_evaluate(
     let mut out = Vec::new();
     for n in replications {
         for act in Activation::ALL {
-            let mut point = DesignPoint::initial(bundle.clone(), n);
+            let mut point = DesignPoint::initial(*bundle, n);
             point.parallel_factor = pf;
             point.activation = act;
             let Ok(dnn) = builder.build(&point) else {
@@ -311,7 +311,7 @@ mod tests {
 
     #[test]
     fn fine_evaluation_covers_all_variants() {
-        let b = enumerate_bundles()[12].clone();
+        let b = enumerate_bundles()[12];
         let fines = fine_evaluate(
             &b,
             &pynq_z1(),

@@ -86,18 +86,18 @@ pub fn choose_max_parallel_factor(point: &DesignPoint, estimator: &HlsEstimator)
         // The point does not elaborate at all; no rung can fit.
         return PARALLEL_FACTOR_STEP;
     };
-    choose_max_parallel_factor_with(&plan, point)
+    choose_max_parallel_factor_with(&plan, &mut point.clone())
 }
 
 /// [`choose_max_parallel_factor`] probing through an existing plan —
 /// `plan`'s base point need not equal `point`; the plan reuses whatever
-/// structural prefix the two share.
-pub fn choose_max_parallel_factor_with(plan: &EstimatePlan, point: &DesignPoint) -> usize {
+/// structural prefix the two share. Each rung is probed on `point`
+/// itself, whose PF is left at the returned rung.
+pub fn choose_max_parallel_factor_with(plan: &EstimatePlan, point: &mut DesignPoint) -> usize {
     let estimator = plan.estimator();
-    let fits_at = |pf: usize| -> bool {
-        let mut probe = point.clone();
-        probe.parallel_factor = pf;
-        plan.probe(&probe)
+    let mut fits_at = |pf: usize| -> bool {
+        point.parallel_factor = pf;
+        plan.probe(point)
             .map(|est| estimator.fits(&est))
             .unwrap_or(false)
     };
@@ -107,18 +107,18 @@ pub fn choose_max_parallel_factor_with(plan: &EstimatePlan, point: &DesignPoint)
     // fits — probing every rung, unlike the old fixed `-16` stride
     // that skipped values such as 8 between its probes.
     let (mut lo, mut hi) = (1usize, MAX_PARALLEL_FACTOR / PARALLEL_FACTOR_STEP);
-    if !fits_at(lo * PARALLEL_FACTOR_STEP) {
-        return PARALLEL_FACTOR_STEP;
-    }
-    while lo < hi {
-        let mid = (lo + hi).div_ceil(2);
-        if fits_at(mid * PARALLEL_FACTOR_STEP) {
-            lo = mid;
-        } else {
-            hi = mid - 1;
+    if fits_at(lo * PARALLEL_FACTOR_STEP) {
+        while lo < hi {
+            let mid = (lo + hi).div_ceil(2);
+            if fits_at(mid * PARALLEL_FACTOR_STEP) {
+                lo = mid;
+            } else {
+                hi = mid - 1;
+            }
         }
     }
-    lo * PARALLEL_FACTOR_STEP
+    point.parallel_factor = lo * PARALLEL_FACTOR_STEP;
+    point.parallel_factor
 }
 
 /// Restart depths of the SCD unit: a stuck search restarts from
@@ -153,8 +153,12 @@ pub fn scd_search(
     // owns ONE plan: PF-ladder selection, every probe, and every
     // restart reuse it — the initial elaboration here is the only
     // from-scratch one in the whole search.
-    let mut point = DesignPoint::initial(bundle.clone(), 3);
+    let mut point = DesignPoint::initial(*bundle, 3);
     point.activation = activation;
+    // Every probe target is written into this scratch point (a copy of
+    // `point` moved in place), so a probe allocates nothing; an
+    // accepted move swaps it with `point`.
+    let mut target = point.clone();
 
     let mut candidates: Vec<Candidate> = Vec::new();
     let mut seen: HashSet<Vec<u8>> = HashSet::new();
@@ -167,7 +171,7 @@ pub fn scd_search(
     let Ok(mut plan) = EstimatePlan::new(estimator, &point) else {
         return candidates;
     };
-    point.parallel_factor = choose_max_parallel_factor_with(&plan, &point);
+    choose_max_parallel_factor_with(&plan, &mut point);
 
     // One cached probe per priced point, exactly like the old
     // `estimate_point`-per-probe loop; `plan.commit` (accepted moves
@@ -202,10 +206,11 @@ pub fn scd_search(
                 _ => MoveCoord::Downsampling,
             };
             let dir = if rng.random_bool(0.5) { 1 } else { -1 };
-            let perturbed = coord.applied(&point, dir);
-            if let Ok(e2) = plan.probe(&perturbed) {
-                plan.commit_probed(&perturbed, e2);
-                point = perturbed;
+            target.clone_from(&point);
+            coord.apply(&mut target, dir);
+            if let Ok(e2) = plan.probe(&target) {
+                plan.commit_probed(&target, e2);
+                std::mem::swap(&mut point, &mut target);
                 est = e2;
                 lat = e2.latency_ms(cfg.clock_mhz);
             }
@@ -222,23 +227,26 @@ pub fn scd_search(
             (MoveCoord::Expansion, unit),
             (MoveCoord::Downsampling, -unit),
         ];
-        let mut deltas: Vec<(MoveCoord, isize, f64)> = Vec::with_capacity(3);
+        let mut deltas = [(MoveCoord::Replications, 0isize, 0.0f64); 3];
+        let mut movable = 0;
         for &(coord, dir) in &coords {
-            let moved = coord.applied(&point, dir);
-            if moved == point {
+            target.clone_from(&point);
+            coord.apply(&mut target, dir);
+            if target == point {
                 continue; // saturated coordinate
             }
-            if let Ok(e2) = plan.probe(&moved) {
+            if let Ok(e2) = plan.probe(&target) {
                 let dlat = e2.latency_ms(cfg.clock_mhz) - lat;
                 if dlat.abs() > f64::EPSILON {
-                    deltas.push((coord, dir, dlat));
+                    deltas[movable] = (coord, dir, dlat);
+                    movable += 1;
                 }
             }
         }
-        if deltas.is_empty() {
+        if movable == 0 {
             // No coordinate can move: restart from a fresh random depth.
             let n = rng.random_range(1..=RESTART_DEPTHS);
-            point = DesignPoint::initial(bundle.clone(), n);
+            point = DesignPoint::initial(*bundle, n);
             point.activation = activation;
             // Rebase the plan on the restart structure first (no cache
             // interaction), so the PF-ladder rungs below are pure
@@ -254,7 +262,7 @@ pub fn scd_search(
                     }
                 }
             }
-            point.parallel_factor = choose_max_parallel_factor_with(&plan, &point);
+            choose_max_parallel_factor_with(&plan, &mut point);
             if let Ok(e2) = plan.probe(&point) {
                 plan.commit_probed(&point, e2);
                 est = e2;
@@ -265,13 +273,14 @@ pub fn scd_search(
 
         // Pick one coordinate uniformly at random (the "stochastic" in
         // SCD) and scale the move: Δ = ⌊|Lat_targ − Lat| / ΔLat⌋.
-        let (coord, dir, dlat) = deltas[rng.random_range(0..deltas.len())];
+        let (coord, dir, dlat) = deltas[rng.random_range(0..movable)];
         let steps = ((gap.abs() / dlat.abs()).floor() as isize).clamp(1, 4);
-        let proposed = coord.applied(&point, dir * steps);
-        if let Ok(e2) = plan.probe(&proposed) {
+        target.clone_from(&point);
+        coord.apply(&mut target, dir * steps);
+        if let Ok(e2) = plan.probe(&target) {
             if estimator.fits(&e2) || e2.resources.dsp <= est.resources.dsp {
-                plan.commit_probed(&proposed, e2);
-                point = proposed;
+                plan.commit_probed(&target, e2);
+                std::mem::swap(&mut point, &mut target);
                 est = e2;
                 lat = e2.latency_ms(cfg.clock_mhz);
             }
@@ -305,7 +314,7 @@ pub fn random_search(
             break;
         }
         let reps = rng.random_range(1..=8usize);
-        let mut point = DesignPoint::initial(bundle.clone(), reps);
+        let mut point = DesignPoint::initial(*bundle, reps);
         point.activation = activation;
         for slot in 0..reps {
             point.downsample[slot] = rng.random_bool(0.5);

@@ -34,7 +34,7 @@ pub const BOX_OUTPUTS: usize = 4;
 /// use codesign_dnn::{bundle, builder::DnnBuilder, space::DesignPoint, TensorShape};
 ///
 /// # fn main() -> Result<(), codesign_dnn::DnnError> {
-/// let b = bundle::enumerate_bundles()[12].clone(); // Bundle 13
+/// let b = bundle::enumerate_bundles()[12]; // Bundle 13
 /// let dnn = DnnBuilder::new()
 ///     .input(TensorShape::new(3, 96, 192))
 ///     .build(&DesignPoint::initial(b, 4))?;
@@ -275,7 +275,7 @@ mod tests {
     fn builds_all_18_bundles() {
         for b in enumerate_bundles() {
             let dnn = DnnBuilder::new()
-                .build(&DesignPoint::initial(b.clone(), 3))
+                .build(&DesignPoint::initial(b, 3))
                 .unwrap_or_else(|e| panic!("{b}: {e}"));
             assert!(dnn.total_macs() > 0, "{b}");
         }
@@ -388,7 +388,7 @@ mod tests {
     fn more_replications_mean_more_macs() {
         let b = bundle_by_id(BundleId(13)).unwrap();
         let small = DnnBuilder::new()
-            .build(&DesignPoint::initial(b.clone(), 2))
+            .build(&DesignPoint::initial(b, 2))
             .unwrap();
         let large = DnnBuilder::new()
             .build(&DesignPoint::initial(b, 5))

@@ -95,10 +95,14 @@ impl fmt::Display for SkeletonOp {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Bundle {
     id: BundleId,
-    ops: Vec<SkeletonOp>,
+    /// Skeleton length: `ops[..len]` is the skeleton.
+    len: usize,
+    /// The skeleton, stored inline. Unused slots repeat the first op, so
+    /// the derived equality and hash depend on the skeleton alone.
+    ops: [SkeletonOp; MAX_COMPUTATIONAL_IPS],
 }
 
 impl Bundle {
@@ -119,7 +123,13 @@ impl Bundle {
                 limit: MAX_COMPUTATIONAL_IPS,
             });
         }
-        Ok(Self { id, ops })
+        let mut inline = [ops[0]; MAX_COMPUTATIONAL_IPS];
+        inline[..ops.len()].copy_from_slice(&ops);
+        Ok(Self {
+            id,
+            len: ops.len(),
+            ops: inline,
+        })
     }
 
     /// The Bundle's identifier in the paper's 1..=18 numbering.
@@ -129,31 +139,31 @@ impl Bundle {
 
     /// The computational-IP skeleton.
     pub fn ops(&self) -> &[SkeletonOp] {
-        &self.ops
+        &self.ops[..self.len]
     }
 
     /// Number of computational IPs (1 or 2).
     pub fn computational_ip_count(&self) -> usize {
-        self.ops.len()
+        self.len
     }
 
     /// Largest kernel among the Bundle's computational IPs; a proxy for
     /// the block's receptive-field growth per replication.
     pub fn max_kernel(&self) -> usize {
-        self.ops.iter().map(SkeletonOp::kernel).max().unwrap_or(0)
+        self.ops().iter().map(SkeletonOp::kernel).max().unwrap_or(0)
     }
 
     /// True if any operator in the Bundle is a standard convolution
     /// (i.e. the Bundle can widen the channel count by itself).
     pub fn can_expand_channels(&self) -> bool {
-        self.ops.iter().any(SkeletonOp::expands_channels)
+        self.ops().iter().any(SkeletonOp::expands_channels)
     }
 
     /// True if the Bundle is a depth-wise separable block (depth-wise
     /// conv followed by a point-wise conv), the MobileNet-style pattern.
     pub fn is_depthwise_separable(&self) -> bool {
         matches!(
-            self.ops.as_slice(),
+            self.ops(),
             [SkeletonOp::DwConv { .. }, SkeletonOp::Conv { k: 1 }]
         )
     }
@@ -165,8 +175,8 @@ impl Bundle {
     /// `out_channels` sets the output width of channel-expanding
     /// convolutions; depth-wise convolutions keep their input width.
     pub fn elaborate(&self, out_channels: usize, act: Activation) -> Vec<LayerOp> {
-        let mut layers = Vec::with_capacity(self.ops.len() * 3);
-        for op in &self.ops {
+        let mut layers = Vec::with_capacity(self.len * 3);
+        for op in self.ops() {
             let layer = match *op {
                 SkeletonOp::Conv { k } => LayerOp::conv(k, out_channels),
                 SkeletonOp::DwConv { k } => LayerOp::dw_conv(k),
@@ -179,10 +189,19 @@ impl Bundle {
     }
 }
 
+impl fmt::Debug for Bundle {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Bundle")
+            .field("id", &self.id)
+            .field("ops", &self.ops())
+            .finish()
+    }
+}
+
 impl fmt::Display for Bundle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} <", self.id)?;
-        for (i, op) in self.ops.iter().enumerate() {
+        for (i, op) in self.ops().iter().enumerate() {
             if i > 0 {
                 write!(f, " + ")?;
             }

@@ -51,7 +51,7 @@ impl fmt::Display for LayerInstance {
 /// use codesign_dnn::{bundle, builder::DnnBuilder, space::DesignPoint};
 ///
 /// # fn main() -> Result<(), codesign_dnn::DnnError> {
-/// let b = bundle::enumerate_bundles()[0].clone();
+/// let b = bundle::enumerate_bundles()[0];
 /// let dnn = DnnBuilder::new().build(&DesignPoint::initial(b, 2))?;
 /// println!("{} layers, {} MMACs", dnn.layers().len(), dnn.total_macs() / 1_000_000);
 /// # Ok(())

@@ -31,7 +31,7 @@
 //! # fn main() -> Result<(), codesign_dnn::DnnError> {
 //! // Bundle 13 of the paper: <dw-conv3x3 + conv1x1>.
 //! let bundles = bundle::enumerate_bundles();
-//! let point = DesignPoint::initial(bundles[12].clone(), 4);
+//! let point = DesignPoint::initial(bundles[12], 4);
 //! let dnn = DnnBuilder::new().build(&point)?;
 //! assert!(dnn.total_macs() > 0);
 //! # Ok(())

@@ -44,11 +44,11 @@ pub fn is_legal_parallel_factor(pf: usize) -> bool {
 /// use codesign_dnn::{bundle, space::DesignPoint};
 ///
 /// let bundles = bundle::enumerate_bundles();
-/// let p = DesignPoint::initial(bundles[0].clone(), 3);
+/// let p = DesignPoint::initial(bundles[0], 3);
 /// assert_eq!(p.replications(), 3);
 /// assert_eq!(p.channel_expansion().len(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct DesignPoint {
     /// The Bundle replicated to build the DNN.
     pub bundle: Bundle,
@@ -263,69 +263,109 @@ impl DesignPoint {
         key
     }
 
-    /// Returns a copy with `delta` added to the replication count
-    /// (saturating at 1 below), resizing the `X` and `Π` vectors to
-    /// match. New entries default to no down-sampling and no expansion.
+    /// Returns a copy with `delta` added to the replication count; see
+    /// [`move_replications`](Self::move_replications).
     pub fn with_replication_delta(&self, delta: isize) -> Self {
-        let n = (self.n_replications as isize + delta).max(1) as usize;
         let mut out = self.clone();
-        out.n_replications = n;
-        out.downsample.resize(n, false);
-        out.expansion.resize(n, 1.0);
+        out.move_replications(delta);
         out
     }
 
-    /// Returns a copy with the expansion vector moved `delta` steps
-    /// through the factor ladder. Positive deltas raise the earliest
-    /// non-maximal entries one rung at a time; negative deltas lower the
-    /// latest non-minimal entries. The first entry (the stem width) is
-    /// never modified.
-    pub fn with_expansion_delta(&self, delta: isize) -> Self {
-        let mut out = self.clone();
-        let steps = delta.unsigned_abs();
-        for _ in 0..steps {
+    /// Adds `delta` to the replication count in place (saturating at 1
+    /// below), resizing the `X` and `Π` vectors to match. New entries
+    /// default to no down-sampling and no expansion.
+    pub fn move_replications(&mut self, delta: isize) {
+        let n = (self.n_replications as isize + delta).max(1) as usize;
+        self.n_replications = n;
+        self.downsample.resize(n, false);
+        self.expansion.resize(n, 1.0);
+    }
+
+    /// Moves the expansion vector `delta` steps through the factor
+    /// ladder in place. Positive deltas raise the earliest non-maximal
+    /// entries one rung at a time; negative deltas lower the latest
+    /// non-minimal entries. The first entry (the stem width) is never
+    /// modified.
+    pub fn move_expansion(&mut self, delta: isize) {
+        for _ in 0..delta.unsigned_abs() {
             if delta > 0 {
-                if let Some(slot) = out
+                if let Some(slot) = self
                     .expansion
                     .iter()
                     .skip(1)
                     .position(|&f| f < 2.0 - 1e-9)
                     .map(|p| p + 1)
                 {
-                    out.expansion[slot] = next_factor_up(out.expansion[slot]);
+                    self.expansion[slot] = next_factor_up(self.expansion[slot]);
                 } else {
                     break;
                 }
-            } else if let Some(slot) = out.expansion.iter().rposition(|&f| f > 1.0 + 1e-9) {
-                out.expansion[slot] = next_factor_down(out.expansion[slot]);
+            } else if let Some(slot) = self.expansion.iter().rposition(|&f| f > 1.0 + 1e-9) {
+                self.expansion[slot] = next_factor_down(self.expansion[slot]);
             } else {
                 break;
             }
         }
-        out
     }
 
-    /// Returns a copy with the down-sampling vector moved `delta` steps:
-    /// positive deltas set the earliest cleared spot, negative deltas
-    /// clear the latest set spot. More down-sampling shrinks feature maps
-    /// and therefore latency.
-    pub fn with_downsample_delta(&self, delta: isize) -> Self {
-        let mut out = self.clone();
-        let steps = delta.unsigned_abs();
-        for _ in 0..steps {
+    /// Moves the down-sampling vector `delta` steps in place: positive
+    /// deltas set the earliest cleared spot, negative deltas clear the
+    /// latest set spot. More down-sampling shrinks feature maps and
+    /// therefore latency.
+    pub fn move_downsampling(&mut self, delta: isize) {
+        for _ in 0..delta.unsigned_abs() {
             if delta > 0 {
-                if let Some(slot) = out.downsample.iter().position(|&d| !d) {
-                    out.downsample[slot] = true;
+                if let Some(slot) = self.downsample.iter().position(|&d| !d) {
+                    self.downsample[slot] = true;
                 } else {
                     break;
                 }
-            } else if let Some(slot) = out.downsample.iter().rposition(|&d| d) {
-                out.downsample[slot] = false;
+            } else if let Some(slot) = self.downsample.iter().rposition(|&d| d) {
+                self.downsample[slot] = false;
             } else {
                 break;
             }
         }
-        out
+    }
+}
+
+impl Clone for DesignPoint {
+    fn clone(&self) -> Self {
+        Self {
+            bundle: self.bundle,
+            n_replications: self.n_replications,
+            downsample: self.downsample.clone(),
+            expansion: self.expansion.clone(),
+            parallel_factor: self.parallel_factor,
+            activation: self.activation,
+            base_channels: self.base_channels,
+            max_channels: self.max_channels,
+        }
+    }
+
+    /// Copies `source` into `self`'s vector buffers: SCD rewrites its
+    /// probe targets and plan base points this way, and allocates only
+    /// when a vector outgrows every `N` the point held before.
+    fn clone_from(&mut self, source: &Self) {
+        // Destructured, so a new field cannot be left out here.
+        let Self {
+            bundle,
+            n_replications,
+            downsample,
+            expansion,
+            parallel_factor,
+            activation,
+            base_channels,
+            max_channels,
+        } = source;
+        self.bundle = *bundle;
+        self.n_replications = *n_replications;
+        self.downsample.clone_from(downsample);
+        self.expansion.clone_from(expansion);
+        self.parallel_factor = *parallel_factor;
+        self.activation = *activation;
+        self.base_channels = *base_channels;
+        self.max_channels = *max_channels;
     }
 }
 
@@ -416,15 +456,16 @@ mod tests {
     fn expansion_delta_moves_along_ladder() {
         let mut p = point();
         p.expansion = vec![1.0, 1.0, 1.0, 1.0];
-        let up = p.with_expansion_delta(1);
-        assert_eq!(up.expansion, vec![1.0, 1.2, 1.0, 1.0]);
-        let down = up.with_expansion_delta(-1);
-        assert_eq!(down.expansion, vec![1.0, 1.0, 1.0, 1.0]);
+        p.move_expansion(1);
+        assert_eq!(p.expansion, vec![1.0, 1.2, 1.0, 1.0]);
+        p.move_expansion(-1);
+        assert_eq!(p.expansion, vec![1.0, 1.0, 1.0, 1.0]);
     }
 
     #[test]
     fn expansion_delta_never_touches_stem_entry() {
-        let p = point().with_expansion_delta(20);
+        let mut p = point();
+        p.move_expansion(20);
         assert_eq!(p.expansion[0], 1.0);
         p.validate().unwrap();
     }
@@ -433,10 +474,25 @@ mod tests {
     fn downsample_delta_sets_and_clears() {
         let mut p = point();
         p.downsample = vec![false; 4];
-        let set = p.with_downsample_delta(2);
-        assert_eq!(set.downsample, vec![true, true, false, false]);
-        let cleared = set.with_downsample_delta(-1);
-        assert_eq!(cleared.downsample, vec![true, false, false, false]);
+        p.move_downsampling(2);
+        assert_eq!(p.downsample, vec![true, true, false, false]);
+        p.move_downsampling(-1);
+        assert_eq!(p.downsample, vec![true, false, false, false]);
+    }
+
+    #[test]
+    fn clone_from_reuses_vector_buffers() {
+        let deep = point().with_replication_delta(4);
+        let mut scratch = deep.clone();
+        let buffers = (scratch.downsample.as_ptr(), scratch.expansion.as_ptr());
+        scratch.clone_from(&point());
+        assert_eq!(scratch, point());
+        scratch.clone_from(&deep);
+        assert_eq!(scratch, deep);
+        assert_eq!(
+            (scratch.downsample.as_ptr(), scratch.expansion.as_ptr()),
+            buffers
+        );
     }
 
     #[test]
@@ -478,10 +534,15 @@ mod tests {
     fn canonical_key_matches_equality() {
         let p = point();
         assert_eq!(p.canonical_key(), p.clone().canonical_key());
+        let moved = |step: fn(&mut DesignPoint)| {
+            let mut q = p.clone();
+            step(&mut q);
+            q
+        };
         for (label, q) in [
             ("reps", p.with_replication_delta(1)),
-            ("expansion", p.with_expansion_delta(-1)),
-            ("downsample", p.with_downsample_delta(-1)),
+            ("expansion", moved(|q| q.move_expansion(-1))),
+            ("downsample", moved(|q| q.move_downsampling(-1))),
             ("pf", {
                 let mut q = p.clone();
                 q.parallel_factor = 64;
@@ -504,9 +565,9 @@ mod tests {
     proptest! {
         #[test]
         fn prop_moves_preserve_validity(reps in 1usize..8, up in 0isize..6, ds in -3isize..4) {
-            let p = DesignPoint::initial(bundle_by_id(BundleId(1)).unwrap(), reps)
-                .with_expansion_delta(up)
-                .with_downsample_delta(ds);
+            let mut p = DesignPoint::initial(bundle_by_id(BundleId(1)).unwrap(), reps);
+            p.move_expansion(up);
+            p.move_downsampling(ds);
             prop_assert!(p.validate().is_ok());
         }
 
@@ -523,7 +584,9 @@ mod tests {
             let base = DesignPoint::initial(bundle_by_id(BundleId(13)).unwrap(), 5);
             let mut flat = base.clone();
             flat.expansion = vec![1.0; 5];
-            let moved = flat.with_expansion_delta(steps).with_expansion_delta(-steps);
+            let mut moved = flat.clone();
+            moved.move_expansion(steps);
+            moved.move_expansion(-steps);
             prop_assert_eq!(moved.expansion, flat.expansion);
         }
     }

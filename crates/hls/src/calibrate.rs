@@ -94,7 +94,7 @@ pub fn calibrate_bundle_with(
     let mut gamma_count = 0usize;
 
     for &reps in replication_samples {
-        let mut point = DesignPoint::initial(bundle.clone(), reps);
+        let mut point = DesignPoint::initial(*bundle, reps);
         point.parallel_factor = pf;
         let Ok(dnn) = builder.build(&point) else {
             continue; // over-downsampled sample; skip

@@ -26,7 +26,7 @@ use std::fmt::Write as _;
 /// use codesign_hls::CodeGenerator;
 ///
 /// # fn main() -> Result<(), codesign_dnn::DnnError> {
-/// let b = bundle::enumerate_bundles()[12].clone();
+/// let b = bundle::enumerate_bundles()[12];
 /// let point = DesignPoint::initial(b, 2);
 /// let dnn = DnnBuilder::new().build(&point)?;
 /// let code = CodeGenerator::new(AccelConfig::for_point(&point)).generate(&dnn);
@@ -530,7 +530,7 @@ mod tests {
 
         #[test]
         fn prop_all_bundles_generate_balanced_code(id in 1usize..=18, reps in 1usize..4) {
-            let b = enumerate_bundles()[id - 1].clone();
+            let b = enumerate_bundles()[id - 1];
             let point = DesignPoint::initial(b, reps);
             let dnn = DnnBuilder::new().build(&point).unwrap();
             let code = CodeGenerator::new(AccelConfig::for_point(&point)).generate(&dnn);

@@ -25,8 +25,11 @@
 //!    parallel-factor change re-derives the terms of every slot but
 //!    reuses the elaborated structure (PF never changes layer shapes).
 //!    When the estimator carries an
-//!    [`EstimateCache`](crate::cache::EstimateCache), each probe is one
-//!    memoized lookup, exactly like `estimate_point`.
+//!    [`EstimateCache`](crate::cache::EstimateCache), each probe counts
+//!    as one cache lookup, exactly like `estimate_point`; a key the
+//!    plan's [`ProbeMemo`] already holds is answered without touching
+//!    the shared cache (see the
+//!    [`cache` module docs](crate::cache#per-search-memo)).
 //! 3. [`EstimatePlan::commit`] / [`EstimatePlan::apply_move`] re-stage a
 //!    target the same way and make it the plan's new base point (no
 //!    cache interaction — the caller usually just probed the target).
@@ -46,7 +49,7 @@
 //! `incremental_equivalence` proptest pins this contract over random
 //! coordinate walks.
 
-use crate::cache::KeyBuf;
+use crate::cache::{KeyBuf, ProbeMemo};
 use crate::calibrate::CalibratedParams;
 use crate::model::{Estimate, EstimateError, HlsEstimator};
 use codesign_dnn::space::DesignPoint;
@@ -55,6 +58,8 @@ use codesign_sim::device::FpgaDevice;
 use codesign_sim::ip::{IpKind, INVOCATION_OVERHEAD};
 use codesign_sim::pipeline::{bram_blocks, control_overhead, tile_buffer_blocks, AccelConfig};
 use codesign_sim::report::ResourceUsage;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// The three DNN-side coordinates the SCD unit moves along (Table 1's
@@ -70,14 +75,14 @@ pub enum MoveCoord {
 }
 
 impl MoveCoord {
-    /// The design point `steps` unit moves from `point` along this
-    /// coordinate (saturating at the coordinate's domain bounds, like
-    /// the `DesignPoint::with_*_delta` moves it delegates to).
-    pub fn applied(&self, point: &DesignPoint, steps: isize) -> DesignPoint {
+    /// Moves `point` `steps` units along this coordinate, in place
+    /// (saturating at the coordinate's domain bounds, like the
+    /// `DesignPoint::move_*` methods it delegates to).
+    pub fn apply(&self, point: &mut DesignPoint, steps: isize) {
         match self {
-            MoveCoord::Replications => point.with_replication_delta(steps),
-            MoveCoord::Expansion => point.with_expansion_delta(steps),
-            MoveCoord::Downsampling => point.with_downsample_delta(steps),
+            MoveCoord::Replications => point.move_replications(steps),
+            MoveCoord::Expansion => point.move_expansion(steps),
+            MoveCoord::Downsampling => point.move_downsampling(steps),
         }
     }
 }
@@ -304,7 +309,7 @@ struct Staged {
 /// use codesign_sim::device::pynq_z1;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let bundle = bundle::enumerate_bundles()[12].clone();
+/// let bundle = bundle::enumerate_bundles()[12];
 /// let estimator = HlsEstimator::new(calibrate_bundle(&bundle, &pynq_z1())?, pynq_z1());
 /// let point = DesignPoint::initial(bundle, 3);
 /// let mut plan = EstimatePlan::new(&estimator, &point)?;
@@ -319,7 +324,7 @@ struct Staged {
 /// ```
 #[derive(Debug, Clone)]
 pub struct EstimatePlan {
-    estimator: HlsEstimator,
+    estimator: Rc<HlsEstimator>,
     /// The logical base point ([`point`](Self::point)) with its
     /// estimate. May run ahead of `slots_point` after cheap
     /// [`commit_probed`](Self::commit_probed) calls.
@@ -334,13 +339,18 @@ pub struct EstimatePlan {
     /// The most recent stage computed by a probe miss, kept so a
     /// following commit of the same target is free. Interior-mutable
     /// because probing is logically `&self`.
-    staged: std::cell::RefCell<Option<(DesignPoint, Staged)>>,
+    staged: RefCell<Option<(DesignPoint, Staged)>>,
+    /// The probe memo in front of the estimator's cache (`None` without
+    /// one), shared by every clone of the plan — in `scd_search`, the
+    /// run's plan and its restart plans — and dropped with the last.
+    memo: Option<Rc<RefCell<ProbeMemo>>>,
 }
 
 impl EstimatePlan {
     /// Elaborates `point` into per-slot terms under `estimator`'s
-    /// calibration, device and builder (the estimator is cloned once —
-    /// not per probe).
+    /// calibration, device and builder (the estimator is cloned once,
+    /// and shared by the plan's clones — not cloned per probe or per
+    /// restart).
     ///
     /// # Errors
     ///
@@ -350,7 +360,7 @@ impl EstimatePlan {
     /// outside the IP pool to [`EstimateError::Sim`].
     pub fn new(estimator: &HlsEstimator, point: &DesignPoint) -> Result<Self, EstimateError> {
         let mut plan = Self {
-            estimator: estimator.clone(),
+            estimator: Rc::new(estimator.clone()),
             point: point.clone(),
             estimate: Estimate {
                 latency_cycles: 0,
@@ -359,7 +369,10 @@ impl EstimatePlan {
             slots_point: point.clone(),
             cfg: AccelConfig::new(point.parallel_factor, point.quantization()),
             slots: Vec::new(),
-            staged: std::cell::RefCell::new(None),
+            staged: RefCell::new(None),
+            memo: estimator
+                .cache()
+                .map(|cache| Rc::new(RefCell::new(ProbeMemo::new(Arc::clone(cache))))),
         };
         let staged = plan.stage(point)?;
         plan.adopt(point, staged);
@@ -371,8 +384,8 @@ impl EstimatePlan {
         self.cfg = staged.cfg;
         self.slots = staged.slots;
         self.estimate = staged.estimate;
-        self.point = target.clone();
-        self.slots_point = target.clone();
+        self.point.clone_from(target);
+        self.slots_point.clone_from(target);
     }
 
     /// The plan's current base point.
@@ -393,11 +406,13 @@ impl EstimatePlan {
     /// Estimates `target` without committing to it, reusing every slot
     /// the difference from the base point does not touch.
     ///
-    /// When the estimator carries a cache this is **one memoized
+    /// When the estimator carries a cache this is **one counted
     /// lookup** under the same canonical key `estimate_point` would use
     /// — probe-for-probe parity keeps the flow's deterministic
-    /// total-lookup count intact — and the incremental fold runs only
-    /// on a miss.
+    /// total-lookup count intact. The plan's [`ProbeMemo`] answers keys
+    /// it has already resolved (counted as cache hits, without touching
+    /// the shared cache); other keys go to the cache, and the
+    /// incremental fold runs only on a cache miss.
     ///
     /// # Errors
     ///
@@ -405,27 +420,19 @@ impl EstimatePlan {
     /// are cached under the same key, like `estimate_point`'s).
     pub fn probe(&self, target: &DesignPoint) -> Result<Estimate, EstimateError> {
         let mut fresh: Option<Staged> = None;
-        let result = match self.estimator.cache() {
-            Some(cache) => {
+        let mut stage = || {
+            let staged = self.stage(target)?;
+            let estimate = staged.estimate;
+            fresh = Some(staged);
+            Ok(estimate)
+        };
+        let result = match &self.memo {
+            Some(memo) => {
                 let mut key = KeyBuf::new();
                 self.estimator.write_key(target, &mut key);
-                cache.get_or_insert_with(key.as_bytes(), || match self.stage(target) {
-                    Ok(staged) => {
-                        let estimate = staged.estimate;
-                        fresh = Some(staged);
-                        Ok(estimate)
-                    }
-                    Err(e) => Err(e),
-                })
+                memo.borrow_mut().get_or_insert_with(key.as_bytes(), stage)
             }
-            None => match self.stage(target) {
-                Ok(staged) => {
-                    let estimate = staged.estimate;
-                    fresh = Some(staged);
-                    Ok(estimate)
-                }
-                Err(e) => Err(e),
-            },
+            None => stage(),
         };
         if let Some(staged) = fresh {
             // Remember the stage so a commit of this target is free.
@@ -468,7 +475,7 @@ impl EstimatePlan {
             debug_assert_eq!(staged.estimate, estimate, "probe/stage disagree");
             self.adopt(target, staged);
         } else {
-            self.point = target.clone();
+            self.point.clone_from(target);
         }
         self.estimate = estimate;
     }
@@ -488,7 +495,7 @@ impl EstimatePlan {
     /// Moves the base point `steps` units along `coord` (recomputing
     /// only the affected replication slots and their shape-dependent
     /// downstream slots) and returns the new estimate. Shorthand for
-    /// [`commit`](Self::commit) on [`MoveCoord::applied`].
+    /// [`commit`](Self::commit) on [`MoveCoord::apply`].
     ///
     /// # Errors
     ///
@@ -498,7 +505,8 @@ impl EstimatePlan {
         coord: MoveCoord,
         steps: isize,
     ) -> Result<Estimate, EstimateError> {
-        let target = coord.applied(&self.point, steps);
+        let mut target = self.point.clone();
+        coord.apply(&mut target, steps);
         self.commit(&target)
     }
 
@@ -667,7 +675,7 @@ mod tests {
             let est = estimator_for(id);
             let b = bundle_by_id(BundleId(id)).unwrap();
             for reps in 1..=4 {
-                let point = DesignPoint::initial(b.clone(), reps);
+                let point = DesignPoint::initial(b, reps);
                 let plan = EstimatePlan::new(&est, &point).unwrap();
                 assert_eq!(
                     plan.estimate(),
@@ -692,7 +700,8 @@ mod tests {
             (MoveCoord::Replications, -3),
             (MoveCoord::Expansion, 4),
         ] {
-            let target = coord.applied(plan.point(), steps);
+            let mut target = plan.point().clone();
+            coord.apply(&mut target, steps);
             let full = est.estimate_point(&target).unwrap();
             assert_eq!(plan.probe(&target).unwrap(), full, "{coord:?} x{steps}");
             assert_eq!(
@@ -727,7 +736,7 @@ mod tests {
         // must behave like building a fresh plan.
         let est = estimator_for(1);
         let b = bundle_by_id(BundleId(1)).unwrap();
-        let mut plan = EstimatePlan::new(&est, &DesignPoint::initial(b.clone(), 5)).unwrap();
+        let mut plan = EstimatePlan::new(&est, &DesignPoint::initial(b, 5)).unwrap();
         let mut restart = DesignPoint::initial(b, 2);
         restart.activation = Activation::Relu4;
         restart.parallel_factor = 64;
@@ -773,5 +782,24 @@ mod tests {
         // estimate_point shares the same key space.
         est.estimate_point(&target).unwrap();
         assert_eq!(cache.stats().hits, 2);
+    }
+
+    #[test]
+    fn memo_hits_on_preloaded_keys_count_as_store_hits() {
+        // The second probe is answered by the plan's memo; it must still
+        // count as a hit served by the store, as a shared-cache hit does.
+        let cache = Arc::new(EstimateCache::new());
+        let est = estimator_for(13).with_cache(Arc::clone(&cache));
+        let point = DesignPoint::initial(bundle_by_id(BundleId(13)).unwrap(), 3);
+        let target = point.with_replication_delta(1);
+        let mut key = KeyBuf::new();
+        est.write_key(&target, &mut key);
+        let stored = estimator_for(13).estimate_point(&target).unwrap();
+        assert!(cache.preload(key.as_bytes(), stored));
+        let plan = EstimatePlan::new(&est, &point).unwrap();
+        assert_eq!(plan.probe(&target), Ok(stored));
+        assert_eq!(plan.probe(&target), Ok(stored));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, cache.store_hits()), (2, 0, 2));
     }
 }

@@ -30,7 +30,7 @@
 //! use codesign_hls::model::HlsEstimator;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let bundle = bundle::enumerate_bundles()[12].clone();
+//! let bundle = bundle::enumerate_bundles()[12];
 //! let device = pynq_z1();
 //! let params = calibrate_bundle(&bundle, &device)?;
 //! let estimator = HlsEstimator::new(params, device);

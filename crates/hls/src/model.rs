@@ -381,9 +381,7 @@ mod tests {
     fn latency_monotone_in_depth() {
         let est = estimator_for(13);
         let b = bundle_by_id(BundleId(13)).unwrap();
-        let small = est
-            .estimate_point(&DesignPoint::initial(b.clone(), 2))
-            .unwrap();
+        let small = est.estimate_point(&DesignPoint::initial(b, 2)).unwrap();
         let large = est.estimate_point(&DesignPoint::initial(b, 5)).unwrap();
         assert!(large.latency_cycles > small.latency_cycles);
     }
@@ -392,7 +390,7 @@ mod tests {
     fn pf_in_point_overrides_calibration_pf() {
         let est = estimator_for(1);
         let b = bundle_by_id(BundleId(1)).unwrap();
-        let mut slow = DesignPoint::initial(b.clone(), 3);
+        let mut slow = DesignPoint::initial(b, 3);
         slow.parallel_factor = 8;
         let mut fast = DesignPoint::initial(b, 3);
         fast.parallel_factor = 64;
@@ -406,7 +404,7 @@ mod tests {
     fn int16_estimates_cost_more_dsp() {
         let est = estimator_for(1);
         let b = bundle_by_id(BundleId(1)).unwrap();
-        let mut p8 = DesignPoint::initial(b.clone(), 3);
+        let mut p8 = DesignPoint::initial(b, 3);
         p8.activation = Activation::Relu4;
         let mut p16 = DesignPoint::initial(b, 3);
         p16.activation = Activation::Relu;
@@ -445,7 +443,7 @@ mod tests {
         let cached = estimator_for(13).with_cache(cache.clone());
         let b = bundle_by_id(BundleId(13)).unwrap();
         for reps in 1..=4 {
-            let p = DesignPoint::initial(b.clone(), reps);
+            let p = DesignPoint::initial(b, reps);
             assert_eq!(
                 plain.estimate_point(&p).unwrap(),
                 cached.estimate_point(&p).unwrap()

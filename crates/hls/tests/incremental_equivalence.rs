@@ -22,27 +22,27 @@ use rand::{Rng, SeedableRng};
 /// move, or a full restart (what SCD does when every coordinate
 /// saturates).
 fn random_target(rng: &mut StdRng, point: &DesignPoint, bundle_id: usize) -> DesignPoint {
+    let mut p = point.clone();
     match rng.random_range(0..6u8) {
-        0 => point.with_replication_delta(rng.random_range(-2isize..=2)),
-        1 => point.with_expansion_delta(rng.random_range(-3isize..=3)),
-        2 => point.with_downsample_delta(rng.random_range(-2isize..=2)),
+        0 => p.move_replications(rng.random_range(-2isize..=2)),
+        1 => p.move_expansion(rng.random_range(-3isize..=3)),
+        2 => p.move_downsampling(rng.random_range(-2isize..=2)),
         3 => {
-            let mut p = point.clone();
             let rungs = MAX_PARALLEL_FACTOR / PARALLEL_FACTOR_STEP;
             p.parallel_factor = PARALLEL_FACTOR_STEP * rng.random_range(1usize..=rungs);
-            p
         }
         4 => {
             // Restart: fresh structure, possibly a different arm.
             let b = bundle_by_id(BundleId(bundle_id)).unwrap();
-            let mut p = DesignPoint::initial(b, rng.random_range(1usize..=6));
+            p = DesignPoint::initial(b, rng.random_range(1usize..=6));
             p.activation = Activation::ALL[rng.random_range(0usize..3)];
-            p
         }
-        _ => point
-            .with_expansion_delta(rng.random_range(-2isize..=2))
-            .with_downsample_delta(rng.random_range(-2isize..=2)),
+        _ => {
+            p.move_expansion(rng.random_range(-2isize..=2));
+            p.move_downsampling(rng.random_range(-2isize..=2));
+        }
     }
+    p
 }
 
 proptest! {

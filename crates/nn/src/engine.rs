@@ -63,10 +63,10 @@ impl Engine {
         matches!(self, Engine::Reference)
     }
 
-    /// Pins [`Parallelism::Auto`] to the current core count, so hot
-    /// paths holding a resolved engine don't re-query the scheduler
-    /// (one `available_parallelism` syscall per kernel call otherwise).
-    /// Results are identical either way — only scheduling changes.
+    /// Pins [`Parallelism::Auto`] to the hardware thread count
+    /// ([`codesign_parallel::hardware_threads`]), so a stored engine
+    /// carries a fixed worker count. Results are identical either way —
+    /// only scheduling changes.
     #[must_use]
     pub fn resolved(self) -> Engine {
         match self {

@@ -40,17 +40,7 @@
 
 use crate::scratch;
 use crate::simd::{self, SimdLevel, LANES};
-use codesign_parallel::parallel_chunks_mut;
-
-/// Hardware thread count, resolved once per process.
-pub(crate) fn hardware_threads() -> usize {
-    static HW: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *HW.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    })
-}
+use codesign_parallel::{hardware_threads, parallel_chunks_mut};
 
 /// Caps a worker count so that (a) each worker gets at least
 /// `min_per_worker` units of work — waking a pooled helper is cheap

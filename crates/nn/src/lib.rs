@@ -45,7 +45,7 @@
 //! use codesign_nn::tensor::Tensor;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let b = bundle::enumerate_bundles()[12].clone();
+//! let b = bundle::enumerate_bundles()[12];
 //! let dnn = DnnBuilder::new()
 //!     .input(TensorShape::new(3, 32, 64))
 //!     .build(&DesignPoint::initial(b, 2))?;

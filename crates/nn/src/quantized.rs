@@ -74,7 +74,7 @@ enum QOp {
 /// use codesign_nn::{Network, QuantizedNetwork, Tensor};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let b = bundle::enumerate_bundles()[0].clone();
+/// let b = bundle::enumerate_bundles()[0];
 /// let dnn = DnnBuilder::new()
 ///     .input(TensorShape::new(3, 16, 32))
 ///     .build(&DesignPoint::initial(b, 1))?;

@@ -37,7 +37,20 @@ pub use pool::WorkerPool;
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
+
+/// The hardware thread count (`available_parallelism`, at least 1),
+/// resolved once per process: the call reads cgroup files on Linux,
+/// and the flow and the NN kernels would otherwise pay for it on every
+/// call.
+pub fn hardware_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    })
+}
 
 /// Worker-count knob of the co-design flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -50,12 +63,11 @@ pub enum Parallelism {
 }
 
 impl Parallelism {
-    /// The effective worker count (at least 1).
+    /// The effective worker count (at least 1); `Auto` is
+    /// [`hardware_threads`].
     pub fn threads(self) -> usize {
         match self {
-            Parallelism::Auto => std::thread::available_parallelism()
-                .map(NonZeroUsize::get)
-                .unwrap_or(1),
+            Parallelism::Auto => hardware_threads(),
             Parallelism::Fixed(n) => n.max(1),
         }
     }

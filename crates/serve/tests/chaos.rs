@@ -245,8 +245,11 @@ fn chaos_soak_reaches_terminal_states_and_preserves_faultfree_results() {
     assert!(polls > 0, "metrics poller never ran");
 
     // The counters agree with the predicted fault schedule, and
-    // retention kept the tracked-job set bounded.
-    let doc = client.metrics().expect("metrics");
+    // retention kept the tracked-job set bounded. The plan still drops
+    // connections here, so this read retries like every other one.
+    let (status, body) = get_retry(&client, "/metrics");
+    assert_eq!(status, 200, "metrics: {body}");
+    let doc = parse(&body).expect("metrics body is JSON");
     assert_eq!(
         doc.get("submitted").unwrap().as_uint(),
         Some((CLIENTS * JOBS_PER_CLIENT) as u64)

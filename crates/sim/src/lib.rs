@@ -28,7 +28,7 @@
 //! use codesign_sim::{device::pynq_z1, pipeline::{AccelConfig, simulate}};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let b = bundle::enumerate_bundles()[12].clone();
+//! let b = bundle::enumerate_bundles()[12];
 //! let point = DesignPoint::initial(b, 3);
 //! let dnn = DnnBuilder::new().build(&point)?;
 //! let cfg = AccelConfig::for_point(&point);

@@ -23,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 1. Pick a Bundle and a design point (Table 1 variables).
     let bundle = bundle_by_id(BundleId(13)).expect("bundle 13 exists");
-    let mut point = DesignPoint::initial(bundle.clone(), 4);
+    let mut point = DesignPoint::initial(bundle, 4);
     point.parallel_factor = 96;
     println!("design point:  {point}");
 

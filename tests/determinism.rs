@@ -173,8 +173,10 @@ fn proxy_training_matches_golden_iou() {
 /// Catches any drift in the `EstimatePlan` fold order, the canonical
 /// cache key, or the cache sharding — all of which must be pure
 /// optimizations. The cache totals are pinned too: the plan issues
-/// exactly one memoized lookup per priced design point, like the old
-/// `estimate_point`-per-probe loop did.
+/// exactly one counted lookup per priced design point, like the old
+/// `estimate_point`-per-probe loop did. At one worker no two searches
+/// race on a key, so the hit/miss split is pinned too: answering repeat
+/// probes from a per-search memo must not move a single count.
 #[test]
 fn flow_output_matches_full_rebuild_seed_golden() {
     for threads in [1, parallel_arm()] {
@@ -195,6 +197,14 @@ fn flow_output_matches_full_rebuild_seed_golden() {
             5_053,
             "probe-for-probe parity with the full-rebuild estimator broke"
         );
+        if threads == 1 {
+            let stats = out.cache_stats;
+            assert_eq!(
+                (stats.hits, stats.misses),
+                (4_672, 381),
+                "the one-worker hit/miss split drifted"
+            );
+        }
     }
 }
 

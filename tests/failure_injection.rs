@@ -21,7 +21,7 @@ fn zero_bandwidth_device_is_rejected_everywhere() {
     let mut dev = pynq_z1();
     dev.dram_bytes_per_cycle = 0.0;
     let b = bundle_by_id(BundleId(1)).unwrap();
-    let point = DesignPoint::initial(b.clone(), 2);
+    let point = DesignPoint::initial(b, 2);
     let dnn = DnnBuilder::new().build(&point).unwrap();
     assert!(matches!(
         simulate(&dnn, &AccelConfig::for_point(&point), &dev),
@@ -109,7 +109,7 @@ fn invalid_design_points_never_elaborate() {
         |p: &mut DesignPoint| p.base_channels = 0,
         |p: &mut DesignPoint| p.downsample.push(true),
     ] {
-        let mut point = DesignPoint::initial(b.clone(), 3);
+        let mut point = DesignPoint::initial(b, 3);
         mutation(&mut point);
         assert!(
             DnnBuilder::new().build(&point).is_err(),
