@@ -1,24 +1,57 @@
-//! Stage-boundary checkpointing for [`CoDesignFlow`](crate::flow::CoDesignFlow).
+//! Stage and cell checkpointing for [`CoDesignFlow`](crate::flow::CoDesignFlow).
 //!
 //! A co-design run has three expensive stages — coarse Bundle
 //! evaluation, per-Bundle calibration, and the SCD searches — separated
 //! by the same boundaries the [`FlowEvent`](crate::observe::FlowEvent)
-//! schedule marks. [`FlowCheckpoint`] appends each stage's results to a
-//! [`RecordLog`] as the stage completes;
-//! when a run is interrupted (crash, cancellation, process kill), a
-//! resumed run replays the completed stages from disk and recomputes
-//! only from the first unfinished stage onward.
+//! schedule marks. [`FlowCheckpoint`] appends the coarse and calibration
+//! results to a [`RecordLog`] as each stage completes, and one record
+//! per SCD cell as each cell finishes. When a run is interrupted
+//! (crash, cancellation, process kill), a resumed run replays what is
+//! on disk and recomputes only the unfinished stages and the missing
+//! cells.
+//!
+//! # Record layout
+//!
+//! Every record starts with a tag byte:
+//!
+//! | tag | record | bytes after the tag |
+//! |---|---|---|
+//! | 0 | config fingerprint (always first) | `u64` |
+//! | 1 | coarse stage | evaluations, then selected Bundle ids |
+//! | 2 | calibration stage | `(Bundle id, fitted params)` list |
+//! | 4 | one finished SCD cell | [`encode_cell`] |
+//!
+//! Tag 3 held the whole SCD grid in one record. It is retired and never
+//! reused: an old checkpoint's SCD record ends the replay as an unknown
+//! tag, and its SCD stage is recomputed. A cell record is the same
+//! [`encode_cell`] bytes a shard worker appends to its segment, so one
+//! codec persists a cell for both executors.
+//!
+//! Replay stops at the first record it cannot use: a coarse or
+//! calibration record that fails to decode, a calibration record
+//! without a coarse one, a cell record before the calibration record,
+//! or an unknown tag. A cell record that fails to decode is dropped and
+//! that cell recomputed, which is a shard segment's rule too.
+//!
+//! Cell records are appended without an `fsync` and synced once, when
+//! the SCD stage ends (on success and on error), as a shard worker
+//! syncs its segment. A cell lost to a crash before that sync is
+//! recomputed bit-identically on resume, so an `fsync` per cell would
+//! buy nothing but up to 30 disk flushes in a flow of ~8 ms. The
+//! coarse and calibration records are synced as they are written.
 //!
 //! # Bit-identity
 //!
 //! Resume is safe because the flow is deterministic: each stage's
 //! output is a pure function of the [`FlowConfig`]
-//! and the previous stages' outputs. Replaying recorded stage outputs
+//! and the previous stages' outputs, and each cell is seeded from what
+//! it is, never from when it runs. Replaying recorded outputs
 //! therefore yields exactly the state an uninterrupted run would have
 //! reached, and the final [`FlowOutput`](crate::flow::FlowOutput) is
 //! **bit-identical** — a contract pinned by the `checkpoint_resume`
-//! tests. Stages are checkpointed whole (no partial work items), so
-//! the log never encodes scheduler-dependent state.
+//! tests. The coarse and calibration stages are checkpointed whole; the
+//! SCD stage is checkpointed per cell, keyed by the cell's grid index,
+//! so the log never encodes scheduler-dependent state.
 //!
 //! # The config fingerprint
 //!
@@ -48,16 +81,18 @@ use codesign_hls::model::Estimate;
 use codesign_sim::device::FpgaDevice;
 use codesign_sim::report::ResourceUsage;
 use codesign_store::{fnv1a, ByteReader, ByteWriter, CodecError, LogError, RecordLog, StreamKind};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-/// Stage tags of checkpoint records, in on-disk order.
+/// Tags of checkpoint records, in on-disk order. Tag 3 (the retired
+/// whole-grid SCD record) is never reused.
 const TAG_FINGERPRINT: u8 = 0;
 const TAG_COARSE: u8 = 1;
 const TAG_CALIBRATION: u8 = 2;
-const TAG_SCD: u8 = 3;
+const TAG_CELL: u8 = 4;
 
 /// Failure to open or append to a flow checkpoint.
 #[derive(Debug)]
@@ -124,11 +159,15 @@ impl From<io::Error> for CheckpointError {
 }
 
 /// Stage results restored from disk when a checkpoint is opened.
-#[derive(Debug, Default)]
-struct Restored {
-    coarse: Option<(Vec<BundleEvaluation>, Vec<BundleId>)>,
-    calibration: Option<Vec<(BundleId, CalibratedParams)>>,
-    scd: Option<Vec<Vec<Candidate>>>,
+#[derive(Debug, Default, PartialEq)]
+pub(crate) struct Restored {
+    /// The coarse evaluations and the selected Bundles.
+    pub(crate) coarse: Option<(Vec<BundleEvaluation>, Vec<BundleId>)>,
+    /// The fitted parameters of each selected Bundle.
+    pub(crate) calibration: Option<Vec<(BundleId, CalibratedParams)>>,
+    /// Finished SCD cells by grid index. An index outside the run's
+    /// grid is never read.
+    pub(crate) cells: BTreeMap<usize, Vec<Candidate>>,
 }
 
 #[derive(Debug)]
@@ -137,12 +176,12 @@ struct Inner {
     restored: Restored,
 }
 
-/// A stage-boundary checkpoint of one co-design run.
+/// A checkpoint of one co-design run: its finished stages and cells.
 ///
 /// Open with [`FlowCheckpoint::open`] against the run's config, pass to
-/// [`CoDesignFlow::run_checkpointed`](crate::flow::CoDesignFlow::run_checkpointed)
-/// (or drive manually via the `take_*`/`record_*` pairs), and the flow
-/// will resume from the last completed stage. On successful completion
+/// [`CoDesignFlow::run_checkpointed`](crate::flow::CoDesignFlow::run_checkpointed),
+/// and the flow will resume from the last completed stage and search
+/// only the cells not yet on disk. On successful completion
 /// the flow calls [`finish`](Self::finish), which deletes the file — a
 /// leftover checkpoint always means an interrupted run.
 #[derive(Debug)]
@@ -153,7 +192,7 @@ pub struct FlowCheckpoint {
 
 impl FlowCheckpoint {
     /// Opens (creating if absent) the checkpoint at `path` for a run of
-    /// `config`, replaying any completed stage records.
+    /// `config`, replaying any completed stage and cell records.
     ///
     /// # Errors
     ///
@@ -183,9 +222,9 @@ impl FlowCheckpoint {
             if found != expected {
                 return Err(CheckpointError::ConfigMismatch { expected, found });
             }
-            // Stage records arrive in order; a record that fails to
-            // decode (or arrives out of order) ends the replay — the
-            // flow simply recomputes from that stage on.
+            // Stage records arrive in order; a record that cannot be
+            // used ends the replay (see the module docs) — the flow
+            // simply recomputes from that stage on.
             for payload in &records[1..] {
                 if !restore_stage(payload, &mut restored) {
                     break;
@@ -206,39 +245,13 @@ impl FlowCheckpoint {
     /// True when at least one completed stage was restored from disk.
     pub fn has_restored_stages(&self) -> bool {
         let inner = self.inner.lock().expect("checkpoint lock");
-        inner.restored.coarse.is_some()
-            || inner.restored.calibration.is_some()
-            || inner.restored.scd.is_some()
+        let restored = &inner.restored;
+        restored.coarse.is_some() || restored.calibration.is_some() || !restored.cells.is_empty()
     }
 
-    /// Takes the restored coarse-evaluation stage, if on disk.
-    pub(crate) fn take_coarse(&self) -> Option<(Vec<BundleEvaluation>, Vec<BundleId>)> {
-        self.inner
-            .lock()
-            .expect("checkpoint lock")
-            .restored
-            .coarse
-            .take()
-    }
-
-    /// Takes the restored calibration stage, if on disk.
-    pub(crate) fn take_calibration(&self) -> Option<Vec<(BundleId, CalibratedParams)>> {
-        self.inner
-            .lock()
-            .expect("checkpoint lock")
-            .restored
-            .calibration
-            .take()
-    }
-
-    /// Takes the restored SCD stage, if on disk.
-    pub(crate) fn take_scd(&self) -> Option<Vec<Vec<Candidate>>> {
-        self.inner
-            .lock()
-            .expect("checkpoint lock")
-            .restored
-            .scd
-            .take()
+    /// Takes everything restored from disk, leaving nothing behind.
+    pub(crate) fn take_restored(&self) -> Restored {
+        std::mem::take(&mut self.inner.lock().expect("checkpoint lock").restored)
     }
 
     /// Records the completed coarse stage.
@@ -257,7 +270,7 @@ impl FlowCheckpoint {
         for id in selected {
             w.put_varint(id.0 as u64);
         }
-        self.append(w.as_bytes())
+        self.append_synced(w.as_bytes())
     }
 
     /// Records the completed calibration stage.
@@ -276,22 +289,25 @@ impl FlowCheckpoint {
             w.put_f64(params.gamma);
             w.put_varint(params.parallel_factor as u64);
         }
-        self.append(w.as_bytes())
+        self.append_synced(w.as_bytes())
     }
 
-    /// Records the completed SCD stage (one candidate list per work
-    /// item, in deterministic item order).
-    pub(crate) fn record_scd(&self, found: &[Vec<Candidate>]) -> io::Result<()> {
+    /// Records one finished SCD cell, unsynced: the flow calls
+    /// [`sync`](Self::sync) once when the SCD stage ends.
+    pub(crate) fn record_cell(&self, index: usize, found: &[Candidate]) -> io::Result<()> {
         let mut w = ByteWriter::new();
-        w.put_u8(TAG_SCD);
-        w.put_len(found.len());
-        for cell in found {
-            w.put_len(cell.len());
-            for candidate in cell {
-                encode_candidate(&mut w, candidate);
-            }
-        }
-        self.append(w.as_bytes())
+        w.put_u8(TAG_CELL);
+        encode_cell(&mut w, index, found);
+        self.inner
+            .lock()
+            .expect("checkpoint lock")
+            .log
+            .append(w.as_bytes())
+    }
+
+    /// Forces every appended record to stable storage.
+    pub(crate) fn sync(&self) -> io::Result<()> {
+        self.inner.lock().expect("checkpoint lock").log.sync()
     }
 
     /// Deletes the checkpoint file — called after the run completes, so
@@ -300,16 +316,15 @@ impl FlowCheckpoint {
         std::fs::remove_file(&self.path)
     }
 
-    fn append(&self, payload: &[u8]) -> io::Result<()> {
+    fn append_synced(&self, payload: &[u8]) -> io::Result<()> {
         let mut inner = self.inner.lock().expect("checkpoint lock");
         inner.log.append(payload)?;
         inner.log.sync()
     }
 }
 
-/// Decodes one stage record into `restored`. Returns `false` when the
-/// record cannot be used (decode failure or out-of-order stage), which
-/// ends the replay.
+/// Decodes one record into `restored`. Returns `false` when the record
+/// ends the replay (see the module docs).
 fn restore_stage(payload: &[u8], restored: &mut Restored) -> bool {
     let mut r = ByteReader::new(payload);
     let Ok(tag) = r.read_u8() else { return false };
@@ -329,14 +344,15 @@ fn restore_stage(payload: &[u8], restored: &mut Restored) -> bool {
             };
             restored.calibration = Some(stage);
         }
-        TAG_SCD => {
+        TAG_CELL => {
             if restored.calibration.is_none() {
                 return false;
             }
-            let Ok(stage) = decode_scd(&mut r) else {
-                return false;
-            };
-            restored.scd = Some(stage);
+            // Undecodable: dropped, and the cell recomputed.
+            if let Ok((index, found)) = decode_cell(&mut r) {
+                restored.cells.insert(index, found);
+            }
+            return true;
         }
         _ => return false,
     }
@@ -378,20 +394,6 @@ fn decode_calibration(
     Ok(calibrated)
 }
 
-fn decode_scd(r: &mut ByteReader<'_>) -> Result<Vec<Vec<Candidate>>, CodecError> {
-    let n = r.read_len()?;
-    let mut found = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        let m = r.read_len()?;
-        let mut cell = Vec::with_capacity(m.min(1024));
-        for _ in 0..m {
-            cell.push(decode_candidate(r)?);
-        }
-        found.push(cell);
-    }
-    Ok(found)
-}
-
 fn encode_resources(w: &mut ByteWriter, res: &ResourceUsage) {
     w.put_varint(res.dsp);
     w.put_varint(res.lut);
@@ -408,7 +410,9 @@ fn decode_resources(r: &mut ByteReader<'_>) -> Result<ResourceUsage, CodecError>
     })
 }
 
-fn encode_evaluation(w: &mut ByteWriter, eval: &BundleEvaluation) {
+/// Encodes one coarse [`BundleEvaluation`] field by field. Public
+/// because a shard run's canonical output bytes use the same encoding.
+pub fn encode_evaluation(w: &mut ByteWriter, eval: &BundleEvaluation) {
     w.put_varint(eval.bundle_id.0 as u64);
     w.put_varint(eval.parallel_factor as u64);
     w.put_f64(eval.latency_ms);
@@ -533,6 +537,32 @@ pub fn decode_candidate(r: &mut ByteReader<'_>) -> Result<Candidate, CodecError>
     })
 }
 
+/// Encodes one finished SCD cell: its grid index as a varint, then the
+/// length of its candidate list, then each [`encode_candidate`]. This
+/// is a checkpoint cell record after its tag byte, and a shard segment
+/// record whole.
+pub fn encode_cell(w: &mut ByteWriter, index: usize, found: &[Candidate]) {
+    w.put_varint(index as u64);
+    w.put_len(found.len());
+    for candidate in found {
+        encode_candidate(w, candidate);
+    }
+}
+
+/// Decodes a cell written by [`encode_cell`] into its grid index and
+/// candidates.
+///
+/// # Errors
+///
+/// [`CodecError`] on truncated or schema-drifted input, and on bytes
+/// left over after the cell.
+pub fn decode_cell(r: &mut ByteReader<'_>) -> Result<(usize, Vec<Candidate>), CodecError> {
+    let index = r.read_varint()? as usize;
+    let found = read_list(r, decode_candidate)?;
+    r.finish()?;
+    Ok((index, found))
+}
+
 /// Encodes everything the search results depend on: device, targets,
 /// clock, tolerance, candidate count, PF sweep, replications, seed.
 /// `parallelism` is left out — results are bit-identical at any worker
@@ -645,6 +675,77 @@ mod tests {
         point
     }
 
+    /// A fixed cell of two candidates, spelled out field by field.
+    fn pinned_cell() -> Vec<Candidate> {
+        [0.5, 0.625]
+            .map(|accuracy| Candidate {
+                point: DesignPoint {
+                    bundle: bundle_by_id(BundleId(13)).unwrap(),
+                    n_replications: 3,
+                    downsample: vec![true, false, true],
+                    expansion: vec![1.0, 1.5, 2.0],
+                    parallel_factor: 96,
+                    activation: Activation::Relu4,
+                    base_channels: 24,
+                    max_channels: 384,
+                },
+                estimate: Estimate {
+                    latency_cycles: 6_125_000,
+                    resources: ResourceUsage {
+                        dsp: 170,
+                        lut: 39_000,
+                        ff: 29_000,
+                        bram_18k: 110,
+                    },
+                },
+                latency_ms: 61.25,
+                accuracy,
+            })
+            .to_vec()
+    }
+
+    fn cell_bytes(index: usize, found: &[Candidate]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        encode_cell(&mut w, index, found);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn cell_record_bytes_are_pinned() {
+        // Shard segments written before the cell codec moved into this
+        // module hold exactly these bytes, and must still open.
+        let found = pinned_cell();
+        let bytes = cell_bytes(7, &found);
+        assert_eq!(bytes.len(), 132);
+        assert_eq!(fnv1a(&bytes), 0x1093_714d_7295_d9f6);
+        assert_eq!(decode_cell(&mut ByteReader::new(&bytes)), Ok((7, found)));
+
+        let mut trailing = bytes;
+        trailing.push(0);
+        assert_eq!(
+            decode_cell(&mut ByteReader::new(&trailing)),
+            Err(CodecError::TrailingBytes { remaining: 1 })
+        );
+    }
+
+    #[test]
+    fn cell_decoder_survives_truncation_and_bit_flips() {
+        let bytes = cell_bytes(7, &pinned_cell());
+        for cut in 0..bytes.len() {
+            assert!(
+                decode_cell(&mut ByteReader::new(&bytes[..cut])).is_err(),
+                "a cell cut at byte {cut} must not decode"
+            );
+        }
+        let mut flipped = bytes.clone();
+        for bit in 0..bytes.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            // Any outcome but a panic: a flip may still decode.
+            let _ = decode_cell(&mut ByteReader::new(&flipped));
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
     #[test]
     fn fingerprint_ignores_parallelism_but_not_seed() {
         let base = config();
@@ -723,7 +824,7 @@ mod tests {
                 parallel_factor: 96,
             },
         )];
-        let found = vec![vec![Candidate {
+        let found = vec![Candidate {
             point: sample_point(),
             estimate: Estimate {
                 latency_cycles: 6_125_000,
@@ -736,21 +837,22 @@ mod tests {
             },
             latency_ms: 61.25,
             accuracy: 0.64,
-        }]];
+        }];
 
         {
             let ckpt = FlowCheckpoint::open(&path, &cfg).unwrap();
             assert!(!ckpt.has_restored_stages());
             ckpt.record_coarse(&coarse, &selected).unwrap();
             ckpt.record_calibration(&calibrated).unwrap();
-            ckpt.record_scd(&found).unwrap();
+            ckpt.record_cell(0, &found).unwrap();
         }
 
         let ckpt = FlowCheckpoint::open(&path, &cfg).unwrap();
         assert!(ckpt.has_restored_stages());
-        assert_eq!(ckpt.take_coarse(), Some((coarse, selected)));
-        assert_eq!(ckpt.take_calibration(), Some(calibrated));
-        assert_eq!(ckpt.take_scd(), Some(found));
+        let restored = ckpt.take_restored();
+        assert_eq!(restored.coarse, Some((coarse, selected)));
+        assert_eq!(restored.calibration, Some(calibrated));
+        assert_eq!(restored.cells, BTreeMap::from([(0, found)]));
 
         ckpt.finish().unwrap();
         assert!(!path.exists());
@@ -782,11 +884,11 @@ mod tests {
             let ckpt = FlowCheckpoint::open(&path, &cfg).unwrap();
             // SCD recorded without coarse/calibration on disk: replay
             // must not trust it.
-            ckpt.record_scd(&[vec![]]).unwrap();
+            ckpt.record_cell(0, &[]).unwrap();
         }
         let ckpt = FlowCheckpoint::open(&path, &cfg).unwrap();
-        assert!(ckpt.take_scd().is_none());
         assert!(!ckpt.has_restored_stages());
+        assert_eq!(ckpt.take_restored(), Restored::default());
         let _ = std::fs::remove_file(&path);
     }
 }

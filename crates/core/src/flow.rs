@@ -667,13 +667,15 @@ impl CoDesignFlow {
         self.run_inner(observer, cancel, None)
     }
 
-    /// Runs the flow against a stage checkpoint: completed stages found
-    /// in `checkpoint` are replayed from disk instead of recomputed,
-    /// each stage that *does* run is recorded as it completes, and the
+    /// Runs the flow against a checkpoint: the coarse and calibration
+    /// stages and the SCD cells found in `checkpoint` are replayed from
+    /// disk instead of recomputed. A stage that *does* run is recorded
+    /// as it completes, and each SCD cell as it finishes, so an
+    /// interrupted SCD stage resumes with only its missing cells. The
     /// checkpoint file is deleted when the run finishes successfully.
     ///
     /// Resuming never changes results — the flow is deterministic, so a
-    /// replayed stage restores exactly the state an uninterrupted run
+    /// replayed stage or cell restores exactly what an uninterrupted run
     /// would have computed and the final output is bit-identical (see
     /// the `checkpoint` module docs). Open the checkpoint with the same
     /// config via [`FlowCheckpoint::open`], which rejects mismatches.
@@ -681,7 +683,8 @@ impl CoDesignFlow {
     /// # Errors
     ///
     /// Everything [`run_observed`](Self::run_observed) returns, plus
-    /// [`FlowError::Checkpoint`] when a stage record cannot be written.
+    /// [`FlowError::Checkpoint`] when a record cannot be written or
+    /// synced.
     pub fn run_checkpointed(
         &self,
         checkpoint: &FlowCheckpoint,
@@ -748,9 +751,10 @@ impl CoDesignFlow {
             bundles: all_bundles.len(),
         });
 
+        let restored = ckpt.map(FlowCheckpoint::take_restored).unwrap_or_default();
         live()?;
-        let (coarse, selected) = match ckpt.and_then(FlowCheckpoint::take_coarse) {
-            Some(restored) => restored,
+        let (coarse, selected) = match restored.coarse {
+            Some(stage) => stage,
             None => {
                 let (coarse, selected) = pipeline::coarse_stage(cfg, &self.model)?;
                 if let Some(c) = ckpt {
@@ -767,27 +771,26 @@ impl CoDesignFlow {
         // target. A resume replays the fitted coefficients and skips the
         // per-Bundle progress events.
         live()?;
-        let params_list: Vec<(BundleId, CalibratedParams)> =
-            match ckpt.and_then(FlowCheckpoint::take_calibration) {
-                Some(restored) => restored,
-                None => {
-                    let calibrated = AtomicUsize::new(0);
-                    let list = try_parallel_map(&selected, threads, |_, id| {
-                        live()?;
-                        let params = pipeline::calibrate(&all_bundles[id.0 - 1], &cfg.device)?;
-                        observer.on_event(&FlowEvent::BundleCalibrated {
-                            bundle: id.0,
-                            done: calibrated.fetch_add(1, Ordering::Relaxed) + 1,
-                            total: selected.len(),
-                        });
-                        Ok::<_, FlowError>((*id, params))
-                    })?;
-                    if let Some(c) = ckpt {
-                        c.record_calibration(&list).map_err(ckpt_write)?;
-                    }
-                    list
+        let params_list: Vec<(BundleId, CalibratedParams)> = match restored.calibration {
+            Some(stage) => stage,
+            None => {
+                let calibrated = AtomicUsize::new(0);
+                let list = try_parallel_map(&selected, threads, |_, id| {
+                    live()?;
+                    let params = pipeline::calibrate(&all_bundles[id.0 - 1], &cfg.device)?;
+                    observer.on_event(&FlowEvent::BundleCalibrated {
+                        bundle: id.0,
+                        done: calibrated.fetch_add(1, Ordering::Relaxed) + 1,
+                        total: selected.len(),
+                    });
+                    Ok::<_, FlowError>((*id, params))
+                })?;
+                if let Some(c) = ckpt {
+                    c.record_calibration(&list).map_err(ckpt_write)?;
                 }
-            };
+                list
+            }
+        };
         // All estimators share one estimate cache.
         let estimators: BTreeMap<BundleId, HlsEstimator> = params_list
             .into_iter()
@@ -798,35 +801,42 @@ impl CoDesignFlow {
             })
             .collect();
 
+        // The fingerprint check at open pins everything the grid is
+        // derived from, so a restored cell index names the same cell
+        // here. Only the cells not on disk are searched; each is
+        // recorded before its event, so `done == total` means the whole
+        // grid is on disk.
         let cells = pipeline::cells(&cfg.targets_fps, &selected);
-        let found: Vec<Vec<Candidate>> = match ckpt.and_then(FlowCheckpoint::take_scd) {
-            // The fingerprint check at open pins everything the cell
-            // list is derived from, so a restored stage always aligns
-            // with `cells`; a short vector (torn record survived the tag
-            // check) falls through to recompute.
-            Some(restored) if restored.len() == cells.len() => restored,
-            _ => {
-                let searched = AtomicUsize::new(0);
-                let found = try_parallel_map(&cells, threads, |_, cell| {
-                    live()?;
-                    let found =
-                        pipeline::run_cell(cfg, cell, &estimators[&cell.bundle], &self.model);
-                    observer.on_event(&FlowEvent::ScdSearchFinished {
-                        target_fps: cell.fps,
-                        bundle: cell.bundle.0,
-                        activation: cell.activation,
-                        found: found.len(),
-                        done: searched.fetch_add(1, Ordering::Relaxed) + 1,
-                        total: cells.len(),
-                    });
-                    Ok::<_, FlowError>(found)
-                })?;
-                if let Some(c) = ckpt {
-                    c.record_scd(&found).map_err(ckpt_write)?;
-                }
-                found
+        let mut found = restored.cells;
+        let missing: Vec<&pipeline::Cell> = cells
+            .iter()
+            .filter(|cell| !found.contains_key(&cell.index))
+            .collect();
+        let searched = AtomicUsize::new(cells.len() - missing.len());
+        let computed = try_parallel_map(&missing, threads, |_, cell| {
+            live()?;
+            let cands = pipeline::run_cell(cfg, cell, &estimators[&cell.bundle], &self.model);
+            if let Some(c) = ckpt {
+                c.record_cell(cell.index, &cands).map_err(ckpt_write)?;
             }
+            observer.on_event(&FlowEvent::ScdSearchFinished {
+                target_fps: cell.fps,
+                bundle: cell.bundle.0,
+                activation: cell.activation,
+                found: cands.len(),
+                done: searched.fetch_add(1, Ordering::Relaxed) + 1,
+                total: cells.len(),
+            });
+            Ok::<_, FlowError>((cell.index, cands))
+        });
+        // One sync for the whole stage, whether it finished or not; the
+        // stage's own error, if any, is the one reported.
+        let synced = match ckpt {
+            Some(c) if !missing.is_empty() => c.sync().map_err(ckpt_write),
+            _ => Ok(()),
         };
+        found.extend(computed?);
+        synced?;
 
         let (candidates, best_per_target) = pipeline::merge(cfg, &cells, &found);
         let mut designs: Vec<DesignOutcome> = Vec::new();

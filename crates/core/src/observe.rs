@@ -174,7 +174,8 @@ pub enum FlowEvent {
         activation: Activation,
         /// In-window candidates the cell found.
         found: usize,
-        /// SCD cells completed so far.
+        /// SCD cells completed so far, cells restored from a
+        /// checkpoint included.
         done: usize,
         /// Total SCD cells this run.
         total: usize,

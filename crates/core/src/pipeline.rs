@@ -36,6 +36,7 @@ use codesign_hls::model::HlsEstimator;
 use codesign_sim::device::FpgaDevice;
 use codesign_sim::error::SimError;
 use codesign_sim::pipeline::{simulate, AccelConfig};
+use std::collections::BTreeMap;
 
 /// The quantization arms every (target, Bundle) pair is searched under:
 /// 16-bit (`Relu`) then 8-bit (`Relu4`). The scheme `Q` is a co-design
@@ -62,7 +63,8 @@ pub struct Cell {
 
 /// The SCD work grid: the nested `target → selected Bundle → arm` loop,
 /// flattened in that order. Checkpoints and shard segments store one
-/// result per cell in this order.
+/// record per cell, keyed by its index in this order, in whatever order
+/// the cells finish.
 pub fn cells(targets: &[f64], selected: &[BundleId]) -> Vec<Cell> {
     let mut cells = Vec::with_capacity(targets.len() * selected.len() * ARMS.len());
     for (ti, &fps) in targets.iter().enumerate() {
@@ -162,20 +164,25 @@ pub fn run_cell(
 /// A candidate tagged with the FPS target it was searched for.
 pub type Tagged = (f64, Candidate);
 
-/// Merges the per-cell results (`found[i]` belongs to `cells[i]`) into
-/// every candidate tagged with its target, in cell order, and the most
-/// accurate candidate per target (the designs to finalize).
+/// Merges the per-cell results (`found[&cell.index]` belongs to `cell`)
+/// into every candidate tagged with its target, in cell order, and the
+/// most accurate candidate per target (the designs to finalize). An
+/// entry of `found` whose index is not in `cells` is never read.
+///
+/// # Panics
+///
+/// When a cell of `cells` has no entry in `found`.
 pub fn merge(
     cfg: &FlowConfig,
     cells: &[Cell],
-    found: &[Vec<Candidate>],
+    found: &BTreeMap<usize, Vec<Candidate>>,
 ) -> (Vec<Tagged>, Vec<Tagged>) {
     let mut candidates: Vec<Tagged> = Vec::new();
     let mut best_per_target: Vec<Tagged> = Vec::new();
     for (ti, &fps) in cfg.targets_fps.iter().enumerate() {
         let first = candidates.len();
-        for (_, cs) in cells.iter().zip(found).filter(|(cell, _)| cell.ti == ti) {
-            candidates.extend(cs.iter().map(|c| (fps, c.clone())));
+        for cell in cells.iter().filter(|cell| cell.ti == ti) {
+            candidates.extend(found[&cell.index].iter().map(|c| (fps, c.clone())));
         }
         let best = candidates[first..]
             .iter()

@@ -3,11 +3,14 @@
 //! to an uninterrupted run, and completed stages are replayed from disk
 //! instead of recomputed.
 
-use codesign_core::checkpoint::FlowCheckpoint;
-use codesign_core::flow::{CoDesignFlow, FlowConfig, FlowError};
+use codesign_core::checkpoint::{encode_cell, FlowCheckpoint};
+use codesign_core::flow::{CoDesignFlow, FlowConfig, FlowError, FlowOutput};
 use codesign_core::observe::{CancelToken, FlowEvent, NullObserver};
+use codesign_core::Parallelism;
 use codesign_sim::device::pynq_z1;
-use std::path::PathBuf;
+use codesign_store::{ByteWriter, RecordLog, StreamKind};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 fn small_config() -> FlowConfig {
@@ -149,4 +152,149 @@ fn uninterrupted_checkpointed_run_matches_plain_run_and_cleans_up() {
     assert_eq!(out.candidates, plain.candidates);
     assert_eq!(out.designs[0].code, plain.designs[0].code);
     assert!(!path.exists(), "checkpoint must be deleted on success");
+}
+
+/// Runs `config` against a fresh checkpoint at `path` and cancels it on
+/// the first `ScdSearchFinished { done, total }` for which `stop` holds.
+/// Returns how many cells finished (each one is on disk) and the grid
+/// size.
+fn interrupt(
+    path: &Path,
+    config: &FlowConfig,
+    stop: impl Fn(usize, usize) -> bool + Sync,
+) -> (usize, usize) {
+    let _ = std::fs::remove_file(path);
+    let flow = CoDesignFlow::new(config.clone());
+    let ckpt = FlowCheckpoint::open(path, flow.config()).unwrap();
+    let token = CancelToken::new();
+    let finished = AtomicUsize::new(0);
+    let grid = AtomicUsize::new(0);
+    let sink = |e: &FlowEvent| {
+        if let FlowEvent::ScdSearchFinished { done, total, .. } = *e {
+            finished.fetch_add(1, Ordering::Relaxed);
+            grid.store(total, Ordering::Relaxed);
+            if stop(done, total) {
+                token.cancel();
+            }
+        }
+    };
+    let result = flow.run_checkpointed(&ckpt, &sink, &token);
+    assert!(matches!(result, Err(FlowError::Cancelled)));
+    (finished.into_inner(), grid.into_inner())
+}
+
+/// Resumes `config` from the checkpoint at `path`, with every event.
+fn resume(path: &Path, config: &FlowConfig) -> (FlowOutput, Vec<FlowEvent>) {
+    let flow = CoDesignFlow::new(config.clone());
+    let ckpt = FlowCheckpoint::open(path, flow.config()).unwrap();
+    let events = Mutex::new(Vec::new());
+    let sink = |e: &FlowEvent| events.lock().unwrap().push(e.clone());
+    let out = flow
+        .run_checkpointed(&ckpt, &sink, &CancelToken::new())
+        .unwrap();
+    assert!(!path.exists(), "a finished resume deletes its checkpoint");
+    (out, events.into_inner().unwrap())
+}
+
+fn assert_bit_identical(expected: &FlowOutput, actual: &FlowOutput) {
+    assert_eq!(expected.coarse, actual.coarse);
+    assert_eq!(expected.selected_bundles, actual.selected_bundles);
+    assert_eq!(expected.candidates, actual.candidates);
+    assert_eq!(expected.designs.len(), actual.designs.len());
+    for (a, b) in expected.designs.iter().zip(&actual.designs) {
+        assert_eq!(a.point, b.point);
+        assert_eq!(a.report, b.report);
+        assert_eq!(a.code, b.code, "generated C must be byte-stable");
+    }
+}
+
+#[test]
+fn interrupted_search_resumes_only_its_missing_cells() {
+    for threads in [1, 4] {
+        let config = FlowConfig {
+            parallelism: Parallelism::Fixed(threads),
+            ..small_config()
+        };
+        let plain = CoDesignFlow::new(config.clone()).run().unwrap();
+        let path = temp_path(&format!("per_cell_{threads}"));
+
+        // Cells in flight when the token fires still finish, so at 4
+        // workers more than 3 may be on disk.
+        let (first, total) = interrupt(&path, &config, |done, _| done == 3);
+        assert!((3..total).contains(&first), "{first} of {total} cells");
+
+        let (resumed, events) = resume(&path, &config);
+        let mut done: Vec<usize> = events
+            .iter()
+            .filter_map(|e| match *e {
+                FlowEvent::ScdSearchFinished { done, .. } => Some(done),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(first + done.len(), total, "only missing cells re-run");
+        // `done` counts on from the restored cells; at 4 workers two
+        // events may reach the observer out of order, so sort first.
+        done.sort_unstable();
+        assert_eq!(done, (first + 1..=total).collect::<Vec<_>>());
+        assert!(
+            !events
+                .iter()
+                .any(|e| matches!(e, FlowEvent::BundleCalibrated { .. })),
+            "restored calibration stage must not re-run"
+        );
+        assert_bit_identical(&plain, &resumed);
+    }
+}
+
+#[test]
+fn checkpoint_cut_anywhere_reopens_and_resumes_bit_identically() {
+    let config = small_config();
+    let plain = CoDesignFlow::new(config.clone()).run().unwrap();
+    let full = temp_path("cut_full");
+    interrupt(&full, &config, |done, total| done == total);
+    let bytes = std::fs::read(&full).unwrap();
+    let _ = std::fs::remove_file(&full);
+
+    // Record boundaries: a 16-byte log header, then frames of a 12-byte
+    // head (u32 length, u64 checksum) and the payload.
+    let mut boundaries = vec![16];
+    let mut end = 16;
+    while end < bytes.len() {
+        let len = u32::from_le_bytes(bytes[end..end + 4].try_into().unwrap()) as usize;
+        end += 12 + len;
+        boundaries.push(end);
+    }
+    assert_eq!(end, bytes.len());
+    assert!(
+        boundaries.len() > 4,
+        "fingerprint, coarse, calibration, cells"
+    );
+
+    let mut cuts = boundaries.clone();
+    cuts.extend(boundaries.windows(2).map(|w| (w[0] + w[1]) / 2));
+    let path = temp_path("cut");
+    for cut in cuts {
+        std::fs::write(&path, &bytes[..cut]).unwrap();
+        let (resumed, _) = resume(&path, &config);
+        assert_bit_identical(&plain, &resumed);
+    }
+}
+
+#[test]
+fn a_cell_record_outside_the_grid_is_ignored() {
+    let config = small_config();
+    let plain = CoDesignFlow::new(config.clone()).run().unwrap();
+    let path = temp_path("outside_grid");
+    interrupt(&path, &config, |done, _| done == 1);
+    {
+        // A well-formed, checksum-valid cell record (tag 4) for a cell
+        // index no grid of this config has.
+        let (mut log, _, _) = RecordLog::open(&path, StreamKind::FlowCheckpoint).unwrap();
+        let mut w = ByteWriter::new();
+        w.put_u8(4);
+        encode_cell(&mut w, 999, &[plain.candidates[0].1.clone()]);
+        log.append(w.as_bytes()).unwrap();
+    }
+    let (resumed, _) = resume(&path, &config);
+    assert_bit_identical(&plain, &resumed);
 }

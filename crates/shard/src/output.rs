@@ -14,7 +14,7 @@
 //! N-process, and N-process-with-injected-crash runs; `cmp` on the
 //! emitted files is the whole assertion.
 
-use codesign_core::checkpoint::{encode_candidate, encode_point};
+use codesign_core::checkpoint::{encode_candidate, encode_evaluation, encode_point};
 use codesign_core::FlowOutput;
 use codesign_store::{fnv1a, ByteWriter};
 
@@ -25,15 +25,7 @@ pub fn canonical_output_bytes(output: &FlowOutput) -> Vec<u8> {
 
     w.put_len(output.coarse.len());
     for e in &output.coarse {
-        w.put_varint(e.bundle_id.0 as u64);
-        w.put_varint(e.parallel_factor as u64);
-        w.put_f64(e.latency_ms);
-        w.put_varint(e.resources.dsp);
-        w.put_varint(e.resources.lut);
-        w.put_varint(e.resources.ff);
-        w.put_varint(e.resources.bram_18k);
-        w.put_f64(e.accuracy);
-        w.put_varint(e.dsp_group as u64);
+        encode_evaluation(&mut w, e);
     }
 
     w.put_len(output.selected_bundles.len());

@@ -8,16 +8,21 @@
 //! reorder anything; the supervisor merges by cell index, which every
 //! partition produces in the same total order.
 //!
-//! A record is the cell's *complete* result: the append is the commit
-//! point. A worker killed mid-append leaves a torn frame that the
-//! log's recovery truncates on the next open, so a retried attempt
-//! resumes from the last whole cell and recomputes the rest — the
-//! cell's seed depends only on what the cell is, so the recomputed
-//! bytes match what the dead worker would have written.
+//! A record is the cell's global index and its candidates, written by
+//! [`encode_cell`] and read by [`decode_cell`]. The codec lives in
+//! `codesign_core::checkpoint`, whose flow checkpoints store their cell
+//! records in the same bytes. A record is the cell's *complete* result:
+//! the append is the commit point. A worker killed mid-append leaves a
+//! torn frame that the log's recovery truncates on the next open, so a
+//! retried attempt resumes from the last whole cell and recomputes the
+//! rest — the cell's seed depends only on what the cell is, so the
+//! recomputed bytes match what the dead worker would have written.
+//!
+//! [`encode_cell`]: codesign_core::checkpoint::encode_cell
 
-use codesign_core::checkpoint::{decode_candidate, encode_candidate};
+use codesign_core::checkpoint::decode_cell;
 use codesign_core::Candidate;
-use codesign_store::{ByteReader, ByteWriter, CodecError, LogOptions, RecordLog, StreamKind};
+use codesign_store::{ByteReader, LogOptions, RecordLog, StreamKind};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -26,34 +31,6 @@ use crate::ShardError;
 /// Path of shard `shard`'s segment log inside a shard directory.
 pub fn segment_path(dir: &Path, shard: usize) -> PathBuf {
     dir.join(format!("seg-{shard}.log"))
-}
-
-/// Encodes one cell result: global index + its candidate list.
-pub fn encode_segment_record(cell_index: usize, candidates: &[Candidate]) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_varint(cell_index as u64);
-    w.put_len(candidates.len());
-    for c in candidates {
-        encode_candidate(&mut w, c);
-    }
-    w.into_bytes()
-}
-
-/// Decodes one cell result back.
-///
-/// # Errors
-///
-/// [`CodecError`] when the payload does not parse.
-pub fn decode_segment_record(payload: &[u8]) -> Result<(usize, Vec<Candidate>), CodecError> {
-    let mut r = ByteReader::new(payload);
-    let index = r.read_varint()? as usize;
-    let n = r.read_len()?;
-    let mut candidates = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        candidates.push(decode_candidate(&mut r)?);
-    }
-    r.finish()?;
-    Ok((index, candidates))
 }
 
 /// Opens (creating if absent) a segment log for appending, replaying
@@ -74,7 +51,7 @@ pub fn open_segment(
     for payload in &records {
         // A framed record that fails to decode is schema drift; drop it
         // and let the worker recompute that cell.
-        if let Ok((index, candidates)) = decode_segment_record(payload) {
+        if let Ok((index, candidates)) = decode_cell(&mut ByteReader::new(payload)) {
             cells.insert(index, candidates);
         }
     }
@@ -96,11 +73,13 @@ pub fn read_segment(path: &Path) -> Result<BTreeMap<usize, Vec<Candidate>>, Shar
 #[cfg(test)]
 mod tests {
     use super::*;
+    use codesign_core::checkpoint::encode_cell;
     use codesign_dnn::bundle::{bundle_by_id, BundleId};
     use codesign_dnn::quant::Activation;
     use codesign_dnn::space::DesignPoint;
     use codesign_hls::model::Estimate;
     use codesign_sim::report::ResourceUsage;
+    use codesign_store::ByteWriter;
 
     fn temp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir()
@@ -113,6 +92,12 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    fn cell_record(index: usize, found: &[Candidate]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        encode_cell(&mut w, index, found);
+        w.into_bytes()
     }
 
     fn candidate(accuracy: f64) -> Candidate {
@@ -143,9 +128,9 @@ mod tests {
         {
             let (mut log, cells) = open_segment(&path).unwrap();
             assert!(cells.is_empty());
-            log.append(&encode_segment_record(7, &[candidate(0.5), candidate(0.6)]))
+            log.append(&cell_record(7, &[candidate(0.5), candidate(0.6)]))
                 .unwrap();
-            log.append(&encode_segment_record(8, &[])).unwrap();
+            log.append(&cell_record(8, &[])).unwrap();
             log.sync().unwrap();
         }
         let cells = read_segment(&path).unwrap();
@@ -162,8 +147,7 @@ mod tests {
         let path = segment_path(&dir, 0);
         {
             let (mut log, _) = open_segment(&path).unwrap();
-            log.append(&encode_segment_record(0, &[candidate(0.4)]))
-                .unwrap();
+            log.append(&cell_record(0, &[candidate(0.4)])).unwrap();
             log.sync().unwrap();
         }
         // Simulate a kill -9 mid-append: a frame header promising more
@@ -182,8 +166,7 @@ mod tests {
         let (mut log, cells) = open_segment(&path).unwrap();
         assert_eq!(cells.len(), 1, "whole record survives, torn one does not");
         // The truncated log accepts new appends cleanly.
-        log.append(&encode_segment_record(1, &[candidate(0.7)]))
-            .unwrap();
+        log.append(&cell_record(1, &[candidate(0.7)])).unwrap();
         log.sync().unwrap();
         drop(log);
         let cells = read_segment(&path).unwrap();

@@ -22,10 +22,11 @@
 //! running when the supervisor returns — on success, cancellation or
 //! an error — are killed and reaped.
 //!
-//! When every shard is done, segments are merged in canonical cell
-//! order and `pipeline::merge` and `pipeline::finalize` — the same
-//! calls the in-process flow makes — reproduce its [`FlowOutput`] byte
-//! for byte — see
+//! When every shard is done, the segments' cells are gathered into one
+//! map by global cell index, and `pipeline::merge` and
+//! `pipeline::finalize` — the same calls, on the same map, the
+//! in-process flow makes — reproduce its [`FlowOutput`] byte for byte —
+//! see
 //! [`canonical_output_bytes`](crate::canonical_output_bytes) for what
 //! "byte for byte" means. A run with quarantined shards returns
 //! [`ShardError::Quarantined`] instead of a silently-partial output.
@@ -36,7 +37,7 @@ use codesign_core::observe::CancelState;
 use codesign_core::pipeline;
 use codesign_core::{AccuracyModel, CancelToken, Candidate};
 use codesign_faults::SPEC_ENV;
-use codesign_hls::cache::EstimateCache;
+use codesign_sim::report::CacheStats;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -152,6 +153,12 @@ pub fn run(config: &ShardConfig) -> Result<(FlowOutput, ShardReport), ShardError
 /// Runs the sharded search to completion, checking `cancel` between
 /// supervision steps (a fired token kills every worker and returns
 /// [`ShardError::Cancelled`]).
+///
+/// The output's decisions — coarse evaluations, selection, candidates
+/// and designs — are bit-identical to the in-process flow's. Two fields
+/// are not: `cache_stats` is zeroed, because the worker caches die with
+/// their processes, and every design's `measured_iou` is `None`,
+/// because measured quantization is an in-process flow option only.
 ///
 /// # Errors
 ///
@@ -332,9 +339,8 @@ pub fn run_with_cancel(
     if !missing.is_empty() {
         return Err(ShardError::IncompleteMerge { missing });
     }
-    let found: Vec<Vec<Candidate>> = by_cell.into_values().collect();
 
-    let (candidates, best_per_target) = pipeline::merge(cfg, &cells, &found);
+    let (candidates, best_per_target) = pipeline::merge(cfg, &cells, &by_cell);
     let mut designs: Vec<DesignOutcome> = Vec::new();
     for (fps, best) in &best_per_target {
         if cancel.state() != CancelState::Live {
@@ -352,7 +358,7 @@ pub fn run_with_cancel(
         // Worker caches died with their processes; the merged output
         // carries zeroed stats, consistent with "cache stats describe
         // the run, not the answer".
-        cache_stats: EstimateCache::new().stats(),
+        cache_stats: CacheStats::default(),
     };
     Ok((output, report))
 }

@@ -39,18 +39,20 @@
 //! * `shard.cell.delay` — sleep before computing a cell (keyed by the
 //!   cell's global index), widening race windows for kill tests.
 
+use codesign_core::checkpoint::encode_cell;
 use codesign_core::pipeline::{calibrate, run_cell};
 use codesign_core::AccuracyModel;
 use codesign_dnn::bundle::{bundle_by_id, BundleId};
 use codesign_faults::{plan_from_env, FaultAction, FaultPlan};
 use codesign_hls::cache::EstimateCache;
 use codesign_hls::model::HlsEstimator;
+use codesign_store::ByteWriter;
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use crate::segment::{encode_segment_record, open_segment, segment_path};
+use crate::segment::{open_segment, segment_path};
 use crate::spec::SweepSpec;
 use crate::ShardError;
 
@@ -227,7 +229,9 @@ pub fn run_worker(
             }
         };
         let found = run_cell(cfg, cell, estimator, &model);
-        log.append(&encode_segment_record(cell.index, &found))?;
+        let mut record = ByteWriter::new();
+        encode_cell(&mut record, cell.index, &found);
+        log.append(record.as_bytes())?;
     }
     // Edge case: a crash shard with nothing pending (all cells resumed
     // from the segment) still has to die on attempt 0 so the injection
