@@ -177,8 +177,8 @@ pub fn quantization_penalty(act: Activation) -> f64 {
 ///
 /// Training and evaluation run on the batched direct-convolution
 /// (implicit-GEMM) compute engine by default; the
-/// [`ProxyEvaluator::engine`] knob can pin a worker count or fall back
-/// to the naive per-image reference kernels.
+/// [`ProxyEvaluator::engine`] knob can pin a worker count or select the
+/// naive reference convolution kernels.
 /// The measured IoU is **bit-identical** across all engine settings
 /// (`tests/determinism.rs` pins this), so the knob only trades wall
 /// clock.
@@ -258,22 +258,23 @@ impl ProxyEvaluator {
         // trained weights are quantized once and every evaluation image
         // runs through the quantized engine (the real int8 integer path
         // for `Int8`), so the score carries measured quantization error.
-        let predictions: Vec<BoundingBox> = if let Some(scheme) = self.quantization {
-            let qnet = QuantizedNetwork::quantize(&net, scheme);
-            eval_imgs
-                .iter()
-                .map(|img| BoundingBox::from_prediction(qnet.forward_measured(img).data()))
-                .collect()
-        } else if self.engine.is_reference() || eval_imgs.is_empty() {
-            eval_imgs
-                .iter()
-                .map(|img| BoundingBox::from_prediction(net.forward(img).data()))
-                .collect()
-        } else {
-            let out = net.forward_batch(&Tensor::stack(eval_imgs));
-            (0..eval_imgs.len())
-                .map(|i| BoundingBox::from_prediction(out.image(i)))
-                .collect()
+        let predictions: Vec<BoundingBox> = match self.quantization {
+            Some(scheme) => {
+                let qnet = QuantizedNetwork::quantize(&net, scheme);
+                eval_imgs
+                    .iter()
+                    .map(|img| BoundingBox::from_prediction(qnet.forward_measured(img).data()))
+                    .collect()
+            }
+            // Float inference in stacked mini-batches; an empty held-out
+            // set has none to stack.
+            None => eval_imgs
+                .chunks(self.config.batch_size.max(1))
+                .flat_map(|batch| {
+                    let out = net.forward(&Tensor::stack(batch));
+                    (0..batch.len()).map(move |i| BoundingBox::from_prediction(out.image(i)))
+                })
+                .collect(),
         };
         let truth: Vec<BoundingBox> = eval_boxes
             .iter()
@@ -419,6 +420,26 @@ mod tests {
         );
         // Same evaluator, same candidate: the measurement is reproducible.
         assert_eq!(eval.evaluate(&point).unwrap(), q_iou);
+    }
+
+    #[test]
+    fn proxy_without_held_out_images_scores_zero() {
+        let b = bundle_by_id(BundleId(13)).unwrap();
+        let mut point = DesignPoint::initial(b, 1);
+        point.base_channels = 8;
+        for engine in [Engine::Reference, Engine::default()] {
+            let eval = ProxyEvaluator {
+                train_samples: 4,
+                eval_samples: 0,
+                config: TrainConfig {
+                    epochs: 1,
+                    ..TrainConfig::default()
+                },
+                engine,
+                ..ProxyEvaluator::default()
+            };
+            assert_eq!(eval.evaluate(&point), Ok(0.0), "engine {engine}");
+        }
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! fallback.
 //!
 //! [`Engine`] selects how the runtime executes (depth-wise)
-//! convolutions:
+//! convolutions. There is one forward and one backward entry per
+//! convolution kind, and each takes one `C x H x W` image or an
+//! `N x C x H x W` batch (an image runs as a batch of one):
 //!
 //! * [`Engine::Gemm`] — the fast path. Whole mini-batches run through
 //!   the implicit-GEMM kernels of [`crate::gemm`], which read every
@@ -12,7 +14,7 @@
 //!   kernel run as a transposed convolution over flipped weights, and
 //!   weight/bias gradients accumulate per-image subtotals in image
 //!   order. The network's backward pass asks for no input gradient at
-//!   layer 0 (see `Network::backward_batch`).
+//!   layer 0 (see [`crate::network::Network::backward`]).
 //! * [`Engine::Reference`] — the retained per-image naive loops of
 //!   [`crate::reference`], used as ground truth by tests and benches.
 //!
@@ -58,11 +60,6 @@ impl Engine {
         }
     }
 
-    /// True for [`Engine::Reference`].
-    pub fn is_reference(self) -> bool {
-        matches!(self, Engine::Reference)
-    }
-
     /// Pins [`Parallelism::Auto`] to the hardware thread count
     /// ([`codesign_parallel::hardware_threads`]), so a stored engine
     /// carries a fixed worker count. Results are identical either way —
@@ -76,15 +73,6 @@ impl Engine {
             other => other,
         }
     }
-}
-
-/// The default engine with `Auto` already pinned to the core count —
-/// resolved once per process, so convenience entry points that take no
-/// explicit engine (the `crate::layers` conv wrappers) don't re-query
-/// the scheduler on every call.
-pub(crate) fn default_resolved() -> Engine {
-    static DEFAULT: std::sync::OnceLock<Engine> = std::sync::OnceLock::new();
-    *DEFAULT.get_or_init(|| Engine::default().resolved())
 }
 
 impl fmt::Display for Engine {
@@ -115,7 +103,7 @@ fn reference_backward_batch(
 ) -> (Tensor, Vec<f32>, Vec<f32>) {
     let mut dw = vec![0.0f32; wlen];
     let mut db = vec![0.0f32; blen];
-    let mut dxs = Vec::with_capacity(x.dims4().0);
+    let mut dxs = Vec::with_capacity(x.dims().0);
     for (xi, gi) in x.unstack().iter().zip(dy.unstack().iter()) {
         let (dx, dwi, dbi) = backward(xi, gi);
         for (d, s) in dw.iter_mut().zip(&dwi) {
@@ -132,10 +120,7 @@ fn reference_backward_batch(
 /// The direct-kernel geometry of a convolution over one image (rank 3)
 /// or a batch (rank 4).
 fn shape_of(x: &Tensor, cin: usize, cout: usize, k: usize, depthwise: bool) -> ConvShape {
-    let (n, c, h, w) = match *x.shape() {
-        [c, h, w] => (1, c, h, w),
-        _ => x.dims4(),
-    };
+    let (n, c, h, w) = x.dims();
     assert_eq!(c, cin, "convolution input channel mismatch");
     ConvShape {
         n,
@@ -257,29 +242,25 @@ fn grads(
 // Standard convolution
 // ---------------------------------------------------------------------
 
-/// Batched convolution forward pass over an `N x C x H x W` tensor.
+/// Convolution forward pass (same padding, stride 1) over one image or
+/// a batch.
 ///
 /// # Panics
 ///
-/// Panics when `x` is not rank 4 or disagrees with the parameter
+/// Panics when `x` is not rank 3 or 4 or disagrees with the parameter
 /// geometry.
-pub fn conv_forward_batch(x: &Tensor, p: &ConvParams, engine: Engine) -> Tensor {
-    x.dims4();
-    conv_forward_single(x, p, engine)
-}
-
-/// Single-image convolution forward pass (same padding, stride 1).
-pub fn conv_forward_single(x: &Tensor, p: &ConvParams, engine: Engine) -> Tensor {
+pub fn conv_forward(x: &Tensor, p: &ConvParams, engine: Engine) -> Tensor {
     let s = shape_of(x, p.in_ch, p.out_ch, p.k, false);
     forward(x, &s, &p.weights, &p.bias, engine, |img| {
         reference::conv_forward(img, p)
     })
 }
 
-/// Convolution backward pass over one image or a batch, with the input
-/// gradient only when `input_grad` asks for it (the network input's
-/// gradient is never read).
-pub(crate) fn conv_grads(
+/// Convolution backward pass over one image or a batch: `(dx,
+/// dweights, dbias)`, with `dx` only when `input_grad` asks for it (the
+/// network input's gradient is never read). Weight and bias gradients
+/// are per-image subtotals summed in image order.
+pub fn conv_backward(
     x: &Tensor,
     p: &ConvParams,
     dy: &Tensor,
@@ -292,55 +273,25 @@ pub(crate) fn conv_grads(
     })
 }
 
-/// Batched convolution backward pass: `(dx, dweights, dbias)`, with
-/// weight and bias gradients summed over the batch as per-image
-/// subtotals in image order.
-pub fn conv_backward_batch(
-    x: &Tensor,
-    p: &ConvParams,
-    dy: &Tensor,
-    engine: Engine,
-) -> (Tensor, Vec<f32>, Vec<f32>) {
-    x.dims4();
-    conv_backward_single(x, p, dy, engine)
-}
-
-/// Single-image convolution backward pass: `(dx, dweights, dbias)`.
-pub fn conv_backward_single(
-    x: &Tensor,
-    p: &ConvParams,
-    dy: &Tensor,
-    engine: Engine,
-) -> (Tensor, Vec<f32>, Vec<f32>) {
-    let (dx, dw, db) = conv_grads(x, p, dy, engine, true);
-    (dx.expect("input gradient requested"), dw, db)
-}
-
 // ---------------------------------------------------------------------
 // Depth-wise convolution (one single-channel convolution per channel)
 // ---------------------------------------------------------------------
 
-/// Batched depth-wise convolution forward pass.
+/// Depth-wise convolution forward pass over one image or a batch.
 ///
 /// # Panics
 ///
-/// Panics when `x` is not rank 4 or disagrees with the parameter
+/// Panics when `x` is not rank 3 or 4 or disagrees with the parameter
 /// geometry.
-pub fn dwconv_forward_batch(x: &Tensor, p: &DwConvParams, engine: Engine) -> Tensor {
-    x.dims4();
-    dwconv_forward_single(x, p, engine)
-}
-
-/// Single-image depth-wise convolution forward pass.
-pub fn dwconv_forward_single(x: &Tensor, p: &DwConvParams, engine: Engine) -> Tensor {
+pub fn dwconv_forward(x: &Tensor, p: &DwConvParams, engine: Engine) -> Tensor {
     let s = shape_of(x, p.ch, p.ch, p.k, true);
     forward(x, &s, &p.weights, &p.bias, engine, |img| {
         reference::dwconv_forward(img, p)
     })
 }
 
-/// Depth-wise counterpart of [`conv_grads`].
-pub(crate) fn dwconv_grads(
+/// Depth-wise counterpart of [`conv_backward`].
+pub fn dwconv_backward(
     x: &Tensor,
     p: &DwConvParams,
     dy: &Tensor,
@@ -351,27 +302,4 @@ pub(crate) fn dwconv_grads(
     grads(x, dy, &s, &p.weights, engine, input_grad, |xi, gi| {
         reference::dwconv_backward(xi, p, gi)
     })
-}
-
-/// Batched depth-wise convolution backward pass: `(dx, dweights,
-/// dbias)`, gradients summed as per-image subtotals in image order.
-pub fn dwconv_backward_batch(
-    x: &Tensor,
-    p: &DwConvParams,
-    dy: &Tensor,
-    engine: Engine,
-) -> (Tensor, Vec<f32>, Vec<f32>) {
-    x.dims4();
-    dwconv_backward_single(x, p, dy, engine)
-}
-
-/// Single-image depth-wise convolution backward pass.
-pub fn dwconv_backward_single(
-    x: &Tensor,
-    p: &DwConvParams,
-    dy: &Tensor,
-    engine: Engine,
-) -> (Tensor, Vec<f32>, Vec<f32>) {
-    let (dx, dw, db) = dwconv_grads(x, p, dy, engine, true);
-    (dx.expect("input gradient requested"), dw, db)
 }

@@ -2,12 +2,14 @@
 //!
 //! All spatial operators use the same conventions as the hardware IR in
 //! [`codesign_dnn::layer`]: "same" padding for convolutions (stride 1)
-//! and non-overlapping windows for pooling. The convolution entry
-//! points here delegate to the direct-kernel compute engine
-//! ([`crate::engine`]) with its default configuration; the original
-//! naive kernels live on in [`crate::reference`]. The `*_batch`
-//! variants operate on rank-4 `N x C x H x W` tensors (see
-//! [`Tensor::stack`]).
+//! and non-overlapping windows for pooling. The convolutions run on the
+//! compute engine ([`crate::engine`]); the original naive kernels live
+//! on in [`crate::reference`].
+//!
+//! Every op takes one `C x H x W` image or an `N x C x H x W` batch
+//! (see [`Tensor::stack`]) and keeps its rank: row `i` of a batch's
+//! result is bit-identical to the op run on image `i` alone, and
+//! parameter gradients are per-image subtotals summed in image order.
 
 use crate::tensor::Tensor;
 use codesign_dnn::quant::Activation;
@@ -99,42 +101,20 @@ impl ScaleBiasParams {
     }
 }
 
-/// Standard convolution forward pass, same padding, stride 1, on the
-/// default compute engine (direct kernels).
-///
-/// # Panics
-///
-/// Panics when `x` does not match the parameter geometry.
-pub fn conv_forward(x: &Tensor, p: &ConvParams) -> Tensor {
-    crate::engine::conv_forward_single(x, p, crate::engine::default_resolved())
-}
-
-/// Standard convolution backward pass: returns `(dx, dweights, dbias)`.
-pub fn conv_backward(x: &Tensor, p: &ConvParams, dy: &Tensor) -> (Tensor, Vec<f32>, Vec<f32>) {
-    crate::engine::conv_backward_single(x, p, dy, crate::engine::default_resolved())
-}
-
-/// Depth-wise convolution forward pass, same padding, stride 1, on the
-/// default compute engine (direct kernels).
-pub fn dwconv_forward(x: &Tensor, p: &DwConvParams) -> Tensor {
-    crate::engine::dwconv_forward_single(x, p, crate::engine::default_resolved())
-}
-
-/// Depth-wise convolution backward pass: `(dx, dweights, dbias)`.
-pub fn dwconv_backward(x: &Tensor, p: &DwConvParams, dy: &Tensor) -> (Tensor, Vec<f32>, Vec<f32>) {
-    crate::engine::dwconv_backward_single(x, p, dy, crate::engine::default_resolved())
-}
-
-// Slice-level kernels shared by the single-image and batched entry
-// points: each operates on contiguous `C x H x W` slabs (max pooling on
-// any run of `H x W` planes), so the batched variants walk the batch
-// buffer with zero copies while staying bit-identical to the per-image
-// path. The naive loops they replaced live on in [`crate::reference`].
+// Slice-level kernels: pooling walks any run of `H x W` planes,
+// scale-bias one `C x H x W` slab at a time, so an op walks a batch
+// buffer with zero copies and each image's result is the one it gets
+// alone. The naive loops they replaced live on in [`crate::reference`].
+// The pooling kernels and the scale-bias backward stay out of line:
+// inlined into their one caller each, LLVM compiles them to slower
+// loops (up to 1.6x on the proxy network's small planes, measured on a
+// 2-core AVX2 host).
 
 /// Max pooling of every `h x w` plane of `x` into `y`, window and
 /// stride `k`: each output folds `f32::max` over its window in
 /// row-major order, seeded with `-inf`. Rows and columns past the last
 /// whole window are not read.
+#[inline(never)]
 fn maxpool_planes(x: &[f32], h: usize, w: usize, k: usize, y: &mut [f32]) {
     let (oh, ow) = (h / k, w / k);
     if oh * ow == 0 {
@@ -200,6 +180,7 @@ const POOL_BLOCK: usize = 4;
 /// on its first strict maximum (see [`route_window2`]) as `0.0 + g` on
 /// the zeroed `dx`; every other element, leftover rows and columns
 /// included, stays `0.0`.
+#[inline(never)]
 fn maxpool_backward_planes(x: &[f32], h: usize, w: usize, k: usize, g: &[f32], dx: &mut [f32]) {
     let (oh, ow) = (h / k, w / k);
     if oh * ow == 0 {
@@ -255,34 +236,36 @@ fn maxpool_backward_planes(x: &[f32], h: usize, w: usize, k: usize, g: &[f32], d
     }
 }
 
-fn avgpool_core(x: &[f32], c: usize, h: usize, w: usize, k: usize, y: &mut [f32]) {
+/// Average pooling of each of `planes` `h x w` planes of `x` into `y`.
+fn avgpool_planes(x: &[f32], planes: usize, h: usize, w: usize, k: usize, y: &mut [f32]) {
     let (oh, ow) = (h / k, w / k);
     let norm = (k * k) as f32;
-    for cc in 0..c {
+    for pl in 0..planes {
         for yy in 0..oh {
             for xx in 0..ow {
                 let mut s = 0.0;
                 for dy in 0..k {
                     for dx in 0..k {
-                        s += x[(cc * h + yy * k + dy) * w + xx * k + dx];
+                        s += x[(pl * h + yy * k + dy) * w + xx * k + dx];
                     }
                 }
-                y[(cc * oh + yy) * ow + xx] = s / norm;
+                y[(pl * oh + yy) * ow + xx] = s / norm;
             }
         }
     }
 }
 
-fn avgpool_backward_core(c: usize, h: usize, w: usize, k: usize, g: &[f32], dx: &mut [f32]) {
+/// Average-pooling backward over each of `planes` planes.
+fn avgpool_backward_planes(planes: usize, h: usize, w: usize, k: usize, g: &[f32], dx: &mut [f32]) {
     let (oh, ow) = (h / k, w / k);
     let norm = (k * k) as f32;
-    for cc in 0..c {
+    for pl in 0..planes {
         for yy in 0..oh {
             for xx in 0..ow {
-                let gv = g[(cc * oh + yy) * ow + xx] / norm;
+                let gv = g[(pl * oh + yy) * ow + xx] / norm;
                 for dy_ in 0..k {
                     for dx_ in 0..k {
-                        dx[(cc * h + yy * k + dy_) * w + xx * k + dx_] += gv;
+                        dx[(pl * h + yy * k + dy_) * w + xx * k + dx_] += gv;
                     }
                 }
             }
@@ -290,7 +273,7 @@ fn avgpool_backward_core(c: usize, h: usize, w: usize, k: usize, g: &[f32], dx: 
     }
 }
 
-fn scale_bias_core(x: &[f32], p: &ScaleBiasParams, plane: usize, y: &mut [f32]) {
+fn scale_bias_image(x: &[f32], p: &ScaleBiasParams, plane: usize, y: &mut [f32]) {
     for (cc, (&s, &b)) in p.scale.iter().zip(&p.bias).enumerate() {
         for (yv, &xv) in y[cc * plane..(cc + 1) * plane]
             .iter_mut()
@@ -304,7 +287,8 @@ fn scale_bias_core(x: &[f32], p: &ScaleBiasParams, plane: usize, y: &mut [f32]) 
 /// One image's scale-bias backward, in place: turns the gradient `g`
 /// into `dx`, accumulates this image's subtotals into `ds` / `db`
 /// (callers keep per-image grouping).
-fn scale_bias_backward_core(
+#[inline(never)]
+fn scale_bias_backward_image(
     x: &[f32],
     p: &ScaleBiasParams,
     plane: usize,
@@ -327,10 +311,18 @@ fn scale_bias_backward_core(
     }
 }
 
+/// The shape of `x` with an `h x w` plane in place of its own.
+fn with_plane(x: &Tensor, h: usize, w: usize) -> Vec<usize> {
+    let mut shape = x.shape().to_vec();
+    let rank = shape.len();
+    shape[rank - 2..].copy_from_slice(&[h, w]);
+    shape
+}
+
 /// Max pooling with window `k` and stride `k`.
 pub fn maxpool_forward(x: &Tensor, k: usize) -> Tensor {
-    let (c, h, w) = (x.channels(), x.height(), x.width());
-    let mut y = Tensor::zeros(&[c, h / k, w / k]);
+    let (_, _, h, w) = x.dims();
+    let mut y = Tensor::zeros(&with_plane(x, h / k, w / k));
     maxpool_planes(x.data(), h, w, k, y.data_mut());
     y
 }
@@ -339,7 +331,7 @@ pub fn maxpool_forward(x: &Tensor, k: usize) -> Tensor {
 /// strict maximum, or to the window's first element when no value
 /// beats `-inf` (all `-inf` or NaN).
 pub fn maxpool_backward(x: &Tensor, k: usize, dy: &Tensor) -> Tensor {
-    let (h, w) = (x.height(), x.width());
+    let (_, _, h, w) = x.dims();
     let mut dx = Tensor::zeros(x.shape());
     maxpool_backward_planes(x.data(), h, w, k, dy.data(), dx.data_mut());
     dx
@@ -347,40 +339,57 @@ pub fn maxpool_backward(x: &Tensor, k: usize, dy: &Tensor) -> Tensor {
 
 /// Average pooling with window `k` and stride `k`.
 pub fn avgpool_forward(x: &Tensor, k: usize) -> Tensor {
-    let (c, h, w) = (x.channels(), x.height(), x.width());
-    let mut y = Tensor::zeros(&[c, h / k, w / k]);
-    avgpool_core(x.data(), c, h, w, k, y.data_mut());
+    let (n, c, h, w) = x.dims();
+    let mut y = Tensor::zeros(&with_plane(x, h / k, w / k));
+    avgpool_planes(x.data(), n * c, h, w, k, y.data_mut());
     y
 }
 
 /// Average pooling backward: gradient spread uniformly over the window.
 pub fn avgpool_backward(x: &Tensor, k: usize, dy: &Tensor) -> Tensor {
-    let (c, h, w) = (x.channels(), x.height(), x.width());
-    let mut dx = Tensor::zeros(&[c, h, w]);
-    avgpool_backward_core(c, h, w, k, dy.data(), dx.data_mut());
+    let (n, c, h, w) = x.dims();
+    let mut dx = Tensor::zeros(x.shape());
+    avgpool_backward_planes(n * c, h, w, k, dy.data(), dx.data_mut());
     dx
 }
 
 /// Folded batch-norm forward: `y = x * scale[c] + bias[c]`.
 pub fn scale_bias_forward(x: &Tensor, p: &ScaleBiasParams) -> Tensor {
-    let (c, h, w) = (x.channels(), x.height(), x.width());
-    let mut y = Tensor::zeros(&[c, h, w]);
-    scale_bias_core(x.data(), p, h * w, y.data_mut());
+    let (_, c, h, w) = x.dims();
+    let mut y = Tensor::zeros(x.shape());
+    let images = x.data().chunks_exact(c * h * w);
+    for (xi, yi) in images.zip(y.data_mut().chunks_exact_mut(c * h * w)) {
+        scale_bias_image(xi, p, h * w, yi);
+    }
     y
 }
 
 /// Folded batch-norm backward: `(dx, dscale, dbias)`, with `dx`
-/// written over `dy`'s buffer.
+/// written over `dy`'s buffer and the parameter gradients summed as
+/// per-image subtotals in image order.
 pub fn scale_bias_backward(
     x: &Tensor,
     p: &ScaleBiasParams,
     mut dy: Tensor,
 ) -> (Tensor, Vec<f32>, Vec<f32>) {
-    let (c, h, w) = (x.channels(), x.height(), x.width());
+    let (_, c, h, w) = x.dims();
     assert_eq!(dy.shape(), x.shape(), "scale-bias gradient shape mismatch");
     let mut ds = vec![0.0f32; c];
     let mut db = vec![0.0f32; c];
-    scale_bias_backward_core(x.data(), p, h * w, dy.data_mut(), &mut ds, &mut db);
+    let mut ds_img = vec![0.0f32; c];
+    let mut db_img = vec![0.0f32; c];
+    let images = x.data().chunks_exact(c * h * w);
+    for (xi, gi) in images.zip(dy.data_mut().chunks_exact_mut(c * h * w)) {
+        ds_img.fill(0.0);
+        db_img.fill(0.0);
+        scale_bias_backward_image(xi, p, h * w, gi, &mut ds_img, &mut db_img);
+        for (d, s) in ds.iter_mut().zip(&ds_img) {
+            *d += s;
+        }
+        for (d, s) in db.iter_mut().zip(&db_img) {
+            *d += s;
+        }
+    }
     (dy, ds, db)
 }
 
@@ -404,152 +413,29 @@ pub fn activation_backward(x: &Tensor, act: Activation, mut dy: Tensor) -> Tenso
     dy
 }
 
-/// Global average pooling: `CxHxW -> [C]`.
+/// Global average pooling: `C x H x W -> [C]`, `N x C x H x W -> [N, C]`.
+/// Each mean sums its plane in row-major order.
 pub fn gap_forward(x: &Tensor) -> Tensor {
-    let (c, h, w) = (x.channels(), x.height(), x.width());
+    let (_, _, h, w) = x.dims();
     let norm = (h * w) as f32;
-    let mut y = Tensor::zeros(&[c]);
-    for cc in 0..c {
+    let mut y = Tensor::zeros(&x.shape()[..x.shape().len() - 2]);
+    for (m, plane) in y.data_mut().iter_mut().zip(x.data().chunks_exact(h * w)) {
         let mut s = 0.0;
-        for yy in 0..h {
-            for xx in 0..w {
-                s += x.at(cc, yy, xx);
-            }
+        for &v in plane {
+            s += v;
         }
-        y.data_mut()[cc] = s / norm;
+        *m = s / norm;
     }
     y
 }
 
-/// Global average pooling backward.
+/// Global average pooling backward (`dy` is `[C]` or `[N, C]`).
 pub fn gap_backward(x: &Tensor, dy: &Tensor) -> Tensor {
-    let (c, h, w) = (x.channels(), x.height(), x.width());
-    let norm = (h * w) as f32;
-    let mut dx = Tensor::zeros(&[c, h, w]);
-    for cc in 0..c {
-        let g = dy.data()[cc] / norm;
-        for yy in 0..h {
-            for xx in 0..w {
-                *dx.at_mut(cc, yy, xx) = g;
-            }
-        }
-    }
-    dx
-}
-
-/// Batched max pooling over an `N x C x H x W` tensor.
-pub fn maxpool_forward_batch(x: &Tensor, k: usize) -> Tensor {
-    let (n, c, h, w) = x.dims4();
-    let mut y = Tensor::zeros(&[n, c, h / k, w / k]);
-    maxpool_planes(x.data(), h, w, k, y.data_mut());
-    y
-}
-
-/// Batched max-pooling backward pass.
-pub fn maxpool_backward_batch(x: &Tensor, k: usize, dy: &Tensor) -> Tensor {
-    let (_, _, h, w) = x.dims4();
-    let mut dx = Tensor::zeros(x.shape());
-    maxpool_backward_planes(x.data(), h, w, k, dy.data(), dx.data_mut());
-    dx
-}
-
-/// Batched average pooling over an `N x C x H x W` tensor.
-pub fn avgpool_forward_batch(x: &Tensor, k: usize) -> Tensor {
-    let (n, c, h, w) = x.dims4();
-    let mut y = Tensor::zeros(&[n, c, h / k, w / k]);
-    for i in 0..n {
-        avgpool_core(x.image(i), c, h, w, k, y.image_mut(i));
-    }
-    y
-}
-
-/// Batched average-pooling backward pass.
-pub fn avgpool_backward_batch(x: &Tensor, k: usize, dy: &Tensor) -> Tensor {
-    let (n, c, h, w) = x.dims4();
-    let mut dx = Tensor::zeros(&[n, c, h, w]);
-    for i in 0..n {
-        avgpool_backward_core(c, h, w, k, dy.image(i), dx.image_mut(i));
-    }
-    dx
-}
-
-/// Batched folded batch-norm forward pass.
-pub fn scale_bias_forward_batch(x: &Tensor, p: &ScaleBiasParams) -> Tensor {
-    let (n, _, h, w) = x.dims4();
-    let mut y = Tensor::zeros(x.shape());
-    for i in 0..n {
-        scale_bias_core(x.image(i), p, h * w, y.image_mut(i));
-    }
-    y
-}
-
-/// Batched folded batch-norm backward pass: `(dx, dscale, dbias)` with
-/// `dx` written over `dy`'s buffer and the parameter gradients summed
-/// over the batch as per-image subtotals in image order (matching the
-/// per-image accumulation path).
-pub fn scale_bias_backward_batch(
-    x: &Tensor,
-    p: &ScaleBiasParams,
-    mut dy: Tensor,
-) -> (Tensor, Vec<f32>, Vec<f32>) {
-    let (n, c, h, w) = x.dims4();
-    assert_eq!(dy.shape(), x.shape(), "scale-bias gradient shape mismatch");
-    let mut ds = vec![0.0f32; c];
-    let mut db = vec![0.0f32; c];
-    let mut ds_img = vec![0.0f32; c];
-    let mut db_img = vec![0.0f32; c];
-    for i in 0..n {
-        ds_img.fill(0.0);
-        db_img.fill(0.0);
-        scale_bias_backward_core(
-            x.image(i),
-            p,
-            h * w,
-            dy.image_mut(i),
-            &mut ds_img,
-            &mut db_img,
-        );
-        for (d, s) in ds.iter_mut().zip(&ds_img) {
-            *d += s;
-        }
-        for (d, s) in db.iter_mut().zip(&db_img) {
-            *d += s;
-        }
-    }
-    (dy, ds, db)
-}
-
-/// Batched global average pooling: `N x C x H x W -> [N, C]`.
-pub fn gap_forward_batch(x: &Tensor) -> Tensor {
-    let (n, c, h, w) = x.dims4();
-    let norm = (h * w) as f32;
-    let mut y = Tensor::zeros(&[n, c]);
-    for i in 0..n {
-        let img = x.image(i);
-        let row = y.image_mut(i);
-        for (cc, r) in row.iter_mut().enumerate() {
-            let mut s = 0.0;
-            for &v in &img[cc * h * w..(cc + 1) * h * w] {
-                s += v;
-            }
-            *r = s / norm;
-        }
-    }
-    y
-}
-
-/// Batched global-average-pooling backward pass (`dy` is `[N, C]`).
-pub fn gap_backward_batch(x: &Tensor, dy: &Tensor) -> Tensor {
-    let (n, c, h, w) = x.dims4();
+    let (_, _, h, w) = x.dims();
     let norm = (h * w) as f32;
     let mut dx = Tensor::zeros(x.shape());
-    for i in 0..n {
-        let row = dy.image(i);
-        let img = dx.image_mut(i);
-        for cc in 0..c {
-            let g = row[cc] / norm;
-            img[cc * h * w..(cc + 1) * h * w].fill(g);
-        }
+    for (plane, &g) in dx.data_mut().chunks_exact_mut(h * w).zip(dy.data()) {
+        plane.fill(g / norm);
     }
     dx
 }
@@ -557,6 +443,8 @@ pub fn gap_backward_batch(x: &Tensor, dy: &Tensor) -> Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{conv_backward, conv_forward, dwconv_backward, dwconv_forward, Engine};
+    use codesign_parallel::Parallelism;
     use proptest::prelude::*;
 
     fn finite_diff_check(
@@ -606,14 +494,14 @@ mod tests {
         let mut p = ConvParams::zeros(1, 2, 2);
         p.weights[0] = 1.0; // oc0 <- ic0
         p.weights[3] = 1.0; // oc1 <- ic1
-        let y = conv_forward(&x, &p);
+        let y = conv_forward(&x, &p, Engine::default());
         assert_eq!(y, x);
     }
 
     #[test]
     fn conv_same_padding_keeps_size() {
         let x = ramp_tensor(&[3, 5, 7]);
-        let y = conv_forward(&x, &ramp_params(3, 3, 4));
+        let y = conv_forward(&x, &ramp_params(3, 3, 4), Engine::default());
         assert_eq!(y.shape(), &[4, 5, 7]);
     }
 
@@ -621,11 +509,17 @@ mod tests {
     fn conv_gradients_match_finite_differences() {
         let x = ramp_tensor(&[2, 4, 4]);
         let p = ramp_params(3, 2, 3);
-        let y = conv_forward(&x, &p);
+        let y = conv_forward(&x, &p, Engine::default());
         let dy = Tensor::full(y.shape(), 1.0);
-        let (dx, dw, db) = conv_backward(&x, &p, &dy);
+        let (dx, dw, db) = conv_backward(&x, &p, &dy, Engine::default(), true);
+        let dx = dx.expect("input gradient requested");
         // d(sum y)/dx via finite differences.
-        let f = |x: &Tensor| conv_forward(x, &p).data().iter().sum::<f32>();
+        let f = |x: &Tensor| {
+            conv_forward(x, &p, Engine::default())
+                .data()
+                .iter()
+                .sum::<f32>()
+        };
         finite_diff_check(&f, &dx, &x, &[(0, 0, 0), (1, 2, 3), (0, 3, 1)]);
         // Bias gradient of sum-loss equals the number of output pixels.
         for &g in &db {
@@ -642,11 +536,17 @@ mod tests {
         // finite differences.
         let x = ramp_tensor(&[2, 5, 6]);
         let p = ramp_params(2, 2, 3);
-        let y = conv_forward(&x, &p);
+        let y = conv_forward(&x, &p, Engine::default());
         assert_eq!(y.shape(), &[3, 5, 6]);
         let dy = Tensor::full(y.shape(), 1.0);
-        let (dx, dw, db) = conv_backward(&x, &p, &dy);
-        let f = |x: &Tensor| conv_forward(x, &p).data().iter().sum::<f32>();
+        let (dx, dw, db) = conv_backward(&x, &p, &dy, Engine::default(), true);
+        let dx = dx.expect("input gradient requested");
+        let f = |x: &Tensor| {
+            conv_forward(x, &p, Engine::default())
+                .data()
+                .iter()
+                .sum::<f32>()
+        };
         finite_diff_check(&f, &dx, &x, &[(0, 0, 0), (1, 2, 3), (0, 4, 5)]);
         assert_eq!(dw.len(), p.weights.len());
         assert_eq!(db.len(), 3);
@@ -659,11 +559,17 @@ mod tests {
         for (i, w) in p.weights.iter_mut().enumerate() {
             *w = ((i % 7) as f32 - 3.0) * 0.05;
         }
-        let y = dwconv_forward(&x, &p);
+        let y = dwconv_forward(&x, &p, Engine::default());
         assert_eq!(y.shape(), x.shape());
         let dy = Tensor::full(y.shape(), 1.0);
-        let (dx, _, _) = dwconv_backward(&x, &p, &dy);
-        let f = |x: &Tensor| dwconv_forward(x, &p).data().iter().sum::<f32>();
+        let (dx, _, _) = dwconv_backward(&x, &p, &dy, Engine::default(), true);
+        let dx = dx.expect("input gradient requested");
+        let f = |x: &Tensor| {
+            dwconv_forward(x, &p, Engine::default())
+                .data()
+                .iter()
+                .sum::<f32>()
+        };
         finite_diff_check(&f, &dx, &x, &[(0, 0, 0), (2, 3, 5), (1, 1, 2)]);
     }
 
@@ -674,11 +580,17 @@ mod tests {
         for (i, w) in p.weights.iter_mut().enumerate() {
             *w = ((i % 5) as f32 - 2.0) * 0.1;
         }
-        let y = dwconv_forward(&x, &p);
+        let y = dwconv_forward(&x, &p, Engine::default());
         assert_eq!(y.shape(), x.shape());
         let dy = Tensor::full(y.shape(), 1.0);
-        let (dx, _dw, _db) = dwconv_backward(&x, &p, &dy);
-        let f = |x: &Tensor| dwconv_forward(x, &p).data().iter().sum::<f32>();
+        let (dx, _dw, _db) = dwconv_backward(&x, &p, &dy, Engine::default(), true);
+        let dx = dx.expect("input gradient requested");
+        let f = |x: &Tensor| {
+            dwconv_forward(x, &p, Engine::default())
+                .data()
+                .iter()
+                .sum::<f32>()
+        };
         finite_diff_check(&f, &dx, &x, &[(0, 1, 1), (2, 3, 0)]);
     }
 
@@ -741,7 +653,7 @@ mod tests {
         // an 8-channel-at-a-time serial computation via identical params.
         let x = ramp_tensor(&[4, 6, 6]);
         let p = ramp_params(3, 4, 32);
-        let y = conv_forward(&x, &p);
+        let y = conv_forward(&x, &p, Engine::default());
         // Serial reference: evaluate channel oc with a 1-output-channel
         // parameter slice.
         for oc in [0usize, 7, 19, 31] {
@@ -750,7 +662,7 @@ mod tests {
             p1.weights
                 .copy_from_slice(&p.weights[oc * stride..(oc + 1) * stride]);
             p1.bias[0] = p.bias[oc];
-            let y1 = conv_forward(&x, &p1);
+            let y1 = conv_forward(&x, &p1, Engine::default());
             for yy in 0..6 {
                 for xx in 0..6 {
                     assert!((y.at(oc, yy, xx) - y1.at(0, yy, xx)).abs() < 1e-5);
@@ -775,7 +687,7 @@ mod tests {
         );
         let xb = Tensor::stack(&[x.clone(), x]);
         let dyb = Tensor::stack(&[dy.clone(), dy]);
-        let dxb = maxpool_backward_batch(&xb, 2, &dyb);
+        let dxb = maxpool_backward(&xb, 2, &dyb);
         assert_eq!(dxb.image(0), &expect);
         assert_eq!(dxb.image(1), &expect);
     }
@@ -856,8 +768,8 @@ mod tests {
             let (h, w) = (oh * k + extra / 3 % k, ow * k + extra % k);
             let (xs, xb) = images(n, [c, h, w], seed);
             let (gs, gb) = images(n, [c, oh, ow], !seed);
-            let y = maxpool_forward_batch(&xb, k);
-            let dx = maxpool_backward_batch(&xb, k, &gb);
+            let y = maxpool_forward(&xb, k);
+            let dx = maxpool_backward(&xb, k, &gb);
             for (i, (x, g)) in xs.iter().zip(&gs).enumerate() {
                 let want_y = crate::reference::maxpool_forward(x, k);
                 let want_dx = crate::reference::maxpool_backward(x, k, g);
@@ -906,8 +818,8 @@ mod tests {
             };
             let (xs, xb) = images(n, [c, h, w], seed);
             let (gs, gb) = images(n, [c, h, w], !seed);
-            let y = scale_bias_forward_batch(&xb, &p);
-            let (dx, ds, db) = scale_bias_backward_batch(&xb, &p, gb);
+            let y = scale_bias_forward(&xb, &p);
+            let (dx, ds, db) = scale_bias_backward(&xb, &p, gb);
             let (mut want_ds, mut want_db) = (vec![0.0f32; c], vec![0.0f32; c]);
             for (i, (x, g)) in xs.iter().zip(&gs).enumerate() {
                 let want_y = crate::reference::scale_bias_forward(x, &p);
@@ -928,6 +840,122 @@ mod tests {
             }
             prop_assert_eq!(vbits(&ds), vbits(&want_ds));
             prop_assert_eq!(vbits(&db), vbits(&want_db));
+        }
+
+        /// Every layer op, forward and backward, on a stacked batch:
+        /// row `i` is the op run on image `i` alone, bit for bit, and
+        /// the batch's parameter gradients are the per-image ones
+        /// summed in image order from zero.
+        #[test]
+        fn prop_batch_rows_match_single_images(
+            n in 1usize..4,
+            c in 1usize..5,
+            oh in 1usize..4,
+            ow in 1usize..7,
+            k in 1usize..4,
+            seed in 0u64..u64::MAX,
+        ) {
+            let (h, w) = (oh * k, ow * k);
+            let (xs, xb) = images(n, [c, h, w], seed);
+            let (gs, gb) = images(n, [c, h, w], !seed);
+            let (ps, pb) = images(n, [c, oh, ow], seed ^ 3);
+            // GAP gradients: one `[c]` row per image, and their `[n, c]` batch.
+            let vs: Vec<Tensor> = (0..n as u64)
+                .map(|i| Tensor::from_vec(&[c], awkward(c, seed ^ (i << 20))))
+                .collect();
+            let vb = Tensor::from_vec(&[n, c], vs.iter().flat_map(|v| v.data().to_vec()).collect());
+            // Per-image parameter gradients summed in image order.
+            let sum = |parts: &[Vec<f32>]| -> Vec<f32> {
+                let mut total = vec![0.0f32; parts[0].len()];
+                for part in parts {
+                    for (t, v) in total.iter_mut().zip(part) {
+                        *t += v;
+                    }
+                }
+                total
+            };
+
+            let conv = ConvParams {
+                weights: awkward(c * c * k * k, seed ^ 4),
+                bias: awkward(c, seed ^ 5),
+                ..ConvParams::zeros(k, c, c)
+            };
+            let dw = DwConvParams {
+                weights: awkward(c * k * k, seed ^ 6),
+                bias: awkward(c, seed ^ 7),
+                ..DwConvParams::zeros(k, c)
+            };
+            let sb = ScaleBiasParams {
+                scale: awkward(c, seed ^ 8),
+                bias: awkward(c, seed ^ 9),
+            };
+            for engine in [
+                Engine::Reference,
+                Engine::Gemm(Parallelism::Fixed(1)),
+                Engine::Gemm(Parallelism::Fixed(3)),
+            ] {
+                let y = conv_forward(&xb, &conv, engine);
+                let (dx, dwb, dbb) = conv_backward(&xb, &conv, &gb, engine, true);
+                let (mut dws, mut dbs) = (Vec::new(), Vec::new());
+                for (i, (x, g)) in xs.iter().zip(&gs).enumerate() {
+                    prop_assert_eq!(vbits(y.image(i)), bits(&conv_forward(x, &conv, engine)));
+                    let (dx_i, dw_i, db_i) = conv_backward(x, &conv, g, engine, true);
+                    prop_assert_eq!(vbits(dx.as_ref().unwrap().image(i)), bits(&dx_i.unwrap()));
+                    dws.push(dw_i);
+                    dbs.push(db_i);
+                }
+                prop_assert_eq!(vbits(&dwb), vbits(&sum(&dws)));
+                prop_assert_eq!(vbits(&dbb), vbits(&sum(&dbs)));
+
+                let y = dwconv_forward(&xb, &dw, engine);
+                let (dx, dwb, dbb) = dwconv_backward(&xb, &dw, &gb, engine, true);
+                let (mut dws, mut dbs) = (Vec::new(), Vec::new());
+                for (i, (x, g)) in xs.iter().zip(&gs).enumerate() {
+                    prop_assert_eq!(vbits(y.image(i)), bits(&dwconv_forward(x, &dw, engine)));
+                    let (dx_i, dw_i, db_i) = dwconv_backward(x, &dw, g, engine, true);
+                    prop_assert_eq!(vbits(dx.as_ref().unwrap().image(i)), bits(&dx_i.unwrap()));
+                    dws.push(dw_i);
+                    dbs.push(db_i);
+                }
+                prop_assert_eq!(vbits(&dwb), vbits(&sum(&dws)));
+                prop_assert_eq!(vbits(&dbb), vbits(&sum(&dbs)));
+            }
+
+            let (ymax, dmax) = (maxpool_forward(&xb, k), maxpool_backward(&xb, k, &pb));
+            let (yavg, davg) = (avgpool_forward(&xb, k), avgpool_backward(&xb, k, &pb));
+            let ysb = scale_bias_forward(&xb, &sb);
+            let (dsb, dsb_s, dsb_b) = scale_bias_backward(&xb, &sb, gb.clone());
+            let (ygap, dgap) = (gap_forward(&xb), gap_backward(&xb, &vb));
+            prop_assert_eq!(ygap.shape(), &[n, c]);
+            let (mut dss, mut dbs) = (Vec::new(), Vec::new());
+            for (i, ((x, g), p)) in xs.iter().zip(&gs).zip(&ps).enumerate() {
+                prop_assert_eq!(vbits(ymax.image(i)), bits(&maxpool_forward(x, k)));
+                prop_assert_eq!(vbits(dmax.image(i)), bits(&maxpool_backward(x, k, p)));
+                prop_assert_eq!(vbits(yavg.image(i)), bits(&avgpool_forward(x, k)));
+                prop_assert_eq!(vbits(davg.image(i)), bits(&avgpool_backward(x, k, p)));
+                prop_assert_eq!(vbits(ysb.image(i)), bits(&scale_bias_forward(x, &sb)));
+                let (dx_i, ds_i, db_i) = scale_bias_backward(x, &sb, g.clone());
+                prop_assert_eq!(vbits(dsb.image(i)), bits(&dx_i));
+                dss.push(ds_i);
+                dbs.push(db_i);
+                for act in Activation::ALL {
+                    let (ya, da) = (
+                        activation_forward(&xb, act),
+                        activation_backward(&xb, act, gb.clone()),
+                    );
+                    prop_assert_eq!(vbits(ya.image(i)), bits(&activation_forward(x, act)));
+                    prop_assert_eq!(
+                        vbits(da.image(i)),
+                        bits(&activation_backward(x, act, g.clone()))
+                    );
+                }
+                let gap = gap_forward(x);
+                prop_assert_eq!(gap.shape(), &[c]);
+                prop_assert_eq!(vbits(ygap.image(i)), bits(&gap));
+                prop_assert_eq!(vbits(dgap.image(i)), bits(&gap_backward(x, &vs[i])));
+            }
+            prop_assert_eq!(vbits(&dsb_s), vbits(&sum(&dss)));
+            prop_assert_eq!(vbits(&dsb_b), vbits(&sum(&dbs)));
         }
     }
 

@@ -4,19 +4,18 @@
 //! its accuracy (Fig. 1 includes a "DNN training framework" fed by
 //! Auto-DNN). This crate is that substrate, built from scratch in Rust:
 //!
-//! * [`tensor`] — a dense `f32` tensor in `C x H x W` layout (with an
-//!   `N x C x H x W` batch view) and the arithmetic needed by the
-//!   layer zoo.
+//! * [`tensor`] — a dense `f32` tensor: one image is `C x H x W`, a
+//!   mini-batch is `N x C x H x W`.
 //! * [`layers`] — forward and backward passes for every operator in the
 //!   co-design IP pool: convolution, depth-wise convolution, max / avg
 //!   pooling, folded batch-norm (scale + bias), the `Relu` / `Relu4` /
 //!   `Relu8` activations and global average pooling.
-//! * [`engine`], [`gemm`] — the batched compute engine: direct
-//!   (implicit-GEMM) convolution kernels that read patch rows straight
-//!   from the planar buffers, register-blocked over output channels and
-//!   multi-threaded over images, with a bit-reproducibility contract
-//!   (any worker count, batched or per-image, direct or naive — same
-//!   bits). Training never computes the gradient of the network input.
+//! * [`engine`], [`gemm`] — the compute engine: direct (implicit-GEMM)
+//!   convolution kernels that read patch rows straight from the planar
+//!   buffers, register-blocked over output channels and multi-threaded
+//!   over images, with a bit-reproducibility contract (any worker
+//!   count, direct or naive — same bits). Training never computes the
+//!   gradient of the network input.
 //! * [`simd`] — runtime-dispatched micro-kernels: the f32 convolution
 //!   kernels in a baseline and an AVX2 build, the int8 GEMM tiles in
 //!   scalar / SSE2 / AVX2 variants, selected once per process from CPU
@@ -35,7 +34,12 @@
 //!   into an exact `i8 x i8 -> i32` GEMM with its own SIMD kernels.
 //! * [`train`] — the training loop: mini-batch SGD on a bounding-box
 //!   regression loss, matching the paper's 20-epoch proxy training;
-//!   executes whole mini-batches through the direct kernels.
+//!   executes whole stacked mini-batches on every engine.
+//!
+//! One image and a batch run the same code: every layer op, the
+//! network's forward and backward passes and the training loop take
+//! either rank, and row `i` of a batch's result is bit-identical to
+//! image `i` run alone.
 //!
 //! # Example
 //!
@@ -53,6 +57,10 @@
 //! let image = Tensor::zeros(&[3, 32, 64]);
 //! let boxes = net.forward(&image);
 //! assert_eq!(boxes.len(), 4); // (cx, cy, w, h)
+//! // A stacked batch runs the same code: one output row per image.
+//! let batch = net.forward(&Tensor::stack(&[image.clone(), image]));
+//! assert_eq!(batch.shape(), &[2, 4]);
+//! assert_eq!(batch.image(1), boxes.data());
 //! # Ok(())
 //! # }
 //! ```

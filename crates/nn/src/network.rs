@@ -1,15 +1,10 @@
 //! Executable, trainable networks compiled from the co-design DNN IR.
 
-use crate::engine::{
-    conv_forward_batch, conv_forward_single, conv_grads, dwconv_forward_batch,
-    dwconv_forward_single, dwconv_grads, Engine,
-};
+use crate::engine::{conv_backward, conv_forward, dwconv_backward, dwconv_forward, Engine};
 use crate::layers::{
-    activation_backward, activation_forward, avgpool_backward, avgpool_backward_batch,
-    avgpool_forward, avgpool_forward_batch, gap_backward, gap_backward_batch, gap_forward,
-    gap_forward_batch, maxpool_backward, maxpool_backward_batch, maxpool_forward,
-    maxpool_forward_batch, scale_bias_backward, scale_bias_backward_batch, scale_bias_forward,
-    scale_bias_forward_batch, ConvParams, DwConvParams, ScaleBiasParams,
+    activation_backward, activation_forward, avgpool_backward, avgpool_forward, gap_backward,
+    gap_forward, maxpool_backward, maxpool_forward, scale_bias_backward, scale_bias_forward,
+    ConvParams, DwConvParams, ScaleBiasParams,
 };
 use crate::tensor::Tensor;
 use codesign_dnn::layer::{LayerOp, PoolKind};
@@ -57,6 +52,21 @@ pub enum NnLayer {
     Act(Activation),
     /// Global average pooling.
     Gap,
+}
+
+impl NnLayer {
+    /// Runs the layer on one image or a batch on `engine`.
+    pub(crate) fn forward(&self, x: &Tensor, engine: Engine) -> Tensor {
+        match self {
+            NnLayer::Conv(p) => conv_forward(x, p, engine),
+            NnLayer::DwConv(p) => dwconv_forward(x, p, engine),
+            NnLayer::MaxPool(k) => maxpool_forward(x, *k),
+            NnLayer::AvgPool(k) => avgpool_forward(x, *k),
+            NnLayer::ScaleBias(p) => scale_bias_forward(x, p),
+            NnLayer::Act(a) => activation_forward(x, *a),
+            NnLayer::Gap => gap_forward(x),
+        }
+    }
 }
 
 /// Gradient and momentum buffers of one layer (empty for parameter-free
@@ -163,14 +173,9 @@ impl Network {
     /// bit-identical across engines and worker counts. An `Auto` worker
     /// count is pinned to the core count here, once, so the per-layer
     /// hot path never re-queries the scheduler.
-    pub fn set_engine(&mut self, engine: Engine) {
-        self.engine = engine.resolved();
-    }
-
-    /// Builder-style variant of [`Network::set_engine`].
     #[must_use]
     pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.set_engine(engine);
+        self.engine = engine.resolved();
         self
     }
 
@@ -192,81 +197,40 @@ impl Network {
             .sum()
     }
 
-    fn forward_layer(layer: &NnLayer, x: &Tensor, engine: Engine) -> Tensor {
-        match layer {
-            NnLayer::Conv(p) => conv_forward_single(x, p, engine),
-            NnLayer::DwConv(p) => dwconv_forward_single(x, p, engine),
-            NnLayer::MaxPool(k) => maxpool_forward(x, *k),
-            NnLayer::AvgPool(k) => avgpool_forward(x, *k),
-            NnLayer::ScaleBias(p) => scale_bias_forward(x, p),
-            NnLayer::Act(a) => activation_forward(x, *a),
-            NnLayer::Gap => gap_forward(x),
-        }
-    }
-
-    fn forward_layer_batch(layer: &NnLayer, x: &Tensor, engine: Engine) -> Tensor {
-        match layer {
-            NnLayer::Conv(p) => conv_forward_batch(x, p, engine),
-            NnLayer::DwConv(p) => dwconv_forward_batch(x, p, engine),
-            NnLayer::MaxPool(k) => maxpool_forward_batch(x, *k),
-            NnLayer::AvgPool(k) => avgpool_forward_batch(x, *k),
-            NnLayer::ScaleBias(p) => scale_bias_forward_batch(x, p),
-            // Activations are element-wise and rank-agnostic.
-            NnLayer::Act(a) => activation_forward(x, *a),
-            NnLayer::Gap => gap_forward_batch(x),
-        }
-    }
-
-    /// Inference: runs the network on one image.
-    pub fn forward(&self, image: &Tensor) -> Tensor {
-        let mut x = image.clone();
+    /// Inference on one `C x H x W` image or an `N x C x H x W` batch
+    /// (see [`Tensor::stack`]): an image gives one output vector, a
+    /// batch one output row per image. Row `i` of a batch's output is
+    /// bit-identical to the output of image `i` alone.
+    pub fn forward(&self, x: &Tensor) -> Tensor {
+        let mut x = x.clone();
         for layer in &self.layers {
-            x = Self::forward_layer(layer, &x, self.engine);
+            x = layer.forward(&x, self.engine);
         }
         x
     }
 
-    /// Batched inference: runs the network on an `N x C x H x W` batch
-    /// (see [`Tensor::stack`]), returning one output row per image.
-    ///
-    /// Row `n` of the result is bit-identical to
-    /// `self.forward(&batch.unstack()[n])`.
-    pub fn forward_batch(&self, batch: &Tensor) -> Tensor {
-        let mut x = batch.clone();
-        for layer in &self.layers {
-            x = Self::forward_layer_batch(layer, &x, self.engine);
-        }
-        x
-    }
-
-    /// Training forward pass: returns the output and the per-layer input
-    /// cache required by [`Network::backward`].
-    pub fn forward_train(&self, image: &Tensor) -> (Tensor, Vec<Tensor>) {
+    /// Training forward pass over an image or a batch: returns the
+    /// output and the per-layer input cache required by
+    /// [`Network::backward`].
+    pub fn forward_train(&self, x: &Tensor) -> (Tensor, Vec<Tensor>) {
         let mut cache = Vec::with_capacity(self.layers.len());
-        let mut x = image.clone();
+        let mut x = x.clone();
         for layer in &self.layers {
-            let y = Self::forward_layer(layer, &x, self.engine);
-            cache.push(std::mem::replace(&mut x, y));
-        }
-        (x, cache)
-    }
-
-    /// Batched training forward pass: like [`Network::forward_train`]
-    /// but over an `N x C x H x W` batch, caching batched activations
-    /// for [`Network::backward_batch`].
-    pub fn forward_train_batch(&self, batch: &Tensor) -> (Tensor, Vec<Tensor>) {
-        let mut cache = Vec::with_capacity(self.layers.len());
-        let mut x = batch.clone();
-        for layer in &self.layers {
-            let y = Self::forward_layer_batch(layer, &x, self.engine);
+            let y = layer.forward(&x, self.engine);
             cache.push(std::mem::replace(&mut x, y));
         }
         (x, cache)
     }
 
     /// Backward pass: accumulates parameter gradients from `grad_out`
-    /// (the loss gradient w.r.t. the network output) using the cache
-    /// from [`Network::forward_train`]. It stops once layer 0's
+    /// (the loss gradient w.r.t. the output of
+    /// [`Network::forward_train`], one row per image for a batch) using
+    /// that pass's cache.
+    ///
+    /// Parameter gradients are summed over a batch as **per-image
+    /// subtotals in image order**, so one batched call accumulates
+    /// bit-identical state to one call per image — the mini-batch SGD
+    /// semantics are engine-independent. It stops once layer 0's
     /// parameter gradients are accumulated: the gradient of the network
     /// input is never computed.
     ///
@@ -284,13 +248,13 @@ impl Network {
             // nothing reads: its convolutions skip that pass.
             g = match layer {
                 NnLayer::Conv(p) => {
-                    let (dx, dw, db) = conv_grads(x, p, &g, engine, i > 0);
+                    let (dx, dw, db) = conv_backward(x, p, &g, engine, i > 0);
                     accumulate(&mut self.state[i], &dw, &db);
                     let Some(dx) = dx else { break };
                     dx
                 }
                 NnLayer::DwConv(p) => {
-                    let (dx, dw, db) = dwconv_grads(x, p, &g, engine, i > 0);
+                    let (dx, dw, db) = dwconv_backward(x, p, &g, engine, i > 0);
                     accumulate(&mut self.state[i], &dw, &db);
                     let Some(dx) = dx else { break };
                     dx
@@ -304,54 +268,6 @@ impl Network {
                 }
                 NnLayer::Act(a) => activation_backward(x, *a, g),
                 NnLayer::Gap => gap_backward(x, &g),
-            };
-        }
-    }
-
-    /// Batched backward pass: accumulates parameter gradients from
-    /// `grad_out` (one loss-gradient row per image, `[N, out]`) using
-    /// the cache from [`Network::forward_train_batch`].
-    ///
-    /// Parameter gradients are summed over the batch as **per-image
-    /// subtotals in image order**, so one batched call accumulates
-    /// bit-identical state to `N` per-image [`Network::backward`] calls
-    /// — the mini-batch SGD semantics are engine-independent. Like
-    /// [`Network::backward`], it never computes the gradient of the
-    /// network input.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `cache` does not come from this network's batched
-    /// forward pass (length mismatch).
-    pub fn backward_batch(&mut self, cache: &[Tensor], grad_out: &Tensor) {
-        assert_eq!(cache.len(), self.layers.len(), "stale training cache");
-        let engine = self.engine;
-        let mut g = grad_out.clone();
-        for (i, layer) in self.layers.iter().enumerate().rev() {
-            let x = &cache[i];
-            // As in `backward`: no gradient of the network input.
-            g = match layer {
-                NnLayer::Conv(p) => {
-                    let (dx, dw, db) = conv_grads(x, p, &g, engine, i > 0);
-                    accumulate(&mut self.state[i], &dw, &db);
-                    let Some(dx) = dx else { break };
-                    dx
-                }
-                NnLayer::DwConv(p) => {
-                    let (dx, dw, db) = dwconv_grads(x, p, &g, engine, i > 0);
-                    accumulate(&mut self.state[i], &dw, &db);
-                    let Some(dx) = dx else { break };
-                    dx
-                }
-                NnLayer::MaxPool(k) => maxpool_backward_batch(x, *k, &g),
-                NnLayer::AvgPool(k) => avgpool_backward_batch(x, *k, &g),
-                NnLayer::ScaleBias(p) => {
-                    let (dx, ds, db) = scale_bias_backward_batch(x, p, g);
-                    accumulate(&mut self.state[i], &ds, &db);
-                    dx
-                }
-                NnLayer::Act(a) => activation_backward(x, *a, g),
-                NnLayer::Gap => gap_backward_batch(x, &g),
             };
         }
     }

@@ -128,8 +128,10 @@ impl QuantizedNetwork {
         }
     }
 
-    /// Replaces the execution engine (worker-count knob) used by the
-    /// integer path. Results are byte-identical at any worker count.
+    /// Replaces the execution engine of both paths: the float kernels of
+    /// [`QuantizedNetwork::forward`] and the worker count of
+    /// [`QuantizedNetwork::forward_int8`]. Results are byte-identical on
+    /// every engine and at any worker count.
     #[must_use]
     pub fn with_engine(mut self, engine: Engine) -> Self {
         self.engine = engine.resolved();
@@ -147,16 +149,16 @@ impl QuantizedNetwork {
         self.int8.is_some()
     }
 
-    /// Fake-quantized inference: float kernels over the pre-snapped
-    /// weights, activations snapped to the scheme's grid after every
-    /// layer — the round-trip error matches what the fixed-point
-    /// accelerator accumulates. Output is bit-identical to the
+    /// Fake-quantized inference: float kernels on this network's engine
+    /// over the pre-snapped weights, activations snapped to the scheme's
+    /// grid after every layer — the round-trip error matches what the
+    /// fixed-point accelerator accumulates. Output is bit-identical to the
     /// historical per-call-requantizing implementation.
     pub fn forward(&self, image: &Tensor) -> Tensor {
         let act_scale = activation_scale(self.scheme);
         let mut x = quantize_tensor(image, act_scale, self.scheme);
         for layer in &self.layers {
-            x = Network::forward_layer_public(layer, &x);
+            x = layer.forward(&x, self.engine);
             x = quantize_tensor(&x, act_scale, self.scheme);
         }
         x
@@ -291,24 +293,6 @@ impl QuantizedNetwork {
             }
         }
         total / count.max(1) as f32
-    }
-}
-
-impl Network {
-    /// Executes one layer — exposed for the quantized runtime, which
-    /// shares the float kernels and injects rounding between layers.
-    #[doc(hidden)]
-    pub fn forward_layer_public(layer: &NnLayer, x: &Tensor) -> Tensor {
-        use crate::layers::*;
-        match layer {
-            NnLayer::Conv(p) => conv_forward(x, p),
-            NnLayer::DwConv(p) => dwconv_forward(x, p),
-            NnLayer::MaxPool(k) => maxpool_forward(x, *k),
-            NnLayer::AvgPool(k) => avgpool_forward(x, *k),
-            NnLayer::ScaleBias(p) => scale_bias_forward(x, p),
-            NnLayer::Act(a) => activation_forward(x, *a),
-            NnLayer::Gap => gap_forward(x),
-        }
     }
 }
 
@@ -473,7 +457,7 @@ mod tests {
         for layer in net.layers() {
             let wscale = normalize_scale(layer_max_abs(layer), scheme);
             let snapped = quantize_layer(layer, wscale, scheme);
-            x = Network::forward_layer_public(&snapped, &x);
+            x = snapped.forward(&x, net.engine());
             x = quantize_tensor(&x, act_scale, scheme);
         }
         x

@@ -1,5 +1,5 @@
 //! Dense `f32` tensors in channel-major (`C x H x W`) layout, with an
-//! `N x C x H x W` batch view for the batched compute engine.
+//! `N x C x H x W` batch view; every layer op takes either rank.
 
 use std::fmt;
 
@@ -169,19 +169,19 @@ impl Tensor {
         self.data.len() / self.batch()
     }
 
-    /// Shape of a rank-4 batch tensor as `(n, c, h, w)`.
+    /// Shape of one `C x H x W` image or an `N x C x H x W` batch as
+    /// `(n, c, h, w)`, an image read as a batch of one: the layer ops
+    /// run the same code at either rank.
     ///
     /// # Panics
     ///
-    /// Panics for tensors that are not rank 4.
-    pub(crate) fn dims4(&self) -> (usize, usize, usize, usize) {
-        assert_eq!(
-            self.shape.len(),
-            4,
-            "batched ops need an NxCxHxW tensor, got {:?}",
-            self.shape
-        );
-        (self.shape[0], self.shape[1], self.shape[2], self.shape[3])
+    /// Panics for tensors that are neither rank 3 nor rank 4.
+    pub(crate) fn dims(&self) -> (usize, usize, usize, usize) {
+        match self.shape[..] {
+            [c, h, w] => (1, c, h, w),
+            [n, c, h, w] => (n, c, h, w),
+            ref s => panic!("layer ops need a CxHxW or NxCxHxW tensor, got {s:?}"),
+        }
     }
 
     /// Channel count for a rank-3 tensor.

@@ -10,12 +10,13 @@
 //!
 //! Gradients accumulate across every image of a batch and
 //! [`Network::sgd_step`] fires **once per batch** with the learning
-//! rate divided by the batch length. Under [`crate::engine::Engine::Gemm`]
+//! rate divided by the batch length. Every engine runs the same loop:
 //! the whole batch executes as one stacked `N x C x H x W` pass (one
-//! kernel call per layer); under [`crate::engine::Engine::Reference`] images
-//! run one at a time through the naive kernels. Both produce
-//! bit-identical parameter updates — the batched path sums per-image
-//! gradient subtotals in image order, exactly like the per-image loop.
+//! call per layer). [`crate::engine::Engine::Reference`] runs its naive
+//! convolution kernels image by image inside that call. The parameter
+//! updates are bit-identical on every engine and to one
+//! forward/backward per image — the batched pass sums per-image
+//! gradient subtotals in image order.
 
 use crate::network::Network;
 use crate::tensor::Tensor;
@@ -104,13 +105,9 @@ impl Trainer {
         (loss, Tensor::from_vec(output.shape(), grad))
     }
 
-    /// Trains `net` on `(images, boxes)` pairs and reports the loss
-    /// trajectory.
-    ///
-    /// The execution strategy follows [`Network::engine`]: whole
-    /// mini-batches through the direct kernels, or the per-image legacy
-    /// loop under [`crate::engine::Engine::Reference`] — with bit-identical parameter
-    /// updates either way (see the module docs).
+    /// Trains `net` on `(images, boxes)` pairs, one stacked mini-batch
+    /// per step on [`Network::engine`], and reports the loss trajectory
+    /// (see the module docs).
     ///
     /// # Panics
     ///
@@ -119,9 +116,6 @@ impl Trainer {
     pub fn train(&self, net: &mut Network, images: &[Tensor], boxes: &[[f32; 4]]) -> TrainReport {
         assert_eq!(images.len(), boxes.len(), "images / boxes length mismatch");
         assert!(!images.is_empty(), "empty training set");
-        if net.engine().is_reference() {
-            return self.train_per_image(net, images, boxes);
-        }
         let bs = self.config.batch_size.max(1);
         // The batch tensors never change across epochs — stack once.
         let batches: Vec<(Tensor, &[[f32; 4]])> = images
@@ -140,7 +134,7 @@ impl Trainer {
         for _epoch in 0..self.config.epochs {
             let mut epoch_loss = 0.0f32;
             for (batch, batch_boxes) in &batches {
-                let (out, cache) = net.forward_train_batch(batch);
+                let (out, cache) = net.forward_train(batch);
                 let grad_slot = if batch_boxes.len() == bs {
                     &mut grad_full
                 } else {
@@ -152,7 +146,7 @@ impl Trainer {
                     epoch_loss += loss;
                     grad.image_mut(i).copy_from_slice(&g);
                 }
-                net.backward_batch(&cache, grad);
+                net.backward(&cache, grad);
                 net.sgd_step(
                     self.config.learning_rate / batch_boxes.len() as f32,
                     self.config.momentum,
@@ -163,65 +157,20 @@ impl Trainer {
         TrainReport { epoch_losses }
     }
 
-    /// The legacy per-image training loop: one forward/backward per
-    /// image, gradients accumulating across the batch, one
-    /// [`Network::sgd_step`] per batch.
-    ///
-    /// [`Trainer::train`] uses this path under [`crate::engine::Engine::Reference`];
-    /// it stays public as the executable definition of the mini-batch
-    /// SGD semantics the batched path is tested against.
-    pub fn train_per_image(
-        &self,
-        net: &mut Network,
-        images: &[Tensor],
-        boxes: &[[f32; 4]],
-    ) -> TrainReport {
-        assert_eq!(images.len(), boxes.len(), "images / boxes length mismatch");
-        assert!(!images.is_empty(), "empty training set");
-        let mut epoch_losses = Vec::with_capacity(self.config.epochs);
-        for _epoch in 0..self.config.epochs {
-            let mut epoch_loss = 0.0f32;
-            let bs = self.config.batch_size.max(1);
-            for (batch_images, batch_boxes) in images.chunks(bs).zip(boxes.chunks(bs)) {
-                for (image, target) in batch_images.iter().zip(batch_boxes) {
-                    let (out, cache) = net.forward_train(image);
-                    let (loss, grad) = Self::mse_loss(&out, target);
-                    epoch_loss += loss;
-                    net.backward(&cache, &grad);
-                }
-                net.sgd_step(
-                    self.config.learning_rate / batch_images.len() as f32,
-                    self.config.momentum,
-                );
-            }
-            epoch_losses.push(epoch_loss / images.len() as f32);
-        }
-        TrainReport { epoch_losses }
-    }
-
     /// Mean IoU-style evaluation hook: average loss of `net` on a
     /// held-out set (lower is better; IoU proper lives in the dataset
-    /// crate, which owns box geometry). Runs batched under the direct
-    /// kernels, per-image under [`crate::engine::Engine::Reference`], with identical
-    /// results.
+    /// crate, which owns box geometry), run in stacked mini-batches.
     pub fn evaluate_loss(&self, net: &Network, images: &[Tensor], boxes: &[[f32; 4]]) -> f32 {
         assert_eq!(images.len(), boxes.len());
         if images.is_empty() {
             return f32::INFINITY;
         }
         let mut total = 0.0f32;
-        if net.engine().is_reference() {
-            for (image, target) in images.iter().zip(boxes) {
-                let out = net.forward(image);
-                total += Self::mse_loss(&out, target).0;
-            }
-        } else {
-            let bs = self.config.batch_size.max(1);
-            for (batch_images, batch_boxes) in images.chunks(bs).zip(boxes.chunks(bs)) {
-                let out = net.forward_batch(&Tensor::stack(batch_images));
-                for (i, target) in batch_boxes.iter().enumerate() {
-                    total += Self::mse_loss_slice(out.image(i), target).0;
-                }
+        let bs = self.config.batch_size.max(1);
+        for (batch_images, batch_boxes) in images.chunks(bs).zip(boxes.chunks(bs)) {
+            let out = net.forward(&Tensor::stack(batch_images));
+            for (i, target) in batch_boxes.iter().enumerate() {
+                total += Self::mse_loss_slice(out.image(i), target).0;
             }
         }
         total / images.len() as f32

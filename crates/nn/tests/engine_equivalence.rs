@@ -9,10 +9,7 @@ use codesign_dnn::builder::DnnBuilder;
 use codesign_dnn::bundle::{bundle_by_id, BundleId};
 use codesign_dnn::space::DesignPoint;
 use codesign_dnn::TensorShape;
-use codesign_nn::engine::{
-    conv_backward_batch, conv_backward_single, conv_forward_batch, conv_forward_single,
-    dwconv_backward_batch, dwconv_backward_single, dwconv_forward_batch, dwconv_forward_single,
-};
+use codesign_nn::engine::{conv_backward, conv_forward, dwconv_backward, dwconv_forward};
 use codesign_nn::layers::{ConvParams, DwConvParams};
 use codesign_nn::network::NnLayer;
 use codesign_nn::train::{TrainConfig, Trainer};
@@ -100,22 +97,23 @@ proptest! {
         let batch = Tensor::stack(&images);
         let gemm = Engine::Gemm(Parallelism::Fixed(threads));
 
-        let y_ref = conv_forward_batch(&batch, &p, Engine::Reference);
-        let y_gemm = conv_forward_batch(&batch, &p, gemm);
+        let y_ref = conv_forward(&batch, &p, Engine::Reference);
+        let y_gemm = conv_forward(&batch, &p, gemm);
         prop_assert_eq!(bits(y_ref.data()), bits(y_gemm.data()));
         // Per-image entry point agrees with the batched rows.
-        let y_single = conv_forward_single(&images[0], &p, gemm);
+        let y_single = conv_forward(&images[0], &p, gemm);
         prop_assert_eq!(bits(y_single.data()), bits(y_gemm.image(0)));
 
         let dy: Vec<Tensor> = (0..n).map(|_| rng_tensor(&[oc, h, w], &mut rng)).collect();
         let dy_batch = Tensor::stack(&dy);
-        let (dx_r, dw_r, db_r) = conv_backward_batch(&batch, &p, &dy_batch, Engine::Reference);
-        let (dx_g, dw_g, db_g) = conv_backward_batch(&batch, &p, &dy_batch, gemm);
+        let (dx_r, dw_r, db_r) = conv_backward(&batch, &p, &dy_batch, Engine::Reference, true);
+        let (dx_g, dw_g, db_g) = conv_backward(&batch, &p, &dy_batch, gemm, true);
+        let (dx_r, dx_g) = (dx_r.unwrap(), dx_g.unwrap());
         prop_assert_eq!(bits(dx_r.data()), bits(dx_g.data()));
         prop_assert_eq!(bits(&dw_r), bits(&dw_g));
         prop_assert_eq!(bits(&db_r), bits(&db_g));
-        let (dx_1, _, _) = conv_backward_single(&images[0], &p, &dy[0], gemm);
-        prop_assert_eq!(bits(dx_1.data()), bits(dx_g.image(0)));
+        let (dx_1, _, _) = conv_backward(&images[0], &p, &dy[0], gemm, true);
+        prop_assert_eq!(bits(dx_1.unwrap().data()), bits(dx_g.image(0)));
     }
 
     /// Same contract for the depth-wise convolution.
@@ -136,21 +134,22 @@ proptest! {
         let batch = Tensor::stack(&images);
         let gemm = Engine::Gemm(Parallelism::Fixed(threads));
 
-        let y_ref = dwconv_forward_batch(&batch, &p, Engine::Reference);
-        let y_gemm = dwconv_forward_batch(&batch, &p, gemm);
+        let y_ref = dwconv_forward(&batch, &p, Engine::Reference);
+        let y_gemm = dwconv_forward(&batch, &p, gemm);
         prop_assert_eq!(bits(y_ref.data()), bits(y_gemm.data()));
-        let y_single = dwconv_forward_single(&images[0], &p, gemm);
+        let y_single = dwconv_forward(&images[0], &p, gemm);
         prop_assert_eq!(bits(y_single.data()), bits(y_gemm.image(0)));
 
         let dy: Vec<Tensor> = (0..n).map(|_| rng_tensor(&[ch, h, w], &mut rng)).collect();
         let dy_batch = Tensor::stack(&dy);
-        let (dx_r, dw_r, db_r) = dwconv_backward_batch(&batch, &p, &dy_batch, Engine::Reference);
-        let (dx_g, dw_g, db_g) = dwconv_backward_batch(&batch, &p, &dy_batch, gemm);
+        let (dx_r, dw_r, db_r) = dwconv_backward(&batch, &p, &dy_batch, Engine::Reference, true);
+        let (dx_g, dw_g, db_g) = dwconv_backward(&batch, &p, &dy_batch, gemm, true);
+        let (dx_r, dx_g) = (dx_r.unwrap(), dx_g.unwrap());
         prop_assert_eq!(bits(dx_r.data()), bits(dx_g.data()));
         prop_assert_eq!(bits(&dw_r), bits(&dw_g));
         prop_assert_eq!(bits(&db_r), bits(&db_g));
-        let (dx_1, _, _) = dwconv_backward_single(&images[0], &p, &dy[0], gemm);
-        prop_assert_eq!(bits(dx_1.data()), bits(dx_g.image(0)));
+        let (dx_1, _, _) = dwconv_backward(&images[0], &p, &dy[0], gemm, true);
+        prop_assert_eq!(bits(dx_1.unwrap().data()), bits(dx_g.image(0)));
     }
 }
 
@@ -185,7 +184,7 @@ fn synthetic_set(n: usize, seed: u64) -> (Vec<Tensor>, Vec<[f32; 4]>) {
 fn batched_network_forward_matches_per_image() {
     let net = tiny_net(11);
     let (images, _) = synthetic_set(5, 3);
-    let out = net.forward_batch(&Tensor::stack(&images));
+    let out = net.forward(&Tensor::stack(&images));
     assert_eq!(out.shape(), &[5, 4]);
     for (i, img) in images.iter().enumerate() {
         assert_eq!(
@@ -276,9 +275,9 @@ fn padding_taps_decide_the_sign_of_zero() {
     dw.weights.fill(0.5);
     dw.bias[0] = -0.0;
     for engine in [Engine::Reference, Engine::Gemm(Parallelism::Fixed(1))] {
-        let y = conv_forward_batch(&x, &conv, engine);
+        let y = conv_forward(&x, &conv, engine);
         assert_eq!(bits(y.data()), [0.0f32.to_bits()], "conv under {engine}");
-        let y = dwconv_forward_batch(&x, &dw, engine);
+        let y = dwconv_forward(&x, &dw, engine);
         assert_eq!(bits(y.data()), [0.0f32.to_bits()], "dwconv under {engine}");
     }
 }

@@ -33,7 +33,9 @@ fn rng_image(seed: u64) -> Tensor {
 }
 
 /// Same seed, same input ⇒ byte-identical int8 outputs at 1 and 4
-/// workers (and at whatever SIMD level the host dispatches).
+/// workers (and at whatever SIMD level the host dispatches), and
+/// byte-identical fake-quantized outputs, Int8 and Int16, on the
+/// reference engine and the direct kernels at 1 and 4 workers.
 #[test]
 fn int8_forward_is_byte_identical_across_worker_counts() {
     for bundle in [1, 13, 15] {
@@ -52,7 +54,30 @@ fn int8_forward_is_byte_identical_across_worker_counts() {
                 "bundle {bundle} image {img_seed}: worker count changed int8 bytes"
             );
         }
+        for scheme in [Quantization::Int8, Quantization::Int16] {
+            let engines = [
+                Engine::Reference,
+                Engine::Gemm(Parallelism::Fixed(1)),
+                Engine::Gemm(Parallelism::Fixed(4)),
+            ];
+            let qs = engines.map(|e| QuantizedNetwork::quantize(&net, scheme).with_engine(e));
+            for img_seed in 0..4u64 {
+                let img = rng_image(img_seed);
+                let want = bits(&qs[0].forward(&img));
+                for (q, engine) in qs.iter().zip(engines).skip(1) {
+                    assert_eq!(
+                        bits(&q.forward(&img)),
+                        want,
+                        "bundle {bundle} {scheme} image {img_seed}: {engine} changed fake-quant bytes"
+                    );
+                }
+            }
+        }
     }
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
 }
 
 /// Rebuilding the quantized network from the same float network is a
