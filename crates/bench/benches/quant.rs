@@ -1,6 +1,12 @@
 //! Quantized-inference microbench: float forward vs fake-quantized
 //! forward vs the real int8 integer engine on a representative
-//! candidate network.
+//! candidate network, plus float forward of 8 stacked images per call.
+//!
+//! The nn runtime computes with a batch's images as the vector lanes, so
+//! one image fills one lane of eight: `forward_f32` (one image per call)
+//! and `forward_f32_batch8` (8 images per call, timed per image) put a
+//! number on what a lone image pays. The batch arm asserts that row `i`
+//! of its output is image `i` run alone, bit for bit.
 //!
 //! The fake-quantized path pays the full float inference *plus* a
 //! grid-snapping pass after every layer — it exists to model accuracy,
@@ -11,7 +17,7 @@
 //! sample, measured with `codesign_bench::perf::measure`, plus the
 //! measured mean output deviations).
 
-use codesign_bench::perf::{emit_bench_json, measure, BenchRecord};
+use codesign_bench::perf::{emit_bench_json, measure, BenchRecord, Timing};
 use codesign_core::parallel::Parallelism;
 use codesign_dnn::builder::DnnBuilder;
 use codesign_dnn::bundle::{bundle_by_id, BundleId};
@@ -42,6 +48,27 @@ fn ramp_image() -> Tensor {
     Tensor::from_vec(&[3, 24, 48], data)
 }
 
+fn calibration_image(i: usize) -> Tensor {
+    let data: Vec<f32> = (0..3 * 24 * 48)
+        .map(|j| ((i * 13 + j * 41) % 97) as f32 / 97.0)
+        .collect();
+    Tensor::from_vec(&[3, 24, 48], data)
+}
+
+/// A timing of `images` images per call, as the time per image.
+fn per_image(t: Timing, images: u32) -> Timing {
+    Timing {
+        median: t.median / images,
+        min: t.min / images,
+        p90: t.p90 / images,
+        samples: t.samples,
+    }
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 fn main() {
     let net = candidate_net();
     let qnet = QuantizedNetwork::quantize(&net, Quantization::Int8);
@@ -50,21 +77,27 @@ fn main() {
     let fake_forward = measure(50, || (), |()| qnet.forward(&img));
     let int8_forward = measure(50, || (), |()| qnet.forward_int8(&img));
 
+    let batch: Vec<Tensor> = (0..8).map(calibration_image).collect();
+    let stacked = Tensor::stack(&batch);
+    let f32_batch8 = measure(50, || (), |()| net.forward(&stacked));
+    for (i, image) in batch.iter().enumerate() {
+        assert_eq!(
+            bits(f32_batch8.output.image(i)),
+            bits(net.forward(image).data()),
+            "row {i} of the batch DIVERGED from its image run alone"
+        );
+    }
+
     // Accuracy context: mean output deviation from the float network,
     // for both quantized paths, over a handful of calibration images.
-    let images: Vec<Tensor> = (0..4)
-        .map(|i| {
-            let data: Vec<f32> = (0..3 * 24 * 48)
-                .map(|j| ((i * 13 + j * 41) % 97) as f32 / 97.0)
-                .collect();
-            Tensor::from_vec(&[3, 24, 48], data)
-        })
-        .collect();
-    let dev_fake = qnet.deviation_from(&net, &images);
-    let dev_int8 = qnet.int8_deviation_from(&net, &images);
+    let images = &batch[..4];
+    let dev_fake = qnet.deviation_from(&net, images);
+    let dev_int8 = qnet.int8_deviation_from(&net, images);
 
     let records = [
         BenchRecord::timing("forward_f32", f32_forward.timing),
+        BenchRecord::timing("forward_f32_batch8", per_image(f32_batch8.timing, 8))
+            .with_metric("images_per_call", 8.0),
         BenchRecord::timing("forward_fake_quant", fake_forward.timing)
             .with_metric("deviation", dev_fake as f64),
         BenchRecord::speedup_over("forward_int8", int8_forward.timing, fake_forward.timing)

@@ -254,27 +254,37 @@ impl ProxyEvaluator {
 
         Trainer::new(self.config).train(&mut net, train_imgs, train_boxes);
 
-        // Held-out inference. With a quantization scheme requested, the
-        // trained weights are quantized once and every evaluation image
-        // runs through the quantized engine (the real int8 integer path
-        // for `Int8`), so the score carries measured quantization error.
-        let predictions: Vec<BoundingBox> = match self.quantization {
-            Some(scheme) => {
-                let qnet = QuantizedNetwork::quantize(&net, scheme);
-                eval_imgs
-                    .iter()
-                    .map(|img| BoundingBox::from_prediction(qnet.forward_measured(img).data()))
-                    .collect()
-            }
-            // Float inference in stacked mini-batches; an empty held-out
-            // set has none to stack.
-            None => eval_imgs
+        // Held-out inference in stacked mini-batches (an empty held-out
+        // set has none to stack). With a quantization scheme requested,
+        // the trained weights are quantized once and every evaluation
+        // image runs through the quantized engine, so the score carries
+        // measured quantization error: the real int8 integer path, one
+        // image at a time, for `Int8`, and the fake-quantized float path,
+        // batched like float inference, otherwise (`Int16`).
+        let batched = |forward: &dyn Fn(&Tensor) -> Tensor| -> Vec<BoundingBox> {
+            eval_imgs
                 .chunks(self.config.batch_size.max(1))
                 .flat_map(|batch| {
-                    let out = net.forward(&Tensor::stack(batch));
-                    (0..batch.len()).map(move |i| BoundingBox::from_prediction(out.image(i)))
+                    let out = forward(&Tensor::stack(batch));
+                    (0..batch.len())
+                        .map(|i| BoundingBox::from_prediction(out.image(i)))
+                        .collect::<Vec<_>>()
                 })
-                .collect(),
+                .collect()
+        };
+        let predictions = match self.quantization {
+            Some(scheme) => {
+                let qnet = QuantizedNetwork::quantize(&net, scheme);
+                if qnet.has_int8() {
+                    eval_imgs
+                        .iter()
+                        .map(|img| BoundingBox::from_prediction(qnet.forward_int8(img).data()))
+                        .collect()
+                } else {
+                    batched(&|x| qnet.forward(x))
+                }
+            }
+            None => batched(&|x| net.forward(x)),
         };
         let truth: Vec<BoundingBox> = eval_boxes
             .iter()
@@ -420,6 +430,36 @@ mod tests {
         );
         // Same evaluator, same candidate: the measurement is reproducible.
         assert_eq!(eval.evaluate(&point).unwrap(), q_iou);
+    }
+
+    /// A Relu design has no int8 program, so its measured score runs
+    /// the fake-quantized Int16 path; these bits pin it. The held-out
+    /// set (9 images) leaves a short final batch.
+    #[test]
+    fn proxy_int16_measured_iou_is_pinned() {
+        let b = bundle_by_id(BundleId(13)).unwrap();
+        let mut point = DesignPoint::initial(b, 1);
+        point.base_channels = 8;
+        point.activation = Activation::Relu;
+        let eval = ProxyEvaluator {
+            train_samples: 12,
+            eval_samples: 9,
+            seed: 7,
+            config: TrainConfig {
+                epochs: 4,
+                learning_rate: 0.08,
+                momentum: 0.9,
+                batch_size: 4,
+            },
+            quantization: Some(point.activation.quantization()),
+            ..ProxyEvaluator::default()
+        };
+        let iou = eval.evaluate(&point).unwrap();
+        assert_eq!(
+            iou.to_bits(),
+            4_589_325_222_741_653_293,
+            "Int16 measured IoU drifted: {iou}"
+        );
     }
 
     #[test]

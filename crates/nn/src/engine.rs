@@ -1,31 +1,38 @@
-//! The convolution compute engine: batched direct kernels with a naive
-//! fallback.
+//! The convolution compute engine: direct kernels over the
+//! image-interleaved layout, with a naive fallback.
 //!
 //! [`Engine`] selects how the runtime executes (depth-wise)
 //! convolutions. There is one forward and one backward entry per
 //! convolution kind, and each takes one `C x H x W` image or an
-//! `N x C x H x W` batch (an image runs as a batch of one):
+//! `N x C x H x W` batch (an image runs as a batch of one). The public
+//! entries pack their input into the layout of [`Lanes`] — the
+//! batch's images as the vector lanes — run the one lane kernel and
+//! unpack; [`crate::network::Network`] packs once per pass and runs
+//! every layer on lanes.
 //!
 //! * [`Engine::Gemm`] — the fast path. Whole mini-batches run through
 //!   the implicit-GEMM kernels of [`crate::gemm`], which read every
-//!   patch row straight from the planar `N x C x H x W` buffers (from a
-//!   zero-padded copy for `k > 1`) and write planar output — nothing is
-//!   lowered or un-interleaved. The backward-data pass is the same
-//!   kernel run as a transposed convolution over flipped weights, and
-//!   weight/bias gradients accumulate per-image subtotals in image
-//!   order. The network's backward pass asks for no input gradient at
-//!   layer 0 (see [`crate::network::Network::backward`]).
+//!   patch row straight from the interleaved buffer (from one
+//!   zero-padded copy of the batch for `k > 1`) and write interleaved
+//!   output. The backward-data pass is the same kernel run as a
+//!   transposed convolution over flipped weights, and weight and bias
+//!   gradients accumulate one lane per image, summed over the lanes in
+//!   image order. The network's backward pass asks for no input
+//!   gradient at layer 0 (see [`crate::network::Network::backward`]).
 //! * [`Engine::Reference`] — the retained per-image naive loops of
-//!   [`crate::reference`], used as ground truth by tests and benches.
+//!   [`crate::reference`], used as ground truth by tests and benches:
+//!   each image is unpacked, run through the naive kernel and packed
+//!   back.
 //!
 //! Both paths accumulate every output element in the same canonical
 //! order (see the [`crate::reference`] docs), so they are
 //! **bit-identical** to each other — and the direct path is
 //! bit-identical to itself at any worker count, because threads only
-//! partition images.
+//! partition output-channel blocks and lanes are images.
 
 use crate::gemm::{self, ConvShape};
 use crate::im2col::flip_weights;
+use crate::lanes::{add_lanes, pixel_sums, Lanes};
 use crate::layers::{ConvParams, DwConvParams};
 use crate::reference;
 use crate::scratch;
@@ -84,42 +91,8 @@ impl fmt::Display for Engine {
     }
 }
 
-fn map_images(x: &Tensor, f: impl Fn(&Tensor) -> Tensor) -> Tensor {
-    let images: Vec<Tensor> = x.unstack().iter().map(f).collect();
-    Tensor::stack(&images)
-}
-
-/// Shared assembly of the per-image reference backward paths: runs
-/// `backward` on every `(image, gradient)` pair and sums the parameter
-/// gradients as per-image subtotals in image order — the canonical
-/// grouping the batched direct path reproduces bit-for-bit. One helper
-/// for both conv and dwconv so the two cannot drift.
-fn reference_backward_batch(
-    x: &Tensor,
-    dy: &Tensor,
-    wlen: usize,
-    blen: usize,
-    backward: impl Fn(&Tensor, &Tensor) -> (Tensor, Vec<f32>, Vec<f32>),
-) -> (Tensor, Vec<f32>, Vec<f32>) {
-    let mut dw = vec![0.0f32; wlen];
-    let mut db = vec![0.0f32; blen];
-    let mut dxs = Vec::with_capacity(x.dims().0);
-    for (xi, gi) in x.unstack().iter().zip(dy.unstack().iter()) {
-        let (dx, dwi, dbi) = backward(xi, gi);
-        for (d, s) in dw.iter_mut().zip(&dwi) {
-            *d += s;
-        }
-        for (d, s) in db.iter_mut().zip(&dbi) {
-            *d += s;
-        }
-        dxs.push(dx);
-    }
-    (Tensor::stack(&dxs), dw, db)
-}
-
-/// The direct-kernel geometry of a convolution over one image (rank 3)
-/// or a batch (rank 4).
-fn shape_of(x: &Tensor, cin: usize, cout: usize, k: usize, depthwise: bool) -> ConvShape {
+/// The direct-kernel geometry of a convolution over a batch.
+fn shape_of(x: &Lanes, cin: usize, cout: usize, k: usize, depthwise: bool) -> ConvShape {
     let (n, c, h, w) = x.dims();
     assert_eq!(c, cin, "convolution input channel mismatch");
     ConvShape {
@@ -133,31 +106,21 @@ fn shape_of(x: &Tensor, cin: usize, cout: usize, k: usize, depthwise: bool) -> C
     }
 }
 
-/// The shape of `x` with `c` channels in place of its own.
-fn with_channels(x: &Tensor, c: usize) -> Vec<usize> {
-    let mut shape = x.shape().to_vec();
-    let rank = shape.len();
-    shape[rank - 3] = c;
-    shape
-}
-
-/// "Same" convolution forward pass over one image or a batch: the
-/// output grid is the input grid for every kernel size (even-k kernels
-/// included).
+/// "Same" convolution forward pass: the output grid is the input grid
+/// for every kernel size (even-k kernels included).
 fn forward(
-    x: &Tensor,
+    x: &Lanes,
     s: &ConvShape,
     weights: &[f32],
     bias: &[f32],
     engine: Engine,
     reference: impl Fn(&Tensor) -> Tensor,
-) -> Tensor {
+) -> Lanes {
     match engine {
-        Engine::Reference if x.shape().len() == 3 => reference(x),
-        Engine::Reference => map_images(x, reference),
+        Engine::Reference => x.map_images(reference),
         Engine::Gemm(par) => {
             let level = simd::active_level();
-            let y = gemm::correlate(
+            let y = gemm::correlate_lanes(
                 level,
                 s,
                 x.data(),
@@ -166,53 +129,53 @@ fn forward(
                 s.k / 2,
                 par.threads(),
             );
-            Tensor::from_vec(&with_channels(x, s.cout), y)
+            Lanes::from_data(s.n, s.cout, s.h, s.w, y)
         }
     }
 }
 
-/// Backward pass over one image or a batch: `(dx, dweights, dbias)`,
-/// with `dx` computed only when `input_grad` asks for it. Parameter
-/// gradients are per-image subtotals summed in image order.
+/// Backward pass: `(dx, dweights, dbias)`, with `dx` computed only when
+/// `input_grad` asks for it. Parameter gradients are per-image
+/// subtotals summed in image order from `0.0`.
 fn grads(
-    x: &Tensor,
-    dy: &Tensor,
+    x: &Lanes,
+    dy: &Lanes,
     s: &ConvShape,
     weights: &[f32],
     engine: Engine,
     input_grad: bool,
     reference: impl Fn(&Tensor, &Tensor) -> (Tensor, Vec<f32>, Vec<f32>),
-) -> (Option<Tensor>, Vec<f32>, Vec<f32>) {
+) -> (Option<Lanes>, Vec<f32>, Vec<f32>) {
     assert_eq!(
-        dy.shape(),
-        with_channels(x, s.cout),
+        dy.dims(),
+        (s.n, s.cout, s.h, s.w),
         "convolution gradient shape mismatch"
     );
+    let mut db = vec![0.0f32; s.cout];
     let threads = match engine {
         Engine::Gemm(par) => par.threads(),
         Engine::Reference => {
-            let (dx, dw, db) = if x.shape().len() == 3 {
-                reference(x, dy)
-            } else {
-                reference_backward_batch(x, dy, weights.len(), s.cout, reference)
-            };
+            let mut dw = vec![0.0f32; weights.len()];
+            let mut dx = x.zeros_like(s.cin, s.h, s.w);
+            for i in 0..s.n {
+                let (dxi, dwi, dbi) = reference(&x.image(i), &dy.image(i));
+                for (d, v) in dw.iter_mut().zip(&dwi) {
+                    *d += v;
+                }
+                for (d, v) in db.iter_mut().zip(&dbi) {
+                    *d += v;
+                }
+                dx.set_image(i, &dxi);
+            }
             return (input_grad.then_some(dx), dw, db);
         }
     };
     let level = simd::active_level();
-    let plane = s.h * s.w;
-    // Bias gradient: row-major pixel sums, one subtotal per image.
-    let mut db = vec![0.0f32; s.cout];
-    for g in dy.data().chunks_exact(s.cout * plane) {
-        for (d, gc) in db.iter_mut().zip(g.chunks_exact(plane)) {
-            let mut sum = 0.0f32;
-            for &v in gc {
-                sum += v;
-            }
-            *d += sum;
-        }
+    // Bias gradient: row-major pixel sums, one lane per image.
+    for (i, (oc, g)) in dy.planes().enumerate() {
+        add_lanes(&mut db[oc], &pixel_sums(g), dy.valid(i / s.cout));
     }
-    let dw = gemm::weight_grads(level, s, x.data(), dy.data(), threads);
+    let dw = gemm::weight_grads_lanes(level, s, x.data(), dy.data(), threads);
     // Data gradient: the transposed convolution — the same kernel over
     // dY with flipped, channel-transposed weights, padded `k - 1 - pad`
     // (equal to `pad` only for odd kernels).
@@ -223,7 +186,7 @@ fn grads(
             cout: s.cin,
             ..*s
         };
-        let dx = gemm::correlate(
+        let dx = gemm::correlate_lanes(
             level,
             &t,
             dy.data(),
@@ -233,7 +196,7 @@ fn grads(
             threads,
         );
         scratch::recycle(flipped);
-        Tensor::from_vec(x.shape(), dx)
+        Lanes::from_data(s.n, s.cin, s.h, s.w, dx)
     });
     (dx, dw, db)
 }
@@ -250,6 +213,11 @@ fn grads(
 /// Panics when `x` is not rank 3 or 4 or disagrees with the parameter
 /// geometry.
 pub fn conv_forward(x: &Tensor, p: &ConvParams, engine: Engine) -> Tensor {
+    conv_forward_lanes(&Lanes::pack(x), p, engine).unpack_like(x)
+}
+
+/// [`conv_forward`] over the image-interleaved layout.
+pub(crate) fn conv_forward_lanes(x: &Lanes, p: &ConvParams, engine: Engine) -> Lanes {
     let s = shape_of(x, p.in_ch, p.out_ch, p.k, false);
     forward(x, &s, &p.weights, &p.bias, engine, |img| {
         reference::conv_forward(img, p)
@@ -267,6 +235,19 @@ pub fn conv_backward(
     engine: Engine,
     input_grad: bool,
 ) -> (Option<Tensor>, Vec<f32>, Vec<f32>) {
+    let (dx, dw, db) =
+        conv_backward_lanes(&Lanes::pack(x), p, &Lanes::pack(dy), engine, input_grad);
+    (dx.map(|dx| dx.unpack_like(x)), dw, db)
+}
+
+/// [`conv_backward`] over the image-interleaved layout.
+pub(crate) fn conv_backward_lanes(
+    x: &Lanes,
+    p: &ConvParams,
+    dy: &Lanes,
+    engine: Engine,
+    input_grad: bool,
+) -> (Option<Lanes>, Vec<f32>, Vec<f32>) {
     let s = shape_of(x, p.in_ch, p.out_ch, p.k, false);
     grads(x, dy, &s, &p.weights, engine, input_grad, |xi, gi| {
         reference::conv_backward(xi, p, gi)
@@ -284,6 +265,11 @@ pub fn conv_backward(
 /// Panics when `x` is not rank 3 or 4 or disagrees with the parameter
 /// geometry.
 pub fn dwconv_forward(x: &Tensor, p: &DwConvParams, engine: Engine) -> Tensor {
+    dwconv_forward_lanes(&Lanes::pack(x), p, engine).unpack_like(x)
+}
+
+/// [`dwconv_forward`] over the image-interleaved layout.
+pub(crate) fn dwconv_forward_lanes(x: &Lanes, p: &DwConvParams, engine: Engine) -> Lanes {
     let s = shape_of(x, p.ch, p.ch, p.k, true);
     forward(x, &s, &p.weights, &p.bias, engine, |img| {
         reference::dwconv_forward(img, p)
@@ -298,6 +284,19 @@ pub fn dwconv_backward(
     engine: Engine,
     input_grad: bool,
 ) -> (Option<Tensor>, Vec<f32>, Vec<f32>) {
+    let (dx, dw, db) =
+        dwconv_backward_lanes(&Lanes::pack(x), p, &Lanes::pack(dy), engine, input_grad);
+    (dx.map(|dx| dx.unpack_like(x)), dw, db)
+}
+
+/// [`dwconv_backward`] over the image-interleaved layout.
+pub(crate) fn dwconv_backward_lanes(
+    x: &Lanes,
+    p: &DwConvParams,
+    dy: &Lanes,
+    engine: Engine,
+    input_grad: bool,
+) -> (Option<Lanes>, Vec<f32>, Vec<f32>) {
     let s = shape_of(x, p.ch, p.ch, p.k, true);
     grads(x, dy, &s, &p.weights, engine, input_grad, |xi, gi| {
         reference::dwconv_backward(xi, p, gi)

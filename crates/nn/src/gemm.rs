@@ -1,5 +1,5 @@
-//! Implicit-GEMM f32 convolution kernels with a bit-reproducibility
-//! contract.
+//! Implicit-GEMM f32 convolution kernels over the image-interleaved
+//! layout, with a bit-reproducibility contract.
 //!
 //! A stride-1 "same" convolution is the matrix product
 //! `Y[oc][p] = init[oc] + Σ_t W[oc][t] · X[t][p]` over the patch
@@ -7,19 +7,24 @@
 //! shifted by `(ky, kx)`. These kernels never materialize `X`: a tap
 //! table holds the offset of every row `t` inside the (zero-padded)
 //! input, and the micro-kernels in [`crate::simd`] read each row
-//! straight from the planar `N x C x H x W` buffer. Two kernels cover
-//! the three convolution passes of training:
+//! straight from the image-interleaved buffer of [`Lanes`](crate::network::Lanes),
+//! where one pixel of a channel is one vector of eight images. Two
+//! kernels cover the three convolution passes of training:
 //!
 //! * [`correlate`] — the forward pass, and the backward-data pass as
 //!   the transposed convolution over flipped weights
-//!   ([`crate::im2col::flip_weights`]) with `k - 1 - pad` padding.
-//!   Output rows (or, for `k = 1`, whole output planes, read with no
-//!   padded copy) advance 8 positions at a time, with blocks of 4
-//!   output channels sharing every input load.
-//! * [`weight_grads`] — `dW = dY · Xᵀ`, one subtotal per image, with
-//!   the output channels of a pixel-major copy of `dY` as vector lanes
-//!   (for depth-wise layers, the channels of channel-last copies of
-//!   the padded input and of `dY`).
+//!   ([`crate::im2col::flip_weights`]) with `k - 1 - pad` padding. One
+//!   zero-padded copy of the whole batch per call for `k > 1` (`k = 1`
+//!   reads the input itself), weights packed once per call, and blocks
+//!   of 4 output channels sharing every input load; one output pixel is
+//!   one vector, so no row or plane ever runs a scalar tail.
+//! * [`weight_grads`] — `dW = dY · Xᵀ` with lane-wise accumulators:
+//!   each lane is one image's subtotal, and the result sums lanes
+//!   `0..n` in image order. Depth-wise layers run the same kernel over
+//!   one channel's plane.
+//!
+//! The public functions take planar `N x C x H x W` slices; each packs
+//! its inputs into lanes, runs the one lane kernel, and unpacks.
 //!
 //! # Determinism contract
 //!
@@ -29,17 +34,19 @@
 //! padding taps included, as explicit `w x 0` terms read from the
 //! zero-padded copy — for convolutions; output pixels in row-major
 //! ascending order, one `0.0`-seeded subtotal per image summed in
-//! image order, for weight gradients. Threads (via
-//! [`codesign_parallel::parallel_chunks_mut`]) only partition *which
-//! images* a worker computes, and vector width and channel blocking
-//! only decide how many independent chains advance per instruction, so
-//! the result is byte-identical at any worker count, at every
-//! [`SimdLevel`], and to the naive loops in [`crate::reference`].
-//! `tests/simd_equivalence.rs` and `tests/engine_equivalence.rs` pin
-//! both.
+//! image order, for weight gradients. Each lane is one image's chain;
+//! threads (via [`codesign_parallel::parallel_chunks_mut`]) only
+//! partition *which output-channel blocks* (forward, backward data) or
+//! *which output channels* (weight gradients) a worker computes, and
+//! channel and tap blocking only decide how many independent chains
+//! advance per instruction, so the result is byte-identical at any
+//! worker count, at every [`SimdLevel`], and to the naive loops in
+//! [`crate::reference`]. `tests/simd_equivalence.rs` and
+//! `tests/engine_equivalence.rs` pin both.
 
+use crate::lanes::{self, add_lanes, valid_lanes, LANES};
 use crate::scratch;
-use crate::simd::{self, SimdLevel, LANES};
+use crate::simd::{self, SimdLevel};
 use codesign_parallel::{hardware_threads, parallel_chunks_mut};
 
 /// Caps a worker count so that (a) each worker gets at least
@@ -103,23 +110,42 @@ impl ConvShape {
         self.cout * self.patch_channels() * self.k * self.k
     }
 
-    fn assert_input(&self, x: &[f32]) {
+    /// Groups of [`LANES`] images.
+    fn groups(&self) -> usize {
+        self.n.div_ceil(LANES)
+    }
+
+    fn check(&self) {
         assert!(self.k > 0, "kernel size must be positive");
         assert!(
             !self.depthwise || self.cin == self.cout,
             "depth-wise convolution needs cin == cout"
         );
+    }
+
+    fn assert_input(&self, x: &[f32]) {
+        self.check();
         assert_eq!(
             x.len(),
             self.n * self.cin * self.h * self.w,
             "input length disagrees with shape"
         );
     }
+
+    fn assert_lanes(&self, x: &[f32], channels: usize) {
+        self.check();
+        assert_eq!(
+            x.len(),
+            self.groups() * channels * self.h * self.w * LANES,
+            "lane buffer length disagrees with shape"
+        );
+    }
 }
 
-/// Where one image's patch-matrix rows live: tap offsets in canonical
-/// `(ic, ky, kx)` order, the `(rows, len, stride)` walk of the output
-/// grid over the source, and the size of one source plane.
+/// Where the patch-matrix rows live: tap offsets (in floats) in
+/// canonical `(ic, ky, kx)` order, the `(rows, len, stride)` pixel walk
+/// of the output grid over the source, and the pixels of one source
+/// plane.
 struct Layout {
     taps: Vec<usize>,
     geometry: (usize, usize, usize),
@@ -127,21 +153,22 @@ struct Layout {
 }
 
 impl Layout {
-    /// `k = 1` reads the image itself as whole planes; larger kernels
-    /// read rows of a zero-padded copy whose rows are widened to whole
-    /// `LANES` chunks, so every output row runs vector-wide.
+    /// `k = 1` reads the input itself as whole planes; larger kernels
+    /// read rows of a zero-padded copy.
     fn new(s: &ConvShape) -> Layout {
         let (h, w, k) = (s.h, s.w, s.k);
         let (geometry, src_plane) = if k == 1 {
             ((1, h * w, 0), h * w)
         } else {
-            let stride = w.next_multiple_of(LANES) + k - 1;
+            let stride = w + k - 1;
             ((h, w, stride), (h + k - 1) * stride)
         };
         let stride = geometry.2;
         let taps = (0..s.patch_channels())
             .flat_map(|ic| {
-                (0..k).flat_map(move |ky| (0..k).map(move |kx| ic * src_plane + ky * stride + kx))
+                (0..k).flat_map(move |ky| {
+                    (0..k).map(move |kx| (ic * src_plane + ky * stride + kx) * LANES)
+                })
             })
             .collect();
         Layout {
@@ -151,24 +178,25 @@ impl Layout {
         }
     }
 
-    /// The source of one image's `planes`: the image itself for
-    /// `k = 1` (`None`), else its zero-padded copy with `pad` rows and
-    /// columns before the image and zeros after.
-    fn padded(&self, x: &[f32], planes: usize, s: &ConvShape, pad: usize) -> Option<Vec<f32>> {
+    /// The source of every plane of `x`: `x` itself for `k = 1`
+    /// (`None`), else one zero-padded copy with `pad` rows and columns
+    /// before each plane and zeros after.
+    fn padded(&self, x: &[f32], s: &ConvShape, pad: usize) -> Option<Vec<f32>> {
         if s.k == 1 {
             return None;
         }
-        let stride = self.geometry.2;
-        let mut out = scratch::take_zeroed(planes * self.src_plane);
+        let (row, stride) = (s.w * LANES, self.geometry.2 * LANES);
+        let planes = x.len() / (s.h * row);
+        let mut out = scratch::take_zeroed(planes * self.src_plane * LANES);
         for (src, dst) in x
-            .chunks_exact(s.h * s.w)
-            .zip(out.chunks_exact_mut(self.src_plane))
+            .chunks_exact(s.h * row)
+            .zip(out.chunks_exact_mut(self.src_plane * LANES))
         {
-            for (row, drow) in src
-                .chunks_exact(s.w)
+            for (r, drow) in src
+                .chunks_exact(row)
                 .zip(dst[pad * stride..].chunks_exact_mut(stride))
             {
-                drow[pad..pad + s.w].copy_from_slice(row);
+                drow[pad * LANES..pad * LANES + row].copy_from_slice(r);
             }
         }
         Some(out)
@@ -209,7 +237,7 @@ fn pack_blocks(s: &ConvShape, weights: &[f32], ckk: usize) -> Vec<f32> {
 /// `y[oc][oy][ox] = init[oc] + Σ_(ic, ky, kx) w[oc][ic][ky][kx] · x[ic][oy + ky - pad][ox + kx - pad]`,
 /// out-of-image taps reading `0.0`, each element accumulated in that
 /// order (see the module docs), at SIMD `level`. `init` of `None`
-/// seeds with zeros.
+/// seeds with zeros. Packs `x`, runs the lane kernel, and unpacks.
 ///
 /// # Panics
 ///
@@ -225,6 +253,24 @@ pub fn correlate(
     threads: usize,
 ) -> Vec<f32> {
     s.assert_input(x);
+    let plane = s.h * s.w;
+    let x = lanes::interleave(x, s.n, s.cin * plane);
+    let y = correlate_lanes(level, s, &x, weights, init, pad, threads);
+    lanes::deinterleave(&y, s.n, s.cout * plane)
+}
+
+/// [`correlate`] over the image-interleaved layout: `x` holds the
+/// batch's groups of `cin` planes, the result its groups of `cout`.
+pub(crate) fn correlate_lanes(
+    level: SimdLevel,
+    s: &ConvShape,
+    x: &[f32],
+    weights: &[f32],
+    init: Option<&[f32]>,
+    pad: usize,
+    threads: usize,
+) -> Vec<f32> {
+    s.assert_lanes(x, s.cin);
     assert_eq!(
         weights.len(),
         s.weights_len(),
@@ -236,41 +282,51 @@ pub fn correlate(
     }
     let layout = Layout::new(s);
     let ckk = layout.taps.len();
-    let plane = s.h * s.w;
+    let (plane, src_group) = (s.h * s.w, s.cin * layout.src_plane * LANES);
+    let padded = layout.padded(x, s, pad);
+    let src = padded.as_deref().unwrap_or(x);
     let wpack = pack_blocks(s, weights, ckk);
-    let mut out = scratch::take(s.n * s.cout * plane);
-    let threads = capped_threads(threads, out.len() * ckk, GEMM_FLOPS_PER_WORKER);
-    parallel_chunks_mut(&mut out, s.cout * plane, threads, |img, y| {
-        let xi = &x[img * s.cin * plane..(img + 1) * s.cin * plane];
-        let padded = layout.padded(xi, s.cin, s, pad);
-        let image = padded.as_deref().unwrap_or(xi);
-        let seed = |oc: usize| init.map_or(0.0, |b| b[oc]);
-        let (taps, geo) = (&layout.taps, layout.geometry);
+    let mut out = scratch::take(s.groups() * s.cout * plane * LANES);
+    // One task per (group, output-channel block), in storage order.
+    let mut blocks: Vec<(usize, usize, &mut [f32])> = Vec::new();
+    let mut rest = &mut out[..];
+    for g in 0..s.groups() {
         let mut oc = 0;
         while oc < s.cout {
             let ob = block_width(s, oc);
-            // Depth-wise channels read their own planes, one apart.
-            let (src, step) = if s.depthwise {
-                let planes = oc * layout.src_plane..(oc + ob) * layout.src_plane;
-                (&image[planes], layout.src_plane)
-            } else {
-                (image, 0)
-            };
-            let wb = &wpack[oc * ckk..(oc + ob) * ckk];
-            let yb = &mut y[oc * plane..(oc + ob) * plane];
-            if ob == 4 {
-                let init = std::array::from_fn(|j| seed(oc + j));
-                simd::f32_conv_rows::<4>(level, src, step, taps, wb, init, geo, yb, plane);
-            } else {
-                simd::f32_conv_rows::<1>(level, src, step, taps, wb, [seed(oc)], geo, yb, plane);
-            }
+            let (ys, tail) = std::mem::take(&mut rest).split_at_mut(ob * plane * LANES);
+            blocks.push((g, oc, ys));
+            rest = tail;
             oc += ob;
         }
-        if let Some(buf) = padded {
-            scratch::recycle(buf);
+    }
+    let work = s.groups() * s.cout * plane * LANES * ckk;
+    let threads = capped_threads(threads, work, GEMM_FLOPS_PER_WORKER);
+    parallel_chunks_mut(&mut blocks, 1, threads, |_, block| {
+        let (g, oc, ref mut yb) = block[0];
+        let ob = yb.len() / (plane * LANES);
+        let image = &src[g * src_group..(g + 1) * src_group];
+        // Depth-wise channels read their own planes, one apart.
+        let (src, step) = if s.depthwise {
+            let planes = oc * layout.src_plane * LANES..(oc + ob) * layout.src_plane * LANES;
+            (&image[planes], layout.src_plane * LANES)
+        } else {
+            (image, 0)
+        };
+        let seed = |oc: usize| init.map_or(0.0, |b| b[oc]);
+        let (taps, geo) = (&layout.taps, layout.geometry);
+        let wb = &wpack[oc * ckk..(oc + ob) * ckk];
+        if ob == 4 {
+            let init = std::array::from_fn(|j| seed(oc + j));
+            simd::f32_conv_pixels::<4>(level, src, step, taps, wb, init, geo, yb, plane);
+        } else {
+            simd::f32_conv_pixels::<1>(level, src, step, taps, wb, [seed(oc)], geo, yb, plane);
         }
     });
     scratch::recycle(wpack);
+    if let Some(buf) = padded {
+        scratch::recycle(buf);
+    }
     out
 }
 
@@ -278,7 +334,8 @@ pub fn correlate(
 /// `pad = k / 2`: for every image, `dw_img[oc][t] = Σ_p dy[oc][p] ·
 /// X[t][p]` over output pixels `p` in row-major ascending order,
 /// starting from `0.0`; the result sums those subtotals in image
-/// order. Weight layout as in [`correlate`].
+/// order. Weight layout as in [`correlate`]. Packs `x` and `dy`, and
+/// runs the lane kernel.
 ///
 /// # Panics
 ///
@@ -291,184 +348,99 @@ pub fn weight_grads(
     threads: usize,
 ) -> Vec<f32> {
     s.assert_input(x);
-    let wlen = s.weights_len();
     let plane = s.h * s.w;
     assert_eq!(
         dy.len(),
         s.n * s.cout * plane,
         "gradient length disagrees with shape"
     );
+    let x = lanes::interleave(x, s.n, s.cin * plane);
+    let dy = lanes::interleave(dy, s.n, s.cout * plane);
+    weight_grads_lanes(level, s, &x, &dy, threads)
+}
+
+/// [`weight_grads`] over the image-interleaved layout: each lane
+/// accumulates one image's subtotal, and every output channel sums
+/// lanes `0..n` in image order.
+pub(crate) fn weight_grads_lanes(
+    level: SimdLevel,
+    s: &ConvShape,
+    x: &[f32],
+    dy: &[f32],
+    threads: usize,
+) -> Vec<f32> {
+    s.assert_lanes(x, s.cin);
+    s.assert_lanes(dy, s.cout);
     let layout = Layout::new(s);
     let ckk = layout.taps.len();
-    let mut subs = scratch::take(s.n * wlen);
-    let threads = capped_threads(threads, subs.len() * plane, GEMM_FLOPS_PER_WORKER);
-    parallel_chunks_mut(&mut subs, wlen, threads, |img, sub| {
-        let xi = &x[img * s.cin * plane..(img + 1) * s.cin * plane];
-        let g = &dy[img * s.cout * plane..(img + 1) * s.cout * plane];
-        if s.depthwise {
-            return depthwise_grads(level, s, xi, g, sub);
-        }
-        let padded = layout.padded(xi, s.cin, s, s.k / 2);
-        let src = padded.as_deref().unwrap_or(xi);
-        // Pixel-major copy of dY, output channels zero-padded to whole
-        // lanes (padding lanes compute chains nobody stores).
-        let ld = s.cout.next_multiple_of(LANES);
-        let mut dyt = scratch::take_zeroed(plane * ld);
-        channel_last(g, s.h, s.w, 0, s.w, ld, &mut dyt);
-        for v in (0..s.cout).step_by(LANES) {
-            grad_taps::<false>(
-                level,
-                src,
-                &layout.taps,
-                &dyt[v..],
-                ld,
-                layout.geometry,
-                |t, l, val| {
-                    if v + l < s.cout {
-                        sub[(v + l) * ckk + t] = val;
-                    }
-                },
-            );
-        }
-        scratch::recycle(dyt);
-        if let Some(buf) = padded {
-            scratch::recycle(buf);
+    let (plane, src_group) = (s.h * s.w, s.cin * layout.src_plane * LANES);
+    let padded = layout.padded(x, s, s.k / 2);
+    let src = padded.as_deref().unwrap_or(x);
+    let mut dw = vec![0.0f32; s.weights_len()];
+    let work = s.groups() * s.weights_len() * plane * LANES;
+    let threads = capped_threads(threads, work, GEMM_FLOPS_PER_WORKER);
+    parallel_chunks_mut(&mut dw, ckk, threads, |oc, row| {
+        for g in 0..s.groups() {
+            let image = &src[g * src_group..(g + 1) * src_group];
+            // A depth-wise channel reads its own plane only.
+            let src = if s.depthwise {
+                &image[oc * layout.src_plane * LANES..(oc + 1) * layout.src_plane * LANES]
+            } else {
+                image
+            };
+            let g_dy = &dy[(g * s.cout + oc) * plane * LANES..][..plane * LANES];
+            let valid = valid_lanes(s.n, g);
+            grad_taps(level, src, &layout.taps, g_dy, layout.geometry, |t, acc| {
+                add_lanes(&mut row[t], acc, valid);
+            });
         }
     });
-    let mut dw = vec![0.0f32; wlen];
-    for sub in subs.chunks_exact(wlen) {
-        for (d, v) in dw.iter_mut().zip(sub) {
-            *d += v;
-        }
+    if let Some(buf) = padded {
+        scratch::recycle(buf);
     }
-    scratch::recycle(subs);
     dw
 }
 
-/// One image's depth-wise weight gradient, `sub[c][t]`, with channels
-/// as vector lanes: channel-last copies of the zero-padded input and of
-/// `dY`, channels padded to whole lanes, so each lane is one channel's
-/// chain over output pixels in row-major order.
-fn depthwise_grads(level: SimdLevel, s: &ConvShape, x: &[f32], g: &[f32], sub: &mut [f32]) {
-    let (h, w, k) = (s.h, s.w, s.k);
-    let (pad, plane, kk) = (k / 2, h * w, k * k);
-    let ld = s.cin.next_multiple_of(LANES);
-    let stride = w + k - 1;
-    let mut xt = scratch::take_zeroed((h + k - 1) * stride * ld);
-    let mut gt = scratch::take_zeroed(plane * ld);
-    channel_last(x, h, w, pad, stride, ld, &mut xt);
-    channel_last(g, h, w, 0, w, ld, &mut gt);
-    let taps: Vec<usize> = (0..k)
-        .flat_map(|ky| (0..k).map(move |kx| (ky * stride + kx) * ld))
-        .collect();
-    for v in (0..s.cin).step_by(LANES) {
-        grad_taps::<true>(
-            level,
-            &xt[v..],
-            &taps,
-            &gt[v..],
-            ld,
-            (h, w, stride),
-            |t, l, val| {
-                if v + l < s.cin {
-                    sub[(v + l) * kk + t] = val;
-                }
-            },
-        );
-    }
-    scratch::recycle(xt);
-    scratch::recycle(gt);
-}
-
-/// Copies the `h x w` planes of `src` into the channel-last `dst`:
-/// element `(c, r, i)` lands at `dst[((r + pad) * stride + pad + i) * ld + c]`,
-/// leaving every other element as it was. Whole blocks of [`LANES`]
-/// channels move as one `LANES`-wide store per pixel.
-fn channel_last(
-    src: &[f32],
-    h: usize,
-    w: usize,
-    pad: usize,
-    stride: usize,
-    ld: usize,
-    dst: &mut [f32],
-) {
-    let plane = h * w;
-    let channels = src.len() / plane;
-    for c0 in (0..channels).step_by(LANES) {
-        let nb = LANES.min(channels - c0);
-        for r in 0..h {
-            let out = &mut dst[((r + pad) * stride + pad) * ld..][..w * ld];
-            let row = |l: usize| &src[(c0 + l) * plane + r * w..][..w];
-            if nb == LANES {
-                let rows: [&[f32]; LANES] = std::array::from_fn(row);
-                for (i, o) in out.chunks_exact_mut(ld).enumerate() {
-                    let o: &mut [f32; LANES] = (&mut o[c0..c0 + LANES]).try_into().expect("lanes");
-                    for (ol, rl) in o.iter_mut().zip(&rows) {
-                        *ol = rl[i];
-                    }
-                }
-            } else {
-                for l in 0..nb {
-                    for (o, &v) in out.chunks_exact_mut(ld).zip(row(l)) {
-                        o[c0 + l] = v;
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Runs every tap through the gradient micro-kernel, handing each
-/// finished chain to `store(tap, lane, value)`: in blocks of nine when
+/// finished tap's lanes to `store(tap, lanes)`: in blocks of nine when
 /// they divide the taps (every 3x3 kernel), else [`GRAD_TAPS`] at a
 /// time and the remainder one by one. A block's chains advance
 /// together, so wider blocks hide more of the add latency.
-fn grad_taps<const CHANNEL_LAST: bool>(
+fn grad_taps(
     level: SimdLevel,
     src: &[f32],
     taps: &[usize],
-    dyt: &[f32],
-    ld: usize,
+    dy: &[f32],
     geometry: (usize, usize, usize),
-    mut store: impl FnMut(usize, usize, f32),
+    mut store: impl FnMut(usize, &[f32; LANES]),
 ) {
-    let kernel = (level, src, dyt, ld, geometry);
+    let kernel = (level, src, dy, geometry);
     if taps.len().is_multiple_of(9) {
-        grad_blocks::<9, CHANNEL_LAST>(kernel, taps, 0, &mut store);
+        grad_blocks::<9>(kernel, taps, 0, &mut store);
     } else {
         let whole = taps.len() / GRAD_TAPS * GRAD_TAPS;
-        grad_blocks::<GRAD_TAPS, CHANNEL_LAST>(kernel, &taps[..whole], 0, &mut store);
-        grad_blocks::<1, CHANNEL_LAST>(kernel, &taps[whole..], whole, &mut store);
+        grad_blocks::<GRAD_TAPS>(kernel, &taps[..whole], 0, &mut store);
+        grad_blocks::<1>(kernel, &taps[whole..], whole, &mut store);
     }
 }
 
 /// What every gradient micro-kernel call of one [`grad_taps`] shares:
-/// level, source, gradient, lane distance and geometry.
-type GradKernel<'a> = (
-    SimdLevel,
-    &'a [f32],
-    &'a [f32],
-    usize,
-    (usize, usize, usize),
-);
+/// level, source, gradient plane and geometry.
+type GradKernel<'a> = (SimdLevel, &'a [f32], &'a [f32], (usize, usize, usize));
 
 /// [`grad_taps`] over whole blocks of `TB` taps, the first being tap
 /// `t0`.
-fn grad_blocks<const TB: usize, const CHANNEL_LAST: bool>(
-    (level, src, dyt, ld, geometry): GradKernel<'_>,
+fn grad_blocks<const TB: usize>(
+    (level, src, dy, geometry): GradKernel<'_>,
     taps: &[usize],
     t0: usize,
-    store: &mut impl FnMut(usize, usize, f32),
+    store: &mut impl FnMut(usize, &[f32; LANES]),
 ) {
     for (b, block) in taps.chunks_exact(TB).enumerate() {
         let block = block.try_into().expect("a block of TB taps");
-        let acc =
-            simd::f32_grad_taps::<TB, LANES, CHANNEL_LAST>(level, src, block, dyt, ld, geometry);
+        let acc = simd::f32_grad_taps::<TB>(level, src, block, dy, geometry);
         for (j, lanes) in acc.iter().enumerate() {
-            for (l, &v) in lanes.iter().enumerate() {
-                store(t0 + b * TB + j, l, v);
-            }
+            store(t0 + b * TB + j, lanes);
         }
     }
 }

@@ -10,7 +10,19 @@
 //! (see [`Tensor::stack`]) and keeps its rank: row `i` of a batch's
 //! result is bit-identical to the op run on image `i` alone, and
 //! parameter gradients are per-image subtotals summed in image order.
+//!
+//! Each op has one compute kernel, over the image-interleaved layout of
+//! [`Lanes`]: one pixel of a channel is one
+//! vector of eight images, so every lane runs its own image's chain.
+//! The public functions here pack their input, run that kernel and
+//! unpack; [`crate::network::Network`] runs the kernels directly, on a
+//! batch it packs once per pass. The scale-bias gradients and the GAP
+//! means sum one chain per lane, eight images at a time, and the
+//! gradients' per-image subtotals are lanes, summed over the batch's
+//! images in order.
 
+use crate::lanes::{add_lanes, pixel_sums, Lanes, LANES};
+use crate::simd;
 use crate::tensor::Tensor;
 use codesign_dnn::quant::Activation;
 
@@ -101,343 +113,426 @@ impl ScaleBiasParams {
     }
 }
 
-// Slice-level kernels: pooling walks any run of `H x W` planes,
-// scale-bias one `C x H x W` slab at a time, so an op walks a batch
-// buffer with zero copies and each image's result is the one it gets
-// alone. The naive loops they replaced live on in [`crate::reference`].
-// The pooling kernels and the scale-bias backward stay out of line:
-// inlined into their one caller each, LLVM compiles them to slower
-// loops (up to 1.6x on the proxy network's small planes, measured on a
-// 2-core AVX2 host).
+// Lane kernels: every op walks the image-interleaved buffer of
+// [`Lanes`] plane by plane, one pixel a vector of eight images,
+// so each lane runs exactly the chain its image runs alone. Each body
+// runs through `simd::dispatch`, compiled once per build like the
+// convolution kernels, and selects lanes with bit masks rather than
+// branches, so every lane loop stays a vector operation. The public
+// functions pack, run the lane kernel and unpack; the naive loops the
+// kernels replaced live on in [`crate::reference`].
 
-/// Max pooling of every `h x w` plane of `x` into `y`, window and
-/// stride `k`: each output folds `f32::max` over its window in
-/// row-major order, seeded with `-inf`. Rows and columns past the last
-/// whole window are not read.
-#[inline(never)]
-fn maxpool_planes(x: &[f32], h: usize, w: usize, k: usize, y: &mut [f32]) {
-    let (oh, ow) = (h / k, w / k);
-    if oh * ow == 0 {
-        return;
+/// A pooling walk over `h x w` planes with window and stride `k`: the
+/// float offset of every output pixel's first input pixel, in row-major
+/// output order, and the offsets of a window's pixels from its first,
+/// row-major. Rows and columns past the last whole window are never
+/// visited.
+struct Windows {
+    firsts: Vec<usize>,
+    taps: Vec<usize>,
+}
+
+impl Windows {
+    fn new(h: usize, w: usize, k: usize) -> Windows {
+        let (oh, ow) = (h / k, w / k);
+        let firsts = (0..oh * ow)
+            .map(|o| ((o / ow * k) * w + o % ow * k) * LANES)
+            .collect();
+        let taps = (0..k)
+            .flat_map(|dy| (0..k).map(move |dx| (dy * w + dx) * LANES))
+            .collect();
+        Windows { firsts, taps }
     }
-    for (xp, yp) in x.chunks_exact(h * w).zip(y.chunks_exact_mut(oh * ow)) {
-        for (rows, yrow) in xp.chunks_exact(k * w).zip(yp.chunks_exact_mut(ow)) {
-            if k == 2 {
-                // The builder's only window: two rows at a time, which
-                // the compiler turns into vector max operations.
-                let (r0, r1) = rows.split_at(w);
-                for ((o, a), b) in yrow
-                    .iter_mut()
-                    .zip(r0.chunks_exact(2))
-                    .zip(r1.chunks_exact(2))
-                {
-                    *o = f32::NEG_INFINITY.max(a[0]).max(a[1]).max(b[0]).max(b[1]);
+}
+
+/// The vector at float offset `at` of a plane.
+#[inline(always)]
+fn px(plane: &[f32], at: usize) -> &[f32; LANES] {
+    plane[at..at + LANES].try_into().expect("LANES lanes")
+}
+
+/// The vector at float offset `at` of a plane, mutable.
+#[inline(always)]
+fn px_mut(plane: &mut [f32], at: usize) -> &mut [f32; LANES] {
+    (&mut plane[at..at + LANES])
+        .try_into()
+        .expect("LANES lanes")
+}
+
+/// `v` where `keep` holds, `+0.0` elsewhere: a bit mask, not a branch.
+#[inline(always)]
+fn keep(keep: bool, v: f32) -> f32 {
+    f32::from_bits(v.to_bits() & (keep as u32).wrapping_neg())
+}
+
+/// Max pooling on lanes: each output folds `f32::max` over its window
+/// in row-major order, seeded with `-inf`.
+pub(crate) fn maxpool_lanes(x: &Lanes, k: usize) -> Lanes {
+    let (_, c, h, w) = x.dims();
+    let mut y = x.zeros_like(c, h / k, w / k);
+    let out_plane = (h / k) * (w / k) * LANES;
+    if out_plane == 0 {
+        return y;
+    }
+    let win = Windows::new(h, w, k);
+    let planes = x.planes().zip(y.data_mut().chunks_exact_mut(out_plane));
+    simd::dispatch(
+        simd::active_level(),
+        #[inline(always)]
+        || {
+            for ((_, xp), yp) in planes {
+                for (m, &first) in yp.chunks_exact_mut(LANES).zip(&win.firsts) {
+                    let mut acc = [f32::NEG_INFINITY; LANES];
+                    for &t in &win.taps {
+                        for (a, &v) in acc.iter_mut().zip(px(xp, first + t)) {
+                            *a = a.max(v);
+                        }
+                    }
+                    m.copy_from_slice(&acc);
                 }
-            } else {
-                yrow.fill(f32::NEG_INFINITY);
-                for row in rows.chunks_exact(w) {
-                    for (o, win) in yrow.iter_mut().zip(row.chunks_exact(k)) {
-                        for &v in win {
-                            *o = o.max(v);
+            }
+        },
+    );
+    y
+}
+
+/// Max-pooling backward on lanes: each window's gradient lands on its
+/// first strict maximum in row-major order, scanning from the window's
+/// first element (so an all-`-inf` or all-NaN window routes there), as
+/// `0.0 + g`; every other element, leftover rows and columns included,
+/// stays `0.0`.
+///
+/// The scan's last strict maximum is the first element equal to the
+/// window's strict maximum, so every lane runs branch-free: one pass for
+/// the maximum, one backwards for the index of its first occurrence, and
+/// one to route.
+pub(crate) fn maxpool_backward_lanes(x: &Lanes, k: usize, dy: &Lanes) -> Lanes {
+    let (_, c, h, w) = x.dims();
+    let mut dx = x.zeros_like(c, h, w);
+    if (h / k) * (w / k) == 0 {
+        return dx;
+    }
+    let win = Windows::new(h, w, k);
+    let planes = x.planes().zip(dy.planes());
+    let planes = planes.zip(dx.data_mut().chunks_exact_mut(h * w * LANES));
+    simd::dispatch(
+        simd::active_level(),
+        #[inline(always)]
+        || {
+            for (((_, xp), (_, gp)), dp) in planes {
+                for (o, &first) in win.firsts.iter().enumerate() {
+                    let mut best = [f32::NEG_INFINITY; LANES];
+                    for &t in &win.taps {
+                        for (b, &v) in best.iter_mut().zip(px(xp, first + t)) {
+                            *b = if v > *b { v } else { *b };
+                        }
+                    }
+                    // Window indices are small integers, exact as `f32`.
+                    let mut at = [0.0f32; LANES];
+                    for (i, &t) in win.taps.iter().enumerate().rev() {
+                        for ((a, &v), &b) in at.iter_mut().zip(px(xp, first + t)).zip(&best) {
+                            *a = if v == b { i as f32 } else { *a };
+                        }
+                    }
+                    for (a, &b) in at.iter_mut().zip(&best) {
+                        *a = keep(b != f32::NEG_INFINITY, *a);
+                    }
+                    let g = px(gp, o * LANES).map(|g| 0.0 + g);
+                    for (i, &t) in win.taps.iter().enumerate() {
+                        let d = px_mut(dp, first + t);
+                        for ((d, &a), &gl) in d.iter_mut().zip(&at).zip(&g) {
+                            *d = keep(a == i as f32, gl);
                         }
                     }
                 }
             }
-        }
-    }
+        },
+    );
+    dx
 }
 
-/// Gradient routing of one 2x2 window `[a0, a1; b0, b1]`: `0.0 + g` at
-/// the first strict maximum in row-major order, scanning from the
-/// window's first element (so an all-`-inf` or all-NaN window routes
-/// there), `0.0` elsewhere. Branch-free, so runs of windows vectorize.
-#[inline(always)]
-fn route_window2(a0: f32, a1: f32, b0: f32, b1: f32, g: f32) -> [f32; 4] {
-    let m0 = f32::NEG_INFINITY.max(a0);
-    let t1 = a1 > m0;
-    let m1 = if t1 { a1 } else { m0 };
-    let t2 = b0 > m1;
-    let m2 = if t2 { b0 } else { m1 };
-    let t3 = b1 > m2;
-    let g = 0.0 + g;
-    let pick = |won: bool| if won { g } else { 0.0 };
-    [
-        pick(!t1 & !t2 & !t3),
-        pick(t1 & !t2 & !t3),
-        pick(t2 & !t3),
-        pick(t3),
-    ]
-}
-
-/// Output columns per fixed-size block of the `k = 2` backward pass:
-/// whole arrays carry no aliasing questions, so the compiler
-/// vectorizes them unconditionally (a plain loop over the two
-/// gradient rows fell back to branchy scalar code). One baseline
-/// vector wide, so narrow planes leave short tails.
-const POOL_BLOCK: usize = 4;
-
-/// Max-pooling backward over every plane: each window's gradient lands
-/// on its first strict maximum (see [`route_window2`]) as `0.0 + g` on
-/// the zeroed `dx`; every other element, leftover rows and columns
-/// included, stays `0.0`.
-#[inline(never)]
-fn maxpool_backward_planes(x: &[f32], h: usize, w: usize, k: usize, g: &[f32], dx: &mut [f32]) {
-    let (oh, ow) = (h / k, w / k);
-    if oh * ow == 0 {
-        return;
+/// Average pooling on lanes: each output sums its window in row-major
+/// order from `0.0`, then divides by `k * k`.
+pub(crate) fn avgpool_lanes(x: &Lanes, k: usize) -> Lanes {
+    let (_, c, h, w) = x.dims();
+    let mut y = x.zeros_like(c, h / k, w / k);
+    let out_plane = (h / k) * (w / k) * LANES;
+    if out_plane == 0 {
+        return y;
     }
-    let planes = x
-        .chunks_exact(h * w)
-        .zip(g.chunks_exact(oh * ow))
-        .zip(dx.chunks_exact_mut(h * w));
-    for ((xp, gp), dp) in planes {
-        let bands = xp
-            .chunks_exact(k * w)
-            .zip(gp.chunks_exact(ow))
-            .zip(dp.chunks_exact_mut(k * w));
-        for ((rows, grow), drows) in bands {
-            if k == 2 {
-                let (r0, r1) = rows.split_at(w);
-                let (d0, d1) = drows.split_at_mut(w);
-                let mut j = 0;
-                while j + POOL_BLOCK <= ow {
-                    const B: usize = POOL_BLOCK;
-                    let cols = 2 * j..2 * (j + B);
-                    let a: &[f32; 2 * B] = r0[cols.clone()].try_into().expect("a block");
-                    let b: &[f32; 2 * B] = r1[cols.clone()].try_into().expect("a block");
-                    let gb: &[f32; B] = grow[j..j + B].try_into().expect("a block");
-                    let (mut o0, mut o1) = ([0.0f32; 2 * B], [0.0f32; 2 * B]);
-                    for (l, &gv) in gb.iter().enumerate() {
-                        let [p, q, r, s] =
-                            route_window2(a[2 * l], a[2 * l + 1], b[2 * l], b[2 * l + 1], gv);
-                        (o0[2 * l], o0[2 * l + 1], o1[2 * l], o1[2 * l + 1]) = (p, q, r, s);
-                    }
-                    d0[cols.clone()].copy_from_slice(&o0);
-                    d1[cols].copy_from_slice(&o1);
-                    j += B;
-                }
-                for (j, &gv) in grow.iter().enumerate().skip(j) {
-                    let (c0, c1) = (2 * j, 2 * j + 1);
-                    let [p, q, r, s] = route_window2(r0[c0], r0[c1], r1[c0], r1[c1], gv);
-                    (d0[c0], d0[c1], d1[c0], d1[c1]) = (p, q, r, s);
-                }
-            } else {
-                for (xx, &gv) in grow.iter().enumerate() {
-                    let (mut best, mut arg) = (f32::NEG_INFINITY, xx * k);
-                    for i in (0..k).flat_map(|dy| (0..k).map(move |dx| dy * w + xx * k + dx)) {
-                        let take = rows[i] > best;
-                        best = if take { rows[i] } else { best };
-                        arg = if take { i } else { arg };
-                    }
-                    drows[arg] += gv;
-                }
-            }
-        }
-    }
-}
-
-/// Average pooling of each of `planes` `h x w` planes of `x` into `y`.
-fn avgpool_planes(x: &[f32], planes: usize, h: usize, w: usize, k: usize, y: &mut [f32]) {
-    let (oh, ow) = (h / k, w / k);
     let norm = (k * k) as f32;
-    for pl in 0..planes {
-        for yy in 0..oh {
-            for xx in 0..ow {
-                let mut s = 0.0;
-                for dy in 0..k {
-                    for dx in 0..k {
-                        s += x[(pl * h + yy * k + dy) * w + xx * k + dx];
+    let win = Windows::new(h, w, k);
+    let planes = x.planes().zip(y.data_mut().chunks_exact_mut(out_plane));
+    simd::dispatch(
+        simd::active_level(),
+        #[inline(always)]
+        || {
+            for ((_, xp), yp) in planes {
+                for (m, &first) in yp.chunks_exact_mut(LANES).zip(&win.firsts) {
+                    let mut s = [0.0f32; LANES];
+                    for &t in &win.taps {
+                        for (a, &v) in s.iter_mut().zip(px(xp, first + t)) {
+                            *a += v;
+                        }
+                    }
+                    for (ml, sl) in m.iter_mut().zip(s) {
+                        *ml = sl / norm;
                     }
                 }
-                y[(pl * oh + yy) * ow + xx] = s / norm;
             }
-        }
-    }
+        },
+    );
+    y
 }
 
-/// Average-pooling backward over each of `planes` planes.
-fn avgpool_backward_planes(planes: usize, h: usize, w: usize, k: usize, g: &[f32], dx: &mut [f32]) {
-    let (oh, ow) = (h / k, w / k);
+/// Average-pooling backward on lanes: each window element gets
+/// `0.0 + g / (k * k)`; leftover rows and columns stay `0.0`.
+pub(crate) fn avgpool_backward_lanes(x: &Lanes, k: usize, dy: &Lanes) -> Lanes {
+    let (_, c, h, w) = x.dims();
+    let mut dx = x.zeros_like(c, h, w);
+    if (h / k) * (w / k) == 0 {
+        return dx;
+    }
     let norm = (k * k) as f32;
-    for pl in 0..planes {
-        for yy in 0..oh {
-            for xx in 0..ow {
-                let gv = g[(pl * oh + yy) * ow + xx] / norm;
-                for dy_ in 0..k {
-                    for dx_ in 0..k {
-                        dx[(pl * h + yy * k + dy_) * w + xx * k + dx_] += gv;
+    let win = Windows::new(h, w, k);
+    let planes = dy
+        .planes()
+        .zip(dx.data_mut().chunks_exact_mut(h * w * LANES));
+    simd::dispatch(
+        simd::active_level(),
+        #[inline(always)]
+        || {
+            for ((_, gp), dp) in planes {
+                for (o, &first) in win.firsts.iter().enumerate() {
+                    let g = px(gp, o * LANES);
+                    for &t in &win.taps {
+                        for (d, &gl) in px_mut(dp, first + t).iter_mut().zip(g) {
+                            *d += gl / norm;
+                        }
                     }
                 }
             }
-        }
-    }
+        },
+    );
+    dx
 }
 
-fn scale_bias_image(x: &[f32], p: &ScaleBiasParams, plane: usize, y: &mut [f32]) {
-    for (cc, (&s, &b)) in p.scale.iter().zip(&p.bias).enumerate() {
-        for (yv, &xv) in y[cc * plane..(cc + 1) * plane]
-            .iter_mut()
-            .zip(&x[cc * plane..(cc + 1) * plane])
-        {
-            *yv = xv * s + b;
-        }
-    }
+/// Folded batch-norm forward on lanes: `y = x * scale[c] + bias[c]`.
+pub(crate) fn scale_bias_lanes(x: &Lanes, p: &ScaleBiasParams) -> Lanes {
+    let (_, c, h, w) = x.dims();
+    let mut y = x.zeros_like(c, h, w);
+    let planes = x.planes().zip(y.data_mut().chunks_exact_mut(h * w * LANES));
+    simd::dispatch(
+        simd::active_level(),
+        #[inline(always)]
+        || {
+            for ((cc, xp), yp) in planes {
+                let (s, b) = (p.scale[cc], p.bias[cc]);
+                for (yv, &xv) in yp.iter_mut().zip(xp) {
+                    *yv = xv * s + b;
+                }
+            }
+        },
+    );
+    y
 }
 
-/// One image's scale-bias backward, in place: turns the gradient `g`
-/// into `dx`, accumulates this image's subtotals into `ds` / `db`
-/// (callers keep per-image grouping).
-#[inline(never)]
-fn scale_bias_backward_image(
-    x: &[f32],
+/// Folded batch-norm backward on lanes, in place: turns the gradient
+/// `dy` into `dx` and returns `(dx, dscale, dbias)`, each parameter
+/// gradient one lane-wise chain per image summed over the lanes in
+/// image order.
+pub(crate) fn scale_bias_backward_lanes(
+    x: &Lanes,
     p: &ScaleBiasParams,
-    plane: usize,
-    g: &mut [f32],
-    ds: &mut [f32],
-    db: &mut [f32],
-) {
-    for (cc, &s) in p.scale.iter().enumerate() {
-        let span = cc * plane..(cc + 1) * plane;
-        // Same accumulation order as summing into `ds` / `db` directly,
-        // but in registers: one write per channel.
-        let (mut dsc, mut dbc) = (ds[cc], db[cc]);
-        for (gv, &xv) in g[span.clone()].iter_mut().zip(&x[span]) {
-            dsc += *gv * xv;
-            dbc += *gv;
-            *gv *= s;
-        }
-        ds[cc] = dsc;
-        db[cc] = dbc;
-    }
+    mut dy: Lanes,
+) -> (Lanes, Vec<f32>, Vec<f32>) {
+    let (_, c, h, w) = x.dims();
+    assert_eq!(dy.dims(), x.dims(), "scale-bias gradient shape mismatch");
+    let (mut ds, mut db) = (vec![0.0f32; c], vec![0.0f32; c]);
+    let planes = x
+        .planes()
+        .zip(dy.data_mut().chunks_exact_mut(h * w * LANES));
+    simd::dispatch(
+        simd::active_level(),
+        #[inline(always)]
+        || {
+            for (i, ((cc, xp), gp)) in planes.enumerate() {
+                let s = p.scale[cc];
+                let (mut dsc, mut dbc) = ([0.0f32; LANES], [0.0f32; LANES]);
+                for (gv, xv) in gp.chunks_exact_mut(LANES).zip(xp.chunks_exact(LANES)) {
+                    for l in 0..LANES {
+                        dsc[l] += gv[l] * xv[l];
+                        dbc[l] += gv[l];
+                        gv[l] *= s;
+                    }
+                }
+                let valid = x.valid(i / c);
+                add_lanes(&mut ds[cc], &dsc, valid);
+                add_lanes(&mut db[cc], &dbc, valid);
+            }
+        },
+    );
+    (dy, ds, db)
 }
 
-/// The shape of `x` with an `h x w` plane in place of its own.
-fn with_plane(x: &Tensor, h: usize, w: usize) -> Vec<usize> {
-    let mut shape = x.shape().to_vec();
-    let rank = shape.len();
-    shape[rank - 2..].copy_from_slice(&[h, w]);
-    shape
+/// The element-wise activation kernel, in place: `max(v, 0)`, then
+/// `min(·, clip)` for the clipped variants.
+fn activate(v: &mut [f32], act: Activation) {
+    let clip = act.clip().unwrap_or(f32::INFINITY);
+    simd::dispatch(
+        simd::active_level(),
+        #[inline(always)]
+        || {
+            for x in v {
+                *x = x.max(0.0).min(clip);
+            }
+        },
+    );
+}
+
+/// The element-wise activation gradient, in place over `g`: it passes
+/// where the input was in the active (non-clipped, positive) region,
+/// and where it was NaN.
+fn activate_backward(x: &[f32], act: Activation, g: &mut [f32]) {
+    let clip = act.clip().unwrap_or(f32::INFINITY);
+    simd::dispatch(
+        simd::active_level(),
+        #[inline(always)]
+        || {
+            for (g, &xi) in g.iter_mut().zip(x) {
+                let dead = (xi <= 0.0) | (xi >= clip);
+                *g = keep(!dead, *g);
+            }
+        },
+    );
+}
+
+/// Activation forward on lanes.
+pub(crate) fn activation_lanes(x: &Lanes, act: Activation) -> Lanes {
+    let mut y = x.clone();
+    activate(y.data_mut(), act);
+    y
+}
+
+/// Activation backward on lanes, masking `dy` in place.
+pub(crate) fn activation_backward_lanes(x: &Lanes, act: Activation, mut dy: Lanes) -> Lanes {
+    assert_eq!(dy.dims(), x.dims(), "activation gradient shape mismatch");
+    activate_backward(x.data(), act, dy.data_mut());
+    dy
+}
+
+/// Global average pooling on lanes: one row of `c` per image, each
+/// mean summing its plane in row-major order.
+pub(crate) fn gap_lanes(x: &Lanes) -> Lanes {
+    let (_, c, h, w) = x.dims();
+    let norm = (h * w) as f32;
+    let mut y = x.zeros_like(c, 1, 1);
+    let planes = x.planes().zip(y.data_mut().chunks_exact_mut(LANES));
+    simd::dispatch(
+        simd::active_level(),
+        #[inline(always)]
+        || {
+            for ((_, xp), m) in planes {
+                for (ml, s) in m.iter_mut().zip(pixel_sums(xp)) {
+                    *ml = s / norm;
+                }
+            }
+        },
+    );
+    y.into_rows()
+}
+
+/// Global average pooling backward on lanes: `dy` holds one row of `c`
+/// per image.
+pub(crate) fn gap_backward_lanes(x: &Lanes, dy: &Lanes) -> Lanes {
+    let (_, c, h, w) = x.dims();
+    let norm = (h * w) as f32;
+    let mut dx = x.zeros_like(c, h, w);
+    let planes = dx
+        .data_mut()
+        .chunks_exact_mut(h * w * LANES)
+        .zip(dy.planes());
+    simd::dispatch(
+        simd::active_level(),
+        #[inline(always)]
+        || {
+            for (plane, (_, g)) in planes {
+                let g = px(g, 0).map(|v| v / norm);
+                for v in plane.chunks_exact_mut(LANES) {
+                    v.copy_from_slice(&g);
+                }
+            }
+        },
+    );
+    dx
 }
 
 /// Max pooling with window `k` and stride `k`.
 pub fn maxpool_forward(x: &Tensor, k: usize) -> Tensor {
-    let (_, _, h, w) = x.dims();
-    let mut y = Tensor::zeros(&with_plane(x, h / k, w / k));
-    maxpool_planes(x.data(), h, w, k, y.data_mut());
-    y
+    maxpool_lanes(&Lanes::pack(x), k).unpack_like(x)
 }
 
 /// Max pooling backward: each window's gradient goes to its first
 /// strict maximum, or to the window's first element when no value
 /// beats `-inf` (all `-inf` or NaN).
 pub fn maxpool_backward(x: &Tensor, k: usize, dy: &Tensor) -> Tensor {
-    let (_, _, h, w) = x.dims();
-    let mut dx = Tensor::zeros(x.shape());
-    maxpool_backward_planes(x.data(), h, w, k, dy.data(), dx.data_mut());
-    dx
+    maxpool_backward_lanes(&Lanes::pack(x), k, &Lanes::pack(dy)).unpack_like(x)
 }
 
 /// Average pooling with window `k` and stride `k`.
 pub fn avgpool_forward(x: &Tensor, k: usize) -> Tensor {
-    let (n, c, h, w) = x.dims();
-    let mut y = Tensor::zeros(&with_plane(x, h / k, w / k));
-    avgpool_planes(x.data(), n * c, h, w, k, y.data_mut());
-    y
+    avgpool_lanes(&Lanes::pack(x), k).unpack_like(x)
 }
 
 /// Average pooling backward: gradient spread uniformly over the window.
 pub fn avgpool_backward(x: &Tensor, k: usize, dy: &Tensor) -> Tensor {
-    let (n, c, h, w) = x.dims();
-    let mut dx = Tensor::zeros(x.shape());
-    avgpool_backward_planes(n * c, h, w, k, dy.data(), dx.data_mut());
-    dx
+    avgpool_backward_lanes(&Lanes::pack(x), k, &Lanes::pack(dy)).unpack_like(x)
 }
 
 /// Folded batch-norm forward: `y = x * scale[c] + bias[c]`.
 pub fn scale_bias_forward(x: &Tensor, p: &ScaleBiasParams) -> Tensor {
-    let (_, c, h, w) = x.dims();
-    let mut y = Tensor::zeros(x.shape());
-    let images = x.data().chunks_exact(c * h * w);
-    for (xi, yi) in images.zip(y.data_mut().chunks_exact_mut(c * h * w)) {
-        scale_bias_image(xi, p, h * w, yi);
-    }
-    y
+    scale_bias_lanes(&Lanes::pack(x), p).unpack_like(x)
 }
 
-/// Folded batch-norm backward: `(dx, dscale, dbias)`, with `dx`
-/// written over `dy`'s buffer and the parameter gradients summed as
-/// per-image subtotals in image order.
+/// Folded batch-norm backward: `(dx, dscale, dbias)`, with the
+/// parameter gradients summed as per-image subtotals in image order.
 pub fn scale_bias_backward(
     x: &Tensor,
     p: &ScaleBiasParams,
-    mut dy: Tensor,
+    dy: Tensor,
 ) -> (Tensor, Vec<f32>, Vec<f32>) {
-    let (_, c, h, w) = x.dims();
     assert_eq!(dy.shape(), x.shape(), "scale-bias gradient shape mismatch");
-    let mut ds = vec![0.0f32; c];
-    let mut db = vec![0.0f32; c];
-    let mut ds_img = vec![0.0f32; c];
-    let mut db_img = vec![0.0f32; c];
-    let images = x.data().chunks_exact(c * h * w);
-    for (xi, gi) in images.zip(dy.data_mut().chunks_exact_mut(c * h * w)) {
-        ds_img.fill(0.0);
-        db_img.fill(0.0);
-        scale_bias_backward_image(xi, p, h * w, gi, &mut ds_img, &mut db_img);
-        for (d, s) in ds.iter_mut().zip(&ds_img) {
-            *d += s;
-        }
-        for (d, s) in db.iter_mut().zip(&db_img) {
-            *d += s;
-        }
-    }
-    (dy, ds, db)
+    let (dx, ds, db) = scale_bias_backward_lanes(&Lanes::pack(x), p, Lanes::pack(&dy));
+    (dx.unpack_like(x), ds, db)
 }
 
-/// Activation forward (element-wise): `max(x, 0)`, then `min(·, clip)`
-/// for the clipped variants.
+/// Activation forward (element-wise, any rank): `max(x, 0)`, then
+/// `min(·, clip)` for the clipped variants. Element-wise, so the lane
+/// kernel runs on the tensor's own buffer.
 pub fn activation_forward(x: &Tensor, act: Activation) -> Tensor {
-    let clip = act.clip().unwrap_or(f32::INFINITY);
-    let y = x.data().iter().map(|v| v.max(0.0).min(clip)).collect();
-    Tensor::from_vec(x.shape(), y)
+    let mut y = x.clone();
+    activate(y.data_mut(), act);
+    y
 }
 
-/// Activation backward, masking `dy` in place: the gradient passes
-/// where the input was in the active (non-clipped, positive) region,
-/// and where it was NaN.
+/// Activation backward (element-wise, any rank), masking `dy` in
+/// place: the gradient passes where the input was in the active
+/// (non-clipped, positive) region, and where it was NaN.
 pub fn activation_backward(x: &Tensor, act: Activation, mut dy: Tensor) -> Tensor {
     assert_eq!(dy.shape(), x.shape(), "activation gradient shape mismatch");
-    let clip = act.clip().unwrap_or(f32::INFINITY);
-    for (g, &xi) in dy.data_mut().iter_mut().zip(x.data()) {
-        *g = if xi <= 0.0 || xi >= clip { 0.0 } else { *g };
-    }
+    activate_backward(x.data(), act, dy.data_mut());
     dy
 }
 
 /// Global average pooling: `C x H x W -> [C]`, `N x C x H x W -> [N, C]`.
 /// Each mean sums its plane in row-major order.
 pub fn gap_forward(x: &Tensor) -> Tensor {
-    let (_, _, h, w) = x.dims();
-    let norm = (h * w) as f32;
-    let mut y = Tensor::zeros(&x.shape()[..x.shape().len() - 2]);
-    for (m, plane) in y.data_mut().iter_mut().zip(x.data().chunks_exact(h * w)) {
-        let mut s = 0.0;
-        for &v in plane {
-            s += v;
-        }
-        *m = s / norm;
-    }
-    y
+    gap_lanes(&Lanes::pack(x)).unpack_like(x)
 }
 
 /// Global average pooling backward (`dy` is `[C]` or `[N, C]`).
 pub fn gap_backward(x: &Tensor, dy: &Tensor) -> Tensor {
-    let (_, _, h, w) = x.dims();
-    let norm = (h * w) as f32;
-    let mut dx = Tensor::zeros(x.shape());
-    for (plane, &g) in dx.data_mut().chunks_exact_mut(h * w).zip(dy.data()) {
-        plane.fill(g / norm);
-    }
-    dx
+    gap_backward_lanes(&Lanes::pack(x), &Lanes::pack_rows(dy)).unpack_like(x)
 }
 
 #[cfg(test)]

@@ -11,17 +11,21 @@
 //!   pooling, folded batch-norm (scale + bias), the `Relu` / `Relu4` /
 //!   `Relu8` activations and global average pooling.
 //! * [`engine`], [`gemm`] — the compute engine: direct (implicit-GEMM)
-//!   convolution kernels that read patch rows straight from the planar
-//!   buffers, register-blocked over output channels and multi-threaded
-//!   over images, with a bit-reproducibility contract (any worker
-//!   count, direct or naive — same bits). Training never computes the
-//!   gradient of the network input.
+//!   convolution kernels with a batch's images as the vector lanes
+//!   (the image-interleaved layout of [`network::Lanes`]: one pixel of a
+//!   channel is one vector of eight images), reading patch rows straight
+//!   from the interleaved buffers, register-blocked over output channels
+//!   and multi-threaded over output-channel blocks, with a
+//!   bit-reproducibility contract (any worker count, direct or naive —
+//!   same bits). Training never computes the gradient of the network
+//!   input.
 //! * [`simd`] — runtime-dispatched micro-kernels: the f32 convolution
-//!   kernels in a baseline and an AVX2 build, the int8 GEMM tiles in
-//!   scalar / SSE2 / AVX2 variants, selected once per process from CPU
-//!   feature detection (override with `CODESIGN_SIMD=scalar|sse2|avx2`).
-//!   Every level preserves the canonical accumulation order, so the
-//!   bit-reproducibility contract survives the dispatch.
+//!   kernels and the layer kernels in a baseline and an AVX2 build, the
+//!   int8 GEMM tiles in scalar / SSE2 / AVX2 variants, selected once per
+//!   process from CPU feature detection (override with
+//!   `CODESIGN_SIMD=scalar|sse2|avx2`). Every level preserves the
+//!   canonical accumulation order, so the bit-reproducibility contract
+//!   survives the dispatch.
 //! * [`mod@reference`] — the retained naive convolution, max-pooling,
 //!   activation and scale-bias loops the fast kernels are verified
 //!   against.
@@ -39,7 +43,9 @@
 //! One image and a batch run the same code: every layer op, the
 //! network's forward and backward passes and the training loop take
 //! either rank, and row `i` of a batch's result is bit-identical to
-//! image `i` run alone.
+//! image `i` run alone. Each op has one compute kernel, over the
+//! interleaved layout; a lone image runs as a batch of one, in one lane
+//! of eight.
 //!
 //! # Example
 //!
@@ -74,6 +80,7 @@
 pub mod engine;
 pub mod gemm;
 pub mod im2col;
+mod lanes;
 pub mod layers;
 pub mod network;
 mod qengine;

@@ -1,10 +1,13 @@
 //! Executable, trainable networks compiled from the co-design DNN IR.
 
-use crate::engine::{conv_backward, conv_forward, dwconv_backward, dwconv_forward, Engine};
+use crate::engine::{
+    conv_backward_lanes, conv_forward_lanes, dwconv_backward_lanes, dwconv_forward_lanes, Engine,
+};
+pub use crate::lanes::Lanes;
 use crate::layers::{
-    activation_backward, activation_forward, avgpool_backward, avgpool_forward, gap_backward,
-    gap_forward, maxpool_backward, maxpool_forward, scale_bias_backward, scale_bias_forward,
-    ConvParams, DwConvParams, ScaleBiasParams,
+    activation_backward_lanes, activation_lanes, avgpool_backward_lanes, avgpool_lanes,
+    gap_backward_lanes, gap_lanes, maxpool_backward_lanes, maxpool_lanes,
+    scale_bias_backward_lanes, scale_bias_lanes, ConvParams, DwConvParams, ScaleBiasParams,
 };
 use crate::tensor::Tensor;
 use codesign_dnn::layer::{LayerOp, PoolKind};
@@ -55,16 +58,16 @@ pub enum NnLayer {
 }
 
 impl NnLayer {
-    /// Runs the layer on one image or a batch on `engine`.
-    pub(crate) fn forward(&self, x: &Tensor, engine: Engine) -> Tensor {
+    /// Runs the layer on a packed batch on `engine`.
+    pub(crate) fn forward(&self, x: &Lanes, engine: Engine) -> Lanes {
         match self {
-            NnLayer::Conv(p) => conv_forward(x, p, engine),
-            NnLayer::DwConv(p) => dwconv_forward(x, p, engine),
-            NnLayer::MaxPool(k) => maxpool_forward(x, *k),
-            NnLayer::AvgPool(k) => avgpool_forward(x, *k),
-            NnLayer::ScaleBias(p) => scale_bias_forward(x, p),
-            NnLayer::Act(a) => activation_forward(x, *a),
-            NnLayer::Gap => gap_forward(x),
+            NnLayer::Conv(p) => conv_forward_lanes(x, p, engine),
+            NnLayer::DwConv(p) => dwconv_forward_lanes(x, p, engine),
+            NnLayer::MaxPool(k) => maxpool_lanes(x, *k),
+            NnLayer::AvgPool(k) => avgpool_lanes(x, *k),
+            NnLayer::ScaleBias(p) => scale_bias_lanes(x, p),
+            NnLayer::Act(a) => activation_lanes(x, *a),
+            NnLayer::Gap => gap_lanes(x),
         }
     }
 }
@@ -200,21 +203,29 @@ impl Network {
     /// Inference on one `C x H x W` image or an `N x C x H x W` batch
     /// (see [`Tensor::stack`]): an image gives one output vector, a
     /// batch one output row per image. Row `i` of a batch's output is
-    /// bit-identical to the output of image `i` alone.
+    /// bit-identical to the output of image `i` alone. The input is
+    /// packed once and every layer runs on the image-interleaved layout
+    /// of [`Lanes`].
     pub fn forward(&self, x: &Tensor) -> Tensor {
-        let mut x = x.clone();
+        let mut lanes = Lanes::pack(x);
         for layer in &self.layers {
-            x = layer.forward(&x, self.engine);
+            lanes = layer.forward(&lanes, self.engine);
         }
-        x
+        lanes.unpack_like(x)
     }
 
     /// Training forward pass over an image or a batch: returns the
     /// output and the per-layer input cache required by
     /// [`Network::backward`].
-    pub fn forward_train(&self, x: &Tensor) -> (Tensor, Vec<Tensor>) {
+    pub fn forward_train(&self, x: &Tensor) -> (Tensor, Vec<Lanes>) {
+        let (out, cache) = self.forward_train_lanes(Lanes::pack(x));
+        (out.unpack_like(x), cache)
+    }
+
+    /// [`Network::forward_train`] on a packed batch.
+    pub(crate) fn forward_train_lanes(&self, x: Lanes) -> (Lanes, Vec<Lanes>) {
         let mut cache = Vec::with_capacity(self.layers.len());
-        let mut x = x.clone();
+        let mut x = x;
         for layer in &self.layers {
             let y = layer.forward(&x, self.engine);
             cache.push(std::mem::replace(&mut x, y));
@@ -238,36 +249,36 @@ impl Network {
     ///
     /// Panics when `cache` does not come from this network's forward
     /// pass (length mismatch).
-    pub fn backward(&mut self, cache: &[Tensor], grad_out: &Tensor) {
+    pub fn backward(&mut self, cache: &[Lanes], grad_out: &Tensor) {
         assert_eq!(cache.len(), self.layers.len(), "stale training cache");
         let engine = self.engine;
-        let mut g = grad_out.clone();
+        let mut g = Lanes::pack_rows(grad_out);
         for (i, layer) in self.layers.iter().enumerate().rev() {
             let x = &cache[i];
             // Layer 0's input gradient is the network input's, which
             // nothing reads: its convolutions skip that pass.
             g = match layer {
                 NnLayer::Conv(p) => {
-                    let (dx, dw, db) = conv_backward(x, p, &g, engine, i > 0);
+                    let (dx, dw, db) = conv_backward_lanes(x, p, &g, engine, i > 0);
                     accumulate(&mut self.state[i], &dw, &db);
                     let Some(dx) = dx else { break };
                     dx
                 }
                 NnLayer::DwConv(p) => {
-                    let (dx, dw, db) = dwconv_backward(x, p, &g, engine, i > 0);
+                    let (dx, dw, db) = dwconv_backward_lanes(x, p, &g, engine, i > 0);
                     accumulate(&mut self.state[i], &dw, &db);
                     let Some(dx) = dx else { break };
                     dx
                 }
-                NnLayer::MaxPool(k) => maxpool_backward(x, *k, &g),
-                NnLayer::AvgPool(k) => avgpool_backward(x, *k, &g),
+                NnLayer::MaxPool(k) => maxpool_backward_lanes(x, *k, &g),
+                NnLayer::AvgPool(k) => avgpool_backward_lanes(x, *k, &g),
                 NnLayer::ScaleBias(p) => {
-                    let (dx, ds, db) = scale_bias_backward(x, p, g);
+                    let (dx, ds, db) = scale_bias_backward_lanes(x, p, g);
                     accumulate(&mut self.state[i], &ds, &db);
                     dx
                 }
-                NnLayer::Act(a) => activation_backward(x, *a, g),
-                NnLayer::Gap => gap_backward(x, &g),
+                NnLayer::Act(a) => activation_backward_lanes(x, *a, g),
+                NnLayer::Gap => gap_backward_lanes(x, &g),
             };
         }
     }

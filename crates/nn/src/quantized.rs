@@ -24,6 +24,7 @@
 //! fine-grained Bundle evaluation (Fig. 5).
 
 use crate::engine::Engine;
+use crate::lanes::Lanes;
 use crate::network::{Network, NnLayer};
 use crate::qengine;
 use crate::tensor::Tensor;
@@ -149,19 +150,24 @@ impl QuantizedNetwork {
         self.int8.is_some()
     }
 
-    /// Fake-quantized inference: float kernels on this network's engine
+    /// Fake-quantized inference on one `C x H x W` image or an
+    /// `N x C x H x W` batch: float kernels on this network's engine
     /// over the pre-snapped weights, activations snapped to the scheme's
     /// grid after every layer — the round-trip error matches what the
-    /// fixed-point accelerator accumulates. Output is bit-identical to the
-    /// historical per-call-requantizing implementation.
+    /// fixed-point accelerator accumulates. Like
+    /// [`Network::forward`], the input is packed once and every layer
+    /// runs on the image-interleaved layout. Output is bit-identical to
+    /// the historical per-call-requantizing implementation, and row `i`
+    /// of a batch's output to image `i` alone.
     pub fn forward(&self, image: &Tensor) -> Tensor {
         let act_scale = activation_scale(self.scheme);
-        let mut x = quantize_tensor(image, act_scale, self.scheme);
+        let mut x = Lanes::pack(image);
+        snap(&mut x, act_scale, self.scheme);
         for layer in &self.layers {
             x = layer.forward(&x, self.engine);
-            x = quantize_tensor(&x, act_scale, self.scheme);
+            snap(&mut x, act_scale, self.scheme);
         }
-        x
+        x.unpack_like(image)
     }
 
     /// Real integer inference: the input is quantized to `i8` codes
@@ -335,13 +341,13 @@ fn activation_scale(scheme: Quantization) -> f32 {
     8.0 / hi as f32
 }
 
-fn quantize_tensor(t: &Tensor, scale: f32, scheme: Quantization) -> Tensor {
-    let mut out = t.clone();
-    for v in out.data_mut() {
+/// Snaps every image's values onto the scheme's grid, in place; lanes
+/// past the batch's images are left as they are.
+fn snap(x: &mut Lanes, scale: f32, scheme: Quantization) {
+    for v in x.images_mut().flatten() {
         let code = scheme.quantize(*v, scale);
         *v = scheme.dequantize(code, scale);
     }
-    out
 }
 
 fn quantize_vec(v: &[f32], scale: f32, scheme: Quantization) -> Vec<f32> {
@@ -453,14 +459,15 @@ mod tests {
     /// must reproduce it bit-for-bit.
     fn legacy_forward(net: &Network, scheme: Quantization, image: &Tensor) -> Tensor {
         let act_scale = activation_scale(scheme);
-        let mut x = quantize_tensor(image, act_scale, scheme);
+        let mut x = Lanes::pack(image);
+        snap(&mut x, act_scale, scheme);
         for layer in net.layers() {
             let wscale = normalize_scale(layer_max_abs(layer), scheme);
             let snapped = quantize_layer(layer, wscale, scheme);
             x = snapped.forward(&x, net.engine());
-            x = quantize_tensor(&x, act_scale, scheme);
+            snap(&mut x, act_scale, scheme);
         }
-        x
+        x.unpack(false)
     }
 
     #[test]

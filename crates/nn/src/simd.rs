@@ -4,14 +4,18 @@
 //! once (`is_x86_feature_detected!`, cached in a `OnceLock`) and every
 //! kernel call dispatches at that level:
 //!
-//! * f32 — `f32_conv_rows` and `f32_grad_taps`, the micro-kernels of
-//!   the implicit-GEMM convolutions in [`crate::gemm`]. One plain Rust
-//!   body over fixed 8-lane arrays is compiled twice: for
-//!   the baseline target ([`SimdLevel::Scalar`] and [`SimdLevel::Sse2`]
-//!   — SSE2 is part of the `x86_64` baseline, so the autovectorizer
-//!   already emits 4-lane ops there) and inside an
-//!   `#[target_feature(enable = "avx2")]` wrapper
-//!   ([`SimdLevel::Avx2`], one `__m256` per chunk).
+//! * f32 — `f32_conv_pixels` and `f32_grad_taps`, the micro-kernels of
+//!   the implicit-GEMM convolutions in [`crate::gemm`], and the layer
+//!   kernels of [`crate::layers`] (through `dispatch`). They work on the
+//!   image-interleaved layout, where one pixel of a channel is one
+//!   8-lane vector of eight images. One plain Rust body over fixed
+//!   8-lane arrays is compiled twice: for the baseline target
+//!   ([`SimdLevel::Scalar`] and [`SimdLevel::Sse2`] — SSE2 is part of
+//!   the `x86_64` baseline, so the autovectorizer already emits 4-lane
+//!   ops there) and inside an `#[target_feature(enable = "avx2")]`
+//!   wrapper ([`SimdLevel::Avx2`], one `__m256` per vector). The
+//!   convolution kernels read their vectors unchecked, after one bounds
+//!   assert per call.
 //! * int8 — the crate-private `i8_tile` of the quantized GEMM, with
 //!   explicit scalar, SSE2 (`__m128i`, 4 output columns per tile) and
 //!   AVX2 (`__m256i`, 8 columns; see [`SimdLevel::nr`]) variants.
@@ -38,6 +42,8 @@
 //! determinism debugging or perf triage). Unknown values are ignored;
 //! a requested level the CPU lacks clamps down to the best available
 //! one. The variable is read once per process.
+
+use crate::lanes::LANES;
 
 /// Instruction-set tier of the SIMD micro-kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -151,31 +157,52 @@ pub fn active_level() -> SimdLevel {
     })
 }
 
+/// Runs `kernel` at `level`: inside an AVX2 `target_feature` wrapper at
+/// [`SimdLevel::Avx2`], else as built for the baseline target. The layer
+/// kernels of [`crate::layers`] pass `#[inline(always)]` closures, so
+/// one body compiles once per build, like the convolution kernels.
+#[inline(always)]
+pub(crate) fn dispatch<R>(level: SimdLevel, kernel: impl FnOnce() -> R) -> R {
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: same detection invariant as `f32_conv_pixels`.
+        SimdLevel::Avx2 => unsafe { run_avx2(kernel) },
+        _ => kernel(),
+    }
+}
+
+/// [`dispatch`]'s AVX2 build.
+///
+/// # Safety
+///
+/// The running CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn run_avx2<R>(kernel: impl FnOnce() -> R) -> R {
+    kernel()
+}
+
 // ---------------------------------------------------------------------
 // f32 direct-convolution kernels
 // ---------------------------------------------------------------------
 
-/// Lanes of one f32 chunk in the direct-convolution kernels: one AVX2
-/// register, or two SSE2 registers in the baseline build.
-pub(crate) const LANES: usize = 8;
-
-/// Rows of the implicit GEMM behind every f32 convolution: for `OB`
-/// output channels `j`, rows `r < rows` and columns `x < len`,
-/// `dst[j * plane + r * len + x] = init[j] + Σ_t wpack[t * OB + j] · src[j * step + taps[t] + r * stride + x]`,
+/// Pixels of the implicit GEMM behind every f32 convolution, over the
+/// image-interleaved layout of [`Lanes`](crate::network::Lanes): for `OB` output
+/// channels `j`, rows `r < rows`, columns `x < len` and lanes (images)
+/// `l`,
+/// `dst[(j * plane + r * len + x) * LANES + l] = init[j] + Σ_t wpack[t * OB + j] · src[j * step + taps[t] + (r * stride + x) * LANES + l]`,
 /// where `step` is `0` when the channels share one input and a plane
-/// when each reads its own (depth-wise),
-/// each chain strictly sequential in ascending `t` (the canonical
-/// `(ic, ky, kx)` order of the tap offsets). Columns advance [`LANES`]
-/// at a time with `OB` register-resident accumulators; a tail shorter
-/// than a chunk runs full-width where `src` extends far enough (the
-/// padded copies are built so) and one column at a time otherwise.
+/// when each reads its own (depth-wise), and the tap offsets count
+/// floats. Each chain is strictly sequential in ascending `t` (the
+/// canonical `(ic, ky, kx)` order of the taps); one output pixel is one
+/// vector, with `OB` register-resident accumulators.
 ///
 /// # Panics
 ///
 /// Panics when `wpack` disagrees with `taps`, a tap reaches past `src`,
 /// or `dst` is too short.
 #[allow(clippy::too_many_arguments)] // raw geometry is the whole API
-pub(crate) fn f32_conv_rows<const OB: usize>(
+pub(crate) fn f32_conv_pixels<const OB: usize>(
     level: SimdLevel,
     src: &[f32],
     step: usize,
@@ -194,13 +221,13 @@ pub(crate) fn f32_conv_rows<const OB: usize>(
         // `clamp_available`, and the test iteration over
         // `available_levels` all gate on it).
         SimdLevel::Avx2 => unsafe {
-            conv_rows_avx2(src, step, taps, wpack, init, geometry, dst, plane)
+            conv_pixels_avx2(src, step, taps, wpack, init, geometry, dst, plane)
         },
-        _ => conv_rows(src, step, taps, wpack, init, geometry, dst, plane),
+        _ => conv_pixels(src, step, taps, wpack, init, geometry, dst, plane),
     }
 }
 
-/// [`conv_rows`] compiled with AVX2 enabled.
+/// [`conv_pixels`] compiled with AVX2 enabled.
 ///
 /// # Safety
 ///
@@ -208,7 +235,7 @@ pub(crate) fn f32_conv_rows<const OB: usize>(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn conv_rows_avx2<const OB: usize>(
+unsafe fn conv_pixels_avx2<const OB: usize>(
     src: &[f32],
     step: usize,
     taps: &[usize],
@@ -218,14 +245,15 @@ unsafe fn conv_rows_avx2<const OB: usize>(
     dst: &mut [f32],
     plane: usize,
 ) {
-    conv_rows(src, step, taps, wpack, init, geometry, dst, plane);
+    conv_pixels(src, step, taps, wpack, init, geometry, dst, plane);
 }
 
 /// The one body behind every level, compiled once for the baseline
-/// target and once inside the AVX2 wrapper.
+/// target and once inside the AVX2 wrapper. Pixels run in pairs along a
+/// row, so a tap's weights feed two pixels per load.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn conv_rows<const OB: usize>(
+fn conv_pixels<const OB: usize>(
     src: &[f32],
     step: usize,
     taps: &[usize],
@@ -235,55 +263,63 @@ fn conv_rows<const OB: usize>(
     dst: &mut [f32],
     plane: usize,
 ) {
-    // How far past a chunk's start the source reaches in every tap of
-    // every channel.
-    let last = taps.last().map_or(0, |&t| t) + (OB - 1) * step;
-    let reach = src.len().saturating_sub(last);
+    if rows * len == 0 {
+        return;
+    }
+    let reach = taps.iter().max().map_or(0, |&t| t) + (OB - 1) * step;
+    assert!(
+        reach + ((rows - 1) * stride + len) * LANES <= src.len(),
+        "a tap reaches past the source"
+    );
+    let mut store = |out: usize, acc: &[[f32; LANES]; OB]| {
+        for (j, a) in acc.iter().enumerate() {
+            dst[(j * plane + out) * LANES..][..LANES].copy_from_slice(a);
+        }
+    };
     for r in 0..rows {
+        let (base, out) = (r * stride, r * len);
         let mut x = 0;
-        while x < len {
-            let (base, out) = (r * stride + x, r * len + x);
-            if x + LANES <= len || base + LANES <= reach {
-                let n = LANES.min(len - x);
-                let acc = conv_chunk::<OB, LANES>(src, step, taps, wpack, init, base);
-                for (j, a) in acc.iter().enumerate() {
-                    dst[j * plane + out..j * plane + out + n].copy_from_slice(&a[..n]);
-                }
-                x += n;
-            } else {
-                let acc = conv_chunk::<OB, 1>(src, step, taps, wpack, init, base);
-                for (j, a) in acc.iter().enumerate() {
-                    dst[j * plane + out] = a[0];
-                }
-                x += 1;
-            }
+        while x + 2 <= len {
+            // SAFETY: pixels `x` and `x + 1` are in the row, so the
+            // assert above bounds every tap of every channel.
+            let [a, b] =
+                unsafe { conv_block::<OB, 2>(src, step, taps, wpack, init, (base + x) * LANES) };
+            store(out + x, &a);
+            store(out + x + 1, &b);
+            x += 2;
+        }
+        if x < len {
+            // SAFETY: as above, for the one pixel `x`.
+            let [a] =
+                unsafe { conv_block::<OB, 1>(src, step, taps, wpack, init, (base + x) * LANES) };
+            store(out + x, &a);
         }
     }
 }
 
+/// `PB` neighbouring pixels of `OB` output channels, the first at float
+/// offset `base`.
+///
+/// # Safety
+///
+/// `j * step + off + base + (p + 1) * LANES <= src.len()` for every
+/// channel `j < OB`, pixel `p < PB` and tap `off` in `taps`.
 #[inline(always)]
-fn conv_chunk<const OB: usize, const L: usize>(
+unsafe fn conv_block<const OB: usize, const PB: usize>(
     src: &[f32],
     step: usize,
     taps: &[usize],
     wpack: &[f32],
     init: [f32; OB],
     base: usize,
-) -> [[f32; L]; OB] {
-    let mut acc = init.map(|b| [b; L]);
-    let lanes =
-        |at: usize| -> &[f32; L] { src[at..at + L].try_into().expect("a slice of L lanes") };
+) -> [[[f32; LANES]; OB]; PB] {
+    let mut acc = [init.map(|b| [b; LANES]); PB];
     for (&off, w) in taps.iter().zip(wpack.chunks_exact(OB)) {
-        if step == 0 {
-            let s = lanes(off + base);
-            for (a, &wj) in acc.iter_mut().zip(w) {
-                for (al, &sl) in a.iter_mut().zip(s) {
-                    *al += wj * sl;
-                }
-            }
-        } else {
+        for (p, acc) in acc.iter_mut().enumerate() {
             for (j, (a, &wj)) in acc.iter_mut().zip(w).enumerate() {
-                for (al, &sl) in a.iter_mut().zip(lanes(j * step + off + base)) {
+                // SAFETY: the caller's contract bounds this offset.
+                let s = unsafe { load(src, j * step + off + base + p * LANES) };
+                for (al, &sl) in a.iter_mut().zip(s) {
                     *al += wj * sl;
                 }
             }
@@ -292,34 +328,39 @@ fn conv_chunk<const OB: usize, const L: usize>(
     acc
 }
 
-/// `TB` weight-gradient chains per lane, the transposed implicit GEMM:
-/// for taps `j < TB` and lanes `l < L`,
-/// `out[j][l] = Σ_(r, x) src(j, r, x, l) · dyt[(r * len + x) * ld + l]`
+/// The vector at float offset `at` of `src`, unchecked.
+///
+/// # Safety
+///
+/// `at + LANES <= src.len()`.
+#[inline(always)]
+unsafe fn load(src: &[f32], at: usize) -> &[f32; LANES] {
+    debug_assert!(at + LANES <= src.len());
+    &*(src.as_ptr().add(at) as *const [f32; LANES])
+}
+
+/// `TB` weight-gradient chains per lane (image), the transposed
+/// implicit GEMM over the image-interleaved layout: for taps `j < TB`
+/// and lanes `l`,
+/// `out[j][l] = Σ_(r, x) dy[(r * len + x) * LANES + l] · src[taps[j] + (r * stride + x) * LANES + l]`
 /// over output pixels `(r, x)` in row-major ascending order, every chain
-/// starting from `0.0`. The lanes sit `ld` apart per pixel in the
-/// gradient. With `CHANNEL_LAST = false` they are output channels that
-/// share one input value, `src(j, r, x, l) = src[taps[j] + r * stride + x]`;
-/// with `CHANNEL_LAST = true` they are the channels of a channel-last
-/// input (depth-wise layers), `src(j, r, x, l) = src[taps[j] + (r * stride + x) * ld + l]`.
+/// starting from `0.0`.
 ///
 /// # Panics
 ///
-/// Panics when a tap reaches past `src` or `dyt` is too short.
-pub(crate) fn f32_grad_taps<const TB: usize, const L: usize, const CHANNEL_LAST: bool>(
+/// Panics when a tap reaches past `src` or `dy` is too short.
+pub(crate) fn f32_grad_taps<const TB: usize>(
     level: SimdLevel,
     src: &[f32],
     taps: &[usize; TB],
-    dyt: &[f32],
-    ld: usize,
+    dy: &[f32],
     geometry: (usize, usize, usize),
-) -> [[f32; L]; TB] {
+) -> [[f32; LANES]; TB] {
     match level {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: same detection invariant as `f32_conv_rows`.
-        SimdLevel::Avx2 => unsafe {
-            grad_taps_avx2::<TB, L, CHANNEL_LAST>(src, taps, dyt, ld, geometry)
-        },
-        _ => grad_taps::<TB, L, CHANNEL_LAST>(src, taps, dyt, ld, geometry),
+        // SAFETY: same detection invariant as `f32_conv_pixels`.
+        SimdLevel::Avx2 => unsafe { grad_taps_avx2::<TB>(src, taps, dy, geometry) },
+        _ => grad_taps::<TB>(src, taps, dy, geometry),
     }
 }
 
@@ -330,52 +371,42 @@ pub(crate) fn f32_grad_taps<const TB: usize, const L: usize, const CHANNEL_LAST:
 /// The running CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn grad_taps_avx2<const TB: usize, const L: usize, const CHANNEL_LAST: bool>(
+unsafe fn grad_taps_avx2<const TB: usize>(
     src: &[f32],
     taps: &[usize; TB],
-    dyt: &[f32],
-    ld: usize,
+    dy: &[f32],
     geometry: (usize, usize, usize),
-) -> [[f32; L]; TB] {
-    grad_taps::<TB, L, CHANNEL_LAST>(src, taps, dyt, ld, geometry)
+) -> [[f32; LANES]; TB] {
+    grad_taps::<TB>(src, taps, dy, geometry)
 }
 
 #[inline(always)]
-fn grad_taps<const TB: usize, const L: usize, const CHANNEL_LAST: bool>(
+fn grad_taps<const TB: usize>(
     src: &[f32],
     taps: &[usize; TB],
-    dyt: &[f32],
-    ld: usize,
+    dy: &[f32],
     (rows, len, stride): (usize, usize, usize),
-) -> [[f32; L]; TB] {
-    let mut acc = [[0.0f32; L]; TB];
-    if len == 0 {
+) -> [[f32; LANES]; TB] {
+    let mut acc = [[0.0f32; LANES]; TB];
+    if rows * len == 0 {
         return acc;
     }
-    // Source elements one pixel spans, and the reach of one tap's row.
-    let step = if CHANNEL_LAST { ld } else { 1 };
-    let span = (len - 1) * step + if CHANNEL_LAST { L } else { 1 };
-    for r in 0..rows {
-        let srows: [&[f32]; TB] = taps.map(|off| {
-            let base = off + r * stride * step;
-            &src[base..base + span]
-        });
-        for x in 0..len {
-            let p = (r * len + x) * ld;
-            let d: &[f32; L] = dyt[p..p + L].try_into().expect("a slice of L lanes");
-            for (a, s) in acc.iter_mut().zip(&srows) {
-                if CHANNEL_LAST {
-                    let s: &[f32; L] = s[x * ld..x * ld + L]
-                        .try_into()
-                        .expect("a slice of L lanes");
-                    for ((al, &dl), &sl) in a.iter_mut().zip(d).zip(s) {
-                        *al += dl * sl;
-                    }
-                } else {
-                    let xv = s[x];
-                    for (al, &dl) in a.iter_mut().zip(d) {
-                        *al += dl * xv;
-                    }
+    let reach = taps.iter().max().map_or(0, |&t| t);
+    assert!(
+        reach + ((rows - 1) * stride + len) * LANES <= src.len(),
+        "a tap reaches past the source"
+    );
+    let span = len * LANES;
+    for (r, drow) in dy[..rows * span].chunks_exact(span).enumerate() {
+        let base = r * stride * LANES;
+        for (x, d) in drow.chunks_exact(LANES).enumerate() {
+            let d: &[f32; LANES] = d.try_into().expect("LANES lanes");
+            for (a, &off) in acc.iter_mut().zip(taps) {
+                // SAFETY: the assert above bounds the farthest tap of
+                // the last pixel.
+                let s = unsafe { load(src, off + base + x * LANES) };
+                for ((al, &dl), &sl) in a.iter_mut().zip(d).zip(s) {
+                    *al += dl * sl;
                 }
             }
         }
@@ -533,21 +564,24 @@ mod tests {
     /// convolutions.
     #[test]
     fn f32_tiles_agree_across_available_levels() {
-        // 2 rows of 11 columns (one full chunk plus a 3-column tail)
-        // over a 13-wide source, 5 taps, 4 interleaved channels.
-        let (rows, len, stride, ob) = (2, 11, 13, 4);
-        let taps = [0usize, 1, 2, 13, 27];
-        let src: Vec<f32> = (0..64).map(|i| (i % 7) as f32 * 0.25 - 0.5).collect();
+        // 2 rows of 3 pixels over a 4-wide source, 5 taps, 4 channels,
+        // every pixel one vector of LANES images.
+        let (rows, len, stride, ob) = (2, 3, 4, 4);
+        let taps = [0usize, 1, 2, 4, 5].map(|t| t * LANES);
+        let src: Vec<f32> = (0..12 * LANES)
+            .map(|i| (i % 7) as f32 * 0.25 - 0.5)
+            .collect();
         let wpack: Vec<f32> = (0..taps.len() * ob)
             .map(|i| (i % 5) as f32 * 0.5 - 1.0)
             .collect();
         let init = [0.125f32, -0.0, 0.5, -1.0];
-        let dyt: Vec<f32> = (0..rows * len * LANES)
+        let dy: Vec<f32> = (0..rows * len * LANES)
             .map(|i| (i % 9) as f32 * 0.3 - 1.1)
             .collect();
+        let plane = rows * len;
         for level in available_levels() {
-            let mut dst = vec![0.0f32; ob * rows * len];
-            f32_conv_rows::<4>(
+            let mut dst = vec![0.0f32; ob * plane * LANES];
+            f32_conv_pixels::<4>(
                 level,
                 &src,
                 0,
@@ -556,28 +590,22 @@ mod tests {
                 init,
                 (rows, len, stride),
                 &mut dst,
-                rows * len,
+                plane,
             );
-            let grads = f32_grad_taps::<5, LANES, false>(
-                level,
-                &src,
-                &taps,
-                &dyt,
-                LANES,
-                (rows, len, stride),
-            );
-            for r in 0..rows {
-                for x in 0..len {
+            let grads = f32_grad_taps::<5>(level, &src, &taps, &dy, (rows, len, stride));
+            for p in 0..plane {
+                let at = ((p / len) * stride + p % len) * LANES;
+                for l in 0..LANES {
                     for j in 0..ob {
                         let mut s = init[j];
                         for (t, &off) in taps.iter().enumerate() {
-                            s += wpack[t * ob + j] * src[off + r * stride + x];
+                            s += wpack[t * ob + j] * src[off + at + l];
                         }
-                        let got = dst[j * rows * len + r * len + x];
+                        let got = dst[(j * plane + p) * LANES + l];
                         assert_eq!(
                             got.to_bits(),
                             s.to_bits(),
-                            "level {level} conv ({j},{r},{x})"
+                            "level {level} conv ({j},{p},{l})"
                         );
                     }
                 }
@@ -585,8 +613,9 @@ mod tests {
             for (t, &off) in taps.iter().enumerate() {
                 for l in 0..LANES {
                     let mut s = 0.0f32;
-                    for p in 0..rows * len {
-                        s += dyt[p * LANES + l] * src[off + (p / len) * stride + p % len];
+                    for p in 0..plane {
+                        let at = ((p / len) * stride + p % len) * LANES;
+                        s += dy[p * LANES + l] * src[off + at + l];
                     }
                     assert_eq!(
                         grads[t][l].to_bits(),

@@ -11,13 +11,16 @@
 //! Gradients accumulate across every image of a batch and
 //! [`Network::sgd_step`] fires **once per batch** with the learning
 //! rate divided by the batch length. Every engine runs the same loop:
-//! the whole batch executes as one stacked `N x C x H x W` pass (one
-//! call per layer). [`crate::engine::Engine::Reference`] runs its naive
+//! each batch is stacked and packed into the image-interleaved layout of
+//! [`Lanes`] once per training, and executes as
+//! one pass (one call per layer) with the batch's images as the vector
+//! lanes. [`crate::engine::Engine::Reference`] runs its naive
 //! convolution kernels image by image inside that call. The parameter
 //! updates are bit-identical on every engine and to one
 //! forward/backward per image — the batched pass sums per-image
 //! gradient subtotals in image order.
 
+use crate::lanes::Lanes;
 use crate::network::Network;
 use crate::tensor::Tensor;
 
@@ -117,36 +120,26 @@ impl Trainer {
         assert_eq!(images.len(), boxes.len(), "images / boxes length mismatch");
         assert!(!images.is_empty(), "empty training set");
         let bs = self.config.batch_size.max(1);
-        // The batch tensors never change across epochs — stack once.
-        let batches: Vec<(Tensor, &[[f32; 4]])> = images
+        // The batches never change across epochs — stack and pack each
+        // into the image-interleaved layout once.
+        let batches: Vec<(Lanes, &[[f32; 4]])> = images
             .chunks(bs)
             .zip(boxes.chunks(bs))
-            .map(|(bi, bb)| (Tensor::stack(bi), bb))
+            .map(|(bi, bb)| (Lanes::pack(&Tensor::stack(bi)), bb))
             .collect();
-        // Reusable loss-gradient buffers (lazily shaped from the first
-        // forward pass): at most two batch shapes exist — full batches
-        // and an optional shorter final batch — so two slots cover the
-        // whole run. Every element is rewritten each step, so reuse
-        // cannot change results — it only drops the per-step
-        // allocation from the hot loop.
-        let (mut grad_full, mut grad_tail): (Option<Tensor>, Option<Tensor>) = (None, None);
         let mut epoch_losses = Vec::with_capacity(self.config.epochs);
         for _epoch in 0..self.config.epochs {
             let mut epoch_loss = 0.0f32;
             for (batch, batch_boxes) in &batches {
-                let (out, cache) = net.forward_train(batch);
-                let grad_slot = if batch_boxes.len() == bs {
-                    &mut grad_full
-                } else {
-                    &mut grad_tail
-                };
-                let grad = grad_slot.get_or_insert_with(|| Tensor::zeros(out.shape()));
+                let (out, cache) = net.forward_train_lanes(batch.clone());
+                let out = out.unpack(true);
+                let mut grad = Vec::with_capacity(out.len());
                 for (i, target) in batch_boxes.iter().enumerate() {
                     let (loss, g) = Self::mse_loss_slice(out.image(i), target);
                     epoch_loss += loss;
-                    grad.image_mut(i).copy_from_slice(&g);
+                    grad.extend_from_slice(&g);
                 }
-                net.backward(&cache, grad);
+                net.backward(&cache, &Tensor::from_vec(out.shape(), grad));
                 net.sgd_step(
                     self.config.learning_rate / batch_boxes.len() as f32,
                     self.config.momentum,

@@ -311,3 +311,89 @@ fn three_sgd_steps_match_reference_with_3x3_first_conv() {
         );
     }
 }
+
+/// Batches that fill one lane, part of a group, exactly one group, and
+/// whole groups plus a partial one run `Network::forward`,
+/// `forward_train` + `backward` + `sgd_step`, and `Trainer::train`
+/// bit-identically to the reference engine: outputs, loss trajectory
+/// and parameters, at 1 and 3 workers.
+#[test]
+fn partial_lane_groups_match_reference_bitwise() {
+    let step = |net: &mut Network, batch: &Tensor, boxes: &[[f32; 4]]| {
+        let (out, cache) = net.forward_train(batch);
+        let targets = boxes.iter().flatten();
+        let grad = out.data().iter().zip(targets).map(|(o, t)| o - t).collect();
+        net.backward(&cache, &Tensor::from_vec(out.shape(), grad));
+        net.sgd_step(0.05, 0.9);
+        (bits(out.data()), param_bits(net))
+    };
+    for n in [1usize, 3, 8, 9, 17] {
+        let (images, boxes) = synthetic_set(n, 40 + n as u64);
+        let batch = Tensor::stack(&images);
+        let trainer = Trainer::new(TrainConfig {
+            epochs: 2,
+            learning_rate: 0.05,
+            momentum: 0.9,
+            batch_size: n,
+        });
+        let reference = || tiny_net(3).with_engine(Engine::Reference);
+        let want_out = bits(reference().forward(&batch).data());
+        let want_step = step(&mut reference(), &batch, &boxes);
+        let mut want_net = reference();
+        let want_report = trainer.train(&mut want_net, &images, &boxes);
+        for threads in [1, 3] {
+            let direct = || tiny_net(3).with_engine(Engine::Gemm(Parallelism::Fixed(threads)));
+            assert_eq!(
+                bits(direct().forward(&batch).data()),
+                want_out,
+                "forward of {n} images at {threads} workers"
+            );
+            assert_eq!(
+                step(&mut direct(), &batch, &boxes),
+                want_step,
+                "one SGD step on {n} images at {threads} workers"
+            );
+            let mut net = direct();
+            let report = trainer.train(&mut net, &images, &boxes);
+            assert_eq!(
+                bits(&report.epoch_losses),
+                bits(&want_report.epoch_losses),
+                "loss trajectory on {n} images at {threads} workers"
+            );
+            assert_eq!(
+                param_bits(&net),
+                param_bits(&want_net),
+                "trained parameters on {n} images at {threads} workers"
+            );
+        }
+    }
+}
+
+/// Lanes are independent: one image of a batch holding NaN, `+inf` and
+/// `-inf` pixels leaves every other image's output row bit-identical to
+/// that image run alone, in its own lane group and in the next one.
+#[test]
+fn a_non_finite_image_leaves_the_other_rows_untouched() {
+    let (mut images, _) = synthetic_set(11, 23);
+    let poisoned = images[4].data_mut();
+    poisoned[0] = f32::NAN;
+    poisoned[17] = f32::INFINITY;
+    poisoned[100] = f32::NEG_INFINITY;
+    poisoned[200] = f32::NAN;
+    let batch = Tensor::stack(&images);
+    for engine in [
+        Engine::Reference,
+        Engine::Gemm(Parallelism::Fixed(1)),
+        Engine::Gemm(Parallelism::Fixed(3)),
+    ] {
+        let net = tiny_net(11).with_engine(engine);
+        let out = net.forward(&batch);
+        for (i, img) in images.iter().enumerate().filter(|&(i, _)| i != 4) {
+            assert_eq!(
+                bits(out.image(i)),
+                bits(net.forward(img).data()),
+                "row {i} under {engine} saw the non-finite image"
+            );
+        }
+    }
+}
