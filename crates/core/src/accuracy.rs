@@ -462,6 +462,36 @@ mod tests {
         );
     }
 
+    /// The Int8 counterpart: a Relu4 design scores through the integer
+    /// engine; these bits pin it. The held-out set (9 images) leaves a
+    /// short final batch.
+    #[test]
+    fn proxy_int8_measured_iou_is_pinned() {
+        let b = bundle_by_id(BundleId(13)).unwrap();
+        let mut point = DesignPoint::initial(b, 1);
+        point.base_channels = 8;
+        point.activation = Activation::Relu4;
+        let eval = ProxyEvaluator {
+            train_samples: 12,
+            eval_samples: 9,
+            seed: 7,
+            config: TrainConfig {
+                epochs: 4,
+                learning_rate: 0.08,
+                momentum: 0.9,
+                batch_size: 4,
+            },
+            quantization: Some(point.activation.quantization()),
+            ..ProxyEvaluator::default()
+        };
+        let iou = eval.evaluate(&point).unwrap();
+        assert_eq!(
+            iou.to_bits(),
+            4_588_985_604_879_689_387,
+            "Int8 measured IoU drifted: {iou}"
+        );
+    }
+
     #[test]
     fn proxy_without_held_out_images_scores_zero() {
         let b = bundle_by_id(BundleId(13)).unwrap();

@@ -124,3 +124,24 @@ fn int8_deviation_stays_comparable_to_fake_quantization() {
         "int8 deviation {d_int8} implausibly above fake-quant deviation {d_fake}"
     );
 }
+
+/// Golden checksum over every `forward_int8` output bit of bundles 1,
+/// 13 and 15 on four random images. The integer engine's arithmetic is
+/// exact, so no change of layout, kernel or summation order may move
+/// this value.
+#[test]
+fn int8_forward_bits_are_pinned() {
+    let mut sum = 0xcbf2_9ce4_8422_2325u64;
+    for bundle in [1, 13, 15] {
+        let q = QuantizedNetwork::quantize(&trained_like_net(bundle, 77), Quantization::Int8);
+        for img_seed in 0..4u64 {
+            for b in bits(&q.forward_int8(&rng_image(img_seed))) {
+                sum = (sum ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    assert_eq!(
+        sum, 10_169_167_473_445_845_433,
+        "int8 output bits drifted: {sum}"
+    );
+}
