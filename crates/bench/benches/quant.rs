@@ -1,21 +1,24 @@
 //! Quantized-inference microbench: float forward vs fake-quantized
 //! forward vs the real int8 integer engine on a representative
-//! candidate network, plus float forward of 8 stacked images per call.
+//! candidate network, plus float and int8 forward of 8 stacked images
+//! per call.
 //!
 //! The nn runtime computes with a batch's images as the vector lanes, so
-//! one image fills one lane of eight: `forward_f32` (one image per call)
-//! and `forward_f32_batch8` (8 images per call, timed per image) put a
-//! number on what a lone image pays. The batch arm asserts that row `i`
-//! of its output is image `i` run alone, bit for bit.
+//! one image fills one lane of eight: `forward_f32` / `forward_int8`
+//! (one image per call) and `forward_f32_batch8` / `forward_int8_batch8`
+//! (8 images per call, timed per image) put a number on what a lone
+//! image pays. Each batch arm asserts that row `i` of its output is
+//! image `i` run alone, bit for bit.
 //!
 //! The fake-quantized path pays the full float inference *plus* a
 //! grid-snapping pass after every layer — it exists to model accuracy,
 //! not to be fast. The int8 engine executes the same network as `i8`
-//! codes end-to-end through the exact `i8 x i8 -> i32` GEMM, so it must
-//! beat the fake path while staying close to the float outputs; both
-//! facts land in the committed `BENCH_quant.json` (one forward pass per
-//! sample, measured with `codesign_bench::perf::measure`, plus the
-//! measured mean output deviations).
+//! codes end-to-end, through the float lane kernels whose sums over
+//! codes are exact, so it must beat the fake path while staying close
+//! to the float outputs; both facts land in the committed
+//! `BENCH_quant.json` (one forward pass per sample, measured with
+//! `codesign_bench::perf::measure`, plus the measured mean output
+//! deviations).
 
 use codesign_bench::perf::{emit_bench_json, measure, BenchRecord, Timing};
 use codesign_core::parallel::Parallelism;
@@ -80,11 +83,17 @@ fn main() {
     let batch: Vec<Tensor> = (0..8).map(calibration_image).collect();
     let stacked = Tensor::stack(&batch);
     let f32_batch8 = measure(50, || (), |()| net.forward(&stacked));
+    let int8_batch8 = measure(50, || (), |()| qnet.forward_int8(&stacked));
     for (i, image) in batch.iter().enumerate() {
         assert_eq!(
             bits(f32_batch8.output.image(i)),
             bits(net.forward(image).data()),
             "row {i} of the batch DIVERGED from its image run alone"
+        );
+        assert_eq!(
+            bits(int8_batch8.output.image(i)),
+            bits(qnet.forward_int8(image).data()),
+            "row {i} of the int8 batch DIVERGED from its image run alone"
         );
     }
 
@@ -102,6 +111,8 @@ fn main() {
             .with_metric("deviation", dev_fake as f64),
         BenchRecord::speedup_over("forward_int8", int8_forward.timing, fake_forward.timing)
             .with_metric("deviation", dev_int8 as f64),
+        BenchRecord::timing("forward_int8_batch8", per_image(int8_batch8.timing, 8))
+            .with_metric("images_per_call", 8.0),
     ];
     emit_bench_json("quant", &records).expect("write BENCH_quant.json");
 }

@@ -257,10 +257,9 @@ impl ProxyEvaluator {
         // Held-out inference in stacked mini-batches (an empty held-out
         // set has none to stack). With a quantization scheme requested,
         // the trained weights are quantized once and every evaluation
-        // image runs through the quantized engine, so the score carries
-        // measured quantization error: the real int8 integer path, one
-        // image at a time, for `Int8`, and the fake-quantized float path,
-        // batched like float inference, otherwise (`Int16`).
+        // batch runs through the quantized engine, so the score carries
+        // measured quantization error: the real int8 integer path for
+        // `Int8`, the fake-quantized float path otherwise (`Int16`).
         let batched = |forward: &dyn Fn(&Tensor) -> Tensor| -> Vec<BoundingBox> {
             eval_imgs
                 .chunks(self.config.batch_size.max(1))
@@ -275,14 +274,7 @@ impl ProxyEvaluator {
         let predictions = match self.quantization {
             Some(scheme) => {
                 let qnet = QuantizedNetwork::quantize(&net, scheme);
-                if qnet.has_int8() {
-                    eval_imgs
-                        .iter()
-                        .map(|img| BoundingBox::from_prediction(qnet.forward_int8(img).data()))
-                        .collect()
-                } else {
-                    batched(&|x| qnet.forward(x))
-                }
+                batched(&|x| qnet.forward_measured(x))
             }
             None => batched(&|x| net.forward(x)),
         };

@@ -31,7 +31,6 @@
 //! partition output-channel blocks and lanes are images.
 
 use crate::gemm::{self, ConvShape};
-use crate::im2col::flip_weights;
 use crate::lanes::{add_lanes, pixel_sums, Lanes};
 use crate::layers::{ConvParams, DwConvParams};
 use crate::reference;
@@ -201,6 +200,31 @@ fn grads(
     (dx, dw, db)
 }
 
+/// Spatially flips and channel-transposes convolution weights for the
+/// backward-data (transposed-convolution) pass: input layout
+/// `[oc][ic][ky][kx]` (flattened), output layout `[ic][oc][ky][kx]`
+/// with both spatial axes reversed, so that the transposed convolution
+/// of `dy` with the flipped weights ([`gemm::correlate`]) accumulates
+/// each element's terms in ascending `(oc, ky, kx)` order — no
+/// scatter-style `col2im` needed.
+fn flip_weights(weights: &[f32], oc: usize, ic: usize, k: usize) -> Vec<f32> {
+    assert_eq!(weights.len(), oc * ic * k * k, "weight length disagrees");
+    // The flip is a bijection, so every element is written: the arena
+    // buffer needs no zeroing.
+    let mut out = scratch::take(weights.len());
+    for o in 0..oc {
+        for i in 0..ic {
+            for ky in 0..k {
+                for kx in 0..k {
+                    out[((i * oc + o) * k + (k - 1 - ky)) * k + (k - 1 - kx)] =
+                        weights[((o * ic + i) * k + ky) * k + kx];
+                }
+            }
+        }
+    }
+    out
+}
+
 // ---------------------------------------------------------------------
 // Standard convolution
 // ---------------------------------------------------------------------
@@ -301,4 +325,25 @@ pub(crate) fn dwconv_backward_lanes(
     grads(x, dy, &s, &p.weights, engine, input_grad, |xi, gi| {
         reference::dwconv_backward(xi, p, gi)
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn flip_round_trips() {
+        let (oc, ic, k) = (3, 2, 3);
+        let w: Vec<f32> = (0..oc * ic * k * k)
+            .map(|i| ((i * 5 % 17) as f32 - 8.0) * 0.1)
+            .collect();
+        let flipped = flip_weights(&w, oc, ic, k);
+        assert_eq!(flip_weights(&flipped, ic, oc, k), w);
+        // Spot check: input (oc=1, ic=0, ky=0, kx=2) lands at output
+        // (ic=0, oc=1) with both spatial axes reversed.
+        let (oc_i, ic_i, ky, kx) = (1usize, 0usize, 0usize, 2usize);
+        let src = ((oc_i * ic + ic_i) * k + ky) * k + kx;
+        let dst = ((ic_i * oc + oc_i) * k + (k - 1 - ky)) * k + (k - 1 - kx);
+        assert_eq!(flipped[dst], w[src]);
+    }
 }

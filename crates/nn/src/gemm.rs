@@ -12,8 +12,8 @@
 //! kernels cover the three convolution passes of training:
 //!
 //! * [`correlate`] — the forward pass, and the backward-data pass as
-//!   the transposed convolution over flipped weights
-//!   ([`crate::im2col::flip_weights`]) with `k - 1 - pad` padding. One
+//!   the transposed convolution over weights flipped by
+//!   [`crate::engine`]'s backward pass, with `k - 1 - pad` padding. One
 //!   zero-padded copy of the whole batch per call for `k > 1` (`k = 1`
 //!   reads the input itself), weights packed once per call, and blocks
 //!   of 4 output channels sharing every input load; one output pixel is
@@ -22,6 +22,10 @@
 //!   each lane is one image's subtotal, and the result sums lanes
 //!   `0..n` in image order. Depth-wise layers run the same kernel over
 //!   one channel's plane.
+//!
+//! The int8 engine runs [`correlate`]'s lane kernel too, over
+//! integer-valued codes, where every chain is an exact integer sum (see
+//! [`crate::quantized`]).
 //!
 //! The public functions take planar `N x C x H x W` slices; each packs
 //! its inputs into lanes, runs the one lane kernel, and unpacks.
@@ -56,7 +60,7 @@ use codesign_parallel::{hardware_threads, parallel_chunks_mut};
 /// (oversubscription only adds context switches). Worker count never
 /// affects results (see the module docs), so both caps are purely
 /// scheduling heuristics.
-pub(crate) fn capped_threads(threads: usize, work: usize, min_per_worker: usize) -> usize {
+fn capped_threads(threads: usize, work: usize, min_per_worker: usize) -> usize {
     threads
         .min(hardware_threads())
         .clamp(1, 1 + work / min_per_worker.max(1))
@@ -64,11 +68,7 @@ pub(crate) fn capped_threads(threads: usize, work: usize, min_per_worker: usize)
 
 /// Work units (multiply-adds) below which a GEMM stays single-threaded
 /// per extra worker.
-pub(crate) const GEMM_FLOPS_PER_WORKER: usize = 1 << 20;
-
-/// Moved elements below which a lowering / un-interleave pass stays
-/// single-threaded per extra worker.
-pub(crate) const COPY_ELEMS_PER_WORKER: usize = 1 << 18;
+const GEMM_FLOPS_PER_WORKER: usize = 1 << 20;
 
 /// Weight-gradient taps per micro-kernel call when nine do not divide
 /// the taps.

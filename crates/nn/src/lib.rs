@@ -19,23 +19,23 @@
 //!   bit-reproducibility contract (any worker count, direct or naive —
 //!   same bits). Training never computes the gradient of the network
 //!   input.
-//! * [`simd`] — runtime-dispatched micro-kernels: the f32 convolution
-//!   kernels and the layer kernels in a baseline and an AVX2 build, the
-//!   int8 GEMM tiles in scalar / SSE2 / AVX2 variants, selected once per
+//! * [`simd`] — runtime-dispatched micro-kernels: the convolution and
+//!   layer kernels in a baseline and an AVX2 build, selected once per
 //!   process from CPU feature detection (override with
-//!   `CODESIGN_SIMD=scalar|sse2|avx2`). Every level preserves the
-//!   canonical accumulation order, so the bit-reproducibility contract
-//!   survives the dispatch.
+//!   `CODESIGN_SIMD=scalar|avx2`; `sse2` is an alias of `scalar`).
+//!   Every level preserves the canonical accumulation order, so the
+//!   bit-reproducibility contract survives the dispatch.
 //! * [`mod@reference`] — the retained naive convolution, max-pooling,
 //!   activation and scale-bias loops the fast kernels are verified
 //!   against.
 //! * [`network`] — compiles a [`codesign_dnn::Dnn`] into an executable,
 //!   trainable network; SGD with momentum.
-//! * [`quantized`], [`qgemm`], [`im2col`] — post-training int8 / int16
-//!   quantized inference. Besides the fake-quantized float path that
-//!   mirrors the accelerator's rounding, the Int8 scheme compiles to a
-//!   real integer engine: `i8` codes end-to-end, lowered with im2col
-//!   into an exact `i8 x i8 -> i32` GEMM with its own SIMD kernels.
+//! * [`quantized`] — post-training int8 / int16 quantized inference.
+//!   Besides the fake-quantized float path that mirrors the
+//!   accelerator's rounding, the Int8 scheme compiles to a real integer
+//!   engine: `i8` codes end-to-end as integer-valued floats on the same
+//!   lanes and lane kernels, whose sums over codes are exact, with one
+//!   requantization epilogue per layer.
 //! * [`train`] — the training loop: mini-batch SGD on a bounding-box
 //!   regression loss, matching the paper's 20-epoch proxy training;
 //!   executes whole stacked mini-batches on every engine.
@@ -79,12 +79,10 @@
 
 pub mod engine;
 pub mod gemm;
-pub mod im2col;
 mod lanes;
 pub mod layers;
 pub mod network;
 mod qengine;
-pub mod qgemm;
 pub mod quantized;
 pub mod reference;
 mod scratch;

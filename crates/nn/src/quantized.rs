@@ -12,12 +12,11 @@
 //!   output contract and it is preserved bit-for-bit.
 //! * [`QuantizedNetwork::forward_int8`] — the real integer engine
 //!   (Int8 scheme only): `i8` weight and activation codes end-to-end,
-//!   convolutions through [`crate::qgemm`]'s exact `i8 x i8 -> i32`
-//!   kernels, and one scale-based requantization between layers (see
-//!   the private `qengine` kernels). Deterministic at every worker
-//!   count and SIMD level, and substantially faster than the
-//!   fake-quantized float
-//!   path.
+//!   held as integer-valued floats in the image-interleaved layout and
+//!   run through the float lane kernels, whose sums over codes are
+//!   exact, with one scale-based requantization after every layer (the
+//!   private `qengine` program). Deterministic at every worker count
+//!   and SIMD level, and faster than the fake-quantized float path.
 //!
 //! Comparing either path with the float output measures the accuracy
 //! cost of a quantization scheme — the signal behind the paper's
@@ -26,44 +25,10 @@
 use crate::engine::Engine;
 use crate::lanes::Lanes;
 use crate::network::{Network, NnLayer};
-use crate::qengine;
+use crate::qengine::{self, LaneOp, QOp};
+use crate::simd;
 use crate::tensor::Tensor;
 use codesign_dnn::quant::Quantization;
-
-/// One step of the compiled integer program: weights live as `i8`
-/// codes, and the per-layer requantization constants are pre-divided by
-/// the activation scale so execution is a single fused multiply-add per
-/// output element (see the private `qengine` kernels).
-#[derive(Debug, Clone)]
-enum QOp {
-    /// Standard convolution: `weights[out_ch][in_ch·k·k]` codes.
-    Conv {
-        k: usize,
-        out_ch: usize,
-        weights: Vec<i8>,
-        wscale: f32,
-        offsets: Vec<f32>,
-    },
-    /// Depth-wise convolution: `weights[ch][k·k]` codes.
-    DwConv {
-        k: usize,
-        weights: Vec<i8>,
-        wscale: f32,
-        offsets: Vec<f32>,
-    },
-    MaxPool(usize),
-    AvgPool(usize),
-    /// Folded batch-norm on codes: grid-snapped float scales plus
-    /// activation-scale-divided biases.
-    ScaleBias {
-        scale: Vec<f32>,
-        offsets: Vec<f32>,
-    },
-    /// ReLU family; the payload is the clip value's activation code
-    /// (`None` for the unclipped rectifier).
-    Act(Option<i8>),
-    Gap,
-}
 
 /// A network executing in simulated fixed-point arithmetic.
 ///
@@ -170,11 +135,12 @@ impl QuantizedNetwork {
         x.unpack_like(image)
     }
 
-    /// Real integer inference: the input is quantized to `i8` codes
-    /// once, every layer executes on codes (the private `qengine`
-    /// kernels over [`crate::qgemm`]), and the final codes are dequantized to
-    /// `f32`. Deterministic: byte-identical at every worker count and
-    /// SIMD level.
+    /// Real integer inference on one `C x H x W` image or an
+    /// `N x C x H x W` batch: the input is packed and quantized to `i8`
+    /// codes once, every layer runs on codes (the private `qengine`
+    /// program), and the final codes are dequantized to `f32`.
+    /// Deterministic: byte-identical at every worker count and SIMD
+    /// level, and row `i` of a batch's output to image `i` alone.
     ///
     /// # Panics
     ///
@@ -186,79 +152,20 @@ impl QuantizedNetwork {
             .as_ref()
             .expect("forward_int8 requires the Int8 scheme; use forward() for Int16");
         let act_scale = activation_scale(self.scheme);
-        let range = self.scheme.code_range();
-        let threads = self.engine.threads();
-        let (mut c, mut h, mut w) = match *image.shape() {
-            [c, h, w] => (c, h, w),
-            ref s => panic!("forward_int8 expects a C x H x W image, got {s:?}"),
-        };
-        let mut codes: Vec<i8> = image
-            .data()
-            .iter()
-            .map(|&v| self.scheme.quantize(v, act_scale) as i8)
-            .collect();
-        for op in prog {
-            match op {
-                QOp::Conv {
-                    k,
-                    out_ch,
-                    weights,
-                    wscale,
-                    offsets,
-                } => {
-                    codes = qengine::qconv_forward(
-                        &codes, c, h, w, weights, *k, *out_ch, *wscale, offsets, range, threads,
-                    );
-                    c = *out_ch;
-                }
-                QOp::DwConv {
-                    k,
-                    weights,
-                    wscale,
-                    offsets,
-                } => {
-                    codes = qengine::qdwconv_forward(
-                        &codes, c, h, w, weights, *k, *wscale, offsets, range, threads,
-                    );
-                }
-                QOp::MaxPool(k) => {
-                    codes = qengine::qmaxpool(&codes, c, h, w, *k);
-                    h /= k;
-                    w /= k;
-                }
-                QOp::AvgPool(k) => {
-                    codes = qengine::qavgpool(&codes, c, h, w, *k, range);
-                    h /= k;
-                    w /= k;
-                }
-                QOp::ScaleBias { scale, offsets } => {
-                    codes = qengine::qscale_bias(&codes, scale, offsets, h * w, range);
-                }
-                QOp::Act(clip_code) => {
-                    codes = qengine::qactivation(&codes, *clip_code);
-                }
-                QOp::Gap => {
-                    codes = qengine::qgap(&codes, c, h, w, range);
-                    h = 1;
-                    w = 1;
-                }
-            }
+        let mut x = Lanes::pack(image);
+        for v in x.data_mut() {
+            *v = self.scheme.quantize(*v, act_scale) as f32;
         }
-        let data: Vec<f32> = codes
-            .iter()
-            .map(|&v| self.scheme.dequantize(v as i32, act_scale))
-            .collect();
-        let shape: Vec<usize> = if h == 1 && w == 1 && data.len() == c {
-            vec![c]
-        } else {
-            vec![c, h, w]
-        };
-        Tensor::from_vec(&shape, data)
+        let mut y = qengine::run(prog, x, simd::active_level(), self.engine.threads());
+        for v in y.data_mut() {
+            *v = self.scheme.dequantize(*v as i32, act_scale);
+        }
+        y.unpack_like(image)
     }
 
-    /// Measured inference for accuracy scoring: the real integer engine
-    /// when the scheme supports it, the fake-quantized float path
-    /// otherwise (int16).
+    /// Measured inference for accuracy scoring, on an image or a batch:
+    /// the real integer engine when the scheme supports it, the
+    /// fake-quantized float path otherwise (int16).
     pub fn forward_measured(&self, image: &Tensor) -> Tensor {
         if self.has_int8() {
             self.forward_int8(image)
@@ -288,17 +195,15 @@ impl QuantizedNetwork {
         if images.is_empty() {
             return 0.0;
         }
+        // One stacked batch; rows sum in image order, as one image at a
+        // time would.
+        let batch = Tensor::stack(images);
+        let (qf, ff) = (forward(self, &batch), float_net.forward(&batch));
         let mut total = 0.0f32;
-        let mut count = 0usize;
-        for img in images {
-            let qf = forward(self, img);
-            let ff = float_net.forward(img);
-            for (a, b) in qf.data().iter().zip(ff.data()) {
-                total += (a - b).abs();
-                count += 1;
-            }
+        for (a, b) in qf.data().iter().zip(ff.data()) {
+            total += (a - b).abs();
         }
-        total / count.max(1) as f32
+        total / qf.len().max(1) as f32
     }
 }
 
@@ -356,10 +261,6 @@ fn quantize_vec(v: &[f32], scale: f32, scheme: Quantization) -> Vec<f32> {
         .collect()
 }
 
-fn quantize_codes_i8(v: &[f32], scale: f32, scheme: Quantization) -> Vec<i8> {
-    v.iter().map(|&x| scheme.quantize(x, scale) as i8).collect()
-}
-
 fn quantize_layer(layer: &NnLayer, wscale: f32, scheme: Quantization) -> NnLayer {
     match layer {
         NnLayer::Conv(p) => {
@@ -389,47 +290,58 @@ fn quantize_layer(layer: &NnLayer, wscale: f32, scheme: Quantization) -> NnLayer
 /// see identical weight values; biases are grid-snapped then
 /// pre-divided by the activation scale (the requantization offset).
 fn compile_qop(layer: &NnLayer, scheme: Quantization, act_scale: f32) -> QOp {
-    let inv_as = 1.0 / act_scale;
+    let range = scheme.code_range();
+    let offsets = |bias: &[f32], wscale: f32| -> Vec<f32> {
+        let inv_as = 1.0 / act_scale;
+        quantize_vec(bias, wscale, scheme)
+            .iter()
+            .map(|b| b * inv_as)
+            .collect()
+    };
+    let conv = |cout: usize, k: usize, depthwise: bool, weights: &[f32], bias: &[f32]| {
+        let wscale = normalize_scale(max_abs(weights), scheme);
+        let weights = weights
+            .iter()
+            .map(|&w| scheme.quantize(w, wscale) as f32)
+            .collect();
+        QOp {
+            op: Some(LaneOp::Conv {
+                cout,
+                k,
+                depthwise,
+                weights,
+            }),
+            affine: Some((vec![wscale; cout], offsets(bias, wscale))),
+            range,
+        }
+    };
+    let step = |op: Option<LaneOp>, range| QOp {
+        op,
+        affine: None,
+        range,
+    };
     match layer {
-        NnLayer::Conv(p) => {
-            let wscale = normalize_scale(max_abs(&p.weights), scheme);
-            QOp::Conv {
-                k: p.k,
-                out_ch: p.out_ch,
-                weights: quantize_codes_i8(&p.weights, wscale, scheme),
-                wscale,
-                offsets: quantize_vec(&p.bias, wscale, scheme)
-                    .iter()
-                    .map(|b| b * inv_as)
-                    .collect(),
-            }
-        }
-        NnLayer::DwConv(p) => {
-            let wscale = normalize_scale(max_abs(&p.weights), scheme);
-            QOp::DwConv {
-                k: p.k,
-                weights: quantize_codes_i8(&p.weights, wscale, scheme),
-                wscale,
-                offsets: quantize_vec(&p.bias, wscale, scheme)
-                    .iter()
-                    .map(|b| b * inv_as)
-                    .collect(),
-            }
-        }
+        NnLayer::Conv(p) => conv(p.out_ch, p.k, false, &p.weights, &p.bias),
+        NnLayer::DwConv(p) => conv(p.ch, p.k, true, &p.weights, &p.bias),
         NnLayer::ScaleBias(p) => {
             let wscale = normalize_scale(max_abs(&p.scale), scheme);
-            QOp::ScaleBias {
-                scale: quantize_vec(&p.scale, wscale, scheme),
-                offsets: quantize_vec(&p.bias, wscale, scheme)
-                    .iter()
-                    .map(|b| b * inv_as)
-                    .collect(),
+            QOp {
+                op: None,
+                affine: Some((
+                    quantize_vec(&p.scale, wscale, scheme),
+                    offsets(&p.bias, wscale),
+                )),
+                range,
             }
         }
-        NnLayer::MaxPool(k) => QOp::MaxPool(*k),
-        NnLayer::AvgPool(k) => QOp::AvgPool(*k),
-        NnLayer::Act(a) => QOp::Act(a.clip().map(|c| scheme.quantize(c, act_scale) as i8)),
-        NnLayer::Gap => QOp::Gap,
+        NnLayer::MaxPool(k) => step(Some(LaneOp::MaxPool(*k)), range),
+        NnLayer::AvgPool(k) => step(Some(LaneOp::AvgPool(*k)), range),
+        // A ReLU is the clamp to [0, the clip value's code].
+        NnLayer::Act(a) => {
+            let hi = a.clip().map_or(range.1, |c| scheme.quantize(c, act_scale));
+            step(None, (0, hi))
+        }
+        NnLayer::Gap => step(Some(LaneOp::Gap), range),
     }
 }
 
@@ -547,6 +459,31 @@ mod tests {
         for v in [0.0f32, 0.25, 0.8] {
             let img = Tensor::full(&[3, 8, 16], v);
             assert_eq!(q1.forward_int8(&img).data(), q4.forward_int8(&img).data());
+        }
+    }
+
+    /// A batch of any size — one lane, a partial group, a full group,
+    /// a group and one — gives each image's output bits alone.
+    #[test]
+    fn int8_batch_rows_match_single_images() {
+        let net = tiny_net();
+        let q = QuantizedNetwork::quantize(&net, Quantization::Int8);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for n in [1usize, 3, 8, 9] {
+            let images: Vec<Tensor> = (0..n)
+                .map(|i| {
+                    let data = (0..3 * 8 * 16)
+                        .map(|j| ((i * 31 + j * 17) % 53) as f32 / 53.0 - 0.2)
+                        .collect();
+                    Tensor::from_vec(&[3, 8, 16], data)
+                })
+                .collect();
+            let out = q.forward_int8(&Tensor::stack(&images));
+            assert_eq!(out.shape(), &[n, 4]);
+            for (i, img) in images.iter().enumerate() {
+                let row: Vec<u32> = out.image(i).iter().map(|v| v.to_bits()).collect();
+                assert_eq!(row, bits(&q.forward_int8(img)), "row {i} of {n}");
+            }
         }
     }
 

@@ -12,8 +12,8 @@
 //!   out-of-image taps contributing explicit `weight x 0` terms (the
 //!   zeros the direct kernels read from their zero-padded copy);
 //! * backward data: `(oc, ky, kx)` ascending over the *flipped* kernel
-//!   (the transposed-convolution order of
-//!   [`crate::im2col::flip_weights`]);
+//!   (the transposed-convolution order of the weight flip in
+//!   [`crate::engine`]);
 //! * backward weights/bias: output pixels in row-major ascending order.
 //!
 //! Because both paths sum identical terms in identical order, the

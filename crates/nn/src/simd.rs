@@ -4,23 +4,20 @@
 //! once (`is_x86_feature_detected!`, cached in a `OnceLock`) and every
 //! kernel call dispatches at that level:
 //!
-//! * f32 — `f32_conv_pixels` and `f32_grad_taps`, the micro-kernels of
-//!   the implicit-GEMM convolutions in [`crate::gemm`], and the layer
-//!   kernels of [`crate::layers`] (through `dispatch`). They work on the
-//!   image-interleaved layout, where one pixel of a channel is one
-//!   8-lane vector of eight images. One plain Rust body over fixed
-//!   8-lane arrays is compiled twice: for the baseline target
-//!   ([`SimdLevel::Scalar`] and [`SimdLevel::Sse2`] — SSE2 is part of
-//!   the `x86_64` baseline, so the autovectorizer already emits 4-lane
-//!   ops there) and inside an `#[target_feature(enable = "avx2")]`
-//!   wrapper ([`SimdLevel::Avx2`], one `__m256` per vector). The
-//!   convolution kernels read their vectors unchecked, after one bounds
-//!   assert per call.
-//! * int8 — the crate-private `i8_tile` of the quantized GEMM, with
-//!   explicit scalar, SSE2 (`__m128i`, 4 output columns per tile) and
-//!   AVX2 (`__m256i`, 8 columns; see [`SimdLevel::nr`]) variants.
+//! `f32_conv_pixels` and `f32_grad_taps`, the micro-kernels of the
+//! implicit-GEMM convolutions in [`crate::gemm`], and the layer kernels
+//! of [`crate::layers`] and the int8 epilogue (through `dispatch`). They
+//! work on the image-interleaved layout, where one pixel of a channel
+//! is one 8-lane vector of eight images. One plain Rust body over fixed
+//! 8-lane arrays is compiled twice: for the baseline target
+//! ([`SimdLevel::Scalar`]; SSE2 is part of the `x86_64` baseline, so
+//! the autovectorizer already emits 4-lane ops there) and inside an
+//! `#[target_feature(enable = "avx2")]` wrapper ([`SimdLevel::Avx2`],
+//! one `__m256` per vector). The convolution kernels read their vectors
+//! unchecked, after one bounds assert per call. The int8 engine runs
+//! these same kernels over integer-valued codes.
 //!
-//! On non-x86 targets only the scalar builds exist.
+//! On non-x86 targets only the baseline build exists.
 //!
 //! # Determinism
 //!
@@ -31,65 +28,44 @@
 //! never the order within a chain — and multiply and add stay separate
 //! operations (Rust never contracts them into FMA), because a fused
 //! multiply-add skips the intermediate rounding step and would produce
-//! different bits than the scalar chain. The int8 kernels accumulate in
-//! exact integer arithmetic, where grouping is immaterial. Either way:
-//! **every level produces byte-identical results**, which
-//! `tests/simd_equivalence.rs` pins.
+//! different bits than the scalar chain. Over int8 codes every chain is
+//! an exact integer sum besides. Either way: **every level produces
+//! byte-identical results**, which `tests/simd_equivalence.rs` pins.
 //!
 //! # Overriding detection
 //!
-//! Set `CODESIGN_SIMD=scalar|sse2|avx2` to pin the dispatch level (for
-//! determinism debugging or perf triage). Unknown values are ignored;
-//! a requested level the CPU lacks clamps down to the best available
-//! one. The variable is read once per process.
+//! Set `CODESIGN_SIMD=scalar|avx2` to pin the dispatch level (for
+//! determinism debugging or perf triage); `sse2` is an alias of
+//! `scalar`, the baseline build. Unknown values are ignored; a requested
+//! level the CPU lacks clamps down to the best available one. The
+//! variable is read once per process.
 
 use crate::lanes::LANES;
 
 /// Instruction-set tier of the SIMD micro-kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdLevel {
-    /// Portable kernels (baseline f32 build, scalar int8 4x4 tile).
+    /// The baseline build (SSE2 on `x86_64`).
     Scalar,
-    /// Baseline f32 build, explicit SSE2 int8 4x4 tile.
-    Sse2,
-    /// AVX2 f32 build, explicit AVX2 int8 4x8 tile.
+    /// The AVX2 build.
     Avx2,
 }
 
-/// Rows per int8 micro-tile — fixed across levels; only the column
-/// count ([`SimdLevel::nr`]) widens with the vector registers.
-pub const MR: usize = 4;
-
-/// Widest tile any level produces (`MR x 8` for AVX2); sizes the
-/// stack-allocated accumulator the dispatchers write into.
-pub const MAX_NR: usize = 8;
-
 impl SimdLevel {
-    /// Output columns per int8 micro-tile at this level. The GEMM packs its
-    /// `B` panels `nr` columns wide, so the panel layout follows the
-    /// dispatch level while the per-element accumulation order does not.
-    pub fn nr(self) -> usize {
-        match self {
-            SimdLevel::Scalar | SimdLevel::Sse2 => 4,
-            SimdLevel::Avx2 => 8,
-        }
-    }
-
     /// Stable lowercase name (the `CODESIGN_SIMD` vocabulary).
     pub fn name(self) -> &'static str {
         match self {
             SimdLevel::Scalar => "scalar",
-            SimdLevel::Sse2 => "sse2",
             SimdLevel::Avx2 => "avx2",
         }
     }
 
-    /// Parses a `CODESIGN_SIMD` value. Unknown strings are `None` (the
-    /// override is then ignored rather than failing the process).
+    /// Parses a `CODESIGN_SIMD` value; `sse2` names the baseline build,
+    /// [`SimdLevel::Scalar`]. Unknown strings are `None` (the override
+    /// is then ignored rather than failing the process).
     pub fn parse(s: &str) -> Option<SimdLevel> {
         match s.trim().to_ascii_lowercase().as_str() {
-            "scalar" => Some(SimdLevel::Scalar),
-            "sse2" => Some(SimdLevel::Sse2),
+            "scalar" | "sse2" => Some(SimdLevel::Scalar),
             "avx2" => Some(SimdLevel::Avx2),
             _ => None,
         }
@@ -100,22 +76,20 @@ impl SimdLevel {
         match self {
             SimdLevel::Scalar => true,
             #[cfg(target_arch = "x86_64")]
-            SimdLevel::Sse2 => is_x86_feature_detected!("sse2"),
-            #[cfg(target_arch = "x86_64")]
             SimdLevel::Avx2 => is_x86_feature_detected!("avx2"),
             #[cfg(not(target_arch = "x86_64"))]
             _ => false,
         }
     }
 
-    /// This level if the CPU supports it, otherwise the next lower
-    /// available one (every CPU supports [`SimdLevel::Scalar`]).
+    /// This level if the CPU supports it, otherwise
+    /// [`SimdLevel::Scalar`], which every CPU supports.
     pub fn clamp_available(self) -> SimdLevel {
-        [self, SimdLevel::Sse2, SimdLevel::Scalar]
-            .into_iter()
-            .filter(|l| *l <= self)
-            .find(|l| l.is_available())
-            .unwrap_or(SimdLevel::Scalar)
+        if self.is_available() {
+            self
+        } else {
+            SimdLevel::Scalar
+        }
     }
 }
 
@@ -134,7 +108,7 @@ pub fn detected_best() -> SimdLevel {
 /// Every level the running CPU can execute, ascending. Tests iterate
 /// this to pin cross-level bit-identity on whatever hardware CI has.
 pub fn available_levels() -> Vec<SimdLevel> {
-    [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2]
+    [SimdLevel::Scalar, SimdLevel::Avx2]
         .into_iter()
         .filter(|l| l.is_available())
         .collect()
@@ -414,105 +388,6 @@ fn grad_taps<const TB: usize>(
     acc
 }
 
-// ---------------------------------------------------------------------
-// int8 tiles (i8 x i8 -> i32)
-// ---------------------------------------------------------------------
-
-/// One `MR x nr` integer tile over **pair-packed `i16` panels**:
-/// `acc[i][j] = Σ_k a[k][i]·b[k][j]` in exact `i32` arithmetic.
-///
-/// The quantized GEMM widens its `i8` operands to `i16` at pack time
-/// and interleaves *pairs* of `k` steps — `apack` is `[k/2][MR][2]`,
-/// `panel` is `[k/2][nr][2]` (odd `k` zero-padded) — so the SSE2/AVX2
-/// kernels can burn through two `k` steps per `madd_epi16`
-/// (`i16·i16 + i16·i16 → i32` per lane, exact because `i8` products
-/// fit `i16`). Integer addition is associative, so every level and
-/// every grouping produces identical accumulators.
-#[inline]
-pub(crate) fn i8_tile(
-    level: SimdLevel,
-    apack: &[i16],
-    panel: &[i16],
-    acc: &mut [i32; MR * MAX_NR],
-) {
-    match level {
-        SimdLevel::Scalar => i8_tile_scalar(apack, panel, acc),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: same detection invariant as `f32_conv_rows`.
-        SimdLevel::Sse2 => unsafe { i8_tile_sse2(apack, panel, acc) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { i8_tile_avx2(apack, panel, acc) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => i8_tile_scalar(apack, panel, acc),
-    }
-}
-
-fn i8_tile_scalar(apack: &[i16], panel: &[i16], acc: &mut [i32; MR * MAX_NR]) {
-    const NR: usize = 4;
-    let mut t = [[0i32; NR]; MR];
-    for (av, bv) in apack.chunks_exact(MR * 2).zip(panel.chunks_exact(NR * 2)) {
-        for (acc_row, ap) in t.iter_mut().zip(av.chunks_exact(2)) {
-            let (a0, a1) = (ap[0] as i32, ap[1] as i32);
-            for (s, bp) in acc_row.iter_mut().zip(bv.chunks_exact(2)) {
-                *s += a0 * bp[0] as i32 + a1 * bp[1] as i32;
-            }
-        }
-    }
-    for (i, row) in t.iter().enumerate() {
-        acc[i * NR..(i + 1) * NR].copy_from_slice(row);
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn i8_tile_sse2(apack: &[i16], panel: &[i16], acc: &mut [i32; MR * MAX_NR]) {
-    use std::arch::x86_64::*;
-    const NR: usize = 4;
-    let kp = apack.len() / (MR * 2);
-    debug_assert_eq!(panel.len(), kp * NR * 2);
-    let mut t = [_mm_setzero_si128(); MR];
-    let a = apack.as_ptr();
-    let b = panel.as_ptr();
-    for kk in 0..kp {
-        // 8 i16 lanes = 4 columns x 2 interleaved k steps.
-        let bv = _mm_loadu_si128(b.add(kk * NR * 2) as *const __m128i);
-        for (i, acc_row) in t.iter_mut().enumerate() {
-            // Unaligned pair read: a `Vec<i16>` only guarantees 2-byte
-            // alignment.
-            let pair = (a.add((kk * MR + i) * 2) as *const i32).read_unaligned();
-            let av = _mm_set1_epi32(pair); // (a_k, a_k+1) in every lane pair
-            *acc_row = _mm_add_epi32(*acc_row, _mm_madd_epi16(av, bv));
-        }
-    }
-    for (i, acc_row) in t.iter().enumerate() {
-        _mm_storeu_si128(acc.as_mut_ptr().add(i * NR) as *mut __m128i, *acc_row);
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn i8_tile_avx2(apack: &[i16], panel: &[i16], acc: &mut [i32; MR * MAX_NR]) {
-    use std::arch::x86_64::*;
-    const NR: usize = 8;
-    let kp = apack.len() / (MR * 2);
-    debug_assert_eq!(panel.len(), kp * NR * 2);
-    let mut t = [_mm256_setzero_si256(); MR];
-    let a = apack.as_ptr();
-    let b = panel.as_ptr();
-    for kk in 0..kp {
-        // 16 i16 lanes = 8 columns x 2 interleaved k steps.
-        let bv = _mm256_loadu_si256(b.add(kk * NR * 2) as *const __m256i);
-        for (i, acc_row) in t.iter_mut().enumerate() {
-            let pair = (a.add((kk * MR + i) * 2) as *const i32).read_unaligned();
-            let av = _mm256_set1_epi32(pair);
-            *acc_row = _mm256_add_epi32(*acc_row, _mm256_madd_epi16(av, bv));
-        }
-    }
-    for (i, acc_row) in t.iter().enumerate() {
-        _mm256_storeu_si256(acc.as_mut_ptr().add(i * NR) as *mut __m256i, *acc_row);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -520,7 +395,7 @@ mod tests {
     #[test]
     fn parse_vocabulary() {
         assert_eq!(SimdLevel::parse("scalar"), Some(SimdLevel::Scalar));
-        assert_eq!(SimdLevel::parse("SSE2"), Some(SimdLevel::Sse2));
+        assert_eq!(SimdLevel::parse("SSE2"), Some(SimdLevel::Scalar));
         assert_eq!(SimdLevel::parse(" avx2 "), Some(SimdLevel::Avx2));
         assert_eq!(SimdLevel::parse("avx512"), None);
         assert_eq!(SimdLevel::parse(""), None);
@@ -528,7 +403,7 @@ mod tests {
 
     #[test]
     fn clamping_never_exceeds_request_or_hardware() {
-        for level in [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2] {
+        for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
             let clamped = level.clamp_available();
             assert!(clamped <= level, "{clamped} exceeds requested {level}");
             assert!(clamped.is_available());
@@ -549,14 +424,6 @@ mod tests {
         let a = active_level();
         assert!(a.is_available());
         assert_eq!(a, active_level(), "OnceLock must cache the level");
-    }
-
-    #[test]
-    fn tile_widths_follow_levels() {
-        assert_eq!(SimdLevel::Scalar.nr(), 4);
-        assert_eq!(SimdLevel::Sse2.nr(), 4);
-        assert_eq!(SimdLevel::Avx2.nr(), 8);
-        assert!(SimdLevel::Avx2.nr() <= MAX_NR);
     }
 
     /// Direct kernel-level cross-check against the scalar chains; the
@@ -622,29 +489,6 @@ mod tests {
                         s.to_bits(),
                         "level {level} grad ({t},{l})"
                     );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn i8_tiles_agree_across_available_levels() {
-        let kp = 9; // pair count (covers an effective odd k via padding)
-        for level in available_levels() {
-            let nr = level.nr();
-            let apack: Vec<i16> = (0..kp * MR * 2).map(|i| (i % 255) as i16 - 127).collect();
-            let panel: Vec<i16> = (0..kp * nr * 2).map(|i| (i % 251) as i16 - 125).collect();
-            let mut acc = [0i32; MR * MAX_NR];
-            i8_tile(level, &apack, &panel, &mut acc);
-            for i in 0..MR {
-                for j in 0..nr {
-                    let mut s = 0i32;
-                    for kk in 0..kp {
-                        s += apack[(kk * MR + i) * 2] as i32 * panel[(kk * nr + j) * 2] as i32
-                            + apack[(kk * MR + i) * 2 + 1] as i32
-                                * panel[(kk * nr + j) * 2 + 1] as i32;
-                    }
-                    assert_eq!(acc[i * nr + j], s, "level {level} tile ({i},{j})");
                 }
             }
         }

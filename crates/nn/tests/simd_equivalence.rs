@@ -1,17 +1,16 @@
 //! The SIMD-dispatch contract: every instruction level the hardware
-//! offers — scalar, SSE2, AVX2 — produces **bit-identical** GEMM
-//! results at every shape and worker count.
+//! offers — scalar, AVX2 — produces **bit-identical** GEMM results at
+//! every shape and worker count.
 //!
 //! For the f32 implicit-GEMM convolutions that holds because every
 //! level advances the same per-element accumulation chains in the
 //! canonical order (vector width only changes how many independent
 //! chains move per instruction, and the kernels keep multiply and add
 //! separate, never FMA); the comparisons are on bits, so even the sign
-//! of a zero must agree. For the int8 kernel it holds trivially: integer
-//! arithmetic is exact.
+//! of a zero must agree. Over int8 codes, as the int8 engine runs them,
+//! it holds twice over: every chain is an exact integer sum.
 
 use codesign_nn::gemm::{correlate, weight_grads, ConvShape};
-use codesign_nn::qgemm::qgemm_nt_at;
 use codesign_nn::simd::{available_levels, detected_best, SimdLevel};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -21,10 +20,18 @@ fn rng_vec(len: usize, rng: &mut StdRng) -> Vec<f32> {
     (0..len).map(|_| rng.random_range(-1.0..1.0)).collect()
 }
 
-fn rng_vec_i8(len: usize, rng: &mut StdRng) -> Vec<i8> {
-    (0..len)
-        .map(|_| rng.random_range(-128i32..128) as i8)
-        .collect()
+/// Integer-valued codes in `[lo, hi)`, as the int8 engine holds them.
+fn rng_codes(len: usize, (lo, hi): (i32, i32), rng: &mut StdRng) -> Vec<f32> {
+    (0..len).map(|_| rng.random_range(lo..hi) as f32).collect()
+}
+
+/// The int8 engine's convolution: activation codes against weight
+/// codes, seeded with zero.
+fn int8_conv_at(level: SimdLevel, s: &ConvShape, threads: usize, seed: u64) -> Vec<u32> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+    let x = rng_codes(s.n * s.cin * s.h * s.w, (-128, 128), &mut rng);
+    let wts = rng_codes(s.weights_len(), (-127, 128), &mut rng);
+    bits(&correlate(level, s, &x, &wts, None, s.k / 2, threads))
 }
 
 #[test]
@@ -112,18 +119,22 @@ fn f32_gemm_levels_agree_on_awkward_shapes() {
 }
 
 #[test]
-fn i8_gemm_levels_agree_on_awkward_shapes() {
-    let mut rng = StdRng::seed_from_u64(43);
-    for (m, k, n) in [(1, 1, 1), (3, 5, 7), (16, 18, 24), (33, 27, 17)] {
-        let a = rng_vec_i8(m * k, &mut rng);
-        let b = rng_vec_i8(n * k, &mut rng);
-        let baseline = qgemm_nt_at(SimdLevel::Scalar, &a, &b, k, n, 1);
+fn int8_codes_agree_across_levels_on_awkward_shapes() {
+    for (n, cin, cout, hw, k, dw) in [
+        (1, 1, 1, (1, 1), 1, false),
+        (3, 5, 7, (3, 7), 3, false),
+        (9, 16, 24, (4, 6), 1, false),
+        (2, 27, 17, (5, 9), 2, false),
+        (2, 9, 9, (6, 13), 3, true),
+    ] {
+        let s = conv_shape(n, cin, cout, hw, k, dw);
+        let baseline = int8_conv_at(SimdLevel::Scalar, &s, 1, 43);
         for level in available_levels() {
             for threads in [1, 4] {
                 assert_eq!(
-                    qgemm_nt_at(level, &a, &b, k, n, threads),
+                    int8_conv_at(level, &s, threads, 43),
                     baseline,
-                    "i8 {level} x{threads} diverges at m={m} k={k} n={n}"
+                    "int8 {level} x{threads} diverges at {s:?}"
                 );
             }
         }
@@ -154,25 +165,24 @@ proptest! {
         }
     }
 
-    /// The int8 kernel is exact integer arithmetic: every level and
-    /// grouping returns the same bytes.
+    /// Convolutions over int8 codes sum exactly: every level and
+    /// worker count returns the same bytes.
     #[test]
-    fn prop_i8_gemm_is_level_invariant(
-        m in 1usize..32,
-        k in 1usize..40,
-        n in 1usize..20,
+    fn prop_int8_codes_are_level_invariant(
+        n in 1usize..10,
+        cin in 1usize..12,
+        cout in 1usize..12,
+        h in 1usize..6,
+        w in 1usize..12,
+        k in 1usize..5,
+        dw in 0u8..2,
         threads in 1usize..6,
         seed in 0u64..1024,
     ) {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
-        let a = rng_vec_i8(m * k, &mut rng);
-        let b = rng_vec_i8(n * k, &mut rng);
-        let baseline = qgemm_nt_at(SimdLevel::Scalar, &a, &b, k, n, 1);
+        let s = conv_shape(n, cin, cout, (h, w), k, dw == 1);
+        let baseline = int8_conv_at(SimdLevel::Scalar, &s, 1, seed);
         for level in available_levels() {
-            prop_assert_eq!(
-                &qgemm_nt_at(level, &a, &b, k, n, threads),
-                &baseline
-            );
+            prop_assert_eq!(&int8_conv_at(level, &s, threads, seed), &baseline);
         }
     }
 }
