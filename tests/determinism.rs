@@ -18,10 +18,15 @@
 use codesign_core::accuracy::ProxyEvaluator;
 use codesign_core::flow::{CoDesignFlow, FlowConfig, FlowOutput};
 use codesign_core::parallel::Parallelism;
+use codesign_dataset::SyntheticDataset;
+use codesign_dnn::builder::DnnBuilder;
 use codesign_dnn::bundle::{bundle_by_id, BundleId};
+use codesign_dnn::quant::Activation;
 use codesign_dnn::space::DesignPoint;
-use codesign_nn::train::TrainConfig;
-use codesign_nn::Engine;
+use codesign_dnn::TensorShape;
+use codesign_nn::network::NnLayer;
+use codesign_nn::train::{TrainConfig, Trainer};
+use codesign_nn::{Engine, Network};
 use codesign_sim::device::pynq_z1;
 
 /// Worker count of the parallel arm (`CODESIGN_PARALLELISM`, default 4).
@@ -162,6 +167,57 @@ fn proxy_training_matches_golden_iou() {
         iou.to_bits(),
         4_594_843_188_456_620_654,
         "proxy IoU drifted: {iou}"
+    );
+}
+
+/// Golden pin over the shapes a Bundle stage can take: Bundles 1, 3,
+/// 6, 13 and 17 at every activation, each trained for one epoch on 11
+/// images (one full lane group and one partial one), checksummed over the
+/// bits of every trained parameter. The odd 31 x 31 input makes the
+/// stem pool and the down-sampling pool after replication 0 each drop
+/// a row and a column; Bundle 6 (depth-wise only) widens through the
+/// expansion spot, a 1x1 convolution followed by an activation with no
+/// scale-bias.
+#[test]
+fn proxy_stage_shapes_match_golden_checksum() {
+    let (h, w) = (31, 31);
+    let mut sum = 0xcbf2_9ce4_8422_2325u64;
+    for id in [1, 3, 6, 13, 17] {
+        for act in [Activation::Relu, Activation::Relu4, Activation::Relu8] {
+            let mut point = DesignPoint::initial(bundle_by_id(BundleId(id)).expect("bundle"), 2);
+            point.base_channels = 8;
+            point.max_channels = 16;
+            point.activation = act;
+            point.downsample = vec![true, false];
+            point.expansion = vec![2.0, 1.0];
+            let dnn = DnnBuilder::new()
+                .input(TensorShape::new(3, h, w))
+                .build(&point)
+                .expect("stage-shape network builds");
+            let mut net = Network::from_dnn(&dnn, 5).expect("network compiles");
+            let (images, boxes) = SyntheticDataset::new(h, w, id as u64).training_pairs(11);
+            Trainer::new(TrainConfig {
+                epochs: 1,
+                batch_size: 8,
+                ..TrainConfig::default()
+            })
+            .train(&mut net, &images, &boxes);
+            for layer in net.layers() {
+                let params: [&[f32]; 2] = match layer {
+                    NnLayer::Conv(p) => [&p.weights, &p.bias],
+                    NnLayer::DwConv(p) => [&p.weights, &p.bias],
+                    NnLayer::ScaleBias(p) => [&p.scale, &p.bias],
+                    _ => continue,
+                };
+                for v in params.into_iter().flatten() {
+                    sum = (sum ^ u64::from(v.to_bits())).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+    }
+    assert_eq!(
+        sum, 15_704_469_750_211_162_645,
+        "trained stage-shape parameters drifted"
     );
 }
 
