@@ -1,17 +1,31 @@
 //! Proxy-training bench: the naive per-image reference kernels vs the
-//! batched direct-kernel compute engine at 1 and 4 workers.
+//! batched direct-kernel compute engine, on the paper's example
+//! candidate and on the network `flow_measured` trains.
 //!
-//! Every arm trains the **default** proxy config (the paper's 20-epoch
-//! protocol), is measured once with `codesign_bench::perf::measure`,
-//! and must return the reference arm's IoU bit for bit. Emits
-//! `BENCH_proxy_train.json`.
+//! * `train_*` arms train the **default** proxy config (the paper's
+//!   20-epoch protocol) once per sample, each measured with
+//!   `codesign_bench::perf::measure`. The Bundle-13 x 1 arms must return
+//!   the reference arm's IoU bit for bit.
+//! * `*_winner_*` arms run the design a 15-FPS PYNQ-Z1 flow publishes
+//!   (the one `flow_measured` proxy-trains). Its 1- and 2-worker
+//!   trainings must return the reference engine's IoU bit for bit;
+//!   `forward_train_winner_batch8` and `backward_winner_batch8` time one
+//!   training step's two passes over one batch of 8, and the forward
+//!   output must equal `Network::forward`'s.
+//!
+//! Emits `BENCH_proxy_train.json`.
 
 use codesign_bench::perf::{emit_bench_json, measure, BenchRecord};
 use codesign_core::accuracy::ProxyEvaluator;
+use codesign_core::flow::{CoDesignFlow, FlowConfig};
 use codesign_core::parallel::Parallelism;
+use codesign_dataset::SyntheticDataset;
+use codesign_dnn::builder::DnnBuilder;
 use codesign_dnn::bundle::{bundle_by_id, BundleId};
 use codesign_dnn::space::DesignPoint;
-use codesign_nn::Engine;
+use codesign_dnn::TensorShape;
+use codesign_nn::{Engine, Network, Tensor};
+use codesign_sim::device::pynq_z1;
 
 /// GEMM worker counts compared against the naive reference kernels.
 const THREAD_COUNTS: [usize; 2] = [1, 4];
@@ -23,11 +37,43 @@ fn candidate() -> DesignPoint {
     DesignPoint::initial(b, 1)
 }
 
+/// The design `flow_measured` proxy-trains: the one a 15-FPS flow on
+/// the PYNQ-Z1 publishes.
+fn winner() -> DesignPoint {
+    let out = CoDesignFlow::new(FlowConfig {
+        targets_fps: vec![15.0],
+        ..FlowConfig::for_device(pynq_z1())
+    })
+    .run()
+    .expect("the 15-FPS flow runs");
+    out.designs[0].point.clone()
+}
+
 fn evaluator(engine: Engine) -> ProxyEvaluator {
     ProxyEvaluator {
         engine,
         ..ProxyEvaluator::default()
     }
+}
+
+/// `point`'s proxy network as [`ProxyEvaluator::evaluate`] builds it,
+/// at one worker, and its first training batch.
+fn proxy_batch(point: &DesignPoint) -> (Network, Tensor, Vec<[f32; 4]>) {
+    let eval = ProxyEvaluator::default();
+    let mut proxy = point.clone();
+    proxy.base_channels = point.base_channels.min(8);
+    proxy.max_channels = point.max_channels.min(32);
+    let dnn = DnnBuilder::new()
+        .input(TensorShape::new(3, eval.image_h, eval.image_w))
+        .build(&proxy)
+        .expect("the proxy network builds");
+    let net = Network::from_dnn(&dnn, eval.seed)
+        .expect("the proxy network compiles")
+        .with_engine(Engine::Gemm(Parallelism::Fixed(1)));
+    let batch = eval.config.batch_size;
+    let (images, boxes) =
+        SyntheticDataset::new(eval.image_h, eval.image_w, eval.seed).training_pairs(batch);
+    (net, Tensor::stack(&images), boxes)
 }
 
 fn main() {
@@ -59,5 +105,51 @@ fn main() {
             naive.timing,
         ));
     }
+
+    let winner = winner();
+    let reference = evaluator(Engine::Reference).evaluate(&winner).unwrap();
+    for (name, workers) in [("train_winner_1_worker", 1), ("train_winner_2_workers", 2)] {
+        let arm = measure(
+            5,
+            || (),
+            |()| {
+                evaluator(Engine::Gemm(Parallelism::Fixed(workers)))
+                    .evaluate(&winner)
+                    .unwrap()
+            },
+        );
+        assert_eq!(
+            arm.output.to_bits(),
+            reference.to_bits(),
+            "{name} DIVERGED from the reference engine — determinism bug!"
+        );
+        records.push(BenchRecord::timing(name, arm.timing));
+    }
+
+    let (mut net, batch, boxes) = proxy_batch(&winner);
+    let forward = measure(10, || (), |()| net.forward_train(&batch));
+    let (out, cache) = forward.output;
+    assert_eq!(
+        out,
+        net.forward(&batch),
+        "the training forward pass DIVERGED from Network::forward"
+    );
+    records.push(BenchRecord::timing(
+        "forward_train_winner_batch8",
+        forward.timing,
+    ));
+    let grad: Vec<f32> = out
+        .data()
+        .iter()
+        .zip(boxes.iter().flatten())
+        .map(|(o, t)| 2.0 * (o - t) / 4.0)
+        .collect();
+    let grad = Tensor::from_vec(out.shape(), grad);
+    let backward = measure(10, || (), |()| net.backward(&cache, &grad));
+    records.push(BenchRecord::timing(
+        "backward_winner_batch8",
+        backward.timing,
+    ));
+
     emit_bench_json("proxy_train", &records).expect("write BENCH_proxy_train.json");
 }

@@ -26,13 +26,14 @@
 //!
 //! Both paths accumulate every output element in the same canonical
 //! order (see the [`crate::reference`] docs), so they are
-//! **bit-identical** to each other — and the direct path is
-//! bit-identical to itself at any worker count, because threads only
-//! partition output-channel blocks and lanes are images.
+//! **bit-identical** to each other. Both run on the calling thread: a
+//! split of each kernel's output-channel blocks over workers cost more
+//! CPU than it saved on proxy training, so the kernels have none, and
+//! parallelism comes from running whole trainings side by side.
 
 use crate::gemm::{self, ConvShape};
 use crate::lanes::{add_lanes, pixel_sums, Lanes};
-use crate::layers::{ConvParams, DwConvParams};
+use crate::layers::{epilogue_lanes, ConvParams, DwConvParams, Epilogue};
 use crate::reference;
 use crate::scratch;
 use crate::simd;
@@ -45,39 +46,15 @@ use std::fmt;
 pub enum Engine {
     /// Per-image naive nested loops (the retained seed kernels).
     Reference,
-    /// Batched direct (implicit-GEMM) kernels with the given
-    /// worker-count knob.
+    /// Batched direct (implicit-GEMM) kernels. They run on the calling
+    /// thread; the worker count is kept for callers that still name one
+    /// and changes nothing.
     Gemm(Parallelism),
 }
 
 impl Default for Engine {
     fn default() -> Self {
         Engine::Gemm(Parallelism::Auto)
-    }
-}
-
-impl Engine {
-    /// Worker count the direct kernels run with (1 for the reference
-    /// path, which is strictly sequential).
-    pub fn threads(self) -> usize {
-        match self {
-            Engine::Reference => 1,
-            Engine::Gemm(par) => par.threads(),
-        }
-    }
-
-    /// Pins [`Parallelism::Auto`] to the hardware thread count
-    /// ([`codesign_parallel::hardware_threads`]), so a stored engine
-    /// carries a fixed worker count. Results are identical either way —
-    /// only scheduling changes.
-    #[must_use]
-    pub fn resolved(self) -> Engine {
-        match self {
-            Engine::Gemm(Parallelism::Auto) => {
-                Engine::Gemm(Parallelism::Fixed(Parallelism::Auto.threads()))
-            }
-            other => other,
-        }
     }
 }
 
@@ -106,31 +83,32 @@ fn shape_of(x: &Lanes, cin: usize, cout: usize, k: usize, depthwise: bool) -> Co
 }
 
 /// "Same" convolution forward pass: the output grid is the input grid
-/// for every kernel size (even-k kernels included).
+/// for every kernel size (even-k kernels included). Returns the
+/// convolution output and, for a non-empty epilogue `epi`, the output of
+/// `epi` run over it: the direct kernels run it band by band as they
+/// write the convolution output, the reference path over its output.
 fn forward(
     x: &Lanes,
     s: &ConvShape,
     weights: &[f32],
     bias: &[f32],
+    epi: &Epilogue,
     engine: Engine,
     reference: impl Fn(&Tensor) -> Tensor,
-) -> Lanes {
-    match engine {
-        Engine::Reference => x.map_images(reference),
-        Engine::Gemm(par) => {
-            let level = simd::active_level();
-            let y = gemm::correlate_lanes(
-                level,
-                s,
-                x.data(),
-                weights,
-                Some(bias),
-                s.k / 2,
-                par.threads(),
-            );
-            Lanes::from_data(s.n, s.cout, s.h, s.w, y)
-        }
+) -> (Lanes, Option<Lanes>) {
+    if engine == Engine::Reference {
+        let z = x.map_images(reference);
+        let y = (!epi.is_empty()).then(|| epilogue_lanes(&z, epi));
+        return (z, y);
     }
+    let mut y = (!epi.is_empty()).then(|| {
+        let (oh, ow) = epi.out_dims(s.h, s.w);
+        Lanes::uninit(s.n, s.cout, oh, ow)
+    });
+    let fused = y.as_mut().map(|y| (epi, y.data_mut()));
+    let level = simd::active_level();
+    let z = gemm::correlate_lanes(level, s, x.data(), weights, Some(bias), s.k / 2, fused);
+    (Lanes::from_data(s.n, s.cout, s.h, s.w, z), y)
 }
 
 /// Backward pass: `(dx, dweights, dbias)`, with `dx` computed only when
@@ -151,8 +129,8 @@ fn grads(
         "convolution gradient shape mismatch"
     );
     let mut db = vec![0.0f32; s.cout];
-    let threads = match engine {
-        Engine::Gemm(par) => par.threads(),
+    match engine {
+        Engine::Gemm(_) => {}
         Engine::Reference => {
             let mut dw = vec![0.0f32; weights.len()];
             let mut dx = x.zeros_like(s.cin, s.h, s.w);
@@ -168,13 +146,13 @@ fn grads(
             }
             return (input_grad.then_some(dx), dw, db);
         }
-    };
+    }
     let level = simd::active_level();
     // Bias gradient: row-major pixel sums, one lane per image.
     for (i, (oc, g)) in dy.planes().enumerate() {
         add_lanes(&mut db[oc], &pixel_sums(g), dy.valid(i / s.cout));
     }
-    let dw = gemm::weight_grads_lanes(level, s, x.data(), dy.data(), threads);
+    let dw = gemm::weight_grads_lanes(level, s, x.data(), dy.data());
     // Data gradient: the transposed convolution — the same kernel over
     // dY with flipped, channel-transposed weights, padded `k - 1 - pad`
     // (equal to `pad` only for odd kernels).
@@ -192,7 +170,7 @@ fn grads(
             &flipped,
             None,
             s.k - 1 - s.k / 2,
-            threads,
+            None,
         );
         scratch::recycle(flipped);
         Lanes::from_data(s.n, s.cin, s.h, s.w, dx)
@@ -237,13 +215,21 @@ fn flip_weights(weights: &[f32], oc: usize, ic: usize, k: usize) -> Vec<f32> {
 /// Panics when `x` is not rank 3 or 4 or disagrees with the parameter
 /// geometry.
 pub fn conv_forward(x: &Tensor, p: &ConvParams, engine: Engine) -> Tensor {
-    conv_forward_lanes(&Lanes::pack(x), p, engine).unpack_like(x)
+    let (z, _) = conv_forward_lanes(&Lanes::pack(x), p, &Epilogue::default(), engine);
+    z.unpack_like(x)
 }
 
-/// [`conv_forward`] over the image-interleaved layout.
-pub(crate) fn conv_forward_lanes(x: &Lanes, p: &ConvParams, engine: Engine) -> Lanes {
+/// [`conv_forward`] over the image-interleaved layout, followed by the
+/// stage epilogue `epi`: the convolution output, and the epilogue's
+/// output when `epi` is not empty.
+pub(crate) fn conv_forward_lanes(
+    x: &Lanes,
+    p: &ConvParams,
+    epi: &Epilogue,
+    engine: Engine,
+) -> (Lanes, Option<Lanes>) {
     let s = shape_of(x, p.in_ch, p.out_ch, p.k, false);
-    forward(x, &s, &p.weights, &p.bias, engine, |img| {
+    forward(x, &s, &p.weights, &p.bias, epi, engine, |img| {
         reference::conv_forward(img, p)
     })
 }
@@ -289,13 +275,20 @@ pub(crate) fn conv_backward_lanes(
 /// Panics when `x` is not rank 3 or 4 or disagrees with the parameter
 /// geometry.
 pub fn dwconv_forward(x: &Tensor, p: &DwConvParams, engine: Engine) -> Tensor {
-    dwconv_forward_lanes(&Lanes::pack(x), p, engine).unpack_like(x)
+    let (z, _) = dwconv_forward_lanes(&Lanes::pack(x), p, &Epilogue::default(), engine);
+    z.unpack_like(x)
 }
 
-/// [`dwconv_forward`] over the image-interleaved layout.
-pub(crate) fn dwconv_forward_lanes(x: &Lanes, p: &DwConvParams, engine: Engine) -> Lanes {
+/// [`dwconv_forward`] over the image-interleaved layout, followed by the
+/// stage epilogue `epi` (see [`conv_forward_lanes`]).
+pub(crate) fn dwconv_forward_lanes(
+    x: &Lanes,
+    p: &DwConvParams,
+    epi: &Epilogue,
+    engine: Engine,
+) -> (Lanes, Option<Lanes>) {
     let s = shape_of(x, p.ch, p.ch, p.k, true);
-    forward(x, &s, &p.weights, &p.bias, engine, |img| {
+    forward(x, &s, &p.weights, &p.bias, epi, engine, |img| {
         reference::dwconv_forward(img, p)
     })
 }

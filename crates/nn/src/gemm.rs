@@ -17,7 +17,10 @@
 //!   zero-padded copy of the whole batch per call for `k > 1` (`k = 1`
 //!   reads the input itself), weights packed once per call, and blocks
 //!   of 4 output channels sharing every input load; one output pixel is
-//!   one vector, so no row or plane ever runs a scalar tail.
+//!   one vector, so no row or plane ever runs a scalar tail. In a Bundle
+//!   stage it also runs the stage's epilogue ([`Epilogue`]): it writes
+//!   each block's output in row bands of the pool's height and turns
+//!   every band into the stage output while the band is in L1.
 //! * [`weight_grads`] — `dW = dY · Xᵀ` with lane-wise accumulators:
 //!   each lane is one image's subtotal, and the result sums lanes
 //!   `0..n` in image order. Depth-wise layers run the same kernel over
@@ -39,36 +42,20 @@
 //! zero-padded copy — for convolutions; output pixels in row-major
 //! ascending order, one `0.0`-seeded subtotal per image summed in
 //! image order, for weight gradients. Each lane is one image's chain;
-//! threads (via [`codesign_parallel::parallel_chunks_mut`]) only
-//! partition *which output-channel blocks* (forward, backward data) or
-//! *which output channels* (weight gradients) a worker computes, and
-//! channel and tap blocking only decide how many independent chains
-//! advance per instruction, so the result is byte-identical at any
-//! worker count, at every [`SimdLevel`], and to the naive loops in
-//! [`crate::reference`]. `tests/simd_equivalence.rs` and
-//! `tests/engine_equivalence.rs` pin both.
+//! channel and tap blocking, and the row bands of a fused epilogue, only
+//! decide how many independent chains advance per instruction and
+//! when, so the result is byte-identical at every [`SimdLevel`] and to
+//! the naive loops in [`crate::reference`]. The epilogue reads each
+//! finished output element and computes it with the same per-element
+//! helpers, in the same order, as the standalone layers. The kernels
+//! run on the calling thread. `tests/simd_equivalence.rs`,
+//! `tests/engine_equivalence.rs` and `tests/stage_equivalence.rs` pin
+//! all three.
 
 use crate::lanes::{self, add_lanes, valid_lanes, LANES};
+use crate::layers::Epilogue;
 use crate::scratch;
 use crate::simd::{self, SimdLevel};
-use codesign_parallel::{hardware_threads, parallel_chunks_mut};
-
-/// Caps a worker count so that (a) each worker gets at least
-/// `min_per_worker` units of work — waking a pooled helper is cheap
-/// but not free, and dwarfs a small kernel's runtime — and (b) a
-/// CPU-bound kernel never runs more workers than hardware threads
-/// (oversubscription only adds context switches). Worker count never
-/// affects results (see the module docs), so both caps are purely
-/// scheduling heuristics.
-fn capped_threads(threads: usize, work: usize, min_per_worker: usize) -> usize {
-    threads
-        .min(hardware_threads())
-        .clamp(1, 1 + work / min_per_worker.max(1))
-}
-
-/// Work units (multiply-adds) below which a GEMM stays single-threaded
-/// per extra worker.
-const GEMM_FLOPS_PER_WORKER: usize = 1 << 20;
 
 /// Weight-gradient taps per micro-kernel call when nine do not divide
 /// the taps.
@@ -153,16 +140,12 @@ struct Layout {
 }
 
 impl Layout {
-    /// `k = 1` reads the input itself as whole planes; larger kernels
-    /// read rows of a zero-padded copy.
+    /// `k = 1` reads the input itself; larger kernels read rows of a
+    /// zero-padded copy.
     fn new(s: &ConvShape) -> Layout {
         let (h, w, k) = (s.h, s.w, s.k);
-        let (geometry, src_plane) = if k == 1 {
-            ((1, h * w, 0), h * w)
-        } else {
-            let stride = w + k - 1;
-            ((h, w, stride), (h + k - 1) * stride)
-        };
+        let stride = w + k - 1;
+        let (geometry, src_plane) = ((h, w, stride), (h + k - 1) * stride);
         let stride = geometry.2;
         let taps = (0..s.patch_channels())
             .flat_map(|ic| {
@@ -250,17 +233,22 @@ pub fn correlate(
     weights: &[f32],
     init: Option<&[f32]>,
     pad: usize,
-    threads: usize,
 ) -> Vec<f32> {
     s.assert_input(x);
     let plane = s.h * s.w;
     let x = lanes::interleave(x, s.n, s.cin * plane);
-    let y = correlate_lanes(level, s, &x, weights, init, pad, threads);
+    let y = correlate_lanes(level, s, &x, weights, init, pad, None);
     lanes::deinterleave(&y, s.n, s.cout * plane)
 }
 
 /// [`correlate`] over the image-interleaved layout: `x` holds the
 /// batch's groups of `cin` planes, the result its groups of `cout`.
+///
+/// With `fused = Some((e, y))` it also runs the epilogue `e` into `y`
+/// (the batch's groups of `cout` output planes of `e`), band by band: as
+/// soon as the `e.band_rows()` rows of one output row are written, while
+/// they are still in L1. Rows below the last whole band are computed but
+/// run no epilogue, as a pool never reads them.
 pub(crate) fn correlate_lanes(
     level: SimdLevel,
     s: &ConvShape,
@@ -268,7 +256,7 @@ pub(crate) fn correlate_lanes(
     weights: &[f32],
     init: Option<&[f32]>,
     pad: usize,
-    threads: usize,
+    mut fused: Option<(&Epilogue, &mut [f32])>,
 ) -> Vec<f32> {
     s.assert_lanes(x, s.cin);
     assert_eq!(
@@ -283,46 +271,91 @@ pub(crate) fn correlate_lanes(
     let layout = Layout::new(s);
     let ckk = layout.taps.len();
     let (plane, src_group) = (s.h * s.w, s.cin * layout.src_plane * LANES);
+    let (_, len, stride) = layout.geometry;
     let padded = layout.padded(x, s, pad);
     let src = padded.as_deref().unwrap_or(x);
     let wpack = pack_blocks(s, weights, ckk);
     let mut out = scratch::take(s.groups() * s.cout * plane * LANES);
-    // One task per (group, output-channel block), in storage order.
-    let mut blocks: Vec<(usize, usize, &mut [f32])> = Vec::new();
-    let mut rest = &mut out[..];
+    let (band, out_plane) = match &fused {
+        Some((e, y)) => {
+            let (oh, ow) = e.out_dims(s.h, s.w);
+            let out_plane = oh * ow * LANES;
+            assert_eq!(
+                y.len(),
+                s.groups() * s.cout * out_plane,
+                "epilogue output length disagrees with shape"
+            );
+            (e.band_rows(), out_plane)
+        }
+        None => (s.h.max(1), 0),
+    };
+    let out_band = out_plane / (s.h / band).max(1);
+    let win = fused.as_ref().map_or(Vec::new(), |(e, _)| e.window(s.w));
+    let seed = |oc: usize| init.map_or(0.0, |b| b[oc]);
     for g in 0..s.groups() {
+        let image = &src[g * src_group..(g + 1) * src_group];
         let mut oc = 0;
         while oc < s.cout {
             let ob = block_width(s, oc);
-            let (ys, tail) = std::mem::take(&mut rest).split_at_mut(ob * plane * LANES);
-            blocks.push((g, oc, ys));
-            rest = tail;
+            let yb = &mut out[(g * s.cout + oc) * plane * LANES..][..ob * plane * LANES];
+            // Depth-wise channels read their own planes, one apart.
+            let (src, step) = if s.depthwise {
+                let planes = oc * layout.src_plane * LANES..(oc + ob) * layout.src_plane * LANES;
+                (&image[planes], layout.src_plane * LANES)
+            } else {
+                (image, 0)
+            };
+            let wb = &wpack[oc * ckk..(oc + ob) * ckk];
+            for r0 in (0..s.h).step_by(band) {
+                let rows = band.min(s.h - r0);
+                let (src, dst) = (&src[r0 * stride * LANES..], &mut yb[r0 * len * LANES..]);
+                let geo = (rows, len, stride);
+                if ob == 4 {
+                    let init = std::array::from_fn(|j| seed(oc + j));
+                    simd::f32_conv_pixels::<4>(
+                        level,
+                        src,
+                        step,
+                        &layout.taps,
+                        wb,
+                        init,
+                        geo,
+                        dst,
+                        plane,
+                    );
+                } else {
+                    simd::f32_conv_pixels::<1>(
+                        level,
+                        src,
+                        step,
+                        &layout.taps,
+                        wb,
+                        [seed(oc)],
+                        geo,
+                        dst,
+                        plane,
+                    );
+                }
+                let Some((e, y)) = fused.as_mut() else {
+                    continue;
+                };
+                if rows < band || out_band == 0 {
+                    continue;
+                }
+                for j in 0..ob {
+                    let z = &yb[(j * plane + r0 * len) * LANES..][..rows * len * LANES];
+                    let at = ((g * s.cout + oc + j) * out_plane) + r0 / band * out_band;
+                    let y = &mut y[at..][..out_band];
+                    simd::dispatch(
+                        level,
+                        #[inline(always)]
+                        || e.forward_rows(oc + j, len, &win, z, y),
+                    );
+                }
+            }
             oc += ob;
         }
     }
-    let work = s.groups() * s.cout * plane * LANES * ckk;
-    let threads = capped_threads(threads, work, GEMM_FLOPS_PER_WORKER);
-    parallel_chunks_mut(&mut blocks, 1, threads, |_, block| {
-        let (g, oc, ref mut yb) = block[0];
-        let ob = yb.len() / (plane * LANES);
-        let image = &src[g * src_group..(g + 1) * src_group];
-        // Depth-wise channels read their own planes, one apart.
-        let (src, step) = if s.depthwise {
-            let planes = oc * layout.src_plane * LANES..(oc + ob) * layout.src_plane * LANES;
-            (&image[planes], layout.src_plane * LANES)
-        } else {
-            (image, 0)
-        };
-        let seed = |oc: usize| init.map_or(0.0, |b| b[oc]);
-        let (taps, geo) = (&layout.taps, layout.geometry);
-        let wb = &wpack[oc * ckk..(oc + ob) * ckk];
-        if ob == 4 {
-            let init = std::array::from_fn(|j| seed(oc + j));
-            simd::f32_conv_pixels::<4>(level, src, step, taps, wb, init, geo, yb, plane);
-        } else {
-            simd::f32_conv_pixels::<1>(level, src, step, taps, wb, [seed(oc)], geo, yb, plane);
-        }
-    });
     scratch::recycle(wpack);
     if let Some(buf) = padded {
         scratch::recycle(buf);
@@ -340,13 +373,7 @@ pub(crate) fn correlate_lanes(
 /// # Panics
 ///
 /// Panics when `x` or `dy` disagree with the shape.
-pub fn weight_grads(
-    level: SimdLevel,
-    s: &ConvShape,
-    x: &[f32],
-    dy: &[f32],
-    threads: usize,
-) -> Vec<f32> {
+pub fn weight_grads(level: SimdLevel, s: &ConvShape, x: &[f32], dy: &[f32]) -> Vec<f32> {
     s.assert_input(x);
     let plane = s.h * s.w;
     assert_eq!(
@@ -356,7 +383,7 @@ pub fn weight_grads(
     );
     let x = lanes::interleave(x, s.n, s.cin * plane);
     let dy = lanes::interleave(dy, s.n, s.cout * plane);
-    weight_grads_lanes(level, s, &x, &dy, threads)
+    weight_grads_lanes(level, s, &x, &dy)
 }
 
 /// [`weight_grads`] over the image-interleaved layout: each lane
@@ -367,7 +394,6 @@ pub(crate) fn weight_grads_lanes(
     s: &ConvShape,
     x: &[f32],
     dy: &[f32],
-    threads: usize,
 ) -> Vec<f32> {
     s.assert_lanes(x, s.cin);
     s.assert_lanes(dy, s.cout);
@@ -377,9 +403,7 @@ pub(crate) fn weight_grads_lanes(
     let padded = layout.padded(x, s, s.k / 2);
     let src = padded.as_deref().unwrap_or(x);
     let mut dw = vec![0.0f32; s.weights_len()];
-    let work = s.groups() * s.weights_len() * plane * LANES;
-    let threads = capped_threads(threads, work, GEMM_FLOPS_PER_WORKER);
-    parallel_chunks_mut(&mut dw, ckk, threads, |oc, row| {
+    for (oc, row) in dw.chunks_exact_mut(ckk).enumerate() {
         for g in 0..s.groups() {
             let image = &src[g * src_group..(g + 1) * src_group];
             // A depth-wise channel reads its own plane only.
@@ -394,7 +418,7 @@ pub(crate) fn weight_grads_lanes(
                 add_lanes(&mut row[t], acc, valid);
             });
         }
-    });
+    }
     if let Some(buf) = padded {
         scratch::recycle(buf);
     }
@@ -573,24 +597,14 @@ mod tests {
             let bias = ramp(s.cout, 0.2);
             for pad in [k / 2, k - 1 - k / 2] {
                 let expect = naive_correlate(&s, &x, &wts, Some(&bias), pad);
-                for threads in [1, 2, 4, 8] {
-                    assert_eq!(
-                        bits(&correlate(
-                            active_level(),
-                            &s,
-                            &x,
-                            &wts,
-                            Some(&bias),
-                            pad,
-                            threads
-                        )),
-                        bits(&expect),
-                        "{s:?} pad={pad} threads={threads}"
-                    );
-                }
+                assert_eq!(
+                    bits(&correlate(active_level(), &s, &x, &wts, Some(&bias), pad)),
+                    bits(&expect),
+                    "{s:?} pad={pad}"
+                );
                 let expect0 = naive_correlate(&s, &x, &wts, None, pad);
                 assert_eq!(
-                    bits(&correlate(active_level(), &s, &x, &wts, None, pad, 4)),
+                    bits(&correlate(active_level(), &s, &x, &wts, None, pad)),
                     bits(&expect0)
                 );
             }
@@ -609,12 +623,12 @@ mod tests {
             let expect_dw = naive_weight_grads(&s, &x, &dy);
             for level in crate::simd::available_levels() {
                 assert_eq!(
-                    bits(&correlate(level, &s, &x, &wts, Some(&bias), k / 2, 2)),
+                    bits(&correlate(level, &s, &x, &wts, Some(&bias), k / 2)),
                     bits(&expect),
                     "level {level} diverged at {s:?}"
                 );
                 assert_eq!(
-                    bits(&weight_grads(level, &s, &x, &dy, 2)),
+                    bits(&weight_grads(level, &s, &x, &dy)),
                     bits(&expect_dw),
                     "level {level} weight gradient diverged at {s:?}"
                 );
@@ -622,8 +636,7 @@ mod tests {
         }
     }
 
-    /// Weight gradients are per-image subtotals summed in image order,
-    /// at any worker count.
+    /// Weight gradients are per-image subtotals summed in image order.
     #[test]
     fn weight_grads_sum_per_image_subtotals() {
         for (n, cin, cout, h, w, k, dw) in SHAPES {
@@ -631,13 +644,11 @@ mod tests {
             let x = ramp(n * cin * h * w, 0.1);
             let dy = ramp(n * s.cout * h * w, 0.07);
             let expect = naive_weight_grads(&s, &x, &dy);
-            for threads in [1, 4] {
-                assert_eq!(
-                    bits(&weight_grads(active_level(), &s, &x, &dy, threads)),
-                    bits(&expect),
-                    "{s:?} threads={threads}"
-                );
-            }
+            assert_eq!(
+                bits(&weight_grads(active_level(), &s, &x, &dy)),
+                bits(&expect),
+                "{s:?}"
+            );
         }
     }
 
@@ -645,7 +656,7 @@ mod tests {
     #[should_panic(expected = "weight length disagrees")]
     fn correlate_rejects_bad_shapes() {
         let s = shape(1, 2, 3, 2, 2, 3, false);
-        let _ = correlate(active_level(), &s, &[1.0; 8], &[1.0; 5], None, 1, 1);
+        let _ = correlate(active_level(), &s, &[1.0; 8], &[1.0; 5], None, 1);
     }
 
     proptest! {
@@ -660,18 +671,17 @@ mod tests {
             w in 1usize..20,
             k in 1usize..5,
             dw in 0u8..2,
-            threads in 1usize..6,
         ) {
             let s = shape(n, cin, cout, h, w, k, dw == 1);
             let x = ramp(n * cin * h * w, 0.02);
             let wts = ramp(s.weights_len(), 0.04);
             prop_assert_eq!(
-                bits(&correlate(active_level(), &s, &x, &wts, None, k / 2, threads)),
+                bits(&correlate(active_level(), &s, &x, &wts, None, k / 2)),
                 bits(&naive_correlate(&s, &x, &wts, None, k / 2))
             );
             let dy = ramp(n * s.cout * h * w, 0.03);
             prop_assert_eq!(
-                bits(&weight_grads(active_level(), &s, &x, &dy, threads)),
+                bits(&weight_grads(active_level(), &s, &x, &dy)),
                 bits(&naive_weight_grads(&s, &x, &dy))
             );
         }
@@ -686,14 +696,13 @@ mod tests {
             h in 1usize..7,
             w in 1usize..13,
             k in 1usize..6,
-            threads in 1usize..4,
         ) {
             let s = shape(n, c, c, h, w, k, true);
             let x = ramp(n * c * h * w, 0.02);
             let dy = ramp(n * c * h * w, 0.03);
             let expect = bits(&naive_weight_grads(&s, &x, &dy));
             for level in crate::simd::available_levels() {
-                prop_assert_eq!(bits(&weight_grads(level, &s, &x, &dy, threads)), expect.clone());
+                prop_assert_eq!(bits(&weight_grads(level, &s, &x, &dy)), expect.clone());
             }
         }
     }

@@ -12,6 +12,7 @@
 //! order, and per-image subtotals (weight, bias and scale gradients) are
 //! simply lanes, summed over lanes `0..n` in image order.
 
+use crate::scratch;
 use crate::tensor::Tensor;
 
 /// Images per vector: one AVX2 register, two SSE2 registers.
@@ -23,7 +24,7 @@ pub(crate) const LANES: usize = 8;
 /// Its contents are private to the crate;
 /// [`crate::network::Network::forward_train`] returns its training cache
 /// as a `Vec` of these, for [`crate::network::Network::backward`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Lanes {
     n: usize,
     c: usize,
@@ -39,6 +40,13 @@ impl Lanes {
     /// A zeroed batch of `n` images of `c x h x w`.
     pub(crate) fn zeros(n: usize, c: usize, h: usize, w: usize) -> Lanes {
         let data = vec![0.0; n.div_ceil(LANES) * c * h * w * LANES];
+        Lanes::from_data(n, c, h, w, data)
+    }
+
+    /// A batch of `n` images of `c x h x w` with unspecified contents,
+    /// for a kernel that writes every element.
+    pub(crate) fn uninit(n: usize, c: usize, h: usize, w: usize) -> Lanes {
+        let data = scratch::take(n.div_ceil(LANES) * c * h * w * LANES);
         Lanes::from_data(n, c, h, w, data)
     }
 
@@ -106,6 +114,13 @@ impl Lanes {
             assert_eq!(self.n, 1, "a batch of {} is not one image", self.n);
         }
         Tensor::from_vec(&shape, deinterleave(&self.data, self.n, self.image_len()))
+    }
+
+    /// The batch as an `N x C x H x W` tensor (`N x C` for rows), or
+    /// `None` for an empty training-cache slot (see
+    /// [`crate::network::Network::forward_train`]).
+    pub fn to_tensor(&self) -> Option<Tensor> {
+        (self.n > 0).then(|| self.unpack(true))
     }
 
     /// [`Lanes::unpack`] to the rank of the tensor this batch (or its
@@ -211,6 +226,14 @@ impl Lanes {
         assert_eq!(self.h * self.w, 1, "only 1 x 1 planes are rows");
         self.flat = true;
         self
+    }
+}
+
+/// A batch's buffer goes back to the thread's scratch pool, so the next
+/// pass reuses warm memory instead of faulting in fresh pages.
+impl Drop for Lanes {
+    fn drop(&mut self) {
+        scratch::recycle(std::mem::take(&mut self.data));
     }
 }
 

@@ -20,6 +20,18 @@
 //! means sum one chain per lane, eight images at a time, and the
 //! gradients' per-image subtotals are lanes, summed over the batch's
 //! images in order.
+//!
+//! Scale-bias, the activations and max pooling are one kernel, the
+//! [`Epilogue`] of a Bundle stage, built from one per-element helper
+//! each: `x * s + b` as a multiply then an add (never a fused
+//! multiply-add), `max(v, 0)` then `min(·, clip)`, and the pool's
+//! `f32::max` fold. A standalone layer is the epilogue of its one op;
+//! a stage runs the ones after its convolution in one pass, forward
+//! over row bands as the convolution writes them, backward recomputing
+//! every value from the convolution output. Either way each element
+//! takes the same operations in the same order, and the gradient chains
+//! (`ds`, `db`) run over a plane's pixels in row-major order, so the
+//! bits do not depend on how the ops are grouped.
 
 use crate::lanes::{add_lanes, pixel_sums, Lanes, LANES};
 use crate::simd;
@@ -121,162 +133,439 @@ impl ScaleBiasParams {
 // branches, so every lane loop stays a vector operation. The public
 // functions pack, run the lane kernel and unpack; the naive loops the
 // kernels replaced live on in [`crate::reference`].
+//
+// Scale-bias, the activation and max pooling are written once, as an
+// [`Epilogue`]: a standalone layer is the epilogue of its one op, and a
+// Bundle stage runs the ones that follow its convolution as one pass.
 
-/// A pooling walk over `h x w` planes with window and stride `k`: the
-/// float offset of every output pixel's first input pixel, in row-major
-/// output order, and the offsets of a window's pixels from its first,
-/// row-major. Rows and columns past the last whole window are never
-/// visited.
-struct Windows {
-    firsts: Vec<usize>,
-    taps: Vec<usize>,
+/// One pixel of one channel: a vector of eight images.
+type Vector = [f32; LANES];
+
+/// Folded batch-norm of one value: a multiply, then an add. Never one
+/// fused multiply-add, whose single rounding gives other bits.
+#[inline(always)]
+fn affine(x: f32, scale: f32, bias: f32) -> f32 {
+    x * scale + bias
 }
 
-impl Windows {
-    fn new(h: usize, w: usize, k: usize) -> Windows {
-        let (oh, ow) = (h / k, w / k);
-        let firsts = (0..oh * ow)
-            .map(|o| ((o / ow * k) * w + o % ow * k) * LANES)
-            .collect();
-        let taps = (0..k)
-            .flat_map(|dy| (0..k).map(move |dx| (dy * w + dx) * LANES))
-            .collect();
-        Windows { firsts, taps }
+/// The activation of one value: `max(v, 0)`, then `min(·, clip)`
+/// (`clip` is `+inf` for `Relu`).
+#[inline(always)]
+fn activate(v: f32, clip: f32) -> f32 {
+    v.max(0.0).min(clip)
+}
+
+/// The activation gradient `g` at input `u`: it passes where `u` was in
+/// the active (non-clipped, positive) region, and where it was NaN.
+#[inline(always)]
+fn activate_grad(u: f32, g: f32, clip: f32) -> f32 {
+    keep(!((u <= 0.0) | (u >= clip)), g)
+}
+
+/// The clip of an activation, `+inf` for the unclipped `Relu`.
+fn clip_of(act: Activation) -> f32 {
+    act.clip().unwrap_or(f32::INFINITY)
+}
+
+/// The ops that follow a convolution in a Bundle stage, in IR order:
+/// folded batch-norm (scale-bias), then the activation, then max
+/// pooling with window and stride `pool`, each optional.
+///
+/// A stage runs them as one pass over the convolution's output: forward
+/// it pools the activated scale-bias of every element without storing
+/// either, and backward it recomputes both from the convolution output
+/// to route, mask and scale the gradient. Every value is computed by
+/// the same per-element helper, in the same order, as the op run alone,
+/// so both ways give the same bits.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Epilogue<'a> {
+    /// Folded batch-norm.
+    pub scale_bias: Option<&'a ScaleBiasParams>,
+    /// Activation.
+    pub act: Option<Activation>,
+    /// Max-pooling window and stride.
+    pub pool: Option<usize>,
+}
+
+/// An [`Epilogue`] at one channel.
+#[derive(Clone, Copy)]
+struct ChannelOps {
+    affine: Option<(f32, f32)>,
+    clip: Option<f32>,
+    pool: Option<usize>,
+}
+
+impl Epilogue<'_> {
+    /// True when the epilogue runs no op.
+    pub fn is_empty(&self) -> bool {
+        *self == Epilogue::default()
     }
+
+    /// The output plane of an `h x w` input plane.
+    pub(crate) fn out_dims(&self, h: usize, w: usize) -> (usize, usize) {
+        match self.pool {
+            Some(k) => (h / k, w / k),
+            None => (h, w),
+        }
+    }
+
+    /// Input rows per output row: the pool window, else one.
+    pub(crate) fn band_rows(&self) -> usize {
+        self.pool.unwrap_or(1)
+    }
+
+    /// Max pooling alone.
+    pub(crate) fn max_pool(k: usize) -> Self {
+        Epilogue {
+            pool: Some(k),
+            ..Epilogue::default()
+        }
+    }
+
+    fn at(&self, c: usize) -> ChannelOps {
+        ChannelOps {
+            affine: self.scale_bias.map(|p| (p.scale[c], p.bias[c])),
+            clip: self.act.map(clip_of),
+            pool: self.pool,
+        }
+    }
+
+    /// The offsets of a pool window's elements (see [`window`]), none
+    /// without a pool.
+    pub(crate) fn window(&self, w: usize) -> Vec<usize> {
+        window(self.pool.unwrap_or(0), w)
+    }
+
+    /// Forward over whole rows `z` of channel `c`'s plane, `w` pixels
+    /// wide (`k` rows per output row when pooling with window `k`, whose
+    /// elements sit at offsets `win`, see [`Epilogue::window`]), into the
+    /// output rows `y`. Each pooled output folds `f32::max` over its
+    /// window in row-major order, seeded with `-inf`.
+    #[inline(always)]
+    pub(crate) fn forward_rows(&self, c: usize, w: usize, win: &[usize], z: &[f32], y: &mut [f32]) {
+        let ops = self.at(c);
+        let Some(k) = ops.pool else {
+            for (yv, zv) in y.chunks_exact_mut(LANES).zip(z.chunks_exact(LANES)) {
+                yv.copy_from_slice(&ops.post(ops.pre(px(zv, 0))));
+            }
+            return;
+        };
+        let ow = w / k;
+        if ow == 0 {
+            return;
+        }
+        for (zr, yr) in z
+            .chunks_exact(k * w * LANES)
+            .zip(y.chunks_exact_mut(ow * LANES))
+        {
+            for (ox, m) in yr.chunks_exact_mut(LANES).enumerate() {
+                let mut acc = [f32::NEG_INFINITY; LANES];
+                for &t in win {
+                    let v = ops.post(ops.pre(px(zr, ox * k * LANES + t)));
+                    for (a, v) in acc.iter_mut().zip(v) {
+                        *a = a.max(v);
+                    }
+                }
+                m.copy_from_slice(&acc);
+            }
+        }
+    }
+
+    /// Backward over channel `c`'s plane `z` (`w` pixels wide): turns
+    /// the gradient `g` at the epilogue's output into the gradient at
+    /// its input, and adds the scale-bias gradients to `sums`, one chain
+    /// per lane over the plane's pixels in row-major order. Unpooled, `g`
+    /// holds the output gradient on entry and is rewritten in place;
+    /// pooled, `pooled` holds it and every element of `g` is written.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)] // one plane's whole geometry
+    fn backward_plane(
+        &self,
+        c: usize,
+        w: usize,
+        win: &[usize],
+        z: &[f32],
+        pooled: &[f32],
+        g: &mut [f32],
+        sums: &mut (Vector, Vector),
+    ) {
+        let ops = self.at(c);
+        let Some(k) = ops.pool else {
+            ops.mask_rows(z, g, sums);
+            return;
+        };
+        // Pool one band of `k` rows, then mask it while it is in L1.
+        let (band, ow) = (k * w * LANES, w / k);
+        let bands = if ow == 0 {
+            0
+        } else {
+            pooled.len() / (ow * LANES)
+        };
+        for b in 0..bands {
+            let (zb, gb) = (&z[b * band..][..band], &mut g[b * band..][..band]);
+            ops.route(w, win, zb, &pooled[b * ow * LANES..][..ow * LANES], gb);
+            ops.mask_rows(zb, gb, sums);
+        }
+        // Rows below the last whole window get a zero gradient.
+        let rest = bands * band;
+        g[rest..].fill(0.0);
+        ops.mask_rows(&z[rest..], &mut g[rest..], sums);
+    }
+}
+
+impl ChannelOps {
+    /// The activation's input at a conv output vector: its scale-bias.
+    #[inline(always)]
+    fn pre(&self, z: &Vector) -> Vector {
+        match self.affine {
+            Some((s, b)) => z.map(|v| affine(v, s, b)),
+            None => *z,
+        }
+    }
+
+    /// What the pool reads at activation input `u`.
+    #[inline(always)]
+    fn post(&self, u: Vector) -> Vector {
+        match self.clip {
+            Some(clip) => u.map(|v| activate(v, clip)),
+            None => u,
+        }
+    }
+
+    /// Max-pooling backward over one band of `k` rows, window elements
+    /// at offsets `win`: each window's gradient lands on its first
+    /// strict maximum in row-major order, scanning from the window's
+    /// first element (so an all-`-inf` or all-NaN window routes there),
+    /// as `0.0 + g`; every other element, leftover columns included,
+    /// gets `0.0`.
+    ///
+    /// The scan's last strict maximum is the first element equal to the
+    /// window's strict maximum, so every lane runs branch-free: one pass
+    /// for the maximum, and one that routes to the first element equal
+    /// to it.
+    #[inline(always)]
+    fn route(&self, w: usize, win: &[usize], z: &[f32], pooled: &[f32], g: &mut [f32]) {
+        let k = self.pool.unwrap_or(1);
+        // The pool's input, computed once per element into `g`: each
+        // window reads only its own elements before routing over them.
+        for (gv, zv) in g.chunks_exact_mut(LANES).zip(z.chunks_exact(LANES)) {
+            gv.copy_from_slice(&self.post(self.pre(px(zv, 0))));
+        }
+        for (ox, gp) in pooled.chunks_exact(LANES).enumerate() {
+            let first = ox * k * LANES;
+            let mut best = [f32::NEG_INFINITY; LANES];
+            for &t in win {
+                for (b, &v) in best.iter_mut().zip(px(g, first + t)) {
+                    *b = if v > *b { v } else { *b };
+                }
+            }
+            // Lane masks, all ones or zero: bit operations keep the
+            // lanes one vector.
+            let none = best.map(|b| mask(b == f32::NEG_INFINITY));
+            let gp = px(gp, 0).map(|g| (0.0 + g).to_bits());
+            let mut todo = [u32::MAX; LANES];
+            for &t in win {
+                let d = px_mut(g, first + t);
+                for l in 0..LANES {
+                    let hit = todo[l] & (mask(d[l] == best[l]) | none[l]);
+                    todo[l] &= !hit;
+                    d[l] = f32::from_bits(gp[l] & hit);
+                }
+            }
+        }
+        let ow = pooled.len() / LANES;
+        for row in g.chunks_exact_mut(w * LANES) {
+            row[ow * k * LANES..].fill(0.0);
+        }
+    }
+
+    /// The activation mask and the scale-bias backward over rows, in
+    /// place: per element, `g` is masked at the activation input, then
+    /// the lane chains take `ds += g · z` and `db += g`, and `g` becomes
+    /// `g · scale`.
+    #[inline(always)]
+    fn mask_rows(&self, z: &[f32], g: &mut [f32], sums: &mut (Vector, Vector)) {
+        if self.affine.is_none() && self.clip.is_none() {
+            return;
+        }
+        // Local chains: the compiler keeps them in registers.
+        let (mut ds, mut db) = *sums;
+        for (gv, zv) in g.chunks_exact_mut(LANES).zip(z.chunks_exact(LANES)) {
+            let zv = px(zv, 0);
+            let mut gl = *px(gv, 0);
+            if let Some(clip) = self.clip {
+                for (g, u) in gl.iter_mut().zip(self.pre(zv)) {
+                    *g = activate_grad(u, *g, clip);
+                }
+            }
+            if let Some((s, _)) = self.affine {
+                for (((g, &z), d), b) in gl.iter_mut().zip(zv).zip(&mut ds).zip(&mut db) {
+                    *d += *g * z;
+                    *b += *g;
+                    *g *= s;
+                }
+            }
+            gv.copy_from_slice(&gl);
+        }
+        *sums = (ds, db);
+    }
+}
+
+/// The float offsets of a `k x k` window's elements from its first, in
+/// row-major order, over rows `w` pixels wide.
+fn window(k: usize, w: usize) -> Vec<usize> {
+    (0..k)
+        .flat_map(|dy| (0..k).map(move |dx| (dy * w + dx) * LANES))
+        .collect()
 }
 
 /// The vector at float offset `at` of a plane.
 #[inline(always)]
-fn px(plane: &[f32], at: usize) -> &[f32; LANES] {
+fn px(plane: &[f32], at: usize) -> &Vector {
     plane[at..at + LANES].try_into().expect("LANES lanes")
 }
 
 /// The vector at float offset `at` of a plane, mutable.
 #[inline(always)]
-fn px_mut(plane: &mut [f32], at: usize) -> &mut [f32; LANES] {
+fn px_mut(plane: &mut [f32], at: usize) -> &mut Vector {
     (&mut plane[at..at + LANES])
         .try_into()
         .expect("LANES lanes")
 }
 
+/// All ones where `b` holds, else zero.
+#[inline(always)]
+fn mask(b: bool) -> u32 {
+    (b as u32).wrapping_neg()
+}
+
 /// `v` where `keep` holds, `+0.0` elsewhere: a bit mask, not a branch.
 #[inline(always)]
 fn keep(keep: bool, v: f32) -> f32 {
-    f32::from_bits(v.to_bits() & (keep as u32).wrapping_neg())
+    f32::from_bits(v.to_bits() & mask(keep))
 }
 
-/// Max pooling on lanes: each output folds `f32::max` over its window
-/// in row-major order, seeded with `-inf`.
-pub(crate) fn maxpool_lanes(x: &Lanes, k: usize) -> Lanes {
-    let (_, c, h, w) = x.dims();
-    let mut y = x.zeros_like(c, h / k, w / k);
-    let out_plane = (h / k) * (w / k) * LANES;
+/// Runs `e` over every plane of `x`.
+pub(crate) fn epilogue_lanes(x: &Lanes, e: &Epilogue) -> Lanes {
+    let (n, c, h, w) = x.dims();
+    let (oh, ow) = e.out_dims(h, w);
+    let mut y = Lanes::uninit(n, c, oh, ow);
+    let out_plane = oh * ow * LANES;
     if out_plane == 0 {
         return y;
     }
-    let win = Windows::new(h, w, k);
+    let used = oh * e.band_rows() * w * LANES;
+    let win = e.window(w);
     let planes = x.planes().zip(y.data_mut().chunks_exact_mut(out_plane));
     simd::dispatch(
         simd::active_level(),
         #[inline(always)]
         || {
-            for ((_, xp), yp) in planes {
-                for (m, &first) in yp.chunks_exact_mut(LANES).zip(&win.firsts) {
-                    let mut acc = [f32::NEG_INFINITY; LANES];
-                    for &t in &win.taps {
-                        for (a, &v) in acc.iter_mut().zip(px(xp, first + t)) {
-                            *a = a.max(v);
-                        }
-                    }
-                    m.copy_from_slice(&acc);
-                }
+            for ((cc, xp), yp) in planes {
+                e.forward_rows(cc, w, &win, &xp[..used], yp);
             }
         },
     );
     y
 }
 
-/// Max-pooling backward on lanes: each window's gradient lands on its
-/// first strict maximum in row-major order, scanning from the window's
-/// first element (so an all-`-inf` or all-NaN window routes there), as
-/// `0.0 + g`; every other element, leftover rows and columns included,
-/// stays `0.0`.
-///
-/// The scan's last strict maximum is the first element equal to the
-/// window's strict maximum, so every lane runs branch-free: one pass for
-/// the maximum, one backwards for the index of its first occurrence, and
-/// one to route.
-pub(crate) fn maxpool_backward_lanes(x: &Lanes, k: usize, dy: &Lanes) -> Lanes {
-    let (_, c, h, w) = x.dims();
-    let mut dx = x.zeros_like(c, h, w);
-    if (h / k) * (w / k) == 0 {
-        return dx;
-    }
-    let win = Windows::new(h, w, k);
-    let planes = x.planes().zip(dy.planes());
-    let planes = planes.zip(dx.data_mut().chunks_exact_mut(h * w * LANES));
+/// The backward pass of [`epilogue_lanes`] at its input `x`, from the
+/// gradient `dy` at its output: `(dx, dscale, dbias)`, the scale-bias
+/// gradients (empty without scale-bias) one lane-wise chain per image
+/// summed over the lanes in image order.
+pub(crate) fn epilogue_backward_lanes(
+    x: &Lanes,
+    e: &Epilogue,
+    dy: Lanes,
+) -> (Lanes, Vec<f32>, Vec<f32>) {
+    let (n, c, h, w) = x.dims();
+    let (oh, ow) = e.out_dims(h, w);
+    assert_eq!(
+        dy.dims(),
+        (n, c, oh, ow),
+        "epilogue gradient shape mismatch"
+    );
+    let (mut g, pooled) = match e.pool {
+        Some(_) => (Lanes::uninit(n, c, h, w), Some(dy)),
+        None => (dy, None),
+    };
+    let (mut ds, mut db) = match e.scale_bias {
+        Some(_) => (vec![0.0f32; c], vec![0.0f32; c]),
+        None => (Vec::new(), Vec::new()),
+    };
+    let (out_plane, win) = (oh * ow * LANES, e.window(w));
+    let planes = x.planes().zip(g.data_mut().chunks_exact_mut(h * w * LANES));
     simd::dispatch(
         simd::active_level(),
         #[inline(always)]
         || {
-            for (((_, xp), (_, gp)), dp) in planes {
-                for (o, &first) in win.firsts.iter().enumerate() {
-                    let mut best = [f32::NEG_INFINITY; LANES];
-                    for &t in &win.taps {
-                        for (b, &v) in best.iter_mut().zip(px(xp, first + t)) {
-                            *b = if v > *b { v } else { *b };
-                        }
-                    }
-                    // Window indices are small integers, exact as `f32`.
-                    let mut at = [0.0f32; LANES];
-                    for (i, &t) in win.taps.iter().enumerate().rev() {
-                        for ((a, &v), &b) in at.iter_mut().zip(px(xp, first + t)).zip(&best) {
-                            *a = if v == b { i as f32 } else { *a };
-                        }
-                    }
-                    for (a, &b) in at.iter_mut().zip(&best) {
-                        *a = keep(b != f32::NEG_INFINITY, *a);
-                    }
-                    let g = px(gp, o * LANES).map(|g| 0.0 + g);
-                    for (i, &t) in win.taps.iter().enumerate() {
-                        let d = px_mut(dp, first + t);
-                        for ((d, &a), &gl) in d.iter_mut().zip(&at).zip(&g) {
-                            *d = keep(a == i as f32, gl);
-                        }
-                    }
+            for (i, ((cc, zp), gp)) in planes.enumerate() {
+                let p = pooled
+                    .as_ref()
+                    .map_or(&[][..], |p| &p.data()[i * out_plane..][..out_plane]);
+                let mut sums = ([0.0f32; LANES], [0.0f32; LANES]);
+                e.backward_plane(cc, w, &win, zp, p, gp, &mut sums);
+                if e.scale_bias.is_some() {
+                    let valid = x.valid(i / c);
+                    add_lanes(&mut ds[cc], &sums.0, valid);
+                    add_lanes(&mut db[cc], &sums.1, valid);
                 }
             }
         },
     );
-    dx
+    (g, ds, db)
+}
+
+/// Max pooling on lanes, window and stride `k`.
+pub(crate) fn maxpool_lanes(x: &Lanes, k: usize) -> Lanes {
+    epilogue_lanes(x, &Epilogue::max_pool(k))
+}
+
+/// Folded batch-norm backward on lanes, in place: turns the gradient
+/// `dy` into `dx` and returns `(dx, dscale, dbias)`.
+pub(crate) fn scale_bias_backward_lanes(
+    x: &Lanes,
+    p: &ScaleBiasParams,
+    dy: Lanes,
+) -> (Lanes, Vec<f32>, Vec<f32>) {
+    let e = Epilogue {
+        scale_bias: Some(p),
+        ..Epilogue::default()
+    };
+    epilogue_backward_lanes(x, &e, dy)
 }
 
 /// Average pooling on lanes: each output sums its window in row-major
-/// order from `0.0`, then divides by `k * k`.
+/// order from `0.0`, then divides by `k * k`. Rows and columns past the
+/// last whole window are never visited.
 pub(crate) fn avgpool_lanes(x: &Lanes, k: usize) -> Lanes {
     let (_, c, h, w) = x.dims();
     let mut y = x.zeros_like(c, h / k, w / k);
-    let out_plane = (h / k) * (w / k) * LANES;
-    if out_plane == 0 {
+    let ow = w / k;
+    if (h / k) * ow == 0 {
         return y;
     }
-    let norm = (k * k) as f32;
-    let win = Windows::new(h, w, k);
-    let planes = x.planes().zip(y.data_mut().chunks_exact_mut(out_plane));
+    let (norm, win) = ((k * k) as f32, window(k, w));
+    let band = k * w * LANES;
+    let planes = x
+        .planes()
+        .zip(y.data_mut().chunks_exact_mut((h / k) * ow * LANES));
     simd::dispatch(
         simd::active_level(),
         #[inline(always)]
         || {
             for ((_, xp), yp) in planes {
-                for (m, &first) in yp.chunks_exact_mut(LANES).zip(&win.firsts) {
-                    let mut s = [0.0f32; LANES];
-                    for &t in &win.taps {
-                        for (a, &v) in s.iter_mut().zip(px(xp, first + t)) {
-                            *a += v;
+                for (zr, yr) in xp.chunks_exact(band).zip(yp.chunks_exact_mut(ow * LANES)) {
+                    for (ox, m) in yr.chunks_exact_mut(LANES).enumerate() {
+                        let mut s = [0.0f32; LANES];
+                        for &t in &win {
+                            for (a, &v) in s.iter_mut().zip(px(zr, ox * k * LANES + t)) {
+                                *a += v;
+                            }
                         }
-                    }
-                    for (ml, sl) in m.iter_mut().zip(s) {
-                        *ml = sl / norm;
+                        for (ml, sl) in m.iter_mut().zip(s) {
+                            *ml = sl / norm;
+                        }
                     }
                 }
             }
@@ -290,11 +579,12 @@ pub(crate) fn avgpool_lanes(x: &Lanes, k: usize) -> Lanes {
 pub(crate) fn avgpool_backward_lanes(x: &Lanes, k: usize, dy: &Lanes) -> Lanes {
     let (_, c, h, w) = x.dims();
     let mut dx = x.zeros_like(c, h, w);
-    if (h / k) * (w / k) == 0 {
+    let ow = w / k;
+    if (h / k) * ow == 0 {
         return dx;
     }
-    let norm = (k * k) as f32;
-    let win = Windows::new(h, w, k);
+    let (norm, win) = ((k * k) as f32, window(k, w));
+    let band = k * w * LANES;
     let planes = dy
         .planes()
         .zip(dx.data_mut().chunks_exact_mut(h * w * LANES));
@@ -303,11 +593,12 @@ pub(crate) fn avgpool_backward_lanes(x: &Lanes, k: usize, dy: &Lanes) -> Lanes {
         #[inline(always)]
         || {
             for ((_, gp), dp) in planes {
-                for (o, &first) in win.firsts.iter().enumerate() {
-                    let g = px(gp, o * LANES);
-                    for &t in &win.taps {
-                        for (d, &gl) in px_mut(dp, first + t).iter_mut().zip(g) {
-                            *d += gl / norm;
+                for (gr, dr) in gp.chunks_exact(ow * LANES).zip(dp.chunks_exact_mut(band)) {
+                    for (ox, g) in gr.chunks_exact(LANES).enumerate() {
+                        for &t in &win {
+                            for (d, &gl) in px_mut(dr, ox * k * LANES + t).iter_mut().zip(g) {
+                                *d += gl / norm;
+                            }
                         }
                     }
                 }
@@ -315,110 +606,6 @@ pub(crate) fn avgpool_backward_lanes(x: &Lanes, k: usize, dy: &Lanes) -> Lanes {
         },
     );
     dx
-}
-
-/// Folded batch-norm forward on lanes: `y = x * scale[c] + bias[c]`.
-pub(crate) fn scale_bias_lanes(x: &Lanes, p: &ScaleBiasParams) -> Lanes {
-    let (_, c, h, w) = x.dims();
-    let mut y = x.zeros_like(c, h, w);
-    let planes = x.planes().zip(y.data_mut().chunks_exact_mut(h * w * LANES));
-    simd::dispatch(
-        simd::active_level(),
-        #[inline(always)]
-        || {
-            for ((cc, xp), yp) in planes {
-                let (s, b) = (p.scale[cc], p.bias[cc]);
-                for (yv, &xv) in yp.iter_mut().zip(xp) {
-                    *yv = xv * s + b;
-                }
-            }
-        },
-    );
-    y
-}
-
-/// Folded batch-norm backward on lanes, in place: turns the gradient
-/// `dy` into `dx` and returns `(dx, dscale, dbias)`, each parameter
-/// gradient one lane-wise chain per image summed over the lanes in
-/// image order.
-pub(crate) fn scale_bias_backward_lanes(
-    x: &Lanes,
-    p: &ScaleBiasParams,
-    mut dy: Lanes,
-) -> (Lanes, Vec<f32>, Vec<f32>) {
-    let (_, c, h, w) = x.dims();
-    assert_eq!(dy.dims(), x.dims(), "scale-bias gradient shape mismatch");
-    let (mut ds, mut db) = (vec![0.0f32; c], vec![0.0f32; c]);
-    let planes = x
-        .planes()
-        .zip(dy.data_mut().chunks_exact_mut(h * w * LANES));
-    simd::dispatch(
-        simd::active_level(),
-        #[inline(always)]
-        || {
-            for (i, ((cc, xp), gp)) in planes.enumerate() {
-                let s = p.scale[cc];
-                let (mut dsc, mut dbc) = ([0.0f32; LANES], [0.0f32; LANES]);
-                for (gv, xv) in gp.chunks_exact_mut(LANES).zip(xp.chunks_exact(LANES)) {
-                    for l in 0..LANES {
-                        dsc[l] += gv[l] * xv[l];
-                        dbc[l] += gv[l];
-                        gv[l] *= s;
-                    }
-                }
-                let valid = x.valid(i / c);
-                add_lanes(&mut ds[cc], &dsc, valid);
-                add_lanes(&mut db[cc], &dbc, valid);
-            }
-        },
-    );
-    (dy, ds, db)
-}
-
-/// The element-wise activation kernel, in place: `max(v, 0)`, then
-/// `min(·, clip)` for the clipped variants.
-fn activate(v: &mut [f32], act: Activation) {
-    let clip = act.clip().unwrap_or(f32::INFINITY);
-    simd::dispatch(
-        simd::active_level(),
-        #[inline(always)]
-        || {
-            for x in v {
-                *x = x.max(0.0).min(clip);
-            }
-        },
-    );
-}
-
-/// The element-wise activation gradient, in place over `g`: it passes
-/// where the input was in the active (non-clipped, positive) region,
-/// and where it was NaN.
-fn activate_backward(x: &[f32], act: Activation, g: &mut [f32]) {
-    let clip = act.clip().unwrap_or(f32::INFINITY);
-    simd::dispatch(
-        simd::active_level(),
-        #[inline(always)]
-        || {
-            for (g, &xi) in g.iter_mut().zip(x) {
-                let dead = (xi <= 0.0) | (xi >= clip);
-                *g = keep(!dead, *g);
-            }
-        },
-    );
-}
-
-/// Activation forward on lanes.
-pub(crate) fn activation_lanes(x: &Lanes, act: Activation) -> Lanes {
-    let mut y = x.clone();
-    activate(y.data_mut(), act);
-    y
-}
-
-/// Activation backward on lanes, masking `dy` in place.
-pub(crate) fn activation_backward_lanes(x: &Lanes, act: Activation, mut dy: Lanes) -> Lanes {
-    assert_eq!(dy.dims(), x.dims(), "activation gradient shape mismatch");
-    activate_backward(x.data(), act, dy.data_mut());
-    dy
 }
 
 /// Global average pooling on lanes: one row of `c` per image, each
@@ -469,14 +656,14 @@ pub(crate) fn gap_backward_lanes(x: &Lanes, dy: &Lanes) -> Lanes {
 
 /// Max pooling with window `k` and stride `k`.
 pub fn maxpool_forward(x: &Tensor, k: usize) -> Tensor {
-    maxpool_lanes(&Lanes::pack(x), k).unpack_like(x)
+    epilogue_forward(x, &Epilogue::max_pool(k))
 }
 
 /// Max pooling backward: each window's gradient goes to its first
 /// strict maximum, or to the window's first element when no value
 /// beats `-inf` (all `-inf` or NaN).
 pub fn maxpool_backward(x: &Tensor, k: usize, dy: &Tensor) -> Tensor {
-    maxpool_backward_lanes(&Lanes::pack(x), k, &Lanes::pack(dy)).unpack_like(x)
+    epilogue_backward(x, &Epilogue::max_pool(k), dy.clone()).0
 }
 
 /// Average pooling with window `k` and stride `k`.
@@ -491,7 +678,11 @@ pub fn avgpool_backward(x: &Tensor, k: usize, dy: &Tensor) -> Tensor {
 
 /// Folded batch-norm forward: `y = x * scale[c] + bias[c]`.
 pub fn scale_bias_forward(x: &Tensor, p: &ScaleBiasParams) -> Tensor {
-    scale_bias_lanes(&Lanes::pack(x), p).unpack_like(x)
+    let e = Epilogue {
+        scale_bias: Some(p),
+        ..Epilogue::default()
+    };
+    epilogue_forward(x, &e)
 }
 
 /// Folded batch-norm backward: `(dx, dscale, dbias)`, with the
@@ -506,12 +697,37 @@ pub fn scale_bias_backward(
     (dx.unpack_like(x), ds, db)
 }
 
+/// A stage's epilogue forward over one `C x H x W` image or an
+/// `N x C x H x W` batch of convolution outputs `z`: the same pass a
+/// [`crate::network::Network`] stage runs.
+pub fn epilogue_forward(z: &Tensor, e: &Epilogue) -> Tensor {
+    epilogue_lanes(&Lanes::pack(z), e).unpack_like(z)
+}
+
+/// The backward pass of [`epilogue_forward`] from the gradient `dy` at
+/// its output, recomputed from `z`: `(dz, dscale, dbias)`, the
+/// scale-bias gradients (empty without scale-bias) summed as per-image
+/// subtotals in image order.
+pub fn epilogue_backward(z: &Tensor, e: &Epilogue, dy: Tensor) -> (Tensor, Vec<f32>, Vec<f32>) {
+    let (dz, ds, db) = epilogue_backward_lanes(&Lanes::pack(z), e, Lanes::pack(&dy));
+    (dz.unpack_like(z), ds, db)
+}
+
 /// Activation forward (element-wise, any rank): `max(x, 0)`, then
-/// `min(·, clip)` for the clipped variants. Element-wise, so the lane
-/// kernel runs on the tensor's own buffer.
+/// `min(·, clip)` for the clipped variants. Element-wise, so it runs on
+/// the tensor's own buffer.
 pub fn activation_forward(x: &Tensor, act: Activation) -> Tensor {
+    let clip = clip_of(act);
     let mut y = x.clone();
-    activate(y.data_mut(), act);
+    simd::dispatch(
+        simd::active_level(),
+        #[inline(always)]
+        || {
+            for v in y.data_mut() {
+                *v = activate(*v, clip);
+            }
+        },
+    );
     y
 }
 
@@ -520,7 +736,16 @@ pub fn activation_forward(x: &Tensor, act: Activation) -> Tensor {
 /// (non-clipped, positive) region, and where it was NaN.
 pub fn activation_backward(x: &Tensor, act: Activation, mut dy: Tensor) -> Tensor {
     assert_eq!(dy.shape(), x.shape(), "activation gradient shape mismatch");
-    activate_backward(x.data(), act, dy.data_mut());
+    let clip = clip_of(act);
+    simd::dispatch(
+        simd::active_level(),
+        #[inline(always)]
+        || {
+            for (g, &u) in dy.data_mut().iter_mut().zip(x.data()) {
+                *g = activate_grad(u, *g, clip);
+            }
+        },
+    );
     dy
 }
 

@@ -14,11 +14,9 @@
 //!   convolution kernels with a batch's images as the vector lanes
 //!   (the image-interleaved layout of [`network::Lanes`]: one pixel of a
 //!   channel is one vector of eight images), reading patch rows straight
-//!   from the interleaved buffers, register-blocked over output channels
-//!   and multi-threaded over output-channel blocks, with a
-//!   bit-reproducibility contract (any worker count, direct or naive —
-//!   same bits). Training never computes the gradient of the network
-//!   input.
+//!   from the interleaved buffers, register-blocked over output channels,
+//!   with a bit-reproducibility contract (direct or naive — same bits).
+//!   Training never computes the gradient of the network input.
 //! * [`simd`] — runtime-dispatched micro-kernels: the convolution and
 //!   layer kernels in a baseline and an AVX2 build, selected once per
 //!   process from CPU feature detection (override with
@@ -29,7 +27,9 @@
 //!   activation and scale-bias loops the fast kernels are verified
 //!   against.
 //! * [`network`] — compiles a [`codesign_dnn::Dnn`] into an executable,
-//!   trainable network; SGD with momentum.
+//!   trainable network of Bundle stages (a convolution and the
+//!   scale-bias, activation and max pooling after it, run as one pass
+//!   each way); SGD with momentum.
 //! * [`quantized`] — post-training int8 / int16 quantized inference.
 //!   Besides the fake-quantized float path that mirrors the
 //!   accelerator's rounding, the Int8 scheme compiles to a real integer

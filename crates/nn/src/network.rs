@@ -1,13 +1,31 @@
 //! Executable, trainable networks compiled from the co-design DNN IR.
+//!
+//! A network runs in **Bundle stages**, the software form of the
+//! paper's pipelined IP chain (conv → BN → activation → pool). A stage
+//! is a convolution or depth-wise convolution plus the scale-bias,
+//! activation and max pooling that follow it in the IR, in that order;
+//! each is optional, and any other layer (average pooling, GAP, an op
+//! that follows no convolution) is a stage of its own. The stages are
+//! grouped once, when the network is compiled.
+//!
+//! Forward, a stage is one lane pass: the convolution writes its output
+//! row band by row band, and the stage's [`Epilogue`] turns each band
+//! into the stage output while it is still in L1. A stage writes two
+//! tensors, its convolution output and its output. Backward, one pass
+//! per stage recomputes the scale-bias, the activation mask and each
+//! pool window's maximum from the cached convolution output, and turns
+//! the stage output's gradient into the convolution output's, which the
+//! convolution's backward pass takes. Every bit is the one the layers
+//! give run one by one: the epilogue and the standalone layers share
+//! their per-element arithmetic and its order (see [`crate::layers`]).
 
 use crate::engine::{
     conv_backward_lanes, conv_forward_lanes, dwconv_backward_lanes, dwconv_forward_lanes, Engine,
 };
 pub use crate::lanes::Lanes;
 use crate::layers::{
-    activation_backward_lanes, activation_lanes, avgpool_backward_lanes, avgpool_lanes,
-    gap_backward_lanes, gap_lanes, maxpool_backward_lanes, maxpool_lanes,
-    scale_bias_backward_lanes, scale_bias_lanes, ConvParams, DwConvParams, ScaleBiasParams,
+    avgpool_backward_lanes, avgpool_lanes, epilogue_backward_lanes, epilogue_lanes,
+    gap_backward_lanes, gap_lanes, ConvParams, DwConvParams, Epilogue, ScaleBiasParams,
 };
 use crate::tensor::Tensor;
 use codesign_dnn::layer::{LayerOp, PoolKind};
@@ -16,6 +34,7 @@ use codesign_dnn::Dnn;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
+use std::ops::Range;
 
 /// Errors from compiling a DNN into an executable network.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,16 +79,70 @@ pub enum NnLayer {
 impl NnLayer {
     /// Runs the layer on a packed batch on `engine`.
     pub(crate) fn forward(&self, x: &Lanes, engine: Engine) -> Lanes {
+        let none = Epilogue::default();
         match self {
-            NnLayer::Conv(p) => conv_forward_lanes(x, p, engine),
-            NnLayer::DwConv(p) => dwconv_forward_lanes(x, p, engine),
-            NnLayer::MaxPool(k) => maxpool_lanes(x, *k),
+            NnLayer::Conv(p) => conv_forward_lanes(x, p, &none, engine).0,
+            NnLayer::DwConv(p) => dwconv_forward_lanes(x, p, &none, engine).0,
             NnLayer::AvgPool(k) => avgpool_lanes(x, *k),
-            NnLayer::ScaleBias(p) => scale_bias_lanes(x, p),
-            NnLayer::Act(a) => activation_lanes(x, *a),
             NnLayer::Gap => gap_lanes(x),
+            op => epilogue_lanes(x, &op.epilogue().expect("an epilogue op")),
         }
     }
+
+    /// The layer as the epilogue of its one op: scale-bias, an
+    /// activation or max pooling.
+    fn epilogue(&self) -> Option<Epilogue<'_>> {
+        let mut e = Epilogue::default();
+        match self {
+            NnLayer::ScaleBias(p) => e.scale_bias = Some(p),
+            NnLayer::Act(a) => e.act = Some(*a),
+            NnLayer::MaxPool(k) => e.pool = Some(*k),
+            _ => return None,
+        }
+        Some(e)
+    }
+}
+
+/// The epilogue of `ops`, or `None` when one of them is not an epilogue
+/// op or comes out of the scale-bias → activation → pool order.
+fn epilogue_of(ops: &[NnLayer]) -> Option<Epilogue<'_>> {
+    let mut e = Epilogue::default();
+    for op in ops {
+        let next = op.epilogue()?;
+        let after = match (&next.scale_bias, &next.act) {
+            (Some(_), _) => e.scale_bias.is_none() && e.act.is_none() && e.pool.is_none(),
+            (_, Some(_)) => e.act.is_none() && e.pool.is_none(),
+            _ => e.pool.is_none(),
+        };
+        if !after {
+            return None;
+        }
+        e = Epilogue {
+            scale_bias: e.scale_bias.or(next.scale_bias),
+            act: e.act.or(next.act),
+            pool: e.pool.or(next.pool),
+        };
+    }
+    Some(e)
+}
+
+/// Groups `layers` into stages (see the module docs): each convolution
+/// with the longest run of epilogue ops after it, every other layer
+/// alone.
+fn stages(layers: &[NnLayer]) -> Vec<Range<usize>> {
+    let mut stages = Vec::new();
+    let mut start = 0;
+    while start < layers.len() {
+        let mut end = start + 1;
+        if matches!(layers[start], NnLayer::Conv(_) | NnLayer::DwConv(_)) {
+            while end < layers.len() && epilogue_of(&layers[start + 1..=end]).is_some() {
+                end += 1;
+            }
+        }
+        stages.push(start..end);
+        start = end;
+    }
+    stages
 }
 
 /// Gradient and momentum buffers of one layer (empty for parameter-free
@@ -104,6 +177,8 @@ struct LayerState {
 #[derive(Debug, Clone)]
 pub struct Network {
     layers: Vec<NnLayer>,
+    /// The layers of each stage, grouped once (see the module docs).
+    stages: Vec<Range<usize>>,
     state: Vec<LayerState>,
     input_shape: [usize; 3],
     engine: Engine,
@@ -154,10 +229,11 @@ impl Network {
         let state = layers.iter().map(|_| LayerState::default()).collect();
         let s = dnn.input_shape();
         Ok(Self {
+            stages: stages(&layers),
             layers,
             state,
             input_shape: [s.c, s.h, s.w],
-            engine: Engine::default().resolved(),
+            engine: Engine::default(),
         })
     }
 
@@ -173,12 +249,10 @@ impl Network {
 
     /// Selects the convolution compute engine. The engine changes *how*
     /// convolutions execute, never *what* they compute: results are
-    /// bit-identical across engines and worker counts. An `Auto` worker
-    /// count is pinned to the core count here, once, so the per-layer
-    /// hot path never re-queries the scheduler.
+    /// bit-identical across engines.
     #[must_use]
     pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine.resolved();
+        self.engine = engine;
         self
     }
 
@@ -204,19 +278,18 @@ impl Network {
     /// (see [`Tensor::stack`]): an image gives one output vector, a
     /// batch one output row per image. Row `i` of a batch's output is
     /// bit-identical to the output of image `i` alone. The input is
-    /// packed once and every layer runs on the image-interleaved layout
+    /// packed once and every stage runs on the image-interleaved layout
     /// of [`Lanes`].
     pub fn forward(&self, x: &Tensor) -> Tensor {
-        let mut lanes = Lanes::pack(x);
-        for layer in &self.layers {
-            lanes = layer.forward(&lanes, self.engine);
-        }
-        lanes.unpack_like(x)
+        self.run(Lanes::pack(x), None).unpack_like(x)
     }
 
-    /// Training forward pass over an image or a batch: returns the
-    /// output and the per-layer input cache required by
-    /// [`Network::backward`].
+    /// Training forward pass over an image or a batch: the same stage
+    /// pass as [`Network::forward`], returning the output and the cache
+    /// [`Network::backward`] reads, one slot per layer. A stage's first
+    /// slot holds its input; a convolution stage with an epilogue keeps
+    /// its convolution output in the second slot and leaves the rest
+    /// empty.
     pub fn forward_train(&self, x: &Tensor) -> (Tensor, Vec<Lanes>) {
         let (out, cache) = self.forward_train_lanes(Lanes::pack(x));
         (out.unpack_like(x), cache)
@@ -225,18 +298,42 @@ impl Network {
     /// [`Network::forward_train`] on a packed batch.
     pub(crate) fn forward_train_lanes(&self, x: Lanes) -> (Lanes, Vec<Lanes>) {
         let mut cache = Vec::with_capacity(self.layers.len());
-        let mut x = x;
-        for layer in &self.layers {
-            let y = layer.forward(&x, self.engine);
-            cache.push(std::mem::replace(&mut x, y));
+        let out = self.run(x, Some(&mut cache));
+        (out, cache)
+    }
+
+    /// Runs every stage on a packed batch, filling `cache` when given.
+    fn run(&self, mut x: Lanes, mut cache: Option<&mut Vec<Lanes>>) -> Lanes {
+        for stage in &self.stages {
+            let tail = &self.layers[stage.start + 1..stage.end];
+            let epi = epilogue_of(tail).expect("a stage ends at its epilogue");
+            let (z, y) = match &self.layers[stage.start] {
+                NnLayer::Conv(p) => conv_forward_lanes(&x, p, &epi, self.engine),
+                NnLayer::DwConv(p) => dwconv_forward_lanes(&x, p, &epi, self.engine),
+                op => (op.forward(&x, self.engine), None),
+            };
+            let Some(cache) = cache.as_deref_mut() else {
+                x = y.unwrap_or(z);
+                continue;
+            };
+            cache.push(x);
+            x = match y {
+                Some(y) => {
+                    cache.push(z);
+                    cache.resize_with(cache.len() + tail.len() - 1, Lanes::default);
+                    y
+                }
+                None => z,
+            };
         }
-        (x, cache)
+        x
     }
 
     /// Backward pass: accumulates parameter gradients from `grad_out`
     /// (the loss gradient w.r.t. the output of
     /// [`Network::forward_train`], one row per image for a batch) using
-    /// that pass's cache.
+    /// that pass's cache, one pass per stage: the epilogue's gradient
+    /// routing, then the convolution's backward pass.
     ///
     /// Parameter gradients are summed over a batch as **per-image
     /// subtotals in image order**, so one batched call accumulates
@@ -253,11 +350,20 @@ impl Network {
         assert_eq!(cache.len(), self.layers.len(), "stale training cache");
         let engine = self.engine;
         let mut g = Lanes::pack_rows(grad_out);
-        for (i, layer) in self.layers.iter().enumerate().rev() {
+        for stage in self.stages.iter().rev() {
+            let i = stage.start;
+            if stage.len() > 1 {
+                let epi = epilogue_of(&self.layers[i + 1..stage.end]).expect("a stage epilogue");
+                let (dz, ds, db) = epilogue_backward_lanes(&cache[i + 1], &epi, g);
+                if epi.scale_bias.is_some() {
+                    accumulate(&mut self.state[i + 1], &ds, &db);
+                }
+                g = dz;
+            }
             let x = &cache[i];
             // Layer 0's input gradient is the network input's, which
             // nothing reads: its convolutions skip that pass.
-            g = match layer {
+            g = match &self.layers[i] {
                 NnLayer::Conv(p) => {
                     let (dx, dw, db) = conv_backward_lanes(x, p, &g, engine, i > 0);
                     accumulate(&mut self.state[i], &dw, &db);
@@ -270,15 +376,16 @@ impl Network {
                     let Some(dx) = dx else { break };
                     dx
                 }
-                NnLayer::MaxPool(k) => maxpool_backward_lanes(x, *k, &g),
                 NnLayer::AvgPool(k) => avgpool_backward_lanes(x, *k, &g),
-                NnLayer::ScaleBias(p) => {
-                    let (dx, ds, db) = scale_bias_backward_lanes(x, p, g);
-                    accumulate(&mut self.state[i], &ds, &db);
+                NnLayer::Gap => gap_backward_lanes(x, &g),
+                op => {
+                    let epi = op.epilogue().expect("an epilogue op");
+                    let (dx, ds, db) = epilogue_backward_lanes(x, &epi, g);
+                    if epi.scale_bias.is_some() {
+                        accumulate(&mut self.state[i], &ds, &db);
+                    }
                     dx
                 }
-                NnLayer::Act(a) => activation_backward_lanes(x, *a, g),
-                NnLayer::Gap => gap_backward_lanes(x, &g),
             };
         }
     }

@@ -90,12 +90,11 @@ fn requant(v: f32, (lo, hi): CodeRange) -> f32 {
     r.max(lo as f32).min(hi as f32) + 0.0
 }
 
-/// Runs `prog` over a batch of codes at SIMD `level`, `threads`
-/// workers per convolution.
-pub(crate) fn run(prog: &[QOp], mut x: Lanes, level: SimdLevel, threads: usize) -> Lanes {
+/// Runs `prog` over a batch of codes at SIMD `level`.
+pub(crate) fn run(prog: &[QOp], mut x: Lanes, level: SimdLevel) -> Lanes {
     for step in prog {
         if let Some(op) = &step.op {
-            x = op.run(level, &x, threads);
+            x = op.run(level, &x);
         }
         requantize(level, &mut x, step.affine.as_ref(), step.range);
     }
@@ -103,7 +102,7 @@ pub(crate) fn run(prog: &[QOp], mut x: Lanes, level: SimdLevel, threads: usize) 
 }
 
 impl LaneOp {
-    fn run(&self, level: SimdLevel, x: &Lanes, threads: usize) -> Lanes {
+    fn run(&self, level: SimdLevel, x: &Lanes) -> Lanes {
         let (n, cin, h, w) = x.dims();
         match self {
             LaneOp::Conv {
@@ -121,7 +120,7 @@ impl LaneOp {
                     k: *k,
                     depthwise: *depthwise,
                 };
-                let y = conv_codes(level, &s, x.data(), weights, threads);
+                let y = conv_codes(level, &s, x.data(), weights);
                 Lanes::from_data(n, *cout, h, w, y)
             }
             LaneOp::MaxPool(k) => maxpool_lanes(x, *k),
@@ -146,13 +145,7 @@ impl LaneOp {
 ///
 /// Panics when one output sums more than 2^16 taps, or one input
 /// channel's `k x k` taps exceed one exact chain.
-fn conv_codes(
-    level: SimdLevel,
-    s: &ConvShape,
-    x: &[f32],
-    weights: &[f32],
-    threads: usize,
-) -> Vec<f32> {
+fn conv_codes(level: SimdLevel, s: &ConvShape, x: &[f32], weights: &[f32]) -> Vec<f32> {
     let kk = s.k * s.k;
     let taps = s.patch_channels() * kk;
     assert!(
@@ -161,7 +154,7 @@ fn conv_codes(
     );
     assert!(kk <= MAX_EXACT_TAPS, "a {0}x{0} kernel is not exact", s.k);
     if taps <= MAX_EXACT_TAPS {
-        return correlate_lanes(level, s, x, weights, None, s.k / 2, threads);
+        return correlate_lanes(level, s, x, weights, None, s.k / 2, None);
     }
     let (plane, chunk) = (s.h * s.w * LANES, MAX_EXACT_TAPS / kk);
     let mut acc = vec![0i32; s.n.div_ceil(LANES) * s.cout * plane];
@@ -181,7 +174,7 @@ fn conv_codes(
             .flat_map(|row| &row[ics.start * kk..ics.end * kk])
             .copied()
             .collect();
-        let y = correlate_lanes(level, &part, &xs, &ws, None, s.k / 2, threads);
+        let y = correlate_lanes(level, &part, &xs, &ws, None, s.k / 2, None);
         for (a, v) in acc.iter_mut().zip(y) {
             *a += v as i32;
         }
@@ -284,9 +277,9 @@ mod tests {
     }
 
     /// [`conv_codes`] over planar codes.
-    fn conv(level: SimdLevel, s: &ConvShape, x: &[f32], wts: &[f32], threads: usize) -> Vec<f32> {
+    fn conv(level: SimdLevel, s: &ConvShape, x: &[f32], wts: &[f32]) -> Vec<f32> {
         let plane = s.h * s.w;
-        let y = conv_codes(level, s, &interleave(x, s.n, s.cin * plane), wts, threads);
+        let y = conv_codes(level, s, &interleave(x, s.n, s.cin * plane), wts);
         deinterleave(&y, s.n, s.cout * plane)
     }
 
@@ -314,20 +307,13 @@ mod tests {
             let wts = codes(s.weights_len(), 11, (-127, 127));
             let expect = naive(&s, &x, &wts);
             for level in available_levels() {
-                for threads in [1, 4] {
-                    assert_eq!(
-                        conv(level, &s, &x, &wts, threads),
-                        expect,
-                        "{level} x{threads} at {s:?}"
-                    );
-                }
+                assert_eq!(conv(level, &s, &x, &wts), expect, "{level} at {s:?}");
             }
         }
     }
 
     /// A convolution program step — the lane kernel, then the
-    /// epilogue — gives the same bytes at every SIMD level and worker
-    /// count.
+    /// epilogue — gives the same bytes at every SIMD level.
     #[test]
     fn int8_conv_programs_agree_across_levels_and_workers() {
         for (n, cin, cout, hw, k, dw) in SHAPES {
@@ -346,20 +332,14 @@ mod tests {
                 range: FULL,
             };
             let x = Tensor::from_vec(&[n, cin, hw.0, hw.1], codes(n * cin * hw.0 * hw.1, 5, FULL));
-            let run_at = |level, threads| {
-                let y = run(std::slice::from_ref(&step), Lanes::pack(&x), level, threads);
+            let run_at = |level| {
+                let y = run(std::slice::from_ref(&step), Lanes::pack(&x), level);
                 let y = y.unpack_like(&x);
                 y.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
             };
-            let expect = run_at(SimdLevel::Scalar, 1);
+            let expect = run_at(SimdLevel::Scalar);
             for level in available_levels() {
-                for threads in [1, 4] {
-                    assert_eq!(
-                        run_at(level, threads),
-                        expect,
-                        "{level} x{threads} at {s:?}"
-                    );
-                }
+                assert_eq!(run_at(level), expect, "{level} at {s:?}");
             }
         }
     }
@@ -395,13 +375,13 @@ mod tests {
             }
             let expect = naive(&s, &x, &wts);
             for level in available_levels() {
-                assert_eq!(conv(level, &s, &x, &wts, 2), expect, "{level} at {s:?}");
+                assert_eq!(conv(level, &s, &x, &wts), expect, "{level} at {s:?}");
             }
         }
         let (h, w) = (256, 512);
         let x = Lanes::pack(&Tensor::full(&[1, h, w], 127.0));
         let sum = 127i64 * (h * w) as i64;
-        let mean = LaneOp::Gap.run(SimdLevel::Scalar, &x, 1);
+        let mean = LaneOp::Gap.run(SimdLevel::Scalar, &x);
         assert_eq!(mean.data()[0], sum as f32 / (h * w) as f32);
         assert_eq!(mean.data()[0], 127.0);
     }
@@ -410,13 +390,7 @@ mod tests {
     #[should_panic(expected = "exceed the i32 accumulator bound")]
     fn rejects_reductions_past_the_accumulator_bound() {
         let s = shape(1, MAX_TAPS + 1, 1, (1, 1), 1, false);
-        let _ = conv_codes(
-            SimdLevel::Scalar,
-            &s,
-            &[0.0; (MAX_TAPS + 1) * LANES],
-            &[],
-            1,
-        );
+        let _ = conv_codes(SimdLevel::Scalar, &s, &[0.0; (MAX_TAPS + 1) * LANES], &[]);
     }
 
     /// One step over a single image's codes.
@@ -427,7 +401,7 @@ mod tests {
             affine: None,
             range,
         }];
-        let y = run(&prog, Lanes::pack(&x), SimdLevel::Scalar, 1);
+        let y = run(&prog, Lanes::pack(&x), SimdLevel::Scalar);
         y.unpack_like(&x).data().to_vec()
     }
 
@@ -483,7 +457,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// Random shapes and worker counts: exact at every level.
+        /// Random shapes: exact at every level.
         #[test]
         fn prop_conv_codes_levels_and_threads_agree(
             n in 1usize..10,
@@ -493,7 +467,6 @@ mod tests {
             w in 1usize..12,
             k in 1usize..5,
             dw in 0u8..2,
-            threads in 1usize..6,
             stride in 1usize..50,
         ) {
             let s = shape(n, cin, cout, (h, w), k, dw == 1);
@@ -501,7 +474,7 @@ mod tests {
             let wts = codes(s.weights_len(), stride + 3, (-127, 127));
             let expect = naive(&s, &x, &wts);
             for level in available_levels() {
-                prop_assert_eq!(&conv(level, &s, &x, &wts, threads), &expect);
+                prop_assert_eq!(&conv(level, &s, &x, &wts), &expect);
             }
         }
     }

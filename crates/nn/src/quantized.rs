@@ -15,8 +15,8 @@
 //!   held as integer-valued floats in the image-interleaved layout and
 //!   run through the float lane kernels, whose sums over codes are
 //!   exact, with one scale-based requantization after every layer (the
-//!   private `qengine` program). Deterministic at every worker count
-//!   and SIMD level, and faster than the fake-quantized float path.
+//!   private `qengine` program). Deterministic at every SIMD level, and
+//!   faster than the fake-quantized float path.
 //!
 //! Comparing either path with the float output measures the accuracy
 //! cost of a quantization scheme — the signal behind the paper's
@@ -68,8 +68,8 @@ pub struct QuantizedNetwork {
 impl QuantizedNetwork {
     /// Quantizes a trained network under `scheme`. Weights are snapped
     /// to their per-layer grids here, once; `forward` calls only pay
-    /// for inference. The engine (worker count) is inherited from
-    /// `net` — override with [`QuantizedNetwork::with_engine`].
+    /// for inference. The engine is inherited from `net` — override
+    /// with [`QuantizedNetwork::with_engine`].
     pub fn quantize(net: &Network, scheme: Quantization) -> Self {
         let act_scale = activation_scale(scheme);
         let layers: Vec<NnLayer> = net
@@ -94,13 +94,12 @@ impl QuantizedNetwork {
         }
     }
 
-    /// Replaces the execution engine of both paths: the float kernels of
-    /// [`QuantizedNetwork::forward`] and the worker count of
-    /// [`QuantizedNetwork::forward_int8`]. Results are byte-identical on
-    /// every engine and at any worker count.
+    /// Replaces the execution engine of the float kernels of
+    /// [`QuantizedNetwork::forward`]. Results are byte-identical on every
+    /// engine.
     #[must_use]
     pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine.resolved();
+        self.engine = engine;
         self
     }
 
@@ -139,8 +138,8 @@ impl QuantizedNetwork {
     /// `N x C x H x W` batch: the input is packed and quantized to `i8`
     /// codes once, every layer runs on codes (the private `qengine`
     /// program), and the final codes are dequantized to `f32`.
-    /// Deterministic: byte-identical at every worker count and SIMD
-    /// level, and row `i` of a batch's output to image `i` alone.
+    /// Deterministic: byte-identical at every SIMD level, and row `i` of
+    /// a batch's output to image `i` alone.
     ///
     /// # Panics
     ///
@@ -156,7 +155,7 @@ impl QuantizedNetwork {
         for v in x.data_mut() {
             *v = self.scheme.quantize(*v, act_scale) as f32;
         }
-        let mut y = qengine::run(prog, x, simd::active_level(), self.engine.threads());
+        let mut y = qengine::run(prog, x, simd::active_level());
         for v in y.data_mut() {
             *v = self.scheme.dequantize(*v as i32, act_scale);
         }

@@ -8,10 +8,14 @@
 //! module keeps a small per-thread pool of retired buffers and hands
 //! them back out on request.
 //!
-//! Per-*thread* is the right granularity because the worker threads
-//! are now persistent (see `codesign_parallel::WorkerPool`): each pool
-//! worker and each caller thread warms up its own buffer set once and
-//! then reuses it for the rest of the process. No locking, no
+//! A dropped [`crate::lanes::Lanes`] batch returns its buffer here too,
+//! so a training's activations, caches and gradients reuse warm memory
+//! from one step to the next.
+//!
+//! Per-*thread* is the right granularity because the kernels run on the
+//! thread that calls them, and threads are persistent (see
+//! `codesign_parallel::WorkerPool`): each warms up its own buffer set
+//! once and then reuses it for the rest of the process. No locking, no
 //! cross-thread traffic, no change in results — a buffer's contents
 //! are either fully overwritten ([`take`]) or explicitly zeroed
 //! ([`take_zeroed`]) before use.

@@ -1,6 +1,6 @@
 //! The SIMD-dispatch contract: every instruction level the hardware
 //! offers — scalar, AVX2 — produces **bit-identical** GEMM results at
-//! every shape and worker count.
+//! every shape.
 //!
 //! For the f32 implicit-GEMM convolutions that holds because every
 //! level advances the same per-element accumulation chains in the
@@ -27,11 +27,11 @@ fn rng_codes(len: usize, (lo, hi): (i32, i32), rng: &mut StdRng) -> Vec<f32> {
 
 /// The int8 engine's convolution: activation codes against weight
 /// codes, seeded with zero.
-fn int8_conv_at(level: SimdLevel, s: &ConvShape, threads: usize, seed: u64) -> Vec<u32> {
+fn int8_conv_at(level: SimdLevel, s: &ConvShape, seed: u64) -> Vec<u32> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
     let x = rng_codes(s.n * s.cin * s.h * s.w, (-128, 128), &mut rng);
     let wts = rng_codes(s.weights_len(), (-127, 128), &mut rng);
-    bits(&correlate(level, s, &x, &wts, None, s.k / 2, threads))
+    bits(&correlate(level, s, &x, &wts, None, s.k / 2))
 }
 
 #[test]
@@ -45,32 +45,16 @@ fn bits(v: &[f32]) -> Vec<u32> {
 }
 
 /// Forward, backward-data (transposed padding) and weight-gradient
-/// results of one shape at one level and worker count.
-fn f32_conv_at(level: SimdLevel, s: &ConvShape, threads: usize, rng: &mut StdRng) -> Vec<Vec<u32>> {
+/// results of one shape at one level.
+fn f32_conv_at(level: SimdLevel, s: &ConvShape, rng: &mut StdRng) -> Vec<Vec<u32>> {
     let x = rng_vec(s.n * s.cin * s.h * s.w, rng);
     let wts = rng_vec(s.weights_len(), rng);
     let bias = rng_vec(s.cout, rng);
     let dy = rng_vec(s.n * s.cout * s.h * s.w, rng);
     vec![
-        bits(&correlate(
-            level,
-            s,
-            &x,
-            &wts,
-            Some(&bias),
-            s.k / 2,
-            threads,
-        )),
-        bits(&correlate(
-            level,
-            s,
-            &x,
-            &wts,
-            None,
-            s.k - 1 - s.k / 2,
-            threads,
-        )),
-        bits(&weight_grads(level, s, &x, &dy, threads)),
+        bits(&correlate(level, s, &x, &wts, Some(&bias), s.k / 2)),
+        bits(&correlate(level, s, &x, &wts, None, s.k - 1 - s.k / 2)),
+        bits(&weight_grads(level, s, &x, &dy)),
     ]
 }
 
@@ -108,12 +92,10 @@ fn f32_gemm_levels_agree_on_awkward_shapes() {
         (1, 4, 4, (3, 6), 5, true),
     ] {
         let s = conv_shape(n, cin, cout, hw, k, dw);
-        let baseline = f32_conv_at(SimdLevel::Scalar, &s, 1, &mut StdRng::seed_from_u64(41));
+        let baseline = f32_conv_at(SimdLevel::Scalar, &s, &mut StdRng::seed_from_u64(41));
         for level in available_levels() {
-            for threads in [1, 3, 4] {
-                let out = f32_conv_at(level, &s, threads, &mut StdRng::seed_from_u64(41));
-                assert_eq!(out, baseline, "f32 {level} x{threads} diverges at {s:?}");
-            }
+            let out = f32_conv_at(level, &s, &mut StdRng::seed_from_u64(41));
+            assert_eq!(out, baseline, "f32 {level} diverges at {s:?}");
         }
     }
 }
@@ -128,15 +110,13 @@ fn int8_codes_agree_across_levels_on_awkward_shapes() {
         (2, 9, 9, (6, 13), 3, true),
     ] {
         let s = conv_shape(n, cin, cout, hw, k, dw);
-        let baseline = int8_conv_at(SimdLevel::Scalar, &s, 1, 43);
+        let baseline = int8_conv_at(SimdLevel::Scalar, &s, 43);
         for level in available_levels() {
-            for threads in [1, 4] {
-                assert_eq!(
-                    int8_conv_at(level, &s, threads, 43),
-                    baseline,
-                    "int8 {level} x{threads} diverges at {s:?}"
-                );
-            }
+            assert_eq!(
+                int8_conv_at(level, &s, 43),
+                baseline,
+                "int8 {level} diverges at {s:?}"
+            );
         }
     }
 }
@@ -144,7 +124,7 @@ fn int8_codes_agree_across_levels_on_awkward_shapes() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random shapes, data, worker counts: all levels, bit-identical.
+    /// Random shapes and data: all levels, bit-identical.
     #[test]
     fn prop_f32_gemm_is_level_invariant(
         n in 1usize..3,
@@ -154,19 +134,18 @@ proptest! {
         w in 1usize..20,
         k in 1usize..5,
         dw in 0u8..2,
-        threads in 1usize..6,
         seed in 0u64..1024,
     ) {
         let s = conv_shape(n, cin, cout, (h, w), k, dw == 1);
-        let baseline = f32_conv_at(SimdLevel::Scalar, &s, 1, &mut StdRng::seed_from_u64(seed));
+        let baseline = f32_conv_at(SimdLevel::Scalar, &s, &mut StdRng::seed_from_u64(seed));
         for level in available_levels() {
-            let out = f32_conv_at(level, &s, threads, &mut StdRng::seed_from_u64(seed));
+            let out = f32_conv_at(level, &s, &mut StdRng::seed_from_u64(seed));
             prop_assert_eq!(&out, &baseline);
         }
     }
 
-    /// Convolutions over int8 codes sum exactly: every level and
-    /// worker count returns the same bytes.
+    /// Convolutions over int8 codes sum exactly: every level returns
+    /// the same bytes.
     #[test]
     fn prop_int8_codes_are_level_invariant(
         n in 1usize..10,
@@ -176,13 +155,12 @@ proptest! {
         w in 1usize..12,
         k in 1usize..5,
         dw in 0u8..2,
-        threads in 1usize..6,
         seed in 0u64..1024,
     ) {
         let s = conv_shape(n, cin, cout, (h, w), k, dw == 1);
-        let baseline = int8_conv_at(SimdLevel::Scalar, &s, 1, seed);
+        let baseline = int8_conv_at(SimdLevel::Scalar, &s, seed);
         for level in available_levels() {
-            prop_assert_eq!(&int8_conv_at(level, &s, threads, seed), &baseline);
+            prop_assert_eq!(&int8_conv_at(level, &s, seed), &baseline);
         }
     }
 }
