@@ -163,23 +163,29 @@ impl Layout {
 
     /// The source of every plane of `x`: `x` itself for `k = 1`
     /// (`None`), else one zero-padded copy with `pad` rows and columns
-    /// before each plane and zeros after.
+    /// before each plane and zeros after. Only the border is zeroed:
+    /// the rest is the copy.
     fn padded(&self, x: &[f32], s: &ConvShape, pad: usize) -> Option<Vec<f32>> {
         if s.k == 1 {
             return None;
         }
         let (row, stride) = (s.w * LANES, self.geometry.2 * LANES);
         let planes = x.len() / (s.h * row);
-        let mut out = scratch::take_zeroed(planes * self.src_plane * LANES);
+        let mut out = scratch::take(planes * self.src_plane * LANES);
         for (src, dst) in x
             .chunks_exact(s.h * row)
             .zip(out.chunks_exact_mut(self.src_plane * LANES))
         {
-            for (r, drow) in src
-                .chunks_exact(row)
-                .zip(dst[pad * stride..].chunks_exact_mut(stride))
-            {
-                drow[pad * LANES..pad * LANES + row].copy_from_slice(r);
+            let (top, rest) = dst.split_at_mut(pad * stride);
+            let (body, bottom) = rest.split_at_mut(s.h * stride);
+            top.fill(0.0);
+            bottom.fill(0.0);
+            for (r, drow) in src.chunks_exact(row).zip(body.chunks_exact_mut(stride)) {
+                let (left, rest) = drow.split_at_mut(pad * LANES);
+                let (mid, right) = rest.split_at_mut(row);
+                left.fill(0.0);
+                mid.copy_from_slice(r);
+                right.fill(0.0);
             }
         }
         Some(out)

@@ -39,7 +39,7 @@ pub struct Lanes {
 impl Lanes {
     /// A zeroed batch of `n` images of `c x h x w`.
     pub(crate) fn zeros(n: usize, c: usize, h: usize, w: usize) -> Lanes {
-        let data = vec![0.0; n.div_ceil(LANES) * c * h * w * LANES];
+        let data = scratch::take_zeroed(n.div_ceil(LANES) * c * h * w * LANES);
         Lanes::from_data(n, c, h, w, data)
     }
 

@@ -141,6 +141,10 @@ impl ScaleBiasParams {
 /// One pixel of one channel: a vector of eight images.
 type Vector = [f32; LANES];
 
+/// One max-pool window in a backward band: its strict maximum, and an
+/// all-ones mask on every lane whose gradient it has still to route.
+type Window = (Vector, [u32; LANES]);
+
 /// Folded batch-norm of one value: a multiply, then an add. Never one
 /// fused multiply-add, whose single rounding gives other bits.
 #[inline(always)]
@@ -278,12 +282,10 @@ impl Epilogue<'_> {
     /// holds the output gradient on entry and is rewritten in place;
     /// pooled, `pooled` holds it and every element of `g` is written.
     #[inline(always)]
-    #[allow(clippy::too_many_arguments)] // one plane's whole geometry
     fn backward_plane(
         &self,
         c: usize,
         w: usize,
-        win: &[usize],
         z: &[f32],
         pooled: &[f32],
         g: &mut [f32],
@@ -294,20 +296,34 @@ impl Epilogue<'_> {
             ops.mask_rows(z, g, sums);
             return;
         };
-        // Pool one band of `k` rows, then mask it while it is in L1.
-        let (band, ow) = (k * w * LANES, w / k);
+        // One band of `k` rows at a time, in L1: each window's strict
+        // maximum, then row by row the routed gradient, masked and scaled.
+        let (row, ow) = (w * LANES, w / k);
         let bands = if ow == 0 {
             0
         } else {
             pooled.len() / (ow * LANES)
         };
+        let mut wins = vec![([0.0; LANES], [0; LANES]); ow];
         for b in 0..bands {
-            let (zb, gb) = (&z[b * band..][..band], &mut g[b * band..][..band]);
-            ops.route(w, win, zb, &pooled[b * ow * LANES..][..ow * LANES], gb);
-            ops.mask_rows(zb, gb, sums);
+            let (zb, gb) = (
+                &z[b * k * row..][..k * row],
+                &mut g[b * k * row..][..k * row],
+            );
+            ops.window_maxima(k, zb, &mut wins);
+            for (zr, gr) in zb.chunks_exact(row).zip(gb.chunks_exact_mut(row)) {
+                ops.route_row(
+                    k,
+                    zr,
+                    &pooled[b * ow * LANES..][..ow * LANES],
+                    gr,
+                    &mut wins,
+                );
+                ops.mask_rows(zr, gr, sums);
+            }
         }
         // Rows below the last whole window get a zero gradient.
-        let rest = bands * band;
+        let rest = bands * k * row;
         g[rest..].fill(0.0);
         ops.mask_rows(&z[rest..], &mut g[rest..], sums);
     }
@@ -332,51 +348,59 @@ impl ChannelOps {
         }
     }
 
-    /// Max-pooling backward over one band of `k` rows, window elements
-    /// at offsets `win`: each window's gradient lands on its first
-    /// strict maximum in row-major order, scanning from the window's
-    /// first element (so an all-`-inf` or all-NaN window routes there),
-    /// as `0.0 + g`; every other element, leftover columns included,
-    /// gets `0.0`.
-    ///
-    /// The scan's last strict maximum is the first element equal to the
-    /// window's strict maximum, so every lane runs branch-free: one pass
-    /// for the maximum, and one that routes to the first element equal
-    /// to it.
+    /// Each window's strict maximum of the pool's input over one band
+    /// of `k` rows (`z`), and every lane of it still to route: the state
+    /// [`ChannelOps::route_row`] reads.
     #[inline(always)]
-    fn route(&self, w: usize, win: &[usize], z: &[f32], pooled: &[f32], g: &mut [f32]) {
-        let k = self.pool.unwrap_or(1);
-        // The pool's input, computed once per element into `g`: each
-        // window reads only its own elements before routing over them.
-        for (gv, zv) in g.chunks_exact_mut(LANES).zip(z.chunks_exact(LANES)) {
-            gv.copy_from_slice(&self.post(self.pre(px(zv, 0))));
+    fn window_maxima(&self, k: usize, z: &[f32], wins: &mut [Window]) {
+        for (best, todo) in wins.iter_mut() {
+            *best = [f32::NEG_INFINITY; LANES];
+            *todo = [u32::MAX; LANES];
         }
-        for (ox, gp) in pooled.chunks_exact(LANES).enumerate() {
-            let first = ox * k * LANES;
-            let mut best = [f32::NEG_INFINITY; LANES];
-            for &t in win {
-                for (b, &v) in best.iter_mut().zip(px(g, first + t)) {
-                    *b = if v > *b { v } else { *b };
+        for zr in z.chunks_exact(z.len() / k) {
+            for ((best, _), zw) in wins.iter_mut().zip(zr.chunks_exact(k * LANES)) {
+                // A local copy stays in a register.
+                let mut m = *best;
+                for zv in zw.chunks_exact(LANES) {
+                    for (b, v) in m.iter_mut().zip(self.post(self.pre(px(zv, 0)))) {
+                        *b = if v > *b { v } else { *b };
+                    }
                 }
+                *best = m;
             }
-            // Lane masks, all ones or zero: bit operations keep the
-            // lanes one vector.
+        }
+    }
+
+    /// Max-pooling backward over one row `z` of a band: each window's
+    /// gradient (in `pooled`) lands on its first strict maximum in
+    /// row-major order, scanning from the window's first element (so an
+    /// all-`-inf` or all-NaN window routes there), as `0.0 + g`; every
+    /// other element of `g`, leftover columns included, gets `0.0`.
+    /// Rows run in order, each window keeping in `wins` the lanes it
+    /// has still to route; lane masks are all ones or zero, so every
+    /// lane stays in one vector.
+    #[inline(always)]
+    fn route_row(&self, k: usize, z: &[f32], pooled: &[f32], g: &mut [f32], wins: &mut [Window]) {
+        let windows = wins.iter_mut().zip(pooled.chunks_exact(LANES));
+        let elements = z.chunks_exact(k * LANES).zip(g.chunks_exact_mut(k * LANES));
+        for (((best, left), gp), (zw, gw)) in windows.zip(elements) {
+            // Local copies stay in registers.
+            let (best, mut todo) = (*best, *left);
             let none = best.map(|b| mask(b == f32::NEG_INFINITY));
             let gp = px(gp, 0).map(|g| (0.0 + g).to_bits());
-            let mut todo = [u32::MAX; LANES];
-            for &t in win {
-                let d = px_mut(g, first + t);
+            for (zv, gv) in zw.chunks_exact(LANES).zip(gw.chunks_exact_mut(LANES)) {
+                let a = self.post(self.pre(px(zv, 0)));
+                let mut routed = [0.0f32; LANES];
                 for l in 0..LANES {
-                    let hit = todo[l] & (mask(d[l] == best[l]) | none[l]);
+                    let hit = todo[l] & (mask(a[l] == best[l]) | none[l]);
                     todo[l] &= !hit;
-                    d[l] = f32::from_bits(gp[l] & hit);
+                    routed[l] = f32::from_bits(gp[l] & hit);
                 }
+                gv.copy_from_slice(&routed);
             }
+            *left = todo;
         }
-        let ow = pooled.len() / LANES;
-        for row in g.chunks_exact_mut(w * LANES) {
-            row[ow * k * LANES..].fill(0.0);
-        }
+        g[wins.len() * k * LANES..].fill(0.0);
     }
 
     /// The activation mask and the scale-bias backward over rows, in
@@ -493,7 +517,7 @@ pub(crate) fn epilogue_backward_lanes(
         Some(_) => (vec![0.0f32; c], vec![0.0f32; c]),
         None => (Vec::new(), Vec::new()),
     };
-    let (out_plane, win) = (oh * ow * LANES, e.window(w));
+    let out_plane = oh * ow * LANES;
     let planes = x.planes().zip(g.data_mut().chunks_exact_mut(h * w * LANES));
     simd::dispatch(
         simd::active_level(),
@@ -504,7 +528,7 @@ pub(crate) fn epilogue_backward_lanes(
                     .as_ref()
                     .map_or(&[][..], |p| &p.data()[i * out_plane..][..out_plane]);
                 let mut sums = ([0.0f32; LANES], [0.0f32; LANES]);
-                e.backward_plane(cc, w, &win, zp, p, gp, &mut sums);
+                e.backward_plane(cc, w, zp, p, gp, &mut sums);
                 if e.scale_bias.is_some() {
                     let valid = x.valid(i / c);
                     add_lanes(&mut ds[cc], &sums.0, valid);

@@ -65,8 +65,8 @@ pub(crate) fn take(len: usize) -> Vec<f32> {
 }
 
 /// Checks out a buffer of exactly `len` zeroed elements — for kernels
-/// that rely on zero initialization (materialized padding: the padded
-/// copies).
+/// that rely on zero initialization (the zeroed batches of
+/// [`crate::lanes::Lanes::zeros`]).
 pub(crate) fn take_zeroed(len: usize) -> Vec<f32> {
     if len == 0 {
         return Vec::new();

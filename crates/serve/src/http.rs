@@ -7,12 +7,56 @@
 //! the progress-event stream). Everything rides on `std::net::TcpStream`
 //! and blocking reads behind per-connection threads.
 
+use std::fmt;
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
+use std::time::{Duration, Instant};
 
 /// Maximum accepted request-body size (a co-design request is a few
 /// hundred bytes; anything larger is a client bug or abuse).
 pub const MAX_BODY_BYTES: usize = 1 << 20;
+
+/// Longest accepted request line or header line, line ending included.
+pub const MAX_LINE_BYTES: usize = 8 * 1024;
+
+/// Most header lines accepted in one request.
+pub const MAX_HEADERS: usize = 100;
+
+/// Why [`read_request`] refused a request whose request line or
+/// headers pass [`MAX_LINE_BYTES`] or [`MAX_HEADERS`]: the server
+/// answers `431 Request Header Fields Too Large`.
+#[derive(Debug)]
+pub struct HeadersTooLarge(&'static str);
+
+impl HeadersTooLarge {
+    /// Whether `err` is this refusal.
+    pub fn is(err: &io::Error) -> bool {
+        err.get_ref().is_some_and(|e| e.is::<HeadersTooLarge>())
+    }
+}
+
+impl fmt::Display for HeadersTooLarge {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.0)
+    }
+}
+
+impl std::error::Error for HeadersTooLarge {}
+
+/// Reads one line of at most [`MAX_LINE_BYTES`] into `line`: its
+/// length, 0 at end of stream. A line cut at the cap is refused, so a
+/// peer that never sends `\n` cannot make the reader buffer without
+/// bound.
+fn read_line_capped(reader: &mut impl BufRead, line: &mut String) -> io::Result<usize> {
+    let n = reader.take(MAX_LINE_BYTES as u64).read_line(line)?;
+    if n == MAX_LINE_BYTES && !line.ends_with('\n') {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            HeadersTooLarge("request header line too long"),
+        ));
+    }
+    Ok(n)
+}
 
 /// A parsed HTTP request.
 #[derive(Debug, Clone)]
@@ -56,7 +100,7 @@ impl Request {
 pub fn read_request(stream: &mut TcpStream) -> io::Result<Option<Request>> {
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+    if read_line_capped(&mut reader, &mut line)? == 0 {
         return Ok(None);
     }
     let mut parts = line.split_whitespace();
@@ -71,9 +115,9 @@ pub fn read_request(stream: &mut TcpStream) -> io::Result<Option<Request>> {
 
     let mut headers = Vec::new();
     let mut content_length = 0usize;
-    loop {
+    for lines in 0.. {
         let mut header_line = String::new();
-        if reader.read_line(&mut header_line)? == 0 {
+        if read_line_capped(&mut reader, &mut header_line)? == 0 {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "connection closed inside headers",
@@ -82,6 +126,12 @@ pub fn read_request(stream: &mut TcpStream) -> io::Result<Option<Request>> {
         let trimmed = header_line.trim_end();
         if trimmed.is_empty() {
             break;
+        }
+        if lines == MAX_HEADERS {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                HeadersTooLarge("too many request headers"),
+            ));
         }
         if let Some((name, value)) = trimmed.split_once(':') {
             let name = name.trim().to_lowercase();
@@ -120,9 +170,28 @@ fn reason(status: u16) -> &'static str {
         405 => "Method Not Allowed",
         409 => "Conflict",
         429 => "Too Many Requests",
+        431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
         503 => "Service Unavailable",
         _ => "Unknown",
+    }
+}
+
+/// Closes the write side, then reads and drops what the peer still
+/// sends, for at most [`MAX_BODY_BYTES`] and about half a second:
+/// closing with unread input would reset the connection, and the peer
+/// could lose the response it has not read yet.
+pub fn drain(stream: &mut TcpStream) {
+    const LINGER: Duration = Duration::from_millis(500);
+    let _ = stream.shutdown(Shutdown::Write);
+    let _ = stream.set_read_timeout(Some(LINGER));
+    let deadline = Instant::now() + LINGER;
+    let (mut buf, mut left) = ([0u8; 4096], MAX_BODY_BYTES);
+    while left > 0 && Instant::now() < deadline {
+        match stream.read(&mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => left = left.saturating_sub(n),
+        }
     }
 }
 

@@ -16,10 +16,13 @@
 //! | GET    | `/healthz`            | `200` per-subsystem health: `{"ok":B,"status":"ok|degraded","subsystems":{...}}` |
 //! | POST   | `/admin/shutdown`     | `200`, begins graceful shutdown (body: `{"policy":"drain"\|"cancel"}`, default drain) |
 //!
-//! Every error body is `{"error":"<message>"}`.
+//! Every error body is `{"error":"<message>"}`. Any request whose
+//! request line or a header line passes 8 KiB, or that sends more than
+//! 100 header lines, gets `431`.
 
 use crate::http::{
-    read_request, write_json_response, write_json_response_with, ChunkedWriter, Request,
+    drain, read_request, write_json_response, write_json_response_with, ChunkedWriter,
+    HeadersTooLarge, Request,
 };
 use crate::job::{CancelOutcome, JobLookup, Scheduler, ServeConfig, ShutdownPolicy, SubmitError};
 use crate::json::Json;
@@ -227,6 +230,11 @@ fn handle_connection(mut stream: TcpStream, scheduler: &Scheduler, control: &Ser
     let request = match read_request(&mut stream) {
         Ok(Some(request)) => request,
         Ok(None) => return,
+        Err(err) if HeadersTooLarge::is(&err) => {
+            let _ = write_json_response(&mut stream, 431, &error_body(&err.to_string()));
+            drain(&mut stream);
+            return;
+        }
         Err(err) => {
             let _ = write_json_response(&mut stream, 400, &error_body(&err.to_string()));
             return;

@@ -12,6 +12,8 @@ use codesign_serve::job::ServeConfig;
 use codesign_serve::json::{parse, Json};
 use codesign_serve::{Client, Server};
 use codesign_sim::device::pynq_z1;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::thread;
 
 fn small_body(seed: u64) -> String {
@@ -231,5 +233,52 @@ fn client_errors_get_client_status_codes() {
     let (status, body) = client.get("/healthz").unwrap();
     assert_eq!(status, 200);
     assert_eq!(parse(&body).unwrap().get("ok"), Some(&Json::Bool(true)));
+    server.shutdown();
+}
+
+/// Request headers are bounded: a 64 KiB header line with no newline
+/// and 101 header lines each get 431 — the line is read through an
+/// 8 KiB cap, never buffered whole — while 100 headers still make a
+/// request, and the server goes on answering.
+#[test]
+fn oversized_request_headers_get_431() {
+    let mut server = Server::start(ServeConfig {
+        max_queue: 4,
+        executors: 0,
+        ..ServeConfig::default()
+    })
+    .expect("start server");
+    let addr = server.addr();
+    let client = Client::new(addr);
+    let job_id = client.submit_job(&small_body(3)).expect("submit");
+    let raw = |request: &[u8]| -> String {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.write_all(request).expect("send");
+        let mut response = String::new();
+        stream
+            .read_to_string(&mut response)
+            .expect("read the response");
+        response
+    };
+    let headers = |count: usize| -> Vec<u8> {
+        let mut request = String::from("GET /healthz HTTP/1.1\r\n");
+        for i in 0..count {
+            request.push_str(&format!("X-Header-{i}: v\r\n"));
+        }
+        request.push_str("\r\n");
+        request.into_bytes()
+    };
+    let mut long_line = b"GET /healthz HTTP/1.1\r\nX-Long: ".to_vec();
+    long_line.resize(long_line.len() + 64 * 1024, b'a');
+    for request in [long_line, headers(101)] {
+        let response = raw(&request);
+        assert!(
+            response.starts_with("HTTP/1.1 431 Request Header Fields Too Large\r\n"),
+            "{response}"
+        );
+    }
+    assert!(raw(&headers(100)).starts_with("HTTP/1.1 200 "));
+    let (status, _) = client.get(&format!("/jobs/{job_id}")).expect("job status");
+    assert_eq!(status, 200);
     server.shutdown();
 }
