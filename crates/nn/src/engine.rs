@@ -83,10 +83,8 @@ fn shape_of(x: &Lanes, cin: usize, cout: usize, k: usize, depthwise: bool) -> Co
 }
 
 /// "Same" convolution forward pass: the output grid is the input grid
-/// for every kernel size (even-k kernels included). Returns the
-/// convolution output and, for a non-empty epilogue `epi`, the output of
-/// `epi` run over it: the direct kernels run it band by band as they
-/// write the convolution output, the reference path over its output.
+/// for every kernel size (even-k kernels included). Returns the output
+/// and, for a non-empty `epi`, the output of `epi` run over it.
 fn forward(
     x: &Lanes,
     s: &ConvShape,
@@ -98,10 +96,10 @@ fn forward(
 ) -> (Lanes, Option<Lanes>) {
     if engine == Engine::Reference {
         let z = x.map_images(reference);
-        let y = (!epi.is_empty()).then(|| epilogue_lanes(&z, epi));
+        let y = (*epi != Epilogue::default()).then(|| epilogue_lanes(&z, epi));
         return (z, y);
     }
-    let mut y = (!epi.is_empty()).then(|| {
+    let mut y = (*epi != Epilogue::default()).then(|| {
         let (oh, ow) = epi.out_dims(s.h, s.w);
         Lanes::uninit(s.n, s.cout, oh, ow)
     });

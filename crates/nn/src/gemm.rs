@@ -55,7 +55,7 @@
 use crate::lanes::{self, add_lanes, valid_lanes, LANES};
 use crate::layers::Epilogue;
 use crate::scratch;
-use crate::simd::{self, SimdLevel};
+use crate::simd::{self, f32_conv_pixels, SimdLevel};
 
 /// Weight-gradient taps per micro-kernel call when nine do not divide
 /// the taps.
@@ -250,11 +250,9 @@ pub fn correlate(
 /// [`correlate`] over the image-interleaved layout: `x` holds the
 /// batch's groups of `cin` planes, the result its groups of `cout`.
 ///
-/// With `fused = Some((e, y))` it also runs the epilogue `e` into `y`
-/// (the batch's groups of `cout` output planes of `e`), band by band: as
-/// soon as the `e.band_rows()` rows of one output row are written, while
-/// they are still in L1. Rows below the last whole band are computed but
-/// run no epilogue, as a pool never reads them.
+/// With `fused = Some((e, y))` it also runs the epilogue `e` into `y`,
+/// band by band, while each band of output rows is in L1 (rows below the
+/// last whole pool window run none: no pool reads them).
 pub(crate) fn correlate_lanes(
     level: SimdLevel,
     s: &ConvShape,
@@ -277,7 +275,7 @@ pub(crate) fn correlate_lanes(
     let layout = Layout::new(s);
     let ckk = layout.taps.len();
     let (plane, src_group) = (s.h * s.w, s.cin * layout.src_plane * LANES);
-    let (_, len, stride) = layout.geometry;
+    let (taps, (_, len, stride)) = (&layout.taps, layout.geometry);
     let padded = layout.padded(x, s, pad);
     let src = padded.as_deref().unwrap_or(x);
     let wpack = pack_blocks(s, weights, ckk);
@@ -291,12 +289,11 @@ pub(crate) fn correlate_lanes(
                 s.groups() * s.cout * out_plane,
                 "epilogue output length disagrees with shape"
             );
-            (e.band_rows(), out_plane)
+            (e.pool.unwrap_or(1), out_plane)
         }
         None => (s.h.max(1), 0),
     };
     let out_band = out_plane / (s.h / band).max(1);
-    let win = fused.as_ref().map_or(Vec::new(), |(e, _)| e.window(s.w));
     let seed = |oc: usize| init.map_or(0.0, |b| b[oc]);
     for g in 0..s.groups() {
         let image = &src[g * src_group..(g + 1) * src_group];
@@ -318,36 +315,14 @@ pub(crate) fn correlate_lanes(
                 let geo = (rows, len, stride);
                 if ob == 4 {
                     let init = std::array::from_fn(|j| seed(oc + j));
-                    simd::f32_conv_pixels::<4>(
-                        level,
-                        src,
-                        step,
-                        &layout.taps,
-                        wb,
-                        init,
-                        geo,
-                        dst,
-                        plane,
-                    );
+                    f32_conv_pixels::<4>(level, src, step, taps, wb, init, geo, dst, plane);
                 } else {
-                    simd::f32_conv_pixels::<1>(
-                        level,
-                        src,
-                        step,
-                        &layout.taps,
-                        wb,
-                        [seed(oc)],
-                        geo,
-                        dst,
-                        plane,
-                    );
+                    f32_conv_pixels::<1>(level, src, step, taps, wb, [seed(oc)], geo, dst, plane);
                 }
-                let Some((e, y)) = fused.as_mut() else {
+                let full = rows == band && out_band > 0;
+                let Some((e, y)) = fused.as_mut().filter(|_| full) else {
                     continue;
                 };
-                if rows < band || out_band == 0 {
-                    continue;
-                }
                 for j in 0..ob {
                     let z = &yb[(j * plane + r0 * len) * LANES..][..rows * len * LANES];
                     let at = ((g * s.cout + oc + j) * out_plane) + r0 / band * out_band;
@@ -355,7 +330,7 @@ pub(crate) fn correlate_lanes(
                     simd::dispatch(
                         level,
                         #[inline(always)]
-                        || e.forward_rows(oc + j, len, &win, z, y),
+                        || e.forward_rows(oc + j, len, z, y),
                     );
                 }
             }

@@ -43,8 +43,7 @@ impl Lanes {
         Lanes::from_data(n, c, h, w, data)
     }
 
-    /// A batch of `n` images of `c x h x w` with unspecified contents,
-    /// for a kernel that writes every element.
+    /// `n` images of `c x h x w`, unspecified: the kernel writes them all.
     pub(crate) fn uninit(n: usize, c: usize, h: usize, w: usize) -> Lanes {
         let data = scratch::take(n.div_ceil(LANES) * c * h * w * LANES);
         Lanes::from_data(n, c, h, w, data)
@@ -117,8 +116,7 @@ impl Lanes {
     }
 
     /// The batch as an `N x C x H x W` tensor (`N x C` for rows), or
-    /// `None` for an empty training-cache slot (see
-    /// [`crate::network::Network::forward_train`]).
+    /// `None` for an empty training-cache slot.
     pub fn to_tensor(&self) -> Option<Tensor> {
         (self.n > 0).then(|| self.unpack(true))
     }
@@ -229,8 +227,7 @@ impl Lanes {
     }
 }
 
-/// A batch's buffer goes back to the thread's scratch pool, so the next
-/// pass reuses warm memory instead of faulting in fresh pages.
+/// A dropped batch's buffer goes back to the scratch pool: warm memory.
 impl Drop for Lanes {
     fn drop(&mut self) {
         scratch::recycle(std::mem::take(&mut self.data));

@@ -132,18 +132,16 @@ impl ScaleBiasParams {
 // convolution kernels, and selects lanes with bit masks rather than
 // branches, so every lane loop stays a vector operation. The public
 // functions pack, run the lane kernel and unpack; the naive loops the
-// kernels replaced live on in [`crate::reference`].
-//
-// Scale-bias, the activation and max pooling are written once, as an
-// [`Epilogue`]: a standalone layer is the epilogue of its one op, and a
-// Bundle stage runs the ones that follow its convolution as one pass.
+// kernels replaced live on in [`crate::reference`]. State carried across
+// a loop (window maxima, routing masks, gradient chains) is copied into
+// locals, which the compiler keeps in registers; through a reference it
+// would be reloaded after every store.
 
 /// One pixel of one channel: a vector of eight images.
 type Vector = [f32; LANES];
 
-/// One max-pool window in a backward band: its strict maximum, and an
-/// all-ones mask on every lane whose gradient it has still to route.
-type Window = (Vector, [u32; LANES]);
+/// Lane masks, all ones or zero.
+type Mask = [u32; LANES];
 
 /// Folded batch-norm of one value: a multiply, then an add. Never one
 /// fused multiply-add, whose single rounding gives other bits.
@@ -166,21 +164,10 @@ fn activate_grad(u: f32, g: f32, clip: f32) -> f32 {
     keep(!((u <= 0.0) | (u >= clip)), g)
 }
 
-/// The clip of an activation, `+inf` for the unclipped `Relu`.
-fn clip_of(act: Activation) -> f32 {
-    act.clip().unwrap_or(f32::INFINITY)
-}
-
 /// The ops that follow a convolution in a Bundle stage, in IR order:
 /// folded batch-norm (scale-bias), then the activation, then max
-/// pooling with window and stride `pool`, each optional.
-///
-/// A stage runs them as one pass over the convolution's output: forward
-/// it pools the activated scale-bias of every element without storing
-/// either, and backward it recomputes both from the convolution output
-/// to route, mask and scale the gradient. Every value is computed by
-/// the same per-element helper, in the same order, as the op run alone,
-/// so both ways give the same bits.
+/// pooling with window and stride `pool`, each optional; a standalone
+/// layer is the epilogue of its one op (see the module docs).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Epilogue<'a> {
     /// Folded batch-norm.
@@ -200,22 +187,12 @@ struct ChannelOps {
 }
 
 impl Epilogue<'_> {
-    /// True when the epilogue runs no op.
-    pub fn is_empty(&self) -> bool {
-        *self == Epilogue::default()
-    }
-
     /// The output plane of an `h x w` input plane.
     pub(crate) fn out_dims(&self, h: usize, w: usize) -> (usize, usize) {
         match self.pool {
             Some(k) => (h / k, w / k),
             None => (h, w),
         }
-    }
-
-    /// Input rows per output row: the pool window, else one.
-    pub(crate) fn band_rows(&self) -> usize {
-        self.pool.unwrap_or(1)
     }
 
     /// Max pooling alone.
@@ -229,24 +206,17 @@ impl Epilogue<'_> {
     fn at(&self, c: usize) -> ChannelOps {
         ChannelOps {
             affine: self.scale_bias.map(|p| (p.scale[c], p.bias[c])),
-            clip: self.act.map(clip_of),
+            clip: self.act.map(|a| a.clip().unwrap_or(f32::INFINITY)),
             pool: self.pool,
         }
     }
 
-    /// The offsets of a pool window's elements (see [`window`]), none
-    /// without a pool.
-    pub(crate) fn window(&self, w: usize) -> Vec<usize> {
-        window(self.pool.unwrap_or(0), w)
-    }
-
     /// Forward over whole rows `z` of channel `c`'s plane, `w` pixels
-    /// wide (`k` rows per output row when pooling with window `k`, whose
-    /// elements sit at offsets `win`, see [`Epilogue::window`]), into the
-    /// output rows `y`. Each pooled output folds `f32::max` over its
-    /// window in row-major order, seeded with `-inf`.
+    /// wide (`k` rows per output row when pooling with window `k`, with
+    /// `w >= k`), into the output rows `y`. Each pooled output folds
+    /// `f32::max` over its window in row-major order, seeded with `-inf`.
     #[inline(always)]
-    pub(crate) fn forward_rows(&self, c: usize, w: usize, win: &[usize], z: &[f32], y: &mut [f32]) {
+    pub(crate) fn forward_rows(&self, c: usize, w: usize, z: &[f32], y: &mut [f32]) {
         let ops = self.at(c);
         let Some(k) = ops.pool else {
             for (yv, zv) in y.chunks_exact_mut(LANES).zip(z.chunks_exact(LANES)) {
@@ -254,33 +224,17 @@ impl Epilogue<'_> {
             }
             return;
         };
-        let ow = w / k;
-        if ow == 0 {
-            return;
-        }
-        for (zr, yr) in z
+        for (zb, yr) in z
             .chunks_exact(k * w * LANES)
-            .zip(y.chunks_exact_mut(ow * LANES))
+            .zip(y.chunks_exact_mut(w / k * LANES))
         {
-            for (ox, m) in yr.chunks_exact_mut(LANES).enumerate() {
-                let mut acc = [f32::NEG_INFINITY; LANES];
-                for &t in win {
-                    let v = ops.post(ops.pre(px(zr, ox * k * LANES + t)));
-                    for (a, v) in acc.iter_mut().zip(v) {
-                        *a = a.max(v);
-                    }
-                }
-                m.copy_from_slice(&acc);
-            }
+            ops.window_fold(zb, yr, f32::NEG_INFINITY, f32::max);
         }
     }
 
-    /// Backward over channel `c`'s plane `z` (`w` pixels wide): turns
-    /// the gradient `g` at the epilogue's output into the gradient at
-    /// its input, and adds the scale-bias gradients to `sums`, one chain
-    /// per lane over the plane's pixels in row-major order. Unpooled, `g`
-    /// holds the output gradient on entry and is rewritten in place;
-    /// pooled, `pooled` holds it and every element of `g` is written.
+    /// Backward over channel `c`'s plane `z`, `w` pixels wide: the output
+    /// gradient (`pooled`, or `g` itself unpooled) becomes the input's in
+    /// `g`; `sums` chains the scale-bias gradients in row-major order.
     #[inline(always)]
     fn backward_plane(
         &self,
@@ -296,29 +250,17 @@ impl Epilogue<'_> {
             ops.mask_rows(z, g, sums);
             return;
         };
-        // One band of `k` rows at a time, in L1: each window's strict
-        // maximum, then row by row the routed gradient, masked and scaled.
         let (row, ow) = (w * LANES, w / k);
-        let bands = if ow == 0 {
-            0
-        } else {
-            pooled.len() / (ow * LANES)
-        };
-        let mut wins = vec![([0.0; LANES], [0; LANES]); ow];
+        let bands = pooled.len() / (ow * LANES).max(1);
+        let (mut best, mut todo) = (vec![0.0; ow * LANES], vec![[0; LANES]; ow]);
         for b in 0..bands {
-            let (zb, gb) = (
-                &z[b * k * row..][..k * row],
-                &mut g[b * k * row..][..k * row],
-            );
-            ops.window_maxima(k, zb, &mut wins);
+            let zb = &z[b * k * row..][..k * row];
+            let gb = &mut g[b * k * row..][..k * row];
+            ops.window_fold(zb, &mut best, f32::NEG_INFINITY, strict_max);
+            todo.fill([u32::MAX; LANES]);
+            let gp = &pooled[b * ow * LANES..][..ow * LANES];
             for (zr, gr) in zb.chunks_exact(row).zip(gb.chunks_exact_mut(row)) {
-                ops.route_row(
-                    k,
-                    zr,
-                    &pooled[b * ow * LANES..][..ow * LANES],
-                    gr,
-                    &mut wins,
-                );
+                ops.route_row(zr, gp, &best, &mut todo, gr);
                 ops.mask_rows(zr, gr, sums);
             }
         }
@@ -348,44 +290,39 @@ impl ChannelOps {
         }
     }
 
-    /// Each window's strict maximum of the pool's input over one band
-    /// of `k` rows (`z`), and every lane of it still to route: the state
-    /// [`ChannelOps::route_row`] reads.
+    /// Folds the pool's input over each window of a band of `k` rows `z`,
+    /// from `seed` and in row-major order, into the window's `out` vector.
     #[inline(always)]
-    fn window_maxima(&self, k: usize, z: &[f32], wins: &mut [Window]) {
-        for (best, todo) in wins.iter_mut() {
-            *best = [f32::NEG_INFINITY; LANES];
-            *todo = [u32::MAX; LANES];
-        }
+    fn window_fold(&self, z: &[f32], out: &mut [f32], seed: f32, fold: impl Fn(f32, f32) -> f32) {
+        let k = self.pool.unwrap_or(1);
+        out.fill(seed);
         for zr in z.chunks_exact(z.len() / k) {
-            for ((best, _), zw) in wins.iter_mut().zip(zr.chunks_exact(k * LANES)) {
-                // A local copy stays in a register.
-                let mut m = *best;
+            for (acc, zw) in out.chunks_exact_mut(LANES).zip(zr.chunks_exact(k * LANES)) {
+                let mut m = *px(acc, 0);
                 for zv in zw.chunks_exact(LANES) {
-                    for (b, v) in m.iter_mut().zip(self.post(self.pre(px(zv, 0)))) {
-                        *b = if v > *b { v } else { *b };
+                    for (a, v) in m.iter_mut().zip(self.post(self.pre(px(zv, 0)))) {
+                        *a = fold(*a, v);
                     }
                 }
-                *best = m;
+                acc.copy_from_slice(&m);
             }
         }
     }
 
     /// Max-pooling backward over one row `z` of a band: each window's
-    /// gradient (in `pooled`) lands on its first strict maximum in
-    /// row-major order, scanning from the window's first element (so an
-    /// all-`-inf` or all-NaN window routes there), as `0.0 + g`; every
-    /// other element of `g`, leftover columns included, gets `0.0`.
-    /// Rows run in order, each window keeping in `wins` the lanes it
-    /// has still to route; lane masks are all ones or zero, so every
-    /// lane stays in one vector.
+    /// `pooled` gradient lands, as `0.0 + g`, on the first element equal
+    /// to its strict maximum `best` (its first if `best` is `-inf`), with
+    /// `todo` masking the lanes yet to route; all else in `g` gets `0.0`.
     #[inline(always)]
-    fn route_row(&self, k: usize, z: &[f32], pooled: &[f32], g: &mut [f32], wins: &mut [Window]) {
-        let windows = wins.iter_mut().zip(pooled.chunks_exact(LANES));
+    fn route_row(&self, z: &[f32], pooled: &[f32], best: &[f32], todo: &mut [Mask], g: &mut [f32]) {
+        let k = self.pool.unwrap_or(1);
+        let windows = todo
+            .iter_mut()
+            .zip(best.chunks_exact(LANES))
+            .zip(pooled.chunks_exact(LANES));
         let elements = z.chunks_exact(k * LANES).zip(g.chunks_exact_mut(k * LANES));
-        for (((best, left), gp), (zw, gw)) in windows.zip(elements) {
-            // Local copies stay in registers.
-            let (best, mut todo) = (*best, *left);
+        for (((left, best), gp), (zw, gw)) in windows.zip(elements) {
+            let (best, mut todo) = (*px(best, 0), *left);
             let none = best.map(|b| mask(b == f32::NEG_INFINITY));
             let gp = px(gp, 0).map(|g| (0.0 + g).to_bits());
             for (zv, gv) in zw.chunks_exact(LANES).zip(gw.chunks_exact_mut(LANES)) {
@@ -400,19 +337,17 @@ impl ChannelOps {
             }
             *left = todo;
         }
-        g[wins.len() * k * LANES..].fill(0.0);
+        g[best.len() * k..].fill(0.0);
     }
 
     /// The activation mask and the scale-bias backward over rows, in
-    /// place: per element, `g` is masked at the activation input, then
-    /// the lane chains take `ds += g · z` and `db += g`, and `g` becomes
-    /// `g · scale`.
+    /// place: `g` is masked at the activation input, the lane chains take
+    /// `ds += g · z` and `db += g`, and `g` becomes `g · scale`.
     #[inline(always)]
     fn mask_rows(&self, z: &[f32], g: &mut [f32], sums: &mut (Vector, Vector)) {
         if self.affine.is_none() && self.clip.is_none() {
             return;
         }
-        // Local chains: the compiler keeps them in registers.
         let (mut ds, mut db) = *sums;
         for (gv, zv) in g.chunks_exact_mut(LANES).zip(z.chunks_exact(LANES)) {
             let zv = px(zv, 0);
@@ -435,26 +370,20 @@ impl ChannelOps {
     }
 }
 
-/// The float offsets of a `k x k` window's elements from its first, in
-/// row-major order, over rows `w` pixels wide.
-fn window(k: usize, w: usize) -> Vec<usize> {
-    (0..k)
-        .flat_map(|dy| (0..k).map(move |dx| (dy * w + dx) * LANES))
-        .collect()
-}
-
 /// The vector at float offset `at` of a plane.
 #[inline(always)]
 fn px(plane: &[f32], at: usize) -> &Vector {
     plane[at..at + LANES].try_into().expect("LANES lanes")
 }
 
-/// The vector at float offset `at` of a plane, mutable.
+/// Max-pooling backward's fold: NaN never wins, a tie keeps the first.
 #[inline(always)]
-fn px_mut(plane: &mut [f32], at: usize) -> &mut Vector {
-    (&mut plane[at..at + LANES])
-        .try_into()
-        .expect("LANES lanes")
+fn strict_max(best: f32, v: f32) -> f32 {
+    if v > best {
+        v
+    } else {
+        best
+    }
 }
 
 /// All ones where `b` holds, else zero.
@@ -478,25 +407,22 @@ pub(crate) fn epilogue_lanes(x: &Lanes, e: &Epilogue) -> Lanes {
     if out_plane == 0 {
         return y;
     }
-    let used = oh * e.band_rows() * w * LANES;
-    let win = e.window(w);
+    let used = oh * e.pool.unwrap_or(1) * w * LANES;
     let planes = x.planes().zip(y.data_mut().chunks_exact_mut(out_plane));
     simd::dispatch(
         simd::active_level(),
         #[inline(always)]
         || {
             for ((cc, xp), yp) in planes {
-                e.forward_rows(cc, w, &win, &xp[..used], yp);
+                e.forward_rows(cc, w, &xp[..used], yp);
             }
         },
     );
     y
 }
 
-/// The backward pass of [`epilogue_lanes`] at its input `x`, from the
-/// gradient `dy` at its output: `(dx, dscale, dbias)`, the scale-bias
-/// gradients (empty without scale-bias) one lane-wise chain per image
-/// summed over the lanes in image order.
+/// The backward pass of [`epilogue_lanes`] from the output gradient
+/// `dy`: `(dx, dscale, dbias)`, the last two empty without scale-bias.
 pub(crate) fn epilogue_backward_lanes(
     x: &Lanes,
     e: &Epilogue,
@@ -513,10 +439,8 @@ pub(crate) fn epilogue_backward_lanes(
         Some(_) => (Lanes::uninit(n, c, h, w), Some(dy)),
         None => (dy, None),
     };
-    let (mut ds, mut db) = match e.scale_bias {
-        Some(_) => (vec![0.0f32; c], vec![0.0f32; c]),
-        None => (Vec::new(), Vec::new()),
-    };
+    let sb_len = if e.scale_bias.is_some() { c } else { 0 };
+    let (mut ds, mut db) = (vec![0.0f32; sb_len], vec![0.0f32; sb_len]);
     let out_plane = oh * ow * LANES;
     let planes = x.planes().zip(g.data_mut().chunks_exact_mut(h * w * LANES));
     simd::dispatch(
@@ -540,11 +464,6 @@ pub(crate) fn epilogue_backward_lanes(
     (g, ds, db)
 }
 
-/// Max pooling on lanes, window and stride `k`.
-pub(crate) fn maxpool_lanes(x: &Lanes, k: usize) -> Lanes {
-    epilogue_lanes(x, &Epilogue::max_pool(k))
-}
-
 /// Folded batch-norm backward on lanes, in place: turns the gradient
 /// `dy` into `dx` and returns `(dx, dscale, dbias)`.
 pub(crate) fn scale_bias_backward_lanes(
@@ -561,35 +480,31 @@ pub(crate) fn scale_bias_backward_lanes(
 
 /// Average pooling on lanes: each output sums its window in row-major
 /// order from `0.0`, then divides by `k * k`. Rows and columns past the
-/// last whole window are never visited.
+/// last whole window are never visited. The windows are a max-pool
+/// epilogue's, whose ops leave every element as it is.
 pub(crate) fn avgpool_lanes(x: &Lanes, k: usize) -> Lanes {
     let (_, c, h, w) = x.dims();
-    let mut y = x.zeros_like(c, h / k, w / k);
-    let ow = w / k;
-    if (h / k) * ow == 0 {
+    let (oh, ow) = (h / k, w / k);
+    let mut y = x.zeros_like(c, oh, ow);
+    if oh * ow == 0 {
         return y;
     }
-    let (norm, win) = ((k * k) as f32, window(k, w));
-    let band = k * w * LANES;
+    let (norm, ops) = ((k * k) as f32, Epilogue::max_pool(k).at(0));
     let planes = x
         .planes()
-        .zip(y.data_mut().chunks_exact_mut((h / k) * ow * LANES));
+        .zip(y.data_mut().chunks_exact_mut(oh * ow * LANES));
     simd::dispatch(
         simd::active_level(),
         #[inline(always)]
         || {
             for ((_, xp), yp) in planes {
-                for (zr, yr) in xp.chunks_exact(band).zip(yp.chunks_exact_mut(ow * LANES)) {
-                    for (ox, m) in yr.chunks_exact_mut(LANES).enumerate() {
-                        let mut s = [0.0f32; LANES];
-                        for &t in &win {
-                            for (a, &v) in s.iter_mut().zip(px(zr, ox * k * LANES + t)) {
-                                *a += v;
-                            }
-                        }
-                        for (ml, sl) in m.iter_mut().zip(s) {
-                            *ml = sl / norm;
-                        }
+                for (zb, yr) in xp
+                    .chunks_exact(k * w * LANES)
+                    .zip(yp.chunks_exact_mut(ow * LANES))
+                {
+                    ops.window_fold(zb, yr, 0.0, |a, v| a + v);
+                    for v in yr {
+                        *v /= norm;
                     }
                 }
             }
@@ -607,8 +522,7 @@ pub(crate) fn avgpool_backward_lanes(x: &Lanes, k: usize, dy: &Lanes) -> Lanes {
     if (h / k) * ow == 0 {
         return dx;
     }
-    let (norm, win) = ((k * k) as f32, window(k, w));
-    let band = k * w * LANES;
+    let norm = (k * k) as f32;
     let planes = dy
         .planes()
         .zip(dx.data_mut().chunks_exact_mut(h * w * LANES));
@@ -617,11 +531,16 @@ pub(crate) fn avgpool_backward_lanes(x: &Lanes, k: usize, dy: &Lanes) -> Lanes {
         #[inline(always)]
         || {
             for ((_, gp), dp) in planes {
-                for (gr, dr) in gp.chunks_exact(ow * LANES).zip(dp.chunks_exact_mut(band)) {
-                    for (ox, g) in gr.chunks_exact(LANES).enumerate() {
-                        for &t in &win {
-                            for (d, &gl) in px_mut(dr, ox * k * LANES + t).iter_mut().zip(g) {
-                                *d += gl / norm;
+                for (gr, db) in gp
+                    .chunks_exact(ow * LANES)
+                    .zip(dp.chunks_exact_mut(k * w * LANES))
+                {
+                    for dr in db.chunks_exact_mut(w * LANES) {
+                        for (g, dw) in gr.chunks_exact(LANES).zip(dr.chunks_exact_mut(k * LANES)) {
+                            for d in dw.chunks_exact_mut(LANES) {
+                                for (d, &gl) in d.iter_mut().zip(g) {
+                                    *d += gl / norm;
+                                }
                             }
                         }
                     }
@@ -721,56 +640,44 @@ pub fn scale_bias_backward(
     (dx.unpack_like(x), ds, db)
 }
 
-/// A stage's epilogue forward over one `C x H x W` image or an
-/// `N x C x H x W` batch of convolution outputs `z`: the same pass a
-/// [`crate::network::Network`] stage runs.
+/// A stage's epilogue over one `C x H x W` image or an `N x C x H x W`
+/// batch of convolution outputs `z`, as a network stage runs it.
 pub fn epilogue_forward(z: &Tensor, e: &Epilogue) -> Tensor {
     epilogue_lanes(&Lanes::pack(z), e).unpack_like(z)
 }
 
-/// The backward pass of [`epilogue_forward`] from the gradient `dy` at
-/// its output, recomputed from `z`: `(dz, dscale, dbias)`, the
-/// scale-bias gradients (empty without scale-bias) summed as per-image
-/// subtotals in image order.
+/// The backward pass of [`epilogue_forward`] from the output gradient
+/// `dy`: `(dz, dscale, dbias)`, the last two empty without scale-bias.
 pub fn epilogue_backward(z: &Tensor, e: &Epilogue, dy: Tensor) -> (Tensor, Vec<f32>, Vec<f32>) {
     let (dz, ds, db) = epilogue_backward_lanes(&Lanes::pack(z), e, Lanes::pack(&dy));
     (dz.unpack_like(z), ds, db)
 }
 
 /// Activation forward (element-wise, any rank): `max(x, 0)`, then
-/// `min(·, clip)` for the clipped variants. Element-wise, so it runs on
-/// the tensor's own buffer.
+/// `min(·, clip)` for the clipped variants.
 pub fn activation_forward(x: &Tensor, act: Activation) -> Tensor {
-    let clip = clip_of(act);
-    let mut y = x.clone();
-    simd::dispatch(
-        simd::active_level(),
-        #[inline(always)]
-        || {
-            for v in y.data_mut() {
-                *v = activate(*v, clip);
-            }
-        },
+    let e = Epilogue {
+        act: Some(act),
+        ..Epilogue::default()
+    };
+    let y = epilogue_forward(
+        &Tensor::from_vec(&[1, 1, 1, x.len()], x.data().to_vec()),
+        &e,
     );
-    y
+    Tensor::from_vec(x.shape(), y.data().to_vec())
 }
 
-/// Activation backward (element-wise, any rank), masking `dy` in
-/// place: the gradient passes where the input was in the active
-/// (non-clipped, positive) region, and where it was NaN.
-pub fn activation_backward(x: &Tensor, act: Activation, mut dy: Tensor) -> Tensor {
+/// Activation backward (element-wise, any rank): the gradient passes
+/// where the input was active (positive, below the clip) or NaN.
+pub fn activation_backward(x: &Tensor, act: Activation, dy: Tensor) -> Tensor {
     assert_eq!(dy.shape(), x.shape(), "activation gradient shape mismatch");
-    let clip = clip_of(act);
-    simd::dispatch(
-        simd::active_level(),
-        #[inline(always)]
-        || {
-            for (g, &u) in dy.data_mut().iter_mut().zip(x.data()) {
-                *g = activate_grad(u, *g, clip);
-            }
-        },
-    );
-    dy
+    let e = Epilogue {
+        act: Some(act),
+        ..Epilogue::default()
+    };
+    let flat = |t: &Tensor| Tensor::from_vec(&[1, 1, 1, t.len()], t.data().to_vec());
+    let (dx, _, _) = epilogue_backward(&flat(x), &e, flat(&dy));
+    Tensor::from_vec(x.shape(), dx.data().to_vec())
 }
 
 /// Global average pooling: `C x H x W -> [C]`, `N x C x H x W -> [N, C]`.

@@ -85,58 +85,40 @@ impl NnLayer {
             NnLayer::DwConv(p) => dwconv_forward_lanes(x, p, &none, engine).0,
             NnLayer::AvgPool(k) => avgpool_lanes(x, *k),
             NnLayer::Gap => gap_lanes(x),
-            op => epilogue_lanes(x, &op.epilogue().expect("an epilogue op")),
+            op => epilogue_lanes(x, &epilogue_of(std::slice::from_ref(op))),
         }
     }
+}
 
-    /// The layer as the epilogue of its one op: scale-bias, an
-    /// activation or max pooling.
-    fn epilogue(&self) -> Option<Epilogue<'_>> {
-        let mut e = Epilogue::default();
-        match self {
+/// The epilogue of `ops`: scale-bias, activation and max-pool layers.
+fn epilogue_of(ops: &[NnLayer]) -> Epilogue<'_> {
+    let mut e = Epilogue::default();
+    for op in ops {
+        match op {
             NnLayer::ScaleBias(p) => e.scale_bias = Some(p),
             NnLayer::Act(a) => e.act = Some(*a),
             NnLayer::MaxPool(k) => e.pool = Some(*k),
-            _ => return None,
+            _ => unreachable!("{op:?} is no epilogue op"),
         }
-        Some(e)
     }
+    e
 }
 
-/// The epilogue of `ops`, or `None` when one of them is not an epilogue
-/// op or comes out of the scale-bias → activation → pool order.
-fn epilogue_of(ops: &[NnLayer]) -> Option<Epilogue<'_>> {
-    let mut e = Epilogue::default();
-    for op in ops {
-        let next = op.epilogue()?;
-        let after = match (&next.scale_bias, &next.act) {
-            (Some(_), _) => e.scale_bias.is_none() && e.act.is_none() && e.pool.is_none(),
-            (_, Some(_)) => e.act.is_none() && e.pool.is_none(),
-            _ => e.pool.is_none(),
-        };
-        if !after {
-            return None;
-        }
-        e = Epilogue {
-            scale_bias: e.scale_bias.or(next.scale_bias),
-            act: e.act.or(next.act),
-            pool: e.pool.or(next.pool),
-        };
-    }
-    Some(e)
-}
-
-/// Groups `layers` into stages (see the module docs): each convolution
-/// with the longest run of epilogue ops after it, every other layer
-/// alone.
+/// Groups `layers` into stages: each convolution with the scale-bias,
+/// activation and max pool after it, in that order; other layers alone.
 fn stages(layers: &[NnLayer]) -> Vec<Range<usize>> {
     let mut stages = Vec::new();
     let mut start = 0;
     while start < layers.len() {
         let mut end = start + 1;
         if matches!(layers[start], NnLayer::Conv(_) | NnLayer::DwConv(_)) {
-            while end < layers.len() && epilogue_of(&layers[start + 1..=end]).is_some() {
-                end += 1;
+            let order: [fn(&NnLayer) -> bool; 3] = [
+                |l| matches!(l, NnLayer::ScaleBias(_)),
+                |l| matches!(l, NnLayer::Act(_)),
+                |l| matches!(l, NnLayer::MaxPool(_)),
+            ];
+            for next in order {
+                end += usize::from(layers.get(end).is_some_and(next));
             }
         }
         stages.push(start..end);
@@ -284,12 +266,10 @@ impl Network {
         self.run(Lanes::pack(x), None).unpack_like(x)
     }
 
-    /// Training forward pass over an image or a batch: the same stage
-    /// pass as [`Network::forward`], returning the output and the cache
-    /// [`Network::backward`] reads, one slot per layer. A stage's first
-    /// slot holds its input; a convolution stage with an epilogue keeps
-    /// its convolution output in the second slot and leaves the rest
-    /// empty.
+    /// Training forward pass over an image or a batch: the stage pass of
+    /// [`Network::forward`], plus the cache [`Network::backward`] reads,
+    /// one slot per layer: each stage's input, then its convolution
+    /// output when it has an epilogue, the other slots empty.
     pub fn forward_train(&self, x: &Tensor) -> (Tensor, Vec<Lanes>) {
         let (out, cache) = self.forward_train_lanes(Lanes::pack(x));
         (out.unpack_like(x), cache)
@@ -306,7 +286,7 @@ impl Network {
     fn run(&self, mut x: Lanes, mut cache: Option<&mut Vec<Lanes>>) -> Lanes {
         for stage in &self.stages {
             let tail = &self.layers[stage.start + 1..stage.end];
-            let epi = epilogue_of(tail).expect("a stage ends at its epilogue");
+            let epi = epilogue_of(tail);
             let (z, y) = match &self.layers[stage.start] {
                 NnLayer::Conv(p) => conv_forward_lanes(&x, p, &epi, self.engine),
                 NnLayer::DwConv(p) => dwconv_forward_lanes(&x, p, &epi, self.engine),
@@ -352,11 +332,16 @@ impl Network {
         let mut g = Lanes::pack_rows(grad_out);
         for stage in self.stages.iter().rev() {
             let i = stage.start;
-            if stage.len() > 1 {
-                let epi = epilogue_of(&self.layers[i + 1..stage.end]).expect("a stage epilogue");
-                let (dz, ds, db) = epilogue_backward_lanes(&cache[i + 1], &epi, g);
+            let skip_head = matches!(
+                self.layers[i],
+                NnLayer::Conv(_) | NnLayer::DwConv(_) | NnLayer::AvgPool(_) | NnLayer::Gap
+            );
+            let e0 = i + usize::from(skip_head);
+            if e0 < stage.end {
+                let epi = epilogue_of(&self.layers[e0..stage.end]);
+                let (dz, ds, db) = epilogue_backward_lanes(&cache[e0], &epi, g);
                 if epi.scale_bias.is_some() {
-                    accumulate(&mut self.state[i + 1], &ds, &db);
+                    accumulate(&mut self.state[e0], &ds, &db);
                 }
                 g = dz;
             }
@@ -378,14 +363,7 @@ impl Network {
                 }
                 NnLayer::AvgPool(k) => avgpool_backward_lanes(x, *k, &g),
                 NnLayer::Gap => gap_backward_lanes(x, &g),
-                op => {
-                    let epi = op.epilogue().expect("an epilogue op");
-                    let (dx, ds, db) = epilogue_backward_lanes(x, &epi, g);
-                    if epi.scale_bias.is_some() {
-                        accumulate(&mut self.state[i], &ds, &db);
-                    }
-                    dx
-                }
+                _ => g,
             };
         }
     }

@@ -36,7 +36,7 @@
 
 use crate::gemm::{correlate_lanes, ConvShape};
 use crate::lanes::{Lanes, LANES};
-use crate::layers::{avgpool_lanes, gap_lanes, maxpool_lanes};
+use crate::layers::{avgpool_lanes, epilogue_lanes, gap_lanes, Epilogue};
 use crate::simd::{self, SimdLevel};
 
 /// Inclusive code range of an epilogue (within `i8` for the int8
@@ -123,7 +123,7 @@ impl LaneOp {
                 let y = conv_codes(level, &s, x.data(), weights);
                 Lanes::from_data(n, *cout, h, w, y)
             }
-            LaneOp::MaxPool(k) => maxpool_lanes(x, *k),
+            LaneOp::MaxPool(k) => epilogue_lanes(x, &Epilogue::max_pool(*k)),
             LaneOp::AvgPool(k) => {
                 assert!(k * k <= MAX_EXACT_CODES, "pool window {k} is not exact");
                 avgpool_lanes(x, *k)
