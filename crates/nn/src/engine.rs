@@ -28,8 +28,7 @@
 //! order (see the [`crate::reference`] docs), so they are
 //! **bit-identical** to each other. Both run on the calling thread: a
 //! split of each kernel's output-channel blocks over workers cost more
-//! CPU than it saved on proxy training, so the kernels have none, and
-//! parallelism comes from running whole trainings side by side.
+//! CPU than it saved on proxy training, so the kernels have none.
 
 use crate::gemm::{self, ConvShape};
 use crate::lanes::{add_lanes, pixel_sums, Lanes};
@@ -127,23 +126,20 @@ fn grads(
         "convolution gradient shape mismatch"
     );
     let mut db = vec![0.0f32; s.cout];
-    match engine {
-        Engine::Gemm(_) => {}
-        Engine::Reference => {
-            let mut dw = vec![0.0f32; weights.len()];
-            let mut dx = x.zeros_like(s.cin, s.h, s.w);
-            for i in 0..s.n {
-                let (dxi, dwi, dbi) = reference(&x.image(i), &dy.image(i));
-                for (d, v) in dw.iter_mut().zip(&dwi) {
-                    *d += v;
-                }
-                for (d, v) in db.iter_mut().zip(&dbi) {
-                    *d += v;
-                }
-                dx.set_image(i, &dxi);
+    if engine == Engine::Reference {
+        let mut dw = vec![0.0f32; weights.len()];
+        let mut dx = x.zeros_like(s.cin, s.h, s.w);
+        for i in 0..s.n {
+            let (dxi, dwi, dbi) = reference(&x.image(i), &dy.image(i));
+            for (d, v) in dw.iter_mut().zip(&dwi) {
+                *d += v;
             }
-            return (input_grad.then_some(dx), dw, db);
+            for (d, v) in db.iter_mut().zip(&dbi) {
+                *d += v;
+            }
+            dx.set_image(i, &dxi);
         }
+        return (input_grad.then_some(dx), dw, db);
     }
     let level = simd::active_level();
     // Bias gradient: row-major pixel sums, one lane per image.

@@ -3,19 +3,14 @@
 //!
 //! Both halves of the methodology are embarrassingly parallel: the
 //! co-design flow (Fig. 1) fans out coarse Bundle evaluation and the
-//! per-(Bundle, FPS-target) SCD searches, and the NN compute engine
-//! fans its GEMM kernel out over row blocks. This base crate provides
-//! the primitives that make both *reproducible*:
+//! per-(Bundle, FPS-target) SCD searches. This base crate provides the
+//! primitives that make that fan-out *reproducible*:
 //!
 //! * [`parallel_map`] — a work queue over a persistent [`WorkerPool`]
 //!   (long-lived threads, no per-call spawn cost, no external
 //!   dependencies) whose results are merged **by item index**, so the
 //!   output is byte-identical to a sequential run no matter how
 //!   threads interleave;
-//! * [`parallel_chunks_mut`] — a partitioned in-place variant: disjoint
-//!   mutable chunks of one output buffer are filled concurrently, each
-//!   chunk by exactly one worker, so no reduction (and no copy) is
-//!   needed at all;
 //! * [`derive_seed`] — SplitMix64 seed splitting, giving every work item
 //!   a private deterministic RNG stream derived from the flow's root
 //!   seed instead of sharing one generator across threads.
@@ -192,51 +187,6 @@ where
     Ok(out)
 }
 
-/// Splits `out` into chunks of `chunk_len` elements and runs
-/// `f(chunk_index, chunk)` on each with up to `threads` pooled workers.
-///
-/// This is the in-place sibling of [`parallel_map`] for kernels that
-/// fill one large output buffer (the GEMM row blocks of the NN compute
-/// engine): the chunks are disjoint, each is written by exactly one
-/// worker, and which worker runs which chunk cannot influence the
-/// result — so the output is byte-identical to the sequential run and
-/// no merge copy is needed. The final chunk may be shorter than
-/// `chunk_len`. With `threads <= 1` (or a single chunk) the closure
-/// runs inline on the caller's thread.
-///
-/// # Panics
-///
-/// Panics when `chunk_len` is 0 and `out` is non-empty.
-pub fn parallel_chunks_mut<T, F>(out: &mut [T], chunk_len: usize, threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    if out.is_empty() {
-        return;
-    }
-    assert!(chunk_len > 0, "parallel_chunks_mut needs chunk_len > 0");
-    let chunks: Vec<(usize, &mut [T])> = out.chunks_mut(chunk_len).enumerate().collect();
-    if threads <= 1 || chunks.len() <= 1 {
-        for (i, chunk) in chunks {
-            f(i, chunk);
-        }
-        return;
-    }
-    // One claimable slot per chunk: (chunk index, chunk).
-    type ChunkSlot<'a, T> = Mutex<Option<(usize, &'a mut [T])>>;
-    let slots: Vec<ChunkSlot<'_, T>> = chunks.into_iter().map(|c| Mutex::new(Some(c))).collect();
-    let abort = AtomicBool::new(false);
-    WorkerPool::global().run_scoped(slots.len(), threads - 1, &abort, &|i| {
-        let (idx, chunk) = slots[i]
-            .lock()
-            .expect("chunk slot")
-            .take()
-            .expect("chunk claimed once");
-        f(idx, chunk);
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,37 +241,6 @@ mod tests {
             processed.load(Ordering::Relaxed) < items.len(),
             "error did not short-circuit the work queue"
         );
-    }
-
-    #[test]
-    fn chunks_mut_fills_every_chunk_identically() {
-        let mut seq = vec![0u64; 1003];
-        parallel_chunks_mut(&mut seq, 64, 1, |i, chunk| {
-            for (j, v) in chunk.iter_mut().enumerate() {
-                *v = (i as u64) << 32 | j as u64;
-            }
-        });
-        for threads in [2, 4, 8] {
-            let mut par = vec![0u64; 1003];
-            parallel_chunks_mut(&mut par, 64, threads, |i, chunk| {
-                for (j, v) in chunk.iter_mut().enumerate() {
-                    *v = (i as u64) << 32 | j as u64;
-                }
-            });
-            assert_eq!(seq, par, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn chunks_mut_handles_edges() {
-        let mut empty: Vec<u8> = vec![];
-        parallel_chunks_mut(&mut empty, 4, 4, |_, _| panic!("no chunks"));
-        let mut one = vec![1u8; 3];
-        parallel_chunks_mut(&mut one, 10, 4, |i, chunk| {
-            assert_eq!(i, 0);
-            chunk.fill(9);
-        });
-        assert_eq!(one, vec![9, 9, 9]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Persistent worker pool behind the deterministic parallel primitives.
 //!
-//! Before this module existed, every [`crate::parallel_map`] /
-//! [`crate::parallel_chunks_mut`] call spawned fresh OS threads through
+//! Before this module existed, every [`crate::parallel_map`] call
+//! spawned fresh OS threads through
 //! `std::thread::scope`. That is correct but slow: a thread spawn costs
 //! tens of microseconds, and the NN compute engine issues thousands of
 //! small GEMM kernels per proxy-training run — the spawn cost alone

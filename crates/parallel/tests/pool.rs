@@ -3,7 +3,7 @@
 //! path at every worker count, across many reusing calls, with clean
 //! shutdown semantics.
 
-use codesign_parallel::{parallel_chunks_mut, parallel_map, try_parallel_map, WorkerPool};
+use codesign_parallel::{parallel_map, try_parallel_map, WorkerPool};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -27,28 +27,6 @@ proptest! {
         let seq: Vec<u64> = items.iter().enumerate().map(|(i, &x)| mix(i, x)).collect();
         for workers in [1, 2, 4, 8] {
             let par = parallel_map(&items, workers, |i, &x| mix(i, x));
-            prop_assert_eq!(&par, &seq);
-        }
-    }
-
-    /// `parallel_chunks_mut` through the pool fills the buffer exactly
-    /// like the sequential path at every worker count and chunk size.
-    #[test]
-    fn prop_chunks_match_sequential(
-        len in 1usize..2000,
-        chunk in 1usize..130,
-        salt in 0u64..1_000_000_000,
-    ) {
-        let fill = |i: usize, c: &mut [u64]| {
-            for (j, v) in c.iter_mut().enumerate() {
-                *v = mix(i, j as u64 ^ salt);
-            }
-        };
-        let mut seq = vec![0u64; len];
-        parallel_chunks_mut(&mut seq, chunk, 1, fill);
-        for workers in [2, 4, 8] {
-            let mut par = vec![0u64; len];
-            parallel_chunks_mut(&mut par, chunk, workers, fill);
             prop_assert_eq!(&par, &seq);
         }
     }
@@ -105,23 +83,14 @@ fn stress_many_small_jobs_reuse_the_pool() {
     );
 }
 
-/// Chunk jobs interleaved with map jobs on the same pool.
+/// Fallible map jobs interleaved with map jobs on the same pool.
 #[test]
 fn stress_mixed_job_kinds() {
     for round in 0..200usize {
-        let mut buf = vec![0u64; 257];
-        parallel_chunks_mut(&mut buf, 32, 4, |i, c| {
-            for (j, v) in c.iter_mut().enumerate() {
-                *v = mix(i, (round * 1000 + j) as u64);
-            }
-        });
-        let mut seq = vec![0u64; 257];
-        parallel_chunks_mut(&mut seq, 32, 1, |i, c| {
-            for (j, v) in c.iter_mut().enumerate() {
-                *v = mix(i, (round * 1000 + j) as u64);
-            }
-        });
-        assert_eq!(buf, seq, "round {round}");
+        let items: Vec<u64> = (0..257).map(|j| (round * 1000 + j) as u64).collect();
+        let tried: Result<Vec<u64>, ()> = try_parallel_map(&items, 4, |i, &x| Ok(mix(i, x)));
+        let seq: Vec<u64> = items.iter().enumerate().map(|(i, &x)| mix(i, x)).collect();
+        assert_eq!(tried, Ok(seq), "round {round}");
         let items = [round as u64, 1, 2, 3];
         let mapped = parallel_map(&items, 3, |i, &x| mix(i, x));
         assert_eq!(

@@ -181,7 +181,7 @@ fn reason(status: u16) -> &'static str {
 /// sends, for at most [`MAX_BODY_BYTES`] and about half a second:
 /// closing with unread input would reset the connection, and the peer
 /// could lose the response it has not read yet.
-pub fn drain(stream: &mut TcpStream) {
+pub(crate) fn drain(stream: &mut TcpStream) {
     const LINGER: Duration = Duration::from_millis(500);
     let _ = stream.shutdown(Shutdown::Write);
     let _ = stream.set_read_timeout(Some(LINGER));
