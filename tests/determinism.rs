@@ -274,3 +274,55 @@ fn cache_stats_report_real_reuse() {
         out.cache_stats
     );
 }
+
+/// The paper flow (three FPS targets) at seed 2019, warm-started from a
+/// store: a cold run fills a cache, a fresh cache is preloaded from its
+/// snapshot, and a second run on that cache is counted. The lookup total
+/// and the hits served by preloaded entries are pinned at every worker
+/// count (preloaded entries exist before the run, so no race can move
+/// them), and the hit/miss split at one worker. The pin covers restarts
+/// that revisit a depth the same search has already tried: every lookup
+/// they make is a memo hit, counted as a store hit when its entry was
+/// preloaded.
+#[test]
+fn warm_store_flow_counts_are_pinned() {
+    use codesign_hls::cache::EstimateCache;
+    use std::sync::Arc;
+
+    for threads in [1, parallel_arm()] {
+        let flow = || {
+            CoDesignFlow::new(FlowConfig {
+                seed: 2019,
+                parallelism: Parallelism::Fixed(threads),
+                ..FlowConfig::for_device(pynq_z1())
+            })
+        };
+        let cold_cache = Arc::new(EstimateCache::new());
+        let cold = flow()
+            .with_estimate_cache(Arc::clone(&cold_cache))
+            .run()
+            .expect("cold flow runs");
+        let warm_cache = Arc::new(EstimateCache::new());
+        for (key, estimate) in cold_cache.snapshot_ok() {
+            assert!(warm_cache.preload(&key, estimate));
+        }
+        let warm = flow()
+            .with_estimate_cache(Arc::clone(&warm_cache))
+            .run()
+            .expect("warm flow runs");
+        assert_identical(&cold, &warm);
+        let stats = warm_cache.stats();
+        assert_eq!(
+            (stats.total(), warm_cache.store_hits()),
+            (18_648, 18_648),
+            "warm lookups or store hits drifted (threads={threads})"
+        );
+        if threads == 1 {
+            assert_eq!(
+                (stats.hits, stats.misses),
+                (18_648, 0),
+                "the one-worker warm hit/miss split drifted"
+            );
+        }
+    }
+}
