@@ -18,10 +18,17 @@
 //!   lookup a hit, on 1 thread and on 2 threads sharing the one cache,
 //!   reported as ns per lookup per thread (each thread runs the whole
 //!   sweep, so a rise at 2 threads is the cost of sharing);
+//! * the same cells on a fresh cache per sample, on 1 thread: every
+//!   first lookup of a search misses and stages, so this arm times the
+//!   miss path and its slot-body memo;
+//! * one `simulate` of the paper flow's 15 FPS winner (seed 1), the
+//!   Tile-Arch run of the finalize stage;
 //! * one `scd_search`, and one small flow at 1 and at 4 workers.
 //!
-//! Every walk arm must produce the full rebuild's latency checksum, and
-//! every warm sweep the cold sweep's candidates with no cache miss.
+//! Every walk arm must produce the full rebuild's latency checksum;
+//! every warm sweep the first sweep's candidates with no cache miss;
+//! the cold sweep the same candidates with a warm sweep's lookup total;
+//! and the simulation the report the flow published.
 
 use codesign_bench::experiments::{default_device, ScdSweep};
 use codesign_bench::perf::{emit_bench_json, measure, BenchRecord, Timing};
@@ -36,6 +43,7 @@ use codesign_dnn::space::DesignPoint;
 use codesign_hls::cache::EstimateCache;
 use codesign_hls::incremental::{EstimatePlan, MoveCoord};
 use codesign_hls::model::{Estimate, EstimateError, HlsEstimator};
+use codesign_sim::pipeline::{simulate, AccelConfig};
 use std::sync::Arc;
 
 /// The SCD-shaped probe walk: at each step price all three unit moves
@@ -219,6 +227,53 @@ fn main() {
     }
     let ns_per_lookup = |t: &Timing| t.median.as_secs_f64() * 1e9 / lookups as f64;
 
+    // Cold sweep: a fresh cache per sample, set up (coarse stage and
+    // calibrations) off the clock; the cache and cells are returned so
+    // they are dropped off the clock too.
+    let cold_sweep = measure(
+        10,
+        || {
+            let cache = Arc::new(EstimateCache::new());
+            let sweep = ScdSweep::paper(1, &cache).expect("paper flow cells");
+            (cache, sweep)
+        },
+        |(cache, sweep)| (sweep.run(), cache.stats().total(), (cache, sweep)),
+    );
+    let (cold_out, cold_lookups, _) = &cold_sweep.output;
+    assert!(
+        *cold_out == cold,
+        "cold sweep DIVERGED from the first sweep — determinism bug!"
+    );
+    assert_eq!(
+        *cold_lookups, lookups,
+        "a cold sweep's lookup total differs from a warm sweep's"
+    );
+
+    // One simulation of the paper flow's 15 FPS winner.
+    let device = default_device();
+    let paper = CoDesignFlow::new(FlowConfig {
+        seed: 1,
+        parallelism: Parallelism::Fixed(1),
+        ..FlowConfig::for_device(device.clone())
+    })
+    .run()
+    .expect("paper flow runs");
+    let winner = paper
+        .designs
+        .iter()
+        .find(|d| d.target_fps == 15.0)
+        .expect("the paper flow meets 15 FPS");
+    let accel = AccelConfig::for_point(&winner.point);
+    let simulated = measure(
+        200,
+        || (),
+        |()| simulate(&winner.dnn, &accel, &device).expect("the winner simulates"),
+    );
+    assert_eq!(
+        simulated.output, winner.report,
+        "simulation DIVERGED from the flow's report — determinism bug!"
+    );
+
     let scd_cfg = ScdConfig {
         latency_target_ms: 60.0,
         tolerance_ms: 5.0,
@@ -252,6 +307,10 @@ fn main() {
         BenchRecord::timing("warm_sweep_2_workers", sweep_2.timing)
             .with_metric("lookups", lookups as f64)
             .with_metric("ns_per_lookup", ns_per_lookup(&sweep_2.timing)),
+        BenchRecord::timing("cold_sweep_1_worker", cold_sweep.timing)
+            .with_metric("lookups", lookups as f64)
+            .with_metric("ns_per_lookup", ns_per_lookup(&cold_sweep.timing)),
+        BenchRecord::timing("simulate_paper_point", simulated.timing),
         BenchRecord::timing("scd_search_end_to_end", search.timing),
         BenchRecord::timing("flow_small_1_worker", flow1.timing),
         BenchRecord::timing("flow_small_4_workers", flow4.timing),

@@ -21,6 +21,7 @@ use codesign_dnn::builder::DnnBuilder;
 use codesign_dnn::bundle::Bundle;
 use codesign_dnn::quant::Activation;
 use codesign_dnn::space::{DesignPoint, MAX_PARALLEL_FACTOR, PARALLEL_FACTOR_STEP};
+use codesign_hls::cache::ProbeTally;
 use codesign_hls::incremental::{EstimatePlan, MoveCoord};
 use codesign_hls::model::{Estimate, HlsEstimator};
 use rand::rngs::StdRng;
@@ -125,6 +126,20 @@ pub fn choose_max_parallel_factor_with(plan: &EstimatePlan, point: &mut DesignPo
 /// `DesignPoint::initial(n)` with `n` drawn from `1..=RESTART_DEPTHS`.
 const RESTART_DEPTHS: usize = 6;
 
+/// The first restart of a search to one depth: the plan rebased on
+/// `DesignPoint::initial(n)`, and what the restart did from there — the
+/// point after the PF ladder, its estimate, and the lookups it made.
+/// A restart depends on its depth alone, so a repeat restart to the
+/// depth replays this instead of probing again (see the `cache` module
+/// docs, "Restart replay"). Without a cache the skipped probes would
+/// only have priced the same points again.
+struct Restart {
+    plan: EstimatePlan,
+    point: DesignPoint,
+    estimate: Option<Estimate>,
+    lookups: ProbeTally,
+}
+
 /// Runs the SCD unit (Algorithm 1) for one Bundle under one
 /// activation / quantization arm (the co-design variable `Q` of
 /// Table 1).
@@ -162,11 +177,9 @@ pub fn scd_search(
 
     let mut candidates: Vec<Candidate> = Vec::new();
     let mut seen: HashSet<Vec<u8>> = HashSet::new();
-    // The plan rebased on each restart depth `DesignPoint::initial(n)`,
-    // kept from the first restart to that depth: there are only
-    // `RESTART_DEPTHS` such points per search, and later restarts reuse
-    // the elaboration instead of redoing it.
-    let mut restart_plans: [Option<EstimatePlan>; RESTART_DEPTHS] = Default::default();
+    // The first restart to each depth: there are only `RESTART_DEPTHS`
+    // per search, and later restarts to a depth replay it.
+    let mut restarts: [Option<Restart>; RESTART_DEPTHS] = Default::default();
 
     let Ok(mut plan) = EstimatePlan::new(estimator, &point) else {
         return candidates;
@@ -246,24 +259,41 @@ pub fn scd_search(
         if movable == 0 {
             // No coordinate can move: restart from a fresh random depth.
             let n = rng.random_range(1..=RESTART_DEPTHS);
-            point = DesignPoint::initial(*bundle, n);
-            point.activation = activation;
-            // Rebase the plan on the restart structure first (no cache
-            // interaction), so the PF-ladder rungs below are pure
-            // term repricings instead of re-elaborating the structural
-            // diff on every probe. On a (theoretical) unelaborable
-            // restart the plan keeps its old base and the ladder falls
-            // back to diff-probing, matching the old error behavior.
-            match &restart_plans[n - 1] {
-                Some(rebased) => plan.clone_from(rebased),
-                None => {
-                    if plan.commit(&point).is_ok() {
-                        restart_plans[n - 1] = Some(plan.clone());
-                    }
+            let estimate = match &restarts[n - 1] {
+                Some(restart) => {
+                    // Every probe of the first restart would be a memo
+                    // hit that changes no plan state: count them, and
+                    // take their result.
+                    plan.clone_from(&restart.plan);
+                    plan.replay_probes(restart.lookups);
+                    point.clone_from(&restart.point);
+                    restart.estimate
                 }
-            }
-            choose_max_parallel_factor_with(&plan, &mut point);
-            if let Ok(e2) = plan.probe(&point) {
+                None => {
+                    point = DesignPoint::initial(*bundle, n);
+                    point.activation = activation;
+                    // Rebase the plan on the restart structure first (no
+                    // cache interaction), so the PF-ladder rungs below
+                    // are pure term repricings instead of re-elaborating
+                    // the structural diff on every probe. On a
+                    // (theoretical) unelaborable restart the plan keeps
+                    // its old base, the ladder falls back to
+                    // diff-probing, and nothing is kept for a replay.
+                    let rebased = plan.commit(&point).is_ok().then(|| plan.clone());
+                    let before = plan.probe_tally();
+                    choose_max_parallel_factor_with(&plan, &mut point);
+                    let estimate = plan.probe(&point).ok();
+                    let lookups = plan.probe_tally().since(before);
+                    restarts[n - 1] = rebased.map(|plan| Restart {
+                        plan,
+                        point: point.clone(),
+                        estimate,
+                        lookups,
+                    });
+                    estimate
+                }
+            };
+            if let Some(e2) = estimate {
                 plan.commit_probed(&point, e2);
                 est = e2;
                 lat = e2.latency_ms(cfg.clock_mhz);

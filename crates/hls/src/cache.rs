@@ -53,6 +53,28 @@
 //! It hashes keys with the cache's own seeded hash, and a memo miss
 //! passes that hash on to the cache.
 //!
+//! # Restart replay
+//!
+//! A stuck SCD search restarts from `DesignPoint::initial(n)` for a
+//! random depth `n`, and most restarts go to a depth the same search
+//! has already restarted to (95% of the paper flow's at seed 1). What a
+//! restart looks up is a function of the depth alone: the parallel-factor
+//! ladder probes the same points in the same order, since each rung's
+//! answer decides the next. So the first restart to a depth reads its
+//! memo's [`ProbeTally`] before and after, and keeps the difference with
+//! the restart's outcome; a repeat restart calls [`ProbeMemo::replay`]
+//! instead of probing. The replay counts exactly the hits and store hits
+//! its skipped probes would have counted:
+//!
+//! * every skipped probe is a key the same memo already served, so it
+//!   would have been a memo hit — one cache hit, and no other effect on
+//!   the memo, the shared cache or the search's plan;
+//! * a memo hit counts a store hit exactly when its entry is preloaded,
+//!   and the entry's flag is the one the first restart's lookup saw;
+//! * so the replay adds the tally's lookups to the hits and its
+//!   preloaded lookups to the store hits, on the calling thread's
+//!   stripe, and the counters read the same as if the probes had run.
+//!
 //! # One hash per lookup
 //!
 //! A lookup hashes its key bytes exactly once, with a seeded
@@ -237,9 +259,10 @@ impl PartialEq for StoredKey {
 impl Eq for StoredKey {}
 
 /// The shard maps' hasher: every key arrives already hashed (see
-/// [`EstimateCache::hash`]), so it passes that one `u64` through.
+/// [`EstimateCache::hash`]), so it passes that one `u64` through. The
+/// estimate plan's slot-body memo hashes its keys the same way.
 #[derive(Default)]
-struct PassThrough(u64);
+pub(crate) struct PassThrough(u64);
 
 impl Hasher for PassThrough {
     fn finish(&self) -> u64 {
@@ -258,7 +281,7 @@ impl Hasher for PassThrough {
 type ShardMap = HashMap<StoredKey, CacheEntry, BuildHasherDefault<PassThrough>>;
 
 /// The low and high halves of the full 128-bit product, XORed.
-fn folded_multiply(a: u64, b: u64) -> u64 {
+pub(crate) fn folded_multiply(a: u64, b: u64) -> u64 {
     let full = u128::from(a) * u128::from(b);
     (full as u64) ^ ((full >> 64) as u64)
 }
@@ -559,6 +582,35 @@ impl EstimateCache {
 pub struct ProbeMemo {
     cache: Arc<EstimateCache>,
     entries: ShardMap,
+    tally: ProbeTally,
+}
+
+/// Lookups a [`ProbeMemo`] has served, and how many of them an entry
+/// preloaded from a store answered. The difference of two readings is
+/// what a stretch of a search looked up, so a search can replay that
+/// stretch's counts (see
+/// [restart replay](crate::cache#restart-replay)).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ProbeTally {
+    /// Lookups served.
+    pub lookups: u64,
+    /// Of those, lookups whose entry was preloaded.
+    pub preloaded: u64,
+}
+
+impl ProbeTally {
+    /// The lookups served after `earlier`, a reading of the same memo.
+    pub fn since(self, earlier: ProbeTally) -> ProbeTally {
+        ProbeTally {
+            lookups: self.lookups - earlier.lookups,
+            preloaded: self.preloaded - earlier.preloaded,
+        }
+    }
+
+    fn add(&mut self, other: ProbeTally) {
+        self.lookups += other.lookups;
+        self.preloaded += other.preloaded;
+    }
 }
 
 impl ProbeMemo {
@@ -567,7 +619,27 @@ impl ProbeMemo {
         Self {
             cache,
             entries: ShardMap::default(),
+            tally: ProbeTally::default(),
         }
+    }
+
+    /// Every lookup this memo has served so far, replays included.
+    pub fn tally(&self) -> ProbeTally {
+        self.tally
+    }
+
+    /// Counts `tally` as memo hits, as if its lookups were made again:
+    /// `tally.lookups` cache hits, `tally.preloaded` of them store hits.
+    /// Exact when every one of those lookups would be a memo hit — a
+    /// repeat of lookups this memo already served (see
+    /// [restart replay](crate::cache#restart-replay)).
+    pub fn replay(&mut self, tally: ProbeTally) {
+        let stripe = self.cache.stripe();
+        stripe.hits.fetch_add(tally.lookups, Ordering::Relaxed);
+        stripe
+            .store_hits
+            .fetch_add(tally.preloaded, Ordering::Relaxed);
+        self.tally.add(tally);
     }
 
     /// [`EstimateCache::get_or_insert_with`] through the memo: a key the
@@ -581,9 +653,17 @@ impl ProbeMemo {
         let hash = self.cache.hash(key);
         if let Some(entry) = self.entries.get(&(hash, key) as &dyn KeyView) {
             self.cache.count_hit(entry.preloaded);
+            self.tally.add(ProbeTally {
+                lookups: 1,
+                preloaded: entry.preloaded.into(),
+            });
             return entry.value.clone();
         }
         let entry = self.cache.lookup(hash, key, compute);
+        self.tally.add(ProbeTally {
+            lookups: 1,
+            preloaded: entry.preloaded.into(),
+        });
         let value = entry.value.clone();
         self.entries.insert(
             StoredKey {
@@ -882,6 +962,42 @@ mod tests {
             (memo.entries.len(), other.entries.len(), cache.len()),
             (1, 1, 1)
         );
+    }
+
+    #[test]
+    fn replay_counts_what_repeat_lookups_would() {
+        // Two memos over two caches with the same preloaded entry: one
+        // repeats its lookups, the other replays their tally.
+        let caches = [
+            Arc::new(EstimateCache::new()),
+            Arc::new(EstimateCache::new()),
+        ];
+        let mut memos = caches.clone().map(ProbeMemo::new);
+        for (cache, memo) in caches.iter().zip(&mut memos) {
+            assert!(cache.preload(&[1], estimate(1).unwrap()));
+            let before = memo.tally();
+            for key in [[1], [2], [1]] {
+                memo.get_or_insert_with(&key, || estimate(2)).unwrap();
+            }
+            let tally = memo.tally().since(before);
+            assert_eq!(
+                tally,
+                ProbeTally {
+                    lookups: 3,
+                    preloaded: 2
+                }
+            );
+        }
+        let [repeated, replayed] = &mut memos;
+        let tally = replayed.tally();
+        for key in [[1], [2], [1]] {
+            repeated.get_or_insert_with(&key, || estimate(9)).unwrap();
+        }
+        replayed.replay(tally);
+        let counts = |c: &EstimateCache| (c.stats().hits, c.stats().misses, c.store_hits());
+        assert_eq!(counts(&caches[0]), (5, 1, 4));
+        assert_eq!(counts(&caches[1]), counts(&caches[0]));
+        assert_eq!(repeated.tally(), replayed.tally());
     }
 
     #[test]

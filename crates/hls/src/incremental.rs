@@ -34,6 +34,23 @@
 //!    target the same way and make it the plan's new base point (no
 //!    cache interaction — the caller usually just probed the target).
 //!
+//! # Slot-body memo
+//!
+//! A search keeps meeting the same replications: a move and its undo,
+//! a restart to a depth it has tried, the same width at another depth.
+//! A replication's invariants depend only on what
+//! [`DnnBuilder::replication`](codesign_dnn::builder::DnnBuilder::replication)
+//! reads of the point — the Bundle, the activation, the input shape, the
+//! replication's channel width and its down-sampling flag — and the
+//! head's only on its input shape. So a plan keeps one body per such key,
+//! shared by its clones like the probe memo, and a stage elaborates only
+//! bodies the search has never seen; for the others it re-derives the
+//! terms and folds. The memo holds one entry per distinct body the
+//! search elaborates and is dropped with the plan's last clone. Its key
+//! hashes to one folded multiply of the shape, width and flag, and
+//! equality compares every field, so a collision costs a comparison,
+//! never a wrong body.
+//!
 //! # Why re-summing in canonical order keeps bit-identity
 //!
 //! The repo's determinism contract requires the incremental path to be
@@ -49,16 +66,20 @@
 //! `incremental_equivalence` proptest pins this contract over random
 //! coordinate walks.
 
-use crate::cache::{KeyBuf, ProbeMemo};
+use crate::cache::{folded_multiply, KeyBuf, PassThrough, ProbeMemo, ProbeTally};
 use crate::calibrate::CalibratedParams;
 use crate::model::{Estimate, EstimateError, HlsEstimator};
+use codesign_dnn::bundle::Bundle;
+use codesign_dnn::quant::Activation;
 use codesign_dnn::space::DesignPoint;
-use codesign_dnn::{LayerInstance, TensorShape};
+use codesign_dnn::{DnnError, LayerInstance, TensorShape};
 use codesign_sim::device::FpgaDevice;
 use codesign_sim::ip::{IpKind, INVOCATION_OVERHEAD};
 use codesign_sim::pipeline::{bram_blocks, control_overhead, tile_buffer_blocks, AccelConfig};
 use codesign_sim::report::ResourceUsage;
 use std::cell::RefCell;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -259,10 +280,9 @@ struct Slot {
 }
 
 impl Slot {
-    fn build(layers: Vec<LayerInstance>, cfg: &AccelConfig) -> Result<Self, EstimateError> {
-        let body = Arc::new(SlotBody::of(&layers, cfg)?);
+    fn new(body: Arc<SlotBody>, cfg: &AccelConfig) -> Self {
         let terms = SlotTerms::derive(&body, cfg);
-        Ok(Self { body, terms })
+        Self { body, terms }
     }
 
     /// The slot re-priced under another config (structure reused).
@@ -277,6 +297,51 @@ impl Slot {
         self.body.output
     }
 }
+
+/// Everything a slot body is derived from, besides the plan's builder
+/// and the fixed tile geometry: what [`DnnBuilder::replication`] reads
+/// of the point for one replication, and the head's input shape.
+///
+/// [`DnnBuilder::replication`]: codesign_dnn::builder::DnnBuilder::replication
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum BodyKey {
+    Replication {
+        bundle: Bundle,
+        activation: Activation,
+        input: TensorShape,
+        channels: usize,
+        downsample: bool,
+    },
+    Head {
+        input: TensorShape,
+    },
+}
+
+impl Hash for BodyKey {
+    /// One folded multiply over the fields that vary within a search
+    /// (Bundle and activation are fixed there, and equality still
+    /// compares them).
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let (input, channels, downsample) = match *self {
+            BodyKey::Replication {
+                input,
+                channels,
+                downsample,
+                ..
+            } => (input, channels, downsample),
+            BodyKey::Head { input } => (input, 0, false),
+        };
+        let shape = (input.c as u64) | (input.h as u64) << 21 | (input.w as u64) << 42;
+        let width = (channels as u64) << 1 | u64::from(downsample);
+        state.write_u64(folded_multiply(
+            shape ^ 0x9E37_79B9_7F4A_7C15,
+            width ^ 0x2545_F491_4F6C_DD1D,
+        ));
+    }
+}
+
+/// A plan's slot-body memo: one body per key a search has elaborated.
+type BodyMemo = HashMap<BodyKey, Arc<SlotBody>, BuildHasherDefault<PassThrough>>;
 
 /// A staged (not yet committed) re-estimation of a target point. The
 /// slot list is absolute — it fully describes the staged point, not a
@@ -344,6 +409,10 @@ pub struct EstimatePlan {
     /// one), shared by every clone of the plan — in `scd_search`, the
     /// run's plan and its restart plans — and dropped with the last.
     memo: Option<Rc<RefCell<ProbeMemo>>>,
+    /// Every replication and head body the plan has elaborated, shared
+    /// by its clones like `memo`: a stage re-derives the terms of a body
+    /// it has seen before instead of elaborating it again.
+    bodies: Rc<RefCell<BodyMemo>>,
 }
 
 impl EstimatePlan {
@@ -373,6 +442,7 @@ impl EstimatePlan {
             memo: estimator
                 .cache()
                 .map(|cache| Rc::new(RefCell::new(ProbeMemo::new(Arc::clone(cache))))),
+            bodies: Rc::default(),
         };
         let staged = plan.stage(point)?;
         plan.adopt(point, staged);
@@ -439,6 +509,24 @@ impl EstimatePlan {
             *self.staged.borrow_mut() = Some((target.clone(), staged));
         }
         result
+    }
+
+    /// Every lookup the plan's [`ProbeMemo`] has served, shared with the
+    /// plan's clones (zero without a cache). Two readings bracket the
+    /// lookups of a stretch of probes.
+    pub fn probe_tally(&self) -> ProbeTally {
+        self.memo
+            .as_ref()
+            .map_or_else(ProbeTally::default, |memo| memo.borrow().tally())
+    }
+
+    /// Counts a stretch of probes this plan's memo already answered as
+    /// if it ran again, without probing: see [`ProbeMemo::replay`] and
+    /// the [restart replay](crate::cache#restart-replay) contract.
+    pub fn replay_probes(&self, tally: ProbeTally) {
+        if let Some(memo) = &self.memo {
+            memo.borrow_mut().replay(tally);
+        }
     }
 
     /// Makes `target` the plan's new base point, re-deriving only the
@@ -537,22 +625,31 @@ impl EstimatePlan {
             });
         }
 
-        let mut shape;
         if slots.is_empty() {
-            let (layers, out) = builder.stem(target)?;
-            shape = out;
-            slots.push(Slot::build(layers, &cfg)?);
-        } else {
-            shape = slots.last().expect("stem pushed").output_shape();
+            let (layers, _) = builder.stem(target)?;
+            slots.push(Slot::new(Arc::new(SlotBody::of(&layers, &cfg)?), &cfg));
         }
+        let mut shape = slots.last().expect("stem pushed").output_shape();
         let done_reps = (slots.len() - 1).min(reps);
         for rep in done_reps..reps {
-            let (layers, out) = builder.replication(target, rep, shape)?;
-            shape = out;
-            slots.push(Slot::build(layers, &cfg)?);
+            let key = BodyKey::Replication {
+                bundle: target.bundle,
+                activation: target.activation,
+                input: shape,
+                channels: target.channels_at(rep),
+                downsample: builder.downsample_at(target, rep),
+            };
+            let body = self.body(key, &cfg, || {
+                builder
+                    .replication(target, rep, shape)
+                    .map(|(layers, _)| layers)
+            })?;
+            shape = body.output;
+            slots.push(Slot::new(body, &cfg));
         }
         if slots.len() < reps + 2 {
-            slots.push(Slot::build(builder.head(shape)?, &cfg)?);
+            let body = self.body(BodyKey::Head { input: shape }, &cfg, || builder.head(shape))?;
+            slots.push(Slot::new(body, &cfg));
         }
 
         let estimate = fold(
@@ -566,6 +663,22 @@ impl EstimatePlan {
             slots,
             estimate,
         })
+    }
+
+    /// The body `key` names: from the body memo, or elaborated from
+    /// `layers` and remembered.
+    fn body(
+        &self,
+        key: BodyKey,
+        cfg: &AccelConfig,
+        layers: impl FnOnce() -> Result<Vec<LayerInstance>, DnnError>,
+    ) -> Result<Arc<SlotBody>, EstimateError> {
+        if let Some(body) = self.bodies.borrow().get(&key) {
+            return Ok(Arc::clone(body));
+        }
+        let body = Arc::new(SlotBody::of(&layers()?, cfg)?);
+        self.bodies.borrow_mut().insert(key, Arc::clone(&body));
+        Ok(body)
     }
 
     /// Number of leading slots of the current plan that stay valid for

@@ -13,9 +13,11 @@
 //!   BRAM buffers without DRAM round-trips.
 //! * **Tile-level pipelining** — tiles carry no cross-tile dependencies,
 //!   so the IPs of a Bundle form a pipeline over the tile stream. The
-//!   scheduler computes the pipeline's makespan with the classic
-//!   dependency recurrence
-//!   `finish[s][t] = max(finish[s-1][t], finish[s][t-1]) + cycles[s]`.
+//!   pipeline's makespan is that of the classic dependency recurrence
+//!   `finish[s][t] = max(finish[s-1][t], finish[s][t-1]) + cycles[s]`,
+//!   which the scheduler evaluates in closed form,
+//!   `Σ cycles + (tiles − 1) · max cycles`, since every tile costs the
+//!   same.
 //!
 //! Inter-Bundle traffic (Bundle inputs and outputs) goes through DRAM at
 //! the device's bandwidth; intra-Bundle traffic stays in BRAM. Weights
@@ -30,7 +32,6 @@ use codesign_dnn::layer::LayerOp;
 use codesign_dnn::quant::Quantization;
 use codesign_dnn::space::DesignPoint;
 use codesign_dnn::{Dnn, LayerInstance};
-use std::collections::BTreeMap;
 
 /// Default spatial tile height (on the post-stem 180x320 feature map a
 /// 10x20 tile yields an 18x16 tile grid; the tile is sized so deep,
@@ -193,14 +194,16 @@ fn pipeline_groups(dnn: &Dnn) -> Vec<Vec<&LayerInstance>> {
 pub fn accelerator_resources(dnn: &Dnn, cfg: &AccelConfig) -> Result<ResourceUsage, SimError> {
     cfg.validate()?;
     // One instance per distinct IP kind: layer-level IP reuse.
-    let mut instances: BTreeMap<String, IpInstance> = BTreeMap::new();
+    let mut kinds: Vec<IpKind> = Vec::new();
     for layer in dnn.layers() {
-        let ip = cfg.instance_for(&layer.op)?;
-        instances.insert(ip.kind.to_string(), ip);
+        let kind = IpKind::for_op(&layer.op)?;
+        if !kinds.contains(&kind) {
+            kinds.push(kind);
+        }
     }
     let mut total = ResourceUsage::zero();
-    for ip in instances.values() {
-        total += ip.resources();
+    for &kind in &kinds {
+        total += cfg.instance_for_kind(kind).resources();
     }
 
     // Shared weight buffer: sized for the largest layer's weights.
@@ -228,8 +231,27 @@ pub fn accelerator_resources(dnn: &Dnn, cfg: &AccelConfig) -> Result<ResourceUsa
         .unwrap_or(0);
     total.bram_18k += tile_buffer_blocks(max_tile_bytes);
 
-    total += control_overhead(instances.len());
+    total += control_overhead(kinds.len());
     Ok(total)
+}
+
+/// Makespan of `n_tiles` identical tiles through a pipeline whose stage
+/// `s` takes `stage_cycles[s]` cycles per tile: the last stage's finish
+/// time under `finish[s][t] = max(finish[s-1][t], finish[s][t-1]) + c[s]`.
+///
+/// Every tile costs the same, so the recurrence has the closed form
+/// `Σ c + (n_tiles − 1) · max c`, exact in integers. By induction over
+/// the stages: the finish times of one stage are its first tile's
+/// finish plus `(t − 1)` times the slowest stage so far, because a
+/// stage faster than its predecessor waits on it and a slower one is
+/// back to back with itself. No stages or no tiles take no time.
+fn tile_pipeline_makespan(stage_cycles: &[u64], n_tiles: u64) -> u64 {
+    if n_tiles == 0 {
+        return 0;
+    }
+    let sum: u64 = stage_cycles.iter().sum();
+    let max = stage_cycles.iter().copied().max().unwrap_or(0);
+    sum + (n_tiles - 1) * max
 }
 
 /// Simulates one inference of `dnn` on the Tile-Arch accelerator.
@@ -258,6 +280,7 @@ pub fn simulate(dnn: &Dnn, cfg: &AccelConfig, device: &FpgaDevice) -> Result<Sim
     let mut ideal_mac_cycles: u64 = 0;
     let mut layer_cycles = Vec::new();
     let mut prev_group_compute: u64 = 0;
+    let mut stage_cycles: Vec<u64> = Vec::new();
 
     for group in pipeline_groups(dnn) {
         let first = group.first().expect("groups are non-empty");
@@ -275,7 +298,7 @@ pub fn simulate(dnn: &Dnn, cfg: &AccelConfig, device: &FpgaDevice) -> Result<Sim
         // inter-Bundle traffic through DRAM, intra-Bundle through BRAM.
         let in_tile_bytes = (in_shape.elements() as u64 * qbytes).div_ceil(n_tiles);
         let out_tile_bytes = (out_shape.elements() as u64 * qbytes).div_ceil(n_tiles);
-        let mut stage_cycles: Vec<u64> = Vec::with_capacity(group.len() + 2);
+        stage_cycles.clear();
         stage_cycles.push((in_tile_bytes as f64 / bw).ceil() as u64);
         let mut group_weight_load: u64 = 0;
         let mut group_compute_per_tile: u64 = 0;
@@ -299,18 +322,7 @@ pub fn simulate(dnn: &Dnn, cfg: &AccelConfig, device: &FpgaDevice) -> Result<Sim
         }
         stage_cycles.push((out_tile_bytes as f64 / bw).ceil() as u64);
 
-        // Tile pipeline makespan:
-        // finish[s][t] = max(finish[s-1][t], finish[s][t-1]) + c[s].
-        let mut finish = vec![0u64; stage_cycles.len()];
-        for _tile in 0..n_tiles {
-            let mut prev_stage_finish = 0u64;
-            for (s, &c) in stage_cycles.iter().enumerate() {
-                let start = prev_stage_finish.max(finish[s]);
-                finish[s] = start + c;
-                prev_stage_finish = finish[s];
-            }
-        }
-        let pipeline_cycles = *finish.last().expect("at least the DMA stages exist");
+        let pipeline_cycles = tile_pipeline_makespan(&stage_cycles, n_tiles);
 
         // Weight streaming: double-buffered, half hidden behind the
         // previous group's compute.
@@ -389,6 +401,40 @@ mod tests {
         p.parallel_factor = pf;
         p.activation = act;
         DnnBuilder::new().build(&p).unwrap()
+    }
+
+    /// The tile-by-tile recurrence [`tile_pipeline_makespan`] replaces.
+    fn makespan_by_recurrence(stage_cycles: &[u64], n_tiles: u64) -> u64 {
+        let mut finish = vec![0u64; stage_cycles.len()];
+        for _tile in 0..n_tiles {
+            let mut prev_stage_finish = 0u64;
+            for (s, &c) in stage_cycles.iter().enumerate() {
+                finish[s] = prev_stage_finish.max(finish[s]) + c;
+                prev_stage_finish = finish[s];
+            }
+        }
+        finish.last().copied().unwrap_or(0)
+    }
+
+    #[test]
+    fn makespan_edge_cases_match_recurrence() {
+        let cases: [(&[u64], u64); 8] = [
+            (&[], 4),
+            (&[5, 9], 0),
+            (&[7], 1),
+            (&[7], 300),
+            (&[0, 0, 0], 9),
+            (&[3, 9, 9, 2], 256),
+            (&[9, 3, 9], 2),
+            (&[0, 4, 0], 1024),
+        ];
+        for (stages, n_tiles) in cases {
+            assert_eq!(
+                tile_pipeline_makespan(stages, n_tiles),
+                makespan_by_recurrence(stages, n_tiles),
+                "{stages:?} x {n_tiles}"
+            );
+        }
     }
 
     #[test]
@@ -517,6 +563,26 @@ mod tests {
         // Bars sum (approximately) to the requested width.
         let bar_cells: usize = chart.matches(['#', '-']).count();
         assert!((55..=70).contains(&bar_cells), "bar cells {bar_cells}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn prop_closed_form_makespan_matches_recurrence(
+            digits in prop::collection::vec(0u64..6, 1..12),
+            scale in 0usize..3,
+            n_tiles in 1u64..=1024,
+        ) {
+            // Small digits make zero stages and ties for the slowest
+            // stage common; the scales reach real stage cycle counts.
+            let unit = [1, 37, 100_003][scale];
+            let stages: Vec<u64> = digits.iter().map(|d| d * unit).collect();
+            prop_assert_eq!(
+                tile_pipeline_makespan(&stages, n_tiles),
+                makespan_by_recurrence(&stages, n_tiles)
+            );
+        }
     }
 
     proptest! {
