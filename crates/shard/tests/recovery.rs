@@ -1,11 +1,14 @@
-//! Recovery pins: a real `kill -9` mid-run, and quarantine + restart.
+//! Recovery pins: a real `kill -9` mid-run, quarantine + restart, a
+//! hung worker's lease reclaim, and a locked-out second supervisor.
 //!
 //! These tests exercise the supervision machinery against genuinely
 //! dead processes, not simulated failures: the first SIGKILLs a live
 //! worker found through its heartbeat file, the second poisons a shard
 //! until quarantine and then restarts the sweep in the same directory
 //! to show finished shards are reused and the final bytes still match
-//! a clean run.
+//! a clean run. The last two check that a silent worker is killed and
+//! its shard recomputed, and that a second supervisor pointed at a
+//! directory in use fails without touching the first run.
 
 use codesign_core::flow::FlowConfig;
 use codesign_shard::supervisor::{run, ShardConfig};
@@ -135,5 +138,66 @@ fn poison_shard_is_quarantined_then_restart_completes() {
         canonical_output_bytes(&output),
         canonical_output_bytes(&clean),
         "post-quarantine restart output differs from the clean run"
+    );
+}
+
+#[test]
+fn hung_worker_loses_its_lease_and_the_shard_is_recomputed() {
+    // Shard 0's first attempt stops heartbeating before its first cell
+    // and sleeps; the supervisor must kill it when its 300 ms lease
+    // runs out and hand the shard to a second attempt.
+    let mut config = shard_config(
+        temp_dir("hang"),
+        2,
+        Some("seed=5;shard.worker.hang=panic@0"),
+    );
+    config.lease = Duration::from_millis(300);
+    let (output, report) = run(&config).expect("run survives a hung worker");
+    assert_eq!(report.lease_reclaims, 1, "{report:?}");
+    assert_eq!(report.retries, 1, "{report:?}");
+
+    let (clean, _) = run(&shard_config(temp_dir("hang_ref"), 1, None)).expect("reference run");
+    assert_eq!(
+        canonical_output_bytes(&output),
+        canonical_output_bytes(&clean),
+        "output after a lease reclaim differs from the clean run"
+    );
+}
+
+#[test]
+fn a_locked_out_second_supervisor_leaves_the_first_run_alone() {
+    let dir = temp_dir("locked_out");
+    // Run A, at 15 FPS: one worker, two shards and slow cells, so
+    // shard 1's worker starts well after run B below has come and gone.
+    let first = shard_config(dir.clone(), 1, Some("seed=1;shard.cell.delay=delay(150)"));
+    let supervisor = {
+        let first = first.clone();
+        std::thread::spawn(move || run(&first))
+    };
+
+    // Wait for run A's first worker, then point run B, with another
+    // config, at the same directory while A still holds it.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !dir.join("seg-0.log").exists() {
+        assert!(Instant::now() < deadline, "run A never started a worker");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let mut second = shard_config(dir, 1, None);
+    second.flow.targets_fps = vec![20.0];
+    assert!(
+        run(&second).is_err(),
+        "a second supervisor on a held directory must fail"
+    );
+
+    let (output, _) = supervisor
+        .join()
+        .expect("supervisor thread")
+        .expect("run A completes");
+    let (clean, _) =
+        run(&shard_config(temp_dir("locked_out_ref"), 1, None)).expect("reference run");
+    assert_eq!(
+        canonical_output_bytes(&output),
+        canonical_output_bytes(&clean),
+        "the locked-out supervisor changed the first run's output"
     );
 }
