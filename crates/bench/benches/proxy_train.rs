@@ -4,11 +4,11 @@
 //!
 //! * `train_*` arms train the **default** proxy config (the paper's
 //!   20-epoch protocol) once per sample, each measured with
-//!   `codesign_bench::perf::measure`. The Bundle-13 x 1 arms must return
-//!   the reference arm's IoU bit for bit.
+//!   `codesign_bench::perf::measure`. The Bundle-13 x 1 GEMM arm must
+//!   return the reference arm's IoU bit for bit.
 //! * `*_winner_*` arms run the design a 15-FPS PYNQ-Z1 flow publishes
-//!   (the one `flow_measured` proxy-trains). Its 1- and 2-worker
-//!   trainings must return the reference engine's IoU bit for bit;
+//!   (the one `flow_measured` proxy-trains). Its training must return
+//!   the reference engine's IoU bit for bit;
 //!   `forward_train_winner_batch8` and `backward_winner_batch8` time one
 //!   training step's two passes over one batch of 8, and the forward
 //!   output must equal `Network::forward`'s.
@@ -18,7 +18,6 @@
 use codesign_bench::perf::{emit_bench_json, measure, BenchRecord};
 use codesign_core::accuracy::ProxyEvaluator;
 use codesign_core::flow::{CoDesignFlow, FlowConfig};
-use codesign_core::parallel::Parallelism;
 use codesign_dataset::SyntheticDataset;
 use codesign_dnn::builder::DnnBuilder;
 use codesign_dnn::bundle::{bundle_by_id, BundleId};
@@ -26,9 +25,6 @@ use codesign_dnn::space::DesignPoint;
 use codesign_dnn::TensorShape;
 use codesign_nn::{Engine, Network, Tensor};
 use codesign_sim::device::pynq_z1;
-
-/// GEMM worker counts compared against the naive reference kernels.
-const THREAD_COUNTS: [usize; 2] = [1, 4];
 
 /// The candidate the paper's examples train: a Bundle-13
 /// (dw3x3 + conv1x1) network.
@@ -57,7 +53,7 @@ fn evaluator(engine: Engine) -> ProxyEvaluator {
 }
 
 /// `point`'s proxy network as [`ProxyEvaluator::evaluate`] builds it,
-/// at one worker, and its first training batch.
+/// and its first training batch.
 fn proxy_batch(point: &DesignPoint) -> (Network, Tensor, Vec<[f32; 4]>) {
     let eval = ProxyEvaluator::default();
     let mut proxy = point.clone();
@@ -69,7 +65,7 @@ fn proxy_batch(point: &DesignPoint) -> (Network, Tensor, Vec<[f32; 4]>) {
         .expect("the proxy network builds");
     let net = Network::from_dnn(&dnn, eval.seed)
         .expect("the proxy network compiles")
-        .with_engine(Engine::Gemm(Parallelism::Fixed(1)));
+        .with_engine(Engine::Gemm);
     let batch = eval.config.batch_size;
     let (images, boxes) =
         SyntheticDataset::new(eval.image_h, eval.image_w, eval.seed).training_pairs(batch);
@@ -84,47 +80,35 @@ fn main() {
         |()| evaluator(Engine::Reference).evaluate(&point).unwrap(),
     );
     let mut records = vec![BenchRecord::timing("train_naive_reference", naive.timing)];
-    for threads in THREAD_COUNTS {
-        let gemm = measure(
-            5,
-            || (),
-            |()| {
-                evaluator(Engine::Gemm(Parallelism::Fixed(threads)))
-                    .evaluate(&point)
-                    .unwrap()
-            },
-        );
-        assert_eq!(
-            gemm.output.to_bits(),
-            naive.output.to_bits(),
-            "gemm x{threads} DIVERGED from the naive reference — determinism bug!"
-        );
-        records.push(BenchRecord::speedup_over(
-            &format!("train_gemm_{threads}_workers"),
-            gemm.timing,
-            naive.timing,
-        ));
-    }
+    let gemm = measure(
+        5,
+        || (),
+        |()| evaluator(Engine::Gemm).evaluate(&point).unwrap(),
+    );
+    assert_eq!(
+        gemm.output.to_bits(),
+        naive.output.to_bits(),
+        "gemm DIVERGED from the naive reference — determinism bug!"
+    );
+    records.push(BenchRecord::speedup_over(
+        "train_gemm_1_workers",
+        gemm.timing,
+        naive.timing,
+    ));
 
     let winner = winner();
     let reference = evaluator(Engine::Reference).evaluate(&winner).unwrap();
-    for (name, workers) in [("train_winner_1_worker", 1), ("train_winner_2_workers", 2)] {
-        let arm = measure(
-            5,
-            || (),
-            |()| {
-                evaluator(Engine::Gemm(Parallelism::Fixed(workers)))
-                    .evaluate(&winner)
-                    .unwrap()
-            },
-        );
-        assert_eq!(
-            arm.output.to_bits(),
-            reference.to_bits(),
-            "{name} DIVERGED from the reference engine — determinism bug!"
-        );
-        records.push(BenchRecord::timing(name, arm.timing));
-    }
+    let arm = measure(
+        5,
+        || (),
+        |()| evaluator(Engine::Gemm).evaluate(&winner).unwrap(),
+    );
+    assert_eq!(
+        arm.output.to_bits(),
+        reference.to_bits(),
+        "the winner's training DIVERGED from the reference engine — determinism bug!"
+    );
+    records.push(BenchRecord::timing("train_winner_1_worker", arm.timing));
 
     let (mut net, batch, boxes) = proxy_batch(&winner);
     let forward = measure(10, || (), |()| net.forward_train(&batch));

@@ -21,7 +21,6 @@
 //! deviations).
 
 use codesign_bench::perf::{emit_bench_json, measure, BenchRecord, Timing};
-use codesign_core::parallel::Parallelism;
 use codesign_dnn::builder::DnnBuilder;
 use codesign_dnn::bundle::{bundle_by_id, BundleId};
 use codesign_dnn::quant::Quantization;
@@ -41,7 +40,7 @@ fn candidate_net() -> Network {
         .unwrap();
     Network::from_dnn(&dnn, 42)
         .unwrap()
-        .with_engine(Engine::Gemm(Parallelism::Fixed(1)))
+        .with_engine(Engine::Gemm)
 }
 
 fn ramp_image() -> Tensor {

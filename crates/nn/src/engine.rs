@@ -37,31 +37,24 @@ use crate::reference;
 use crate::scratch;
 use crate::simd;
 use crate::tensor::Tensor;
-use codesign_parallel::Parallelism;
 use std::fmt;
 
 /// Convolution execution strategy of a [`crate::network::Network`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Engine {
     /// Per-image naive nested loops (the retained seed kernels).
     Reference,
-    /// Batched direct (implicit-GEMM) kernels. They run on the calling
-    /// thread; the worker count is kept for callers that still name one
-    /// and changes nothing.
-    Gemm(Parallelism),
-}
-
-impl Default for Engine {
-    fn default() -> Self {
-        Engine::Gemm(Parallelism::Auto)
-    }
+    /// Batched direct (implicit-GEMM) kernels, run on the calling
+    /// thread.
+    #[default]
+    Gemm,
 }
 
 impl fmt::Display for Engine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Engine::Reference => write!(f, "reference"),
-            Engine::Gemm(par) => write!(f, "gemm(x{par})"),
+            Engine::Gemm => write!(f, "gemm"),
         }
     }
 }

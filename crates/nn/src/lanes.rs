@@ -301,7 +301,6 @@ mod tests {
     use super::*;
     use crate::engine::{conv_backward_lanes, dwconv_backward_lanes, Engine};
     use crate::layers::{scale_bias_backward_lanes, ConvParams, DwConvParams, ScaleBiasParams};
-    use codesign_parallel::Parallelism;
 
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
@@ -332,7 +331,7 @@ mod tests {
     /// gradient (weights, bias, scale) of the backward passes reads it.
     #[test]
     fn padding_lanes_never_reach_a_result() {
-        let engine = Engine::Gemm(Parallelism::Fixed(1));
+        let engine = Engine::Gemm;
         for n in [1usize, 3, 9] {
             let (x, xd) = clean_and_dirty(n, 3, 4, 6, 1);
             let (g, gd) = clean_and_dirty(n, 3, 4, 6, 5);

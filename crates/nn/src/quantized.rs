@@ -351,7 +351,6 @@ mod tests {
     use codesign_dnn::bundle::{bundle_by_id, BundleId};
     use codesign_dnn::space::DesignPoint;
     use codesign_dnn::TensorShape;
-    use codesign_parallel::Parallelism;
     use proptest::prelude::*;
 
     fn tiny_net() -> Network {
@@ -446,19 +445,6 @@ mod tests {
             d_int8 <= d_fake * 2.0 + 0.05,
             "int8 deviation {d_int8} far exceeds fake-quant deviation {d_fake}"
         );
-    }
-
-    #[test]
-    fn int8_engine_is_worker_count_invariant() {
-        let net = tiny_net();
-        let q1 = QuantizedNetwork::quantize(&net, Quantization::Int8)
-            .with_engine(Engine::Gemm(Parallelism::Fixed(1)));
-        let q4 = QuantizedNetwork::quantize(&net, Quantization::Int8)
-            .with_engine(Engine::Gemm(Parallelism::Fixed(4)));
-        for v in [0.0f32, 0.25, 0.8] {
-            let img = Tensor::full(&[3, 8, 16], v);
-            assert_eq!(q1.forward_int8(&img).data(), q4.forward_int8(&img).data());
-        }
     }
 
     /// A batch of any size — one lane, a partial group, a full group,

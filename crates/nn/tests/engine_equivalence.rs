@@ -1,7 +1,6 @@
 //! The compute-engine contract: the direct-kernel path is
 //! **bit-identical** to the retained naive reference kernels — forward
-//! and backward, for any shape, kernel size and worker count, batched
-//! or per-image — and mini-batch SGD produces identical parameter
+//! and backward, for any shape and kernel size, batched or per-image — and mini-batch SGD produces identical parameter
 //! updates on either path. Every comparison is on bits (`to_bits`), so
 //! `-0.0` and `+0.0` count as different results.
 
@@ -14,7 +13,6 @@ use codesign_nn::layers::{ConvParams, DwConvParams};
 use codesign_nn::network::NnLayer;
 use codesign_nn::train::{TrainConfig, Trainer};
 use codesign_nn::{Engine, Network, Tensor};
-use codesign_parallel::Parallelism;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -76,9 +74,8 @@ proptest! {
     // tails run.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Forward + backward of the standard convolution: direct kernels at any
-    /// worker count, batched or not, equals the naive reference bit for
-    /// bit.
+    /// Forward + backward of the standard convolution: direct kernels,
+    /// batched or not, equal the naive reference bit for bit.
     #[test]
     fn prop_conv_matches_reference_bitwise(
         seed in 0u64..1000,
@@ -88,14 +85,13 @@ proptest! {
         h in 1usize..25,
         w in 1usize..50,
         k_idx in 0usize..5,
-        threads in 1usize..5,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let k = KERNELS[k_idx];
         let p = rng_conv(k, ic, oc, &mut rng);
         let images: Vec<Tensor> = (0..n).map(|_| rng_tensor(&[ic, h, w], &mut rng)).collect();
         let batch = Tensor::stack(&images);
-        let gemm = Engine::Gemm(Parallelism::Fixed(threads));
+        let gemm = Engine::Gemm;
 
         let y_ref = conv_forward(&batch, &p, Engine::Reference);
         let y_gemm = conv_forward(&batch, &p, gemm);
@@ -125,14 +121,13 @@ proptest! {
         h in 1usize..25,
         w in 1usize..50,
         k_idx in 0usize..5,
-        threads in 1usize..5,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let k = KERNELS[k_idx];
         let p = rng_dwconv(k, ch, &mut rng);
         let images: Vec<Tensor> = (0..n).map(|_| rng_tensor(&[ch, h, w], &mut rng)).collect();
         let batch = Tensor::stack(&images);
-        let gemm = Engine::Gemm(Parallelism::Fixed(threads));
+        let gemm = Engine::Gemm;
 
         let y_ref = dwconv_forward(&batch, &p, Engine::Reference);
         let y_gemm = dwconv_forward(&batch, &p, gemm);
@@ -212,24 +207,22 @@ fn per_image_and_batched_training_update_parameters_identically() {
     let mut per_image = tiny_net(21).with_engine(Engine::Reference);
     let report_ref = trainer.train(&mut per_image, &images, &boxes);
 
-    for threads in [1, 4] {
-        let mut batched = tiny_net(21).with_engine(Engine::Gemm(Parallelism::Fixed(threads)));
-        let report = trainer.train(&mut batched, &images, &boxes);
-        assert_eq!(
-            param_bits(&per_image),
-            param_bits(&batched),
-            "parameters diverged at {threads} workers"
-        );
-        assert_eq!(
-            bits(&report_ref.epoch_losses),
-            bits(&report.epoch_losses),
-            "loss trajectory diverged at {threads} workers"
-        );
-        assert_eq!(
-            trainer.evaluate_loss(&per_image, &images, &boxes).to_bits(),
-            trainer.evaluate_loss(&batched, &images, &boxes).to_bits()
-        );
-    }
+    let mut batched = tiny_net(21).with_engine(Engine::Gemm);
+    let report = trainer.train(&mut batched, &images, &boxes);
+    assert_eq!(
+        param_bits(&per_image),
+        param_bits(&batched),
+        "parameters diverged"
+    );
+    assert_eq!(
+        bits(&report_ref.epoch_losses),
+        bits(&report.epoch_losses),
+        "loss trajectory diverged"
+    );
+    assert_eq!(
+        trainer.evaluate_loss(&per_image, &images, &boxes).to_bits(),
+        trainer.evaluate_loss(&batched, &images, &boxes).to_bits()
+    );
 }
 
 /// `sgd_step` applies the accumulated batch gradient exactly once: a
@@ -256,7 +249,7 @@ fn sgd_steps_once_per_batch() {
         momentum,
         batch_size: bs,
     });
-    let mut batched = tiny_net(33).with_engine(Engine::Gemm(Parallelism::Fixed(2)));
+    let mut batched = tiny_net(33).with_engine(Engine::Gemm);
     trainer.train(&mut batched, &images, &boxes);
 
     assert_eq!(param_bits(&manual), param_bits(&batched));
@@ -274,7 +267,7 @@ fn padding_taps_decide_the_sign_of_zero() {
     let mut dw = DwConvParams::zeros(3, 1);
     dw.weights.fill(0.5);
     dw.bias[0] = -0.0;
-    for engine in [Engine::Reference, Engine::Gemm(Parallelism::Fixed(1))] {
+    for engine in [Engine::Reference, Engine::Gemm] {
         let y = conv_forward(&x, &conv, engine);
         assert_eq!(bits(y.data()), [0.0f32.to_bits()], "conv under {engine}");
         let y = dwconv_forward(&x, &dw, engine);
@@ -285,7 +278,7 @@ fn padding_taps_decide_the_sign_of_zero() {
 /// Three SGD steps on a network whose layer 0 is a 3x3 convolution —
 /// the layer whose input gradient the batched backward pass skips —
 /// leave bit-identical parameters under the reference engine and the
-/// direct kernels at 1 and 2 workers.
+/// direct kernels.
 #[test]
 fn three_sgd_steps_match_reference_with_3x3_first_conv() {
     let (images, boxes) = synthetic_set(6, 13);
@@ -301,22 +294,16 @@ fn three_sgd_steps_match_reference_with_3x3_first_conv() {
         "layer 0 must be a 3x3 convolution"
     );
     trainer.train(&mut reference, &images, &boxes);
-    for threads in [1, 2] {
-        let mut direct = tiny_net(5).with_engine(Engine::Gemm(Parallelism::Fixed(threads)));
-        trainer.train(&mut direct, &images, &boxes);
-        assert_eq!(
-            param_bits(&reference),
-            param_bits(&direct),
-            "parameters diverged at {threads} workers"
-        );
-    }
+    let mut direct = tiny_net(5).with_engine(Engine::Gemm);
+    trainer.train(&mut direct, &images, &boxes);
+    assert_eq!(param_bits(&reference), param_bits(&direct));
 }
 
 /// Batches that fill one lane, part of a group, exactly one group, and
 /// whole groups plus a partial one run `Network::forward`,
 /// `forward_train` + `backward` + `sgd_step`, and `Trainer::train`
 /// bit-identically to the reference engine: outputs, loss trajectory
-/// and parameters, at 1 and 3 workers.
+/// and parameters.
 #[test]
 fn partial_lane_groups_match_reference_bitwise() {
     let step = |net: &mut Network, batch: &Tensor, boxes: &[[f32; 4]]| {
@@ -341,31 +328,29 @@ fn partial_lane_groups_match_reference_bitwise() {
         let want_step = step(&mut reference(), &batch, &boxes);
         let mut want_net = reference();
         let want_report = trainer.train(&mut want_net, &images, &boxes);
-        for threads in [1, 3] {
-            let direct = || tiny_net(3).with_engine(Engine::Gemm(Parallelism::Fixed(threads)));
-            assert_eq!(
-                bits(direct().forward(&batch).data()),
-                want_out,
-                "forward of {n} images at {threads} workers"
-            );
-            assert_eq!(
-                step(&mut direct(), &batch, &boxes),
-                want_step,
-                "one SGD step on {n} images at {threads} workers"
-            );
-            let mut net = direct();
-            let report = trainer.train(&mut net, &images, &boxes);
-            assert_eq!(
-                bits(&report.epoch_losses),
-                bits(&want_report.epoch_losses),
-                "loss trajectory on {n} images at {threads} workers"
-            );
-            assert_eq!(
-                param_bits(&net),
-                param_bits(&want_net),
-                "trained parameters on {n} images at {threads} workers"
-            );
-        }
+        let direct = || tiny_net(3).with_engine(Engine::Gemm);
+        assert_eq!(
+            bits(direct().forward(&batch).data()),
+            want_out,
+            "forward of {n} images"
+        );
+        assert_eq!(
+            step(&mut direct(), &batch, &boxes),
+            want_step,
+            "one SGD step on {n} images"
+        );
+        let mut net = direct();
+        let report = trainer.train(&mut net, &images, &boxes);
+        assert_eq!(
+            bits(&report.epoch_losses),
+            bits(&want_report.epoch_losses),
+            "loss trajectory on {n} images"
+        );
+        assert_eq!(
+            param_bits(&net),
+            param_bits(&want_net),
+            "trained parameters on {n} images"
+        );
     }
 }
 
@@ -381,11 +366,7 @@ fn a_non_finite_image_leaves_the_other_rows_untouched() {
     poisoned[100] = f32::NEG_INFINITY;
     poisoned[200] = f32::NAN;
     let batch = Tensor::stack(&images);
-    for engine in [
-        Engine::Reference,
-        Engine::Gemm(Parallelism::Fixed(1)),
-        Engine::Gemm(Parallelism::Fixed(3)),
-    ] {
+    for engine in [Engine::Reference, Engine::Gemm] {
         let net = tiny_net(11).with_engine(engine);
         let out = net.forward(&batch);
         for (i, img) in images.iter().enumerate().filter(|&(i, _)| i != 4) {

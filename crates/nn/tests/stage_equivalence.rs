@@ -25,7 +25,6 @@ use codesign_nn::layers::{
 };
 use codesign_nn::network::NnLayer;
 use codesign_nn::{reference, Engine, Network, Tensor};
-use codesign_parallel::Parallelism;
 use proptest::prelude::*;
 
 /// Bit patterns, with every NaN as the canonical one: IEEE 754 leaves
@@ -348,10 +347,7 @@ fn networks_match_their_layers_run_one_by_one() {
             .build(&point)
             .expect("the network builds");
         // The naive engine is slow in debug builds: one image there.
-        for (engine, batches) in [
-            (Engine::Gemm(Parallelism::Fixed(1)), &[1, 9][..]),
-            (Engine::Reference, &[1][..]),
-        ] {
+        for (engine, batches) in [(Engine::Gemm, &[1, 9][..]), (Engine::Reference, &[1][..])] {
             for &n in batches {
                 let mut net = Network::from_dnn(&dnn, 11)
                     .expect("compiles")

@@ -33,6 +33,13 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
+/// How many times a failed estimate-store persist is retried before
+/// the store goes read-only degraded.
+const PERSIST_RETRIES: u32 = 3;
+
+/// Backoff before the first persist retry; it doubles per retry.
+const PERSIST_BACKOFF: Duration = Duration::from_millis(10);
+
 /// Scheduler knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -55,13 +62,6 @@ pub struct ServeConfig {
     /// startup and new estimates are appended after each completed job,
     /// so a restarted server keeps its priced design points.
     pub store: Option<PathBuf>,
-    /// How many times a failed estimate-store persist is retried
-    /// (with exponential backoff) before the store goes read-only
-    /// degraded.
-    pub persist_retries: u32,
-    /// Base backoff between persist retries, in milliseconds; doubles
-    /// per attempt.
-    pub persist_backoff_ms: u64,
     /// Fault-injection plan consulted at the serve-layer sites
     /// (`serve.job.panic`, `serve.job.delay`, `serve.conn.drop`) and
     /// passed down to the estimate store's I/O sites. `None` — the
@@ -76,8 +76,6 @@ impl Default for ServeConfig {
             executors: 2,
             max_finished: 64,
             store: None,
-            persist_retries: 3,
-            persist_backoff_ms: 10,
             faults: None,
         }
     }
@@ -357,8 +355,6 @@ struct Shared {
     store: Option<StoreState>,
     max_queue: usize,
     max_finished: usize,
-    persist_retries: u32,
-    persist_backoff: Duration,
     /// Serve-layer fault-injection plan (`None` in production).
     faults: Option<Arc<FaultPlan>>,
 }
@@ -388,9 +384,9 @@ impl Shared {
             return;
         }
         let mut store = state.store.lock().expect("store lock");
-        let mut backoff = self.persist_backoff;
+        let mut backoff = PERSIST_BACKOFF;
         let mut last_error = None;
-        for attempt in 0..=self.persist_retries {
+        for attempt in 0..=PERSIST_RETRIES {
             // Retries resume from the failed record: everything already
             // appended is durable and tracked, so this never rewrites.
             match store.persist_from(&self.cache) {
@@ -398,7 +394,7 @@ impl Shared {
                 Err(err) => {
                     state.persist_failures.fetch_add(1, Ordering::Relaxed);
                     last_error = Some(err);
-                    if attempt < self.persist_retries {
+                    if attempt < PERSIST_RETRIES {
                         thread::sleep(backoff);
                         backoff = backoff.saturating_mul(2);
                     }
@@ -408,7 +404,7 @@ impl Shared {
         let reason = match last_error {
             Some(err) => format!(
                 "estimate store went read-only after {} failed persist attempts: {err}",
-                self.persist_retries + 1
+                PERSIST_RETRIES + 1
             ),
             None => "estimate store went read-only".to_string(),
         };
@@ -498,8 +494,6 @@ impl Scheduler {
             store,
             max_queue: config.max_queue,
             max_finished: config.max_finished,
-            persist_retries: config.persist_retries,
-            persist_backoff: Duration::from_millis(config.persist_backoff_ms),
             faults: config.faults.clone(),
         });
         let executors = (0..config.executors)

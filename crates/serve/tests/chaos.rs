@@ -148,8 +148,6 @@ fn chaos_soak_reaches_terminal_states_and_preserves_faultfree_results() {
         executors: 2,
         max_finished: MAX_FINISHED,
         store: Some(store_path.clone()),
-        persist_retries: 2,
-        persist_backoff_ms: 1,
         faults: Some(Arc::clone(&plan)),
     })
     .expect("start server");
@@ -375,8 +373,6 @@ fn store_write_failures_degrade_to_read_only_while_serving_continues() {
         max_queue: 8,
         executors: 1,
         store: Some(path.clone()),
-        persist_retries: 1,
-        persist_backoff_ms: 1,
         faults: Some(plan),
         ..ServeConfig::default()
     })
@@ -475,8 +471,6 @@ fn torn_tail_plus_write_failures_leave_store_readable_and_server_serving() {
         max_queue: 4,
         executors: 1,
         store: Some(path.clone()),
-        persist_retries: 1,
-        persist_backoff_ms: 1,
         faults: Some(plan),
         ..ServeConfig::default()
     })

@@ -10,20 +10,24 @@
 //!
 //! * [`supervisor`] — runs the coarse stage, partitions the grid into
 //!   shards, spawns worker processes (re-execs of this crate's own
-//!   binary), hands out shards under heartbeat leases, reclaims leases
-//!   from crashed or hung workers, retries with a bounded budget,
-//!   quarantines shards that keep failing instead of retrying forever,
-//!   and merges and finalizes the results.
+//!   binary), hands out shards under leases that each worker renews by
+//!   writing to its stdout pipe, reclaims leases from crashed or hung
+//!   workers, retries with a bounded budget, quarantines shards that
+//!   keep failing instead of retrying forever, and merges and
+//!   finalizes the results.
 //! * [`worker`] — the child-process side: reads the [`spec`], computes
 //!   its cells, appends results to its own [`segment`] log, and
 //!   resumes mid-shard after a crash by replaying what the torn-tail
 //!   recovery of its segment preserved.
-//! * [`manifest`] — the supervisor's checksummed record of claims,
-//!   completions, failures, and quarantines; replayed on restart so a
-//!   new supervisor run reuses finished shards.
 //! * [`output`] — a canonical byte serialization of the final
 //!   [`FlowOutput`](codesign_core::FlowOutput), the artifact the
 //!   determinism pins compare.
+//!
+//! A shard directory is `spec.bin` plus the segment logs; that is all
+//! a restart reads. The supervisor's attempt counts and quarantines
+//! live in memory, so a restarted run gives every unfinished shard a
+//! fresh retry budget and reuses every shard whose segment covers its
+//! cells.
 //!
 //! The contract, enforced by this crate's tests: the merged output is
 //! **byte-identical** across one process, N processes, and N processes
@@ -39,18 +43,16 @@ use codesign_store::{CodecError, LogError};
 use std::fmt;
 use std::io;
 
-pub mod manifest;
 pub mod output;
 pub mod segment;
 pub mod spec;
 pub mod supervisor;
 pub mod worker;
 
-pub use manifest::{Manifest, ManifestState, PlanRecord};
 pub use output::canonical_output_bytes;
 pub use segment::{read_segment, segment_path};
 pub use spec::{shard_range, Cell, SweepSpec};
-pub use supervisor::{run, run_with_cancel, ShardConfig, ShardReport};
+pub use supervisor::{run, ShardConfig, ShardReport};
 pub use worker::maybe_run_worker;
 
 /// Everything the sharded search can fail with.
@@ -59,8 +61,8 @@ pub use worker::maybe_run_worker;
 pub enum ShardError {
     /// An I/O operation failed.
     Io(io::Error),
-    /// A record log failed to open or append (including a second
-    /// supervisor being locked out of the manifest).
+    /// A record log failed to open or append, or a second supervisor
+    /// was locked out of a shard directory in use.
     Log(LogError),
     /// Stored bytes did not decode.
     Codec(CodecError),
@@ -82,8 +84,6 @@ pub enum ShardError {
         /// Global indices of the uncovered cells, ascending.
         missing: Vec<usize>,
     },
-    /// The run was cancelled through its [`CancelToken`](codesign_core::CancelToken).
-    Cancelled,
 }
 
 impl fmt::Display for ShardError {
@@ -104,7 +104,6 @@ impl fmt::Display for ShardError {
             ShardError::IncompleteMerge { missing } => {
                 write!(f, "merge missing {} cell(s): {missing:?}", missing.len())
             }
-            ShardError::Cancelled => write!(f, "sharded search cancelled"),
         }
     }
 }

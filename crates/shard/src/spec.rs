@@ -4,9 +4,10 @@
 //! slice of the SCD stage bit-for-bit: the [`FlowConfig`] (minus
 //! parallelism, which never affects results), the Bundle selection the
 //! supervisor's coarse stage computed, and the shard count. The
-//! supervisor writes it once to `spec.bin` in the shard directory;
-//! each worker (including the retry of a crashed one) reads it back
-//! and derives its cell range from its shard index alone.
+//! supervisor writes it once to `spec.bin` in the shard directory,
+//! and a restarted supervisor requires the same bytes there; each
+//! worker (including the retry of a crashed one) reads it back and
+//! derives its cell range from its shard index alone.
 //!
 //! # Work grid
 //!
@@ -140,15 +141,16 @@ impl SweepSpec {
         })
     }
 
-    /// Writes the spec to `dir/spec.bin` (truncating any previous one
-    /// — the content is deterministic for one config, so a restart
-    /// rewrites identical bytes).
+    /// Writes the spec to `dir/spec.bin` via temp + rename, so a crash
+    /// mid-write never leaves a torn spec for a restart to refuse.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures.
     pub fn write(&self, dir: &Path) -> std::io::Result<()> {
-        std::fs::write(dir.join(SPEC_FILE), self.to_bytes())
+        let tmp = dir.join(format!("{SPEC_FILE}.tmp"));
+        std::fs::write(&tmp, self.to_bytes())?;
+        std::fs::rename(&tmp, dir.join(SPEC_FILE))
     }
 
     /// Reads the spec back from `dir/spec.bin`.

@@ -14,13 +14,24 @@
 //!                       └── attempts > max_retries ──▶ quarantined
 //! ```
 //!
-//! Liveness is lease-based: a running worker must bump its heartbeat
-//! file at least once per lease period or the supervisor `SIGKILL`s it
-//! and reclaims the shard. Exit status is *not* trusted on its own —
-//! a worker that exits 0 with an incomplete segment (torn tail ate its
-//! last cells) is treated as a failure and retried. Workers still
-//! running when the supervisor returns — on success, cancellation or
-//! an error — are killed and reaped.
+//! A shard directory holds no supervision state of its own: it is
+//! `spec.bin` plus one segment log per shard, and a restart reuses
+//! every shard whose segment already covers its cells. A
+//! `supervisor.lock` file, taken before `spec.bin` is read or written,
+//! keeps a second supervisor out of a directory in use; a restart with
+//! a different config finds a different `spec.bin` and fails.
+//!
+//! Liveness is a pipe: each worker's stdout is read by one thread that
+//! forwards every read to a channel, and the supervisor blocks on that
+//! channel until the earliest lease deadline. A byte renews the
+//! worker's lease; a worker silent for a whole lease is `SIGKILL`ed and
+//! its shard reclaimed; end of file means the worker exited, and it is
+//! reaped. Exit status is *not* trusted on its own — a worker that
+//! exits 0 with an incomplete segment (torn tail ate its last cells) is
+//! treated as a failure and retried. Each failed attempt prints one
+//! line with its reason to stderr. Workers still running when the
+//! supervisor returns — on success or on an error — are killed and
+//! reaped.
 //!
 //! When every shard is done, the segments' cells are gathered into one
 //! map by global cell index, and `pipeline::merge` and
@@ -31,30 +42,34 @@
 //! "byte for byte" means. A run with quarantined shards returns
 //! [`ShardError::Quarantined`] instead of a silently-partial output.
 
-use codesign_core::checkpoint::config_fingerprint;
 use codesign_core::flow::{DesignOutcome, FlowConfig, FlowOutput};
-use codesign_core::observe::CancelState;
 use codesign_core::pipeline;
-use codesign_core::{AccuracyModel, CancelToken, Candidate};
+use codesign_core::{AccuracyModel, Candidate};
 use codesign_faults::SPEC_ENV;
 use codesign_sim::report::CacheStats;
+use codesign_store::{LockFile, LogError};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::io::{self, Read};
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command, ExitStatus, Stdio};
+use std::sync::mpsc::{self, Sender};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::manifest::{Manifest, PlanRecord};
 use crate::segment::{read_segment, segment_path};
-use crate::spec::SweepSpec;
-use crate::worker::{heartbeat_path, ATTEMPT_ENV, DIR_ENV, INDEX_ENV, WORKER_ENV};
+use crate::spec::{SweepSpec, SPEC_FILE};
+use crate::worker::{ATTEMPT_ENV, DIR_ENV, INDEX_ENV, WORKER_ENV};
 use crate::ShardError;
+
+/// File name of the supervisor's lock inside a shard directory.
+const LOCK_FILE: &str = "supervisor.lock";
 
 /// How the sharded run is laid out and supervised.
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
-    /// Directory holding spec, manifest, segments, and heartbeats.
-    /// Created if absent; reusing a directory resumes its finished
-    /// shards (same config required).
+    /// Directory holding the spec, the segments, the workers' pid
+    /// files and the supervisor's lock. Created if absent; reusing a
+    /// directory resumes its finished shards (same config required).
     pub dir: PathBuf,
     /// The flow configuration (its `parallelism` only affects the
     /// supervisor's own coarse stage; workers are single-threaded).
@@ -67,8 +82,8 @@ pub struct ShardConfig {
     /// Failed attempts a shard may accumulate beyond its first before
     /// being quarantined (`max_retries = 2` allows 3 attempts total).
     pub max_retries: u32,
-    /// Heartbeat lease: a worker silent for this long is presumed hung
-    /// and killed.
+    /// Heartbeat window: a worker that writes nothing to its stdout
+    /// pipe for this long is presumed hung and killed.
     pub lease: Duration,
     /// The worker binary — normally the supervisor's own executable.
     /// Tests pass `env!("CARGO_BIN_EXE_codesign-shard")`.
@@ -118,12 +133,29 @@ pub struct ShardReport {
     pub lease_reclaims: u32,
 }
 
+/// One read off a worker's stdout pipe: `(shard, attempt, eof)`, where
+/// `eof` is false for some bytes and true for end of file.
+type Event = (usize, u32, bool);
+
 struct Running {
     shard: usize,
     attempt: u32,
     child: Child,
-    heartbeat: Option<Vec<u8>>,
+    reader: JoinHandle<()>,
     deadline: Instant,
+}
+
+impl Running {
+    /// Kills the child when `kill`, reaps it, then joins its pipe
+    /// reader, which has seen end of file once the child is gone.
+    fn reap(mut self, kill: bool) -> io::Result<ExitStatus> {
+        if kill {
+            let _ = self.child.kill();
+        }
+        let status = self.child.wait();
+        let _ = self.reader.join();
+        status
+    }
 }
 
 /// The live worker processes. Dropping a `std::process::Child` does not
@@ -133,26 +165,62 @@ struct Workers(Vec<Running>);
 
 impl Drop for Workers {
     fn drop(&mut self) {
-        for r in &mut self.0 {
-            let _ = r.child.kill();
-            let _ = r.child.wait();
+        for r in self.0.drain(..) {
+            let _ = r.reap(true);
         }
     }
 }
 
-/// Runs the sharded search to completion. Equivalent to
-/// [`run_with_cancel`] with a token that never fires.
-///
-/// # Errors
-///
-/// See [`run_with_cancel`].
-pub fn run(config: &ShardConfig) -> Result<(FlowOutput, ShardReport), ShardError> {
-    run_with_cancel(config, &CancelToken::new())
+/// Starts a worker on `shard` with its stdout piped to a reader thread
+/// that forwards each read to `events`.
+fn spawn(
+    config: &ShardConfig,
+    shard: usize,
+    attempt: u32,
+    events: &Sender<Event>,
+) -> Result<Running, ShardError> {
+    let mut cmd = Command::new(&config.worker_exe);
+    cmd.env(WORKER_ENV, "1")
+        .env(DIR_ENV, &config.dir)
+        .env(INDEX_ENV, shard.to_string())
+        .env(ATTEMPT_ENV, attempt.to_string())
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::inherit());
+    match &config.fault_spec {
+        Some(s) => cmd.env(SPEC_ENV, s),
+        None => cmd.env_remove(SPEC_ENV),
+    };
+    let mut child = cmd.spawn()?;
+    let mut pipe = child.stdout.take().expect("stdout is piped");
+    let events = events.clone();
+    let reader = std::thread::Builder::new().spawn(move || {
+        let mut buf = [0u8; 64];
+        loop {
+            let eof = match pipe.read(&mut buf) {
+                Ok(n) => n == 0,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => true,
+            };
+            if events.send((shard, attempt, eof)).is_err() || eof {
+                return;
+            }
+        }
+    });
+    let reader = reader.inspect_err(|_| {
+        let _ = child.kill();
+        let _ = child.wait();
+    })?;
+    Ok(Running {
+        shard,
+        attempt,
+        child,
+        reader,
+        deadline: Instant::now() + config.lease,
+    })
 }
 
-/// Runs the sharded search to completion, checking `cancel` between
-/// supervision steps (a fired token kills every worker and returns
-/// [`ShardError::Cancelled`]).
+/// Runs the sharded search to completion.
 ///
 /// The output's decisions — coarse evaluations, selection, candidates
 /// and designs — are bit-identical to the in-process flow's. Two fields
@@ -162,15 +230,17 @@ pub fn run(config: &ShardConfig) -> Result<(FlowOutput, ShardReport), ShardError
 ///
 /// # Errors
 ///
-/// [`ShardError::Quarantined`] when any shard exhausted its retry
-/// budget; [`ShardError::Spec`] when the directory holds a different
-/// run's plan; plus I/O, log, and flow failures.
-pub fn run_with_cancel(
-    config: &ShardConfig,
-    cancel: &CancelToken,
-) -> Result<(FlowOutput, ShardReport), ShardError> {
+/// [`ShardError::Log`] with [`LogError::Locked`] when another live
+/// supervisor holds the directory; [`ShardError::Quarantined`] when any
+/// shard exhausted its retry budget; [`ShardError::Spec`] when the
+/// directory holds a different run's spec; plus I/O, log, and flow
+/// failures.
+pub fn run(config: &ShardConfig) -> Result<(FlowOutput, ShardReport), ShardError> {
     config.flow.validate()?;
     std::fs::create_dir_all(&config.dir)?;
+    // Held until this function returns: one supervisor per directory,
+    // and nothing below is read or written before it is taken.
+    let _lock = LockFile::acquire(&config.dir.join(LOCK_FILE)).map_err(LogError::from)?;
     let cfg = &config.flow;
 
     // The coarse stage runs in-process: it is cheap, fully
@@ -190,25 +260,14 @@ pub fn run_with_cancel(
         selected: selected.clone(),
         shards,
     };
-    spec.write(&config.dir)?;
-
-    // Manifest: open (exclusive — a second supervisor is locked out),
-    // replay, and either verify or record the plan.
-    let (mut manifest, state) = Manifest::open(&config.dir)?;
-    let plan = PlanRecord {
-        fingerprint: config_fingerprint(cfg),
-        shards,
-        cells: cells.len(),
-    };
-    match state.plan {
-        None => manifest.record_plan(plan)?,
-        Some(existing) if existing == plan => {}
-        Some(existing) => {
-            return Err(ShardError::Spec(format!(
-                "shard directory holds a different run's plan \
-                 (found {existing:?}, this run is {plan:?}) — use a fresh directory"
-            )));
-        }
+    // The spec is the run's plan: a directory that already holds one
+    // must hold this run's, byte for byte.
+    let mismatch = || ShardError::Spec("the directory holds another run's spec".into());
+    match std::fs::read(config.dir.join(SPEC_FILE)) {
+        Ok(bytes) if bytes == spec.to_bytes() => {}
+        Ok(_) => return Err(mismatch()),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => spec.write(&config.dir)?,
+        Err(e) => return Err(e.into()),
     }
 
     // A shard is complete when its segment covers every cell it owns.
@@ -217,12 +276,9 @@ pub fn run_with_cancel(
         Ok(spec.shard_cells(shard).all(|i| covered.contains_key(&i)))
     };
 
-    // Re-verify previously-Done shards against their segments; a
-    // recorded Done whose segment lost cells (tampering, partial copy)
-    // is demoted and recomputed rather than trusted.
     let mut done: BTreeSet<usize> = BTreeSet::new();
-    for &shard in &state.done {
-        if shard < shards && complete(shard)? {
+    for shard in 0..shards {
+        if segment_path(&config.dir, shard).exists() && complete(shard)? {
             done.insert(shard);
         }
     }
@@ -237,89 +293,72 @@ pub fn run_with_cancel(
     let mut pending: VecDeque<usize> = (0..shards).filter(|s| !done.contains(s)).collect();
     let mut attempts: Vec<u32> = vec![0; shards];
     let mut quarantined: BTreeSet<usize> = BTreeSet::new();
-    let mut running = Workers(Vec::new());
+    let (events, inbox) = mpsc::channel();
+    let mut guard = Workers(Vec::new());
+    let running = &mut guard.0;
 
     while done.len() + quarantined.len() < shards {
-        if cancel.state() != CancelState::Live {
-            return Err(ShardError::Cancelled);
-        }
-
         // Spawn up to the worker budget.
-        while running.0.len() < workers {
+        while running.len() < workers {
             let Some(shard) = pending.pop_front() else {
                 break;
             };
-            let attempt = attempts[shard];
-            let mut cmd = Command::new(&config.worker_exe);
-            cmd.env(WORKER_ENV, "1")
-                .env(DIR_ENV, &config.dir)
-                .env(INDEX_ENV, shard.to_string())
-                .env(ATTEMPT_ENV, attempt.to_string())
-                .stdin(Stdio::null())
-                .stdout(Stdio::null())
-                .stderr(Stdio::inherit());
-            match &config.fault_spec {
-                Some(s) => cmd.env(SPEC_ENV, s),
-                None => cmd.env_remove(SPEC_ENV),
-            };
-            let child = cmd.spawn()?;
-            let pid = child.id();
-            running.0.push(Running {
-                shard,
-                attempt,
-                child,
-                heartbeat: None,
-                deadline: Instant::now() + config.lease,
-            });
-            manifest.record_claim(shard, attempt, pid)?;
+            running.push(spawn(config, shard, attempts[shard], &events)?);
         }
 
-        // Poll back to front, so `swap_remove` only moves entries that
-        // were already polled.
-        for idx in (0..running.0.len()).rev() {
-            let r = &mut running.0[idx];
-            let failure = if let Some(status) = r.child.try_wait()? {
+        // Every unfinished shard is pending or running, and the budget
+        // is at least 1, so something is running here.
+        let deadline = running.iter().map(|r| r.deadline).min();
+        let wait = deadline.map_or(Duration::ZERO, |d| {
+            d.saturating_duration_since(Instant::now())
+        });
+        let mut failures: Vec<(usize, u32, String)> = Vec::new();
+        match inbox.recv_timeout(wait) {
+            Ok((shard, attempt, eof)) => {
+                // Reads from an attempt already reclaimed match nothing.
+                let Some(idx) = running
+                    .iter()
+                    .position(|r| r.shard == shard && r.attempt == attempt)
+                else {
+                    continue;
+                };
+                if !eof {
+                    running[idx].deadline = Instant::now() + config.lease;
+                    continue;
+                }
+                let status = running.swap_remove(idx).reap(false)?;
                 if !status.success() {
-                    Some(format!("worker {status}"))
-                } else if complete(r.shard)? {
-                    manifest.record_done(r.shard, r.attempt)?;
-                    done.insert(r.shard);
-                    None
+                    failures.push((shard, attempt, format!("worker {status}")));
+                } else if complete(shard)? {
+                    done.insert(shard);
                 } else {
-                    Some("exited 0 with incomplete segment".to_string())
+                    let reason = "exited 0 with incomplete segment".to_string();
+                    failures.push((shard, attempt, reason));
                 }
-            } else {
-                // Still running: lease bookkeeping off the heartbeat file.
-                let beat = std::fs::read(heartbeat_path(&config.dir, r.shard)).ok();
-                if beat.is_some() && beat != r.heartbeat {
-                    r.heartbeat = beat;
-                    r.deadline = Instant::now() + config.lease;
-                    continue;
+            }
+            Err(_) => {
+                let now = Instant::now();
+                for idx in (0..running.len()).rev() {
+                    if running[idx].deadline > now {
+                        continue;
+                    }
+                    let r = running.swap_remove(idx);
+                    failures.push((r.shard, r.attempt, "lease expired (no heartbeat)".into()));
+                    report.lease_reclaims += 1;
+                    r.reap(true)?;
                 }
-                if Instant::now() <= r.deadline {
-                    continue;
-                }
-                let _ = r.child.kill();
-                let _ = r.child.wait();
-                report.lease_reclaims += 1;
-                Some("lease expired (no heartbeat)".to_string())
-            };
-            let r = running.0.swap_remove(idx);
-            let Some(reason) = failure else {
-                continue;
-            };
-            manifest.record_failed(r.shard, r.attempt, &reason)?;
-            attempts[r.shard] += 1;
-            if attempts[r.shard] > config.max_retries {
-                manifest.record_quarantined(r.shard, attempts[r.shard])?;
-                quarantined.insert(r.shard);
-            } else {
-                report.retries += 1;
-                pending.push_back(r.shard);
             }
         }
-
-        std::thread::sleep(Duration::from_millis(15));
+        for (shard, attempt, reason) in failures {
+            eprintln!("codesign-shard: shard {shard} attempt {attempt} failed: {reason}");
+            attempts[shard] += 1;
+            if attempts[shard] > config.max_retries {
+                quarantined.insert(shard);
+            } else {
+                report.retries += 1;
+                pending.push_back(shard);
+            }
+        }
     }
     if !quarantined.is_empty() {
         return Err(ShardError::Quarantined {
@@ -343,9 +382,6 @@ pub fn run_with_cancel(
     let (candidates, best_per_target) = pipeline::merge(cfg, &cells, &by_cell);
     let mut designs: Vec<DesignOutcome> = Vec::new();
     for (fps, best) in &best_per_target {
-        if cancel.state() != CancelState::Live {
-            return Err(ShardError::Cancelled);
-        }
         // Measured quantization is an in-process flow option only.
         designs.push(pipeline::finalize(cfg, *fps, best, None)?);
     }
@@ -400,6 +436,24 @@ mod tests {
             Err(ShardError::Io(_)) => {}
             other => panic!("expected Io error, got {:?}", other.map(|(_, r)| r)),
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn second_supervisor_on_same_dir_is_locked_out() {
+        let dir =
+            std::env::temp_dir().join(format!("codesign_shard_locked_{}", std::process::id()));
+        let cfg = small_config(dir.clone());
+        std::fs::create_dir_all(&dir).unwrap();
+        let _first = LockFile::acquire(&dir.join(LOCK_FILE)).unwrap();
+        match run(&cfg) {
+            Err(ShardError::Log(LogError::Locked { .. })) => {}
+            other => panic!("expected Locked, got {:?}", other.map(|(_, r)| r)),
+        }
+        assert!(
+            !dir.join(SPEC_FILE).exists(),
+            "a locked-out supervisor must not write the spec"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

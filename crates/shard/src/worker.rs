@@ -17,13 +17,13 @@
 //!
 //! # Liveness protocol
 //!
-//! Before each cell the worker bumps a heartbeat file
-//! ([`heartbeat_path`]) via write-to-temp + rename. The supervisor
-//! considers a worker hung when the heartbeat has not changed for a
-//! full lease period and reclaims the shard with `SIGKILL`. A worker
-//! never *reads* its heartbeat — it is write-only telemetry, so a
-//! corrupt or deleted heartbeat file can slow recovery but never
-//! corrupt results.
+//! The worker's stdout is a pipe to its supervisor. Before each cell
+//! the worker writes one byte to it and flushes; the supervisor
+//! considers a worker hung when nothing arrives for a full lease period
+//! and reclaims the shard with `SIGKILL`. A write that fails means the
+//! supervisor is gone, and the worker stops. The only file a worker
+//! writes besides its segment is [`heartbeat_path`], once, at start:
+//! `pid N`, so that tools and tests can find a live worker.
 //!
 //! # Fault sites
 //!
@@ -34,8 +34,8 @@
 //!   the shard's pending cells, leaving a torn frame at the tail.
 //! * `shard.worker.poison` — abort on *every* attempt: the shard can
 //!   only be quarantined.
-//! * `shard.worker.hang` — on attempt 0, stop heartbeating and sleep
-//!   until the lease reaper kills the process.
+//! * `shard.worker.hang` — on attempt 0, stop writing to the pipe and
+//!   sleep until the lease reaper kills the process.
 //! * `shard.cell.delay` — sleep before computing a cell (keyed by the
 //!   cell's global index), widening race windows for kill tests.
 
@@ -58,14 +58,15 @@ use crate::ShardError;
 
 /// Set (to any value) to make the binary run as a worker.
 pub const WORKER_ENV: &str = "CODESIGN_SHARD_WORKER";
-/// The shard directory (spec, segments, heartbeats, manifest).
+/// The shard directory (spec, segments, pid files).
 pub const DIR_ENV: &str = "CODESIGN_SHARD_DIR";
 /// This worker's shard index.
 pub const INDEX_ENV: &str = "CODESIGN_SHARD_INDEX";
 /// Attempt number for this shard (0 on first assignment).
 pub const ATTEMPT_ENV: &str = "CODESIGN_SHARD_ATTEMPT";
 
-/// Path of shard `shard`'s heartbeat file inside a shard directory.
+/// Path of the file in which shard `shard`'s latest worker records its
+/// pid (`pid N`) inside a shard directory.
 pub fn heartbeat_path(dir: &Path, shard: usize) -> PathBuf {
     dir.join(format!("hb-{shard}"))
 }
@@ -105,17 +106,13 @@ fn run_worker_from_env() -> Result<(), ShardError> {
     run_worker(&dir, shard, attempt, faults.as_deref())
 }
 
-/// Bumps the heartbeat atomically (temp + rename). Best-effort: a
-/// heartbeat I/O failure must not kill a healthy worker, so errors are
-/// swallowed — the worst case is the lease reaper recycling us.
-fn beat(dir: &Path, shard: usize, counter: u64) {
-    let path = heartbeat_path(dir, shard);
+/// Records this worker's pid at [`heartbeat_path`] via temp + rename.
+/// Best-effort: the file only helps find a live worker, so a failure
+/// to write it must not kill a healthy one.
+fn record_pid(dir: &Path, shard: usize) {
     let tmp = dir.join(format!("hb-{shard}.tmp"));
-    let body = format!("pid {}\nbeat {counter}\n", std::process::id());
-    let write = std::fs::File::create(&tmp)
-        .and_then(|mut f| f.write_all(body.as_bytes()).and_then(|()| f.sync_all()));
-    if write.is_ok() {
-        let _ = std::fs::rename(&tmp, &path);
+    if std::fs::write(&tmp, format!("pid {}\n", std::process::id())).is_ok() {
+        let _ = std::fs::rename(&tmp, heartbeat_path(dir, shard));
     }
 }
 
@@ -148,10 +145,11 @@ pub fn run_worker(
         )));
     }
 
+    record_pid(dir, shard);
+
     // Poison: this shard aborts on every attempt — only quarantine
     // ends it.
     if triggered(faults, "shard.worker.poison", shard as u64).is_some() {
-        beat(dir, shard, 0);
         std::process::abort();
     }
 
@@ -171,8 +169,8 @@ pub fn run_worker(
         } else {
             None
         };
-    // Hang: on the first attempt, stop heartbeating and wait for the
-    // lease reaper.
+    // Hang: on the first attempt, go silent and wait for the lease
+    // reaper.
     let hang = attempt == 0 && triggered(faults, "shard.worker.hang", shard as u64).is_some();
 
     let cfg = &spec.config;
@@ -183,10 +181,12 @@ pub fn run_worker(
     // per Bundle × device, so workers that share a Bundle agree with
     // each other and with the in-process flow.
     let mut estimators: BTreeMap<BundleId, HlsEstimator> = BTreeMap::new();
-    let mut beats = 0u64;
+    let mut pipe = std::io::stdout().lock();
     for (appended, cell) in pending.iter().enumerate() {
-        beats += 1;
-        beat(dir, shard, beats);
+        // One byte renews the lease; a failed write means the
+        // supervisor is gone.
+        pipe.write_all(b".")?;
+        pipe.flush()?;
 
         if crash_after == Some(appended) {
             // Simulate a power-cut / SIGKILL mid-append: a frame header
@@ -204,8 +204,8 @@ pub fn run_worker(
             std::process::abort();
         }
         if hang {
-            // Stop heartbeating forever; the supervisor's lease reaper
-            // will SIGKILL us once the lease expires.
+            // Stay silent forever; the supervisor's lease reaper will
+            // SIGKILL us once the lease expires.
             loop {
                 std::thread::sleep(std::time::Duration::from_secs(3600));
             }
