@@ -78,9 +78,10 @@ pub fn evaluation_point(bundle: &Bundle, method: EvalMethod, pf: usize) -> Desig
 }
 
 /// Coarse-grained evaluation of `bundles` on `device` across a parallel
-/// factor sweep, fanned out over the persistent worker pool: each
-/// Bundle is one work item and results are merged in Bundle order, so
-/// the output is byte-identical for any `threads` (1 runs inline).
+/// factor sweep, fanned out over `threads` scoped threads (the caller
+/// included, all joined before the call returns): each Bundle is one
+/// work item and results are merged in Bundle order, so the output is
+/// byte-identical for any `threads` (1 runs inline).
 ///
 /// # Errors
 ///

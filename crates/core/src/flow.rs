@@ -9,7 +9,7 @@
 //! report).
 //!
 //! The recipe itself is written once, in [`crate::pipeline`]; this
-//! module is its in-process executor, adding a thread pool, progress
+//! module is its in-process executor, adding worker threads, progress
 //! events, cancellation and stage checkpoints around it.
 //!
 //! Configurations are built with [`FlowConfig::builder`] (paper
@@ -66,9 +66,11 @@ pub struct FlowConfig {
     /// Seed of the stochastic search.
     pub seed: u64,
     /// Worker-thread knob: Bundle evaluations, calibrations and SCD
-    /// searches fan out across pooled workers, each work item with a
-    /// private SplitMix64-derived seed. `Fixed(1)` is the sequential
-    /// legacy path; results are bit-identical for any setting.
+    /// searches fan out across up to this many threads (the caller and
+    /// scoped helpers, joined before each stage ends), each work item
+    /// with a private SplitMix64-derived seed. `Fixed(1)` is the
+    /// sequential legacy path; results are bit-identical for any
+    /// setting.
     pub parallelism: Parallelism,
 }
 
@@ -623,8 +625,9 @@ impl CoDesignFlow {
     ///
     /// With `parallelism > 1` the independent stages — coarse Bundle
     /// evaluation, per-Bundle calibration, and the per-(Bundle,
-    /// FPS-target, quantization-arm) SCD searches — fan out over a
-    /// persistent worker pool. Every work item draws a private seed
+    /// FPS-target, quantization-arm) SCD searches — fan out over the
+    /// calling thread and scoped helper threads, which each stage joins
+    /// before it returns. Every work item draws a private seed
     /// derived from [`FlowConfig::seed`] via SplitMix64 and results are
     /// merged in work-item order, so the output is **bit-identical** to
     /// a sequential run and independent of thread interleaving. One

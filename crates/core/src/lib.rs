@@ -28,11 +28,11 @@
 //! * [`observe`] — progress observation ([`observe::FlowObserver`])
 //!   and cooperative cancellation ([`observe::CancelToken`]) for
 //!   long-running flows; the surface the serving layer builds on.
-//! * [`parallel`] — the deterministic pooled work queue and
-//!   SplitMix64 seed-splitting that let the flow fan out across cores
-//!   while staying bit-identical to a sequential run (a re-export of
-//!   the `codesign-parallel` base crate, which the NN compute engine
-//!   shares).
+//! * [`parallel`] — the deterministic work queue (scoped threads,
+//!   joined before each call returns) and SplitMix64 seed-splitting
+//!   that let the flow fan out across cores while staying
+//!   bit-identical to a sequential run (a re-export of the
+//!   `codesign-parallel` base crate).
 //!
 //! # Example
 //!

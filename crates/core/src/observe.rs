@@ -210,8 +210,8 @@ pub enum FlowEvent {
 /// A thread-safe sink for [`FlowEvent`]s.
 ///
 /// Implementations must tolerate concurrent calls: work-item events are
-/// emitted from pooled worker threads as items complete. Closures work
-/// directly:
+/// emitted from the flow's worker threads as items complete. Closures
+/// work directly:
 ///
 /// ```
 /// use codesign_core::observe::{FlowEvent, FlowObserver};

@@ -1,9 +1,6 @@
-//! Deterministic pooled work queue for the co-design flow.
+//! Deterministic work queue for the co-design flow.
 //!
-//! The implementation lives in the [`codesign_parallel`] base crate so
-//! that `codesign-nn` — which this crate depends on, and which
-//! therefore cannot import from here — shares the exact same work
-//! queue and SplitMix64 seed derivation for its GEMM compute engine.
+//! The implementation lives in the [`codesign_parallel`] base crate.
 //! This module re-exports the whole surface under the historical
 //! `codesign_core::parallel` path, so existing imports
 //! (`codesign_core::parallel::Parallelism`, `parallel_map`,

@@ -23,7 +23,7 @@
 //! | `serve.job.panic`   | panic      | the serve executor, keyed by job id |
 //! | `serve.job.delay`   | latency    | the serve executor, keyed by job id |
 //! | `serve.conn.drop`   | conn drop  | the HTTP accept path |
-//! | `parallel.item`     | latency/panic | the worker pool, per work item |
+//! | `parallel.item`     | latency/panic | `codesign-parallel`'s threaded maps, per work item |
 //! | `shard.worker.crash` | crash     | shard workers, keyed by shard index: abort mid-append on the first attempt, leaving a torn segment |
 //! | `shard.worker.poison` | crash    | shard workers, keyed by shard index: abort on *every* attempt (poison-shard detection) |
 //! | `shard.worker.hang` | hang       | shard workers, keyed by shard index: stop heartbeating and sleep until the lease reaper kills them |
@@ -527,12 +527,12 @@ pub fn is_injected(err: &io::Error) -> bool {
 // --- Process-global plan -------------------------------------------------
 //
 // Most injection points take the plan explicitly (the store's
-// `LogOptions`, the scheduler's `ServeConfig`). The worker pool cannot:
-// it is a process-wide singleton reached from deep inside kernels, so
-// it consults a process-global slot instead. The slot is guarded by a
-// relaxed `AtomicBool` checked *first*, so with no plan installed the
-// per-item cost is one relaxed load — the no-op guarantee the benches
-// pin.
+// `LogOptions`, the scheduler's `ServeConfig`). The work queue cannot:
+// `parallel_map` is a free function called from inside the flow's
+// stages with no plan to pass, so it consults a process-global slot
+// instead. The slot is guarded by a relaxed `AtomicBool` checked
+// *first*, so with no plan installed the per-item cost is one relaxed
+// load — the no-op guarantee the benches pin.
 
 static ACTIVE: AtomicBool = AtomicBool::new(false);
 
@@ -563,11 +563,12 @@ pub fn global() -> Option<Arc<FaultPlan>> {
     global_slot().lock().expect("fault plan slot").clone()
 }
 
-/// The worker pool's per-item hook (site `parallel.item`): a single
-/// relaxed atomic load when no global plan is installed; otherwise an
-/// injected delay or panic per the schedule. Panics unwind into the
-/// pool's existing per-item `catch_unwind`, which re-raises on the
-/// posting caller — exactly the path a real work-item panic takes.
+/// The work queue's per-item hook (site `parallel.item`), run by every
+/// item of a threaded `parallel_map` / `try_parallel_map` call: a
+/// single relaxed atomic load when no global plan is installed;
+/// otherwise an injected delay or panic per the schedule. Panics unwind
+/// into the queue's existing per-item `catch_unwind`, which re-raises on
+/// the caller — exactly the path a real work-item panic takes.
 #[inline]
 pub fn pool_item_hook() {
     if !ACTIVE.load(Ordering::Relaxed) {

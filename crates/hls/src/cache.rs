@@ -170,9 +170,9 @@ struct Stripe {
 }
 
 /// The calling thread's stripe index: threads take indices round-robin
-/// in the order they first count a lookup, so the threads of a worker
-/// pool started together get distinct stripes. Two threads sharing a
-/// stripe would only cost speed: the counters are atomic.
+/// in the order they first count a lookup, so the helper threads one
+/// parallel call spawns together get distinct stripes. Two threads
+/// sharing a stripe would only cost speed: the counters are atomic.
 fn stripe_index() -> usize {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
     thread_local! {

@@ -570,7 +570,7 @@ mod tests {
     ];
 
     #[test]
-    fn correlate_matches_naive_bitwise_at_any_thread_count() {
+    fn correlate_matches_naive_bitwise() {
         for (n, cin, cout, h, w, k, dw) in SHAPES {
             let s = shape(n, cin, cout, h, w, k, dw);
             let x = ramp(n * cin * h * w, 0.05);

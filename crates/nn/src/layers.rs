@@ -898,9 +898,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_conv_matches_serial() {
-        // 32 output channels crosses the parallel threshold; compare to
-        // an 8-channel-at-a-time serial computation via identical params.
+    fn wide_conv_matches_per_channel_reference() {
         let x = ramp_tensor(&[4, 6, 6]);
         let p = ramp_params(3, 4, 32);
         let y = conv_forward(&x, &p, Engine::default());

@@ -315,7 +315,7 @@ mod tests {
     /// A convolution program step — the lane kernel, then the
     /// epilogue — gives the same bytes at every SIMD level.
     #[test]
-    fn int8_conv_programs_agree_across_levels_and_workers() {
+    fn int8_conv_programs_agree_across_levels() {
         for (n, cin, cout, hw, k, dw) in SHAPES {
             let s = shape(n, cin, cout, hw, k, dw);
             let step = QOp {

@@ -13,9 +13,9 @@
 //! from one step to the next.
 //!
 //! Per-*thread* is the right granularity because the kernels run on the
-//! thread that calls them, and threads are persistent (see
-//! `codesign_parallel::WorkerPool`): each warms up its own buffer set
-//! once and then reuses it for the rest of the process. No locking, no
+//! thread that calls them, and proxy training runs on the flow's
+//! calling thread: that thread warms up its own buffer set once and
+//! then reuses it for every later training. No locking, no
 //! cross-thread traffic, no change in results — a buffer's contents
 //! are either fully overwritten ([`take`]) or explicitly zeroed
 //! ([`take_zeroed`]) before use.
@@ -29,7 +29,7 @@ const MAX_POOLED: usize = 24;
 
 /// Per-buffer retention cap in elements: buffers larger than this are
 /// dropped instead of pooled, so one outsized workload cannot pin
-/// `MAX_POOLED` huge buffers per persistent thread for the rest of the
+/// `MAX_POOLED` huge buffers per long-lived thread for the rest of the
 /// process. Together the two caps bound retained memory per thread at
 /// `MAX_POOLED * MAX_POOLED_ELEMS * 4` bytes.
 const MAX_POOLED_ELEMS: usize = 1 << 22;

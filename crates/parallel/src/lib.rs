@@ -1,43 +1,41 @@
-//! Deterministic pooled parallelism primitives shared across the
-//! co-design workspace.
+//! Deterministic parallelism primitives shared across the co-design
+//! workspace.
 //!
-//! Both halves of the methodology are embarrassingly parallel: the
-//! co-design flow (Fig. 1) fans out coarse Bundle evaluation and the
-//! per-(Bundle, FPS-target) SCD searches. This base crate provides the
-//! primitives that make that fan-out *reproducible*:
+//! The co-design flow (Fig. 1) fans out three times per run: coarse
+//! Bundle evaluation, per-Bundle calibration and the per-(Bundle,
+//! FPS-target) SCD searches. This base crate provides the primitives
+//! that make that fan-out *reproducible*:
 //!
-//! * [`parallel_map`] — a work queue over a persistent [`WorkerPool`]
-//!   (long-lived threads, no per-call spawn cost, no external
-//!   dependencies) whose results are merged **by item index**, so the
-//!   output is byte-identical to a sequential run no matter how
-//!   threads interleave;
+//! * [`try_parallel_map`] / [`parallel_map`] — a work queue over scoped
+//!   threads that the call spawns and joins before it returns (so no
+//!   thread outlives the call), whose results are merged **by item
+//!   index**, so the output is byte-identical to a sequential run no
+//!   matter how threads interleave;
 //! * [`derive_seed`] — SplitMix64 seed splitting, giving every work item
 //!   a private deterministic RNG stream derived from the flow's root
 //!   seed instead of sharing one generator across threads.
 //!
 //! The [`Parallelism`] knob picks the worker count; `Fixed(1)` is the
 //! legacy sequential path (which runs the exact same code, just inline,
-//! without touching the pool).
+//! without spawning a thread).
 //!
-//! The crate sits *below* `codesign-nn` and `codesign-core` in the
-//! dependency graph so both can share one work queue; `codesign-core`
-//! re-exports it as `codesign_core::parallel` for compatibility.
+//! The crate sits *below* `codesign-core` in the dependency graph;
+//! `codesign-core` re-exports it as `codesign_core::parallel` for
+//! compatibility.
 
-#![deny(unsafe_code)] // `allow`ed only in `pool`'s lifetime-erased dispatch
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod pool;
-
-pub use pool::WorkerPool;
-
+use std::convert::Infallible;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::OnceLock;
+use std::thread;
 
 /// The hardware thread count (`available_parallelism`, at least 1),
 /// resolved once per process: the call reads cgroup files on Linux,
-/// and the flow and the NN kernels would otherwise pay for it on every
-/// call.
+/// and every `Parallelism::Auto` lookup would otherwise pay for it.
 pub fn hardware_threads() -> usize {
     static THREADS: OnceLock<usize> = OnceLock::new();
     *THREADS.get_or_init(|| {
@@ -111,45 +109,42 @@ pub fn derive_seed(root: u64, stream: u64) -> u64 {
     splitmix64(root ^ splitmix64(stream))
 }
 
-/// Maps `f` over `items` with up to `threads` pooled workers, returning
-/// results **in item order**.
+/// Upper bound on the threads of one call (the caller included): the
+/// worker count can arrive from outside the process, e.g. in an HTTP
+/// request's `parallelism`.
+const MAX_THREADS: usize = 64;
+
+/// Maps `f` over `items` with up to `threads` workers, returning results
+/// **in item order**.
 ///
-/// With `threads <= 1` (or fewer than two items) the closure runs inline
-/// on the caller's thread — the legacy sequential path. Otherwise the
-/// caller and up to `threads - 1` persistent [`WorkerPool`] helpers
-/// claim item indices from an atomic counter and write results into
-/// per-index slots, so the merged output is identical to the
-/// sequential one regardless of scheduling. A panicking closure
-/// propagates the panic to the caller.
+/// A thin call to [`try_parallel_map`] whose items cannot fail; see it
+/// for the execution model.
 pub fn parallel_map<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(usize, &T) -> U + Sync,
 {
-    if threads <= 1 || items.len() <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let slots: Vec<Mutex<Option<U>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    let abort = AtomicBool::new(false);
-    WorkerPool::global().run_scoped(items.len(), threads - 1, &abort, &|i| {
-        let out = f(i, &items[i]);
-        *slots[i].lock().expect("result slot") = Some(out);
-    });
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("result slot")
-                .expect("every item processed")
-        })
-        .collect()
+    let Ok(out) = try_parallel_map(items, threads, |i, t| Ok::<U, Infallible>(f(i, t)));
+    out
 }
 
-/// Like [`parallel_map`] but for fallible work items: returns the first
-/// error **in item order**. Once any worker observes an error, no new
-/// items are claimed (in-flight items finish; their results are
-/// discarded), matching the early return of a sequential loop.
+/// Maps the fallible `f` over `items` with up to `threads` workers,
+/// returning the results **in item order** or the first error **in item
+/// order**.
+///
+/// With `threads <= 1` (or fewer than two items) the closure runs inline
+/// on the caller's thread — the legacy sequential path. Otherwise the
+/// caller and up to `threads - 1` scoped helper threads (never more
+/// threads than items, and at most 64) claim item indices from an atomic
+/// counter; every result is merged by its index, so the output is
+/// identical to the sequential one regardless of scheduling. The helpers
+/// are joined before the call returns.
+///
+/// Once any worker observes an error or a panic, no new items are
+/// claimed (in-flight items finish; their results are discarded),
+/// matching the early return of a sequential loop. A panicking item's
+/// own payload is re-raised on the caller.
 pub fn try_parallel_map<T, U, E, F>(items: &[T], threads: usize, f: F) -> Result<Vec<U>, E>
 where
     T: Sync,
@@ -157,40 +152,63 @@ where
     E: Send,
     F: Fn(usize, &T) -> Result<U, E> + Sync,
 {
-    if threads <= 1 || items.len() <= 1 {
+    let threads = threads.min(MAX_THREADS).min(items.len());
+    if threads <= 1 {
         // `collect` into `Result` short-circuits at the first error.
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
+    let next = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
-    let slots: Vec<Mutex<Option<Result<U, E>>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    // The pool checks `abort` *before* claiming an index, so a claimed
-    // item always runs to completion and fills its slot — exactly the
-    // early-return shape of a sequential loop.
-    WorkerPool::global().run_scoped(items.len(), threads - 1, &abort, &|i| {
-        let out = f(i, &items[i]);
-        if out.is_err() {
-            abort.store(true, Ordering::Relaxed);
+    // One worker's claim loop: the finished items, or the payload of the
+    // item that panicked. `abort` is checked *before* an index is
+    // claimed, so a claimed item always runs to completion and fills its
+    // slot — exactly the early-return shape of a sequential loop.
+    let claim = || -> thread::Result<Vec<(usize, Result<U, E>)>> {
+        let mut done = Vec::new();
+        while !abort.load(Ordering::Relaxed) {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else { break };
+            // AssertUnwindSafe: on panic the call aborts and re-raises
+            // the payload, discarding every partial result. The fault
+            // hook sits inside the same unwind boundary so an injected
+            // `parallel.item` panic takes exactly the path a real
+            // work-item panic takes.
+            let out = catch_unwind(AssertUnwindSafe(|| {
+                codesign_faults::pool_item_hook();
+                f(i, item)
+            }));
+            if !matches!(out, Ok(Ok(_))) {
+                abort.store(true, Ordering::Relaxed);
+            }
+            done.push((i, out?));
         }
-        *slots[i].lock().expect("result slot") = Some(out);
+        Ok(done)
+    };
+    let mut slots: Vec<Option<Result<U, E>>> = items.iter().map(|_| None).collect();
+    thread::scope(|s| {
+        let helpers: Vec<_> = (1..threads).map(|_| s.spawn(claim)).collect();
+        let own = claim();
+        // Each helper hands back its items, or the payload of the item
+        // that panicked, through its join handle; the first payload met
+        // is re-raised as it is (the scope then joins the other helpers).
+        let joined = helpers.into_iter().map(|h| h.join().and_then(|done| done));
+        for done in std::iter::once(own).chain(joined) {
+            for (i, out) in done.unwrap_or_else(|payload| resume_unwind(payload)) {
+                slots[i] = Some(out);
+            }
+        }
     });
     // Indices are claimed consecutively, so every slot before the first
-    // error is filled; the scan below hits that error before any
-    // unclaimed (None) slot.
-    let mut out = Vec::with_capacity(items.len());
-    for slot in slots {
-        match slot.into_inner().expect("result slot") {
-            Some(Ok(v)) => out.push(v),
-            Some(Err(e)) => return Err(e),
-            None => unreachable!("slot left empty without a preceding error"),
-        }
-    }
-    Ok(out)
+    // error is filled, and `collect` stops at that error.
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("slot left empty without a preceding error"))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn parallel_matches_sequential_order() {

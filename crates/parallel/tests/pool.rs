@@ -1,10 +1,11 @@
-//! Worker-pool contract tests: pooled execution must be a pure
+//! Work-queue contract tests: parallel execution must be a pure
 //! performance optimization — bit-identical results to the sequential
-//! path at every worker count, across many reusing calls, with clean
-//! shutdown semantics.
+//! path at every worker count and across many calls, with item panics
+//! reaching the caller and nested calls completing.
 
-use codesign_parallel::{parallel_map, try_parallel_map, WorkerPool};
+use codesign_parallel::{parallel_map, try_parallel_map};
 use proptest::prelude::*;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A deterministic, item-dependent payload that would expose any
@@ -16,8 +17,8 @@ fn mix(i: usize, x: u64) -> u64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// `parallel_map` through the pool returns the sequential result at
-    /// every worker count.
+    /// `parallel_map` returns the sequential result at every worker
+    /// count.
     #[test]
     fn prop_map_matches_sequential(
         len in 0usize..300,
@@ -57,12 +58,10 @@ proptest! {
     }
 }
 
-/// Many small jobs back to back: the global pool must be reused (not
-/// respawned), keep producing exact results, and stay healthy across
-/// calls — the steady-state regime of proxy-training GEMM kernels.
+/// Many small jobs back to back keep producing exact results, every
+/// item running exactly once per call.
 #[test]
 fn stress_many_small_jobs_reuse_the_pool() {
-    let before = WorkerPool::global().worker_count();
     let mut expected_hits = 0usize;
     let hits = AtomicUsize::new(0);
     for round in 0..500usize {
@@ -76,14 +75,9 @@ fn stress_many_small_jobs_reuse_the_pool() {
         assert_eq!(out, seq, "round {round}");
     }
     assert_eq!(hits.load(Ordering::Relaxed), expected_hits);
-    let after = WorkerPool::global().worker_count();
-    assert!(
-        after <= before.max(3),
-        "pool kept growing across calls: {before} -> {after} workers"
-    );
 }
 
-/// Fallible map jobs interleaved with map jobs on the same pool.
+/// Fallible map jobs interleaved with map jobs.
 #[test]
 fn stress_mixed_job_kinds() {
     for round in 0..200usize {
@@ -104,27 +98,36 @@ fn stress_mixed_job_kinds() {
     }
 }
 
-/// A private pool spawns helpers on demand, survives across calls, and
-/// shuts down cleanly (threads joined, later jobs complete caller-only).
+/// A panicking item's own payload reaches the caller, and the next call
+/// still runs every item.
 #[test]
-fn private_pool_lifecycle() {
-    let pool = WorkerPool::new();
-    assert_eq!(pool.worker_count(), 0, "lazy: no workers before any job");
-    let abort = std::sync::atomic::AtomicBool::new(false);
+fn panics_propagate_to_the_caller() {
+    let items: Vec<usize> = (0..16).collect();
+    let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        parallel_map(&items, 3, |i, _| {
+            if i == 5 {
+                panic!("boom at {i}");
+            }
+        })
+    }));
+    let payload = result.expect_err("panic must reach the caller");
+    let msg = payload.downcast_ref::<String>().expect("string payload");
+    assert!(msg.contains("boom at 5"), "unexpected payload: {msg}");
     let hits = AtomicUsize::new(0);
-    for _ in 0..20 {
-        pool.run_scoped(16, 3, &abort, &|_| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-    }
-    assert_eq!(hits.load(Ordering::Relaxed), 20 * 16);
-    assert_eq!(pool.worker_count(), 3, "grew once to the requested cap");
-    pool.shutdown();
-    assert_eq!(pool.worker_count(), 0, "shutdown joins every worker");
-    // Post-shutdown jobs still complete — the caller always drives.
-    pool.run_scoped(8, 3, &abort, &|_| {
+    parallel_map(&items[..4], 3, |_, _| {
         hits.fetch_add(1, Ordering::Relaxed);
     });
-    assert_eq!(hits.load(Ordering::Relaxed), 20 * 16 + 8);
-    assert_eq!(pool.worker_count(), 0, "no workers respawn after shutdown");
+    assert_eq!(hits.load(Ordering::Relaxed), 4);
+}
+
+/// A parallel call issued from inside a work item completes.
+#[test]
+fn nested_jobs_do_not_deadlock() {
+    let total = AtomicUsize::new(0);
+    parallel_map(&[(); 4], 4, |_, _| {
+        parallel_map(&[(); 8], 4, |_, _| {
+            total.fetch_add(1, Ordering::Relaxed);
+        });
+    });
+    assert_eq!(total.load(Ordering::Relaxed), 32);
 }

@@ -13,17 +13,7 @@ use crate::json::Json;
 use codesign_core::flow::{DesignSummary, FlowOutput};
 use codesign_core::observe::FlowEvent;
 use codesign_core::search::Candidate;
-
-/// FNV-1a over the generated C, so results can pin byte-stability of
-/// kilobytes of code in a 16-hex-digit field.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+use codesign_store::fnv1a;
 
 fn candidate_json(target_fps: f64, c: &Candidate) -> Json {
     Json::Obj(vec![
@@ -204,13 +194,6 @@ mod tests {
     use super::*;
     use codesign_core::flow::{CoDesignFlow, FlowConfig};
     use codesign_sim::device::pynq_z1;
-
-    #[test]
-    fn fnv1a_is_the_reference_function() {
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
-    }
 
     #[test]
     fn result_encoding_is_byte_stable_across_runs() {
