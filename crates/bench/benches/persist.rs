@@ -1,7 +1,7 @@
 //! Warm-vs-cold persistence bench: the same co-design flow run against
 //! an empty estimate cache, against a cache preloaded from a persistent
-//! [`EstimateStore`], and resumed from a [`FlowCheckpoint`] that
-//! already holds every stage.
+//! [`EstimateStore`], and resumed from a [`FlowCheckpoint`] directory
+//! that already holds every SCD cell.
 //!
 //! The contract being measured is the tentpole of the persistence
 //! layer: a warm start must be *bit-identical* to a cold run (same
@@ -59,13 +59,13 @@ fn run_with_cache(cache: &Arc<EstimateCache>) -> FlowOutput {
     flow.run().expect("flow run")
 }
 
-/// A checkpoint at `path` holding every stage of a run interrupted
-/// after its last SCD cell, reopened for a resume that only has to
-/// finalize.
-fn interrupted_checkpoint(path: &Path) -> (CoDesignFlow, FlowCheckpoint) {
+/// A run directory at `dir` holding every SCD cell of a run interrupted
+/// after its last one, reopened for a resume that only has to rerun the
+/// coarse stage and finalize.
+fn interrupted_checkpoint(dir: &Path) -> (CoDesignFlow, FlowCheckpoint) {
     {
         let flow = CoDesignFlow::new(config());
-        let ckpt = FlowCheckpoint::open(path, flow.config()).expect("open checkpoint");
+        let ckpt = FlowCheckpoint::open(dir, flow.config()).expect("open checkpoint");
         let token = CancelToken::new();
         let trip = token.clone();
         let observer = move |event: &FlowEvent| {
@@ -77,7 +77,7 @@ fn interrupted_checkpoint(path: &Path) -> (CoDesignFlow, FlowCheckpoint) {
         assert!(matches!(interrupted, Err(FlowError::Cancelled)));
     }
     let flow = CoDesignFlow::new(config());
-    let ckpt = FlowCheckpoint::open(path, flow.config()).expect("reopen checkpoint");
+    let ckpt = FlowCheckpoint::open(dir, flow.config()).expect("reopen checkpoint");
     (flow, ckpt)
 }
 
@@ -94,7 +94,7 @@ fn assert_bit_identical(cold: &FlowOutput, other: &FlowOutput, what: &str) {
 fn main() {
     let scratch = ScratchDir::new();
     let store_path = scratch.0.join("store.log");
-    let ckpt_path = scratch.0.join("ckpt.log");
+    let ckpt_dir = scratch.0.join("ckpt");
 
     // Cold: an empty cache per sample; the last one's estimates are
     // spilled to the store.
@@ -133,11 +133,11 @@ fn main() {
         store_hit_rate * 1e2
     );
 
-    // Resume: all stages replay from disk, only finalization
-    // recomputes.
+    // Resume: every cell comes from disk; the coarse stage and
+    // finalization recompute.
     let resume = measure(
         5,
-        || interrupted_checkpoint(&ckpt_path),
+        || interrupted_checkpoint(&ckpt_dir),
         |(flow, ckpt)| {
             flow.run_checkpointed(
                 &ckpt,

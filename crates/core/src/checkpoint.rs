@@ -1,142 +1,137 @@
-//! Stage and cell checkpointing for [`CoDesignFlow`](crate::flow::CoDesignFlow).
+//! The run directory: where a co-design run keeps its progress on disk.
 //!
-//! A co-design run has three expensive stages — coarse Bundle
-//! evaluation, per-Bundle calibration, and the SCD searches — separated
-//! by the same boundaries the [`FlowEvent`](crate::observe::FlowEvent)
-//! schedule marks. [`FlowCheckpoint`] appends the coarse and calibration
-//! results to a [`RecordLog`] as each stage completes, and one record
-//! per SCD cell as each cell finishes. When a run is interrupted
-//! (crash, cancellation, process kill), a resumed run replays what is
-//! on disk and recomputes only the unfinished stages and the missing
-//! cells.
+//! Both durable executors — [`CoDesignFlow::run_checkpointed`] in one
+//! process and the `codesign-shard` supervisor over many — keep a run
+//! in the same directory:
 //!
-//! # Record layout
+//! ```text
+//! run.lock    held while a run owns the directory
+//! spec.bin    the plan: config, selected Bundles, shard count (SweepSpec)
+//! seg-N.log   shard N's finished SCD cells, one encode_cell record each
+//! ```
 //!
-//! Every record starts with a tag byte:
+//! [`FlowCheckpoint`] owns that layout. [`FlowCheckpoint::open`] takes
+//! the lock, then checks any spec against the run's config;
+//! [`FlowCheckpoint::plan`] writes the spec once the coarse stage has
+//! selected its Bundles, or checks the selection against the stored
+//! one. A checkpointed run plans one shard (or keeps a stored count),
+//! reads every segment the spec names through
+//! [`FlowCheckpoint::cells`], searches only the missing cells, and
+//! appends them to `seg-0.log`. So either executor can finish a
+//! directory the other started.
 //!
-//! | tag | record | bytes after the tag |
-//! |---|---|---|
-//! | 0 | config fingerprint (always first) | `u64` |
-//! | 1 | coarse stage | evaluations, then selected Bundle ids |
-//! | 2 | calibration stage | `(Bundle id, fitted params)` list |
-//! | 4 | one finished SCD cell | [`encode_cell`] |
+//! # What is stored, and what is recomputed
 //!
-//! Tag 3 held the whole SCD grid in one record. It is retired and never
-//! reused: an old checkpoint's SCD record ends the replay as an unknown
-//! tag, and its SCD stage is recomputed. A cell record is the same
-//! [`encode_cell`] bytes a shard worker appends to its segment, so one
-//! codec persists a cell for both executors.
-//!
-//! Replay stops at the first record it cannot use: a coarse or
-//! calibration record that fails to decode, a calibration record
-//! without a coarse one, a cell record before the calibration record,
-//! or an unknown tag. A cell record that fails to decode is dropped and
-//! that cell recomputed, which is a shard segment's rule too.
+//! Only the SCD cells, the stage a checkpoint exists to save. A resume
+//! recomputes the coarse stage (deterministic, and well under a
+//! millisecond for the paper's flow), checks its selection against the
+//! spec, and calibrates only the Bundles that still have cells to
+//! search. The finalize stage (full simulation + codegen of the best
+//! candidate per target) is deterministic from the cells and always
+//! runs.
 //!
 //! Cell records are appended without an `fsync` and synced once, when
 //! the SCD stage ends (on success and on error), as a shard worker
 //! syncs its segment. A cell lost to a crash before that sync is
 //! recomputed bit-identically on resume, so an `fsync` per cell would
-//! buy nothing but up to 30 disk flushes in a flow of ~8 ms. The
-//! coarse and calibration records are synced as they are written.
+//! buy nothing but up to 30 disk flushes in a flow of a few ms.
 //!
 //! # Bit-identity
 //!
 //! Resume is safe because the flow is deterministic: each stage's
-//! output is a pure function of the [`FlowConfig`]
-//! and the previous stages' outputs, and each cell is seeded from what
-//! it is, never from when it runs. Replaying recorded outputs
-//! therefore yields exactly the state an uninterrupted run would have
-//! reached, and the final [`FlowOutput`](crate::flow::FlowOutput) is
-//! **bit-identical** — a contract pinned by the `checkpoint_resume`
-//! tests. The coarse and calibration stages are checkpointed whole; the
-//! SCD stage is checkpointed per cell, keyed by the cell's grid index,
-//! so the log never encodes scheduler-dependent state.
+//! output is a pure function of the [`FlowConfig`] and the previous
+//! stages' outputs, and each cell is seeded from what it is, never from
+//! when it runs. The final [`FlowOutput`](crate::flow::FlowOutput) of a
+//! resumed run is therefore **bit-identical** to an uninterrupted one —
+//! a contract pinned by the `checkpoint_resume` tests. Cells are keyed
+//! by grid index, so the directory never encodes scheduler-dependent
+//! state.
 //!
 //! # The config fingerprint
 //!
-//! The first record of every checkpoint log is an FNV-1a fingerprint of
-//! [`encode_config`], the canonical encoding of everything the search
-//! results depend on:
+//! `spec.bin` ends with an FNV-1a fingerprint of [`encode_config`], the
+//! canonical encoding of everything the search results depend on:
 //! device, targets, clock, tolerance, candidate count, PF sweep,
 //! replications, seed. `parallelism` is deliberately excluded — results
-//! are bit-identical at any worker count, so a checkpoint taken at
-//! `Fixed(1)` resumes fine at `Auto`. Opening a checkpoint with a
+//! are bit-identical at any worker count, so a run checkpointed at
+//! `Fixed(1)` resumes fine at `Auto`. Opening a directory with a
 //! different config is a typed [`CheckpointError::ConfigMismatch`], not
 //! a silently wrong resume.
 //!
-//! The finalize stage (full simulation + codegen of the best candidate
-//! per target) is *not* checkpointed: it is cheap relative to the
-//! search and deterministic from the SCD results.
+//! [`CoDesignFlow::run_checkpointed`]: crate::flow::CoDesignFlow::run_checkpointed
 
 use crate::evaluate::BundleEvaluation;
 use crate::flow::FlowConfig;
 use crate::parallel::Parallelism;
 use crate::search::Candidate;
-use codesign_dnn::bundle::{bundle_by_id, BundleId};
+use codesign_dnn::bundle::{bundle_by_id, Bundle, BundleId};
 use codesign_dnn::quant::Activation;
 use codesign_dnn::space::DesignPoint;
-use codesign_hls::calibrate::CalibratedParams;
 use codesign_hls::model::Estimate;
 use codesign_sim::device::FpgaDevice;
 use codesign_sim::report::ResourceUsage;
-use codesign_store::{fnv1a, ByteReader, ByteWriter, CodecError, LogError, RecordLog, StreamKind};
+use codesign_store::{fnv1a, ByteReader, ByteWriter, CodecError, LockFile, LogError, RecordLog};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
-/// Tags of checkpoint records, in on-disk order. Tag 3 (the retired
-/// whole-grid SCD record) is never reused.
-const TAG_FINGERPRINT: u8 = 0;
-const TAG_COARSE: u8 = 1;
-const TAG_CALIBRATION: u8 = 2;
-const TAG_CELL: u8 = 4;
+mod segment;
+mod spec;
 
-/// Failure to open or append to a flow checkpoint.
+pub use segment::{open_segment, read_segment, segment_path};
+pub use spec::{shard_range, SweepSpec, SPEC_FILE, SPEC_MAGIC};
+
+/// File name of the lock that keeps a second run out of a directory in
+/// use.
+pub const LOCK_FILE: &str = "run.lock";
+
+/// Failure to open, read or write a run directory.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum CheckpointError {
-    /// The underlying record log failed to open.
+    /// A file of the directory could not be read or written.
+    Io(io::Error),
+    /// The directory's lock is held by a live run, or a segment log
+    /// failed to open.
     Log(LogError),
-    /// A stage record failed to decode (schema drift within the same
-    /// log version).
+    /// Stored bytes did not decode.
     Codec(CodecError),
-    /// The checkpoint was taken under a different [`FlowConfig`].
+    /// `spec.bin` is not a well-formed spec, or it plans another
+    /// selection or shard count than this run's.
+    Spec(String),
+    /// The directory's spec was written under a different
+    /// [`FlowConfig`].
     ConfigMismatch {
         /// Fingerprint of the config now requesting resume.
         expected: u64,
-        /// Fingerprint stored in the checkpoint.
+        /// Fingerprint stored in the spec.
         found: u64,
     },
-    /// Appending a stage record failed.
-    Io(io::Error),
 }
 
 impl fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CheckpointError::Log(e) => write!(f, "checkpoint log: {e}"),
-            CheckpointError::Codec(e) => write!(f, "checkpoint record: {e}"),
+            CheckpointError::Io(e) => write!(f, "run directory i/o: {e}"),
+            CheckpointError::Log(e) => write!(f, "run directory log: {e}"),
+            CheckpointError::Codec(e) => write!(f, "run directory record: {e}"),
+            CheckpointError::Spec(reason) => f.write_str(reason),
             CheckpointError::ConfigMismatch { expected, found } => write!(
                 f,
-                "checkpoint belongs to a different flow config \
+                "run directory belongs to a different flow config \
                  (fingerprint {found:#018x}, this config is {expected:#018x})"
             ),
-            CheckpointError::Io(e) => write!(f, "checkpoint write: {e}"),
         }
     }
 }
 
-impl std::error::Error for CheckpointError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CheckpointError::Log(e) => Some(e),
-            CheckpointError::Codec(e) => Some(e),
-            CheckpointError::Io(e) => Some(e),
-            _ => None,
-        }
+impl std::error::Error for CheckpointError {}
+
+impl From<io::Error> for CheckpointError {
+    fn from(e: io::Error) -> Self {
+        CheckpointError::Io(e)
     }
 }
 
@@ -152,246 +147,189 @@ impl From<CodecError> for CheckpointError {
     }
 }
 
-impl From<io::Error> for CheckpointError {
-    fn from(e: io::Error) -> Self {
-        CheckpointError::Io(e)
-    }
-}
-
-/// Stage results restored from disk when a checkpoint is opened.
-#[derive(Debug, Default, PartialEq)]
-pub(crate) struct Restored {
-    /// The coarse evaluations and the selected Bundles.
-    pub(crate) coarse: Option<(Vec<BundleEvaluation>, Vec<BundleId>)>,
-    /// The fitted parameters of each selected Bundle.
-    pub(crate) calibration: Option<Vec<(BundleId, CalibratedParams)>>,
-    /// Finished SCD cells by grid index. An index outside the run's
-    /// grid is never read.
-    pub(crate) cells: BTreeMap<usize, Vec<Candidate>>,
-}
-
 #[derive(Debug)]
-struct Inner {
-    log: RecordLog,
-    restored: Restored,
+struct State {
+    /// Released by [`FlowCheckpoint::finish`], else on drop.
+    lock: Option<LockFile>,
+    /// The directory's plan, once read or written.
+    spec: Option<SweepSpec>,
+    /// Segment 0, open for appending once a cell is recorded.
+    segment: Option<RecordLog>,
 }
 
-/// A checkpoint of one co-design run: its finished stages and cells.
+/// One run directory, held open by one run.
 ///
-/// Open with [`FlowCheckpoint::open`] against the run's config, pass to
-/// [`CoDesignFlow::run_checkpointed`](crate::flow::CoDesignFlow::run_checkpointed),
-/// and the flow will resume from the last completed stage and search
-/// only the cells not yet on disk. On successful completion
-/// the flow calls [`finish`](Self::finish), which deletes the file — a
-/// leftover checkpoint always means an interrupted run.
+/// Open with [`FlowCheckpoint::open`] against the run's config and pass
+/// to [`CoDesignFlow::run_checkpointed`], which searches only the cells
+/// not yet on disk. On successful completion the flow calls
+/// [`finish`](Self::finish), which deletes the directory's files — a
+/// leftover directory always means an interrupted run. The
+/// `codesign-shard` supervisor opens its shard directory the same way,
+/// and keeps it.
+///
+/// [`CoDesignFlow::run_checkpointed`]: crate::flow::CoDesignFlow::run_checkpointed
 #[derive(Debug)]
 pub struct FlowCheckpoint {
-    inner: Mutex<Inner>,
-    path: PathBuf,
+    dir: PathBuf,
+    config: FlowConfig,
+    state: Mutex<State>,
 }
 
 impl FlowCheckpoint {
-    /// Opens (creating if absent) the checkpoint at `path` for a run of
-    /// `config`, replaying any completed stage and cell records.
+    /// Opens (creating if absent) the run directory `dir` for a run of
+    /// `config`: takes its lock, then reads and checks any spec in it.
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::ConfigMismatch`] when the file belongs to a
-    /// run with a different config, plus log/decode/I-O failures.
-    pub fn open(path: &Path, config: &FlowConfig) -> Result<Self, CheckpointError> {
-        let expected = config_fingerprint(config);
-        let (mut log, records, _recovery) = RecordLog::open(path, StreamKind::FlowCheckpoint)?;
-        let mut restored = Restored::default();
-        if records.is_empty() {
-            let mut w = ByteWriter::new();
-            w.put_u8(TAG_FINGERPRINT);
-            w.put_u64(expected);
-            log.append(w.as_bytes())?;
-        } else {
-            let mut r = ByteReader::new(&records[0]);
-            let tag = r.read_u8()?;
-            if tag != TAG_FINGERPRINT {
-                return Err(CodecError::InvalidTag {
-                    what: "checkpoint first record",
-                    tag: tag as u64,
-                }
-                .into());
-            }
-            let found = r.read_u64()?;
-            r.finish()?;
+    /// [`CheckpointError::Log`] when a live run holds the directory,
+    /// [`CheckpointError::ConfigMismatch`] when its spec belongs to a
+    /// run with a different config, everything
+    /// [`SweepSpec::from_bytes`] rejects, and I/O failures (`dir` is a
+    /// plain file, for one).
+    pub fn open(dir: &Path, config: &FlowConfig) -> Result<Self, CheckpointError> {
+        std::fs::create_dir_all(dir)?;
+        // Taken before the spec is read, so no other run can write one
+        // under this run.
+        let lock = LockFile::acquire(&dir.join(LOCK_FILE)).map_err(LogError::from)?;
+        let spec = match SweepSpec::read(dir) {
+            Err(CheckpointError::Io(e)) if e.kind() == io::ErrorKind::NotFound => None,
+            read => Some(read?),
+        };
+        if let Some(spec) = &spec {
+            let expected = config_fingerprint(config);
+            let found = config_fingerprint(&spec.config);
             if found != expected {
                 return Err(CheckpointError::ConfigMismatch { expected, found });
             }
-            // Stage records arrive in order; a record that cannot be
-            // used ends the replay (see the module docs) — the flow
-            // simply recomputes from that stage on.
-            for payload in &records[1..] {
-                if !restore_stage(payload, &mut restored) {
-                    break;
-                }
-            }
         }
         Ok(Self {
-            inner: Mutex::new(Inner { log, restored }),
-            path: path.to_path_buf(),
+            dir: dir.to_path_buf(),
+            config: config.clone(),
+            state: Mutex::new(State {
+                lock: Some(lock),
+                spec,
+                segment: None,
+            }),
         })
     }
 
-    /// The file backing this checkpoint.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// True when at least one completed stage was restored from disk.
+    /// True when the directory holds a spec: a run got as far as
+    /// planning its cells.
     pub fn has_restored_stages(&self) -> bool {
-        let inner = self.inner.lock().expect("checkpoint lock");
-        let restored = &inner.restored;
-        restored.coarse.is_some() || restored.calibration.is_some() || !restored.cells.is_empty()
+        self.state().spec.is_some()
     }
 
-    /// Takes everything restored from disk, leaving nothing behind.
-    pub(crate) fn take_restored(&self) -> Restored {
-        std::mem::take(&mut self.inner.lock().expect("checkpoint lock").restored)
-    }
-
-    /// Records the completed coarse stage.
-    pub(crate) fn record_coarse(
+    /// Pins the run's plan: the Bundles the coarse stage `selected`,
+    /// over `shards` shards (`None` keeps the stored count, or plans one
+    /// shard). A directory without a spec gets one, after any segment
+    /// it would name is removed: cells written under no plan are never
+    /// read. A directory with a spec must plan the same selection and,
+    /// when `shards` is given, the same shard count.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Spec`] when the stored plan differs, and I/O
+    /// failures.
+    pub fn plan(
         &self,
-        coarse: &[BundleEvaluation],
         selected: &[BundleId],
-    ) -> io::Result<()> {
-        let mut w = ByteWriter::new();
-        w.put_u8(TAG_COARSE);
-        w.put_len(coarse.len());
-        for eval in coarse {
-            encode_evaluation(&mut w, eval);
-        }
-        w.put_len(selected.len());
-        for id in selected {
-            w.put_varint(id.0 as u64);
-        }
-        self.append_synced(w.as_bytes())
-    }
-
-    /// Records the completed calibration stage.
-    pub(crate) fn record_calibration(
-        &self,
-        calibrated: &[(BundleId, CalibratedParams)],
-    ) -> io::Result<()> {
-        let mut w = ByteWriter::new();
-        w.put_u8(TAG_CALIBRATION);
-        w.put_len(calibrated.len());
-        for (id, params) in calibrated {
-            w.put_varint(id.0 as u64);
-            w.put_f64(params.alpha);
-            w.put_f64(params.beta);
-            w.put_f64(params.phi);
-            w.put_f64(params.gamma);
-            w.put_varint(params.parallel_factor as u64);
-        }
-        self.append_synced(w.as_bytes())
-    }
-
-    /// Records one finished SCD cell, unsynced: the flow calls
-    /// [`sync`](Self::sync) once when the SCD stage ends.
-    pub(crate) fn record_cell(&self, index: usize, found: &[Candidate]) -> io::Result<()> {
-        let mut w = ByteWriter::new();
-        w.put_u8(TAG_CELL);
-        encode_cell(&mut w, index, found);
-        self.inner
-            .lock()
-            .expect("checkpoint lock")
-            .log
-            .append(w.as_bytes())
-    }
-
-    /// Forces every appended record to stable storage.
-    pub(crate) fn sync(&self) -> io::Result<()> {
-        self.inner.lock().expect("checkpoint lock").log.sync()
-    }
-
-    /// Deletes the checkpoint file — called after the run completes, so
-    /// a leftover file always means an interrupted run.
-    pub fn finish(&self) -> io::Result<()> {
-        std::fs::remove_file(&self.path)
-    }
-
-    fn append_synced(&self, payload: &[u8]) -> io::Result<()> {
-        let mut inner = self.inner.lock().expect("checkpoint lock");
-        inner.log.append(payload)?;
-        inner.log.sync()
-    }
-}
-
-/// Decodes one record into `restored`. Returns `false` when the record
-/// ends the replay (see the module docs).
-fn restore_stage(payload: &[u8], restored: &mut Restored) -> bool {
-    let mut r = ByteReader::new(payload);
-    let Ok(tag) = r.read_u8() else { return false };
-    match tag {
-        TAG_COARSE => {
-            let Ok(stage) = decode_coarse(&mut r) else {
-                return false;
-            };
-            restored.coarse = Some(stage);
-        }
-        TAG_CALIBRATION => {
-            if restored.coarse.is_none() {
-                return false;
+        shards: Option<usize>,
+    ) -> Result<SweepSpec, CheckpointError> {
+        let mut state = self.state();
+        if let Some(spec) = &state.spec {
+            if spec.selected != selected || shards.is_some_and(|n| n != spec.shards) {
+                let reason = "the directory holds another run's spec";
+                return Err(CheckpointError::Spec(reason.into()));
             }
-            let Ok(stage) = decode_calibration(&mut r) else {
-                return false;
-            };
-            restored.calibration = Some(stage);
+            return Ok(spec.clone());
         }
-        TAG_CELL => {
-            if restored.calibration.is_none() {
-                return false;
-            }
-            // Undecodable: dropped, and the cell recomputed.
-            if let Ok((index, found)) = decode_cell(&mut r) {
-                restored.cells.insert(index, found);
-            }
-            return true;
-        }
-        _ => return false,
-    }
-    r.finish().is_ok()
-}
-
-fn decode_coarse(
-    r: &mut ByteReader<'_>,
-) -> Result<(Vec<BundleEvaluation>, Vec<BundleId>), CodecError> {
-    let n = r.read_len()?;
-    let mut coarse = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        coarse.push(decode_evaluation(r)?);
-    }
-    let n = r.read_len()?;
-    let mut selected = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        selected.push(BundleId(r.read_varint()? as usize));
-    }
-    Ok((coarse, selected))
-}
-
-fn decode_calibration(
-    r: &mut ByteReader<'_>,
-) -> Result<Vec<(BundleId, CalibratedParams)>, CodecError> {
-    let n = r.read_len()?;
-    let mut calibrated = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let id = BundleId(r.read_varint()? as usize);
-        let params = CalibratedParams {
-            alpha: r.read_f64()?,
-            beta: r.read_f64()?,
-            phi: r.read_f64()?,
-            gamma: r.read_f64()?,
-            parallel_factor: r.read_varint()? as usize,
+        let spec = SweepSpec {
+            config: self.config.clone(),
+            selected: selected.to_vec(),
+            shards: shards.unwrap_or(1),
         };
-        calibrated.push((id, params));
+        for shard in 0..spec.shards {
+            remove_if_present(&segment_path(&self.dir, shard))?;
+        }
+        spec.write(&self.dir)?;
+        state.spec = Some(spec.clone());
+        Ok(spec)
     }
-    Ok(calibrated)
+
+    /// Every finished cell the segments of the pinned plan hold, by
+    /// grid index; none before [`plan`](Self::plan).
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Log`] when a segment fails to open.
+    pub fn cells(&self) -> Result<BTreeMap<usize, Vec<Candidate>>, CheckpointError> {
+        let shards = self.state().spec.as_ref().map_or(0, |spec| spec.shards);
+        let mut cells = BTreeMap::new();
+        for path in (0..shards).map(|shard| segment_path(&self.dir, shard)) {
+            if path.exists() {
+                cells.append(&mut read_segment(&path)?);
+            }
+        }
+        Ok(cells)
+    }
+
+    /// Appends one finished SCD cell to segment 0, opening it on first
+    /// use, unsynced: the flow calls [`sync`](Self::sync) once when the
+    /// SCD stage ends.
+    pub(crate) fn record_cell(
+        &self,
+        index: usize,
+        found: &[Candidate],
+    ) -> Result<(), CheckpointError> {
+        let mut w = ByteWriter::new();
+        encode_cell(&mut w, index, found);
+        let mut state = self.state();
+        let log = match &mut state.segment {
+            Some(log) => log,
+            closed => closed.insert(open_segment(&segment_path(&self.dir, 0))?.0),
+        };
+        Ok(log.append(w.as_bytes())?)
+    }
+
+    /// Forces every appended cell to stable storage.
+    pub(crate) fn sync(&self) -> io::Result<()> {
+        self.state()
+            .segment
+            .as_ref()
+            .map_or(Ok(()), RecordLog::sync)
+    }
+
+    /// Deletes the directory's segments, then its spec and lock, then
+    /// the directory itself if nothing else is in it. Called after the
+    /// run completes, so a leftover directory always means an
+    /// interrupted run.
+    ///
+    /// # Errors
+    ///
+    /// Propagates failures to remove a file.
+    pub fn finish(&self) -> io::Result<()> {
+        let mut state = self.state();
+        state.segment = None;
+        let shards = state.spec.take().map_or(0, |spec| spec.shards);
+        for shard in 0..shards {
+            remove_if_present(&segment_path(&self.dir, shard))?;
+        }
+        remove_if_present(&self.dir.join(SPEC_FILE))?;
+        state.lock = None;
+        let _ = std::fs::remove_dir(&self.dir);
+        Ok(())
+    }
+
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("checkpoint lock")
+    }
+}
+
+fn remove_if_present(path: &Path) -> io::Result<()> {
+    match std::fs::remove_file(path) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
+        removed => removed,
+    }
 }
 
 fn encode_resources(w: &mut ByteWriter, res: &ResourceUsage) {
@@ -421,25 +359,6 @@ pub fn encode_evaluation(w: &mut ByteWriter, eval: &BundleEvaluation) {
     w.put_varint(eval.dsp_group as u64);
 }
 
-fn decode_evaluation(r: &mut ByteReader<'_>) -> Result<BundleEvaluation, CodecError> {
-    Ok(BundleEvaluation {
-        bundle_id: BundleId(r.read_varint()? as usize),
-        parallel_factor: r.read_varint()? as usize,
-        latency_ms: r.read_f64()?,
-        resources: decode_resources(r)?,
-        accuracy: r.read_f64()?,
-        dsp_group: r.read_varint()? as usize,
-    })
-}
-
-fn activation_tag(a: Activation) -> u8 {
-    match a {
-        Activation::Relu => 0,
-        Activation::Relu4 => 1,
-        Activation::Relu8 => 2,
-    }
-}
-
 fn activation_from_tag(tag: u8) -> Result<Activation, CodecError> {
     match tag {
         0 => Ok(Activation::Relu),
@@ -456,8 +375,8 @@ fn activation_from_tag(tag: u8) -> Result<Activation, CodecError> {
 /// as its id — Bundles are a fixed enumeration, so the id round-trips
 /// through [`bundle_by_id`] to the identical skeleton.
 ///
-/// Public because shard workers persist per-cell candidates through
-/// the same byte-stable encoding the checkpoint log uses.
+/// Public because a shard run's canonical output bytes use the same
+/// encoding.
 pub fn encode_point(w: &mut ByteWriter, point: &DesignPoint) {
     w.put_varint(point.bundle.id().0 as u64);
     w.put_varint(point.n_replications as u64);
@@ -470,7 +389,11 @@ pub fn encode_point(w: &mut ByteWriter, point: &DesignPoint) {
         w.put_f64(pi);
     }
     w.put_varint(point.parallel_factor as u64);
-    w.put_u8(activation_tag(point.activation));
+    w.put_u8(match point.activation {
+        Activation::Relu => 0,
+        Activation::Relu4 => 1,
+        Activation::Relu8 => 2,
+    });
     w.put_varint(point.base_channels as u64);
     w.put_varint(point.max_channels as u64);
 }
@@ -482,27 +405,12 @@ pub fn encode_point(w: &mut ByteWriter, point: &DesignPoint) {
 /// [`CodecError`] on truncated input or an unknown bundle id /
 /// activation tag.
 pub fn decode_point(r: &mut ByteReader<'_>) -> Result<DesignPoint, CodecError> {
-    let id = r.read_varint()? as usize;
-    let bundle = bundle_by_id(BundleId(id)).ok_or(CodecError::InvalidTag {
-        what: "bundle id",
-        tag: id as u64,
-    })?;
-    let n_replications = r.read_varint()? as usize;
-    let n = r.read_len()?;
-    let mut downsample = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        downsample.push(r.read_bool()?);
-    }
-    let n = r.read_len()?;
-    let mut expansion = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        expansion.push(r.read_f64()?);
-    }
+    // Struct fields evaluate in source order, which is the wire order.
     Ok(DesignPoint {
-        bundle,
-        n_replications,
-        downsample,
-        expansion,
+        bundle: read_bundle(r)?,
+        n_replications: r.read_varint()? as usize,
+        downsample: read_list(r, ByteReader::read_bool)?,
+        expansion: read_list(r, ByteReader::read_f64)?,
         parallel_factor: r.read_varint()? as usize,
         activation: activation_from_tag(r.read_u8()?)?,
         base_channels: r.read_varint()? as usize,
@@ -511,7 +419,7 @@ pub fn decode_point(r: &mut ByteReader<'_>) -> Result<DesignPoint, CodecError> {
 }
 
 /// Encodes one SCD [`Candidate`] (point + estimate + objectives) in
-/// the checkpoint log's byte-stable format.
+/// the run directory's byte-stable format.
 pub fn encode_candidate(w: &mut ByteWriter, c: &Candidate) {
     encode_point(w, &c.point);
     w.put_varint(c.estimate.latency_cycles);
@@ -539,8 +447,7 @@ pub fn decode_candidate(r: &mut ByteReader<'_>) -> Result<Candidate, CodecError>
 
 /// Encodes one finished SCD cell: its grid index as a varint, then the
 /// length of its candidate list, then each [`encode_candidate`]. This
-/// is a checkpoint cell record after its tag byte, and a shard segment
-/// record whole.
+/// is one segment record, whichever executor appends it.
 pub fn encode_cell(w: &mut ByteWriter, index: usize, found: &[Candidate]) {
     w.put_varint(index as u64);
     w.put_len(found.len());
@@ -566,8 +473,8 @@ pub fn decode_cell(r: &mut ByteReader<'_>) -> Result<(usize, Vec<Candidate>), Co
 /// Encodes everything the search results depend on: device, targets,
 /// clock, tolerance, candidate count, PF sweep, replications, seed.
 /// `parallelism` is left out — results are bit-identical at any worker
-/// count. The bytes are part of two on-disk formats (the checkpoint
-/// fingerprint and the shard sweep spec), so they must never change.
+/// count. The bytes are part of `spec.bin`, payload and fingerprint, so
+/// they must never change.
 pub fn encode_config(w: &mut ByteWriter, config: &FlowConfig) {
     let dev = &config.device;
     w.put_str(&dev.name);
@@ -625,6 +532,18 @@ pub fn decode_config(r: &mut ByteReader<'_>) -> Result<FlowConfig, CodecError> {
     })
 }
 
+/// Reads a Bundle id and resolves it in the paper's enumeration.
+fn read_bundle(r: &mut ByteReader<'_>) -> Result<Bundle, CodecError> {
+    let id = r.read_varint()?;
+    usize::try_from(id)
+        .ok()
+        .and_then(|id| bundle_by_id(BundleId(id)))
+        .ok_or(CodecError::InvalidTag {
+            what: "bundle id",
+            tag: id,
+        })
+}
+
 fn read_list<'a, T>(
     r: &mut ByteReader<'a>,
     mut item: impl FnMut(&mut ByteReader<'a>) -> Result<T, CodecError>,
@@ -648,14 +567,18 @@ mod tests {
     use codesign_sim::device::{pynq_z1, ultra96};
     use std::path::PathBuf;
 
-    fn temp_path(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("codesign_core_checkpoint_tests");
+    /// A fresh, existing directory for one test's run.
+    fn temp_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir()
+            .join("codesign_core_checkpoint_tests")
+            .join(format!(
+                "{name}_{}_{:?}",
+                std::process::id(),
+                std::thread::current().id()
+            ));
+        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        dir.join(format!(
-            "{name}_{}_{:?}.ckpt",
-            std::process::id(),
-            std::thread::current().id()
-        ))
+        dir
     }
 
     fn config() -> FlowConfig {
@@ -796,99 +719,72 @@ mod tests {
 
     #[test]
     fn stages_round_trip_through_a_reopened_checkpoint() {
-        let path = temp_path("stages");
-        let _ = std::fs::remove_file(&path);
+        let dir = temp_dir("stages");
         let cfg = config();
-
-        let coarse = vec![BundleEvaluation {
-            bundle_id: BundleId(13),
-            parallel_factor: 16,
-            latency_ms: 61.25,
-            resources: ResourceUsage {
-                dsp: 180,
-                lut: 40_000,
-                ff: 30_000,
-                bram_18k: 120,
-            },
-            accuracy: 0.63,
-            dsp_group: 2,
-        }];
         let selected = vec![BundleId(13)];
-        let calibrated = vec![(
-            BundleId(13),
-            CalibratedParams {
-                alpha: 0.91,
-                beta: 1.12,
-                phi: 0.33,
-                gamma: 0.08,
-                parallel_factor: 96,
-            },
-        )];
-        let found = vec![Candidate {
-            point: sample_point(),
-            estimate: Estimate {
-                latency_cycles: 6_125_000,
-                resources: ResourceUsage {
-                    dsp: 170,
-                    lut: 39_000,
-                    ff: 29_000,
-                    bram_18k: 110,
-                },
-            },
-            latency_ms: 61.25,
-            accuracy: 0.64,
-        }];
+        let found = pinned_cell();
 
         {
-            let ckpt = FlowCheckpoint::open(&path, &cfg).unwrap();
+            let ckpt = FlowCheckpoint::open(&dir, &cfg).unwrap();
             assert!(!ckpt.has_restored_stages());
-            ckpt.record_coarse(&coarse, &selected).unwrap();
-            ckpt.record_calibration(&calibrated).unwrap();
+            ckpt.plan(&selected, None).unwrap();
+            assert!(ckpt.cells().unwrap().is_empty());
             ckpt.record_cell(0, &found).unwrap();
+            ckpt.sync().unwrap();
         }
 
-        let ckpt = FlowCheckpoint::open(&path, &cfg).unwrap();
+        let ckpt = FlowCheckpoint::open(&dir, &cfg).unwrap();
         assert!(ckpt.has_restored_stages());
-        let restored = ckpt.take_restored();
-        assert_eq!(restored.coarse, Some((coarse, selected)));
-        assert_eq!(restored.calibration, Some(calibrated));
-        assert_eq!(restored.cells, BTreeMap::from([(0, found)]));
+        ckpt.plan(&selected, None).unwrap();
+        assert_eq!(ckpt.cells().unwrap(), BTreeMap::from([(0, found)]));
+        // Another selection or shard count is another run's plan.
+        assert!(matches!(
+            ckpt.plan(&[BundleId(1)], None),
+            Err(CheckpointError::Spec(_))
+        ));
+        assert!(matches!(
+            ckpt.plan(&selected, Some(2)),
+            Err(CheckpointError::Spec(_))
+        ));
 
         ckpt.finish().unwrap();
-        assert!(!path.exists());
+        assert!(!dir.exists(), "a finished run leaves nothing behind");
     }
 
     #[test]
     fn config_mismatch_is_rejected() {
-        let path = temp_path("mismatch");
-        let _ = std::fs::remove_file(&path);
+        let dir = temp_dir("mismatch");
         let cfg = config();
-        drop(FlowCheckpoint::open(&path, &cfg).unwrap());
+        FlowCheckpoint::open(&dir, &cfg)
+            .unwrap()
+            .plan(&[BundleId(13)], None)
+            .unwrap();
         let mut other = cfg.clone();
         other.seed ^= 0xdead;
         assert!(matches!(
-            FlowCheckpoint::open(&path, &other),
+            FlowCheckpoint::open(&dir, &other),
             Err(CheckpointError::ConfigMismatch { .. })
         ));
         // The original config still opens.
-        drop(FlowCheckpoint::open(&path, &cfg).unwrap());
-        let _ = std::fs::remove_file(&path);
+        drop(FlowCheckpoint::open(&dir, &cfg).unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn later_stage_without_earlier_is_ignored() {
-        let path = temp_path("order");
-        let _ = std::fs::remove_file(&path);
+        let dir = temp_dir("order");
         let cfg = config();
         {
-            let ckpt = FlowCheckpoint::open(&path, &cfg).unwrap();
-            // SCD recorded without coarse/calibration on disk: replay
-            // must not trust it.
-            ckpt.record_cell(0, &[]).unwrap();
+            // Cells on disk without a spec: no plan names them, so
+            // they must not be trusted.
+            let (mut log, _) = open_segment(&segment_path(&dir, 0)).unwrap();
+            log.append(&cell_bytes(0, &pinned_cell())).unwrap();
         }
-        let ckpt = FlowCheckpoint::open(&path, &cfg).unwrap();
+        let ckpt = FlowCheckpoint::open(&dir, &cfg).unwrap();
         assert!(!ckpt.has_restored_stages());
-        assert_eq!(ckpt.take_restored(), Restored::default());
-        let _ = std::fs::remove_file(&path);
+        ckpt.plan(&[BundleId(13)], None).unwrap();
+        assert!(ckpt.cells().unwrap().is_empty());
+        ckpt.finish().unwrap();
+        assert!(!dir.exists());
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! The recipe itself is written once, in [`crate::pipeline`]; this
 //! module is its in-process executor, adding worker threads, progress
-//! events, cancellation and stage checkpoints around it.
+//! events, cancellation and a run directory of finished cells around it.
 //!
 //! Configurations are built with [`FlowConfig::builder`] (paper
 //! defaults, typed validation), runs are observed and cancelled through
@@ -30,7 +30,6 @@ use codesign_dnn::quant::Activation;
 use codesign_dnn::space::DesignPoint;
 use codesign_dnn::Dnn;
 use codesign_hls::cache::EstimateCache;
-use codesign_hls::calibrate::CalibratedParams;
 use codesign_hls::model::HlsEstimator;
 use codesign_sim::device::{pynq_z1, FpgaDevice};
 use codesign_sim::error::SimError;
@@ -512,9 +511,10 @@ pub enum FlowError {
     /// The run's [`CancelToken`] deadline passed; the flow stopped at a
     /// work-item boundary.
     DeadlineExceeded,
-    /// Writing a stage record to the run's [`FlowCheckpoint`] failed.
+    /// The run's [`FlowCheckpoint`] directory could not be read or
+    /// written, or its spec plans another selection.
     Checkpoint {
-        /// Description of the underlying I/O failure.
+        /// Description of the underlying failure.
         reason: String,
     },
 }
@@ -526,7 +526,7 @@ impl fmt::Display for FlowError {
             FlowError::InvalidConfig(e) => write!(f, "invalid flow config: {e}"),
             FlowError::Cancelled => write!(f, "flow cancelled"),
             FlowError::DeadlineExceeded => write!(f, "flow deadline exceeded"),
-            FlowError::Checkpoint { reason } => write!(f, "checkpoint write failed: {reason}"),
+            FlowError::Checkpoint { reason } => write!(f, "checkpoint failed: {reason}"),
         }
     }
 }
@@ -670,24 +670,25 @@ impl CoDesignFlow {
         self.run_inner(observer, cancel, None)
     }
 
-    /// Runs the flow against a checkpoint: the coarse and calibration
-    /// stages and the SCD cells found in `checkpoint` are replayed from
-    /// disk instead of recomputed. A stage that *does* run is recorded
-    /// as it completes, and each SCD cell as it finishes, so an
-    /// interrupted SCD stage resumes with only its missing cells. The
-    /// checkpoint file is deleted when the run finishes successfully.
+    /// Runs the flow against a run directory: after the coarse stage,
+    /// the directory's spec pins the Bundle selection (or is written with
+    /// one shard), every cell its segments hold is taken from disk, and
+    /// only the missing cells are searched — each appended to segment 0
+    /// as it finishes. Only the Bundles with missing cells are
+    /// calibrated. The directory's files are deleted when the run
+    /// finishes successfully.
     ///
     /// Resuming never changes results — the flow is deterministic, so a
-    /// replayed stage or cell restores exactly what an uninterrupted run
-    /// would have computed and the final output is bit-identical (see
-    /// the `checkpoint` module docs). Open the checkpoint with the same
+    /// stored cell holds exactly what an uninterrupted run would have
+    /// computed and the final output is bit-identical (see the
+    /// `checkpoint` module docs). Open the directory with the same
     /// config via [`FlowCheckpoint::open`], which rejects mismatches.
     ///
     /// # Errors
     ///
     /// Everything [`run_observed`](Self::run_observed) returns, plus
-    /// [`FlowError::Checkpoint`] when a record cannot be written or
-    /// synced.
+    /// [`FlowError::Checkpoint`] when the spec plans another selection,
+    /// or a segment cannot be read, written or synced.
     pub fn run_checkpointed(
         &self,
         checkpoint: &FlowCheckpoint,
@@ -725,7 +726,7 @@ impl CoDesignFlow {
 
     /// The [`pipeline`] recipe with this executor's own concerns around
     /// it: progress events, cancellation checks at every work-item
-    /// boundary, and the checkpoint's replay / record hooks.
+    /// boundary, and the checkpoint's resume / record hooks.
     fn run_stages(
         &self,
         observer: &dyn FlowObserver,
@@ -744,9 +745,6 @@ impl CoDesignFlow {
             CancelState::TimedOut => Err(FlowError::DeadlineExceeded),
             CancelState::Live => Ok(()),
         };
-        let ckpt_write = |e: std::io::Error| FlowError::Checkpoint {
-            reason: e.to_string(),
-        };
 
         let all_bundles = enumerate_bundles();
         observer.on_event(&FlowEvent::Started {
@@ -754,46 +752,46 @@ impl CoDesignFlow {
             bundles: all_bundles.len(),
         });
 
-        let restored = ckpt.map(FlowCheckpoint::take_restored).unwrap_or_default();
         live()?;
-        let (coarse, selected) = match restored.coarse {
-            Some(stage) => stage,
-            None => {
-                let (coarse, selected) = pipeline::coarse_stage(cfg, &self.model)?;
-                if let Some(c) = ckpt {
-                    c.record_coarse(&coarse, &selected).map_err(ckpt_write)?;
-                }
-                (coarse, selected)
-            }
+        let (coarse, selected) = pipeline::coarse_stage(cfg, &self.model)?;
+        // A checkpoint pins the selection, and hands back every cell
+        // already on disk.
+        let mut found = match ckpt {
+            Some(c) => c
+                .plan(&selected, None)
+                .and_then(|_| c.cells())
+                .map_err(checkpoint_error)?,
+            None => BTreeMap::new(),
         };
         observer.on_event(&FlowEvent::BundlesSelected {
             selected: selected.iter().map(|b| b.0).collect(),
         });
+        let cells = pipeline::cells(&cfg.targets_fps, &selected);
+        let missing: Vec<&pipeline::Cell> = cells
+            .iter()
+            .filter(|cell| !found.contains_key(&cell.index))
+            .collect();
 
-        // Calibration, once per selected Bundle and shared by every
-        // target. A resume replays the fitted coefficients and skips the
-        // per-Bundle progress events.
+        // Calibration, once per Bundle that still has cells to search,
+        // shared by every target: every selected Bundle, in selection
+        // order, unless a checkpoint holds some of the cells.
         live()?;
-        let params_list: Vec<(BundleId, CalibratedParams)> = match restored.calibration {
-            Some(stage) => stage,
-            None => {
-                let calibrated = AtomicUsize::new(0);
-                let list = try_parallel_map(&selected, threads, |_, id| {
-                    live()?;
-                    let params = pipeline::calibrate(&all_bundles[id.0 - 1], &cfg.device)?;
-                    observer.on_event(&FlowEvent::BundleCalibrated {
-                        bundle: id.0,
-                        done: calibrated.fetch_add(1, Ordering::Relaxed) + 1,
-                        total: selected.len(),
-                    });
-                    Ok::<_, FlowError>((*id, params))
-                })?;
-                if let Some(c) = ckpt {
-                    c.record_calibration(&list).map_err(ckpt_write)?;
-                }
-                list
-            }
-        };
+        let uncalibrated: Vec<BundleId> = selected
+            .iter()
+            .copied()
+            .filter(|id| missing.iter().any(|cell| cell.bundle == *id))
+            .collect();
+        let calibrated = AtomicUsize::new(0);
+        let params_list = try_parallel_map(&uncalibrated, threads, |_, id| {
+            live()?;
+            let params = pipeline::calibrate(&all_bundles[id.0 - 1], &cfg.device)?;
+            observer.on_event(&FlowEvent::BundleCalibrated {
+                bundle: id.0,
+                done: calibrated.fetch_add(1, Ordering::Relaxed) + 1,
+                total: uncalibrated.len(),
+            });
+            Ok::<_, FlowError>((*id, params))
+        })?;
         // All estimators share one estimate cache.
         let estimators: BTreeMap<BundleId, HlsEstimator> = params_list
             .into_iter()
@@ -804,23 +802,15 @@ impl CoDesignFlow {
             })
             .collect();
 
-        // The fingerprint check at open pins everything the grid is
-        // derived from, so a restored cell index names the same cell
-        // here. Only the cells not on disk are searched; each is
-        // recorded before its event, so `done == total` means the whole
-        // grid is on disk.
-        let cells = pipeline::cells(&cfg.targets_fps, &selected);
-        let mut found = restored.cells;
-        let missing: Vec<&pipeline::Cell> = cells
-            .iter()
-            .filter(|cell| !found.contains_key(&cell.index))
-            .collect();
+        // Each searched cell is recorded before its event, so
+        // `done == total` means the whole grid is on disk.
         let searched = AtomicUsize::new(cells.len() - missing.len());
         let computed = try_parallel_map(&missing, threads, |_, cell| {
             live()?;
             let cands = pipeline::run_cell(cfg, cell, &estimators[&cell.bundle], &self.model);
             if let Some(c) = ckpt {
-                c.record_cell(cell.index, &cands).map_err(ckpt_write)?;
+                c.record_cell(cell.index, &cands)
+                    .map_err(checkpoint_error)?;
             }
             observer.on_event(&FlowEvent::ScdSearchFinished {
                 target_fps: cell.fps,
@@ -835,7 +825,7 @@ impl CoDesignFlow {
         // One sync for the whole stage, whether it finished or not; the
         // stage's own error, if any, is the one reported.
         let synced = match ckpt {
-            Some(c) if !missing.is_empty() => c.sync().map_err(ckpt_write),
+            Some(c) if !missing.is_empty() => c.sync().map_err(checkpoint_error),
             _ => Ok(()),
         };
         found.extend(computed?);
@@ -867,6 +857,12 @@ impl CoDesignFlow {
             designs,
             cache_stats: cache.stats(),
         })
+    }
+}
+
+fn checkpoint_error(e: impl fmt::Display) -> FlowError {
+    FlowError::Checkpoint {
+        reason: e.to_string(),
     }
 }
 

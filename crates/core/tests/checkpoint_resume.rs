@@ -1,9 +1,9 @@
 //! Pins the checkpoint/resume contract: a flow interrupted mid-run and
-//! resumed from its [`FlowCheckpoint`] produces output **bit-identical**
-//! to an uninterrupted run, and completed stages are replayed from disk
-//! instead of recomputed.
+//! resumed from its [`FlowCheckpoint`] directory produces output
+//! **bit-identical** to an uninterrupted run, and finished cells are
+//! taken from disk instead of recomputed.
 
-use codesign_core::checkpoint::{encode_cell, FlowCheckpoint};
+use codesign_core::checkpoint::{encode_cell, segment_path, FlowCheckpoint, SPEC_FILE};
 use codesign_core::flow::{CoDesignFlow, FlowConfig, FlowError, FlowOutput};
 use codesign_core::observe::{CancelToken, FlowEvent, NullObserver};
 use codesign_core::Parallelism;
@@ -23,13 +23,13 @@ fn small_config() -> FlowConfig {
 }
 
 fn temp_path(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("codesign_core_resume_tests");
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!(
-        "{name}_{}_{:?}.ckpt",
-        std::process::id(),
-        std::thread::current().id()
-    ))
+    std::env::temp_dir()
+        .join("codesign_core_resume_tests")
+        .join(format!(
+            "{name}_{}_{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ))
 }
 
 #[test]
@@ -37,11 +37,11 @@ fn resumed_run_is_bit_identical_to_uninterrupted() {
     let baseline = CoDesignFlow::new(small_config()).run().unwrap();
 
     let path = temp_path("bit_identity");
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&path);
 
     // First attempt: cancel as soon as the first SCD cell finishes —
-    // the coarse and calibration stages are checkpointed by then, the
-    // SCD stage is not.
+    // the spec and that cell are on disk by then, the rest of the SCD
+    // stage is not.
     {
         let flow = CoDesignFlow::new(small_config());
         let ckpt = FlowCheckpoint::open(&path, flow.config()).unwrap();
@@ -57,9 +57,9 @@ fn resumed_run_is_bit_identical_to_uninterrupted() {
     }
     assert!(path.exists(), "interrupted run must leave its checkpoint");
 
-    // Second attempt: resume. Coarse + calibration replay from disk
-    // (no BundleCalibrated events), SCD recomputes, and the final
-    // output is bit-identical to the uninterrupted baseline.
+    // Second attempt: resume. The stored cells come from disk, the
+    // missing ones recompute, and the final output is bit-identical to
+    // the uninterrupted baseline.
     let flow = CoDesignFlow::new(small_config());
     let ckpt = FlowCheckpoint::open(&path, flow.config()).unwrap();
     assert!(ckpt.has_restored_stages());
@@ -81,12 +81,6 @@ fn resumed_run_is_bit_identical_to_uninterrupted() {
 
     let events = events.into_inner().unwrap();
     assert!(
-        !events
-            .iter()
-            .any(|e| matches!(e, FlowEvent::BundleCalibrated { .. })),
-        "restored calibration stage must not re-run"
-    );
-    assert!(
         events
             .iter()
             .any(|e| matches!(e, FlowEvent::ScdSearchFinished { .. })),
@@ -101,7 +95,7 @@ fn resumed_run_is_bit_identical_to_uninterrupted() {
 #[test]
 fn fully_checkpointed_run_replays_the_search_stage_too() {
     let path = temp_path("full_replay");
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&path);
 
     // Cancel after the search stage is already on disk, by cancelling
     // when the first design is finalized.
@@ -142,7 +136,7 @@ fn fully_checkpointed_run_replays_the_search_stage_too() {
 #[test]
 fn uninterrupted_checkpointed_run_matches_plain_run_and_cleans_up() {
     let path = temp_path("clean");
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&path);
     let flow = CoDesignFlow::new(small_config());
     let ckpt = FlowCheckpoint::open(&path, flow.config()).unwrap();
     let out = flow
@@ -163,7 +157,7 @@ fn interrupt(
     config: &FlowConfig,
     stop: impl Fn(usize, usize) -> bool + Sync,
 ) -> (usize, usize) {
-    let _ = std::fs::remove_file(path);
+    let _ = std::fs::remove_dir_all(path);
     let flow = CoDesignFlow::new(config.clone());
     let ckpt = FlowCheckpoint::open(path, flow.config()).unwrap();
     let token = CancelToken::new();
@@ -236,12 +230,6 @@ fn interrupted_search_resumes_only_its_missing_cells() {
         // events may reach the observer out of order, so sort first.
         done.sort_unstable();
         assert_eq!(done, (first + 1..=total).collect::<Vec<_>>());
-        assert!(
-            !events
-                .iter()
-                .any(|e| matches!(e, FlowEvent::BundleCalibrated { .. })),
-            "restored calibration stage must not re-run"
-        );
         assert_bit_identical(&plain, &resumed);
     }
 }
@@ -252,8 +240,9 @@ fn checkpoint_cut_anywhere_reopens_and_resumes_bit_identically() {
     let plain = CoDesignFlow::new(config.clone()).run().unwrap();
     let full = temp_path("cut_full");
     interrupt(&full, &config, |done, total| done == total);
-    let bytes = std::fs::read(&full).unwrap();
-    let _ = std::fs::remove_file(&full);
+    let spec = std::fs::read(full.join(SPEC_FILE)).unwrap();
+    let bytes = std::fs::read(segment_path(&full, 0)).unwrap();
+    let _ = std::fs::remove_dir_all(&full);
 
     // Record boundaries: a 16-byte log header, then frames of a 12-byte
     // head (u32 length, u64 checksum) and the payload.
@@ -265,16 +254,15 @@ fn checkpoint_cut_anywhere_reopens_and_resumes_bit_identically() {
         boundaries.push(end);
     }
     assert_eq!(end, bytes.len());
-    assert!(
-        boundaries.len() > 4,
-        "fingerprint, coarse, calibration, cells"
-    );
+    assert!(boundaries.len() > 4, "one record per cell");
 
     let mut cuts = boundaries.clone();
     cuts.extend(boundaries.windows(2).map(|w| (w[0] + w[1]) / 2));
     let path = temp_path("cut");
     for cut in cuts {
-        std::fs::write(&path, &bytes[..cut]).unwrap();
+        std::fs::create_dir_all(&path).unwrap();
+        std::fs::write(path.join(SPEC_FILE), &spec).unwrap();
+        std::fs::write(segment_path(&path, 0), &bytes[..cut]).unwrap();
         let (resumed, _) = resume(&path, &config);
         assert_bit_identical(&plain, &resumed);
     }
@@ -287,11 +275,11 @@ fn a_cell_record_outside_the_grid_is_ignored() {
     let path = temp_path("outside_grid");
     interrupt(&path, &config, |done, _| done == 1);
     {
-        // A well-formed, checksum-valid cell record (tag 4) for a cell
-        // index no grid of this config has.
-        let (mut log, _, _) = RecordLog::open(&path, StreamKind::FlowCheckpoint).unwrap();
+        // A well-formed, checksum-valid cell record for a cell index no
+        // grid of this config has.
+        let segment = segment_path(&path, 0);
+        let (mut log, _, _) = RecordLog::open(&segment, StreamKind::ShardSegment).unwrap();
         let mut w = ByteWriter::new();
-        w.put_u8(4);
         encode_cell(&mut w, 999, &[plain.candidates[0].1.clone()]);
         log.append(w.as_bytes()).unwrap();
     }

@@ -570,7 +570,7 @@ pub fn global() -> Option<Arc<FaultPlan>> {
 /// into the queue's existing per-item `catch_unwind`, which re-raises on
 /// the caller — exactly the path a real work-item panic takes.
 #[inline]
-pub fn pool_item_hook() {
+pub fn parallel_item_hook() {
     if !ACTIVE.load(Ordering::Relaxed) {
         return;
     }
@@ -749,13 +749,13 @@ mod tests {
         static GUARD: Mutex<()> = Mutex::new(());
         let _guard = GUARD.lock().unwrap();
         assert!(global().is_none());
-        pool_item_hook(); // no-op without a plan
+        parallel_item_hook(); // no-op without a plan
         let plan = FaultPlan::builder(11)
             .delays("parallel.item", 1.0, Duration::ZERO)
             .build();
         install_global(Arc::clone(&plan));
         assert!(global().is_some());
-        pool_item_hook();
+        parallel_item_hook();
         assert_eq!(plan.injected("parallel.item"), 1);
         clear_global();
         assert!(global().is_none());

@@ -174,7 +174,7 @@ where
             // `parallel.item` panic takes exactly the path a real
             // work-item panic takes.
             let out = catch_unwind(AssertUnwindSafe(|| {
-                codesign_faults::pool_item_hook();
+                codesign_faults::parallel_item_hook();
                 f(i, item)
             }));
             if !matches!(out, Ok(Ok(_))) {

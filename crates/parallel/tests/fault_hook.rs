@@ -1,6 +1,6 @@
-//! The worker pool's `parallel.item` fault hook: injected panics take
+//! The work queue's `parallel.item` fault hook: injected panics take
 //! the real panic-propagation path (caught per item, re-raised on the
-//! posting caller), injected delays just slow items down, and with no
+//! calling thread), injected delays just slow items down, and with no
 //! global plan installed the hook is a no-op.
 //!
 //! These tests share the process-global fault-plan slot, so they
@@ -61,7 +61,7 @@ fn injected_delays_leave_results_bit_identical() {
 }
 
 #[test]
-fn pool_survives_an_injected_panic() {
+fn later_calls_survive_an_injected_panic() {
     let _slot = hold_slot();
     let plan = codesign_faults::FaultPlan::builder(4)
         .panics_at("parallel.item", &[0])
@@ -72,7 +72,7 @@ fn pool_survives_an_injected_panic() {
     }));
     codesign_faults::clear_global();
     assert!(result.is_err());
-    // The pool keeps serving fault-free jobs afterwards.
+    // Fault-free calls afterwards run as before.
     let out = parallel_map(&[1u32, 2, 3], 2, |_, v| v + 1);
     assert_eq!(out, vec![2, 3, 4]);
 }

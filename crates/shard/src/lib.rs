@@ -23,11 +23,18 @@
 //!   [`FlowOutput`](codesign_core::FlowOutput), the artifact the
 //!   determinism pins compare.
 //!
-//! A shard directory is `spec.bin` plus the segment logs; that is all
-//! a restart reads. The supervisor's attempt counts and quarantines
-//! live in memory, so a restarted run gives every unfinished shard a
-//! fresh retry budget and reuses every shard whose segment covers its
-//! cells.
+//! A shard directory is a run directory, the one a checkpointed
+//! in-process run also uses ([`codesign_core::checkpoint`]): `spec.bin`
+//! plus the segment logs. That is all a restart reads, and a directory
+//! either executor left behind can be finished by the other at the same
+//! shard count. The supervisor's attempt counts and quarantines live in
+//! memory, so a restarted run gives every unfinished shard a fresh
+//! retry budget and reuses every shard whose segment covers its cells.
+//!
+//! Two output fields differ from the in-process flow's: a sharded run
+//! reports `measured_iou: None` for every design and zeroed
+//! `cache_stats`, because measured quantization is an in-process option
+//! and worker caches die with their processes.
 //!
 //! The contract, enforced by this crate's tests: the merged output is
 //! **byte-identical** across one process, N processes, and N processes
@@ -37,6 +44,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use codesign_core::checkpoint::CheckpointError;
 use codesign_core::flow::FlowError;
 use codesign_sim::error::SimError;
 use codesign_store::{CodecError, LogError};
@@ -141,6 +149,17 @@ impl From<CodecError> for ShardError {
 impl From<FlowError> for ShardError {
     fn from(e: FlowError) -> Self {
         ShardError::Flow(e)
+    }
+}
+
+impl From<CheckpointError> for ShardError {
+    fn from(e: CheckpointError) -> Self {
+        match e {
+            CheckpointError::Io(e) => ShardError::Io(e),
+            CheckpointError::Log(e) => ShardError::Log(e),
+            CheckpointError::Codec(e) => ShardError::Codec(e),
+            spec => ShardError::Spec(spec.to_string()),
+        }
     }
 }
 

@@ -1,85 +1,25 @@
 //! Per-worker result segments.
 //!
-//! Each shard's worker appends its results to its own [`RecordLog`]
-//! (stream kind [`StreamKind::ShardSegment`]) at
-//! [`segment_path`]`(dir, shard)` — one record per grid cell, keyed by
-//! the cell's global index. One file per shard means workers never
-//! share a write path, so no cross-process append interleaving can
-//! reorder anything; the supervisor merges by cell index, which every
-//! partition produces in the same total order.
-//!
-//! A record is the cell's global index and its candidates, written by
-//! [`encode_cell`] and read by [`decode_cell`]. The codec lives in
-//! `codesign_core::checkpoint`, whose flow checkpoints store their cell
-//! records in the same bytes. A record is the cell's *complete* result:
-//! the append is the commit point. A worker killed mid-append leaves a
-//! torn frame that the log's recovery truncates on the next open, so a
-//! retried attempt resumes from the last whole cell and recomputes the
-//! rest — the cell's seed depends only on what the cell is, so the
-//! recomputed bytes match what the dead worker would have written.
-//!
-//! [`encode_cell`]: codesign_core::checkpoint::encode_cell
+//! Each shard's worker appends its finished cells to its own segment
+//! log; the supervisor merges them by cell index. The segment format
+//! lives in [`codesign_core::checkpoint`], next to the spec, because a
+//! checkpointed in-process run writes the same segments; this module
+//! re-exports it under the names the sharded search has always used.
 
-use codesign_core::checkpoint::decode_cell;
-use codesign_core::Candidate;
-use codesign_store::{ByteReader, LogOptions, RecordLog, StreamKind};
-use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
-
-use crate::ShardError;
-
-/// Path of shard `shard`'s segment log inside a shard directory.
-pub fn segment_path(dir: &Path, shard: usize) -> PathBuf {
-    dir.join(format!("seg-{shard}.log"))
-}
-
-/// Opens (creating if absent) a segment log for appending, replaying
-/// whatever whole records survived — the worker-resume entry point.
-/// Torn tails are truncated by the log itself; duplicate cell records
-/// resolve last-write-wins (identical bytes anyway, by determinism).
-///
-/// # Errors
-///
-/// [`ShardError::Log`] on open failures. A dead previous attempt's
-/// stale advisory lock is taken over, not an error.
-pub fn open_segment(
-    path: &Path,
-) -> Result<(RecordLog, BTreeMap<usize, Vec<Candidate>>), ShardError> {
-    let (log, records, _recovery) =
-        RecordLog::open_with(path, StreamKind::ShardSegment, LogOptions::default())?;
-    let mut cells = BTreeMap::new();
-    for payload in &records {
-        // A framed record that fails to decode is schema drift; drop it
-        // and let the worker recompute that cell.
-        if let Ok((index, candidates)) = decode_cell(&mut ByteReader::new(payload)) {
-            cells.insert(index, candidates);
-        }
-    }
-    Ok((log, cells))
-}
-
-/// Reads a segment's whole records without keeping a write handle —
-/// the supervisor's merge entry point (workers are reaped first, so a
-/// leftover lock is always stale and taken over).
-///
-/// # Errors
-///
-/// [`ShardError::Log`] on open failures.
-pub fn read_segment(path: &Path) -> Result<BTreeMap<usize, Vec<Candidate>>, ShardError> {
-    let (_log, cells) = open_segment(path)?;
-    Ok(cells)
-}
+pub use codesign_core::checkpoint::{open_segment, read_segment, segment_path};
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use codesign_core::checkpoint::encode_cell;
+    use codesign_core::Candidate;
     use codesign_dnn::bundle::{bundle_by_id, BundleId};
     use codesign_dnn::quant::Activation;
     use codesign_dnn::space::DesignPoint;
     use codesign_hls::model::Estimate;
     use codesign_sim::report::ResourceUsage;
     use codesign_store::ByteWriter;
+    use std::path::PathBuf;
 
     fn temp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir()

@@ -1,184 +1,19 @@
 //! The sweep spec: what the supervisor tells its workers to compute.
 //!
-//! A [`SweepSpec`] pins everything a worker needs to reproduce its
-//! slice of the SCD stage bit-for-bit: the [`FlowConfig`] (minus
-//! parallelism, which never affects results), the Bundle selection the
-//! supervisor's coarse stage computed, and the shard count. The
-//! supervisor writes it once to `spec.bin` in the shard directory,
-//! and a restarted supervisor requires the same bytes there; each
-//! worker (including the retry of a crashed one) reads it back and
-//! derives its cell range from its shard index alone.
-//!
-//! # Work grid
-//!
-//! The grid is the shared recipe's
-//! [`pipeline::cells`](codesign_core::pipeline::cells): one [`Cell`]
-//! per `FPS target × selected Bundle × quantization arm`, with global
-//! indices. Shard `i` of `S` owns the contiguous range
-//! [`shard_range`]`(cells, S, i)`. Contiguity matters for determinism
-//! only in that every cell is owned by exactly one shard; the merge
-//! keys on the global cell index, so any partition would produce the
-//! same bytes.
-//!
-//! # File format
-//!
-//! ```text
-//! magic "CDSHSPC1" (8) | payload_len u32 LE | fnv1a(payload) u64 LE | payload
-//! payload = encode_config | selected Bundle ids | shards | config_fingerprint
-//! ```
-//!
-//! The config uses the checkpoint log's own codec
-//! ([`encode_config`]), and its [`config_fingerprint`] is re-verified
-//! on read so a worker can never run somebody else's sweep.
+//! The spec and its `spec.bin` format live in
+//! [`codesign_core::checkpoint`], which owns the run directory both
+//! durable executors share; this module re-exports them under the
+//! names the sharded search has always used, and pins their bytes.
 
-use codesign_core::checkpoint::{config_fingerprint, decode_config, encode_config};
-use codesign_core::flow::FlowConfig;
-use codesign_core::pipeline::cells;
-use codesign_dnn::bundle::BundleId;
-use codesign_store::{fnv1a, ByteReader, ByteWriter, CodecError};
-use std::ops::Range;
-use std::path::Path;
-
-use crate::ShardError;
-
+pub use codesign_core::checkpoint::{shard_range, SweepSpec, SPEC_FILE, SPEC_MAGIC};
 pub use codesign_core::pipeline::{Cell, ARMS};
-
-/// Magic bytes opening a `spec.bin`.
-pub const SPEC_MAGIC: [u8; 8] = *b"CDSHSPC1";
-
-/// File name of the spec inside a shard directory.
-pub const SPEC_FILE: &str = "spec.bin";
-
-/// Everything a worker needs to compute its shard deterministically.
-#[derive(Debug, Clone)]
-pub struct SweepSpec {
-    /// The flow configuration (parallelism is irrelevant to results;
-    /// workers run their cells sequentially).
-    pub config: FlowConfig,
-    /// Bundles selected by the supervisor's coarse stage, in selection
-    /// order.
-    pub selected: Vec<BundleId>,
-    /// Total number of shards the grid is partitioned into.
-    pub shards: usize,
-}
-
-impl SweepSpec {
-    /// The flattened work grid, in the flow's cell order.
-    pub fn cells(&self) -> Vec<Cell> {
-        cells(&self.config.targets_fps, &self.selected)
-    }
-
-    /// Global cell range owned by `shard`.
-    pub fn shard_cells(&self, shard: usize) -> Range<usize> {
-        shard_range(self.cells().len(), self.shards, shard)
-    }
-
-    /// Serializes the spec to its framed byte form.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        encode_config(&mut w, &self.config);
-        w.put_len(self.selected.len());
-        for id in &self.selected {
-            w.put_varint(id.0 as u64);
-        }
-        w.put_varint(self.shards as u64);
-        w.put_u64(config_fingerprint(&self.config));
-        let payload = w.into_bytes();
-
-        let mut framed = Vec::with_capacity(20 + payload.len());
-        framed.extend_from_slice(&SPEC_MAGIC);
-        framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        framed.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        framed.extend_from_slice(&payload);
-        framed
-    }
-
-    /// Parses a spec from its framed byte form, verifying frame
-    /// checksum and config fingerprint.
-    ///
-    /// # Errors
-    ///
-    /// [`ShardError::Spec`] on a bad frame, [`ShardError::Codec`] on a
-    /// truncated payload.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, ShardError> {
-        if bytes.len() < 20 || bytes[..8] != SPEC_MAGIC {
-            return Err(ShardError::Spec("not a sweep spec (bad magic)".into()));
-        }
-        let len = u32::from_le_bytes(bytes[8..12].try_into().expect("4")) as usize;
-        let checksum = u64::from_le_bytes(bytes[12..20].try_into().expect("8"));
-        let payload = bytes
-            .get(20..20 + len)
-            .ok_or_else(|| ShardError::Spec("truncated sweep spec".into()))?;
-        if fnv1a(payload) != checksum {
-            return Err(ShardError::Spec("sweep spec checksum mismatch".into()));
-        }
-        let mut r = ByteReader::new(payload);
-        let spec = Self::decode_payload(&mut r)?;
-        let stored = r.read_u64()?;
-        r.finish()?;
-        let actual = config_fingerprint(&spec.config);
-        if stored != actual {
-            return Err(ShardError::Spec(format!(
-                "sweep spec fingerprint mismatch (stored {stored:#018x}, decoded {actual:#018x})"
-            )));
-        }
-        Ok(spec)
-    }
-
-    fn decode_payload(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        // Workers run their cells sequentially, and parallelism never
-        // affects results, so the spec carries none.
-        let config = decode_config(r)?;
-        let n = r.read_len()?;
-        let mut selected = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            selected.push(BundleId(r.read_varint()? as usize));
-        }
-        Ok(Self {
-            config,
-            selected,
-            shards: r.read_varint()? as usize,
-        })
-    }
-
-    /// Writes the spec to `dir/spec.bin` via temp + rename, so a crash
-    /// mid-write never leaves a torn spec for a restart to refuse.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures.
-    pub fn write(&self, dir: &Path) -> std::io::Result<()> {
-        let tmp = dir.join(format!("{SPEC_FILE}.tmp"));
-        std::fs::write(&tmp, self.to_bytes())?;
-        std::fs::rename(&tmp, dir.join(SPEC_FILE))
-    }
-
-    /// Reads the spec back from `dir/spec.bin`.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures plus everything [`from_bytes`](Self::from_bytes)
-    /// rejects.
-    pub fn read(dir: &Path) -> Result<Self, ShardError> {
-        let bytes = std::fs::read(dir.join(SPEC_FILE))?;
-        Self::from_bytes(&bytes)
-    }
-}
-
-/// Contiguous cell range of shard `shard` when `cells` cells are split
-/// into `shards` near-equal parts (the first `cells % shards` shards
-/// get one extra).
-pub fn shard_range(cells: usize, shards: usize, shard: usize) -> Range<usize> {
-    assert!(shard < shards, "shard {shard} out of range 0..{shards}");
-    let lo = cells * shard / shards;
-    let hi = cells * (shard + 1) / shards;
-    lo..hi
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use codesign_core::flow::FlowConfig;
     use codesign_core::parallel::Parallelism;
+    use codesign_dnn::bundle::BundleId;
     use codesign_sim::device::pynq_z1;
 
     fn spec() -> SweepSpec {
@@ -229,6 +64,14 @@ mod tests {
         let whole = s.to_bytes();
         for keep in 0..whole.len() {
             assert!(SweepSpec::from_bytes(&whole[..keep]).is_err(), "cut {keep}");
+        }
+        // Every single-bit flip, header included: any outcome but a
+        // panic.
+        let mut flipped = whole.clone();
+        for bit in 0..whole.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let _ = SweepSpec::from_bytes(&flipped);
+            flipped[bit / 8] ^= 1 << (bit % 8);
         }
     }
 

@@ -3,8 +3,9 @@
 //! [`run`] executes the shared co-design recipe
 //! ([`codesign_core::pipeline`]) with its SCD cells fanned out across
 //! worker *processes* (not threads): the supervisor runs
-//! `pipeline::coarse_stage` itself, writes the [`SweepSpec`], and then
-//! drives a simple state machine over the shards —
+//! `pipeline::coarse_stage` itself, plans the grid's shards in the run
+//! directory's spec, and then drives a simple state machine over the
+//! shards —
 //!
 //! ```text
 //! pending ──spawn──▶ running ──exit 0 + segment verified──▶ done
@@ -14,12 +15,17 @@
 //!                       └── attempts > max_retries ──▶ quarantined
 //! ```
 //!
-//! A shard directory holds no supervision state of its own: it is
-//! `spec.bin` plus one segment log per shard, and a restart reuses
-//! every shard whose segment already covers its cells. A
-//! `supervisor.lock` file, taken before `spec.bin` is read or written,
-//! keeps a second supervisor out of a directory in use; a restart with
-//! a different config finds a different `spec.bin` and fails.
+//! A shard directory is a run directory
+//! ([`codesign_core::checkpoint`]) and holds no supervision state of
+//! its own: it is `spec.bin` plus one segment log per shard, and a
+//! restart reuses every shard whose segment already covers its cells.
+//! The supervisor opens it through the same [`FlowCheckpoint::open`] a
+//! checkpointed in-process run uses: its lock, taken before `spec.bin`
+//! is read or written, keeps a second run out of a directory in use,
+//! and a restart with a different config, selection or shard count
+//! fails. So a directory a checkpointed run left at one shard can be
+//! finished here with `shards: 1`, and the supervisor keeps the
+//! directory when it is done.
 //!
 //! Liveness is a pipe: each worker's stdout is read by one thread that
 //! forwards every read to a channel, and the supervisor blocks on that
@@ -42,12 +48,12 @@
 //! "byte for byte" means. A run with quarantined shards returns
 //! [`ShardError::Quarantined`] instead of a silently-partial output.
 
+use codesign_core::checkpoint::FlowCheckpoint;
 use codesign_core::flow::{DesignOutcome, FlowConfig, FlowOutput};
 use codesign_core::pipeline;
-use codesign_core::{AccuracyModel, Candidate};
+use codesign_core::AccuracyModel;
 use codesign_faults::SPEC_ENV;
 use codesign_sim::report::CacheStats;
-use codesign_store::{LockFile, LogError};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{self, Read};
 use std::path::PathBuf;
@@ -57,18 +63,14 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::segment::{read_segment, segment_path};
-use crate::spec::{SweepSpec, SPEC_FILE};
 use crate::worker::{ATTEMPT_ENV, DIR_ENV, INDEX_ENV, WORKER_ENV};
 use crate::ShardError;
-
-/// File name of the supervisor's lock inside a shard directory.
-const LOCK_FILE: &str = "supervisor.lock";
 
 /// How the sharded run is laid out and supervised.
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
-    /// Directory holding the spec, the segments, the workers' pid
-    /// files and the supervisor's lock. Created if absent; reusing a
+    /// The run directory: the spec, the segments, the workers' pid
+    /// files and the run's lock. Created if absent; reusing a
     /// directory resumes its finished shards (same config required).
     pub dir: PathBuf,
     /// The flow configuration (its `parallelism` only affects the
@@ -230,17 +232,17 @@ fn spawn(
 ///
 /// # Errors
 ///
-/// [`ShardError::Log`] with [`LogError::Locked`] when another live
-/// supervisor holds the directory; [`ShardError::Quarantined`] when any
+/// [`ShardError::Log`] with
+/// [`LogError::Locked`](codesign_store::LogError::Locked) when another
+/// live run holds the directory; [`ShardError::Quarantined`] when any
 /// shard exhausted its retry budget; [`ShardError::Spec`] when the
-/// directory holds a different run's spec; plus I/O, log, and flow
-/// failures.
+/// directory holds a different run's spec, and [`ShardError::Codec`]
+/// when its spec does not decode; plus I/O, log, and flow failures.
 pub fn run(config: &ShardConfig) -> Result<(FlowOutput, ShardReport), ShardError> {
     config.flow.validate()?;
-    std::fs::create_dir_all(&config.dir)?;
-    // Held until this function returns: one supervisor per directory,
-    // and nothing below is read or written before it is taken.
-    let _lock = LockFile::acquire(&config.dir.join(LOCK_FILE)).map_err(LogError::from)?;
+    // Holds the directory's lock until this function returns: one run
+    // per directory, and any spec in it is this config's.
+    let ckpt = FlowCheckpoint::open(&config.dir, &config.flow)?;
     let cfg = &config.flow;
 
     // The coarse stage runs in-process: it is cheap, fully
@@ -255,33 +257,15 @@ pub fn run(config: &ShardConfig) -> Result<(FlowOutput, ShardReport), ShardError
         n => n,
     }
     .clamp(1, cells.len().max(1));
-    let spec = SweepSpec {
-        config: cfg.clone(),
-        selected: selected.clone(),
-        shards,
-    };
     // The spec is the run's plan: a directory that already holds one
-    // must hold this run's, byte for byte.
-    let mismatch = || ShardError::Spec("the directory holds another run's spec".into());
-    match std::fs::read(config.dir.join(SPEC_FILE)) {
-        Ok(bytes) if bytes == spec.to_bytes() => {}
-        Ok(_) => return Err(mismatch()),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => spec.write(&config.dir)?,
-        Err(e) => return Err(e.into()),
-    }
+    // must plan this selection over this many shards.
+    let spec = ckpt.plan(&selected, Some(shards))?;
 
     // A shard is complete when its segment covers every cell it owns.
-    let complete = |shard: usize| -> Result<bool, ShardError> {
-        let covered = read_segment(&segment_path(&config.dir, shard))?;
-        Ok(spec.shard_cells(shard).all(|i| covered.contains_key(&i)))
-    };
-
-    let mut done: BTreeSet<usize> = BTreeSet::new();
-    for shard in 0..shards {
-        if segment_path(&config.dir, shard).exists() && complete(shard)? {
-            done.insert(shard);
-        }
-    }
+    let covers =
+        |cells: &BTreeMap<usize, _>, shard| spec.shard_cells(shard).all(|i| cells.contains_key(&i));
+    let found = ckpt.cells()?;
+    let mut done: BTreeSet<usize> = (0..shards).filter(|&s| covers(&found, s)).collect();
     let mut report = ShardReport {
         shards,
         cells: cells.len(),
@@ -329,7 +313,7 @@ pub fn run(config: &ShardConfig) -> Result<(FlowOutput, ShardReport), ShardError
                 let status = running.swap_remove(idx).reap(false)?;
                 if !status.success() {
                     failures.push((shard, attempt, format!("worker {status}")));
-                } else if complete(shard)? {
+                } else if covers(&read_segment(&segment_path(&config.dir, shard))?, shard) {
                     done.insert(shard);
                 } else {
                     let reason = "exited 0 with incomplete segment".to_string();
@@ -368,10 +352,7 @@ pub fn run(config: &ShardConfig) -> Result<(FlowOutput, ShardReport), ShardError
 
     // Merge: segments in canonical shard order, keyed by global cell
     // index. Workers are reaped, so segment locks are stale at worst.
-    let mut by_cell: BTreeMap<usize, Vec<Candidate>> = BTreeMap::new();
-    for shard in 0..shards {
-        by_cell.append(&mut read_segment(&segment_path(&config.dir, shard))?);
-    }
+    let by_cell = ckpt.cells()?;
     let missing: Vec<usize> = (0..cells.len())
         .filter(|i| !by_cell.contains_key(i))
         .collect();
@@ -402,6 +383,8 @@ pub fn run(config: &ShardConfig) -> Result<(FlowOutput, ShardReport), ShardError
 #[cfg(test)]
 mod tests {
     use super::*;
+    use codesign_core::checkpoint::{LOCK_FILE, SPEC_FILE};
+    use codesign_store::{LockFile, LogError};
 
     #[test]
     fn default_config_resolves_current_exe() {

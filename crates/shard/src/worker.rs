@@ -10,7 +10,9 @@
 //! private segment log. Everything a cell computes is seeded from what
 //! the cell *is*, so two attempts at the same shard — including an
 //! attempt resuming after its predecessor was `kill -9`'d mid-append —
-//! write byte-identical records.
+//! write byte-identical records. Those are the records a checkpointed
+//! in-process run appends to segment 0 of its run directory, so shard
+//! 0 of a one-shard sweep resumes whatever such a run left there.
 //!
 //! [`pipeline::calibrate`]: codesign_core::pipeline::calibrate
 //! [`pipeline::run_cell`]: codesign_core::pipeline::run_cell
@@ -58,7 +60,7 @@ use crate::ShardError;
 
 /// Set (to any value) to make the binary run as a worker.
 pub const WORKER_ENV: &str = "CODESIGN_SHARD_WORKER";
-/// The shard directory (spec, segments, pid files).
+/// The run directory (spec, segments, pid files).
 pub const DIR_ENV: &str = "CODESIGN_SHARD_DIR";
 /// This worker's shard index.
 pub const INDEX_ENV: &str = "CODESIGN_SHARD_INDEX";

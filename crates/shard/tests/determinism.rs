@@ -6,20 +6,28 @@
 //! artifact the CI smoke leg `cmp`s — so "the same result" means the
 //! same coarse records, Bundle selection, Pareto candidates, finalized
 //! design points, objectives, and generated-C checksums, byte for
-//! byte.
+//! byte. The same holds for a directory a checkpointed in-process run
+//! was interrupted in and the supervisor finished.
 
-use codesign_core::flow::{CoDesignFlow, FlowConfig};
+use codesign_core::checkpoint::FlowCheckpoint;
+use codesign_core::flow::{CoDesignFlow, FlowConfig, FlowError};
+use codesign_core::observe::{CancelToken, FlowEvent};
+use codesign_core::Parallelism;
 use codesign_shard::canonical_output_bytes;
 use codesign_shard::supervisor::{run, ShardConfig};
 use codesign_sim::device::pynq_z1;
 use std::path::PathBuf;
 use std::time::Duration;
 
+/// The in-process legs (the direct flow, the checkpointed run and the
+/// supervisor's coarse stage) run at `CODESIGN_PARALLELISM` workers, as
+/// CI's determinism matrix sets it; workers are single-threaded.
 fn flow_config() -> FlowConfig {
     FlowConfig {
         targets_fps: vec![15.0],
         candidates_per_bundle: 2,
         coarse_pf_sweep: vec![16],
+        parallelism: Parallelism::from_env("CODESIGN_PARALLELISM"),
         ..FlowConfig::for_device(pynq_z1())
     }
 }
@@ -105,5 +113,36 @@ fn injected_crashes_do_not_change_a_bit() {
         canonical_output_bytes(&crashed),
         canonical_output_bytes(&clean),
         "crash-recovered output differs from the clean run"
+    );
+}
+
+#[test]
+fn a_checkpointed_run_finished_by_the_supervisor_matches_the_in_process_flow() {
+    let direct = CoDesignFlow::new(flow_config()).run().expect("direct flow");
+    let mut config = shard_config("from_checkpoint", 1, None);
+    config.shards = 1;
+
+    // Interrupt a checkpointed run after a few cells: its directory
+    // holds a one-shard spec and part of segment 0.
+    {
+        let flow = CoDesignFlow::new(flow_config());
+        let ckpt = FlowCheckpoint::open(&config.dir, flow.config()).expect("open run directory");
+        let token = CancelToken::new();
+        let sink = |e: &FlowEvent| {
+            if matches!(e, FlowEvent::ScdSearchFinished { done: 3, .. }) {
+                token.cancel();
+            }
+        };
+        let interrupted = flow.run_checkpointed(&ckpt, &sink, &token);
+        assert!(matches!(interrupted, Err(FlowError::Cancelled)));
+    }
+
+    let (finished, report) = run(&config).expect("the supervisor finishes the directory");
+    assert_eq!(report.shards, 1);
+    assert_eq!(report.reused_shards, 0, "segment 0 still missed cells");
+    assert_eq!(
+        canonical_output_bytes(&finished),
+        canonical_output_bytes(&direct),
+        "a checkpointed run finished by the supervisor differs from the in-process flow"
     );
 }

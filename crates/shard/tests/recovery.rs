@@ -6,15 +6,20 @@
 //! worker found through its heartbeat file, the second poisons a shard
 //! until quarantine and then restarts the sweep in the same directory
 //! to show finished shards are reused and the final bytes still match
-//! a clean run. The last two check that a silent worker is killed and
-//! its shard recomputed, and that a second supervisor pointed at a
-//! directory in use fails without touching the first run.
+//! a clean run. Two more check that a silent worker is killed and its
+//! shard recomputed, and that a second supervisor pointed at a
+//! directory in use fails without touching the first run. The last
+//! feeds both executors run directories they must refuse, with a typed
+//! error and no panic.
 
+use codesign_core::checkpoint::{CheckpointError, FlowCheckpoint, SweepSpec};
 use codesign_core::flow::FlowConfig;
+use codesign_dnn::bundle::BundleId;
 use codesign_shard::supervisor::{run, ShardConfig};
 use codesign_shard::worker::heartbeat_path;
 use codesign_shard::{canonical_output_bytes, ShardError};
 use codesign_sim::device::pynq_z1;
+use codesign_store::CodecError;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -200,4 +205,52 @@ fn a_locked_out_second_supervisor_leaves_the_first_run_alone() {
         canonical_output_bytes(&clean),
         "the locked-out supervisor changed the first run's output"
     );
+}
+
+#[test]
+fn foreign_run_directories_are_typed_errors() {
+    // A checksum-valid spec that selects a Bundle outside the paper's
+    // enumeration. A checkpointed run reads the spec when it opens the
+    // directory, before `run_checkpointed` is called.
+    for bundle in [0, 99] {
+        let config = shard_config(temp_dir(&format!("bundle_{bundle}")), 1, None);
+        std::fs::create_dir_all(&config.dir).unwrap();
+        let spec = SweepSpec {
+            config: config.flow.clone(),
+            selected: vec![BundleId(bundle)],
+            shards: 1,
+        };
+        spec.write(&config.dir).unwrap();
+        let unknown = CodecError::InvalidTag {
+            what: "bundle id",
+            tag: bundle as u64,
+        };
+        match FlowCheckpoint::open(&config.dir, &config.flow) {
+            Err(CheckpointError::Codec(e)) => assert_eq!(e, unknown),
+            other => panic!("bundle {bundle}: checkpoint open gave {:?}", other.err()),
+        }
+        match run(&config) {
+            Err(ShardError::Codec(e)) => assert_eq!(e, unknown),
+            other => panic!("bundle {bundle}: sharded run gave {:?}", other.map(|o| o.1)),
+        }
+    }
+
+    // A plain file where the directory belongs, as a checkpoint written
+    // before checkpoints were directories would be.
+    let file = temp_dir("plain_file");
+    std::fs::create_dir_all(file.parent().unwrap()).unwrap();
+    std::fs::write(&file, b"a single-file checkpoint").unwrap();
+    let open = FlowCheckpoint::open(&file, &flow_config());
+    assert!(
+        matches!(open, Err(CheckpointError::Io(_))),
+        "{:?}",
+        open.err()
+    );
+    let sharded = run(&shard_config(file.clone(), 1, None));
+    assert!(
+        matches!(sharded, Err(ShardError::Io(_))),
+        "{:?}",
+        sharded.map(|o| o.1)
+    );
+    let _ = std::fs::remove_file(&file);
 }

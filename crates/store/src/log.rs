@@ -56,11 +56,14 @@ const FRAME_LEN: u64 = 12;
 pub enum StreamKind {
     /// Analytic-estimate records of `codesign_hls::store`.
     EstimateStore,
-    /// Flow stage checkpoints of `codesign_core::checkpoint`.
+    /// The retired single-file flow checkpoint; a checkpoint is now a
+    /// run directory of [`ShardSegment`](Self::ShardSegment) logs. Kept
+    /// so its tag is never reused.
     FlowCheckpoint,
     /// Shard supervisor manifest records of `codesign_shard`.
     ShardManifest,
-    /// Per-shard worker result segments of `codesign_shard`.
+    /// Per-shard cell segments of a run directory
+    /// (`codesign_core::checkpoint`).
     ShardSegment,
 }
 

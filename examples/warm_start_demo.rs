@@ -14,7 +14,7 @@
 //!
 //! Run with: `cargo run --release --example warm_start_demo`
 
-use fpga_dnn_codesign::core::checkpoint::FlowCheckpoint;
+use fpga_dnn_codesign::core::checkpoint::{segment_path, FlowCheckpoint};
 use fpga_dnn_codesign::core::flow::{CoDesignFlow, FlowConfig, FlowError, FlowOutput};
 use fpga_dnn_codesign::core::observe::{CancelToken, FlowEvent, NullObserver};
 use fpga_dnn_codesign::hls::cache::EstimateCache;
@@ -35,7 +35,7 @@ fn config() -> FlowConfig {
 fn temp_path(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("codesign_warm_start_demo");
     std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir.join(format!("{name}_{}.log", std::process::id()))
+    dir.join(format!("{}_{name}", std::process::id()))
 }
 
 fn run_with_cache(cache: &Arc<EstimateCache>) -> (FlowOutput, Duration) {
@@ -65,10 +65,10 @@ fn check_bit_identical(
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let store_path = temp_path("store");
-    let ckpt_path = temp_path("ckpt");
+    let store_path = temp_path("store.log");
+    let ckpt_dir = temp_path("ckpt");
     let _ = std::fs::remove_file(&store_path);
-    let _ = std::fs::remove_file(&ckpt_path);
+    let _ = std::fs::remove_dir_all(&ckpt_dir);
 
     // --- Cold run: nothing on disk yet. ---------------------------------
     let cold_cache = Arc::new(EstimateCache::new());
@@ -113,7 +113,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Interrupt + resume a checkpointed run. -------------------------
     {
         let flow = CoDesignFlow::new(config());
-        let ckpt = FlowCheckpoint::open(&ckpt_path, flow.config())?;
+        let ckpt = FlowCheckpoint::open(&ckpt_dir, flow.config())?;
         let token = CancelToken::new();
         let trip = token.clone();
         let observer = move |event: &FlowEvent| {
@@ -129,26 +129,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     println!(
-        "interrupted: checkpoint left at {} ({} bytes)",
-        ckpt_path.display(),
-        std::fs::metadata(&ckpt_path).map(|m| m.len()).unwrap_or(0),
+        "interrupted: run directory left at {} ({} bytes of cells)",
+        ckpt_dir.display(),
+        std::fs::metadata(segment_path(&ckpt_dir, 0)).map_or(0, |m| m.len()),
     );
     let flow = CoDesignFlow::new(config());
-    let ckpt = FlowCheckpoint::open(&ckpt_path, flow.config())?;
+    let ckpt = FlowCheckpoint::open(&ckpt_dir, flow.config())?;
     let t0 = Instant::now();
     let resumed = flow.run_checkpointed(&ckpt, &NullObserver, &CancelToken::new())?;
     let resume_wall = t0.elapsed();
     check_bit_identical(&cold_out, &resumed, "resumed run")?;
     println!(
-        "resumed:    {:>7.1} ms ({:.2}x over cold), all stages replayed from disk",
+        "resumed:    {:>7.1} ms ({:.2}x over cold), every SCD cell read from disk",
         resume_wall.as_secs_f64() * 1e3,
         cold_wall.as_secs_f64() / resume_wall.as_secs_f64().max(1e-9),
     );
     if resume_wall >= cold_wall {
         return Err("resume was not faster than the cold run".into());
     }
-    if ckpt_path.exists() {
-        return Err("checkpoint must be deleted after a successful resume".into());
+    if ckpt_dir.exists() {
+        return Err("the run directory must be deleted after a successful resume".into());
     }
 
     let _ = std::fs::remove_file(&store_path);
