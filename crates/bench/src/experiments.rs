@@ -13,12 +13,11 @@ use codesign_core::evaluate::{
 };
 use codesign_core::flow::{CoDesignFlow, FlowConfig};
 use codesign_core::parallel::Parallelism;
-use codesign_core::pipeline::{calibrate, cells, coarse_stage, run_cell, Cell};
+use codesign_core::pipeline::{cells, coarse_stage, run_cell, Cell, Estimators};
 use codesign_core::search::Candidate;
 use codesign_dnn::builder::DnnBuilder;
-use codesign_dnn::bundle::{bundle_by_id, enumerate_bundles, BundleId};
+use codesign_dnn::bundle::{enumerate_bundles, BundleId};
 use codesign_hls::cache::EstimateCache;
-use codesign_hls::model::HlsEstimator;
 use codesign_sim::device::{pynq_z1, FpgaDevice};
 use codesign_sim::error::SimError;
 use codesign_sim::pipeline::{simulate, AccelConfig};
@@ -293,18 +292,20 @@ pub fn default_device() -> FpgaDevice {
 }
 
 /// The SCD stage of one paper flow (PYNQ-Z1, 10/15/20 FPS, K = 5) on
-/// its own: the cell grid, with each cell's calibrated estimator
-/// attached to one shared cache. The warm-sweep bench arm and the
-/// allocation guard run it twice — once to fill the cache, then with
-/// every lookup a hit.
+/// its own: the cell grid, with one calibrated estimator per selected
+/// Bundle attached to one shared cache. The warm-sweep bench arm and
+/// the allocation guard run it twice — once to fill the cache, then
+/// with every lookup a hit.
 pub struct ScdSweep {
     config: FlowConfig,
     model: AccuracyModel,
-    cells: Vec<(Cell, HlsEstimator)>,
+    cells: Vec<Cell>,
+    estimators: Estimators,
 }
 
 impl ScdSweep {
-    /// The paper flow's cells at `seed`, with estimators sharing `cache`.
+    /// The paper flow's cells at `seed`, with every selected Bundle
+    /// calibrated and its estimator sharing `cache`.
     ///
     /// # Errors
     ///
@@ -317,27 +318,15 @@ impl ScdSweep {
         };
         let model = AccuracyModel::paper_calibrated();
         let (_, selected) = coarse_stage(&config, &model)?;
-        let mut estimators = Vec::with_capacity(selected.len());
+        let estimators = Estimators::new(&config.device, Arc::clone(cache));
         for &id in &selected {
-            let bundle = bundle_by_id(id).expect("selected Bundles are enumerated");
-            let params = calibrate(&bundle, &config.device)?;
-            let estimator = HlsEstimator::new(params, config.device.clone());
-            estimators.push((id, estimator.with_cache(Arc::clone(cache))));
+            estimators.get(id, || {})?;
         }
-        let cells = cells(&config.targets_fps, &selected)
-            .into_iter()
-            .map(|cell| {
-                let (_, estimator) = estimators
-                    .iter()
-                    .find(|(id, _)| *id == cell.bundle)
-                    .expect("every cell's Bundle is calibrated");
-                (cell, estimator.clone())
-            })
-            .collect();
         Ok(Self {
+            cells: cells(&config.targets_fps, &selected),
             config,
             model,
-            cells,
+            estimators,
         })
     }
 
@@ -345,7 +334,10 @@ impl ScdSweep {
     pub fn run(&self) -> Vec<Vec<Candidate>> {
         self.cells
             .iter()
-            .map(|(cell, estimator)| run_cell(&self.config, cell, estimator, &self.model))
+            .map(|cell| {
+                let estimator = self.estimators.get(cell.bundle, || {}).expect("calibrated");
+                run_cell(&self.config, cell, estimator, &self.model)
+            })
             .collect()
     }
 }

@@ -24,11 +24,12 @@
 //!
 //! Only the SCD cells, the stage a checkpoint exists to save. A resume
 //! recomputes the coarse stage (deterministic, and well under a
-//! millisecond for the paper's flow), checks its selection against the
-//! spec, and calibrates only the Bundles that still have cells to
-//! search. The finalize stage (full simulation + codegen of the best
-//! candidate per target) is deterministic from the cells and always
-//! runs.
+//! millisecond for the paper's flow) and checks its selection against
+//! the spec. Calibration is never stored: a Bundle is calibrated by the
+//! first of its cells to be searched, so a resume calibrates only the
+//! Bundles that still have cells to search. The finalize stage (full
+//! simulation + codegen of the best candidate per target) is
+//! deterministic from the cells and always runs.
 //!
 //! Cell records are appended without an `fsync` and synced once, when
 //! the SCD stage ends (on success and on error), as a shard worker
@@ -265,10 +266,8 @@ impl FlowCheckpoint {
     pub fn cells(&self) -> Result<BTreeMap<usize, Vec<Candidate>>, CheckpointError> {
         let shards = self.state().spec.as_ref().map_or(0, |spec| spec.shards);
         let mut cells = BTreeMap::new();
-        for path in (0..shards).map(|shard| segment_path(&self.dir, shard)) {
-            if path.exists() {
-                cells.append(&mut read_segment(&path)?);
-            }
+        for shard in 0..shards {
+            cells.append(&mut read_segment(&segment_path(&self.dir, shard))?);
         }
         Ok(cells)
     }
@@ -568,7 +567,7 @@ mod tests {
     use std::path::PathBuf;
 
     /// A fresh, existing directory for one test's run.
-    fn temp_dir(name: &str) -> PathBuf {
+    pub(super) fn temp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir()
             .join("codesign_core_checkpoint_tests")
             .join(format!(
@@ -581,7 +580,7 @@ mod tests {
         dir
     }
 
-    fn config() -> FlowConfig {
+    pub(super) fn config() -> FlowConfig {
         FlowConfig {
             targets_fps: vec![15.0],
             candidates_per_bundle: 2,
@@ -599,7 +598,7 @@ mod tests {
     }
 
     /// A fixed cell of two candidates, spelled out field by field.
-    fn pinned_cell() -> Vec<Candidate> {
+    pub(super) fn pinned_cell() -> Vec<Candidate> {
         [0.5, 0.625]
             .map(|accuracy| Candidate {
                 point: DesignPoint {
@@ -627,7 +626,15 @@ mod tests {
             .to_vec()
     }
 
-    fn cell_bytes(index: usize, found: &[Candidate]) -> Vec<u8> {
+    /// The first pinned candidate, at `accuracy`.
+    pub(super) fn candidate(accuracy: f64) -> Candidate {
+        Candidate {
+            accuracy,
+            ..pinned_cell()[0].clone()
+        }
+    }
+
+    pub(super) fn cell_bytes(index: usize, found: &[Candidate]) -> Vec<u8> {
         let mut w = ByteWriter::new();
         encode_cell(&mut w, index, found);
         w.into_bytes()

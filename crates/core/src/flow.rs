@@ -30,11 +30,10 @@ use codesign_dnn::quant::Activation;
 use codesign_dnn::space::DesignPoint;
 use codesign_dnn::Dnn;
 use codesign_hls::cache::EstimateCache;
-use codesign_hls::model::HlsEstimator;
 use codesign_sim::device::{pynq_z1, FpgaDevice};
 use codesign_sim::error::SimError;
 use codesign_sim::report::{CacheStats, SimReport};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -64,12 +63,12 @@ pub struct FlowConfig {
     pub eval_replications: usize,
     /// Seed of the stochastic search.
     pub seed: u64,
-    /// Worker-thread knob: Bundle evaluations, calibrations and SCD
-    /// searches fan out across up to this many threads (the caller and
-    /// scoped helpers, joined before each stage ends), each work item
-    /// with a private SplitMix64-derived seed. `Fixed(1)` is the
-    /// sequential legacy path; results are bit-identical for any
-    /// setting.
+    /// Worker-thread knob: Bundle evaluations and SCD searches (each
+    /// Bundle calibrated by its first) fan out across up to this many
+    /// threads (the caller and scoped helpers, joined before each stage
+    /// ends), each work item with a private SplitMix64-derived seed.
+    /// `Fixed(1)` is the sequential legacy path; results are
+    /// bit-identical for any setting.
     pub parallelism: Parallelism,
 }
 
@@ -623,11 +622,13 @@ impl CoDesignFlow {
     /// with a no-op observer and a token nobody cancels — the legacy
     /// surface every pre-serving caller uses.
     ///
-    /// With `parallelism > 1` the independent stages — coarse Bundle
-    /// evaluation, per-Bundle calibration, and the per-(Bundle,
-    /// FPS-target, quantization-arm) SCD searches — fan out over the
-    /// calling thread and scoped helper threads, which each stage joins
-    /// before it returns. Every work item draws a private seed
+    /// With `parallelism > 1` the two parallel stages — coarse Bundle
+    /// evaluation and the per-(Bundle, FPS-target, quantization-arm)
+    /// SCD searches — fan out over the calling thread and scoped helper
+    /// threads, which each stage joins before it returns. A Bundle is
+    /// calibrated inside the SCD stage, by the first of its cells to
+    /// run, and every later cell of it waits for and reuses that
+    /// estimator. Every work item draws a private seed
     /// derived from [`FlowConfig::seed`] via SplitMix64 and results are
     /// merged in work-item order, so the output is **bit-identical** to
     /// a sequential run and independent of thread interleaving. One
@@ -674,9 +675,9 @@ impl CoDesignFlow {
     /// the directory's spec pins the Bundle selection (or is written with
     /// one shard), every cell its segments hold is taken from disk, and
     /// only the missing cells are searched — each appended to segment 0
-    /// as it finishes. Only the Bundles with missing cells are
-    /// calibrated. The directory's files are deleted when the run
-    /// finishes successfully.
+    /// as it finishes. Bundles calibrate on first use, so only the
+    /// Bundles with missing cells are. The directory's files are
+    /// deleted when the run finishes successfully.
     ///
     /// Resuming never changes results — the flow is deterministic, so a
     /// stored cell holds exactly what an uninterrupted run would have
@@ -746,10 +747,9 @@ impl CoDesignFlow {
             CancelState::Live => Ok(()),
         };
 
-        let all_bundles = enumerate_bundles();
         observer.on_event(&FlowEvent::Started {
             targets: cfg.targets_fps.len(),
-            bundles: all_bundles.len(),
+            bundles: enumerate_bundles().len(),
         });
 
         live()?;
@@ -772,42 +772,24 @@ impl CoDesignFlow {
             .filter(|cell| !found.contains_key(&cell.index))
             .collect();
 
-        // Calibration, once per Bundle that still has cells to search,
-        // shared by every target: every selected Bundle, in selection
-        // order, unless a checkpoint holds some of the cells.
-        live()?;
-        let uncalibrated: Vec<BundleId> = selected
-            .iter()
-            .copied()
-            .filter(|id| missing.iter().any(|cell| cell.bundle == *id))
-            .collect();
+        // Each Bundle is calibrated by the first of its cells to run, so
+        // only Bundles with missing cells are; all share one cache.
+        let estimators = pipeline::Estimators::new(&cfg.device, Arc::clone(&cache));
+        let to_calibrate: BTreeSet<BundleId> = missing.iter().map(|cell| cell.bundle).collect();
         let calibrated = AtomicUsize::new(0);
-        let params_list = try_parallel_map(&uncalibrated, threads, |_, id| {
-            live()?;
-            let params = pipeline::calibrate(&all_bundles[id.0 - 1], &cfg.device)?;
-            observer.on_event(&FlowEvent::BundleCalibrated {
-                bundle: id.0,
-                done: calibrated.fetch_add(1, Ordering::Relaxed) + 1,
-                total: uncalibrated.len(),
-            });
-            Ok::<_, FlowError>((*id, params))
-        })?;
-        // All estimators share one estimate cache.
-        let estimators: BTreeMap<BundleId, HlsEstimator> = params_list
-            .into_iter()
-            .map(|(id, params)| {
-                let estimator =
-                    HlsEstimator::new(params, cfg.device.clone()).with_cache(Arc::clone(&cache));
-                (id, estimator)
-            })
-            .collect();
-
         // Each searched cell is recorded before its event, so
         // `done == total` means the whole grid is on disk.
         let searched = AtomicUsize::new(cells.len() - missing.len());
         let computed = try_parallel_map(&missing, threads, |_, cell| {
             live()?;
-            let cands = pipeline::run_cell(cfg, cell, &estimators[&cell.bundle], &self.model);
+            let estimator = estimators.get(cell.bundle, || {
+                observer.on_event(&FlowEvent::BundleCalibrated {
+                    bundle: cell.bundle.0,
+                    done: calibrated.fetch_add(1, Ordering::Relaxed) + 1,
+                    total: to_calibrate.len(),
+                });
+            })?;
+            let cands = pipeline::run_cell(cfg, cell, estimator, &self.model);
             if let Some(c) = ckpt {
                 c.record_cell(cell.index, &cands)
                     .map_err(checkpoint_error)?;
@@ -1154,6 +1136,41 @@ mod tests {
             .filter(|e| matches!(e, FlowEvent::DesignFinalized { .. }))
             .count();
         assert_eq!(finalized, out.designs.len());
+    }
+
+    #[test]
+    fn each_bundle_calibrates_once_before_its_cells_finish() {
+        let env = Parallelism::from_env("CODESIGN_PARALLELISM");
+        for parallelism in [Parallelism::Fixed(1), Parallelism::Fixed(4), env] {
+            let events = Mutex::new(Vec::new());
+            let sink = |e: &FlowEvent| events.lock().unwrap().push(e.clone());
+            let config = FlowConfig {
+                parallelism,
+                ..small_flow().config().clone()
+            };
+            CoDesignFlow::new(config)
+                .run_observed(&sink, &CancelToken::new())
+                .unwrap();
+            let (mut calibrated, mut done) = (Vec::new(), Vec::new());
+            for event in events.into_inner().unwrap() {
+                match event {
+                    FlowEvent::BundleCalibrated { bundle, done: d, total } => {
+                        assert_eq!(total, 5, "at {parallelism}");
+                        calibrated.push(bundle);
+                        done.push(d);
+                    }
+                    FlowEvent::ScdSearchFinished { bundle, .. } => assert!(
+                        calibrated.contains(&bundle),
+                        "at {parallelism}, a cell of Bundle {bundle} finished before its calibration"
+                    ),
+                    _ => {}
+                }
+            }
+            calibrated.sort_unstable();
+            assert_eq!(calibrated, [1, 3, 13, 15, 17], "at {parallelism}");
+            done.sort_unstable();
+            assert_eq!(done, [1, 2, 3, 4, 5], "at {parallelism}");
+        }
     }
 
     #[test]

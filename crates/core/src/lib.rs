@@ -19,9 +19,9 @@
 //!   replication count `N`, channel expansion `Π` and down-sampling `X`
 //!   under latency and resource constraints.
 //! * [`pipeline`] — the co-design recipe of Fig. 1, written once as
-//!   plain functions: coarse stage, SCD cell grid, calibration, one
-//!   SCD search per cell, merge, and finalization (full simulation +
-//!   Auto-HLS generation). Every executor calls it.
+//!   plain functions: coarse stage, SCD cell grid, calibration on
+//!   first use, one SCD search per cell, merge, and finalization
+//!   (full simulation + Auto-HLS generation). Every executor calls it.
 //! * [`flow`] — the in-process executor of that recipe, configured
 //!   through a validating builder ([`flow::FlowConfig::builder`]),
 //!   with events, cancellation and stage checkpoints around it.

@@ -64,7 +64,7 @@ impl Default for TokenInner {
 ///
 /// Clones share one flag: any clone can [`cancel`](CancelToken::cancel),
 /// every clone observes it. The flow checks the token **between** work
-/// items (a Bundle calibration, one SCD search, one design
+/// items (one SCD search with its Bundle's calibration, one design
 /// finalization), so cancellation — and deadline — latency is bounded
 /// by the longest single work item, not the whole flow.
 ///
@@ -136,8 +136,15 @@ impl CancelToken {
 
 /// One progress event of a co-design flow run.
 ///
+/// The schedule: `Started`, `BundlesSelected`, then the SCD stage's
+/// events, then one `DesignFinalized` per design and `Finished`. A
+/// Bundle is calibrated by the first of its SCD cells to run, so its
+/// `BundleCalibrated` interleaves with the `ScdSearchFinished` events
+/// of other Bundles, but always precedes every `ScdSearchFinished` of
+/// its own Bundle.
+///
 /// Work-item events carry `done`/`total` pairs counting *completed*
-/// items of their stage; `done` is unique per event but events may
+/// items of their kind; `done` is unique per event but events may
 /// arrive out of `done`-order when worker threads race.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -154,13 +161,15 @@ pub enum FlowEvent {
         /// Bundle ids surviving Pareto selection (paper: {1, 3, 13, 15, 17}).
         selected: Vec<usize>,
     },
-    /// One selected Bundle's analytic model was calibrated.
+    /// One selected Bundle's analytic model was calibrated, by the
+    /// first of its SCD cells to run.
     BundleCalibrated {
         /// Bundle id whose estimator is now calibrated.
         bundle: usize,
         /// Calibrations completed so far.
         done: usize,
-        /// Total calibrations this run.
+        /// Total calibrations this run: the Bundles with cells to
+        /// search (on a resume, those with cells not yet on disk).
         total: usize,
     },
     /// One SCD search work item — a (FPS target, Bundle, quantization

@@ -9,8 +9,10 @@
 //!    Pareto selection at the largest PF (Co-Design Step 2).
 //! 2. [`cells`]: the SCD work grid, one [`Cell`] per
 //!    `(FPS target, selected Bundle, quantization arm)`.
-//! 3. [`calibrate`] once per selected Bundle, then [`run_cell`] per
-//!    cell: the SCD search of Algorithm 1 (Steps 1 and 3).
+//! 3. [`run_cell`] per cell: the SCD search of Algorithm 1 (Steps 1
+//!    and 3), with the estimator [`Estimators::get`] hands it. That
+//!    estimator is fitted ([`calibrate`]) by the first cell of its
+//!    Bundle, on whichever thread or process runs that cell.
 //! 4. [`merge`]: the candidates of every cell, and the most accurate
 //!    one per target.
 //! 5. [`finalize`]: full simulation and Auto-HLS codegen of each
@@ -28,8 +30,9 @@ use crate::flow::{DesignOutcome, FlowConfig};
 use crate::parallel::derive_seed;
 use crate::search::{scd_search, Candidate, ScdConfig};
 use codesign_dnn::builder::DnnBuilder;
-use codesign_dnn::bundle::{bundle_by_id, enumerate_bundles, Bundle, BundleId};
+use codesign_dnn::bundle::{bundle_by_id, enumerate_bundles, Bundle, BundleId, PAPER_BUNDLE_COUNT};
 use codesign_dnn::quant::Activation;
+use codesign_hls::cache::EstimateCache;
 use codesign_hls::calibrate::{calibrate_bundle_with, CalibratedParams};
 use codesign_hls::codegen::CodeGenerator;
 use codesign_hls::model::HlsEstimator;
@@ -37,6 +40,7 @@ use codesign_sim::device::FpgaDevice;
 use codesign_sim::error::SimError;
 use codesign_sim::pipeline::{simulate, AccelConfig};
 use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 
 /// The quantization arms every (target, Bundle) pair is searched under:
 /// 16-bit (`Relu`) then 8-bit (`Relu4`). The scheme `Q` is a co-design
@@ -129,12 +133,56 @@ pub fn calibrate(bundle: &Bundle, device: &FpgaDevice) -> Result<CalibratedParam
     calibrate_bundle_with(bundle, device, &[1, 2, 3, 4], 96)
 }
 
+/// The calibrated estimators of every enumerated Bundle on one device,
+/// each fitted on first use and sharing one estimate cache.
+pub struct Estimators {
+    device: FpgaDevice,
+    cache: Arc<EstimateCache>,
+    slots: [OnceLock<Result<HlsEstimator, SimError>>; PAPER_BUNDLE_COUNT],
+}
+
+impl Estimators {
+    /// No Bundle calibrated yet; every estimator will share `cache`.
+    pub fn new(device: &FpgaDevice, cache: Arc<EstimateCache>) -> Self {
+        Self {
+            device: device.clone(),
+            cache,
+            slots: std::array::from_fn(|_| OnceLock::new()),
+        }
+    }
+
+    /// Bundle `id`'s estimator. The first call for a Bundle fits it
+    /// ([`calibrate`]) and then runs `on_calibrated`; concurrent calls
+    /// wait for that fit, and every call gets the same estimator.
+    ///
+    /// # Errors
+    ///
+    /// The fit's simulator failure, to every caller.
+    ///
+    /// # Panics
+    ///
+    /// When `id` is outside the paper's enumeration.
+    pub fn get(
+        &self,
+        id: BundleId,
+        on_calibrated: impl FnOnce(),
+    ) -> Result<&HlsEstimator, SimError> {
+        let fitted = self.slots[id.0 - 1].get_or_init(|| {
+            let params = calibrate(&bundle_by_id(id).expect("a slot's id"), &self.device)?;
+            on_calibrated();
+            let estimator = HlsEstimator::new(params, self.device.clone());
+            Ok(estimator.with_cache(Arc::clone(&self.cache)))
+        });
+        fitted.as_ref().map_err(Clone::clone)
+    }
+}
+
 /// Step 3 for one cell: the SCD search for the cell's Bundle and arm
 /// against the cell's FPS target, with a latency window of
 /// `fps_tolerance` FPS above the target.
 ///
-/// `estimator` must be calibrated (see [`calibrate`]) for the cell's
-/// Bundle on `cfg.device`.
+/// `estimator` must be calibrated for the cell's Bundle on
+/// `cfg.device`, as [`Estimators::get`] hands it out.
 ///
 /// # Panics
 ///
@@ -235,6 +283,9 @@ pub fn finalize(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use codesign_sim::device::pynq_z1;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Barrier;
 
     #[test]
     fn cells_follow_the_flow_item_order() {
@@ -252,6 +303,35 @@ mod tests {
         assert_eq!(cells[6].ti, 1);
         for (i, c) in cells.iter().enumerate() {
             assert_eq!(c.index, i);
+        }
+    }
+
+    #[test]
+    fn concurrent_first_uses_calibrate_a_bundle_once() {
+        let device = pynq_z1();
+        let estimators = Estimators::new(&device, Arc::new(EstimateCache::new()));
+        let fits = AtomicUsize::new(0);
+        let start = Barrier::new(4);
+        let got: Vec<&HlsEstimator> = std::thread::scope(|s| {
+            let calls: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        let count = || {
+                            fits.fetch_add(1, Ordering::Relaxed);
+                        };
+                        start.wait();
+                        estimators.get(BundleId(13), count).unwrap()
+                    })
+                })
+                .collect();
+            calls.into_iter().map(|c| c.join().unwrap()).collect()
+        });
+        assert_eq!(fits.into_inner(), 1, "one fit for four first uses");
+        let bundle = bundle_by_id(BundleId(13)).unwrap();
+        let expected = calibrate(&bundle, &device).unwrap();
+        for estimator in &got {
+            assert_eq!(estimator.params(), &expected);
+            assert!(std::ptr::eq(*estimator, got[0]), "one shared estimator");
         }
     }
 }

@@ -3,10 +3,13 @@
 //! **bit-identical** to an uninterrupted run, and finished cells are
 //! taken from disk instead of recomputed.
 
-use codesign_core::checkpoint::{encode_cell, segment_path, FlowCheckpoint, SPEC_FILE};
+use codesign_core::checkpoint::{
+    encode_cell, open_segment, read_segment, segment_path, FlowCheckpoint, SPEC_FILE,
+};
 use codesign_core::flow::{CoDesignFlow, FlowConfig, FlowError, FlowOutput};
 use codesign_core::observe::{CancelToken, FlowEvent, NullObserver};
-use codesign_core::Parallelism;
+use codesign_core::{pipeline, Parallelism};
+use codesign_dnn::bundle::BundleId;
 use codesign_sim::device::pynq_z1;
 use codesign_store::{ByteWriter, RecordLog, StreamKind};
 use std::path::{Path, PathBuf};
@@ -284,5 +287,41 @@ fn a_cell_record_outside_the_grid_is_ignored() {
         log.append(w.as_bytes()).unwrap();
     }
     let (resumed, _) = resume(&path, &config);
+    assert_bit_identical(&plain, &resumed);
+}
+
+#[test]
+fn a_resume_calibrates_only_the_bundles_with_missing_cells() {
+    let config = small_config();
+    let plain = CoDesignFlow::new(config.clone()).run().unwrap();
+    let path = temp_path("calibrate_missing");
+    interrupt(&path, &config, |done, total| done == total);
+    // Leave every cell of Bundles 1 and 13 on disk, and no other.
+    let segment = segment_path(&path, 0);
+    let stored = read_segment(&segment).unwrap();
+    std::fs::remove_file(&segment).unwrap();
+    let (mut log, _) = open_segment(&segment).unwrap();
+    for cell in pipeline::cells(&config.targets_fps, &plain.selected_bundles) {
+        if [BundleId(1), BundleId(13)].contains(&cell.bundle) {
+            let mut w = ByteWriter::new();
+            encode_cell(&mut w, cell.index, &stored[&cell.index]);
+            log.append(w.as_bytes()).unwrap();
+        }
+    }
+    drop(log);
+
+    let (resumed, events) = resume(&path, &config);
+    let mut calibrated: Vec<usize> = events
+        .iter()
+        .filter_map(|e| match *e {
+            FlowEvent::BundleCalibrated { bundle, total, .. } => {
+                assert_eq!(total, 3, "three Bundles have missing cells");
+                Some(bundle)
+            }
+            _ => None,
+        })
+        .collect();
+    calibrated.sort_unstable();
+    assert_eq!(calibrated, [3, 15, 17]);
     assert_bit_identical(&plain, &resumed);
 }

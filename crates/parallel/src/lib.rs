@@ -1,10 +1,10 @@
 //! Deterministic parallelism primitives shared across the co-design
 //! workspace.
 //!
-//! The co-design flow (Fig. 1) fans out three times per run: coarse
-//! Bundle evaluation, per-Bundle calibration and the per-(Bundle,
-//! FPS-target) SCD searches. This base crate provides the primitives
-//! that make that fan-out *reproducible*:
+//! The co-design flow (Fig. 1) fans out twice per run: coarse Bundle
+//! evaluation and the per-(Bundle, FPS-target) SCD searches, which
+//! calibrate each Bundle on first use. This base crate provides the
+//! primitives that make that fan-out *reproducible*:
 //!
 //! * [`try_parallel_map`] / [`parallel_map`] — a work queue over scoped
 //!   threads that the call spawns and joins before it returns (so no

@@ -1,12 +1,13 @@
 //! Crash-tolerant multi-process sharded co-design search.
 //!
 //! The co-design recipe lives once, in [`codesign_core::pipeline`]; its
-//! SCD stage is a pure grid of [`Cell`]s, one independent search per
-//! `(FPS target, selected Bundle, quantization arm)`, each seeded from
-//! what the cell *is* rather than when it runs. That makes it safe to
-//! split across OS processes. This crate adds only the process
-//! supervision needed to survive those processes dying; every result
-//! comes from the same `pipeline` calls the in-process flow makes:
+//! SCD stage is a pure grid of [`Cell`](codesign_core::pipeline::Cell)s,
+//! one independent search per `(FPS target, selected Bundle,
+//! quantization arm)`, each seeded from what the cell *is* rather than
+//! when it runs. That makes it safe to split across OS processes. This
+//! crate adds only the process supervision needed to survive those
+//! processes dying; every result comes from the same `pipeline` calls
+//! the in-process flow makes:
 //!
 //! * [`supervisor`] — runs the coarse stage, partitions the grid into
 //!   shards, spawns worker processes (re-execs of this crate's own
@@ -15,8 +16,9 @@
 //!   workers, retries with a bounded budget, quarantines shards that
 //!   keep failing instead of retrying forever, and merges and
 //!   finalizes the results.
-//! * [`worker`] — the child-process side: reads the [`spec`], computes
-//!   its cells, appends results to its own [`segment`] log, and
+//! * [`worker`] — the child-process side: reads the
+//!   [`SweepSpec`](codesign_core::checkpoint::SweepSpec), computes its
+//!   cells, appends results to its own segment log, and
 //!   resumes mid-shard after a crash by replaying what the torn-tail
 //!   recovery of its segment preserved.
 //! * [`output`] — a canonical byte serialization of the final
@@ -52,14 +54,11 @@ use std::fmt;
 use std::io;
 
 pub mod output;
-pub mod segment;
-pub mod spec;
 pub mod supervisor;
 pub mod worker;
 
+pub use codesign_core::checkpoint::{read_segment, segment_path};
 pub use output::canonical_output_bytes;
-pub use segment::{read_segment, segment_path};
-pub use spec::{shard_range, Cell, SweepSpec};
 pub use supervisor::{run, ShardConfig, ShardReport};
 pub use worker::maybe_run_worker;
 

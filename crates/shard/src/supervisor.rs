@@ -48,7 +48,7 @@
 //! "byte for byte" means. A run with quarantined shards returns
 //! [`ShardError::Quarantined`] instead of a silently-partial output.
 
-use codesign_core::checkpoint::FlowCheckpoint;
+use codesign_core::checkpoint::{read_segment, segment_path, FlowCheckpoint};
 use codesign_core::flow::{DesignOutcome, FlowConfig, FlowOutput};
 use codesign_core::pipeline;
 use codesign_core::AccuracyModel;
@@ -62,7 +62,6 @@ use std::sync::mpsc::{self, Sender};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::segment::{read_segment, segment_path};
 use crate::worker::{ATTEMPT_ENV, DIR_ENV, INDEX_ENV, WORKER_ENV};
 use crate::ShardError;
 

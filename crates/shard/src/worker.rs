@@ -5,17 +5,17 @@
 //! shard directory, the shard index, and the attempt number. It reads
 //! the [`SweepSpec`], derives its contiguous cell range from the shard
 //! index alone, computes each cell with the shared recipe
-//! ([`pipeline::calibrate`] once per Bundle, then
-//! [`pipeline::run_cell`]), and appends one record per cell to its
-//! private segment log. Everything a cell computes is seeded from what
+//! ([`pipeline::run_cell`], with the estimator [`pipeline::Estimators`]
+//! fits on the Bundle's first cell), and appends one record per cell to
+//! its private segment log. Everything a cell computes is seeded from what
 //! the cell *is*, so two attempts at the same shard — including an
 //! attempt resuming after its predecessor was `kill -9`'d mid-append —
 //! write byte-identical records. Those are the records a checkpointed
 //! in-process run appends to segment 0 of its run directory, so shard
 //! 0 of a one-shard sweep resumes whatever such a run left there.
 //!
-//! [`pipeline::calibrate`]: codesign_core::pipeline::calibrate
 //! [`pipeline::run_cell`]: codesign_core::pipeline::run_cell
+//! [`pipeline::Estimators`]: codesign_core::pipeline::Estimators
 //!
 //! # Liveness protocol
 //!
@@ -41,21 +41,16 @@
 //! * `shard.cell.delay` — sleep before computing a cell (keyed by the
 //!   cell's global index), widening race windows for kill tests.
 
-use codesign_core::checkpoint::encode_cell;
-use codesign_core::pipeline::{calibrate, run_cell};
+use codesign_core::checkpoint::{encode_cell, open_segment, segment_path, SweepSpec};
+use codesign_core::pipeline::{run_cell, Cell, Estimators};
 use codesign_core::AccuracyModel;
-use codesign_dnn::bundle::{bundle_by_id, BundleId};
 use codesign_faults::{plan_from_env, FaultAction, FaultPlan};
 use codesign_hls::cache::EstimateCache;
-use codesign_hls::model::HlsEstimator;
 use codesign_store::ByteWriter;
-use std::collections::btree_map::{BTreeMap, Entry};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use crate::segment::{open_segment, segment_path};
-use crate::spec::SweepSpec;
 use crate::ShardError;
 
 /// Set (to any value) to make the binary run as a worker.
@@ -158,7 +153,7 @@ pub fn run_worker(
     let cells = spec.cells();
     let range = spec.shard_cells(shard);
     let (mut log, done) = open_segment(&segment_path(dir, shard))?;
-    let pending: Vec<&crate::Cell> = cells[range]
+    let pending: Vec<&Cell> = cells[range]
         .iter()
         .filter(|c| !done.contains_key(&c.index))
         .collect();
@@ -177,12 +172,9 @@ pub fn run_worker(
 
     let cfg = &spec.config;
     let model = AccuracyModel::paper_calibrated();
-    let cache = Arc::new(EstimateCache::new());
-
-    // Bundles are calibrated on first use: calibration is deterministic
-    // per Bundle × device, so workers that share a Bundle agree with
-    // each other and with the in-process flow.
-    let mut estimators: BTreeMap<BundleId, HlsEstimator> = BTreeMap::new();
+    // Calibration is deterministic per Bundle × device, so workers that
+    // share a Bundle agree with each other and with the in-process flow.
+    let estimators = Estimators::new(&cfg.device, Arc::new(EstimateCache::new()));
     let mut pipe = std::io::stdout().lock();
     for (appended, cell) in pending.iter().enumerate() {
         // One byte renews the lease; a failed write means the
@@ -218,18 +210,7 @@ pub fn run_worker(
             std::thread::sleep(d);
         }
 
-        let estimator = match estimators.entry(cell.bundle) {
-            Entry::Occupied(slot) => slot.into_mut(),
-            Entry::Vacant(slot) => {
-                let bundle = bundle_by_id(cell.bundle).ok_or_else(|| {
-                    ShardError::Spec(format!("spec selects unknown bundle {}", cell.bundle.0))
-                })?;
-                let params = calibrate(&bundle, &cfg.device)?;
-                slot.insert(
-                    HlsEstimator::new(params, cfg.device.clone()).with_cache(Arc::clone(&cache)),
-                )
-            }
-        };
+        let estimator = estimators.get(cell.bundle, || {})?;
         let found = run_cell(cfg, cell, estimator, &model);
         let mut record = ByteWriter::new();
         encode_cell(&mut record, cell.index, &found);

@@ -30,7 +30,8 @@
 //! `<path>.lock`; a second writer gets a typed [`LogError::Locked`]
 //! instead of a corrupted log, and locks abandoned by dead processes
 //! are taken over automatically. [`LogOptions::lock`] opts out for
-//! callers that coordinate exclusivity themselves.
+//! callers that coordinate exclusivity themselves, and
+//! [`RecordLog::read`] replays a log without opening it for writing.
 
 use crate::fnv1a;
 use crate::lock::{LockError, LockFile};
@@ -305,39 +306,7 @@ impl RecordLog {
 
         let mut bytes = Vec::with_capacity(file_len as usize);
         file.read_to_end(&mut bytes)?;
-        if bytes.len() < HEADER_LEN as usize || bytes[..8] != MAGIC {
-            return Err(LogError::BadMagic);
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4"));
-        if version > VERSION {
-            return Err(LogError::UnsupportedVersion { found: version });
-        }
-        let found_kind = u32::from_le_bytes(bytes[12..16].try_into().expect("4"));
-        if StreamKind::from_u32(found_kind) != Some(kind) {
-            return Err(LogError::WrongKind {
-                expected: kind,
-                found: found_kind,
-            });
-        }
-
-        let mut records = Vec::new();
-        let mut offset = HEADER_LEN as usize;
-        loop {
-            let rest = &bytes[offset..];
-            if rest.len() < FRAME_LEN as usize {
-                break; // torn frame (or clean EOF when empty)
-            }
-            let len = u32::from_le_bytes(rest[..4].try_into().expect("4")) as usize;
-            let checksum = u64::from_le_bytes(rest[4..12].try_into().expect("8"));
-            let Some(payload) = rest.get(FRAME_LEN as usize..FRAME_LEN as usize + len) else {
-                break; // torn payload
-            };
-            if fnv1a(payload) != checksum {
-                break; // torn or corrupt: stop before it
-            }
-            records.push(payload.to_vec());
-            offset += FRAME_LEN as usize + len;
-        }
+        let (records, offset) = scan(&bytes, kind)?;
         let truncated_bytes = file_len - offset as u64;
         if truncated_bytes > 0 {
             file.set_len(offset as u64)?;
@@ -359,6 +328,25 @@ impl RecordLog {
             records,
             recovery,
         ))
+    }
+
+    /// Reads every intact record of the log at `path` without opening
+    /// it for writing: no lock is taken, no header is written and a
+    /// torn tail is left for the next writer to truncate, so a live
+    /// writer may hold the log meanwhile. A missing or empty file reads
+    /// as no records.
+    ///
+    /// # Errors
+    ///
+    /// [`LogError::BadMagic`] / [`UnsupportedVersion`](LogError::UnsupportedVersion)
+    /// / [`WrongKind`](LogError::WrongKind) for a file that is not this
+    /// stream, and I/O failures.
+    pub fn read(path: &Path, kind: StreamKind) -> Result<Vec<Vec<u8>>, LogError> {
+        match std::fs::read(path) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
+            Ok(bytes) if bytes.is_empty() => Ok(Vec::new()),
+            bytes => Ok(scan(&bytes?, kind)?.0),
+        }
     }
 
     /// Appends one record and flushes it to the OS (plus an `fsync`
@@ -465,6 +453,46 @@ impl RecordLog {
         self.end = end;
         Ok(())
     }
+}
+
+/// Checks a log's header against `kind`, then walks its frames front
+/// to back: every record whose frame fits and whose checksum matches,
+/// and the offset where that intact prefix ends.
+fn scan(bytes: &[u8], kind: StreamKind) -> Result<(Vec<Vec<u8>>, usize), LogError> {
+    if bytes.len() < HEADER_LEN as usize || bytes[..8] != MAGIC {
+        return Err(LogError::BadMagic);
+    }
+    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4"));
+    if version > VERSION {
+        return Err(LogError::UnsupportedVersion { found: version });
+    }
+    let found_kind = u32::from_le_bytes(bytes[12..16].try_into().expect("4"));
+    if StreamKind::from_u32(found_kind) != Some(kind) {
+        return Err(LogError::WrongKind {
+            expected: kind,
+            found: found_kind,
+        });
+    }
+
+    let mut records = Vec::new();
+    let mut offset = HEADER_LEN as usize;
+    loop {
+        let rest = &bytes[offset..];
+        if rest.len() < FRAME_LEN as usize {
+            break; // torn frame (or clean EOF when empty)
+        }
+        let len = u32::from_le_bytes(rest[..4].try_into().expect("4")) as usize;
+        let checksum = u64::from_le_bytes(rest[4..12].try_into().expect("8"));
+        let Some(payload) = rest.get(FRAME_LEN as usize..FRAME_LEN as usize + len) else {
+            break; // torn payload
+        };
+        if fnv1a(payload) != checksum {
+            break; // torn or corrupt: stop before it
+        }
+        records.push(payload.to_vec());
+        offset += FRAME_LEN as usize + len;
+    }
+    Ok((records, offset))
 }
 
 /// Sibling lock-file path guarding the log at `path` (full file name
