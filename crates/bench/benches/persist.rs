@@ -9,10 +9,12 @@
 //! estimate re-derivation for every design point priced before. Each
 //! arm is measured with `codesign_bench::perf::measure`; its untimed
 //! set-up gives every sample fresh state (an empty cache, a cache
-//! preloaded from the store, a freshly interrupted checkpoint). Emits
-//! `BENCH_persist.json` (cold wall clock, warm speedup + store hit
-//! rate, resume speedup). Everything on disk lives in one scratch
-//! directory, removed when the bench ends or panics.
+//! preloaded from the store, a freshly interrupted checkpoint). A
+//! fourth arm persists a warm-started cache nothing was added to, which
+//! must write no record. Emits `BENCH_persist.json` (cold wall clock,
+//! warm speedup + store hit rate, no-op persist, resume speedup).
+//! Everything on disk lives in one scratch directory, removed when the
+//! bench ends or panics.
 
 use codesign_bench::perf::{emit_bench_json, measure, BenchRecord};
 use codesign_core::checkpoint::FlowCheckpoint;
@@ -21,6 +23,7 @@ use codesign_core::observe::{CancelToken, FlowEvent};
 use codesign_hls::cache::EstimateCache;
 use codesign_hls::store::EstimateStore;
 use codesign_sim::device::pynq_z1;
+use codesign_store::LogOptions;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -133,6 +136,33 @@ fn main() {
         store_hit_rate * 1e2
     );
 
+    // No-op persist: a warm-started cache holds only what the store
+    // wrote, so persisting it writes nothing. The store and cache are
+    // returned so they drop outside the clock; `measure` keeps the last
+    // sample's until the next set-up, so the store takes no lock.
+    let unlocked = LogOptions {
+        lock: false,
+        ..LogOptions::default()
+    };
+    let noop = measure(
+        5,
+        || {
+            let cache = EstimateCache::new();
+            let mut store =
+                EstimateStore::open_with(&store_path, unlocked.clone()).expect("reopen store");
+            store.load_into(&cache);
+            (cache, store)
+        },
+        |(cache, mut store)| {
+            let written = store.persist_from(&cache).expect("no-op persist");
+            (written, cache, store)
+        },
+    );
+    assert_eq!(
+        noop.output.0, 0,
+        "a warm-started, unchanged cache has nothing new to persist"
+    );
+
     // Resume: every cell comes from disk; the coarse stage and
     // finalization recompute.
     let resume = measure(
@@ -156,6 +186,8 @@ fn main() {
             .with_metric("estimates_loaded", *loaded as f64)
             .with_metric("store_hits", warm_cache.store_hits() as f64)
             .with_metric("store_hit_rate", store_hit_rate),
+        BenchRecord::timing("persist_noop", noop.timing)
+            .with_metric("records_written", noop.output.0 as f64),
         BenchRecord::speedup_over("resume_from_checkpoint", resume.timing, cold.timing),
     ];
     emit_bench_json("persist", &records).expect("write BENCH_persist.json");

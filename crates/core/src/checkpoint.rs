@@ -71,7 +71,10 @@ use codesign_dnn::space::DesignPoint;
 use codesign_hls::model::Estimate;
 use codesign_sim::device::FpgaDevice;
 use codesign_sim::report::ResourceUsage;
-use codesign_store::{fnv1a, ByteReader, ByteWriter, CodecError, LockFile, LogError, RecordLog};
+use codesign_store::{
+    fnv1a, ByteReader, ByteWriter, CodecError, LockFile, LogError, LogOptions, RecordLog,
+    StreamKind,
+};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
@@ -274,7 +277,8 @@ impl FlowCheckpoint {
 
     /// Appends one finished SCD cell to segment 0, opening it on first
     /// use, unsynced: the flow calls [`sync`](Self::sync) once when the
-    /// SCD stage ends.
+    /// SCD stage ends. The open truncates a torn tail but decodes no
+    /// cell: [`cells`](Self::cells) already read them.
     pub(crate) fn record_cell(
         &self,
         index: usize,
@@ -285,7 +289,14 @@ impl FlowCheckpoint {
         let mut state = self.state();
         let log = match &mut state.segment {
             Some(log) => log,
-            closed => closed.insert(open_segment(&segment_path(&self.dir, 0))?.0),
+            closed => closed.insert(
+                RecordLog::open_with(
+                    &segment_path(&self.dir, 0),
+                    StreamKind::ShardSegment,
+                    LogOptions::default(),
+                )?
+                .0,
+            ),
         };
         Ok(log.append(w.as_bytes())?)
     }

@@ -28,6 +28,21 @@
 //! calling thread's line, so two cores counting at once never pass a
 //! line between them.
 //!
+//! # Version stamp
+//!
+//! A cache's version stamp is `(cache id, Ok inserts)`: an id unique
+//! within the process, and how many `Ok` entries were ever inserted, by
+//! a lookup's miss or by [`EstimateCache::preload`]. The insert count is
+//! a fourth stripe counter, summed when read, so counting an insert
+//! writes no line shared across threads. It counts an entry only after
+//! the entry is in its shard and the shard lock is released, so a reader
+//! who sees the count include an insert and then locks that shard finds
+//! the entry there. It never goes down, not even on
+//! [`EstimateCache::clear`], so an unchanged stamp means no `Ok` entry
+//! was added since it was read. The persistent
+//! [`EstimateStore`](crate::store::EstimateStore) compares stamps to skip
+//! a persist that has nothing new to write.
+//!
 //! # Per-search memo
 //!
 //! Most SCD probes re-price a point the same search has already priced:
@@ -158,15 +173,18 @@ pub const DEFAULT_SHARDS: usize = 16;
 /// flow's worker threads (typically ≤ core count) each get their own.
 const STRIPES: usize = 16;
 
-/// One thread's lookup counters, alone on their cache line (128 bytes
-/// covers adjacent-line prefetch too), so counting a lookup never
-/// writes a line another core is counting on.
+/// One thread's lookup and insert counters, alone on their cache line
+/// (128 bytes covers adjacent-line prefetch too), so counting a lookup
+/// never writes a line another core is counting on.
 #[derive(Debug, Default)]
 #[repr(align(128))]
 struct Stripe {
     hits: AtomicU64,
     misses: AtomicU64,
     store_hits: AtomicU64,
+    /// New `Ok` entries this thread inserted (see
+    /// [version stamp](crate::cache#version-stamp)).
+    ok_inserts: AtomicU64,
 }
 
 /// The calling thread's stripe index: threads take indices round-robin
@@ -179,6 +197,16 @@ fn stripe_index() -> usize {
         static INDEX: usize = NEXT.fetch_add(1, Ordering::Relaxed) % STRIPES;
     }
     INDEX.with(|&i| i)
+}
+
+/// A cache's version: which cache, and how many `Ok` entries had been
+/// inserted into it when the stamp was read (see the
+/// [module docs](crate::cache#version-stamp)). Two readings of one cache
+/// are equal exactly when no `Ok` entry was inserted in between.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct CacheStamp {
+    cache: u64,
+    pub(crate) ok_inserts: u64,
 }
 
 /// A resident cache value plus its provenance: entries inserted by
@@ -296,7 +324,8 @@ fn words(chunk: &[u8]) -> (u64, u64) {
 }
 
 /// A thread-safe, sharded memo table for analytic estimates, with
-/// hit/miss counters.
+/// hit/miss counters and a [version stamp](crate::cache#version-stamp)
+/// that changes exactly when a new `Ok` entry is inserted.
 ///
 /// Attach one to an estimator via
 /// [`HlsEstimator::with_cache`](crate::model::HlsEstimator::with_cache);
@@ -341,6 +370,9 @@ pub struct EstimateCache {
     seeds: [u64; 2],
     /// Per-thread lookup counters, summed by [`Self::stats`].
     stripes: Box<[Stripe; STRIPES]>,
+    /// This cache's half of its [`CacheStamp`], unique within the
+    /// process.
+    id: u64,
 }
 
 impl Default for EstimateCache {
@@ -359,12 +391,14 @@ impl EstimateCache {
     /// next power of two (minimum 1). `with_shards(1)` reproduces the
     /// old single-lock cache exactly.
     pub fn with_shards(shards: usize) -> Self {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         let n = shards.max(1).next_power_of_two();
         let state = RandomState::new();
         Self {
             shards: (0..n).map(|_| Mutex::new(ShardMap::default())).collect(),
             seeds: [state.hash_one(0u64), state.hash_one(1u64)],
             stripes: Box::default(),
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
         }
     }
 
@@ -416,6 +450,18 @@ impl EstimateCache {
         }
     }
 
+    /// Counts a new `Ok` entry. Called only after the entry is in its
+    /// shard and the shard lock is released.
+    ///
+    /// `Relaxed` is enough: the shard mutex carries the entry. A reader
+    /// whose load sees this count and who then locks the shard cannot
+    /// take the lock before the inserter did, since the inserter's count
+    /// would then happen after the load that read it. So the reader's
+    /// lock follows the inserter's unlock and sees the entry.
+    fn count_ok_insert(&self) {
+        self.stripe().ok_inserts.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Sums one counter over every thread's stripe.
     fn sum(&self, counter: impl Fn(&Stripe) -> &AtomicU64) -> u64 {
         self.stripes
@@ -440,6 +486,17 @@ impl EstimateCache {
         }
     }
 
+    /// The cache's version: its id and how many `Ok` entries were ever
+    /// inserted into it. An entry is counted only once it is in its
+    /// shard, so a snapshot taken after reading the stamp holds every
+    /// entry the stamp counts.
+    pub(crate) fn stamp(&self) -> CacheStamp {
+        CacheStamp {
+            cache: self.id,
+            ok_inserts: self.sum(|s| &s.ok_inserts),
+        }
+    }
+
     /// Number of distinct entries resident across all shards.
     pub fn len(&self) -> usize {
         self.shards
@@ -453,10 +510,12 @@ impl EstimateCache {
         self.len() == 0
     }
 
-    /// Drops all entries and resets the counters. Only for use between
-    /// runs: a live search's [`ProbeMemo`] would go on answering keys
-    /// the cache no longer holds, counting hits where the cache would
-    /// count misses.
+    /// Drops all entries and resets the lookup counters. Only for use
+    /// between runs: a live search's [`ProbeMemo`] would go on answering
+    /// keys the cache no longer holds, counting hits where the cache
+    /// would count misses. The insert count of the
+    /// [version stamp](crate::cache#version-stamp) is kept: it never goes
+    /// down, so a stamp is never read twice for different contents.
     pub fn clear(&self) {
         for shard in &self.shards {
             shard.lock().expect("cache shard lock").clear();
@@ -480,14 +539,18 @@ impl EstimateCache {
     /// the key is already resident. Returns `true` if the entry was
     /// inserted. Counts neither a hit nor a miss — preloading is not
     /// lookup traffic — but hits later served by the entry increment
-    /// [`store_hits`](Self::store_hits).
+    /// [`store_hits`](Self::store_hits). An inserted entry advances the
+    /// [version stamp](crate::cache#version-stamp).
     pub fn preload(&self, key: &[u8], value: Estimate) -> bool {
         let hash = self.hash(key);
-        let mut shard = self.shard(hash).lock().expect("cache shard lock");
-        match shard.entry(StoredKey {
-            hash,
-            bytes: key.into(),
-        }) {
+        let inserted = match self
+            .shard(hash)
+            .lock()
+            .expect("cache shard lock")
+            .entry(StoredKey {
+                hash,
+                bytes: key.into(),
+            }) {
             Entry::Occupied(_) => false,
             Entry::Vacant(slot) => {
                 slot.insert(CacheEntry {
@@ -496,7 +559,11 @@ impl EstimateCache {
                 });
                 true
             }
+        };
+        if inserted {
+            self.count_ok_insert();
         }
+        inserted
     }
 
     /// All resident `Ok` entries as `(key, estimate)` pairs, sorted by
@@ -553,18 +620,25 @@ impl EstimateCache {
         }
         let value = compute();
         self.stripe().misses.fetch_add(1, Ordering::Relaxed);
-        let preloaded = shard
-            .lock()
-            .expect("cache shard lock")
-            .entry(StoredKey {
+        // The shard guard is a temporary of the `match`, released
+        // before the insert is counted.
+        let (preloaded, inserted_ok) =
+            match shard.lock().expect("cache shard lock").entry(StoredKey {
                 hash,
                 bytes: key.into(),
-            })
-            .or_insert_with(|| CacheEntry {
-                value: value.clone(),
-                preloaded: false,
-            })
-            .preloaded;
+            }) {
+                Entry::Occupied(resident) => (resident.get().preloaded, false),
+                Entry::Vacant(slot) => {
+                    slot.insert(CacheEntry {
+                        value: value.clone(),
+                        preloaded: false,
+                    });
+                    (false, value.is_ok())
+                }
+            };
+        if inserted_ok {
+            self.count_ok_insert();
+        }
         CacheEntry { value, preloaded }
     }
 }
@@ -944,6 +1018,38 @@ mod tests {
         assert!(!cache.preload(&[9, 9], estimate(6).unwrap()));
         assert_eq!(cache.get_or_insert_with(&[9, 9], || estimate(7)), Ok(est));
         assert_eq!((cache.stats().total(), cache.store_hits()), (1, 1));
+    }
+
+    #[test]
+    fn stamp_counts_new_ok_entries_only() {
+        let cache = Arc::new(EstimateCache::new());
+        let inserts = || cache.stamp().ok_inserts;
+        assert_eq!(inserts(), 0);
+        cache.get_or_insert_with(&[1], || estimate(1)).unwrap();
+        assert!(cache.preload(&[2], estimate(2).unwrap()));
+        assert_eq!(inserts(), 2);
+        // Hits, a resident preload and a cached error add nothing.
+        cache.get_or_insert_with(&[1], || estimate(9)).unwrap();
+        assert!(!cache.preload(&[2], estimate(9).unwrap()));
+        let _ = cache.get_or_insert_with(&[3], || {
+            Err(EstimateError::Sim(
+                codesign_sim::error::SimError::InvalidConfig {
+                    reason: "test".into(),
+                },
+            ))
+        });
+        assert_eq!(inserts(), 2);
+        // Inserts on other threads are summed; clear keeps the count.
+        std::thread::scope(|s| {
+            for t in 0..3u8 {
+                let cache = &cache;
+                s.spawn(move || cache.get_or_insert_with(&[10 + t], || estimate(1)));
+            }
+        });
+        assert_eq!(inserts(), 5);
+        cache.clear();
+        assert_eq!(inserts(), 5);
+        assert_ne!(cache.stamp(), EstimateCache::new().stamp());
     }
 
     #[test]

@@ -36,13 +36,13 @@
 //! mid-compaction leaves either the old file or the new one, never a
 //! mix.
 
-use crate::cache::EstimateCache;
+use crate::cache::{CacheStamp, EstimateCache};
 use crate::model::Estimate;
 use codesign_sim::report::ResourceUsage;
 use codesign_store::{
     ByteReader, ByteWriter, CodecError, LogError, LogOptions, RecordLog, StreamKind,
 };
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -69,17 +69,22 @@ pub struct StoreStats {
 /// cache, then [`persist_from`](Self::persist_from) after each run to
 /// append the entries the run added. The store remembers which keys are
 /// already on disk, so repeated `persist_from` calls append only new
-/// work.
+/// work. It also remembers the cache's
+/// [version stamp](crate::cache#version-stamp) as of its last
+/// successful persist, so a persist after a run that added nothing
+/// returns without scanning the cache: a no-op persist costs O(1)
+/// however large the cache grows.
 #[derive(Debug)]
 pub struct EstimateStore {
     log: RecordLog,
     /// Decoded records from disk, retained until first `load_into`.
     pending: Vec<(Vec<u8>, Estimate)>,
-    /// Keys already present in the log (loaded or appended).
-    on_disk: HashSet<Vec<u8>>,
-    /// Live value per key (last write wins), in sorted-key order —
-    /// exactly what [`compact`](Self::compact) rewrites.
+    /// Live value per key on disk (last write wins), in sorted-key
+    /// order — exactly what [`compact`](Self::compact) rewrites.
     live: BTreeMap<Vec<u8>, Estimate>,
+    /// Stamp of a cache all of whose `Ok` entries, as the stamp counts
+    /// them, are in `live`.
+    stamp: Option<CacheStamp>,
     /// Records on disk that a compaction would drop (duplicates).
     dead_records: usize,
     /// Options the log was opened with; compaction reuses them for the
@@ -139,14 +144,12 @@ impl EstimateStore {
         let (log, raw_records, recovery) =
             RecordLog::open_with(path, StreamKind::EstimateStore, options.clone())?;
         let mut pending = Vec::with_capacity(raw_records.len());
-        let mut on_disk = HashSet::with_capacity(raw_records.len());
         let mut live = BTreeMap::new();
         for payload in &raw_records {
             // A record that framed and checksummed correctly but does
             // not decode is a schema mismatch within the same log
             // version — skip it rather than poison the whole store.
             if let Ok((key, est)) = decode_record(payload) {
-                on_disk.insert(key.clone());
                 live.insert(key.clone(), est);
                 pending.push((key, est));
             }
@@ -161,8 +164,8 @@ impl EstimateStore {
         Ok(Self {
             log,
             pending,
-            on_disk,
             live,
+            stamp: None,
             dead_records,
             options,
             stats,
@@ -173,12 +176,27 @@ impl EstimateStore {
     /// returning how many entries were actually inserted (keys already
     /// resident in the cache are left untouched). Idempotent: a second
     /// call inserts nothing.
+    ///
+    /// Records the cache's [version stamp](crate::cache#version-stamp),
+    /// so the first persist after a warm start skips the scan too, when
+    /// the load leaves nothing unwritten: before it the cache had no
+    /// `Ok` inserts at all or this store's stamp of it was current, and
+    /// afterwards its insert count grew by exactly the entries the load
+    /// inserted, so no other thread's insert raced it. An insert that is
+    /// in its shard but not yet counted changes the stamp when it is
+    /// counted, so the next persist still writes it.
     pub fn load_into(&mut self, cache: &EstimateCache) -> usize {
+        let before = cache.stamp();
+        let clean = before.ok_inserts == 0 || self.stamp == Some(before);
         let mut inserted = 0;
         for (key, est) in self.pending.drain(..) {
             if cache.preload(&key, est) {
                 inserted += 1;
             }
+        }
+        let after = cache.stamp();
+        if clean && after.ok_inserts == before.ok_inserts + inserted as u64 {
+            self.stamp = Some(after);
         }
         inserted
     }
@@ -188,18 +206,30 @@ impl EstimateStore {
     /// sorted-key order, so the log contents are deterministic for a
     /// given cache state.
     ///
+    /// The cache's [version stamp](crate::cache#version-stamp) is read
+    /// *before* the snapshot: the cache counts an insert only once the
+    /// entry is in its shard, so the snapshot holds every entry the
+    /// stamp counts.
+    /// When the stamp equals the one recorded by the last persist that
+    /// succeeded, nothing new can be in the cache and the call returns
+    /// `Ok(0)` without scanning it. The stamp is recorded only when the
+    /// persist succeeds, so a retry after a failure scans again.
+    ///
     /// # Errors
     ///
     /// Propagates append I/O failures; records written before the
     /// failure are durable.
     pub fn persist_from(&mut self, cache: &EstimateCache) -> io::Result<usize> {
+        let stamp = cache.stamp();
+        if self.stamp == Some(stamp) {
+            return Ok(0);
+        }
         let mut written = 0;
         for (key, est) in cache.snapshot_ok() {
-            if self.on_disk.contains(&key) {
+            if self.live.contains_key(&key) {
                 continue;
             }
             self.log.append(&encode_record(&key, &est))?;
-            self.on_disk.insert(key.clone());
             self.live.insert(key, est);
             written += 1;
         }
@@ -207,6 +237,7 @@ impl EstimateStore {
             self.log.sync()?;
         }
         self.stats.persisted += written;
+        self.stamp = Some(stamp);
         Ok(written)
     }
 
@@ -294,12 +325,12 @@ impl EstimateStore {
 
     /// Number of distinct keys currently on disk.
     pub fn len(&self) -> usize {
-        self.on_disk.len()
+        self.live.len()
     }
 
     /// True when the log holds no records.
     pub fn is_empty(&self) -> bool {
-        self.on_disk.is_empty()
+        self.live.is_empty()
     }
 
     /// The file backing this store.
@@ -520,6 +551,116 @@ mod tests {
                 .unwrap();
             assert_eq!(v, est(k as u64 + 7));
         }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A cache with keys `[k]` for `k` in `keys`.
+    fn cache_of(keys: std::ops::Range<u8>) -> EstimateCache {
+        let cache = EstimateCache::new();
+        for k in keys {
+            cache
+                .get_or_insert_with(&[k], || Ok(est(k as u64)))
+                .unwrap();
+        }
+        cache
+    }
+
+    /// Records on disk at `path`, and how many of them are duplicates.
+    fn on_disk(path: &Path) -> (usize, usize) {
+        let store = EstimateStore::open(path).unwrap();
+        (store.stats().loaded, store.duplicate_records())
+    }
+
+    #[test]
+    fn stamp_skips_unchanged_cache_and_writes_new_entries_once() {
+        let path = temp_path("stamp_new");
+        let _ = std::fs::remove_file(&path);
+        let cache = cache_of(0..5);
+        let mut store = EstimateStore::open(&path).unwrap();
+        assert_eq!(store.persist_from(&cache).unwrap(), 5);
+        assert_eq!(store.stamp, Some(cache.stamp()));
+        assert_eq!(store.persist_from(&cache).unwrap(), 0);
+        cache.get_or_insert_with(&[7], || Ok(est(7))).unwrap();
+        assert_ne!(
+            store.stamp,
+            Some(cache.stamp()),
+            "an insert moves the stamp"
+        );
+        assert_eq!(store.persist_from(&cache).unwrap(), 1);
+        assert_eq!(store.persist_from(&cache).unwrap(), 0);
+        assert_eq!(store.stats().persisted, 6);
+        drop(store);
+        assert_eq!(on_disk(&path), (6, 0), "each entry written exactly once");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn stamp_tells_caches_apart() {
+        // Two caches with the same number of inserts but different
+        // entries: a stamp without the cache's identity would take the
+        // second for the first and write nothing.
+        let path = temp_path("stamp_identity");
+        let _ = std::fs::remove_file(&path);
+        let first = cache_of(0..4);
+        let second = cache_of(10..14);
+        assert_eq!(first.stamp().ok_inserts, second.stamp().ok_inserts);
+        let mut store = EstimateStore::open(&path).unwrap();
+        assert_eq!(store.persist_from(&first).unwrap(), 4);
+        assert_eq!(store.persist_from(&second).unwrap(), 4);
+        drop(store);
+        assert_eq!(on_disk(&path), (8, 0));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn failed_persist_leaves_the_stamp_unset() {
+        let path = temp_path("stamp_failure");
+        let _ = std::fs::remove_file(&path);
+        let cache = cache_of(0..6);
+        let plan = codesign_faults::FaultPlan::builder(0)
+            .io_failures_at("store.append", &[3])
+            .build();
+        let options = LogOptions {
+            faults: Some(plan),
+            ..LogOptions::default()
+        };
+        let mut store = EstimateStore::open_with(&path, options).unwrap();
+        let err = store.persist_from(&cache).unwrap_err();
+        assert!(codesign_faults::is_injected(&err));
+        assert_eq!(store.stamp, None);
+        // The same handle's retry resumes from the failed record.
+        assert_eq!(store.persist_from(&cache).unwrap(), 3);
+        assert_eq!(store.stamp, Some(cache.stamp()));
+        drop(store);
+        assert_eq!(on_disk(&path), (6, 0));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn load_into_stamps_only_a_cache_with_nothing_unwritten() {
+        let path = temp_path("stamp_load");
+        let _ = std::fs::remove_file(&path);
+        EstimateStore::open(&path)
+            .unwrap()
+            .persist_from(&cache_of(0..5))
+            .unwrap();
+
+        // A fresh cache holds only what the store loaded into it.
+        let fresh = EstimateCache::new();
+        let mut store = EstimateStore::open(&path).unwrap();
+        assert_eq!(store.load_into(&fresh), 5);
+        assert_eq!(store.stamp, Some(fresh.stamp()));
+        assert_eq!(store.persist_from(&fresh).unwrap(), 0);
+        drop(store);
+
+        // A cache with an entry of its own must still have it written.
+        let held = cache_of(9..10);
+        let mut store = EstimateStore::open(&path).unwrap();
+        assert_eq!(store.load_into(&held), 5);
+        assert_eq!(store.stamp, None);
+        assert_eq!(store.persist_from(&held).unwrap(), 1);
+        drop(store);
+        assert_eq!(on_disk(&path), (6, 0));
         let _ = std::fs::remove_file(&path);
     }
 
