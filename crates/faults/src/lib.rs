@@ -46,10 +46,11 @@
 //!
 //! # Crossing process boundaries
 //!
-//! A plan serializes to a one-line *spec string*
-//! ([`FaultPlan::to_spec`] / [`FaultPlan::from_spec`]) so a supervisor
-//! can hand its children the exact schedule through the
-//! [`SPEC_ENV`] environment variable ([`plan_from_env`]):
+//! A plan can be written as a one-line *spec string*, parsed by
+//! [`FaultPlan::from_spec`]. A supervisor hands its children the exact
+//! schedule by forwarding the spec it was given, unchanged, through the
+//! [`SPEC_ENV`] environment variable; each child parses it with
+//! [`plan_from_env`]:
 //!
 //! ```text
 //! seed=7;shard.worker.crash=panic@1,3;store.append=io%0.25;parallel.item=delay(50)%1
@@ -385,38 +386,7 @@ fn spec_err(reason: impl Into<String>) -> SpecError {
 }
 
 impl FaultPlan {
-    /// Renders this plan as a spec string that
-    /// [`from_spec`](Self::from_spec) parses back into an equivalent
-    /// plan (same seed, sites, kinds, schedules; counters reset).
-    pub fn to_spec(&self) -> String {
-        let mut out = format!("seed={}", self.seed);
-        for (name, site) in &self.sites {
-            out.push(';');
-            out.push_str(name);
-            out.push('=');
-            out.push_str(match site.kind {
-                FaultKind::IoError => "io",
-                FaultKind::Panic => "panic",
-                FaultKind::Delay => "delay",
-                FaultKind::DropConnection => "drop",
-            });
-            if !site.delay.is_zero() {
-                out.push_str(&format!("({})", site.delay.as_millis()));
-            }
-            match &site.at {
-                Some(indices) => {
-                    out.push('@');
-                    let joined: Vec<String> = indices.iter().map(|i| i.to_string()).collect();
-                    out.push_str(&joined.join(","));
-                }
-                None => out.push_str(&format!("%{}", site.rate)),
-            }
-        }
-        out
-    }
-
-    /// Parses a spec string produced by [`to_spec`](Self::to_spec) (or
-    /// written by hand; the grammar is in the module docs).
+    /// Parses a spec string (the grammar is in the module docs).
     ///
     /// # Errors
     ///
@@ -689,8 +659,11 @@ mod tests {
             .delays_at("shard.cell.delay", &[0, 2, 4], Duration::from_millis(5))
             .connection_drops("serve.conn.drop", 0.125)
             .build();
-        let spec = plan.to_spec();
-        let parsed = FaultPlan::from_spec(&spec).unwrap();
+        // The same plan, written by hand in the spec grammar.
+        let spec = "seed=7;shard.worker.crash=panic@1,3;store.append=io%0.25;\
+                    parallel.item=delay(50)%1;shard.cell.delay=delay(5)@0,2,4;\
+                    serve.conn.drop=drop%0.125";
+        let parsed = FaultPlan::from_spec(spec).unwrap();
         assert_eq!(parsed.seed(), plan.seed());
         for site in [
             "shard.worker.crash",
@@ -706,8 +679,6 @@ mod tests {
                 "schedule mismatch at {site} for spec {spec:?}"
             );
         }
-        // And the re-render is stable.
-        assert_eq!(parsed.to_spec(), spec);
     }
 
     #[test]

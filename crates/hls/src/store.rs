@@ -213,12 +213,14 @@ impl EstimateStore {
     /// When the stamp equals the one recorded by the last persist that
     /// succeeded, nothing new can be in the cache and the call returns
     /// `Ok(0)` without scanning it. The stamp is recorded only when the
-    /// persist succeeds, so a retry after a failure scans again.
+    /// persist succeeds, so a retry after a failure scans again; every
+    /// scan ends with a sync, so a retry after a failed sync reports
+    /// success only once the records are on stable storage.
     ///
     /// # Errors
     ///
-    /// Propagates append I/O failures; records written before the
-    /// failure are durable.
+    /// Propagates append and sync I/O failures; records appended before
+    /// the failure are kept and are not appended again.
     pub fn persist_from(&mut self, cache: &EstimateCache) -> io::Result<usize> {
         let stamp = cache.stamp();
         if self.stamp == Some(stamp) {
@@ -233,9 +235,9 @@ impl EstimateStore {
             self.live.insert(key, est);
             written += 1;
         }
-        if written > 0 {
-            self.log.sync()?;
-        }
+        // Sync even when nothing was written: a retry after a failed
+        // sync has nothing left to append, but its records are unsynced.
+        self.log.sync()?;
         self.stats.persisted += written;
         self.stamp = Some(stamp);
         Ok(written)
@@ -681,6 +683,30 @@ mod tests {
         // A computed (non-preloaded) entry does not count store hits.
         target.get_or_insert_with(&[1], || Ok(est(1))).unwrap();
         assert_eq!(target.store_hits(), 0);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_retry_after_a_failed_sync_syncs_again() {
+        let path = temp_path("sync_retry");
+        let _ = std::fs::remove_file(&path);
+        let plan = codesign_faults::FaultPlan::builder(0)
+            .io_failures_at("store.sync", &[0, 1])
+            .build();
+        let options = LogOptions {
+            faults: Some(plan.clone()),
+            ..LogOptions::default()
+        };
+        let mut store = EstimateStore::open_with(&path, options).unwrap();
+        let cache = cache_of(0..4);
+        // Every record is appended, then the sync fails.
+        assert!(store.persist_from(&cache).is_err());
+        // The retry has nothing left to append, but its records are
+        // still unsynced: it must sync, and so meets the second fault.
+        assert!(store.persist_from(&cache).is_err());
+        assert_eq!(store.persist_from(&cache).unwrap(), 0);
+        assert_eq!(plan.injected("store.sync"), 2);
+        drop(store);
         let _ = std::fs::remove_file(&path);
     }
 }

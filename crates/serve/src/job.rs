@@ -11,6 +11,27 @@
 //! queue on the spot, freeing its slot; cancelling a running job trips
 //! its token, which the flow honours at the next work-item boundary.
 //!
+//! # The terminal transition
+//!
+//! Every way a job can end — completed, failed (a flow error or a
+//! panic), cancelled (while queued, while running, or at shutdown) and
+//! timed out (in the queue or in the flow) — goes through one function,
+//! `end_job`, which commits it in this order:
+//!
+//! 1. the phase's `/metrics` counter (`panicked` and `failed` for a
+//!    panic; `completed` and the latency sample for a completed job),
+//!    so a client that sees the job terminal sees it counted;
+//! 2. one terminal event line (`failed`, `cancelled` or `timed_out`;
+//!    a completed job's terminal line is the flow's own `finished`);
+//! 3. the phase, result and error, under one job lock, together with
+//!    that line;
+//! 4. retention, which may evict the oldest finished job;
+//! 5. for a completed job only, the estimate-store persist — after the
+//!    job is visible as terminal, so disk I/O never delays a result.
+//!
+//! `jobs_in_flight` counts jobs while their flow runs; a job that ends
+//! before it starts is never in flight.
+//!
 //! `executors: 0` is a deliberate test knob — jobs are admitted but
 //! never started, which makes queue-bound and cancellation semantics
 //! deterministic to assert.
@@ -154,9 +175,6 @@ pub struct Job {
     /// Carries the job's deadline when one was requested: the clock
     /// starts at submit, so queue wait counts against the budget.
     pub cancel: CancelToken,
-    /// Requested deadline in milliseconds, if any (informational; the
-    /// enforcing state lives in `cancel`).
-    pub deadline_ms: Option<u64>,
     submitted_at: Instant,
     state: Mutex<JobState>,
     cv: Condvar,
@@ -172,7 +190,6 @@ impl Job {
             id,
             config,
             cancel,
-            deadline_ms,
             submitted_at: Instant::now(),
             state: Mutex::new(JobState {
                 phase: JobPhase::Queued,
@@ -206,44 +223,26 @@ impl Job {
         self.cv.notify_all();
     }
 
-    fn set_phase(&self, phase: JobPhase) {
-        let mut state = self.state.lock().expect("job lock");
-        state.phase = phase;
-        self.cv.notify_all();
-    }
-
-    fn finish(&self, phase: JobPhase, result: Option<String>, error: Option<String>) {
-        let mut state = self.state.lock().expect("job lock");
-        state.phase = phase;
-        state.result = result;
-        state.error = error;
-        self.cv.notify_all();
-    }
-
     /// Blocks until the job reaches a terminal phase, up to `timeout`.
     /// Returns `None` on timeout.
     pub fn wait_terminal_for(&self, timeout: Duration) -> Option<JobPhase> {
-        let deadline = Instant::now() + timeout;
-        let mut state = self.state.lock().expect("job lock");
-        while !state.phase.is_terminal() {
-            let remaining = deadline.checked_duration_since(Instant::now())?;
-            let (next, wait) = self.cv.wait_timeout(state, remaining).expect("job lock");
-            state = next;
-            if wait.timed_out() && !state.phase.is_terminal() {
-                return None;
-            }
-        }
-        Some(state.phase)
+        let state = self.state.lock().expect("job lock");
+        let (state, _) = self
+            .cv
+            .wait_timeout_while(state, timeout, |s| !s.phase.is_terminal())
+            .expect("job lock");
+        Some(state.phase).filter(|phase| phase.is_terminal())
     }
 
     /// Returns event lines starting at index `from`, blocking until at
     /// least one new line exists or the job is terminal. The bool is
     /// `true` when the job is terminal and no further lines will come.
     pub fn events_from(&self, from: usize) -> (Vec<String>, bool) {
-        let mut state = self.state.lock().expect("job lock");
-        while state.events.len() <= from && !state.phase.is_terminal() {
-            state = self.cv.wait(state).expect("job lock");
-        }
+        let state = self.state.lock().expect("job lock");
+        let state = self
+            .cv
+            .wait_while(state, |s| s.events.len() <= from && !s.phase.is_terminal())
+            .expect("job lock");
         let lines = state.events[from.min(state.events.len())..].to_vec();
         (lines, state.phase.is_terminal())
     }
@@ -360,18 +359,6 @@ struct Shared {
 }
 
 impl Shared {
-    /// Registers a job that just reached a terminal phase and evicts
-    /// the oldest finished jobs beyond the retention bound.
-    fn note_terminal(&self, id: u64) {
-        let mut inner = self.inner.lock().expect("scheduler lock");
-        inner.finished.push_back(id);
-        while inner.finished.len() > self.max_finished {
-            if let Some(oldest) = inner.finished.pop_front() {
-                inner.jobs.remove(&oldest);
-            }
-        }
-    }
-
     /// Appends any new `Ok` cache entries to the persistent store,
     /// retrying with exponential backoff. Persistence failures never
     /// fail the job — the store is an accelerator, not a source of
@@ -410,16 +397,6 @@ impl Shared {
         };
         *state.degraded.lock().expect("degraded lock") = Some(reason);
     }
-
-    /// The sticky degraded reason, if the store has one.
-    fn store_degraded(&self) -> Option<String> {
-        self.store
-            .as_ref()?
-            .degraded
-            .lock()
-            .expect("degraded lock")
-            .clone()
-    }
 }
 
 /// The job scheduler: bounded admission queue + executor pool + job
@@ -433,27 +410,17 @@ impl Scheduler {
     /// Starts a scheduler with `config.executors` worker threads and a
     /// process-wide shared estimate cache (cached estimates are
     /// bit-identical to recomputed ones, so sharing across jobs never
-    /// changes results).
-    ///
-    /// # Panics
-    ///
-    /// When `config.store` is set and the log cannot be opened; use
-    /// [`try_new`](Self::try_new) to handle that case.
-    pub fn new(config: ServeConfig) -> Self {
-        Self::try_new(config).expect("open estimate store")
-    }
-
-    /// Like [`new`](Self::new), but surfaces estimate-store open
-    /// failures instead of panicking. When `config.store` is set, the
-    /// log is opened (recovering any torn tail) and every persisted
-    /// estimate is preloaded into the shared cache before the first
-    /// job runs.
+    /// changes results). When `config.store` is set, the log is opened
+    /// (recovering any torn tail) and every persisted estimate is
+    /// preloaded into the shared cache before the first job runs.
     ///
     /// # Errors
     ///
     /// A [`LogError`] when the store path exists but is not a readable
-    /// estimate-store log, or on I/O failure opening it.
-    pub fn try_new(config: ServeConfig) -> Result<Self, LogError> {
+    /// estimate-store log, on I/O failure opening it, and
+    /// [`LogError::Io`] when an executor thread cannot be spawned; the
+    /// executors already started are joined before the error returns.
+    pub fn new(config: ServeConfig) -> Result<Self, LogError> {
         let cache = Arc::new(EstimateCache::new());
         let store = match &config.store {
             Some(path) => {
@@ -496,19 +463,21 @@ impl Scheduler {
             max_finished: config.max_finished,
             faults: config.faults.clone(),
         });
-        let executors = (0..config.executors)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                thread::Builder::new()
-                    .name(format!("serve-exec-{i}"))
-                    .spawn(move || run_executor(&shared))
-                    .expect("spawn executor")
-            })
-            .collect();
-        Ok(Self {
-            shared,
-            executors: Mutex::new(executors),
-        })
+        // Each handle joins the scheduler as soon as it exists, so a
+        // failed spawn drops a scheduler whose `Drop` joins the rest.
+        let mut scheduler = Self {
+            shared: Arc::clone(&shared),
+            executors: Mutex::new(Vec::with_capacity(config.executors)),
+        };
+        let executors = scheduler.executors.get_mut().expect("executor lock");
+        for i in 0..config.executors {
+            let shared = Arc::clone(&shared);
+            let handle = thread::Builder::new()
+                .name(format!("serve-exec-{i}"))
+                .spawn(move || run_executor(&shared))?;
+            executors.push(handle);
+        }
+        Ok(scheduler)
     }
 
     /// Server-wide counters.
@@ -536,25 +505,16 @@ impl Scheduler {
             .len()
     }
 
-    /// Admits a job, or rejects it when the queue is at capacity.
+    /// Admits a job, or rejects it when the queue is at capacity. With
+    /// a deadline, a job that has not finished `deadline_ms` after
+    /// admission stops at the next work-item boundary as
+    /// [`JobPhase::TimedOut`]; queue wait counts against the budget.
     ///
     /// # Errors
     ///
     /// [`SubmitError::QueueFull`] at the bound,
     /// [`SubmitError::ShuttingDown`] after [`shutdown`](Self::shutdown).
-    pub fn submit(&self, config: FlowConfig) -> Result<Arc<Job>, SubmitError> {
-        self.submit_request(config, None)
-    }
-
-    /// [`submit`](Self::submit) with an optional deadline: a job that
-    /// has not finished `deadline_ms` after admission stops at the next
-    /// work-item boundary as [`JobPhase::TimedOut`]. Queue wait counts
-    /// against the budget.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`submit`](Self::submit).
-    pub fn submit_request(
+    pub fn submit(
         &self,
         config: FlowConfig,
         deadline_ms: Option<u64>,
@@ -580,19 +540,6 @@ impl Scheduler {
             .fetch_add(1, Ordering::Relaxed);
         self.shared.queue_cv.notify_one();
         Ok(job)
-    }
-
-    /// Looks up a job by id. Returns `None` both for ids never issued
-    /// and for finished jobs already evicted; use
-    /// [`lookup`](Self::lookup) to tell the two apart.
-    pub fn get(&self, id: u64) -> Option<Arc<Job>> {
-        self.shared
-            .inner
-            .lock()
-            .expect("scheduler lock")
-            .jobs
-            .get(&id)
-            .cloned()
     }
 
     /// Looks up a job by id, distinguishing evicted (expired) jobs from
@@ -659,7 +606,8 @@ impl Scheduler {
     /// The estimate store's sticky degraded reason, if any. `None` both
     /// for a healthy store and for a scheduler with no store at all.
     pub fn store_degraded(&self) -> Option<String> {
-        self.shared.store_degraded()
+        let state = self.shared.store.as_ref()?;
+        state.degraded.lock().expect("degraded lock").clone()
     }
 
     /// True once any shutdown has begun; submissions are rejected with
@@ -695,7 +643,7 @@ impl Scheduler {
         };
         if was_queued {
             job.cancel.cancel();
-            self.mark_cancelled(&job);
+            end_job(&self.shared, &job, Ending::Cancelled);
             return Some(CancelOutcome::DequeuedAndCancelled);
         }
         let phase = job.phase();
@@ -704,16 +652,6 @@ impl Scheduler {
         }
         job.cancel.cancel();
         Some(CancelOutcome::SignalledRunning)
-    }
-
-    fn mark_cancelled(&self, job: &Job) {
-        self.shared
-            .metrics
-            .cancelled
-            .fetch_add(1, Ordering::Relaxed);
-        job.push_line(terminal_line(job.id, "cancelled", None));
-        job.finish(JobPhase::Cancelled, None, None);
-        self.shared.note_terminal(job.id);
     }
 
     /// Stops the scheduler with [`ShutdownPolicy::Cancel`]: cancels
@@ -759,7 +697,7 @@ impl Scheduler {
             }
         };
         for job in &abandoned {
-            self.mark_cancelled(job);
+            end_job(&self.shared, job, Ending::Cancelled);
         }
         self.shared.queue_cv.notify_all();
     }
@@ -784,7 +722,7 @@ impl Scheduler {
         self.shared.persist_estimates();
         if let Some(state) = &self.shared.store {
             let mut store = state.store.lock().expect("store lock");
-            if self.shared.store_degraded().is_none() {
+            if state.degraded.lock().expect("degraded lock").is_none() {
                 let _ = store.sync();
             }
             store.unlock();
@@ -798,143 +736,155 @@ impl Drop for Scheduler {
     }
 }
 
-fn terminal_line(job_id: u64, event: &str, error: Option<&str>) -> String {
-    let mut fields = vec![
-        ("job_id".to_string(), Json::num(job_id as f64)),
-        ("event".to_string(), Json::str(event)),
-    ];
-    if let Some(error) = error {
-        fields.push(("error".to_string(), Json::str(error)));
-    }
-    Json::Obj(fields).encode()
+/// How a job ended: the input of [`end_job`].
+enum Ending {
+    /// The flow returned a result.
+    Completed(FlowOutput),
+    /// The flow returned an error other than a stop.
+    Failed(String),
+    /// The flow panicked; the text carries the payload.
+    Panicked(String),
+    /// Cancelled while queued, while running, or at shutdown.
+    Cancelled,
+    /// The deadline passed, in the queue or in the flow.
+    TimedOut,
 }
 
 fn run_executor(shared: &Shared) {
     loop {
         let job = {
-            let mut inner = shared.inner.lock().expect("scheduler lock");
-            loop {
-                if inner.shutdown && (!inner.drain || inner.queue.is_empty()) {
-                    return;
-                }
-                if let Some(job) = inner.queue.pop_front() {
-                    break job;
-                }
-                inner = shared.queue_cv.wait(inner).expect("scheduler lock");
+            let inner = shared.inner.lock().expect("scheduler lock");
+            let mut inner = shared
+                .queue_cv
+                .wait_while(inner, |inner| !inner.shutdown && inner.queue.is_empty())
+                .expect("scheduler lock");
+            if inner.shutdown && !inner.drain {
+                return;
             }
+            let Some(job) = inner.queue.pop_front() else {
+                return;
+            };
+            job
         };
-        shared
-            .metrics
-            .jobs_in_flight
-            .fetch_add(1, Ordering::Relaxed);
         // A job whose deadline already passed while queued (or that was
-        // cancelled between dequeue-check and here) goes terminal
-        // without ever running the flow.
-        match job.cancel.state() {
-            CancelState::TimedOut => {
-                shared
-                    .metrics
-                    .jobs_in_flight
-                    .fetch_sub(1, Ordering::Relaxed);
-                finish_job(shared, &job, Err(FlowError::DeadlineExceeded));
-                continue;
-            }
-            CancelState::Cancelled => {
-                shared
-                    .metrics
-                    .jobs_in_flight
-                    .fetch_sub(1, Ordering::Relaxed);
-                finish_job(shared, &job, Err(FlowError::Cancelled));
-                continue;
-            }
-            CancelState::Live => {}
-        }
-        job.set_phase(JobPhase::Running);
-        // Serve-layer fault sites, keyed by the (dense, interleaving-
-        // independent) job id so "which jobs fault" is a function of
-        // the seed alone.
-        if let Some(plan) = &shared.faults {
-            if let FaultAction::Delay(d) = plan.decide_at("serve.job.delay", job.id) {
-                thread::sleep(d);
-            }
-        }
-        let flow =
-            CoDesignFlow::new(job.config.clone()).with_estimate_cache(Arc::clone(&shared.cache));
-        let job_ref: &Job = &job;
-        let observer = move |event: &FlowEvent| {
-            if let Some(line) = event_json(job_ref.id, event) {
-                job_ref.push_line(line.encode());
-            }
+        // cancelled between dequeue-check and here) ends without ever
+        // running the flow.
+        let ending = match job.cancel.state() {
+            CancelState::TimedOut => Ending::TimedOut,
+            CancelState::Cancelled => Ending::Cancelled,
+            CancelState::Live => run_job(shared, &job),
         };
-        // Panic isolation: a panicking flow (injected or real) fails
-        // its own job; the executor thread survives and keeps serving.
-        let faults = shared.faults.clone();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if let Some(plan) = &faults {
-                if plan.decide_at("serve.job.panic", job.id) == FaultAction::Panic {
-                    panic!("injected fault: serve.job.panic");
-                }
-            }
-            flow.run_observed(&observer, &job.cancel)
-        }));
-        shared
-            .metrics
-            .jobs_in_flight
-            .fetch_sub(1, Ordering::Relaxed);
-        let outcome = match outcome {
-            Ok(flow_result) => flow_result,
-            Err(payload) => {
-                shared.metrics.panicked.fetch_add(1, Ordering::Relaxed);
-                shared.metrics.failed.fetch_add(1, Ordering::Relaxed);
-                let msg = payload
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
-                let text = format!("job panicked: {msg}");
-                job.push_line(terminal_line(job.id, "failed", Some(&text)));
-                job.finish(JobPhase::Failed, None, Some(text));
-                shared.note_terminal(job.id);
-                continue;
-            }
-        };
-        finish_job(shared, &job, outcome);
+        end_job(shared, &job, ending);
     }
 }
 
-/// Commits a job's terminal state: metrics first (the moment a client
-/// sees the job terminal, `/metrics` must already account for it), then
-/// the terminal event line and phase, then persistence.
-fn finish_job(shared: &Shared, job: &Arc<Job>, outcome: Result<FlowOutput, FlowError>) {
-    let elapsed_ms = job.submitted_at.elapsed().as_secs_f64() * 1e3;
+/// Runs a live job's flow, counted in `jobs_in_flight` while it runs.
+fn run_job(shared: &Shared, job: &Job) -> Ending {
+    let in_flight = &shared.metrics.jobs_in_flight;
+    in_flight.fetch_add(1, Ordering::Relaxed);
+    // No waiter waits for `Running`, so nothing is notified.
+    job.state.lock().expect("job lock").phase = JobPhase::Running;
+    // Serve-layer fault sites, keyed by the (dense, interleaving-
+    // independent) job id so "which jobs fault" is a function of the
+    // seed alone.
+    let plan = shared.faults.as_deref();
+    if let Some(FaultAction::Delay(d)) = plan.map(|p| p.decide_at("serve.job.delay", job.id)) {
+        thread::sleep(d);
+    }
+    let flow = CoDesignFlow::new(job.config.clone()).with_estimate_cache(Arc::clone(&shared.cache));
+    let observer = |event: &FlowEvent| {
+        if let Some(line) = event_json(job.id, event) {
+            job.push_line(line.encode());
+        }
+    };
+    // Panic isolation: a panicking flow (injected or real) fails its
+    // own job; the executor thread survives and keeps serving.
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        if plan.is_some_and(|p| p.decide_at("serve.job.panic", job.id) == FaultAction::Panic) {
+            panic!("injected fault: serve.job.panic");
+        }
+        flow.run_observed(&observer, &job.cancel)
+    }));
+    in_flight.fetch_sub(1, Ordering::Relaxed);
     match outcome {
-        Ok(out) => {
-            shared.metrics.completed.fetch_add(1, Ordering::Relaxed);
-            shared.metrics.record_latency(elapsed_ms);
-            job.finish(JobPhase::Completed, Some(flow_result_body(&out)), None);
-            // Spill the estimates this job added, after the client can
-            // already see it terminal — disk I/O must not delay result
-            // availability.
-            shared.persist_estimates();
-        }
-        Err(FlowError::Cancelled) => {
-            shared.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
-            job.push_line(terminal_line(job.id, "cancelled", None));
-            job.finish(JobPhase::Cancelled, None, None);
-        }
-        Err(FlowError::DeadlineExceeded) => {
-            shared.metrics.timed_out.fetch_add(1, Ordering::Relaxed);
-            job.push_line(terminal_line(job.id, "timed_out", None));
-            job.finish(JobPhase::TimedOut, None, None);
-        }
-        Err(err) => {
-            let text = err.to_string();
-            shared.metrics.failed.fetch_add(1, Ordering::Relaxed);
-            job.push_line(terminal_line(job.id, "failed", Some(&text)));
-            job.finish(JobPhase::Failed, None, Some(text));
+        Ok(Ok(out)) => Ending::Completed(out),
+        Ok(Err(FlowError::Cancelled)) => Ending::Cancelled,
+        Ok(Err(FlowError::DeadlineExceeded)) => Ending::TimedOut,
+        Ok(Err(err)) => Ending::Failed(err.to_string()),
+        Err(payload) => {
+            let msg = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_else(|| "non-string panic payload".to_string());
+            Ending::Panicked(format!("job panicked: {msg}"))
         }
     }
-    shared.note_terminal(job.id);
+}
+
+/// The one terminal transition. Every way a job ends comes through
+/// here and is committed in the order the module docs give: metrics,
+/// terminal line with phase, result and error, retention, persist.
+fn end_job(shared: &Shared, job: &Job, ending: Ending) {
+    let metrics = &shared.metrics;
+    let (phase, result, error) = match ending {
+        Ending::Completed(out) => {
+            metrics.completed.fetch_add(1, Ordering::Relaxed);
+            metrics.record_latency(job.submitted_at.elapsed().as_secs_f64() * 1e3);
+            (JobPhase::Completed, Some(flow_result_body(&out)), None)
+        }
+        Ending::Failed(text) => {
+            metrics.failed.fetch_add(1, Ordering::Relaxed);
+            (JobPhase::Failed, None, Some(text))
+        }
+        Ending::Panicked(text) => {
+            metrics.panicked.fetch_add(1, Ordering::Relaxed);
+            metrics.failed.fetch_add(1, Ordering::Relaxed);
+            (JobPhase::Failed, None, Some(text))
+        }
+        Ending::Cancelled => {
+            metrics.cancelled.fetch_add(1, Ordering::Relaxed);
+            (JobPhase::Cancelled, None, None)
+        }
+        Ending::TimedOut => {
+            metrics.timed_out.fetch_add(1, Ordering::Relaxed);
+            (JobPhase::TimedOut, None, None)
+        }
+    };
+    let completed = phase == JobPhase::Completed;
+    {
+        let mut state = job.state.lock().expect("job lock");
+        // A completed job's terminal line is the flow's own `finished`.
+        if !completed {
+            let mut fields = vec![
+                ("job_id".to_string(), Json::num(job.id as f64)),
+                ("event".to_string(), Json::str(phase.as_str())),
+            ];
+            if let Some(error) = &error {
+                fields.push(("error".to_string(), Json::str(error)));
+            }
+            state.events.push(Json::Obj(fields).encode());
+        }
+        state.phase = phase;
+        state.result = result;
+        state.error = error;
+        job.cv.notify_all();
+    }
+    {
+        // Retention: evict the oldest finished jobs beyond the bound.
+        let mut inner = shared.inner.lock().expect("scheduler lock");
+        let Inner { jobs, finished, .. } = &mut *inner;
+        finished.push_back(job.id);
+        let excess = finished.len().saturating_sub(shared.max_finished);
+        for oldest in finished.drain(..excess) {
+            jobs.remove(&oldest);
+        }
+    }
+    if completed {
+        // Spill the estimates this job added, after the client can
+        // already see it terminal: disk I/O must not delay a result.
+        shared.persist_estimates();
+    }
 }
 
 #[cfg(test)]
@@ -958,12 +908,13 @@ mod tests {
             max_queue: 3,
             executors: 0,
             ..ServeConfig::default()
-        });
+        })
+        .unwrap();
         for _ in 0..3 {
-            scheduler.submit(small_config()).unwrap();
+            scheduler.submit(small_config(), None).unwrap();
         }
         assert_eq!(
-            scheduler.submit(small_config()).map(|_| ()),
+            scheduler.submit(small_config(), None).map(|_| ()),
             Err(SubmitError::QueueFull { max_queue: 3 }),
             "submission 4 must be rejected at bound 3"
         );
@@ -978,10 +929,11 @@ mod tests {
             max_queue: 1,
             executors: 0,
             ..ServeConfig::default()
-        });
-        let first = scheduler.submit(small_config()).unwrap();
+        })
+        .unwrap();
+        let first = scheduler.submit(small_config(), None).unwrap();
         assert!(matches!(
-            scheduler.submit(small_config()),
+            scheduler.submit(small_config(), None),
             Err(SubmitError::QueueFull { .. })
         ));
         assert_eq!(
@@ -991,7 +943,7 @@ mod tests {
         assert_eq!(first.phase(), JobPhase::Cancelled);
         assert_eq!(scheduler.queue_depth(), 0);
         scheduler
-            .submit(small_config())
+            .submit(small_config(), None)
             .expect("cancelled job must free its queue slot");
         assert_eq!(scheduler.metrics().cancelled.load(Ordering::Relaxed), 1);
     }
@@ -1002,8 +954,9 @@ mod tests {
             max_queue: 4,
             executors: 1,
             ..ServeConfig::default()
-        });
-        let job = scheduler.submit(small_config()).unwrap();
+        })
+        .unwrap();
+        let job = scheduler.submit(small_config(), None).unwrap();
         assert_eq!(
             job.wait_terminal_for(Duration::from_secs(120)),
             Some(JobPhase::Completed)
@@ -1032,10 +985,11 @@ mod tests {
             max_queue: 4,
             executors: 1,
             ..ServeConfig::default()
-        });
+        })
+        .unwrap();
         let mut config = FlowConfig::for_device(pynq_z1());
         config.targets_fps.clear();
-        let job = scheduler.submit(config).unwrap();
+        let job = scheduler.submit(config, None).unwrap();
         assert_eq!(
             job.wait_terminal_for(Duration::from_secs(60)),
             Some(JobPhase::Failed)
@@ -1043,7 +997,7 @@ mod tests {
         assert!(job.error_text().unwrap().contains("targets_fps"));
         assert_eq!(scheduler.metrics().failed.load(Ordering::Relaxed), 1);
         // The executor survives a failed job and keeps serving.
-        let ok = scheduler.submit(small_config()).unwrap();
+        let ok = scheduler.submit(small_config(), None).unwrap();
         assert_eq!(
             ok.wait_terminal_for(Duration::from_secs(120)),
             Some(JobPhase::Completed)
@@ -1056,12 +1010,13 @@ mod tests {
             max_queue: 4,
             executors: 0,
             ..ServeConfig::default()
-        });
-        let job = scheduler.submit(small_config()).unwrap();
+        })
+        .unwrap();
+        let job = scheduler.submit(small_config(), None).unwrap();
         scheduler.shutdown();
         assert_eq!(job.phase(), JobPhase::Cancelled);
         assert_eq!(
-            scheduler.submit(small_config()).map(|_| ()),
+            scheduler.submit(small_config(), None).map(|_| ()),
             Err(SubmitError::ShuttingDown)
         );
     }
@@ -1075,11 +1030,12 @@ mod tests {
             executors: 0,
             max_finished: MAX_FINISHED,
             ..ServeConfig::default()
-        });
+        })
+        .unwrap();
         // Thousands of submit+finish cycles. Before bounded retention
         // the jobs map grew by one Arc<Job> per cycle, forever.
         for n in 1..=TOTAL {
-            let job = scheduler.submit(small_config()).unwrap();
+            let job = scheduler.submit(small_config(), None).unwrap();
             assert_eq!(job.id, n, "ids are dense from 1");
             assert_eq!(
                 scheduler.cancel(job.id),
@@ -1129,8 +1085,8 @@ mod tests {
         };
         // Cold run: completes a job and persists its estimates.
         let cold_body = {
-            let scheduler = Scheduler::new(config.clone());
-            let job = scheduler.submit(small_config()).unwrap();
+            let scheduler = Scheduler::new(config.clone()).unwrap();
+            let job = scheduler.submit(small_config(), None).unwrap();
             assert_eq!(
                 job.wait_terminal_for(Duration::from_secs(120)),
                 Some(JobPhase::Completed)
@@ -1152,10 +1108,10 @@ mod tests {
 
         // Warm run in a "restarted server": estimates load from disk,
         // lookups hit the store, and the result is byte-identical.
-        let scheduler = Scheduler::new(config);
+        let scheduler = Scheduler::new(config).unwrap();
         let store = scheduler.store_json().unwrap();
         assert!(store.get("loaded").unwrap().as_uint().unwrap() > 0);
-        let job = scheduler.submit(small_config()).unwrap();
+        let job = scheduler.submit(small_config(), None).unwrap();
         assert_eq!(
             job.wait_terminal_for(Duration::from_secs(120)),
             Some(JobPhase::Completed)
@@ -1179,12 +1135,105 @@ mod tests {
             max_queue: 4,
             executors: 0,
             ..ServeConfig::default()
-        });
-        let job = scheduler.submit(small_config()).unwrap();
+        })
+        .unwrap();
+        let job = scheduler.submit(small_config(), None).unwrap();
         let doc = job.status_json();
         assert_eq!(doc.get("job_id").unwrap().as_uint(), Some(job.id));
         assert_eq!(doc.get("status").unwrap().as_str(), Some("queued"));
         assert_eq!(doc.get("result_ready"), Some(&Json::Bool(false)));
         assert_eq!(doc.get("error"), Some(&Json::Null));
+    }
+
+    /// The `/metrics` counters a terminal transition moves, by name.
+    fn terminal_counters(m: &Metrics) -> [(&'static str, u64); 6] {
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        [
+            ("completed", load(&m.completed)),
+            ("failed", load(&m.failed)),
+            ("panicked", load(&m.panicked)),
+            ("cancelled", load(&m.cancelled)),
+            ("timed_out", load(&m.timed_out)),
+            ("latency", m.latency_count()),
+        ]
+    }
+
+    /// Waits for `job` to end and checks what its terminal transition
+    /// committed: a stream that ends in its one terminal line; exactly
+    /// the counters named in `moved` (the first names the phase) up by
+    /// one since `before`; nothing in flight; the job retained.
+    fn assert_ended(scheduler: &Scheduler, job: &Job, before: [(&str, u64); 6], moved: &str) {
+        let phase = job.wait_terminal_for(Duration::from_secs(120)).unwrap();
+        assert!(moved.starts_with(phase.as_str()), "{phase:?} for {moved}");
+        let (lines, _) = job.events_from(0);
+        let event = |line: &String| {
+            let doc = crate::json::parse(line).unwrap();
+            doc.get("event").and_then(Json::as_str).unwrap().to_string()
+        };
+        let events: Vec<String> = lines.iter().map(event).collect();
+        let ends = ["finished", "failed", "cancelled", "timed_out"];
+        let is_end = |e: &&String| ends.contains(&e.as_str());
+        assert_eq!(events.iter().filter(is_end).count(), 1, "{events:?}");
+        let last = match phase {
+            JobPhase::Completed => "finished",
+            _ => phase.as_str(),
+        };
+        assert_eq!(events.last().unwrap(), last);
+        let after = terminal_counters(scheduler.metrics());
+        for ((name, b), (_, a)) in before.iter().zip(after) {
+            let expected = u64::from(moved.split(' ').any(|m| m == *name));
+            assert_eq!(a - b, expected, "{name} for {moved}");
+        }
+        let in_flight = &scheduler.metrics().jobs_in_flight;
+        assert_eq!(in_flight.load(Ordering::Relaxed), 0);
+        // Retention follows the phase in the same transition.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let inner = &scheduler.shared.inner;
+        while !inner.lock().unwrap().finished.contains(&job.id) {
+            assert!(Instant::now() < deadline, "{phase:?}: never retained");
+            thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn every_ending_goes_through_one_terminal_transition() {
+        // Job 3 on the running scheduler panics.
+        let plan = FaultPlan::builder(0)
+            .panics_at("serve.job.panic", &[3])
+            .build();
+        let config = |executors| ServeConfig {
+            executors,
+            faults: Some(Arc::clone(&plan)),
+            ..ServeConfig::default()
+        };
+        let running = Scheduler::new(config(1)).unwrap();
+        let before = terminal_counters(running.metrics());
+        let job = running.submit(small_config(), None).unwrap();
+        assert_ended(&running, &job, before, "completed latency");
+
+        let mut invalid = FlowConfig::for_device(pynq_z1());
+        invalid.targets_fps.clear();
+        let before = terminal_counters(running.metrics());
+        let job = running.submit(invalid, None).unwrap();
+        assert_ended(&running, &job, before, "failed");
+
+        let before = terminal_counters(running.metrics());
+        let job = running.submit(small_config(), None).unwrap();
+        assert_ended(&running, &job, before, "failed panicked");
+
+        // A 0 ms deadline has passed before the executor dequeues the
+        // job, so it times out in the queue, never running.
+        let before = terminal_counters(running.metrics());
+        let job = running.submit(small_config(), Some(0)).unwrap();
+        assert_ended(&running, &job, before, "timed_out");
+        assert_eq!(job.events_from(0).0.len(), 1);
+
+        let idle = Scheduler::new(config(0)).unwrap();
+        let before = terminal_counters(idle.metrics());
+        let job = idle.submit(small_config(), None).unwrap();
+        let cancelled = idle.cancel(job.id);
+        assert_eq!(cancelled, Some(CancelOutcome::DequeuedAndCancelled));
+        assert_ended(&idle, &job, before, "cancelled");
+        assert_eq!(job.events_from(0).0.len(), 1);
     }
 }

@@ -122,12 +122,14 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates bind errors; estimate-store open failures (when
-    /// [`ServeConfig::store`] is set) surface as `InvalidData`.
+    /// Propagates bind errors and a failed accept-loop spawn. A
+    /// scheduler that cannot start (an estimate store that cannot be
+    /// opened when [`ServeConfig::store`] is set, or an executor that
+    /// cannot be spawned) surfaces as `InvalidData` with its text.
     pub fn bind(addr: &str, config: ServeConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let scheduler = Scheduler::try_new(config)
+        let scheduler = Scheduler::new(config)
             .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err.to_string()))?;
         let scheduler = Arc::new(scheduler);
         let stopping = Arc::new(AtomicBool::new(false));
@@ -150,8 +152,7 @@ impl Server {
                             .name("serve-conn".to_string())
                             .spawn(move || handle_connection(stream, &scheduler, &control));
                     }
-                })
-                .expect("spawn accept loop")
+                })?
         };
         Ok(Self {
             scheduler,
@@ -427,7 +428,7 @@ fn submit_job(stream: &mut TcpStream, request: &Request, scheduler: &Scheduler) 
         Ok(parsed) => parsed,
         Err(err) => return write_json_response(stream, 400, &error_body(&err)),
     };
-    match scheduler.submit_request(parsed.config, parsed.deadline_ms) {
+    match scheduler.submit(parsed.config, parsed.deadline_ms) {
         Ok(job) => {
             let body = Json::Obj(vec![
                 ("job_id".to_string(), Json::num(job.id as f64)),

@@ -19,6 +19,7 @@ use codesign_serve::job::ServeConfig;
 use codesign_serve::json::{parse, Json};
 use codesign_serve::{Client, Server, ShutdownPolicy};
 use codesign_sim::device::pynq_z1;
+use codesign_store::log::lock_path;
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -26,7 +27,19 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-fn temp_path(tag: &str) -> PathBuf {
+/// Deletes a test's store log and its `.lock` when dropped, so nothing
+/// is left behind even when the test fails.
+struct Cleanup(PathBuf);
+
+impl Drop for Cleanup {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+        let _ = std::fs::remove_file(lock_path(&self.0));
+    }
+}
+
+/// A fresh store log path for `tag`, with the guard that deletes it.
+fn temp_path(tag: &str) -> (PathBuf, Cleanup) {
     let dir = std::env::temp_dir().join("codesign_serve_chaos_tests");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(format!(
@@ -35,7 +48,7 @@ fn temp_path(tag: &str) -> PathBuf {
         thread::current().id()
     ));
     let _ = std::fs::remove_file(&path);
-    path
+    (path.clone(), Cleanup(path))
 }
 
 fn body_for_seed(seed: u64) -> String {
@@ -135,7 +148,7 @@ fn chaos_soak_reaches_terminal_states_and_preserves_faultfree_results() {
     // still pins the retention invariant.
     const MAX_FINISHED: usize = 32;
     let seeds = [11u64, 12];
-    let store_path = temp_path("soak");
+    let (store_path, _cleanup) = temp_path("soak");
     let plan = FaultPlan::builder(0xC0DE)
         .panics("serve.job.panic", 0.2)
         .delays("serve.job.delay", 0.3, Duration::from_millis(5))
@@ -365,7 +378,7 @@ fn injected_panic_fails_one_job_and_the_executor_survives() {
 
 #[test]
 fn store_write_failures_degrade_to_read_only_while_serving_continues() {
-    let path = temp_path("degraded");
+    let (path, _cleanup) = temp_path("degraded");
     let plan = FaultPlan::builder(9)
         .io_failures("store.append", 1.0)
         .build();
@@ -434,7 +447,7 @@ fn store_write_failures_degrade_to_read_only_while_serving_continues() {
 
 #[test]
 fn torn_tail_plus_write_failures_leave_store_readable_and_server_serving() {
-    let path = temp_path("torn");
+    let (path, _cleanup) = temp_path("torn");
 
     // Healthy first life: persist real estimates and shut down cleanly.
     {

@@ -194,16 +194,14 @@ pub struct Recovery {
     pub truncated_bytes: u64,
 }
 
-/// Durability and fault-injection knobs for a [`RecordLog`].
+/// Fault-injection and locking knobs for a [`RecordLog`].
+///
+/// Durability is not a knob: every [`append`](RecordLog::append) is
+/// flushed to the OS, and records reach stable storage at explicit
+/// [`sync`](RecordLog::sync) points (an estimate store syncs before it
+/// reports a batch persisted).
 #[derive(Debug, Clone)]
 pub struct LogOptions {
-    /// `fsync` after every [`append`](RecordLog::append), so each
-    /// acknowledged record is on stable storage before the call
-    /// returns. Off by default: the default durability contract is
-    /// "flushed to the OS per append, fsynced at explicit
-    /// [`sync`](RecordLog::sync) points" (e.g. before an estimate
-    /// store reports a batch persisted).
-    pub sync_on_append: bool,
     /// Fault-injection plan consulted at the log's I/O sites
     /// (`store.open`, `store.append`, `store.sync`). `None` — the
     /// production configuration — costs one `Option` check per call.
@@ -219,7 +217,6 @@ pub struct LogOptions {
 impl Default for LogOptions {
     fn default() -> Self {
         Self {
-            sync_on_append: false,
             faults: None,
             lock: true,
         }
@@ -233,7 +230,6 @@ pub struct RecordLog {
     path: PathBuf,
     /// Byte offset appends go to (end of last valid record).
     end: u64,
-    sync_on_append: bool,
     faults: Option<Arc<FaultPlan>>,
     /// Advisory single-writer lock; releases on drop.
     lock: Option<LockFile>,
@@ -295,7 +291,6 @@ impl RecordLog {
                     file,
                     path: path.to_path_buf(),
                     end: HEADER_LEN,
-                    sync_on_append: options.sync_on_append,
                     faults: options.faults,
                     lock,
                 },
@@ -321,7 +316,6 @@ impl RecordLog {
                 file,
                 path: path.to_path_buf(),
                 end: offset as u64,
-                sync_on_append: options.sync_on_append,
                 faults: options.faults,
                 lock,
             },
@@ -349,8 +343,8 @@ impl RecordLog {
         }
     }
 
-    /// Appends one record and flushes it to the OS (plus an `fsync`
-    /// when `sync_on_append` is set).
+    /// Appends one record and flushes it to the OS; [`sync`](Self::sync)
+    /// makes it durable.
     ///
     /// # Errors
     ///
@@ -369,9 +363,6 @@ impl RecordLog {
         self.file.write_all(&frame)?;
         self.file.flush()?;
         self.end += frame.len() as u64;
-        if self.sync_on_append {
-            self.sync()?;
-        }
         Ok(())
     }
 
@@ -395,12 +386,6 @@ impl RecordLog {
             plan.fail_io("store.sync")?;
         }
         self.file.sync_data()
-    }
-
-    /// Toggles per-append `fsync` at runtime (see
-    /// [`LogOptions::sync_on_append`]).
-    pub fn set_sync_on_append(&mut self, on: bool) {
-        self.sync_on_append = on;
     }
 
     /// The file this log appends to.
@@ -646,28 +631,6 @@ mod tests {
             RecordLog::open(&path, StreamKind::EstimateStore),
             Err(LogError::BadMagic)
         ));
-        cleanup(&path);
-    }
-
-    #[test]
-    fn sync_on_append_round_trips_and_toggles() {
-        let path = temp_path("sync_on_append");
-        cleanup(&path);
-        {
-            let options = LogOptions {
-                sync_on_append: true,
-                ..LogOptions::default()
-            };
-            let (mut log, _, _) =
-                RecordLog::open_with(&path, StreamKind::EstimateStore, options).unwrap();
-            log.append(b"durable").unwrap();
-            log.set_sync_on_append(false);
-            log.append(b"buffered").unwrap();
-            log.flush().unwrap();
-        }
-        let (_, records, recovery) = RecordLog::open(&path, StreamKind::EstimateStore).unwrap();
-        assert_eq!(records, vec![b"durable".to_vec(), b"buffered".to_vec()]);
-        assert_eq!(recovery.truncated_bytes, 0);
         cleanup(&path);
     }
 
