@@ -97,16 +97,18 @@ fn forward(
     });
     let fused = y.as_mut().map(|y| (epi, y.data_mut()));
     let level = simd::active_level();
-    let z = gemm::correlate_lanes(level, s, x.data(), weights, Some(bias), s.k / 2, fused);
+    let z = gemm::correlate_lanes(level, s, x, weights, Some(bias), s.k / 2, fused);
     (Lanes::from_data(s.n, s.cout, s.h, s.w, z), y)
 }
 
 /// Backward pass: `(dx, dweights, dbias)`, with `dx` computed only when
 /// `input_grad` asks for it. Parameter gradients are per-image
-/// subtotals summed in image order from `0.0`.
+/// subtotals summed in image order from `0.0`. `dbias`, when the stage
+/// epilogue's backward pass already summed it in the same order (see
+/// [`crate::layers`]), is taken as given by the direct kernels; the
+/// reference path sums its own.
 fn grads(
-    x: &Lanes,
-    dy: &Lanes,
+    (x, dy, dbias): (&Lanes, &Lanes, Option<Vec<f32>>),
     s: &ConvShape,
     weights: &[f32],
     engine: Engine,
@@ -118,16 +120,13 @@ fn grads(
         (s.n, s.cout, s.h, s.w),
         "convolution gradient shape mismatch"
     );
-    let mut db = vec![0.0f32; s.cout];
     if engine == Engine::Reference {
+        let mut db = vec![0.0f32; s.cout];
         let mut dw = vec![0.0f32; weights.len()];
         let mut dx = x.zeros_like(s.cin, s.h, s.w);
         for i in 0..s.n {
             let (dxi, dwi, dbi) = reference(&x.image(i), &dy.image(i));
-            for (d, v) in dw.iter_mut().zip(&dwi) {
-                *d += v;
-            }
-            for (d, v) in db.iter_mut().zip(&dbi) {
+            for (d, v) in dw.iter_mut().chain(&mut db).zip(dwi.iter().chain(&dbi)) {
                 *d += v;
             }
             dx.set_image(i, &dxi);
@@ -136,10 +135,14 @@ fn grads(
     }
     let level = simd::active_level();
     // Bias gradient: row-major pixel sums, one lane per image.
-    for (i, (oc, g)) in dy.planes().enumerate() {
-        add_lanes(&mut db[oc], &pixel_sums(g), dy.valid(i / s.cout));
-    }
-    let dw = gemm::weight_grads_lanes(level, s, x.data(), dy.data());
+    let db = dbias.unwrap_or_else(|| {
+        let mut db = vec![0.0f32; s.cout];
+        for (i, (oc, g)) in dy.planes().enumerate() {
+            add_lanes(&mut db[oc], &pixel_sums(g), dy.valid(i / s.cout));
+        }
+        db
+    });
+    let dw = gemm::weight_grads_lanes(level, s, x, dy.data());
     // Data gradient: the transposed convolution — the same kernel over
     // dY with flipped, channel-transposed weights, padded `k - 1 - pad`
     // (equal to `pad` only for odd kernels).
@@ -150,15 +153,7 @@ fn grads(
             cout: s.cin,
             ..*s
         };
-        let dx = gemm::correlate_lanes(
-            level,
-            &t,
-            dy.data(),
-            &flipped,
-            None,
-            s.k - 1 - s.k / 2,
-            None,
-        );
+        let dx = gemm::correlate_lanes(level, &t, dy, &flipped, None, s.k - 1 - s.k / 2, None);
         scratch::recycle(flipped);
         Lanes::from_data(s.n, s.cin, s.h, s.w, dx)
     });
@@ -232,23 +227,25 @@ pub fn conv_backward(
     engine: Engine,
     input_grad: bool,
 ) -> (Option<Tensor>, Vec<f32>, Vec<f32>) {
-    let (dx, dw, db) =
-        conv_backward_lanes(&Lanes::pack(x), p, &Lanes::pack(dy), engine, input_grad);
+    let (xl, dyl) = (Lanes::pack(x), Lanes::pack(dy));
+    let (dx, dw, db) = conv_backward_lanes(&xl, p, &dyl, None, engine, input_grad);
     (dx.map(|dx| dx.unpack_like(x)), dw, db)
 }
 
-/// [`conv_backward`] over the image-interleaved layout.
+/// [`conv_backward`] over the image-interleaved layout; `dbias`, when
+/// given, is the bias gradient the stage epilogue's backward pass
+/// summed (see [`grads`]).
 pub(crate) fn conv_backward_lanes(
     x: &Lanes,
     p: &ConvParams,
     dy: &Lanes,
+    dbias: Option<Vec<f32>>,
     engine: Engine,
     input_grad: bool,
 ) -> (Option<Lanes>, Vec<f32>, Vec<f32>) {
     let s = shape_of(x, p.in_ch, p.out_ch, p.k, false);
-    grads(x, dy, &s, &p.weights, engine, input_grad, |xi, gi| {
-        reference::conv_backward(xi, p, gi)
-    })
+    let naive = |xi: &Tensor, gi: &Tensor| reference::conv_backward(xi, p, gi);
+    grads((x, dy, dbias), &s, &p.weights, engine, input_grad, naive)
 }
 
 // ---------------------------------------------------------------------
@@ -288,23 +285,24 @@ pub fn dwconv_backward(
     engine: Engine,
     input_grad: bool,
 ) -> (Option<Tensor>, Vec<f32>, Vec<f32>) {
-    let (dx, dw, db) =
-        dwconv_backward_lanes(&Lanes::pack(x), p, &Lanes::pack(dy), engine, input_grad);
+    let (xl, dyl) = (Lanes::pack(x), Lanes::pack(dy));
+    let (dx, dw, db) = dwconv_backward_lanes(&xl, p, &dyl, None, engine, input_grad);
     (dx.map(|dx| dx.unpack_like(x)), dw, db)
 }
 
-/// [`dwconv_backward`] over the image-interleaved layout.
+/// [`dwconv_backward`] over the image-interleaved layout (see
+/// [`conv_backward_lanes`]).
 pub(crate) fn dwconv_backward_lanes(
     x: &Lanes,
     p: &DwConvParams,
     dy: &Lanes,
+    dbias: Option<Vec<f32>>,
     engine: Engine,
     input_grad: bool,
 ) -> (Option<Lanes>, Vec<f32>, Vec<f32>) {
     let s = shape_of(x, p.ch, p.ch, p.k, true);
-    grads(x, dy, &s, &p.weights, engine, input_grad, |xi, gi| {
-        reference::dwconv_backward(xi, p, gi)
-    })
+    let naive = |xi: &Tensor, gi: &Tensor| reference::dwconv_backward(xi, p, gi);
+    grads((x, dy, dbias), &s, &p.weights, engine, input_grad, naive)
 }
 
 #[cfg(test)]

@@ -7,15 +7,16 @@
 //! shifted by `(ky, kx)`. These kernels never materialize `X`: a tap
 //! table holds the offset of every row `t` inside the (zero-padded)
 //! input, and the micro-kernels in [`crate::simd`] read each row
-//! straight from the image-interleaved buffer of [`Lanes`](crate::network::Lanes),
+//! straight from the image-interleaved buffer of [`Lanes`],
 //! where one pixel of a channel is one vector of eight images. Two
 //! kernels cover the three convolution passes of training:
 //!
 //! * [`correlate`] — the forward pass, and the backward-data pass as
 //!   the transposed convolution over weights flipped by
 //!   [`crate::engine`]'s backward pass, with `k - 1 - pad` padding. One
-//!   zero-padded copy of the whole batch per call for `k > 1` (`k = 1`
-//!   reads the input itself), weights packed once per call, and blocks
+//!   zero-padded copy of the whole batch for `k > 1` (`k = 1` reads the
+//!   input itself), which the batch keeps (`Lanes::padded`) for the
+//!   weight gradient of the same convolution, weights packed once per call, and blocks
 //!   of 4 output channels sharing every input load; one output pixel is
 //!   one vector, so no row or plane ever runs a scalar tail. In a Bundle
 //!   stage it also runs the stage's epilogue ([`Epilogue`]): it writes
@@ -23,8 +24,9 @@
 //!   every band into the stage output while the band is in L1.
 //! * [`weight_grads`] — `dW = dY · Xᵀ` with lane-wise accumulators:
 //!   each lane is one image's subtotal, and the result sums lanes
-//!   `0..n` in image order. Depth-wise layers run the same kernel over
-//!   one channel's plane.
+//!   `0..n` in image order. It reads the padded copy the forward pass
+//!   left with the batch, so a `k > 1` input is padded once per step.
+//!   Depth-wise layers run the same kernel over one channel's plane.
 //!
 //! The int8 engine runs [`correlate`]'s lane kernel too, over
 //! integer-valued codes, where every chain is an exact integer sum (see
@@ -52,7 +54,7 @@
 //! `tests/engine_equivalence.rs` and `tests/stage_equivalence.rs` pin
 //! all three.
 
-use crate::lanes::{self, add_lanes, valid_lanes, LANES};
+use crate::lanes::{self, add_lanes, valid_lanes, Lanes, LANES};
 use crate::layers::Epilogue;
 use crate::scratch;
 use crate::simd::{self, f32_conv_pixels, SimdLevel};
@@ -160,35 +162,17 @@ impl Layout {
             src_plane,
         }
     }
+}
 
-    /// The source of every plane of `x`: `x` itself for `k = 1`
-    /// (`None`), else one zero-padded copy with `pad` rows and columns
-    /// before each plane and zeros after. Only the border is zeroed:
-    /// the rest is the copy.
-    fn padded(&self, x: &[f32], s: &ConvShape, pad: usize) -> Option<Vec<f32>> {
-        if s.k == 1 {
-            return None;
-        }
-        let (row, stride) = (s.w * LANES, self.geometry.2 * LANES);
-        let planes = x.len() / (s.h * row);
-        let mut out = scratch::take(planes * self.src_plane * LANES);
-        for (src, dst) in x
-            .chunks_exact(s.h * row)
-            .zip(out.chunks_exact_mut(self.src_plane * LANES))
-        {
-            let (top, rest) = dst.split_at_mut(pad * stride);
-            let (body, bottom) = rest.split_at_mut(s.h * stride);
-            top.fill(0.0);
-            bottom.fill(0.0);
-            for (r, drow) in src.chunks_exact(row).zip(body.chunks_exact_mut(stride)) {
-                let (left, rest) = drow.split_at_mut(pad * LANES);
-                let (mid, right) = rest.split_at_mut(row);
-                left.fill(0.0);
-                mid.copy_from_slice(r);
-                right.fill(0.0);
-            }
-        }
-        Some(out)
+/// The source of every plane of `x`: `x` itself for `k = 1`, else its
+/// zero-padded copy with `pad` rows and columns before each plane and
+/// `k - 1 - pad` after, which `x` keeps for the next pass with the same
+/// padding ([`Lanes::padded`]): the weight gradient reads the copy the
+/// forward pass made.
+fn source<'a>(s: &ConvShape, x: &'a Lanes, pad: usize) -> &'a [f32] {
+    match s.k {
+        1 => x.data(),
+        k => x.padded(pad, k - 1 - pad),
     }
 }
 
@@ -242,7 +226,13 @@ pub fn correlate(
 ) -> Vec<f32> {
     s.assert_input(x);
     let plane = s.h * s.w;
-    let x = lanes::interleave(x, s.n, s.cin * plane);
+    let x = Lanes::from_data(
+        s.n,
+        s.cin,
+        s.h,
+        s.w,
+        lanes::interleave(x, s.n, s.cin * plane),
+    );
     let y = correlate_lanes(level, s, &x, weights, init, pad, None);
     lanes::deinterleave(&y, s.n, s.cout * plane)
 }
@@ -256,13 +246,13 @@ pub fn correlate(
 pub(crate) fn correlate_lanes(
     level: SimdLevel,
     s: &ConvShape,
-    x: &[f32],
+    x: &Lanes,
     weights: &[f32],
     init: Option<&[f32]>,
     pad: usize,
     mut fused: Option<(&Epilogue, &mut [f32])>,
 ) -> Vec<f32> {
-    s.assert_lanes(x, s.cin);
+    s.assert_lanes(x.data(), s.cin);
     assert_eq!(
         weights.len(),
         s.weights_len(),
@@ -276,8 +266,7 @@ pub(crate) fn correlate_lanes(
     let ckk = layout.taps.len();
     let (plane, src_group) = (s.h * s.w, s.cin * layout.src_plane * LANES);
     let (taps, (_, len, stride)) = (&layout.taps, layout.geometry);
-    let padded = layout.padded(x, s, pad);
-    let src = padded.as_deref().unwrap_or(x);
+    let src = source(s, x, pad);
     let wpack = pack_blocks(s, weights, ckk);
     let mut out = scratch::take(s.groups() * s.cout * plane * LANES);
     let (band, out_plane) = match &fused {
@@ -338,9 +327,6 @@ pub(crate) fn correlate_lanes(
         }
     }
     scratch::recycle(wpack);
-    if let Some(buf) = padded {
-        scratch::recycle(buf);
-    }
     out
 }
 
@@ -362,7 +348,13 @@ pub fn weight_grads(level: SimdLevel, s: &ConvShape, x: &[f32], dy: &[f32]) -> V
         s.n * s.cout * plane,
         "gradient length disagrees with shape"
     );
-    let x = lanes::interleave(x, s.n, s.cin * plane);
+    let x = Lanes::from_data(
+        s.n,
+        s.cin,
+        s.h,
+        s.w,
+        lanes::interleave(x, s.n, s.cin * plane),
+    );
     let dy = lanes::interleave(dy, s.n, s.cout * plane);
     weight_grads_lanes(level, s, &x, &dy)
 }
@@ -373,16 +365,15 @@ pub fn weight_grads(level: SimdLevel, s: &ConvShape, x: &[f32], dy: &[f32]) -> V
 pub(crate) fn weight_grads_lanes(
     level: SimdLevel,
     s: &ConvShape,
-    x: &[f32],
+    x: &Lanes,
     dy: &[f32],
 ) -> Vec<f32> {
-    s.assert_lanes(x, s.cin);
+    s.assert_lanes(x.data(), s.cin);
     s.assert_lanes(dy, s.cout);
     let layout = Layout::new(s);
     let ckk = layout.taps.len();
     let (plane, src_group) = (s.h * s.w, s.cin * layout.src_plane * LANES);
-    let padded = layout.padded(x, s, s.k / 2);
-    let src = padded.as_deref().unwrap_or(x);
+    let src = source(s, x, s.k / 2);
     let mut dw = vec![0.0f32; s.weights_len()];
     for (oc, row) in dw.chunks_exact_mut(ckk).enumerate() {
         for g in 0..s.groups() {
@@ -399,9 +390,6 @@ pub(crate) fn weight_grads_lanes(
                 add_lanes(&mut row[t], acc, valid);
             });
         }
-    }
-    if let Some(buf) = padded {
-        scratch::recycle(buf);
     }
     dw
 }

@@ -14,6 +14,7 @@
 
 use crate::scratch;
 use crate::tensor::Tensor;
+use std::cell::OnceCell;
 
 /// Images per vector: one AVX2 register, two SSE2 registers.
 pub(crate) const LANES: usize = 8;
@@ -34,6 +35,9 @@ pub struct Lanes {
     /// `[n, c]` instead of `C x 1 x 1` planes.
     flat: bool,
     data: Vec<f32>,
+    /// The zero-padded copy of [`Lanes::padded`], keyed by its
+    /// `(before, after)` padding.
+    padded: OnceCell<((usize, usize), Vec<f32>)>,
 }
 
 impl Lanes {
@@ -63,6 +67,7 @@ impl Lanes {
             w,
             flat: false,
             data,
+            padded: OnceCell::new(),
         }
     }
 
@@ -145,7 +150,7 @@ impl Lanes {
         );
         let (g, l) = (i / LANES, i % LANES);
         let len = self.image_len();
-        let group = &mut self.data[g * len * LANES..(g + 1) * len * LANES];
+        let group = &mut self.data_mut()[g * len * LANES..(g + 1) * len * LANES];
         for (v, &s) in group.chunks_exact_mut(LANES).zip(img.data()) {
             v[l] = s;
         }
@@ -194,7 +199,7 @@ impl Lanes {
     /// order: whole vectors in full groups, a prefix in the last.
     pub(crate) fn images_mut(&mut self) -> impl Iterator<Item = &mut [f32]> {
         let (n, len) = (self.n, self.image_len());
-        self.data
+        self.data_mut()
             .chunks_mut(len * LANES)
             .enumerate()
             .flat_map(move |(g, group)| {
@@ -203,13 +208,49 @@ impl Lanes {
             })
     }
 
+    /// The zero-padded copy of every plane: `before` zero rows and
+    /// columns ahead of each plane's own, `after` behind, so a plane of
+    /// `h x w` becomes `(h + before + after) x (w + before + after)`. The
+    /// first call builds the copy and the batch keeps it, so a
+    /// convolution's weight gradient reads the copy its forward pass
+    /// made; one batch is only ever padded one way.
+    pub(crate) fn padded(&self, before: usize, after: usize) -> &[f32] {
+        // Only the border is zeroed: the rest is the copy.
+        let (padding, copy) = self.padded.get_or_init(|| {
+            let (row, stride) = (self.w * LANES, (self.w + before + after) * LANES);
+            let plane = (self.h + before + after) * stride;
+            let mut out = scratch::take(self.n.div_ceil(LANES) * self.c * plane);
+            let planes = self.data.chunks_exact(self.h * row);
+            for (src, dst) in planes.zip(out.chunks_exact_mut(plane)) {
+                let (top, rest) = dst.split_at_mut(before * stride);
+                let (body, bottom) = rest.split_at_mut(self.h * stride);
+                top.fill(0.0);
+                bottom.fill(0.0);
+                for (r, drow) in src.chunks_exact(row).zip(body.chunks_exact_mut(stride)) {
+                    let (left, rest) = drow.split_at_mut(before * LANES);
+                    let (mid, right) = rest.split_at_mut(row);
+                    left.fill(0.0);
+                    mid.copy_from_slice(r);
+                    right.fill(0.0);
+                }
+            }
+            ((before, after), out)
+        });
+        assert_eq!(*padding, (before, after), "a batch is padded one way");
+        copy
+    }
+
     /// The raw buffer.
     pub(crate) fn data(&self) -> &[f32] {
         &self.data
     }
 
-    /// The raw buffer, mutable.
+    /// The raw buffer, mutable. The padded copy, if any, goes back to the
+    /// scratch pool: it would go stale.
     pub(crate) fn data_mut(&mut self) -> &mut [f32] {
+        if let Some((_, copy)) = self.padded.take() {
+            scratch::recycle(copy);
+        }
         &mut self.data
     }
 
@@ -227,9 +268,10 @@ impl Lanes {
     }
 }
 
-/// A dropped batch's buffer goes back to the scratch pool: warm memory.
+/// A dropped batch's buffers go back to the scratch pool: warm memory.
 impl Drop for Lanes {
     fn drop(&mut self) {
+        self.data_mut(); // recycles the padded copy
         scratch::recycle(std::mem::take(&mut self.data));
     }
 }
@@ -265,7 +307,7 @@ pub(crate) fn pixel_sums(plane: &[f32]) -> [f32; LANES] {
 /// [`LANES`] (lanes past `n` zero).
 pub(crate) fn interleave(src: &[f32], n: usize, len: usize) -> Vec<f32> {
     assert_eq!(src.len(), n * len, "source length disagrees with n x len");
-    let mut out = vec![0.0f32; n.div_ceil(LANES) * len * LANES];
+    let mut out = scratch::take_zeroed(n.div_ceil(LANES) * len * LANES);
     for (g, images) in src.chunks(len * LANES).enumerate() {
         let group = &mut out[g * len * LANES..(g + 1) * len * LANES];
         for (l, img) in images.chunks_exact(len).enumerate() {
@@ -300,7 +342,8 @@ pub(crate) fn deinterleave(src: &[f32], n: usize, len: usize) -> Vec<f32> {
 mod tests {
     use super::*;
     use crate::engine::{conv_backward_lanes, dwconv_backward_lanes, Engine};
-    use crate::layers::{scale_bias_backward_lanes, ConvParams, DwConvParams, ScaleBiasParams};
+    use crate::layers::ScaleBiasParams;
+    use crate::layers::{epilogue_backward_lanes, ConvParams, DwConvParams, Epilogue};
 
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
@@ -344,24 +387,28 @@ mod tests {
                 weights: conv.weights[..27].to_vec(),
                 ..DwConvParams::zeros(3, 3)
             };
-            let (dx, dwc, dbc) = conv_backward_lanes(&x, &conv, &g, engine, true);
-            let (dxd, dwcd, dbcd) = conv_backward_lanes(&xd, &conv, &gd, engine, true);
+            let (dx, dwc, dbc) = conv_backward_lanes(&x, &conv, &g, None, engine, true);
+            let (dxd, dwcd, dbcd) = conv_backward_lanes(&xd, &conv, &gd, None, engine, true);
             assert_eq!(dx.unwrap().unpack(true), dxd.unwrap().unpack(true));
             assert_eq!(
                 (bits(&dwc), bits(&dbc)),
                 (bits(&dwcd), bits(&dbcd)),
                 "conv at n={n}"
             );
-            let (_, dwd, dbd) = dwconv_backward_lanes(&x, &dw, &g, engine, false);
-            let (_, dwdd, dbdd) = dwconv_backward_lanes(&xd, &dw, &gd, engine, false);
+            let (_, dwd, dbd) = dwconv_backward_lanes(&x, &dw, &g, None, engine, false);
+            let (_, dwdd, dbdd) = dwconv_backward_lanes(&xd, &dw, &gd, None, engine, false);
             assert_eq!(
                 (bits(&dwd), bits(&dbd)),
                 (bits(&dwdd), bits(&dbdd)),
                 "dwconv at n={n}"
             );
             let sb = ScaleBiasParams::identity(3);
-            let (dxs, ds, db) = scale_bias_backward_lanes(&x, &sb, g.clone());
-            let (dxsd, dsd, dbd) = scale_bias_backward_lanes(&xd, &sb, gd.clone());
+            let e = Epilogue {
+                scale_bias: Some(&sb),
+                ..Epilogue::default()
+            };
+            let (dxs, ds, db, _) = epilogue_backward_lanes(&x, &e, g.clone(), None);
+            let (dxsd, dsd, dbd, _) = epilogue_backward_lanes(&xd, &e, gd.clone(), None);
             assert_eq!(dxs.unpack(true), dxsd.unpack(true));
             assert_eq!(
                 (bits(&ds), bits(&db)),

@@ -28,10 +28,17 @@
 //! `f32::max` fold. A standalone layer is the epilogue of its one op;
 //! a stage runs the ones after its convolution in one pass, forward
 //! over row bands as the convolution writes them, backward recomputing
-//! every value from the convolution output. Either way each element
-//! takes the same operations in the same order, and the gradient chains
-//! (`ds`, `db`) run over a plane's pixels in row-major order, so the
-//! bits do not depend on how the ops are grouped.
+//! every value from the convolution output (a pool window's maximum is
+//! read from the stage output when the network kept it). Either way
+//! each element takes the same operations in the same order, and the
+//! gradient chains run over a plane's pixels in row-major order, so the
+//! bits do not depend on how the ops are grouped. The backward pass
+//! runs three chains per plane: the scale-bias gradients `ds` and `db`,
+//! and the sum of the gradient it hands back, which is the bias
+//! gradient of the convolution before the epilogue; a network stage
+//! passes it on, so the convolution's backward pass makes no pass of
+//! its own over that gradient (a convolution without an epilogue
+//! still does).
 
 use crate::lanes::{add_lanes, pixel_sums, Lanes, LANES};
 use crate::simd;
@@ -129,19 +136,16 @@ impl ScaleBiasParams {
 // [`Lanes`] plane by plane, one pixel a vector of eight images,
 // so each lane runs exactly the chain its image runs alone. Each body
 // runs through `simd::dispatch`, compiled once per build like the
-// convolution kernels, and selects lanes with bit masks rather than
-// branches, so every lane loop stays a vector operation. The public
-// functions pack, run the lane kernel and unpack; the naive loops the
-// kernels replaced live on in [`crate::reference`]. State carried across
-// a loop (window maxima, routing masks, gradient chains) is copied into
-// locals, which the compiler keeps in registers; through a reference it
-// would be reloaded after every store.
-
-/// One pixel of one channel: a vector of eight images.
-type Vector = [f32; LANES];
-
-/// Lane masks, all ones or zero.
-type Mask = [u32; LANES];
+// convolution kernels. The bodies are loops over slices with no branch
+// inside: a missing scale-bias runs as its identity (see
+// [`ChannelOps`]), the activation is chosen once per band
+// ([`with_value!`]), and lanes are selected with bit masks, so the
+// compiler turns every loop into straight vector code. State a loop
+// carries or rewrites (window maxima, routing masks, gradient chains)
+// lives in local arrays, which the compiler keeps in registers; through
+// a slice it would be reloaded after every store. The public functions
+// pack, run the lane kernel and unpack; the naive loops the kernels
+// replaced live on in [`crate::reference`].
 
 /// Folded batch-norm of one value: a multiply, then an add. Never one
 /// fused multiply-add, whose single rounding gives other bits.
@@ -157,11 +161,31 @@ fn activate(v: f32, clip: f32) -> f32 {
     v.max(0.0).min(clip)
 }
 
-/// The activation gradient `g` at input `u`: it passes where `u` was in
-/// the active (non-clipped, positive) region, and where it was NaN.
+/// The activation gradient `g` at input `u`: it passes where `u` was
+/// inside `(lo, hi)` — `(0, clip)`, the active region — and where it was
+/// NaN; NaN bounds pass every gradient.
 #[inline(always)]
-fn activate_grad(u: f32, g: f32, clip: f32) -> f32 {
-    keep(!((u <= 0.0) | (u >= clip)), g)
+fn activate_grad(u: f32, g: f32, lo: f32, hi: f32) -> f32 {
+    keep(!((u <= lo) | (u >= hi)), g)
+}
+
+/// Runs `$body` with `$value` bound to what the pool reads at a conv
+/// output of `$ops`'s channel, one closure per activation, so the body's
+/// loops carry no branch on it.
+macro_rules! with_value {
+    ($ops:expr, |$value:ident| $body:expr) => {{
+        let (scale, bias) = $ops.affine;
+        match $ops.clip {
+            Some(clip) => {
+                let $value = |z: f32| activate(affine(z, scale, bias), clip);
+                $body
+            }
+            None => {
+                let $value = |z: f32| affine(z, scale, bias);
+                $body
+            }
+        }
+    }};
 }
 
 /// The ops that follow a convolution in a Bundle stage, in IR order:
@@ -178,12 +202,25 @@ pub struct Epilogue<'a> {
     pub pool: Option<usize>,
 }
 
-/// An [`Epilogue`] at one channel.
+/// An [`Epilogue`] at one channel. A missing scale-bias is scale `1`
+/// and bias `-0.0`, which leave every value's bits as they are
+/// (`x · 1 = x` and `x + -0.0 = x`, signed zeros and NaN included).
 #[derive(Clone, Copy)]
 struct ChannelOps {
-    affine: Option<(f32, f32)>,
+    affine: (f32, f32),
     clip: Option<f32>,
     pool: Option<usize>,
+}
+
+/// The gradient chains of one plane, one lane per image, each from
+/// `0.0` over the plane's pixels in row-major order: the scale-bias
+/// gradients `ds` and `db`, and `dz`, the sum of the input gradient
+/// (the bias gradient of the convolution before the epilogue).
+#[derive(Clone, Copy, Default)]
+struct Chains {
+    ds: [f32; LANES],
+    db: [f32; LANES],
+    dz: [f32; LANES],
 }
 
 impl Epilogue<'_> {
@@ -204,8 +241,9 @@ impl Epilogue<'_> {
     }
 
     fn at(&self, c: usize) -> ChannelOps {
+        let affine = self.scale_bias.map(|p| (p.scale[c], p.bias[c]));
         ChannelOps {
-            affine: self.scale_bias.map(|p| (p.scale[c], p.bias[c])),
+            affine: affine.unwrap_or((1.0, -0.0)),
             clip: self.act.map(|a| a.clip().unwrap_or(f32::INFINITY)),
             pool: self.pool,
         }
@@ -218,172 +256,113 @@ impl Epilogue<'_> {
     #[inline(always)]
     pub(crate) fn forward_rows(&self, c: usize, w: usize, z: &[f32], y: &mut [f32]) {
         let ops = self.at(c);
-        let Some(k) = ops.pool else {
-            for (yv, zv) in y.chunks_exact_mut(LANES).zip(z.chunks_exact(LANES)) {
-                yv.copy_from_slice(&ops.post(ops.pre(px(zv, 0))));
+        with_value!(ops, |value| {
+            let Some(k) = ops.pool else {
+                for (y, &z) in y.iter_mut().zip(z) {
+                    *y = value(z);
+                }
+                return;
+            };
+            let (band, out) = (k * w * LANES, w / k * LANES);
+            for (zb, yr) in z.chunks_exact(band).zip(y.chunks_exact_mut(out)) {
+                fold_windows(k, zb, yr, f32::NEG_INFINITY, |a, z| a.max(value(z)));
             }
-            return;
-        };
-        for (zb, yr) in z
-            .chunks_exact(k * w * LANES)
-            .zip(y.chunks_exact_mut(w / k * LANES))
-        {
-            ops.window_fold(zb, yr, f32::NEG_INFINITY, f32::max);
-        }
-    }
-
-    /// Backward over channel `c`'s plane `z`, `w` pixels wide: the output
-    /// gradient (`pooled`, or `g` itself unpooled) becomes the input's in
-    /// `g`; `sums` chains the scale-bias gradients in row-major order.
-    #[inline(always)]
-    fn backward_plane(
-        &self,
-        c: usize,
-        w: usize,
-        z: &[f32],
-        pooled: &[f32],
-        g: &mut [f32],
-        sums: &mut (Vector, Vector),
-    ) {
-        let ops = self.at(c);
-        let Some(k) = ops.pool else {
-            ops.mask_rows(z, g, sums);
-            return;
-        };
-        let (row, ow) = (w * LANES, w / k);
-        let bands = pooled.len() / (ow * LANES).max(1);
-        let (mut best, mut todo) = (vec![0.0; ow * LANES], vec![[0; LANES]; ow]);
-        for b in 0..bands {
-            let zb = &z[b * k * row..][..k * row];
-            let gb = &mut g[b * k * row..][..k * row];
-            ops.window_fold(zb, &mut best, f32::NEG_INFINITY, strict_max);
-            todo.fill([u32::MAX; LANES]);
-            let gp = &pooled[b * ow * LANES..][..ow * LANES];
-            for (zr, gr) in zb.chunks_exact(row).zip(gb.chunks_exact_mut(row)) {
-                ops.route_row(zr, gp, &best, &mut todo, gr);
-                ops.mask_rows(zr, gr, sums);
-            }
-        }
-        // Rows below the last whole window get a zero gradient.
-        let rest = bands * k * row;
-        g[rest..].fill(0.0);
-        ops.mask_rows(&z[rest..], &mut g[rest..], sums);
+        })
     }
 }
 
-impl ChannelOps {
-    /// The activation's input at a conv output vector: its scale-bias.
-    #[inline(always)]
-    fn pre(&self, z: &Vector) -> Vector {
-        match self.affine {
-            Some((s, b)) => z.map(|v| affine(v, s, b)),
-            None => *z,
+/// The activation mask and the scale-bias backward of channel `ops` over
+/// rows, in place: `g` is masked at the activation input, the lane
+/// chains take `ds += g · z` and `db += g`, `g` becomes `g · scale`, and
+/// `dz` takes `g`.
+#[inline(always)]
+fn grad_rows(ops: &ChannelOps, z: &[f32], g: &mut [f32], chains: &mut Chains) {
+    let (lo, hi) = ops.clip.map_or((f32::NAN, f32::NAN), |clip| (0.0, clip));
+    let (scale, bias) = ops.affine;
+    let mut c = *chains;
+    for (gv, zv) in g.chunks_exact_mut(LANES).zip(z.chunks_exact(LANES)) {
+        let (mut gl, zl) = (vector(gv), vector(zv));
+        for l in 0..LANES {
+            let u = affine(zl[l], scale, bias);
+            let g = activate_grad(u, gl[l], lo, hi);
+            c.ds[l] += g * zl[l];
+            c.db[l] += g;
+            gl[l] = g * scale;
+            c.dz[l] += gl[l];
         }
+        gv.copy_from_slice(&gl);
     }
+    *chains = c;
+}
 
-    /// What the pool reads at activation input `u`.
-    #[inline(always)]
-    fn post(&self, u: Vector) -> Vector {
-        match self.clip {
-            Some(clip) => u.map(|v| activate(v, clip)),
-            None => u,
-        }
-    }
-
-    /// Folds the pool's input over each window of a band of `k` rows `z`,
-    /// from `seed` and in row-major order, into the window's `out` vector.
-    #[inline(always)]
-    fn window_fold(&self, z: &[f32], out: &mut [f32], seed: f32, fold: impl Fn(f32, f32) -> f32) {
-        let k = self.pool.unwrap_or(1);
-        out.fill(seed);
-        for zr in z.chunks_exact(z.len() / k) {
-            for (acc, zw) in out.chunks_exact_mut(LANES).zip(zr.chunks_exact(k * LANES)) {
-                let mut m = *px(acc, 0);
-                for zv in zw.chunks_exact(LANES) {
-                    for (a, v) in m.iter_mut().zip(self.post(self.pre(px(zv, 0)))) {
-                        *a = fold(*a, v);
-                    }
+/// Max-pooling backward over one band of `k` rows `row` floats wide,
+/// the pool reading `value` at each conv output of `z`: each window's
+/// `pooled` gradient lands, as `0.0 + g`, on its first element in
+/// row-major order equal to its maximum (an `f32::max` fold from
+/// `-inf`, which NaN never wins), or on its first element when no value
+/// beats `-inf`; all else in `g` gets `0.0`. `maxima`, when given, holds
+/// each window's maximum: the forward pass's fold.
+#[inline(always)]
+fn route_band(
+    value: impl Fn(f32) -> f32,
+    (k, row): (usize, usize),
+    z: &[f32],
+    (pooled, maxima): (&[f32], Option<&[f32]>),
+    g: &mut [f32],
+) {
+    let width = k * LANES;
+    for (j, gp) in pooled.chunks_exact(LANES).enumerate() {
+        let mut best = maxima.map_or([f32::NEG_INFINITY; LANES], |m| vector(&m[j * LANES..]));
+        for zr in z.chunks_exact(row).take(k * usize::from(maxima.is_none())) {
+            for zv in zr[j * width..][..width].chunks_exact(LANES) {
+                let zv = vector(zv);
+                for l in 0..LANES {
+                    best[l] = best[l].max(value(zv[l]));
                 }
-                acc.copy_from_slice(&m);
             }
         }
-    }
-
-    /// Max-pooling backward over one row `z` of a band: each window's
-    /// `pooled` gradient lands, as `0.0 + g`, on the first element equal
-    /// to its strict maximum `best` (its first if `best` is `-inf`), with
-    /// `todo` masking the lanes yet to route; all else in `g` gets `0.0`.
-    #[inline(always)]
-    fn route_row(&self, z: &[f32], pooled: &[f32], best: &[f32], todo: &mut [Mask], g: &mut [f32]) {
-        let k = self.pool.unwrap_or(1);
-        let windows = todo
-            .iter_mut()
-            .zip(best.chunks_exact(LANES))
-            .zip(pooled.chunks_exact(LANES));
-        let elements = z.chunks_exact(k * LANES).zip(g.chunks_exact_mut(k * LANES));
-        for (((left, best), gp), (zw, gw)) in windows.zip(elements) {
-            let (best, mut todo) = (*px(best, 0), *left);
-            let none = best.map(|b| mask(b == f32::NEG_INFINITY));
-            let gp = px(gp, 0).map(|g| (0.0 + g).to_bits());
+        let (gp, mut todo) = (vector(gp), [u32::MAX; LANES]);
+        for (zr, gr) in z.chunks_exact(row).zip(g.chunks_exact_mut(row)) {
+            let (zw, gw) = (&zr[j * width..][..width], &mut gr[j * width..][..width]);
             for (zv, gv) in zw.chunks_exact(LANES).zip(gw.chunks_exact_mut(LANES)) {
-                let a = self.post(self.pre(px(zv, 0)));
-                let mut routed = [0.0f32; LANES];
+                let (zv, mut routed) = (vector(zv), [0.0f32; LANES]);
                 for l in 0..LANES {
-                    let hit = todo[l] & (mask(a[l] == best[l]) | none[l]);
+                    let top = mask(value(zv[l]) == best[l]) | mask(best[l] == f32::NEG_INFINITY);
+                    let hit = todo[l] & top;
                     todo[l] &= !hit;
-                    routed[l] = f32::from_bits(gp[l] & hit);
+                    routed[l] = f32::from_bits((0.0 + gp[l]).to_bits() & hit);
                 }
                 gv.copy_from_slice(&routed);
             }
-            *left = todo;
         }
-        g[best.len() * k..].fill(0.0);
     }
-
-    /// The activation mask and the scale-bias backward over rows, in
-    /// place: `g` is masked at the activation input, the lane chains take
-    /// `ds += g · z` and `db += g`, and `g` becomes `g · scale`.
-    #[inline(always)]
-    fn mask_rows(&self, z: &[f32], g: &mut [f32], sums: &mut (Vector, Vector)) {
-        if self.affine.is_none() && self.clip.is_none() {
-            return;
-        }
-        let (mut ds, mut db) = *sums;
-        for (gv, zv) in g.chunks_exact_mut(LANES).zip(z.chunks_exact(LANES)) {
-            let zv = px(zv, 0);
-            let mut gl = *px(gv, 0);
-            if let Some(clip) = self.clip {
-                for (g, u) in gl.iter_mut().zip(self.pre(zv)) {
-                    *g = activate_grad(u, *g, clip);
-                }
-            }
-            if let Some((s, _)) = self.affine {
-                for (((g, &z), d), b) in gl.iter_mut().zip(zv).zip(&mut ds).zip(&mut db) {
-                    *d += *g * z;
-                    *b += *g;
-                    *g *= s;
-                }
-            }
-            gv.copy_from_slice(&gl);
-        }
-        *sums = (ds, db);
+    for gr in g.chunks_exact_mut(row) {
+        gr[pooled.len() * k..].fill(0.0);
     }
 }
 
-/// The vector at float offset `at` of a plane.
+/// Folds each window of a band of `k` rows `z` into the window's `out`
+/// vector, from `seed` and in row-major order.
 #[inline(always)]
-fn px(plane: &[f32], at: usize) -> &Vector {
-    plane[at..at + LANES].try_into().expect("LANES lanes")
+fn fold_windows(k: usize, z: &[f32], out: &mut [f32], seed: f32, fold: impl Fn(f32, f32) -> f32) {
+    out.fill(seed);
+    for zr in z.chunks_exact(z.len() / k) {
+        for (acc, zw) in out.chunks_exact_mut(LANES).zip(zr.chunks_exact(k * LANES)) {
+            let mut m = vector(acc);
+            for zv in zw.chunks_exact(LANES) {
+                for (a, &v) in m.iter_mut().zip(zv) {
+                    *a = fold(*a, v);
+                }
+            }
+            acc.copy_from_slice(&m);
+        }
+    }
 }
 
-/// Max-pooling backward's fold: NaN never wins, a tie keeps the first.
+/// The vector at the start of `v` as a local array.
 #[inline(always)]
-fn strict_max(best: f32, v: f32) -> f32 {
-    if v > best {
-        v
-    } else {
-        best
-    }
+fn vector<T: Copy>(v: &[T]) -> [T; LANES] {
+    v[..LANES].try_into().expect("LANES lanes")
 }
 
 /// All ones where `b` holds, else zero.
@@ -422,12 +401,18 @@ pub(crate) fn epilogue_lanes(x: &Lanes, e: &Epilogue) -> Lanes {
 }
 
 /// The backward pass of [`epilogue_lanes`] from the output gradient
-/// `dy`: `(dx, dscale, dbias)`, the last two empty without scale-bias.
+/// `dy`: `(dx, dscale, dbias, dx_sums)`, the middle two empty without
+/// scale-bias. `dx_sums` sums each channel of `dx` as per-image
+/// row-major pixel sums in image order: the bias gradient of a
+/// convolution that `x` is the output of. `y`, the forward output when
+/// the caller kept it, gives each pool window's maximum, which is
+/// otherwise folded again.
 pub(crate) fn epilogue_backward_lanes(
     x: &Lanes,
     e: &Epilogue,
     dy: Lanes,
-) -> (Lanes, Vec<f32>, Vec<f32>) {
+    y: Option<&Lanes>,
+) -> (Lanes, Vec<f32>, Vec<f32>, Vec<f32>) {
     let (n, c, h, w) = x.dims();
     let (oh, ow) = e.out_dims(h, w);
     assert_eq!(
@@ -439,49 +424,52 @@ pub(crate) fn epilogue_backward_lanes(
         Some(_) => (Lanes::uninit(n, c, h, w), Some(dy)),
         None => (dy, None),
     };
+    let y = y.filter(|_| pooled.is_some()).inspect(|y| {
+        assert_eq!(y.dims(), (n, c, oh, ow), "epilogue output shape mismatch");
+    });
     let sb_len = if e.scale_bias.is_some() { c } else { 0 };
-    let (mut ds, mut db) = (vec![0.0f32; sb_len], vec![0.0f32; sb_len]);
-    let out_plane = oh * ow * LANES;
-    let planes = x.planes().zip(g.data_mut().chunks_exact_mut(h * w * LANES));
+    let (mut ds, mut db, mut dz) = (vec![0.0f32; sb_len], vec![0.0f32; sb_len], vec![0.0; c]);
+    let (row, wins) = (w * LANES, ow * LANES);
+    // A plane runs in spans: pooled, its bands of pool rows, then the
+    // rows below the last band; unpooled, the whole plane. Every span
+    // runs through one call of `grad_rows`, so each element takes the
+    // same machine code whatever the epilogue holds.
+    let span = e.pool.map_or(h, |k| k).max(1) * row;
+    let planes = x.planes().zip(g.data_mut().chunks_exact_mut(h * row));
     simd::dispatch(
         simd::active_level(),
         #[inline(always)]
         || {
             for (i, ((cc, zp), gp)) in planes.enumerate() {
-                let p = pooled
-                    .as_ref()
-                    .map_or(&[][..], |p| &p.data()[i * out_plane..][..out_plane]);
-                let mut sums = ([0.0f32; LANES], [0.0f32; LANES]);
-                e.backward_plane(cc, w, zp, p, gp, &mut sums);
-                if e.scale_bias.is_some() {
-                    let valid = x.valid(i / c);
-                    add_lanes(&mut ds[cc], &sums.0, valid);
-                    add_lanes(&mut db[cc], &sums.1, valid);
+                let (ops, mut sums) = (e.at(cc), Chains::default());
+                let spans = zp.chunks(span.max(1)).zip(gp.chunks_mut(span.max(1)));
+                for (b, (zb, gb)) in spans.enumerate() {
+                    if let (Some(k), Some(pooled)) = (ops.pool, &pooled) {
+                        if b < oh {
+                            let at = (i * oh + b) * wins..(i * oh + b + 1) * wins;
+                            let band = (&pooled.data()[at.clone()], y.map(|y| &y.data()[at]));
+                            with_value!(ops, |value| route_band(value, (k, row), zb, band, gb));
+                        } else {
+                            gb.fill(0.0);
+                        }
+                    }
+                    grad_rows(&ops, zb, gb, &mut sums);
                 }
+                let valid = x.valid(i / c);
+                if e.scale_bias.is_some() {
+                    add_lanes(&mut ds[cc], &sums.ds, valid);
+                    add_lanes(&mut db[cc], &sums.db, valid);
+                }
+                add_lanes(&mut dz[cc], &sums.dz, valid);
             }
         },
     );
-    (g, ds, db)
-}
-
-/// Folded batch-norm backward on lanes, in place: turns the gradient
-/// `dy` into `dx` and returns `(dx, dscale, dbias)`.
-pub(crate) fn scale_bias_backward_lanes(
-    x: &Lanes,
-    p: &ScaleBiasParams,
-    dy: Lanes,
-) -> (Lanes, Vec<f32>, Vec<f32>) {
-    let e = Epilogue {
-        scale_bias: Some(p),
-        ..Epilogue::default()
-    };
-    epilogue_backward_lanes(x, &e, dy)
+    (g, ds, db, dz)
 }
 
 /// Average pooling on lanes: each output sums its window in row-major
 /// order from `0.0`, then divides by `k * k`. Rows and columns past the
-/// last whole window are never visited. The windows are a max-pool
-/// epilogue's, whose ops leave every element as it is.
+/// last whole window are never visited.
 pub(crate) fn avgpool_lanes(x: &Lanes, k: usize) -> Lanes {
     let (_, c, h, w) = x.dims();
     let (oh, ow) = (h / k, w / k);
@@ -489,7 +477,7 @@ pub(crate) fn avgpool_lanes(x: &Lanes, k: usize) -> Lanes {
     if oh * ow == 0 {
         return y;
     }
-    let (norm, ops) = ((k * k) as f32, Epilogue::max_pool(k).at(0));
+    let norm = (k * k) as f32;
     let planes = x
         .planes()
         .zip(y.data_mut().chunks_exact_mut(oh * ow * LANES));
@@ -502,7 +490,7 @@ pub(crate) fn avgpool_lanes(x: &Lanes, k: usize) -> Lanes {
                     .chunks_exact(k * w * LANES)
                     .zip(yp.chunks_exact_mut(ow * LANES))
                 {
-                    ops.window_fold(zb, yr, 0.0, |a, v| a + v);
+                    fold_windows(k, zb, yr, 0.0, |a, v| a + v);
                     for v in yr {
                         *v /= norm;
                     }
@@ -587,7 +575,7 @@ pub(crate) fn gap_backward_lanes(x: &Lanes, dy: &Lanes) -> Lanes {
         #[inline(always)]
         || {
             for (plane, (_, g)) in planes {
-                let g = px(g, 0).map(|v| v / norm);
+                let g = vector(g).map(|v| v / norm);
                 for v in plane.chunks_exact_mut(LANES) {
                     v.copy_from_slice(&g);
                 }
@@ -603,8 +591,8 @@ pub fn maxpool_forward(x: &Tensor, k: usize) -> Tensor {
 }
 
 /// Max pooling backward: each window's gradient goes to its first
-/// strict maximum, or to the window's first element when no value
-/// beats `-inf` (all `-inf` or NaN).
+/// element equal to its maximum, or to the window's first element when
+/// no value beats `-inf` (all `-inf` or NaN).
 pub fn maxpool_backward(x: &Tensor, k: usize, dy: &Tensor) -> Tensor {
     epilogue_backward(x, &Epilogue::max_pool(k), dy.clone()).0
 }
@@ -636,8 +624,11 @@ pub fn scale_bias_backward(
     dy: Tensor,
 ) -> (Tensor, Vec<f32>, Vec<f32>) {
     assert_eq!(dy.shape(), x.shape(), "scale-bias gradient shape mismatch");
-    let (dx, ds, db) = scale_bias_backward_lanes(&Lanes::pack(x), p, Lanes::pack(&dy));
-    (dx.unpack_like(x), ds, db)
+    let e = Epilogue {
+        scale_bias: Some(p),
+        ..Epilogue::default()
+    };
+    epilogue_backward(x, &e, dy)
 }
 
 /// A stage's epilogue over one `C x H x W` image or an `N x C x H x W`
@@ -649,7 +640,7 @@ pub fn epilogue_forward(z: &Tensor, e: &Epilogue) -> Tensor {
 /// The backward pass of [`epilogue_forward`] from the output gradient
 /// `dy`: `(dz, dscale, dbias)`, the last two empty without scale-bias.
 pub fn epilogue_backward(z: &Tensor, e: &Epilogue, dy: Tensor) -> (Tensor, Vec<f32>, Vec<f32>) {
-    let (dz, ds, db) = epilogue_backward_lanes(&Lanes::pack(z), e, Lanes::pack(&dy));
+    let (dz, ds, db, _) = epilogue_backward_lanes(&Lanes::pack(z), e, Lanes::pack(&dy), None);
     (dz.unpack_like(z), ds, db)
 }
 

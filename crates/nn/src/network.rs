@@ -12,10 +12,12 @@
 //! row band by row band, and the stage's [`Epilogue`] turns each band
 //! into the stage output while it is still in L1. A stage writes two
 //! tensors, its convolution output and its output. Backward, one pass
-//! per stage recomputes the scale-bias, the activation mask and each
-//! pool window's maximum from the cached convolution output, and turns
-//! the stage output's gradient into the convolution output's, which the
-//! convolution's backward pass takes. Every bit is the one the layers
+//! per stage recomputes the scale-bias and the activation mask from the
+//! cached convolution output, reads each pool window's maximum from the
+//! stage output (the next stage's cached input), and turns the stage
+//! output's gradient into the convolution output's and its sum, which
+//! the convolution's backward pass takes as its gradient and its bias
+//! gradient. Every bit is the one the layers
 //! give run one by one: the epilogue and the standalone layers share
 //! their per-element arithmetic and its order (see [`crate::layers`]).
 
@@ -337,26 +339,33 @@ impl Network {
                 NnLayer::Conv(_) | NnLayer::DwConv(_) | NnLayer::AvgPool(_) | NnLayer::Gap
             );
             let e0 = i + usize::from(skip_head);
-            if e0 < stage.end {
+            // The epilogue's backward pass sums the convolution's bias
+            // gradient on its way.
+            let dbias = if e0 < stage.end {
                 let epi = epilogue_of(&self.layers[e0..stage.end]);
-                let (dz, ds, db) = epilogue_backward_lanes(&cache[e0], &epi, g);
+                // The next stage's input is this stage's output.
+                let (z, y) = (&cache[e0], cache.get(stage.end));
+                let (dz, ds, db, dz_sums) = epilogue_backward_lanes(z, &epi, g, y);
                 if epi.scale_bias.is_some() {
                     accumulate(&mut self.state[e0], &ds, &db);
                 }
                 g = dz;
-            }
+                Some(dz_sums)
+            } else {
+                None
+            };
             let x = &cache[i];
             // Layer 0's input gradient is the network input's, which
             // nothing reads: its convolutions skip that pass.
             g = match &self.layers[i] {
                 NnLayer::Conv(p) => {
-                    let (dx, dw, db) = conv_backward_lanes(x, p, &g, engine, i > 0);
+                    let (dx, dw, db) = conv_backward_lanes(x, p, &g, dbias, engine, i > 0);
                     accumulate(&mut self.state[i], &dw, &db);
                     let Some(dx) = dx else { break };
                     dx
                 }
                 NnLayer::DwConv(p) => {
-                    let (dx, dw, db) = dwconv_backward_lanes(x, p, &g, engine, i > 0);
+                    let (dx, dw, db) = dwconv_backward_lanes(x, p, &g, dbias, engine, i > 0);
                     accumulate(&mut self.state[i], &dw, &db);
                     let Some(dx) = dx else { break };
                     dx
@@ -505,6 +514,33 @@ mod tests {
         net.sgd_step(0.1, 0.9);
         let after = net.forward(&Tensor::full(&[3, 8, 16], 0.1));
         assert_eq!(before, after);
+    }
+
+    /// Once one training step has run, an identical step takes every
+    /// buffer from the scratch pool: the pool holds the same buffers and
+    /// bytes after the step as before, so none was allocated (it would
+    /// have been recycled), grown or lost.
+    #[test]
+    fn a_warm_training_step_takes_every_buffer_from_the_pool() {
+        let mut net = tiny_net(8);
+        let images: Vec<Tensor> = (0..8)
+            .map(|i| Tensor::full(&[3, 8, 16], 0.1 * i as f32))
+            .collect();
+        let mut batch = Lanes::pack(&Tensor::stack(&images));
+        // One step as the trainer runs it: the batch is lent to the
+        // training cache and taken back.
+        let mut step = |net: &mut Network| {
+            let (out, mut cache) = net.forward_train_lanes(std::mem::take(&mut batch));
+            let out = out.unpack(true);
+            let grad = out.data().iter().map(|o| o - 0.5).collect();
+            net.backward(&cache, &Tensor::from_vec(out.shape(), grad));
+            net.sgd_step(0.01, 0.9);
+            batch = std::mem::take(&mut cache[0]);
+        };
+        step(&mut net);
+        let warm = crate::scratch::stats();
+        step(&mut net);
+        assert_eq!(crate::scratch::stats(), warm, "(pooled buffers, bytes)");
     }
 
     #[test]

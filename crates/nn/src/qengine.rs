@@ -120,7 +120,7 @@ impl LaneOp {
                     k: *k,
                     depthwise: *depthwise,
                 };
-                let y = conv_codes(level, &s, x.data(), weights);
+                let y = conv_codes(level, &s, x, weights);
                 Lanes::from_data(n, *cout, h, w, y)
             }
             LaneOp::MaxPool(k) => epilogue_lanes(x, &Epilogue::max_pool(*k)),
@@ -145,7 +145,7 @@ impl LaneOp {
 ///
 /// Panics when one output sums more than 2^16 taps, or one input
 /// channel's `k x k` taps exceed one exact chain.
-fn conv_codes(level: SimdLevel, s: &ConvShape, x: &[f32], weights: &[f32]) -> Vec<f32> {
+fn conv_codes(level: SimdLevel, s: &ConvShape, x: &Lanes, weights: &[f32]) -> Vec<f32> {
     let kk = s.k * s.k;
     let taps = s.patch_channels() * kk;
     assert!(
@@ -165,6 +165,7 @@ fn conv_codes(level: SimdLevel, s: &ConvShape, x: &[f32], weights: &[f32]) -> Ve
             ..*s
         };
         let xs: Vec<f32> = x
+            .data()
             .chunks_exact(s.cin * plane)
             .flat_map(|group| &group[ics.start * plane..ics.end * plane])
             .copied()
@@ -174,6 +175,7 @@ fn conv_codes(level: SimdLevel, s: &ConvShape, x: &[f32], weights: &[f32]) -> Ve
             .flat_map(|row| &row[ics.start * kk..ics.end * kk])
             .copied()
             .collect();
+        let xs = Lanes::from_data(s.n, ics.len(), s.h, s.w, xs);
         let y = correlate_lanes(level, &part, &xs, &ws, None, s.k / 2, None);
         for (a, v) in acc.iter_mut().zip(y) {
             *a += v as i32;
@@ -279,7 +281,8 @@ mod tests {
     /// [`conv_codes`] over planar codes.
     fn conv(level: SimdLevel, s: &ConvShape, x: &[f32], wts: &[f32]) -> Vec<f32> {
         let plane = s.h * s.w;
-        let y = conv_codes(level, s, &interleave(x, s.n, s.cin * plane), wts);
+        let x = Lanes::from_data(s.n, s.cin, s.h, s.w, interleave(x, s.n, s.cin * plane));
+        let y = conv_codes(level, s, &x, wts);
         deinterleave(&y, s.n, s.cout * plane)
     }
 
@@ -390,7 +393,8 @@ mod tests {
     #[should_panic(expected = "exceed the i32 accumulator bound")]
     fn rejects_reductions_past_the_accumulator_bound() {
         let s = shape(1, MAX_TAPS + 1, 1, (1, 1), 1, false);
-        let _ = conv_codes(SimdLevel::Scalar, &s, &[0.0; (MAX_TAPS + 1) * LANES], &[]);
+        let x = Lanes::from_data(1, MAX_TAPS + 1, 1, 1, vec![0.0; (MAX_TAPS + 1) * LANES]);
+        let _ = conv_codes(SimdLevel::Scalar, &s, &x, &[]);
     }
 
     /// One step over a single image's codes.

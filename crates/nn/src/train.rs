@@ -121,8 +121,11 @@ impl Trainer {
         assert!(!images.is_empty(), "empty training set");
         let bs = self.config.batch_size.max(1);
         // The batches never change across epochs — stack and pack each
-        // into the image-interleaved layout once.
-        let batches: Vec<(Lanes, &[[f32; 4]])> = images
+        // into the image-interleaved layout once. Each step lends its
+        // batch to the training cache and takes it back after the
+        // backward pass, with the padded copy the first convolution made
+        // of it.
+        let mut batches: Vec<(Lanes, &[[f32; 4]])> = images
             .chunks(bs)
             .zip(boxes.chunks(bs))
             .map(|(bi, bb)| (Lanes::pack(&Tensor::stack(bi)), bb))
@@ -130,8 +133,8 @@ impl Trainer {
         let mut epoch_losses = Vec::with_capacity(self.config.epochs);
         for _epoch in 0..self.config.epochs {
             let mut epoch_loss = 0.0f32;
-            for (batch, batch_boxes) in &batches {
-                let (out, cache) = net.forward_train_lanes(batch.clone());
+            for (batch, batch_boxes) in &mut batches {
+                let (out, mut cache) = net.forward_train_lanes(std::mem::take(batch));
                 let out = out.unpack(true);
                 let mut grad = Vec::with_capacity(out.len());
                 for (i, target) in batch_boxes.iter().enumerate() {
@@ -140,6 +143,7 @@ impl Trainer {
                     grad.extend_from_slice(&g);
                 }
                 net.backward(&cache, &Tensor::from_vec(out.shape(), grad));
+                *batch = std::mem::take(cache.first_mut().expect("the first stage's input"));
                 net.sgd_step(
                     self.config.learning_rate / batch_boxes.len() as f32,
                     self.config.momentum,

@@ -28,6 +28,7 @@ use crate::job::{CancelOutcome, JobLookup, Scheduler, ServeConfig, ShutdownPolic
 use crate::json::Json;
 use crate::request::job_request_from_body;
 use codesign_faults::FaultAction;
+use codesign_store::LogError;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -123,14 +124,18 @@ impl Server {
     /// # Errors
     ///
     /// Propagates bind errors and a failed accept-loop spawn. A
-    /// scheduler that cannot start (an estimate store that cannot be
+    /// scheduler that cannot start surfaces with its cause: a
+    /// filesystem or spawn failure (an estimate store that cannot be
     /// opened when [`ServeConfig::store`] is set, or an executor that
-    /// cannot be spawned) surfaces as `InvalidData` with its text.
+    /// cannot be spawned) as that I/O error, its kind kept; a store
+    /// file that is not a valid log as `InvalidData` with its text.
     pub fn bind(addr: &str, config: ServeConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let scheduler = Scheduler::new(config)
-            .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err.to_string()))?;
+        let scheduler = Scheduler::new(config).map_err(|err| match err {
+            LogError::Io(err) => err,
+            err => io::Error::new(io::ErrorKind::InvalidData, err.to_string()),
+        })?;
         let scheduler = Arc::new(scheduler);
         let stopping = Arc::new(AtomicBool::new(false));
         let control = Arc::new(ServerControl::new());

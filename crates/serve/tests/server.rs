@@ -282,3 +282,20 @@ fn oversized_request_headers_get_431() {
     assert_eq!(status, 200);
     server.shutdown();
 }
+
+/// A store that cannot be opened keeps its I/O error kind: a path under
+/// a missing directory is `NotFound`, not "invalid data".
+#[test]
+fn store_under_a_missing_directory_fails_bind_with_not_found() {
+    let dir = std::env::temp_dir().join(format!("codesign-serve-missing-{}", std::process::id()));
+    let err = Server::bind(
+        "127.0.0.1:0",
+        ServeConfig {
+            store: Some(dir.join("no-such-dir").join("estimates.log")),
+            ..ServeConfig::default()
+        },
+    )
+    .err()
+    .expect("a store under a missing directory cannot open");
+    assert_eq!(err.kind(), std::io::ErrorKind::NotFound, "{err}");
+}

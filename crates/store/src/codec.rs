@@ -80,11 +80,6 @@ impl ByteWriter {
         self.buf.push(v);
     }
 
-    /// Appends a fixed-width little-endian `u32`.
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends a fixed-width little-endian `u64`.
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -186,11 +181,6 @@ impl<'a> ByteReader<'a> {
     /// Reads one raw byte.
     pub fn read_u8(&mut self) -> Result<u8, CodecError> {
         Ok(self.take(1)?[0])
-    }
-
-    /// Reads a fixed-width little-endian `u32`.
-    pub fn read_u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
     }
 
     /// Reads a fixed-width little-endian `u64`.

@@ -167,6 +167,30 @@ fn proxy_training_matches_golden_iou() {
     );
 }
 
+/// Golden pin for the number `flow_measured` reports as `quality_iou`:
+/// the measured int8 IoU of the design a 15-FPS PYNQ-Z1 flow publishes,
+/// proxy-trained at the paper's default protocol. The engine-invariance
+/// test cannot catch drift in the stage epilogue, which both engines
+/// share; this value can. Ignored by default (about 30 s in a debug
+/// build); CI runs it in release at every SIMD level.
+#[test]
+#[ignore]
+fn proxy_winner_measured_iou_matches_golden() {
+    let out = CoDesignFlow::new(FlowConfig {
+        targets_fps: vec![15.0],
+        ..FlowConfig::for_device(pynq_z1())
+    })
+    .with_measured_quantization(ProxyEvaluator::default())
+    .run()
+    .expect("the 15-FPS flow runs");
+    let iou = out.designs[0].measured_iou.expect("the winner is measured");
+    assert_eq!(
+        iou.to_bits(),
+        4_592_422_525_101_735_732,
+        "the winner's measured IoU drifted: {iou}"
+    );
+}
+
 /// Golden pin over the shapes a Bundle stage can take: Bundles 1, 3,
 /// 6, 13 and 17 at every activation, each trained for one epoch on 11
 /// images (one full lane group and one partial one), checksummed over the
