@@ -2,7 +2,8 @@
 //!
 //! Both durable executors — [`CoDesignFlow::run_checkpointed`] in one
 //! process and the `codesign-shard` supervisor over many — keep a run
-//! in the same directory:
+//! in the same directory, through the same driver
+//! ([`CoDesignFlow::run_with`]):
 //!
 //! ```text
 //! run.lock    held while a run owns the directory
@@ -11,13 +12,14 @@
 //! ```
 //!
 //! [`FlowCheckpoint`] owns that layout. [`FlowCheckpoint::open`] takes
-//! the lock, then checks any spec against the run's config;
-//! [`FlowCheckpoint::plan`] writes the spec once the coarse stage has
-//! selected its Bundles, or checks the selection against the stored
-//! one. A checkpointed run plans one shard (or keeps a stored count),
-//! reads every segment the spec names through
-//! [`FlowCheckpoint::cells`], searches only the missing cells, and
-//! appends them to `seg-0.log`. So either executor can finish a
+//! the lock, then checks any spec against the run's config. After the
+//! coarse stage the driver calls [`FlowCheckpoint::plan`], which writes
+//! the spec or checks the selection against the stored one, and reads
+//! every segment the spec names through [`FlowCheckpoint::cells`]; the
+//! executor then computes only the missing cells. A checkpointed run
+//! plans one shard (or keeps a stored count) and appends its cells to
+//! `seg-0.log`; the supervisor asks for its own shard count and its
+//! workers write one segment each. So either executor can finish a
 //! directory the other started.
 //!
 //! # What is stored, and what is recomputed
@@ -60,6 +62,7 @@
 //! a silently wrong resume.
 //!
 //! [`CoDesignFlow::run_checkpointed`]: crate::flow::CoDesignFlow::run_checkpointed
+//! [`CoDesignFlow::run_with`]: crate::flow::CoDesignFlow::run_with
 
 use crate::evaluate::BundleEvaluation;
 use crate::flow::FlowConfig;

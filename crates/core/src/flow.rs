@@ -19,7 +19,7 @@
 //! presentation path the serving layer JSON-encodes.
 
 use crate::accuracy::{AccuracyModel, ProxyEvaluator};
-use crate::checkpoint::FlowCheckpoint;
+use crate::checkpoint::{CheckpointError, FlowCheckpoint, SweepSpec};
 use crate::evaluate::BundleEvaluation;
 use crate::observe::{CancelState, CancelToken, FlowEvent, FlowObserver, NullObserver};
 use crate::parallel::{try_parallel_map, Parallelism};
@@ -516,6 +516,10 @@ pub enum FlowError {
         /// Description of the underlying failure.
         reason: String,
     },
+    /// The SCD stage ended without a result for the cell of this grid
+    /// index: the run directory changed under the run, or an executor
+    /// is at fault.
+    MissingCell(usize),
 }
 
 impl fmt::Display for FlowError {
@@ -526,6 +530,7 @@ impl fmt::Display for FlowError {
             FlowError::Cancelled => write!(f, "flow cancelled"),
             FlowError::DeadlineExceeded => write!(f, "flow deadline exceeded"),
             FlowError::Checkpoint { reason } => write!(f, "checkpoint failed: {reason}"),
+            FlowError::MissingCell(index) => write!(f, "SCD cell {index} has no result"),
         }
     }
 }
@@ -541,6 +546,14 @@ impl From<SimError> for FlowError {
 impl From<ConfigError> for FlowError {
     fn from(e: ConfigError) -> Self {
         FlowError::InvalidConfig(e)
+    }
+}
+
+impl From<CheckpointError> for FlowError {
+    fn from(e: CheckpointError) -> Self {
+        FlowError::Checkpoint {
+            reason: e.to_string(),
+        }
     }
 }
 
@@ -562,7 +575,6 @@ impl From<ConfigError> for FlowError {
 #[derive(Debug, Clone)]
 pub struct CoDesignFlow {
     config: FlowConfig,
-    model: AccuracyModel,
     cache: Option<Arc<EstimateCache>>,
     measured_quant: Option<ProxyEvaluator>,
 }
@@ -572,16 +584,9 @@ impl CoDesignFlow {
     pub fn new(config: FlowConfig) -> Self {
         Self {
             config,
-            model: AccuracyModel::paper_calibrated(),
             cache: None,
             measured_quant: None,
         }
-    }
-
-    /// Replaces the accuracy oracle.
-    pub fn with_accuracy_model(mut self, model: AccuracyModel) -> Self {
-        self.model = model;
-        self
     }
 
     /// Scores every finalized design with *measured* quantized accuracy
@@ -699,16 +704,19 @@ impl CoDesignFlow {
         self.run_inner(observer, cancel, Some(checkpoint))
     }
 
-    /// [`run_stages`](Self::run_stages) plus the terminal bookkeeping
-    /// shared by every entry point: the closing `Cancelled` / `TimedOut`
-    /// event, and deleting the checkpoint of a successful run.
+    /// [`run_with`](Self::run_with) on this process's threads, plus the
+    /// terminal bookkeeping of the in-process entry points: the closing
+    /// `Cancelled` / `TimedOut` event, and deleting the checkpoint of a
+    /// successful run.
     fn run_inner(
         &self,
         observer: &dyn FlowObserver,
         cancel: &CancelToken,
         ckpt: Option<&FlowCheckpoint>,
     ) -> Result<FlowOutput, FlowError> {
-        let result = self.run_stages(observer, cancel, ckpt);
+        let result = self.run_with(ckpt, None, observer, cancel, |stage| {
+            self.search_cells(stage, ckpt, observer, cancel)
+        });
         match &result {
             Err(FlowError::Cancelled) => observer.on_event(&FlowEvent::Cancelled),
             Err(FlowError::DeadlineExceeded) => observer.on_event(&FlowEvent::TimedOut),
@@ -725,99 +733,70 @@ impl CoDesignFlow {
         result
     }
 
-    /// The [`pipeline`] recipe with this executor's own concerns around
-    /// it: progress events, cancellation checks at every work-item
-    /// boundary, and the checkpoint's resume / record hooks.
-    fn run_stages(
+    /// The [`pipeline`] recipe around its SCD stage, written once for
+    /// every executor: validate the config, run the coarse stage, pin
+    /// the plan in `ckpt` and read the cells it holds, let `search`
+    /// compute the missing cells, then merge, finalize each target's
+    /// winner and assemble the output. Progress events go to `observer`,
+    /// and `cancel` is checked before the coarse stage and each design.
+    ///
+    /// `shards` is the shard count a run directory's plan asks for,
+    /// clamped to the grid; `None` keeps a stored plan's count, or plans
+    /// one shard. The in-process entry points search on this process's
+    /// threads; the `codesign-shard` supervisor supplies its worker
+    /// processes. Nothing here deletes the run directory.
+    ///
+    /// # Errors
+    ///
+    /// `search`'s own error unchanged; everything
+    /// [`run_checkpointed`](Self::run_checkpointed) returns, converted
+    /// into `E`; and [`FlowError::MissingCell`] when `search` left a
+    /// cell without a result.
+    pub fn run_with<E: From<FlowError> + From<CheckpointError>>(
         &self,
+        ckpt: Option<&FlowCheckpoint>,
+        shards: Option<usize>,
         observer: &dyn FlowObserver,
         cancel: &CancelToken,
-        ckpt: Option<&FlowCheckpoint>,
-    ) -> Result<FlowOutput, FlowError> {
+        search: impl FnOnce(ScdStage<'_>) -> Result<(), E>,
+    ) -> Result<FlowOutput, E> {
         self.config.validate()?;
         let cfg = &self.config;
-        let threads = cfg.parallelism.threads();
         let cache = self
             .cache
             .clone()
             .unwrap_or_else(|| Arc::new(EstimateCache::new()));
-        let live = || match cancel.state() {
-            CancelState::Cancelled => Err(FlowError::Cancelled),
-            CancelState::TimedOut => Err(FlowError::DeadlineExceeded),
-            CancelState::Live => Ok(()),
-        };
 
         observer.on_event(&FlowEvent::Started {
             targets: cfg.targets_fps.len(),
             bundles: enumerate_bundles().len(),
         });
 
-        live()?;
-        let (coarse, selected) = pipeline::coarse_stage(cfg, &self.model)?;
-        // A checkpoint pins the selection, and hands back every cell
+        live(cancel)?;
+        let model = AccuracyModel::paper_calibrated();
+        let (coarse, selected) = pipeline::coarse_stage(cfg, &model).map_err(FlowError::from)?;
+        let cells = pipeline::cells(&cfg.targets_fps, &selected);
+        // A run directory pins the plan, and hands back every cell
         // already on disk.
-        let mut found = match ckpt {
-            Some(c) => c
-                .plan(&selected, None)
-                .and_then(|_| c.cells())
-                .map_err(checkpoint_error)?,
-            None => BTreeMap::new(),
-        };
+        let shards = shards.map(|n| n.clamp(1, cells.len().max(1)));
+        let spec = ckpt.map(|c| c.plan(&selected, shards)).transpose()?;
+        let mut found = ckpt.map_or(Ok(BTreeMap::new()), FlowCheckpoint::cells)?;
         observer.on_event(&FlowEvent::BundlesSelected {
             selected: selected.iter().map(|b| b.0).collect(),
         });
-        let cells = pipeline::cells(&cfg.targets_fps, &selected);
-        let missing: Vec<&pipeline::Cell> = cells
-            .iter()
-            .filter(|cell| !found.contains_key(&cell.index))
-            .collect();
+        search(ScdStage {
+            cells: &cells,
+            spec: spec.as_ref(),
+            found: &mut found,
+            cache: &cache,
+        })?;
 
-        // Each Bundle is calibrated by the first of its cells to run, so
-        // only Bundles with missing cells are; all share one cache.
-        let estimators = pipeline::Estimators::new(&cfg.device, Arc::clone(&cache));
-        let to_calibrate: BTreeSet<BundleId> = missing.iter().map(|cell| cell.bundle).collect();
-        let calibrated = AtomicUsize::new(0);
-        // Each searched cell is recorded before its event, so
-        // `done == total` means the whole grid is on disk.
-        let searched = AtomicUsize::new(cells.len() - missing.len());
-        let computed = try_parallel_map(&missing, threads, |_, cell| {
-            live()?;
-            let estimator = estimators.get(cell.bundle, || {
-                observer.on_event(&FlowEvent::BundleCalibrated {
-                    bundle: cell.bundle.0,
-                    done: calibrated.fetch_add(1, Ordering::Relaxed) + 1,
-                    total: to_calibrate.len(),
-                });
-            })?;
-            let cands = pipeline::run_cell(cfg, cell, estimator, &self.model);
-            if let Some(c) = ckpt {
-                c.record_cell(cell.index, &cands)
-                    .map_err(checkpoint_error)?;
-            }
-            observer.on_event(&FlowEvent::ScdSearchFinished {
-                target_fps: cell.fps,
-                bundle: cell.bundle.0,
-                activation: cell.activation,
-                found: cands.len(),
-                done: searched.fetch_add(1, Ordering::Relaxed) + 1,
-                total: cells.len(),
-            });
-            Ok::<_, FlowError>((cell.index, cands))
-        });
-        // One sync for the whole stage, whether it finished or not; the
-        // stage's own error, if any, is the one reported.
-        let synced = match ckpt {
-            Some(c) if !missing.is_empty() => c.sync().map_err(checkpoint_error),
-            _ => Ok(()),
-        };
-        found.extend(computed?);
-        synced?;
-
-        let (candidates, best_per_target) = pipeline::merge(cfg, &cells, &found);
+        let (candidates, best_per_target) = pipeline::merge(cfg, &cells, &found)?;
         let mut designs: Vec<DesignOutcome> = Vec::new();
         for (fps, best) in &best_per_target {
-            live()?;
-            let design = pipeline::finalize(cfg, *fps, best, self.measured_quant.as_ref())?;
+            live(cancel)?;
+            let design = pipeline::finalize(cfg, *fps, best, self.measured_quant.as_ref())
+                .map_err(FlowError::from)?;
             observer.on_event(&FlowEvent::DesignFinalized {
                 target_fps: *fps,
                 accuracy: design.accuracy,
@@ -840,11 +819,88 @@ impl CoDesignFlow {
             cache_stats: cache.stats(),
         })
     }
+
+    /// The in-process SCD stage: the missing cells on the calling thread
+    /// and scoped helpers, with cancellation checked before each cell.
+    /// Each Bundle is calibrated by the first of its cells to run, so
+    /// only Bundles with missing cells are, and each cell is appended to
+    /// `ckpt`'s segment 0 before its event.
+    fn search_cells(
+        &self,
+        stage: ScdStage<'_>,
+        ckpt: Option<&FlowCheckpoint>,
+        observer: &dyn FlowObserver,
+        cancel: &CancelToken,
+    ) -> Result<(), FlowError> {
+        let cfg = &self.config;
+        let missing: Vec<&pipeline::Cell> = stage
+            .cells
+            .iter()
+            .filter(|cell| !stage.found.contains_key(&cell.index))
+            .collect();
+        let model = AccuracyModel::paper_calibrated();
+        let estimators = pipeline::Estimators::new(&cfg.device, Arc::clone(stage.cache));
+        let to_calibrate: BTreeSet<BundleId> = missing.iter().map(|cell| cell.bundle).collect();
+        let calibrated = AtomicUsize::new(0);
+        // Each searched cell is recorded before its event, so
+        // `done == total` means the whole grid is on disk.
+        let searched = AtomicUsize::new(stage.cells.len() - missing.len());
+        let computed = try_parallel_map(&missing, cfg.parallelism.threads(), |_, cell| {
+            live(cancel)?;
+            let estimator = estimators.get(cell.bundle, || {
+                observer.on_event(&FlowEvent::BundleCalibrated {
+                    bundle: cell.bundle.0,
+                    done: calibrated.fetch_add(1, Ordering::Relaxed) + 1,
+                    total: to_calibrate.len(),
+                });
+            })?;
+            let cands = pipeline::run_cell(cfg, cell, estimator, &model);
+            if let Some(c) = ckpt {
+                c.record_cell(cell.index, &cands)?;
+            }
+            observer.on_event(&FlowEvent::ScdSearchFinished {
+                target_fps: cell.fps,
+                bundle: cell.bundle.0,
+                activation: cell.activation,
+                found: cands.len(),
+                done: searched.fetch_add(1, Ordering::Relaxed) + 1,
+                total: stage.cells.len(),
+            });
+            Ok::<_, FlowError>((cell.index, cands))
+        });
+        // One sync for the whole stage, whether it finished or not; the
+        // stage's own error, if any, is the one reported.
+        let synced = match ckpt {
+            Some(c) if !missing.is_empty() => c.sync().map_err(CheckpointError::Io),
+            _ => Ok(()),
+        };
+        stage.found.extend(computed?);
+        synced?;
+        Ok(())
+    }
 }
 
-fn checkpoint_error(e: impl fmt::Display) -> FlowError {
-    FlowError::Checkpoint {
-        reason: e.to_string(),
+/// What the flow's SCD stage hands the executor that computes it.
+pub struct ScdStage<'a> {
+    /// The whole SCD grid, in cell-index order.
+    pub cells: &'a [pipeline::Cell],
+    /// The run directory's plan, for a run with one.
+    pub spec: Option<&'a SweepSpec>,
+    /// Every finished cell by grid index: on entry the cells the run
+    /// directory holds; the executor adds the rest.
+    pub found: &'a mut BTreeMap<usize, Vec<Candidate>>,
+    /// The run's estimate cache, the one [`FlowOutput::cache_stats`]
+    /// reports. Cells searched in other processes use caches of their
+    /// own.
+    pub cache: &'a Arc<EstimateCache>,
+}
+
+/// `Ok` while `cancel` has not fired.
+fn live(cancel: &CancelToken) -> Result<(), FlowError> {
+    match cancel.state() {
+        CancelState::Cancelled => Err(FlowError::Cancelled),
+        CancelState::TimedOut => Err(FlowError::DeadlineExceeded),
+        CancelState::Live => Ok(()),
     }
 }
 

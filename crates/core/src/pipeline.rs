@@ -1,9 +1,11 @@
 //! The co-design recipe (paper Fig. 1), written once.
 //!
-//! Every executor of the flow — the in-process
-//! [`CoDesignFlow`](crate::flow::CoDesignFlow) and the multi-process
-//! supervisor and workers of `codesign-shard` — runs the same five
-//! steps by calling these functions:
+//! One driver,
+//! [`CoDesignFlow::run_with`](crate::flow::CoDesignFlow::run_with),
+//! calls steps 1, 2, 4 and 5 for every executor. Step 3 is what an
+//! executor supplies: the in-process flow runs the missing cells on
+//! scoped threads, and `codesign-shard` runs them in worker processes,
+//! each calling [`run_cell`]:
 //!
 //! 1. [`coarse_stage`]: coarse Bundle evaluation over the PF sweep and
 //!    Pareto selection at the largest PF (Co-Design Step 2).
@@ -18,15 +20,14 @@
 //! 5. [`finalize`]: full simulation and Auto-HLS codegen of each
 //!    target's winner.
 //!
-//! The executors differ only in scheduling, events, cancellation and
-//! persistence. Everything a result depends on lives here, so their
+//! The executors differ only in how step 3 is scheduled and persisted. Everything a result depends on lives here, so their
 //! outputs are bit-identical by construction: each cell is seeded from
 //! what it *is* (target index, Bundle, arm), never from when or where
 //! it runs.
 
 use crate::accuracy::{AccuracyModel, ProxyEvaluator};
 use crate::evaluate::{coarse_evaluate_parallel, select_bundles, BundleEvaluation, EvalMethod};
-use crate::flow::{DesignOutcome, FlowConfig};
+use crate::flow::{DesignOutcome, FlowConfig, FlowError};
 use crate::parallel::derive_seed;
 use crate::search::{scd_search, Candidate, ScdConfig};
 use codesign_dnn::builder::DnnBuilder;
@@ -217,27 +218,31 @@ pub type Tagged = (f64, Candidate);
 /// most accurate candidate per target (the designs to finalize). An
 /// entry of `found` whose index is not in `cells` is never read.
 ///
-/// # Panics
+/// # Errors
 ///
-/// When a cell of `cells` has no entry in `found`.
+/// [`FlowError::MissingCell`] for the first cell of `cells` without an
+/// entry in `found`.
 pub fn merge(
     cfg: &FlowConfig,
     cells: &[Cell],
     found: &BTreeMap<usize, Vec<Candidate>>,
-) -> (Vec<Tagged>, Vec<Tagged>) {
+) -> Result<(Vec<Tagged>, Vec<Tagged>), FlowError> {
     let mut candidates: Vec<Tagged> = Vec::new();
     let mut best_per_target: Vec<Tagged> = Vec::new();
     for (ti, &fps) in cfg.targets_fps.iter().enumerate() {
         let first = candidates.len();
         for cell in cells.iter().filter(|cell| cell.ti == ti) {
-            candidates.extend(found[&cell.index].iter().map(|c| (fps, c.clone())));
+            let cands = found
+                .get(&cell.index)
+                .ok_or(FlowError::MissingCell(cell.index))?;
+            candidates.extend(cands.iter().map(|c| (fps, c.clone())));
         }
         let best = candidates[first..]
             .iter()
             .max_by(|a, b| a.1.accuracy.total_cmp(&b.1.accuracy));
         best_per_target.extend(best.cloned());
     }
-    (candidates, best_per_target)
+    Ok((candidates, best_per_target))
 }
 
 /// Finalizes a target's winner: full Tile-Arch simulation and Auto-HLS
@@ -304,6 +309,18 @@ mod tests {
         for (i, c) in cells.iter().enumerate() {
             assert_eq!(c.index, i);
         }
+    }
+
+    #[test]
+    fn merge_reports_a_missing_cell() {
+        let cfg = FlowConfig::for_device(pynq_z1());
+        let cells = cells(&cfg.targets_fps, &[BundleId(1)]);
+        let found = (0..cells.len())
+            .filter(|&i| i != 3)
+            .map(|i| (i, Vec::new()))
+            .collect();
+        let merged = merge(&cfg, &cells, &found);
+        assert_eq!(merged.err(), Some(FlowError::MissingCell(3)));
     }
 
     #[test]

@@ -147,14 +147,6 @@ impl LayerOp {
         }
     }
 
-    /// Convenience constructor for an average pooling layer.
-    pub fn avg_pool(k: usize) -> Self {
-        LayerOp::Pool {
-            kind: PoolKind::Avg,
-            k,
-        }
-    }
-
     /// Convenience constructor for an activation layer.
     pub fn activation(act: Activation) -> Self {
         LayerOp::Activation { act }

@@ -145,11 +145,6 @@ impl DesignPoint {
             .min(self.max_channels)
     }
 
-    /// Number of down-sampling layers in the design.
-    pub fn downsample_count(&self) -> usize {
-        self.downsample.iter().filter(|&&d| d).count()
-    }
-
     /// Validates the point's parameters against their legal domains.
     ///
     /// # Errors

@@ -84,9 +84,10 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// FNV-1a over `bytes`, used to fold site names into the seed stream.
+/// FNV-1a over `bytes`, used to fold site names into the seed stream
+/// (and re-exported by `codesign-store` as its record checksum).
 #[inline]
-fn fnv1a(bytes: &[u8]) -> u64 {
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         hash ^= b as u64;

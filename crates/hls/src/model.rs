@@ -163,8 +163,7 @@ pub struct HlsEstimator {
     device: FpgaDevice,
     builder: DnnBuilder,
     cache: Option<Arc<EstimateCache>>,
-    /// Precomputed cache-key salt (see [`Self::write_key`]); recomputed
-    /// whenever a constructor swaps a salted component.
+    /// Precomputed cache-key salt (see [`Self::write_key`]).
     salt: Vec<u8>,
 }
 
@@ -181,13 +180,6 @@ impl HlsEstimator {
             cache: None,
             salt,
         }
-    }
-
-    /// Replaces the DNN builder (e.g. for a different input resolution).
-    pub fn with_builder(mut self, builder: DnnBuilder) -> Self {
-        self.builder = builder;
-        self.salt = Self::compute_salt(&self.params, &self.device, &self.builder);
-        self
     }
 
     /// Attaches a shared [`EstimateCache`]; subsequent
@@ -221,17 +213,7 @@ impl HlsEstimator {
     }
 
     /// Estimates latency (Eqs. 2-4) and resources (Eqs. 1 and 5) of an
-    /// elaborated DNN at the calibration-time parallel factor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EstimateError::Sim`] when the DNN contains operators
-    /// outside the IP pool.
-    pub fn estimate_dnn(&self, dnn: &Dnn) -> Result<Estimate, EstimateError> {
-        self.estimate_dnn_at(dnn, self.params.parallel_factor)
-    }
-
-    /// Estimates an elaborated DNN at an explicit parallel factor.
+    /// elaborated DNN at an explicit parallel factor.
     ///
     /// The PF is threaded through as an argument — design-point
     /// estimation substitutes the *point's* PF for the calibration-time

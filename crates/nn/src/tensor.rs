@@ -154,12 +154,6 @@ impl Tensor {
         &self.data[n * stride..(n + 1) * stride]
     }
 
-    /// Mutable variant of [`Tensor::image`].
-    pub fn image_mut(&mut self, n: usize) -> &mut [f32] {
-        let stride = self.image_len();
-        &mut self.data[n * stride..(n + 1) * stride]
-    }
-
     /// Element count of one leading-axis slab (`len / batch`).
     ///
     /// # Panics

@@ -1,21 +1,22 @@
 //! Crash-tolerant multi-process sharded co-design search.
 //!
-//! The co-design recipe lives once, in [`codesign_core::pipeline`]; its
-//! SCD stage is a pure grid of [`Cell`](codesign_core::pipeline::Cell)s,
-//! one independent search per `(FPS target, selected Bundle,
-//! quantization arm)`, each seeded from what the cell *is* rather than
-//! when it runs. That makes it safe to split across OS processes. This
-//! crate adds only the process supervision needed to survive those
-//! processes dying; every result comes from the same `pipeline` calls
-//! the in-process flow makes:
+//! The co-design recipe lives once, in [`codesign_core::pipeline`], and
+//! one driver runs it for every executor
+//! ([`CoDesignFlow::run_with`](codesign_core::flow::CoDesignFlow::run_with)).
+//! Its SCD stage is a pure grid of
+//! [`Cell`](codesign_core::pipeline::Cell)s, one independent search per
+//! `(FPS target, selected Bundle, quantization arm)`, each seeded from
+//! what the cell *is* rather than when it runs. That makes it safe to
+//! split across OS processes. This crate supplies only that stage, and
+//! the process supervision needed to survive those processes dying;
+//! the coarse stage, merge and finalize are the driver's:
 //!
-//! * [`supervisor`] — runs the coarse stage, partitions the grid into
-//!   shards, spawns worker processes (re-execs of this crate's own
-//!   binary), hands out shards under leases that each worker renews by
-//!   writing to its stdout pipe, reclaims leases from crashed or hung
-//!   workers, retries with a bounded budget, quarantines shards that
-//!   keep failing instead of retrying forever, and merges and
-//!   finalizes the results.
+//! * [`supervisor`] — asks the driver for a shard count, spawns worker
+//!   processes (re-execs of this crate's own binary), hands out shards
+//!   under leases that each worker renews by writing to its stdout
+//!   pipe, reclaims leases from crashed or hung workers, retries with a
+//!   bounded budget, and quarantines shards that keep failing instead
+//!   of retrying forever.
 //! * [`worker`] — the child-process side: reads the
 //!   [`SweepSpec`](codesign_core::checkpoint::SweepSpec), computes its
 //!   cells, appends results to its own segment log, and
@@ -48,7 +49,6 @@
 
 use codesign_core::checkpoint::CheckpointError;
 use codesign_core::flow::FlowError;
-use codesign_sim::error::SimError;
 use codesign_store::{CodecError, LogError};
 use std::fmt;
 use std::io;
@@ -85,12 +85,6 @@ pub enum ShardError {
         /// The quarantined shard indices, ascending.
         shards: Vec<usize>,
     },
-    /// The merge found cells no completed segment covered (a bug or a
-    /// tampered shard directory, never an expected outcome).
-    IncompleteMerge {
-        /// Global indices of the uncovered cells, ascending.
-        missing: Vec<usize>,
-    },
 }
 
 impl fmt::Display for ShardError {
@@ -107,9 +101,6 @@ impl fmt::Display for ShardError {
                     "{} shard(s) quarantined after retries: {shards:?}",
                     shards.len()
                 )
-            }
-            ShardError::IncompleteMerge { missing } => {
-                write!(f, "merge missing {} cell(s): {missing:?}", missing.len())
             }
         }
     }
@@ -133,18 +124,6 @@ impl From<io::Error> for ShardError {
     }
 }
 
-impl From<LogError> for ShardError {
-    fn from(e: LogError) -> Self {
-        ShardError::Log(e)
-    }
-}
-
-impl From<CodecError> for ShardError {
-    fn from(e: CodecError) -> Self {
-        ShardError::Codec(e)
-    }
-}
-
 impl From<FlowError> for ShardError {
     fn from(e: FlowError) -> Self {
         ShardError::Flow(e)
@@ -159,11 +138,5 @@ impl From<CheckpointError> for ShardError {
             CheckpointError::Codec(e) => ShardError::Codec(e),
             spec => ShardError::Spec(spec.to_string()),
         }
-    }
-}
-
-impl From<SimError> for ShardError {
-    fn from(e: SimError) -> Self {
-        ShardError::Flow(e.into())
     }
 }

@@ -1,11 +1,12 @@
-//! The supervisor: spawn, lease, reclaim, retry, quarantine, merge.
+//! The supervisor: spawn, lease, reclaim, retry, quarantine.
 //!
-//! [`run`] executes the shared co-design recipe
-//! ([`codesign_core::pipeline`]) with its SCD cells fanned out across
-//! worker *processes* (not threads): the supervisor runs
-//! `pipeline::coarse_stage` itself, plans the grid's shards in the run
-//! directory's spec, and then drives a simple state machine over the
-//! shards —
+//! [`run`] hands the co-design recipe to the flow's own driver
+//! ([`CoDesignFlow::run_with`]), which runs the coarse stage, pins the
+//! plan in the run directory's spec, merges, finalizes and assembles
+//! the output exactly as the in-process flow does. The supervisor
+//! supplies only the SCD stage: it fans the grid's shards out across
+//! worker *processes* (not threads) and drives a simple state machine
+//! over them —
 //!
 //! ```text
 //! pending ──spawn──▶ running ──exit 0 + segment verified──▶ done
@@ -23,9 +24,8 @@
 //! checkpointed in-process run uses: its lock, taken before `spec.bin`
 //! is read or written, keeps a second run out of a directory in use,
 //! and a restart with a different config, selection or shard count
-//! fails. So a directory a checkpointed run left at one shard can be
-//! finished here with `shards: 1`, and the supervisor keeps the
-//! directory when it is done.
+//! fails. So either executor can finish a directory the other started,
+//! and the supervisor keeps the directory when it is done.
 //!
 //! Liveness is a pipe: each worker's stdout is read by one thread that
 //! forwards every read to a channel, and the supervisor blocks on that
@@ -39,21 +39,17 @@
 //! supervisor returns — on success or on an error — are killed and
 //! reaped.
 //!
-//! When every shard is done, the segments' cells are gathered into one
-//! map by global cell index, and `pipeline::merge` and
-//! `pipeline::finalize` — the same calls, on the same map, the
-//! in-process flow makes — reproduce its [`FlowOutput`] byte for byte —
-//! see
+//! Each verified segment's cells join the stage's map by global cell
+//! index, so the driver merges and finalizes the same map the
+//! in-process flow would — see
 //! [`canonical_output_bytes`](crate::canonical_output_bytes) for what
 //! "byte for byte" means. A run with quarantined shards returns
 //! [`ShardError::Quarantined`] instead of a silently-partial output.
 
 use codesign_core::checkpoint::{read_segment, segment_path, FlowCheckpoint};
-use codesign_core::flow::{DesignOutcome, FlowConfig, FlowOutput};
-use codesign_core::pipeline;
-use codesign_core::AccuracyModel;
+use codesign_core::flow::{CoDesignFlow, FlowConfig, FlowOutput, ScdStage};
+use codesign_core::observe::{CancelToken, NullObserver};
 use codesign_faults::SPEC_ENV;
-use codesign_sim::report::CacheStats;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{self, Read};
 use std::path::PathBuf;
@@ -223,6 +219,8 @@ fn spawn(
 
 /// Runs the sharded search to completion.
 ///
+/// The flow's own driver ([`CoDesignFlow::run_with`]) runs the recipe
+/// around the SCD stage; this supplies the stage's worker processes.
 /// The output's decisions — coarse evaluations, selection, candidates
 /// and designs — are bit-identical to the in-process flow's. Two fields
 /// are not: `cache_stats` is zeroed, because the worker caches die with
@@ -242,36 +240,38 @@ pub fn run(config: &ShardConfig) -> Result<(FlowOutput, ShardReport), ShardError
     // Holds the directory's lock until this function returns: one run
     // per directory, and any spec in it is this config's.
     let ckpt = FlowCheckpoint::open(&config.dir, &config.flow)?;
-    let cfg = &config.flow;
-
-    // The coarse stage runs in-process: it is cheap, fully
-    // deterministic, and its output (the Bundle selection) is an input
-    // to the sharding plan itself.
-    let (coarse, selected) = pipeline::coarse_stage(cfg, &AccuracyModel::paper_calibrated())?;
-
-    let cells = pipeline::cells(&cfg.targets_fps, &selected);
-    let workers = config.workers.max(1);
     let shards = match config.shards {
-        0 => 2 * workers,
+        0 => 2 * config.workers.max(1),
         n => n,
-    }
-    .clamp(1, cells.len().max(1));
-    // The spec is the run's plan: a directory that already holds one
-    // must plan this selection over this many shards.
-    let spec = ckpt.plan(&selected, Some(shards))?;
+    };
+    let mut report = ShardReport::default();
+    let search = |stage: ScdStage<'_>| supervise(config, stage, &mut report);
+    let output = CoDesignFlow::new(config.flow.clone()).run_with(
+        Some(&ckpt),
+        Some(shards),
+        &NullObserver,
+        &CancelToken::new(),
+        search,
+    )?;
+    Ok((output, report))
+}
 
-    // A shard is complete when its segment covers every cell it owns.
+/// The SCD stage on worker processes: runs every shard whose cells
+/// the stage has not found yet, and adds each finished segment's cells.
+fn supervise(
+    config: &ShardConfig,
+    stage: ScdStage<'_>,
+    report: &mut ShardReport,
+) -> Result<(), ShardError> {
+    let spec = stage.spec.expect("a run with a directory has a plan");
+    let shards = spec.shards;
+    // A shard is complete when `cells` holds every cell it owns.
     let covers =
         |cells: &BTreeMap<usize, _>, shard| spec.shard_cells(shard).all(|i| cells.contains_key(&i));
-    let found = ckpt.cells()?;
-    let mut done: BTreeSet<usize> = (0..shards).filter(|&s| covers(&found, s)).collect();
-    let mut report = ShardReport {
-        shards,
-        cells: cells.len(),
-        reused_shards: done.len(),
-        retries: 0,
-        lease_reclaims: 0,
-    };
+    let mut done: BTreeSet<usize> = (0..shards).filter(|&s| covers(stage.found, s)).collect();
+    report.shards = shards;
+    report.cells = stage.cells.len();
+    report.reused_shards = done.len();
 
     let mut pending: VecDeque<usize> = (0..shards).filter(|s| !done.contains(s)).collect();
     let mut attempts: Vec<u32> = vec![0; shards];
@@ -282,7 +282,7 @@ pub fn run(config: &ShardConfig) -> Result<(FlowOutput, ShardReport), ShardError
 
     while done.len() + quarantined.len() < shards {
         // Spawn up to the worker budget.
-        while running.len() < workers {
+        while running.len() < config.workers.max(1) {
             let Some(shard) = pending.pop_front() else {
                 break;
             };
@@ -310,14 +310,19 @@ pub fn run(config: &ShardConfig) -> Result<(FlowOutput, ShardReport), ShardError
                     continue;
                 }
                 let status = running.swap_remove(idx).reap(false)?;
-                if !status.success() {
-                    failures.push((shard, attempt, format!("worker {status}")));
-                } else if covers(&read_segment(&segment_path(&config.dir, shard))?, shard) {
-                    done.insert(shard);
+                let reason = if status.success() {
+                    // The worker is reaped, so its segment is final.
+                    let segment = read_segment(&segment_path(&config.dir, shard))?;
+                    if covers(&segment, shard) {
+                        stage.found.extend(segment);
+                        done.insert(shard);
+                        continue;
+                    }
+                    "exited 0 with incomplete segment".to_string()
                 } else {
-                    let reason = "exited 0 with incomplete segment".to_string();
-                    failures.push((shard, attempt, reason));
-                }
+                    format!("worker {status}")
+                };
+                failures.push((shard, attempt, reason));
             }
             Err(_) => {
                 let now = Instant::now();
@@ -348,35 +353,7 @@ pub fn run(config: &ShardConfig) -> Result<(FlowOutput, ShardReport), ShardError
             shards: quarantined.into_iter().collect(),
         });
     }
-
-    // Merge: segments in canonical shard order, keyed by global cell
-    // index. Workers are reaped, so segment locks are stale at worst.
-    let by_cell = ckpt.cells()?;
-    let missing: Vec<usize> = (0..cells.len())
-        .filter(|i| !by_cell.contains_key(i))
-        .collect();
-    if !missing.is_empty() {
-        return Err(ShardError::IncompleteMerge { missing });
-    }
-
-    let (candidates, best_per_target) = pipeline::merge(cfg, &cells, &by_cell);
-    let mut designs: Vec<DesignOutcome> = Vec::new();
-    for (fps, best) in &best_per_target {
-        // Measured quantization is an in-process flow option only.
-        designs.push(pipeline::finalize(cfg, *fps, best, None)?);
-    }
-
-    let output = FlowOutput {
-        coarse,
-        selected_bundles: selected,
-        candidates,
-        designs,
-        // Worker caches died with their processes; the merged output
-        // carries zeroed stats, consistent with "cache stats describe
-        // the run, not the answer".
-        cache_stats: CacheStats::default(),
-    };
-    Ok((output, report))
+    Ok(())
 }
 
 #[cfg(test)]

@@ -42,6 +42,7 @@
 //!   cell's global index), widening race windows for kill tests.
 
 use codesign_core::checkpoint::{encode_cell, open_segment, segment_path, SweepSpec};
+use codesign_core::flow::FlowError;
 use codesign_core::pipeline::{run_cell, Cell, Estimators};
 use codesign_core::AccuracyModel;
 use codesign_faults::{plan_from_env, FaultAction, FaultPlan};
@@ -210,7 +211,9 @@ pub fn run_worker(
             std::thread::sleep(d);
         }
 
-        let estimator = estimators.get(cell.bundle, || {})?;
+        let estimator = estimators
+            .get(cell.bundle, || {})
+            .map_err(FlowError::from)?;
         let found = run_cell(cfg, cell, estimator, &model);
         let mut record = ByteWriter::new();
         encode_cell(&mut record, cell.index, &found);

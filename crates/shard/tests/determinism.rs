@@ -7,15 +7,18 @@
 //! same coarse records, Bundle selection, Pareto candidates, finalized
 //! design points, objectives, and generated-C checksums, byte for
 //! byte. The same holds for a directory a checkpointed in-process run
-//! was interrupted in and the supervisor finished.
+//! was interrupted in and the supervisor finished, and for a directory
+//! the supervisor left with a quarantined shard and a checkpointed run
+//! finished.
 
 use codesign_core::checkpoint::FlowCheckpoint;
 use codesign_core::flow::{CoDesignFlow, FlowConfig, FlowError};
-use codesign_core::observe::{CancelToken, FlowEvent};
+use codesign_core::observe::{CancelToken, FlowEvent, NullObserver};
 use codesign_core::Parallelism;
-use codesign_shard::canonical_output_bytes;
 use codesign_shard::supervisor::{run, ShardConfig};
+use codesign_shard::{canonical_output_bytes, ShardError};
 use codesign_sim::device::pynq_z1;
+use codesign_sim::report::CacheStats;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -90,6 +93,14 @@ fn sharded_output_matches_in_process_flow_at_any_worker_count() {
         assert_eq!(a.point, b.point);
         assert_eq!(a.code, b.code);
     }
+
+    // The two fields the canonical bytes leave out describe the run:
+    // no sharded design is measured, and worker caches die with their
+    // processes.
+    for out in [&out_1, &out_4] {
+        assert!(out.designs.iter().all(|d| d.measured_iou.is_none()));
+        assert_eq!(out.cache_stats, CacheStats::default());
+    }
 }
 
 #[test]
@@ -144,5 +155,30 @@ fn a_checkpointed_run_finished_by_the_supervisor_matches_the_in_process_flow() {
         canonical_output_bytes(&finished),
         canonical_output_bytes(&direct),
         "a checkpointed run finished by the supervisor differs from the in-process flow"
+    );
+}
+
+#[test]
+fn a_quarantined_sweep_finished_by_a_checkpointed_run_matches_the_in_process_flow() {
+    let direct = CoDesignFlow::new(flow_config()).run().expect("direct flow");
+    // Shard 1 aborts on every attempt, so the sweep ends with three of
+    // its four segments complete and shard 1's cells missing.
+    let poison = Some("seed=3;shard.worker.poison=panic@1");
+    let mut config = shard_config("to_checkpoint", 2, poison);
+    config.max_retries = 0;
+    match run(&config) {
+        Err(ShardError::Quarantined { shards }) => assert_eq!(shards, vec![1]),
+        other => panic!("expected quarantine, got {:?}", other.map(|o| o.1)),
+    }
+
+    let flow = CoDesignFlow::new(flow_config());
+    let ckpt = FlowCheckpoint::open(&config.dir, flow.config()).expect("open run directory");
+    let finished = flow
+        .run_checkpointed(&ckpt, &NullObserver, &CancelToken::new())
+        .expect("the checkpointed run finishes the directory");
+    assert_eq!(
+        canonical_output_bytes(&finished),
+        canonical_output_bytes(&direct),
+        "a sweep finished by a checkpointed run differs from the in-process flow"
     );
 }

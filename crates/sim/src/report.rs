@@ -42,16 +42,6 @@ impl ResourceUsage {
             bram_18k: self.bram_18k.max(other.bram_18k),
         }
     }
-
-    /// Scales all fields by an integer factor.
-    pub fn scaled(self, factor: u64) -> Self {
-        Self {
-            dsp: self.dsp * factor,
-            lut: self.lut * factor,
-            ff: self.ff * factor,
-            bram_18k: self.bram_18k * factor,
-        }
-    }
 }
 
 impl Add for ResourceUsage {

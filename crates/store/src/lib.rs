@@ -38,15 +38,9 @@ pub use lock::{LockError, LockFile};
 pub use log::{LogError, LogOptions, RecordLog, StreamKind};
 
 /// FNV-1a over `bytes` — the checksum used for log records and the
-/// fingerprint hash used by flow checkpoints.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+/// fingerprint hash used by flow checkpoints. The one implementation
+/// lives in `codesign-faults`, which folds fault-site names with it.
+pub use codesign_faults::fnv1a;
 
 #[cfg(test)]
 mod tests {
