@@ -23,8 +23,8 @@ use codesign_core::observe::{CancelToken, FlowEvent};
 use codesign_hls::cache::EstimateCache;
 use codesign_hls::store::EstimateStore;
 use codesign_sim::device::pynq_z1;
-use codesign_store::LogOptions;
-use std::path::{Path, PathBuf};
+use codesign_store::{LogOptions, TempDir};
+use std::path::Path;
 use std::sync::Arc;
 
 /// The full default flow (three FPS targets, default sweep) — enough
@@ -35,25 +35,6 @@ fn config() -> FlowConfig {
         .targets_fps([10.0, 15.0, 20.0])
         .build()
         .expect("valid bench config")
-}
-
-/// The bench's scratch directory, removed with everything in it on
-/// drop — also when an assertion fails.
-struct ScratchDir(PathBuf);
-
-impl ScratchDir {
-    fn new() -> Self {
-        let dir =
-            std::env::temp_dir().join(format!("codesign_bench_persist_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("create bench scratch dir");
-        Self(dir)
-    }
-}
-
-impl Drop for ScratchDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
 }
 
 /// Runs the flow against `cache`.
@@ -95,9 +76,9 @@ fn assert_bit_identical(cold: &FlowOutput, other: &FlowOutput, what: &str) {
 }
 
 fn main() {
-    let scratch = ScratchDir::new();
-    let store_path = scratch.0.join("store.log");
-    let ckpt_dir = scratch.0.join("ckpt");
+    let scratch = TempDir::new("codesign_bench_persist").expect("create bench scratch dir");
+    let store_path = scratch.join("store.log");
+    let ckpt_dir = scratch.join("ckpt");
 
     // Cold: an empty cache per sample; the last one's estimates are
     // spilled to the store.

@@ -274,10 +274,9 @@ mod tests {
 
     #[test]
     fn records_render_expected_json() {
-        let dir = std::env::temp_dir().join("codesign_bench_perf_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = codesign_store::TempDir::new("codesign_bench_perf").unwrap();
         // Serialize access to the env var with a scoped override.
-        std::env::set_var("BENCH_JSON_DIR", &dir);
+        std::env::set_var("BENCH_JSON_DIR", dir.path());
         let records = [
             BenchRecord::timing("baseline", timing(10, 10, 10, 5)),
             BenchRecord::speedup_over("fast", timing(2, 2, 2, 5), timing(10, 10, 10, 5)),
@@ -290,7 +289,6 @@ mod tests {
         let path = emit_bench_json("unit_test", &records).unwrap();
         std::env::remove_var("BENCH_JSON_DIR");
         let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
         assert!(text.contains("\"bench\": \"unit_test\""));
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         assert!(text.contains(&format!(

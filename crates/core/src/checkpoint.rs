@@ -578,21 +578,7 @@ pub fn config_fingerprint(config: &FlowConfig) -> u64 {
 mod tests {
     use super::*;
     use codesign_sim::device::{pynq_z1, ultra96};
-    use std::path::PathBuf;
-
-    /// A fresh, existing directory for one test's run.
-    pub(super) fn temp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join("codesign_core_checkpoint_tests")
-            .join(format!(
-                "{name}_{}_{:?}",
-                std::process::id(),
-                std::thread::current().id()
-            ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
+    use codesign_store::TempDir;
 
     pub(super) fn config() -> FlowConfig {
         FlowConfig {
@@ -740,13 +726,14 @@ mod tests {
 
     #[test]
     fn stages_round_trip_through_a_reopened_checkpoint() {
-        let dir = temp_dir("stages");
+        let tmp = TempDir::new("codesign_core_checkpoint").unwrap();
+        let dir = tmp.path();
         let cfg = config();
         let selected = vec![BundleId(13)];
         let found = pinned_cell();
 
         {
-            let ckpt = FlowCheckpoint::open(&dir, &cfg).unwrap();
+            let ckpt = FlowCheckpoint::open(dir, &cfg).unwrap();
             assert!(!ckpt.has_restored_stages());
             ckpt.plan(&selected, None).unwrap();
             assert!(ckpt.cells().unwrap().is_empty());
@@ -754,7 +741,7 @@ mod tests {
             ckpt.sync().unwrap();
         }
 
-        let ckpt = FlowCheckpoint::open(&dir, &cfg).unwrap();
+        let ckpt = FlowCheckpoint::open(dir, &cfg).unwrap();
         assert!(ckpt.has_restored_stages());
         ckpt.plan(&selected, None).unwrap();
         assert_eq!(ckpt.cells().unwrap(), BTreeMap::from([(0, found)]));
@@ -774,34 +761,35 @@ mod tests {
 
     #[test]
     fn config_mismatch_is_rejected() {
-        let dir = temp_dir("mismatch");
+        let tmp = TempDir::new("codesign_core_checkpoint").unwrap();
+        let dir = tmp.path();
         let cfg = config();
-        FlowCheckpoint::open(&dir, &cfg)
+        FlowCheckpoint::open(dir, &cfg)
             .unwrap()
             .plan(&[BundleId(13)], None)
             .unwrap();
         let mut other = cfg.clone();
         other.seed ^= 0xdead;
         assert!(matches!(
-            FlowCheckpoint::open(&dir, &other),
+            FlowCheckpoint::open(dir, &other),
             Err(CheckpointError::ConfigMismatch { .. })
         ));
         // The original config still opens.
-        drop(FlowCheckpoint::open(&dir, &cfg).unwrap());
-        let _ = std::fs::remove_dir_all(&dir);
+        drop(FlowCheckpoint::open(dir, &cfg).unwrap());
     }
 
     #[test]
     fn later_stage_without_earlier_is_ignored() {
-        let dir = temp_dir("order");
+        let tmp = TempDir::new("codesign_core_checkpoint").unwrap();
+        let dir = tmp.path();
         let cfg = config();
         {
             // Cells on disk without a spec: no plan names them, so
             // they must not be trusted.
-            let (mut log, _) = open_segment(&segment_path(&dir, 0)).unwrap();
+            let (mut log, _) = open_segment(&segment_path(dir, 0)).unwrap();
             log.append(&cell_bytes(0, &pinned_cell())).unwrap();
         }
-        let ckpt = FlowCheckpoint::open(&dir, &cfg).unwrap();
+        let ckpt = FlowCheckpoint::open(dir, &cfg).unwrap();
         assert!(!ckpt.has_restored_stages());
         ckpt.plan(&[BundleId(13)], None).unwrap();
         assert!(ckpt.cells().unwrap().is_empty());

@@ -72,13 +72,14 @@ fn decode_cells(records: &[Vec<u8>]) -> BTreeMap<usize, Vec<Candidate>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::tests::{candidate, cell_bytes as cell_record, temp_dir};
+    use crate::checkpoint::tests::{candidate, cell_bytes as cell_record};
     use codesign_store::log::lock_path;
+    use codesign_store::TempDir;
 
     #[test]
     fn segment_records_round_trip_and_resume() {
-        let dir = temp_dir("roundtrip");
-        let path = segment_path(&dir, 3);
+        let dir = TempDir::new("codesign_core_segment").unwrap();
+        let path = segment_path(dir.path(), 3);
         {
             let (mut log, cells) = open_segment(&path).unwrap();
             assert!(cells.is_empty());
@@ -92,13 +93,12 @@ mod tests {
         assert_eq!(cells[&7].len(), 2);
         assert!((cells[&7][1].accuracy - 0.6).abs() < 1e-12);
         assert!(cells[&8].is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn torn_tail_is_dropped_on_resume() {
-        let dir = temp_dir("torn");
-        let path = segment_path(&dir, 0);
+        let dir = TempDir::new("codesign_core_segment").unwrap();
+        let path = segment_path(dir.path(), 0);
         {
             let (mut log, _) = open_segment(&path).unwrap();
             log.append(&cell_record(0, &[candidate(0.4)])).unwrap();
@@ -125,13 +125,12 @@ mod tests {
         drop(log);
         let cells = read_segment(&path).unwrap();
         assert_eq!(cells.len(), 2);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn reading_a_segment_writes_nothing_and_ignores_a_live_writer() {
-        let dir = temp_dir("read_only");
-        let path = segment_path(&dir, 0);
+        let dir = TempDir::new("codesign_core_segment").unwrap();
+        let path = segment_path(dir.path(), 0);
         assert!(read_segment(&path).unwrap().is_empty());
         assert!(!path.exists(), "a read created the segment");
         assert!(!lock_path(&path).exists(), "a read took the lock");
@@ -144,6 +143,5 @@ mod tests {
         log.append(&cell_record(5, &[])).unwrap();
         drop(log);
         assert_eq!(read_segment(&path).unwrap().len(), 2);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -11,8 +11,8 @@ use codesign_core::observe::{CancelToken, FlowEvent, NullObserver};
 use codesign_core::{pipeline, Parallelism};
 use codesign_dnn::bundle::BundleId;
 use codesign_sim::device::pynq_z1;
-use codesign_store::{ByteWriter, RecordLog, StreamKind};
-use std::path::{Path, PathBuf};
+use codesign_store::{ByteWriter, RecordLog, StreamKind, TempDir};
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -25,22 +25,12 @@ fn small_config() -> FlowConfig {
     }
 }
 
-fn temp_path(name: &str) -> PathBuf {
-    std::env::temp_dir()
-        .join("codesign_core_resume_tests")
-        .join(format!(
-            "{name}_{}_{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ))
-}
-
 #[test]
 fn resumed_run_is_bit_identical_to_uninterrupted() {
     let baseline = CoDesignFlow::new(small_config()).run().unwrap();
 
-    let path = temp_path("bit_identity");
-    let _ = std::fs::remove_dir_all(&path);
+    let tmp = TempDir::new("codesign_core_resume").unwrap();
+    let path = tmp.join("bit_identity");
 
     // First attempt: cancel as soon as the first SCD cell finishes —
     // the spec and that cell are on disk by then, the rest of the SCD
@@ -97,8 +87,8 @@ fn resumed_run_is_bit_identical_to_uninterrupted() {
 
 #[test]
 fn fully_checkpointed_run_replays_the_search_stage_too() {
-    let path = temp_path("full_replay");
-    let _ = std::fs::remove_dir_all(&path);
+    let tmp = TempDir::new("codesign_core_resume").unwrap();
+    let path = tmp.join("full_replay");
 
     // Cancel after the search stage is already on disk, by cancelling
     // when the first design is finalized.
@@ -138,8 +128,8 @@ fn fully_checkpointed_run_replays_the_search_stage_too() {
 
 #[test]
 fn uninterrupted_checkpointed_run_matches_plain_run_and_cleans_up() {
-    let path = temp_path("clean");
-    let _ = std::fs::remove_dir_all(&path);
+    let tmp = TempDir::new("codesign_core_resume").unwrap();
+    let path = tmp.join("clean");
     let flow = CoDesignFlow::new(small_config());
     let ckpt = FlowCheckpoint::open(&path, flow.config()).unwrap();
     let out = flow
@@ -160,7 +150,6 @@ fn interrupt(
     config: &FlowConfig,
     stop: impl Fn(usize, usize) -> bool + Sync,
 ) -> (usize, usize) {
-    let _ = std::fs::remove_dir_all(path);
     let flow = CoDesignFlow::new(config.clone());
     let ckpt = FlowCheckpoint::open(path, flow.config()).unwrap();
     let token = CancelToken::new();
@@ -207,13 +196,14 @@ fn assert_bit_identical(expected: &FlowOutput, actual: &FlowOutput) {
 
 #[test]
 fn interrupted_search_resumes_only_its_missing_cells() {
+    let tmp = TempDir::new("codesign_core_resume").unwrap();
     for threads in [1, 4] {
         let config = FlowConfig {
             parallelism: Parallelism::Fixed(threads),
             ..small_config()
         };
         let plain = CoDesignFlow::new(config.clone()).run().unwrap();
-        let path = temp_path(&format!("per_cell_{threads}"));
+        let path = tmp.join(format!("per_cell_{threads}"));
 
         // Cells in flight when the token fires still finish, so at 4
         // workers more than 3 may be on disk.
@@ -241,11 +231,11 @@ fn interrupted_search_resumes_only_its_missing_cells() {
 fn checkpoint_cut_anywhere_reopens_and_resumes_bit_identically() {
     let config = small_config();
     let plain = CoDesignFlow::new(config.clone()).run().unwrap();
-    let full = temp_path("cut_full");
+    let tmp = TempDir::new("codesign_core_resume").unwrap();
+    let full = tmp.join("cut_full");
     interrupt(&full, &config, |done, total| done == total);
     let spec = std::fs::read(full.join(SPEC_FILE)).unwrap();
     let bytes = std::fs::read(segment_path(&full, 0)).unwrap();
-    let _ = std::fs::remove_dir_all(&full);
 
     // Record boundaries: a 16-byte log header, then frames of a 12-byte
     // head (u32 length, u64 checksum) and the payload.
@@ -261,7 +251,7 @@ fn checkpoint_cut_anywhere_reopens_and_resumes_bit_identically() {
 
     let mut cuts = boundaries.clone();
     cuts.extend(boundaries.windows(2).map(|w| (w[0] + w[1]) / 2));
-    let path = temp_path("cut");
+    let path = tmp.join("cut");
     for cut in cuts {
         std::fs::create_dir_all(&path).unwrap();
         std::fs::write(path.join(SPEC_FILE), &spec).unwrap();
@@ -275,7 +265,8 @@ fn checkpoint_cut_anywhere_reopens_and_resumes_bit_identically() {
 fn a_cell_record_outside_the_grid_is_ignored() {
     let config = small_config();
     let plain = CoDesignFlow::new(config.clone()).run().unwrap();
-    let path = temp_path("outside_grid");
+    let tmp = TempDir::new("codesign_core_resume").unwrap();
+    let path = tmp.join("outside_grid");
     interrupt(&path, &config, |done, _| done == 1);
     {
         // A well-formed, checksum-valid cell record for a cell index no
@@ -294,7 +285,8 @@ fn a_cell_record_outside_the_grid_is_ignored() {
 fn a_resume_calibrates_only_the_bundles_with_missing_cells() {
     let config = small_config();
     let plain = CoDesignFlow::new(config.clone()).run().unwrap();
-    let path = temp_path("calibrate_missing");
+    let tmp = TempDir::new("codesign_core_resume").unwrap();
+    let path = tmp.join("calibrate_missing");
     interrupt(&path, &config, |done, total| done == total);
     // Leave every cell of Bundles 1 and 13 on disk, and no other.
     let segment = segment_path(&path, 0);

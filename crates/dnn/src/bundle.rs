@@ -159,15 +159,6 @@ impl Bundle {
         self.ops().iter().any(SkeletonOp::expands_channels)
     }
 
-    /// True if the Bundle is a depth-wise separable block (depth-wise
-    /// conv followed by a point-wise conv), the MobileNet-style pattern.
-    pub fn is_depthwise_separable(&self) -> bool {
-        matches!(
-            self.ops(),
-            [SkeletonOp::DwConv { .. }, SkeletonOp::Conv { k: 1 }]
-        )
-    }
-
     /// Elaborates the Bundle into concrete layer operators for a given
     /// output channel width. Every computational IP is followed by batch
     /// normalization and the supplied activation, as in Fig. 2.
@@ -229,7 +220,6 @@ impl fmt::Display for Bundle {
 ///
 /// let bundles = enumerate_bundles();
 /// assert_eq!(bundles.len(), 18);
-/// assert!(bundles[12].is_depthwise_separable());
 /// ```
 pub fn enumerate_bundles() -> Vec<Bundle> {
     use SkeletonOp::{Conv, DwConv};
@@ -296,7 +286,6 @@ mod tests {
     #[test]
     fn bundle_13_is_mobilenet_block() {
         let b = bundle_by_id(BundleId(13)).unwrap();
-        assert!(b.is_depthwise_separable());
         assert_eq!(b.to_string(), "bundle-13 <dw-conv3x3 + conv1x1>");
     }
 

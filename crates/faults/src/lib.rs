@@ -73,9 +73,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
-/// SplitMix64 — the same generator `codesign-parallel` uses for
-/// per-item seed derivation (duplicated here, six lines, to keep this
-/// crate at the bottom of the dependency graph).
+/// SplitMix64, a bijective avalanche mix over `u64`. It seeds the fault
+/// schedules here and, through `codesign-parallel`'s re-export, every
+/// work item of the flow.
 #[inline]
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);

@@ -345,17 +345,7 @@ impl EstimateStore {
 mod tests {
     use super::*;
     use crate::model::EstimateError;
-    use std::path::PathBuf;
-
-    fn temp_path(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("codesign_hls_store_tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(format!(
-            "{name}_{}_{:?}.log",
-            std::process::id(),
-            std::thread::current().id()
-        ))
-    }
+    use codesign_store::TempDir;
 
     fn est(cycles: u64) -> Estimate {
         Estimate {
@@ -380,8 +370,8 @@ mod tests {
 
     #[test]
     fn persist_then_load_restores_cache_entries() {
-        let path = temp_path("round_trip");
-        let _ = std::fs::remove_file(&path);
+        let dir = TempDir::new("codesign_hls_store").unwrap();
+        let path = dir.join("round_trip.log");
 
         let cold = EstimateCache::new();
         for k in 0u8..20 {
@@ -409,13 +399,12 @@ mod tests {
             assert_eq!(v, est(k as u64 * 10));
         }
         assert_eq!(warm.store_hits(), 20);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn errors_are_not_persisted() {
-        let path = temp_path("errors");
-        let _ = std::fs::remove_file(&path);
+        let dir = TempDir::new("codesign_hls_store").unwrap();
+        let path = dir.join("errors.log");
         let cache = EstimateCache::new();
         cache.get_or_insert_with(&[1], || Ok(est(5))).unwrap();
         let _ = cache.get_or_insert_with(&[2], || {
@@ -427,13 +416,12 @@ mod tests {
         });
         let mut store = EstimateStore::open(&path).unwrap();
         assert_eq!(store.persist_from(&cache).unwrap(), 1);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn truncated_log_recovers_all_prior_records() {
-        let path = temp_path("crash");
-        let _ = std::fs::remove_file(&path);
+        let dir = TempDir::new("codesign_hls_store").unwrap();
+        let path = dir.join("crash.log");
         let cache = EstimateCache::new();
         for k in 0u8..10 {
             cache
@@ -462,13 +450,12 @@ mod tests {
         assert_eq!(reopened.stats().recovered_tail_bytes, 0);
         let fresh = EstimateCache::new();
         assert_eq!(reopened.load_into(&fresh), 10);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn injected_persist_failure_keeps_earlier_records_and_retries() {
-        let path = temp_path("inject");
-        let _ = std::fs::remove_file(&path);
+        let dir = TempDir::new("codesign_hls_store").unwrap();
+        let path = dir.join("inject.log");
         let cache = EstimateCache::new();
         for k in 0u8..6 {
             cache
@@ -499,13 +486,12 @@ mod tests {
         assert_eq!(reopened.stats().loaded, 6);
         let fresh = EstimateCache::new();
         assert_eq!(reopened.load_into(&fresh), 6);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn compact_drops_duplicates_and_preserves_live_entries() {
-        let path = temp_path("compact");
-        let _ = std::fs::remove_file(&path);
+        let dir = TempDir::new("codesign_hls_store").unwrap();
+        let path = dir.join("compact.log");
         let cache = EstimateCache::new();
         for k in 0u8..8 {
             cache
@@ -553,7 +539,6 @@ mod tests {
                 .unwrap();
             assert_eq!(v, est(k as u64 + 7));
         }
-        let _ = std::fs::remove_file(&path);
     }
 
     /// A cache with keys `[k]` for `k` in `keys`.
@@ -575,8 +560,8 @@ mod tests {
 
     #[test]
     fn stamp_skips_unchanged_cache_and_writes_new_entries_once() {
-        let path = temp_path("stamp_new");
-        let _ = std::fs::remove_file(&path);
+        let dir = TempDir::new("codesign_hls_store").unwrap();
+        let path = dir.join("stamp_new.log");
         let cache = cache_of(0..5);
         let mut store = EstimateStore::open(&path).unwrap();
         assert_eq!(store.persist_from(&cache).unwrap(), 5);
@@ -593,7 +578,6 @@ mod tests {
         assert_eq!(store.stats().persisted, 6);
         drop(store);
         assert_eq!(on_disk(&path), (6, 0), "each entry written exactly once");
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -601,8 +585,8 @@ mod tests {
         // Two caches with the same number of inserts but different
         // entries: a stamp without the cache's identity would take the
         // second for the first and write nothing.
-        let path = temp_path("stamp_identity");
-        let _ = std::fs::remove_file(&path);
+        let dir = TempDir::new("codesign_hls_store").unwrap();
+        let path = dir.join("stamp_identity.log");
         let first = cache_of(0..4);
         let second = cache_of(10..14);
         assert_eq!(first.stamp().ok_inserts, second.stamp().ok_inserts);
@@ -611,13 +595,12 @@ mod tests {
         assert_eq!(store.persist_from(&second).unwrap(), 4);
         drop(store);
         assert_eq!(on_disk(&path), (8, 0));
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn failed_persist_leaves_the_stamp_unset() {
-        let path = temp_path("stamp_failure");
-        let _ = std::fs::remove_file(&path);
+        let dir = TempDir::new("codesign_hls_store").unwrap();
+        let path = dir.join("stamp_failure.log");
         let cache = cache_of(0..6);
         let plan = codesign_faults::FaultPlan::builder(0)
             .io_failures_at("store.append", &[3])
@@ -635,13 +618,12 @@ mod tests {
         assert_eq!(store.stamp, Some(cache.stamp()));
         drop(store);
         assert_eq!(on_disk(&path), (6, 0));
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn load_into_stamps_only_a_cache_with_nothing_unwritten() {
-        let path = temp_path("stamp_load");
-        let _ = std::fs::remove_file(&path);
+        let dir = TempDir::new("codesign_hls_store").unwrap();
+        let path = dir.join("stamp_load.log");
         EstimateStore::open(&path)
             .unwrap()
             .persist_from(&cache_of(0..5))
@@ -663,13 +645,12 @@ mod tests {
         assert_eq!(store.persist_from(&held).unwrap(), 1);
         drop(store);
         assert_eq!(on_disk(&path), (6, 0));
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn load_into_skips_resident_keys() {
-        let path = temp_path("resident");
-        let _ = std::fs::remove_file(&path);
+        let dir = TempDir::new("codesign_hls_store").unwrap();
+        let path = dir.join("resident.log");
         let cache = EstimateCache::new();
         cache.get_or_insert_with(&[1], || Ok(est(1))).unwrap();
         {
@@ -683,13 +664,12 @@ mod tests {
         // A computed (non-preloaded) entry does not count store hits.
         target.get_or_insert_with(&[1], || Ok(est(1))).unwrap();
         assert_eq!(target.store_hits(), 0);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn a_retry_after_a_failed_sync_syncs_again() {
-        let path = temp_path("sync_retry");
-        let _ = std::fs::remove_file(&path);
+        let dir = TempDir::new("codesign_hls_store").unwrap();
+        let path = dir.join("sync_retry.log");
         let plan = codesign_faults::FaultPlan::builder(0)
             .io_failures_at("store.sync", &[0, 1])
             .build();
@@ -707,6 +687,5 @@ mod tests {
         assert_eq!(store.persist_from(&cache).unwrap(), 0);
         assert_eq!(plan.injected("store.sync"), 2);
         drop(store);
-        let _ = std::fs::remove_file(&path);
     }
 }

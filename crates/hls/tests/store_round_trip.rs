@@ -9,18 +9,8 @@ use codesign_hls::cache::EstimateCache;
 use codesign_hls::model::Estimate;
 use codesign_hls::store::EstimateStore;
 use codesign_sim::report::ResourceUsage;
+use codesign_store::TempDir;
 use proptest::prelude::*;
-use std::path::PathBuf;
-
-fn temp_path(tag: u64) -> PathBuf {
-    let dir = std::env::temp_dir().join("codesign_hls_store_prop");
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!(
-        "case_{tag}_{}_{:?}.log",
-        std::process::id(),
-        std::thread::current().id()
-    ))
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -53,8 +43,8 @@ proptest! {
             resources: ResourceUsage { dsp, lut, ff: lut / 2, bram_18k: dsp / 4 },
         };
 
-        let path = temp_path(case_tag);
-        let _ = std::fs::remove_file(&path);
+        let dir = TempDir::new("codesign_hls_store_prop").unwrap();
+        let path = dir.join(format!("case_{case_tag}.log"));
 
         let cold = EstimateCache::new();
         cold.get_or_insert_with(&key, || Ok(est)).unwrap();
@@ -83,7 +73,6 @@ proptest! {
             });
             prop_assert!(computed, "distinct point must miss the store");
         }
-        let _ = std::fs::remove_file(&path);
     }
 
     /// Many records per log: persist a whole cache, reload, and the
@@ -112,8 +101,8 @@ proptest! {
             cold.get_or_insert_with(&key, || Ok(est)).unwrap();
         }
 
-        let path = temp_path(case_tag ^ 0x5eed);
-        let _ = std::fs::remove_file(&path);
+        let dir = TempDir::new("codesign_hls_store_prop").unwrap();
+        let path = dir.join(format!("case_{case_tag}.log"));
         {
             let mut store = EstimateStore::open(&path).unwrap();
             prop_assert_eq!(store.persist_from(&cold).unwrap(), cold.len());
@@ -122,7 +111,6 @@ proptest! {
         let mut store = EstimateStore::open(&path).unwrap();
         store.load_into(&warm);
         prop_assert_eq!(warm.snapshot_ok(), cold.snapshot_ok());
-        let _ = std::fs::remove_file(&path);
     }
 }
 
@@ -141,8 +129,8 @@ fn pinned_store_log_still_warm_starts() {
         env!("CARGO_MANIFEST_DIR"),
         "/tests/golden/estimate_store_v1.log"
     );
-    let path = temp_path(0x0123_4567);
-    let _ = std::fs::remove_file(&path);
+    let dir = TempDir::new("codesign_hls_store_prop").unwrap();
+    let path = dir.join("estimate_store_v1.log");
     std::fs::copy(fixture, &path).unwrap();
 
     let bundle = bundle_by_id(BundleId(13)).unwrap();
@@ -159,6 +147,4 @@ fn pinned_store_log_still_warm_starts() {
     assert_eq!(served, estimator.estimate_point(&point).unwrap());
     assert_eq!(served.latency_cycles, 7_095_707);
     assert_eq!((cache.store_hits(), cache.stats().misses), (1, 0));
-    drop(store);
-    let _ = std::fs::remove_file(&path);
 }

@@ -91,13 +91,10 @@ impl std::fmt::Display for Parallelism {
     }
 }
 
-/// SplitMix64 finalizer: a bijective avalanche mix over `u64`.
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+/// SplitMix64 finalizer: a bijective avalanche mix over `u64`. The one
+/// implementation lives in `codesign-faults`, which seeds its fault
+/// schedules with it.
+pub use codesign_faults::splitmix64;
 
 /// Derives the seed of one work item from the flow's root seed and a
 /// stable per-item stream id.

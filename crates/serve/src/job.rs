@@ -211,11 +211,6 @@ impl Job {
         self.state.lock().expect("job lock").result.clone()
     }
 
-    /// The flow error text, if the job failed.
-    pub fn error_text(&self) -> Option<String> {
-        self.state.lock().expect("job lock").error.clone()
-    }
-
     /// Appends one NDJSON event line and wakes any streaming readers.
     fn push_line(&self, line: String) {
         let mut state = self.state.lock().expect("job lock");
@@ -994,7 +989,12 @@ mod tests {
             job.wait_terminal_for(Duration::from_secs(60)),
             Some(JobPhase::Failed)
         );
-        assert!(job.error_text().unwrap().contains("targets_fps"));
+        let status = job.status_json();
+        assert!(status
+            .get("error")
+            .and_then(Json::as_str)
+            .unwrap()
+            .contains("targets_fps"));
         assert_eq!(scheduler.metrics().failed.load(Ordering::Relaxed), 1);
         // The executor survives a failed job and keeps serving.
         let ok = scheduler.submit(small_config(), None).unwrap();
@@ -1068,14 +1068,8 @@ mod tests {
 
     #[test]
     fn scheduler_warm_starts_from_a_store() {
-        let dir = std::env::temp_dir().join("codesign_serve_store_tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!(
-            "warm_{}_{:?}.log",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_file(&path);
+        let dir = codesign_store::TempDir::new("codesign_serve_store").unwrap();
+        let path = dir.join("warm.log");
 
         let config = ServeConfig {
             max_queue: 4,
@@ -1126,7 +1120,6 @@ mod tests {
             store.get("store_hits").unwrap().as_uint().unwrap() > 0,
             "warm run must hit preloaded estimates"
         );
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -19,37 +19,12 @@ use codesign_serve::job::ServeConfig;
 use codesign_serve::json::{parse, Json};
 use codesign_serve::{Client, Server, ShutdownPolicy};
 use codesign_sim::device::pynq_z1;
-use codesign_store::log::lock_path;
+use codesign_store::TempDir;
 use std::io::Write;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
-
-/// Deletes a test's store log and its `.lock` when dropped, so nothing
-/// is left behind even when the test fails.
-struct Cleanup(PathBuf);
-
-impl Drop for Cleanup {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
-        let _ = std::fs::remove_file(lock_path(&self.0));
-    }
-}
-
-/// A fresh store log path for `tag`, with the guard that deletes it.
-fn temp_path(tag: &str) -> (PathBuf, Cleanup) {
-    let dir = std::env::temp_dir().join("codesign_serve_chaos_tests");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!(
-        "{tag}_{}_{:?}.log",
-        std::process::id(),
-        thread::current().id()
-    ));
-    let _ = std::fs::remove_file(&path);
-    (path.clone(), Cleanup(path))
-}
 
 fn body_for_seed(seed: u64) -> String {
     format!(
@@ -148,7 +123,8 @@ fn chaos_soak_reaches_terminal_states_and_preserves_faultfree_results() {
     // still pins the retention invariant.
     const MAX_FINISHED: usize = 32;
     let seeds = [11u64, 12];
-    let (store_path, _cleanup) = temp_path("soak");
+    let dir = TempDir::new("codesign_serve_chaos").unwrap();
+    let store_path = dir.join("soak.log");
     let plan = FaultPlan::builder(0xC0DE)
         .panics("serve.job.panic", 0.2)
         .delays("serve.job.delay", 0.3, Duration::from_millis(5))
@@ -378,7 +354,8 @@ fn injected_panic_fails_one_job_and_the_executor_survives() {
 
 #[test]
 fn store_write_failures_degrade_to_read_only_while_serving_continues() {
-    let (path, _cleanup) = temp_path("degraded");
+    let dir = TempDir::new("codesign_serve_chaos").unwrap();
+    let path = dir.join("degraded.log");
     let plan = FaultPlan::builder(9)
         .io_failures("store.append", 1.0)
         .build();
@@ -447,7 +424,8 @@ fn store_write_failures_degrade_to_read_only_while_serving_continues() {
 
 #[test]
 fn torn_tail_plus_write_failures_leave_store_readable_and_server_serving() {
-    let (path, _cleanup) = temp_path("torn");
+    let dir = TempDir::new("codesign_serve_chaos").unwrap();
+    let path = dir.join("torn.log");
 
     // Healthy first life: persist real estimates and shut down cleanly.
     {

@@ -287,7 +287,7 @@ fn oversized_request_headers_get_431() {
 /// a missing directory is `NotFound`, not "invalid data".
 #[test]
 fn store_under_a_missing_directory_fails_bind_with_not_found() {
-    let dir = std::env::temp_dir().join(format!("codesign-serve-missing-{}", std::process::id()));
+    let dir = codesign_store::TempDir::new("codesign_serve_missing").unwrap();
     let err = Server::bind(
         "127.0.0.1:0",
         ServeConfig {

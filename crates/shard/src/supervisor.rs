@@ -360,12 +360,12 @@ fn supervise(
 mod tests {
     use super::*;
     use codesign_core::checkpoint::{LOCK_FILE, SPEC_FILE};
-    use codesign_store::{LockFile, LogError};
+    use codesign_store::{LockFile, LogError, TempDir};
 
     #[test]
     fn default_config_resolves_current_exe() {
         let cfg = ShardConfig::new(
-            std::env::temp_dir().join("codesign_shard_cfg"),
+            PathBuf::from("codesign_shard_cfg"),
             FlowConfig::for_device(codesign_sim::device::pynq_z1()),
         )
         .unwrap();
@@ -374,36 +374,31 @@ mod tests {
         assert_eq!(cfg.max_retries, 2);
     }
 
-    fn small_config(dir: PathBuf) -> ShardConfig {
-        let _ = std::fs::remove_dir_all(&dir);
+    fn small_config(dir: &TempDir) -> ShardConfig {
         let flow = FlowConfig {
             targets_fps: vec![15.0],
             candidates_per_bundle: 2,
             coarse_pf_sweep: vec![16],
             ..FlowConfig::for_device(codesign_sim::device::pynq_z1())
         };
-        ShardConfig::new(dir, flow).unwrap()
+        ShardConfig::new(dir.path().to_owned(), flow).unwrap()
     }
 
     #[test]
     fn spawn_failure_surfaces_as_io_error() {
-        let dir =
-            std::env::temp_dir().join(format!("codesign_shard_badexe_{}", std::process::id()));
-        let mut cfg = small_config(dir.clone());
+        let dir = TempDir::new("codesign_shard_badexe").unwrap();
+        let mut cfg = small_config(&dir);
         cfg.worker_exe = PathBuf::from("/nonexistent/worker/binary");
         match run(&cfg) {
             Err(ShardError::Io(_)) => {}
             other => panic!("expected Io error, got {:?}", other.map(|(_, r)| r)),
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn second_supervisor_on_same_dir_is_locked_out() {
-        let dir =
-            std::env::temp_dir().join(format!("codesign_shard_locked_{}", std::process::id()));
-        let cfg = small_config(dir.clone());
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("codesign_shard_locked").unwrap();
+        let cfg = small_config(&dir);
         let _first = LockFile::acquire(&dir.join(LOCK_FILE)).unwrap();
         match run(&cfg) {
             Err(ShardError::Log(LogError::Locked { .. })) => {}
@@ -413,19 +408,16 @@ mod tests {
             !dir.join(SPEC_FILE).exists(),
             "a locked-out supervisor must not write the spec"
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[cfg(unix)]
     #[test]
     fn an_early_error_kills_the_running_workers() {
         use std::os::unix::fs::PermissionsExt;
-        let dir =
-            std::env::temp_dir().join(format!("codesign_shard_orphan_{}", std::process::id()));
-        let mut cfg = small_config(dir.clone());
+        let dir = TempDir::new("codesign_shard_orphan").unwrap();
+        let mut cfg = small_config(&dir);
         cfg.workers = 2;
         cfg.shards = 2;
-        std::fs::create_dir_all(&dir).unwrap();
         // Shard 1 records its pid and sleeps; shard 0 waits for that,
         // then leaves a segment that fails to decode and exits 0, so the
         // supervisor errors out while shard 1 is still running.
@@ -459,6 +451,5 @@ printf 'junk-junk-junk-junk!' > "$d/seg-0.log"
             "shard 1's worker (pid {}) outlived the supervisor",
             pid.trim()
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

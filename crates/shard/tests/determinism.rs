@@ -19,6 +19,7 @@ use codesign_shard::supervisor::{run, ShardConfig};
 use codesign_shard::{canonical_output_bytes, ShardError};
 use codesign_sim::device::pynq_z1;
 use codesign_sim::report::CacheStats;
+use codesign_store::TempDir;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -35,17 +36,9 @@ fn flow_config() -> FlowConfig {
     }
 }
 
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir()
-        .join("codesign_shard_determinism")
-        .join(format!("{name}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn shard_config(name: &str, workers: usize, fault_spec: Option<&str>) -> ShardConfig {
+fn shard_config(dir: PathBuf, workers: usize, fault_spec: Option<&str>) -> ShardConfig {
     ShardConfig {
-        dir: temp_dir(name),
+        dir,
         flow: flow_config(),
         workers,
         shards: 4,
@@ -60,11 +53,12 @@ fn shard_config(name: &str, workers: usize, fault_spec: Option<&str>) -> ShardCo
 
 #[test]
 fn sharded_output_matches_in_process_flow_at_any_worker_count() {
+    let tmp = TempDir::new("codesign_shard_determinism").unwrap();
     let direct = CoDesignFlow::new(flow_config()).run().expect("direct flow");
     let direct_bytes = canonical_output_bytes(&direct);
 
-    let (out_1, report_1) = run(&shard_config("w1", 1, None)).expect("1-worker run");
-    let (out_4, report_4) = run(&shard_config("w4", 4, None)).expect("4-worker run");
+    let (out_1, report_1) = run(&shard_config(tmp.join("w1"), 1, None)).expect("1-worker run");
+    let (out_4, report_4) = run(&shard_config(tmp.join("w4"), 4, None)).expect("4-worker run");
 
     assert_eq!(
         canonical_output_bytes(&out_1),
@@ -105,10 +99,11 @@ fn sharded_output_matches_in_process_flow_at_any_worker_count() {
 
 #[test]
 fn injected_crashes_do_not_change_a_bit() {
+    let tmp = TempDir::new("codesign_shard_determinism").unwrap();
     // Shards 1 and 3 abort mid-append on their first attempt, leaving
     // torn segment tails; their retries resume from the torn tail.
     let (crashed, report) = run(&shard_config(
-        "crash",
+        tmp.join("crash"),
         4,
         Some("seed=7;shard.worker.crash=panic@1,3"),
     ))
@@ -118,7 +113,8 @@ fn injected_crashes_do_not_change_a_bit() {
         "both injected crashes must show up as retries, got {report:?}"
     );
 
-    let (clean, clean_report) = run(&shard_config("crash_ref", 1, None)).expect("reference run");
+    let (clean, clean_report) =
+        run(&shard_config(tmp.join("crash_ref"), 1, None)).expect("reference run");
     assert_eq!(clean_report.retries, 0);
     assert_eq!(
         canonical_output_bytes(&crashed),
@@ -129,8 +125,9 @@ fn injected_crashes_do_not_change_a_bit() {
 
 #[test]
 fn a_checkpointed_run_finished_by_the_supervisor_matches_the_in_process_flow() {
+    let tmp = TempDir::new("codesign_shard_determinism").unwrap();
     let direct = CoDesignFlow::new(flow_config()).run().expect("direct flow");
-    let mut config = shard_config("from_checkpoint", 1, None);
+    let mut config = shard_config(tmp.join("from_checkpoint"), 1, None);
     config.shards = 1;
 
     // Interrupt a checkpointed run after a few cells: its directory
@@ -160,11 +157,12 @@ fn a_checkpointed_run_finished_by_the_supervisor_matches_the_in_process_flow() {
 
 #[test]
 fn a_quarantined_sweep_finished_by_a_checkpointed_run_matches_the_in_process_flow() {
+    let tmp = TempDir::new("codesign_shard_determinism").unwrap();
     let direct = CoDesignFlow::new(flow_config()).run().expect("direct flow");
     // Shard 1 aborts on every attempt, so the sweep ends with three of
     // its four segments complete and shard 1's cells missing.
     let poison = Some("seed=3;shard.worker.poison=panic@1");
-    let mut config = shard_config("to_checkpoint", 2, poison);
+    let mut config = shard_config(tmp.join("to_checkpoint"), 2, poison);
     config.max_retries = 0;
     match run(&config) {
         Err(ShardError::Quarantined { shards }) => assert_eq!(shards, vec![1]),

@@ -19,7 +19,7 @@ use codesign_shard::supervisor::{run, ShardConfig};
 use codesign_shard::worker::heartbeat_path;
 use codesign_shard::{canonical_output_bytes, ShardError};
 use codesign_sim::device::pynq_z1;
-use codesign_store::CodecError;
+use codesign_store::{CodecError, TempDir};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -30,14 +30,6 @@ fn flow_config() -> FlowConfig {
         coarse_pf_sweep: vec![16],
         ..FlowConfig::for_device(pynq_z1())
     }
-}
-
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir()
-        .join("codesign_shard_recovery")
-        .join(format!("{name}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 fn shard_config(dir: PathBuf, workers: usize, fault_spec: Option<&str>) -> ShardConfig {
@@ -63,7 +55,8 @@ fn heartbeat_pid(dir: &std::path::Path, shard: usize) -> Option<u32> {
 
 #[test]
 fn kill_nine_mid_append_recovers_byte_identically() {
-    let dir = temp_dir("kill9");
+    let tmp = TempDir::new("codesign_shard_recovery").unwrap();
+    let dir = tmp.join("kill9");
     // Per-cell delays keep each worker alive for seconds, so the kill
     // below lands mid-shard, after some appends and before others.
     let config = shard_config(dir.clone(), 2, Some("seed=1;shard.cell.delay=delay(250)"));
@@ -106,7 +99,7 @@ fn kill_nine_mid_append_recovers_byte_identically() {
 
     // Byte identity against a clean single-worker run (no faults, no
     // delays) in a fresh directory.
-    let (clean, _) = run(&shard_config(temp_dir("kill9_ref"), 1, None)).expect("reference run");
+    let (clean, _) = run(&shard_config(tmp.join("kill9_ref"), 1, None)).expect("reference run");
     assert_eq!(
         canonical_output_bytes(&output),
         canonical_output_bytes(&clean),
@@ -116,7 +109,8 @@ fn kill_nine_mid_append_recovers_byte_identically() {
 
 #[test]
 fn poison_shard_is_quarantined_then_restart_completes() {
-    let dir = temp_dir("poison");
+    let tmp = TempDir::new("codesign_shard_recovery").unwrap();
+    let dir = tmp.join("poison");
     // Shard 1 aborts on *every* attempt; with max_retries = 1 it burns
     // 2 attempts and is quarantined. Shard 0 completes normally.
     let mut config = shard_config(dir.clone(), 2, Some("seed=3;shard.worker.poison=panic@1"));
@@ -138,7 +132,7 @@ fn poison_shard_is_quarantined_then_restart_completes() {
         "the healthy shard's segment must be reused, got {report:?}"
     );
 
-    let (clean, _) = run(&shard_config(temp_dir("poison_ref"), 1, None)).expect("reference run");
+    let (clean, _) = run(&shard_config(tmp.join("poison_ref"), 1, None)).expect("reference run");
     assert_eq!(
         canonical_output_bytes(&output),
         canonical_output_bytes(&clean),
@@ -148,11 +142,12 @@ fn poison_shard_is_quarantined_then_restart_completes() {
 
 #[test]
 fn hung_worker_loses_its_lease_and_the_shard_is_recomputed() {
+    let tmp = TempDir::new("codesign_shard_recovery").unwrap();
     // Shard 0's first attempt stops heartbeating before its first cell
     // and sleeps; the supervisor must kill it when its 300 ms lease
     // runs out and hand the shard to a second attempt.
     let mut config = shard_config(
-        temp_dir("hang"),
+        tmp.join("hang"),
         2,
         Some("seed=5;shard.worker.hang=panic@0"),
     );
@@ -161,7 +156,7 @@ fn hung_worker_loses_its_lease_and_the_shard_is_recomputed() {
     assert_eq!(report.lease_reclaims, 1, "{report:?}");
     assert_eq!(report.retries, 1, "{report:?}");
 
-    let (clean, _) = run(&shard_config(temp_dir("hang_ref"), 1, None)).expect("reference run");
+    let (clean, _) = run(&shard_config(tmp.join("hang_ref"), 1, None)).expect("reference run");
     assert_eq!(
         canonical_output_bytes(&output),
         canonical_output_bytes(&clean),
@@ -171,7 +166,8 @@ fn hung_worker_loses_its_lease_and_the_shard_is_recomputed() {
 
 #[test]
 fn a_locked_out_second_supervisor_leaves_the_first_run_alone() {
-    let dir = temp_dir("locked_out");
+    let tmp = TempDir::new("codesign_shard_recovery").unwrap();
+    let dir = tmp.join("locked_out");
     // Run A, at 15 FPS: one worker, two shards and slow cells, so
     // shard 1's worker starts well after run B below has come and gone.
     let first = shard_config(dir.clone(), 1, Some("seed=1;shard.cell.delay=delay(150)"));
@@ -199,7 +195,7 @@ fn a_locked_out_second_supervisor_leaves_the_first_run_alone() {
         .expect("supervisor thread")
         .expect("run A completes");
     let (clean, _) =
-        run(&shard_config(temp_dir("locked_out_ref"), 1, None)).expect("reference run");
+        run(&shard_config(tmp.join("locked_out_ref"), 1, None)).expect("reference run");
     assert_eq!(
         canonical_output_bytes(&output),
         canonical_output_bytes(&clean),
@@ -209,11 +205,12 @@ fn a_locked_out_second_supervisor_leaves_the_first_run_alone() {
 
 #[test]
 fn foreign_run_directories_are_typed_errors() {
+    let tmp = TempDir::new("codesign_shard_recovery").unwrap();
     // A checksum-valid spec that selects a Bundle outside the paper's
     // enumeration. A checkpointed run reads the spec when it opens the
     // directory, before `run_checkpointed` is called.
     for bundle in [0, 99] {
-        let config = shard_config(temp_dir(&format!("bundle_{bundle}")), 1, None);
+        let config = shard_config(tmp.join(format!("bundle_{bundle}")), 1, None);
         std::fs::create_dir_all(&config.dir).unwrap();
         let spec = SweepSpec {
             config: config.flow.clone(),
@@ -237,8 +234,7 @@ fn foreign_run_directories_are_typed_errors() {
 
     // A plain file where the directory belongs, as a checkpoint written
     // before checkpoints were directories would be.
-    let file = temp_dir("plain_file");
-    std::fs::create_dir_all(file.parent().unwrap()).unwrap();
+    let file = tmp.join("plain_file");
     std::fs::write(&file, b"a single-file checkpoint").unwrap();
     let open = FlowCheckpoint::open(&file, &flow_config());
     assert!(
@@ -252,5 +248,4 @@ fn foreign_run_directories_are_typed_errors() {
         "{:?}",
         sharded.map(|o| o.1)
     );
-    let _ = std::fs::remove_file(&file);
 }

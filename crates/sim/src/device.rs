@@ -51,11 +51,6 @@ impl FpgaDevice {
         }
     }
 
-    /// BRAM capacity in bytes.
-    pub fn bram_bytes(&self) -> u64 {
-        self.bram_18k * 18 * 1024 / 8
-    }
-
     /// Validates the device description.
     ///
     /// # Errors
@@ -235,11 +230,5 @@ mod tests {
         let mut d2 = pynq_z1();
         d2.clock_mhz.clear();
         assert!(d2.validate().is_err());
-    }
-
-    #[test]
-    fn bram_bytes_conversion() {
-        let d = pynq_z1();
-        assert_eq!(d.bram_bytes(), 280 * 18 * 1024 / 8);
     }
 }

@@ -103,11 +103,6 @@ impl Utilization {
             bram: frac(usage.bram_18k, budget.bram_18k),
         }
     }
-
-    /// The largest utilization across resource classes.
-    pub fn max_fraction(&self) -> f64 {
-        self.dsp.max(self.lut).max(self.ff).max(self.bram)
-    }
 }
 
 impl fmt::Display for Utilization {
@@ -341,7 +336,6 @@ mod tests {
         assert!((u.dsp - 0.5).abs() < 1e-9);
         assert!((u.lut - 0.5).abs() < 1e-9);
         assert!((u.bram - 0.5).abs() < 1e-9);
-        assert_eq!(u.max_fraction(), 0.5);
     }
 
     #[test]

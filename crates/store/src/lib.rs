@@ -19,6 +19,8 @@
 //!   record log acquires by default so two processes can never
 //!   interleave appends into one file; stale locks left by dead
 //!   processes are taken over automatically.
+//! * [`temp`] — [`TempDir`], the drop-guarded scratch directory every
+//!   test, bench and example writes its logs and run directories into.
 //!
 //! Domain encodings (estimate records, checkpoint stages) live next to
 //! their types in `codesign-hls` and `codesign-core`; this crate stays
@@ -32,10 +34,12 @@
 pub mod codec;
 pub mod lock;
 pub mod log;
+pub mod temp;
 
 pub use codec::{ByteReader, ByteWriter, CodecError};
 pub use lock::{LockError, LockFile};
 pub use log::{LogError, LogOptions, RecordLog, StreamKind};
+pub use temp::TempDir;
 
 /// FNV-1a over `bytes` — the checksum used for log records and the
 /// fingerprint hash used by flow checkpoints. The one implementation

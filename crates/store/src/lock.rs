@@ -183,22 +183,12 @@ fn pid_alive(pid: u32) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn temp_path(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("codesign_store_lock_tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let unique = format!(
-            "{name}_{}_{:?}.lock",
-            std::process::id(),
-            std::thread::current().id()
-        );
-        dir.join(unique)
-    }
+    use crate::TempDir;
 
     #[test]
     fn second_acquire_fails_while_held_and_succeeds_after_drop() {
-        let path = temp_path("exclusive");
-        let _ = std::fs::remove_file(&path);
+        let dir = TempDir::new("codesign_store_lock").unwrap();
+        let path = dir.join("exclusive.lock");
         let first = LockFile::acquire(&path).unwrap();
         let err = LockFile::acquire(&path).unwrap_err();
         match err {
@@ -218,8 +208,8 @@ mod tests {
         if !cfg!(target_os = "linux") {
             return; // takeover requires /proc liveness probing
         }
-        let path = temp_path("stale");
-        let _ = std::fs::remove_file(&path);
+        let dir = TempDir::new("codesign_store_lock").unwrap();
+        let path = dir.join("stale.lock");
         // No real process gets pid 0 on Linux (it is the idle task,
         // invisible in /proc), so this lock is provably stale.
         std::fs::write(&path, "pid 0\nacquired_unix_ms 0\n").unwrap();
@@ -231,8 +221,8 @@ mod tests {
 
     #[test]
     fn fresh_unreadable_lock_is_not_stolen() {
-        let path = temp_path("infant");
-        let _ = std::fs::remove_file(&path);
+        let dir = TempDir::new("codesign_store_lock").unwrap();
+        let path = dir.join("infant.lock");
         // Content without a pid line, mtime = now: acquisition must
         // not steal it inside the grace period; it retries and then
         // gives up with an error rather than returning Held.
@@ -240,6 +230,5 @@ mod tests {
         let err = LockFile::acquire(&path).unwrap_err();
         assert!(matches!(err, LockError::Io(_)));
         assert!(path.exists());
-        let _ = std::fs::remove_file(&path);
     }
 }

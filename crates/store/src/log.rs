@@ -398,12 +398,6 @@ impl RecordLog {
         self.end
     }
 
-    /// Whether this log holds the advisory single-writer lock (see
-    /// [`LogOptions::lock`]).
-    pub fn holds_lock(&self) -> bool {
-        self.lock.is_some()
-    }
-
     /// Releases the advisory single-writer lock without closing the
     /// log. After this another writer may open the same path, so the
     /// caller must guarantee no further appends race it — the intended
@@ -494,27 +488,12 @@ pub fn lock_path(path: &Path) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
-
-    fn temp_path(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("codesign_store_log_tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let unique = format!(
-            "{name}_{}_{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        );
-        dir.join(unique)
-    }
-
-    fn cleanup(path: &Path) {
-        let _ = std::fs::remove_file(path);
-    }
+    use crate::TempDir;
 
     #[test]
     fn fresh_log_round_trips_records() {
-        let path = temp_path("fresh");
-        cleanup(&path);
+        let dir = TempDir::new("codesign_store_log").unwrap();
+        let path = dir.join("fresh");
         {
             let (mut log, records, recovery) =
                 RecordLog::open(&path, StreamKind::EstimateStore).unwrap();
@@ -530,13 +509,12 @@ mod tests {
             vec![b"alpha".to_vec(), Vec::new(), vec![0xffu8; 300]]
         );
         assert_eq!(recovery.truncated_bytes, 0);
-        cleanup(&path);
     }
 
     #[test]
     fn torn_tail_is_truncated_and_earlier_records_survive() {
-        let path = temp_path("torn");
-        cleanup(&path);
+        let dir = TempDir::new("codesign_store_log").unwrap();
+        let path = dir.join("torn");
         let full_len = {
             let (mut log, _, _) = RecordLog::open(&path, StreamKind::EstimateStore).unwrap();
             log.append(b"first").unwrap();
@@ -565,13 +543,12 @@ mod tests {
             assert_eq!(again, records);
             assert_eq!(clean.truncated_bytes, 0);
         }
-        cleanup(&path);
     }
 
     #[test]
     fn appends_after_recovery_continue_the_log() {
-        let path = temp_path("resume");
-        cleanup(&path);
+        let dir = TempDir::new("codesign_store_log").unwrap();
+        let path = dir.join("resume");
         {
             let (mut log, _, _) = RecordLog::open(&path, StreamKind::EstimateStore).unwrap();
             log.append(b"keep").unwrap();
@@ -592,13 +569,12 @@ mod tests {
             records,
             vec![b"keep".to_vec(), b"appended after crash".to_vec()]
         );
-        cleanup(&path);
     }
 
     #[test]
     fn corrupt_checksum_stops_the_scan() {
-        let path = temp_path("corrupt");
-        cleanup(&path);
+        let dir = TempDir::new("codesign_store_log").unwrap();
+        let path = dir.join("corrupt");
         {
             let (mut log, _, _) = RecordLog::open(&path, StreamKind::EstimateStore).unwrap();
             log.append(b"good").unwrap();
@@ -611,13 +587,12 @@ mod tests {
         let (_, records, recovery) = RecordLog::open(&path, StreamKind::EstimateStore).unwrap();
         assert_eq!(records, vec![b"good".to_vec()]);
         assert!(recovery.truncated_bytes > 0);
-        cleanup(&path);
     }
 
     #[test]
     fn kind_and_magic_are_enforced() {
-        let path = temp_path("kinds");
-        cleanup(&path);
+        let dir = TempDir::new("codesign_store_log").unwrap();
+        let path = dir.join("kinds");
         {
             let (mut log, _, _) = RecordLog::open(&path, StreamKind::EstimateStore).unwrap();
             log.append(b"payload").unwrap();
@@ -631,13 +606,12 @@ mod tests {
             RecordLog::open(&path, StreamKind::EstimateStore),
             Err(LogError::BadMagic)
         ));
-        cleanup(&path);
     }
 
     #[test]
     fn injected_append_failure_is_retryable() {
-        let path = temp_path("inject_append");
-        cleanup(&path);
+        let dir = TempDir::new("codesign_store_log").unwrap();
+        let path = dir.join("inject_append");
         // Rate 1.0: every store.append decision fires.
         let plan = codesign_faults::FaultPlan::builder(7)
             .io_failures("store.append", 1.0)
@@ -661,13 +635,12 @@ mod tests {
         let (_, records, _) = RecordLog::open(&path, StreamKind::EstimateStore).unwrap();
         assert_eq!(records, vec![b"retried".to_vec()]);
         assert_eq!(plan.injected("store.append"), 1);
-        cleanup(&path);
     }
 
     #[test]
     fn injected_open_failure_fires_before_touching_disk() {
-        let path = temp_path("inject_open");
-        cleanup(&path);
+        let dir = TempDir::new("codesign_store_log").unwrap();
+        let path = dir.join("inject_open");
         let plan = codesign_faults::FaultPlan::builder(11)
             .io_failures("store.open", 1.0)
             .build();
@@ -679,15 +652,14 @@ mod tests {
         assert!(matches!(err, LogError::Io(_)));
         assert!(!path.exists());
         assert!(!lock_path(&path).exists());
-        cleanup(&path);
     }
 
     #[test]
     fn second_writer_is_rejected_while_log_is_open() {
-        let path = temp_path("single_writer");
-        cleanup(&path);
+        let dir = TempDir::new("codesign_store_log").unwrap();
+        let path = dir.join("single_writer");
         let (mut log, _, _) = RecordLog::open(&path, StreamKind::EstimateStore).unwrap();
-        assert!(log.holds_lock());
+        assert!(lock_path(&path).exists());
         log.append(b"one").unwrap();
         // A concurrent open of the same file is a typed lock error,
         // not an interleaved writer.
@@ -701,14 +673,12 @@ mod tests {
         assert!(!lock_path(&path).exists());
         let (_, records, _) = RecordLog::open(&path, StreamKind::EstimateStore).unwrap();
         assert_eq!(records, vec![b"one".to_vec()]);
-        cleanup(&path);
-        let _ = std::fs::remove_file(lock_path(&path));
     }
 
     #[test]
     fn lock_opt_out_allows_a_second_handle() {
-        let path = temp_path("lock_opt_out");
-        cleanup(&path);
+        let dir = TempDir::new("codesign_store_log").unwrap();
+        let path = dir.join("lock_opt_out");
         let options = LogOptions {
             lock: false,
             ..LogOptions::default()
@@ -717,15 +687,13 @@ mod tests {
             RecordLog::open_with(&path, StreamKind::EstimateStore, options.clone()).unwrap();
         let (_b, _, _) = RecordLog::open_with(&path, StreamKind::EstimateStore, options).unwrap();
         assert!(!lock_path(&path).exists());
-        cleanup(&path);
     }
 
     #[test]
     fn swap_in_replaces_contents_atomically() {
-        let path = temp_path("swap_in");
-        let tmp = temp_path("swap_in_tmp");
-        cleanup(&path);
-        cleanup(&tmp);
+        let dir = TempDir::new("codesign_store_log").unwrap();
+        let path = dir.join("swap_in");
+        let tmp = dir.join("swap_in_tmp");
         let (mut log, _, _) = RecordLog::open(&path, StreamKind::EstimateStore).unwrap();
         log.append(b"old-a").unwrap();
         log.append(b"old-b").unwrap();
@@ -747,13 +715,12 @@ mod tests {
         assert_eq!(records, vec![b"compacted".to_vec(), b"after-swap".to_vec()]);
         assert_eq!(recovery.truncated_bytes, 0);
         assert!(!tmp.exists());
-        cleanup(&path);
     }
 
     #[test]
     fn future_version_is_rejected() {
-        let path = temp_path("version");
-        cleanup(&path);
+        let dir = TempDir::new("codesign_store_log").unwrap();
+        let path = dir.join("version");
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&MAGIC);
         bytes.extend_from_slice(&(VERSION + 1).to_le_bytes());
@@ -763,6 +730,5 @@ mod tests {
             RecordLog::open(&path, StreamKind::EstimateStore),
             Err(LogError::UnsupportedVersion { .. })
         ));
-        cleanup(&path);
     }
 }

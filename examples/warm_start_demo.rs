@@ -20,7 +20,7 @@ use fpga_dnn_codesign::core::observe::{CancelToken, FlowEvent, NullObserver};
 use fpga_dnn_codesign::hls::cache::EstimateCache;
 use fpga_dnn_codesign::hls::store::EstimateStore;
 use fpga_dnn_codesign::sim::device::pynq_z1;
-use std::path::PathBuf;
+use fpga_dnn_codesign::store::TempDir;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -30,12 +30,6 @@ fn config() -> FlowConfig {
         .targets_fps([10.0, 15.0, 20.0])
         .build()
         .expect("valid demo config")
-}
-
-fn temp_path(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("codesign_warm_start_demo");
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir.join(format!("{}_{name}", std::process::id()))
 }
 
 fn run_with_cache(cache: &Arc<EstimateCache>) -> (FlowOutput, Duration) {
@@ -65,10 +59,9 @@ fn check_bit_identical(
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let store_path = temp_path("store.log");
-    let ckpt_dir = temp_path("ckpt");
-    let _ = std::fs::remove_file(&store_path);
-    let _ = std::fs::remove_dir_all(&ckpt_dir);
+    let scratch = TempDir::new("codesign_warm_start_demo")?;
+    let store_path = scratch.join("store.log");
+    let ckpt_dir = scratch.join("ckpt");
 
     // --- Cold run: nothing on disk yet. ---------------------------------
     let cold_cache = Arc::new(EstimateCache::new());
@@ -151,7 +144,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         return Err("the run directory must be deleted after a successful resume".into());
     }
 
-    let _ = std::fs::remove_file(&store_path);
     println!("\nwarm_start_demo: OK");
     Ok(())
 }
