@@ -30,11 +30,7 @@ use std::sync::Arc;
 /// The full default flow (three FPS targets, default sweep) — enough
 /// estimator traffic for the warm/cold gap to be measurable.
 fn config() -> FlowConfig {
-    FlowConfig::builder()
-        .device(pynq_z1())
-        .targets_fps([10.0, 15.0, 20.0])
-        .build()
-        .expect("valid bench config")
+    FlowConfig::for_device(pynq_z1())
 }
 
 /// Runs the flow against `cache`.

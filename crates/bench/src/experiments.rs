@@ -135,12 +135,12 @@ pub fn fig6(
     device: &FpgaDevice,
     parallelism: Parallelism,
 ) -> Result<Fig6Output, codesign_core::flow::FlowError> {
-    let config = FlowConfig::builder()
-        .device(device.clone())
-        .candidates_per_bundle(5)
-        .coarse_pf_sweep([16])
-        .parallelism(parallelism)
-        .build()?;
+    let config = FlowConfig {
+        candidates_per_bundle: 5,
+        coarse_pf_sweep: vec![16],
+        parallelism,
+        ..FlowConfig::for_device(device.clone())
+    };
     let flow = CoDesignFlow::new(config);
     let out = flow.run()?;
     let to_row = |target: f64, c: &codesign_core::search::Candidate| ExploredDesign {
@@ -508,13 +508,13 @@ pub fn portability(
     use codesign_sim::device::{ultra96, zcu104};
     let mut rows = Vec::new();
     for device in [pynq_z1(), ultra96(), zcu104()] {
-        let config = FlowConfig::builder()
-            .device(device.clone())
-            .targets_fps([15.0])
-            .candidates_per_bundle(2)
-            .coarse_pf_sweep([16])
-            .parallelism(parallelism)
-            .build()?;
+        let config = FlowConfig {
+            targets_fps: vec![15.0],
+            candidates_per_bundle: 2,
+            coarse_pf_sweep: vec![16],
+            parallelism,
+            ..FlowConfig::for_device(device.clone())
+        };
         let out = CoDesignFlow::new(config).run()?;
         if let Some(d) = out.design_for(15.0) {
             rows.push(PortabilityRow {

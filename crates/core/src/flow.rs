@@ -12,8 +12,10 @@
 //! module is its in-process executor, adding worker threads, progress
 //! events, cancellation and a run directory of finished cells around it.
 //!
-//! Configurations are built with [`FlowConfig::builder`] (paper
-//! defaults, typed validation), runs are observed and cancelled through
+//! A configuration is a plain [`FlowConfig`] struct, built by struct
+//! update over [`FlowConfig::for_device`] (the paper's setup) and
+//! checked by [`FlowConfig::validate`] (typed errors) before any run;
+//! runs are observed and cancelled through
 //! [`CoDesignFlow::run_observed`], and results are presented through
 //! [`FlowOutput`]'s accessors and [`FlowOutput::summary`] — the same
 //! presentation path the serving layer JSON-encodes.
@@ -30,7 +32,7 @@ use codesign_dnn::quant::Activation;
 use codesign_dnn::space::DesignPoint;
 use codesign_dnn::Dnn;
 use codesign_hls::cache::EstimateCache;
-use codesign_sim::device::{pynq_z1, FpgaDevice};
+use codesign_sim::device::FpgaDevice;
 use codesign_sim::error::SimError;
 use codesign_sim::report::{CacheStats, SimReport};
 use std::collections::{BTreeMap, BTreeSet};
@@ -40,9 +42,23 @@ use std::sync::Arc;
 
 /// Configuration of a full co-design run.
 ///
-/// Construct with [`FlowConfig::builder`] for validated configs, or
-/// [`FlowConfig::for_device`] for the paper's exact experimental setup;
-/// the fields stay public for struct-update syntax in existing callers.
+/// Start from [`FlowConfig::for_device`] (the paper's experimental
+/// setup) and override fields by struct update or assignment;
+/// [`FlowConfig::validate`] checks the result, and every run calls it
+/// first.
+///
+/// ```
+/// use codesign_core::flow::FlowConfig;
+/// use codesign_sim::device::pynq_z1;
+///
+/// let config = FlowConfig {
+///     targets_fps: vec![15.0],
+///     candidates_per_bundle: 2,
+///     ..FlowConfig::for_device(pynq_z1())
+/// };
+/// config.validate().expect("paper defaults validate");
+/// assert_eq!(config.clock_mhz, 100.0);
+/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowConfig {
     /// Target FPGA device (resource constraints).
@@ -87,26 +103,6 @@ impl FlowConfig {
             eval_replications: 3,
             seed: 2019,
             parallelism: Parallelism::Auto,
-        }
-    }
-
-    /// A builder seeded with the paper's settings on its board (the
-    /// PYNQ-Z1); every knob has a setter and [`FlowConfigBuilder::build`]
-    /// validates the result.
-    ///
-    /// ```
-    /// use codesign_core::flow::FlowConfig;
-    ///
-    /// let config = FlowConfig::builder()
-    ///     .targets_fps([15.0])
-    ///     .candidates_per_bundle(2)
-    ///     .build()
-    ///     .expect("paper defaults validate");
-    /// assert_eq!(config.clock_mhz, 100.0);
-    /// ```
-    pub fn builder() -> FlowConfigBuilder {
-        FlowConfigBuilder {
-            config: FlowConfig::for_device(pynq_z1()),
         }
     }
 
@@ -157,84 +153,6 @@ impl FlowConfig {
             .into());
         }
         Ok(())
-    }
-}
-
-/// Builder for [`FlowConfig`], seeded with the paper's defaults.
-///
-/// Obtained from [`FlowConfig::builder`]; [`build`](Self::build) runs
-/// [`FlowConfig::validate`] so an invalid configuration is caught at
-/// construction time with a typed [`ConfigError`] instead of a panic
-/// deep inside the search.
-#[derive(Debug, Clone)]
-pub struct FlowConfigBuilder {
-    config: FlowConfig,
-}
-
-impl FlowConfigBuilder {
-    /// Sets the target FPGA device.
-    pub fn device(mut self, device: FpgaDevice) -> Self {
-        self.config.device = device;
-        self
-    }
-
-    /// Sets the FPS targets searched for.
-    pub fn targets_fps(mut self, targets: impl IntoIterator<Item = f64>) -> Self {
-        self.config.targets_fps = targets.into_iter().collect();
-        self
-    }
-
-    /// Sets the accelerator clock in MHz.
-    pub fn clock_mhz(mut self, clock_mhz: f64) -> Self {
-        self.config.clock_mhz = clock_mhz;
-        self
-    }
-
-    /// Sets the half-width of the FPS acceptance window.
-    pub fn fps_tolerance(mut self, fps_tolerance: f64) -> Self {
-        self.config.fps_tolerance = fps_tolerance;
-        self
-    }
-
-    /// Sets the candidate count `K` collected per Bundle per target.
-    pub fn candidates_per_bundle(mut self, k: usize) -> Self {
-        self.config.candidates_per_bundle = k;
-        self
-    }
-
-    /// Sets the parallel-factor sweep of the coarse evaluation.
-    pub fn coarse_pf_sweep(mut self, sweep: impl IntoIterator<Item = usize>) -> Self {
-        self.config.coarse_pf_sweep = sweep.into_iter().collect();
-        self
-    }
-
-    /// Sets the replication count of the method#2 evaluation DNNs.
-    pub fn eval_replications(mut self, n: usize) -> Self {
-        self.config.eval_replications = n;
-        self
-    }
-
-    /// Sets the root seed of the stochastic search.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Sets the worker-thread knob.
-    pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.config.parallelism = parallelism;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError::InvalidConfig`] naming the first offending
-    /// field.
-    pub fn build(self) -> Result<FlowConfig, FlowError> {
-        self.config.validate()?;
-        Ok(self.config)
     }
 }
 
@@ -566,7 +484,7 @@ impl From<CheckpointError> for FlowError {
 /// use codesign_sim::device::pynq_z1;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let config = FlowConfig::builder().device(pynq_z1()).build()?;
+/// let config = FlowConfig::for_device(pynq_z1());
 /// let out = CoDesignFlow::new(config).run()?;
 /// println!("{}", out.summary());
 /// # Ok(())
@@ -907,6 +825,7 @@ fn live(cancel: &CancelToken) -> Result<(), FlowError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use codesign_sim::device::pynq_z1;
     use std::sync::Mutex;
 
     fn small_flow() -> CoDesignFlow {
@@ -1000,79 +919,48 @@ mod tests {
     }
 
     #[test]
-    fn builder_defaults_match_paper_setup() {
-        let built = FlowConfig::builder().build().unwrap();
-        assert_eq!(built, FlowConfig::for_device(pynq_z1()));
-    }
-
-    #[test]
-    fn builder_sets_every_knob() {
-        use codesign_sim::device::ultra96;
-        let cfg = FlowConfig::builder()
-            .device(ultra96())
-            .targets_fps([30.0])
-            .clock_mhz(150.0)
-            .fps_tolerance(2.0)
-            .candidates_per_bundle(7)
-            .coarse_pf_sweep([8, 16])
-            .eval_replications(2)
-            .seed(7)
-            .parallelism(Parallelism::Fixed(3))
-            .build()
-            .unwrap();
-        assert_eq!(cfg.device, ultra96());
-        assert_eq!(cfg.targets_fps, vec![30.0]);
-        assert_eq!(cfg.clock_mhz, 150.0);
-        assert_eq!(cfg.fps_tolerance, 2.0);
-        assert_eq!(cfg.candidates_per_bundle, 7);
-        assert_eq!(cfg.coarse_pf_sweep, vec![8, 16]);
-        assert_eq!(cfg.eval_replications, 2);
-        assert_eq!(cfg.seed, 7);
-        assert_eq!(cfg.parallelism, Parallelism::Fixed(3));
-    }
-
-    #[test]
-    fn builder_rejects_invalid_configs_with_typed_errors() {
-        let err = |b: FlowConfigBuilder| match b.build() {
-            Err(FlowError::InvalidConfig(e)) => e,
-            other => panic!("expected InvalidConfig, got {other:?}"),
+    fn validate_rejects_invalid_configs_with_typed_errors() {
+        let err = |edit: fn(&mut FlowConfig)| {
+            let mut config = FlowConfig::for_device(pynq_z1());
+            edit(&mut config);
+            match config.validate() {
+                Err(FlowError::InvalidConfig(e)) => e,
+                other => panic!("expected InvalidConfig, got {other:?}"),
+            }
         };
+        assert_eq!(err(|c| c.targets_fps = vec![]), ConfigError::EmptyTargets);
         assert_eq!(
-            err(FlowConfig::builder().targets_fps([])),
-            ConfigError::EmptyTargets
-        );
-        assert_eq!(
-            err(FlowConfig::builder().targets_fps([-1.0])),
+            err(|c| c.targets_fps = vec![-1.0]),
             ConfigError::NonPositiveTarget { fps: -1.0 }
         );
         assert_eq!(
-            err(FlowConfig::builder().clock_mhz(0.0)),
+            err(|c| c.clock_mhz = 0.0),
             ConfigError::NonPositiveClock { clock_mhz: 0.0 }
         );
         assert!(matches!(
-            err(FlowConfig::builder().clock_mhz(f64::NAN)),
+            err(|c| c.clock_mhz = f64::NAN),
             ConfigError::NonPositiveClock { clock_mhz } if clock_mhz.is_nan()
         ));
         assert_eq!(
-            err(FlowConfig::builder().fps_tolerance(-0.5)),
+            err(|c| c.fps_tolerance = -0.5),
             ConfigError::NonPositiveTolerance {
                 fps_tolerance: -0.5
             }
         );
         assert_eq!(
-            err(FlowConfig::builder().candidates_per_bundle(0)),
+            err(|c| c.candidates_per_bundle = 0),
             ConfigError::ZeroCandidates
         );
         assert_eq!(
-            err(FlowConfig::builder().coarse_pf_sweep([])),
+            err(|c| c.coarse_pf_sweep = vec![]),
             ConfigError::EmptyPfSweep
         );
         assert_eq!(
-            err(FlowConfig::builder().coarse_pf_sweep([16, 0])),
+            err(|c| c.coarse_pf_sweep = vec![16, 0]),
             ConfigError::ZeroPf
         );
         assert_eq!(
-            err(FlowConfig::builder().eval_replications(0)),
+            err(|c| c.eval_replications = 0),
             ConfigError::ZeroReplications
         );
     }

@@ -23,8 +23,8 @@
 //!   first use, one SCD search per cell, merge, and finalization
 //!   (full simulation + Auto-HLS generation). Every executor calls it.
 //! * [`flow`] — the in-process executor of that recipe, configured
-//!   through a validating builder ([`flow::FlowConfig::builder`]),
-//!   with events, cancellation and stage checkpoints around it.
+//!   configured by a plain struct ([`flow::FlowConfig`], checked by
+//!   [`flow::FlowConfig::validate`]), with events, cancellation and stage checkpoints around it.
 //! * [`observe`] — progress observation ([`observe::FlowObserver`])
 //!   and cooperative cancellation ([`observe::CancelToken`]) for
 //!   long-running flows; the surface the serving layer builds on.
@@ -41,10 +41,11 @@
 //! use codesign_sim::device::pynq_z1;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let config = FlowConfig::builder()
-//!     .device(pynq_z1())
-//!     .targets_fps([10.0, 15.0, 20.0])
-//!     .build()?;
+//! let config = FlowConfig {
+//!     targets_fps: vec![10.0, 15.0, 20.0],
+//!     ..FlowConfig::for_device(pynq_z1())
+//! };
+//! // `run` validates the config first: a bad field is a typed error.
 //! let out = CoDesignFlow::new(config).run()?;
 //! for design in &out.summary().designs {
 //!     println!("{design}");
@@ -69,7 +70,7 @@ pub mod search;
 pub use accuracy::{AccuracyModel, ProxyEvaluator};
 pub use checkpoint::FlowCheckpoint;
 pub use evaluate::{coarse_evaluate_parallel, select_bundles, BundleEvaluation};
-pub use flow::{CoDesignFlow, FlowConfig, FlowConfigBuilder, FlowOutput, FlowSummary};
+pub use flow::{CoDesignFlow, FlowConfig, FlowOutput, FlowSummary};
 pub use observe::{CancelState, CancelToken, FlowEvent, FlowObserver, NullObserver};
 pub use parallel::{derive_seed, parallel_map, Parallelism};
 pub use pareto::pareto_front;

@@ -51,13 +51,6 @@ pub enum SkeletonOp {
 }
 
 impl SkeletonOp {
-    /// Kernel size of the skeleton operator.
-    pub fn kernel(&self) -> usize {
-        match self {
-            SkeletonOp::Conv { k } | SkeletonOp::DwConv { k } => *k,
-        }
-    }
-
     /// True if the op can change the channel count.
     pub fn expands_channels(&self) -> bool {
         matches!(self, SkeletonOp::Conv { .. })
@@ -145,12 +138,6 @@ impl Bundle {
     /// Number of computational IPs (1 or 2).
     pub fn computational_ip_count(&self) -> usize {
         self.len
-    }
-
-    /// Largest kernel among the Bundle's computational IPs; a proxy for
-    /// the block's receptive-field growth per replication.
-    pub fn max_kernel(&self) -> usize {
-        self.ops().iter().map(SkeletonOp::kernel).max().unwrap_or(0)
     }
 
     /// True if any operator in the Bundle is a standard convolution
@@ -352,12 +339,6 @@ mod tests {
                 assert_ne!(bundles[i].ops(), bundles[j].ops(), "bundles {i} and {j}");
             }
         }
-    }
-
-    #[test]
-    fn max_kernel_reported() {
-        assert_eq!(bundle_by_id(BundleId(16)).unwrap().max_kernel(), 7);
-        assert_eq!(bundle_by_id(BundleId(2)).unwrap().max_kernel(), 1);
     }
 
     proptest! {

@@ -146,11 +146,6 @@ impl Dnn {
             .max()
             .unwrap_or(self.input.c)
     }
-
-    /// Iterates over the computational layers (convolutions) only.
-    pub fn computational_layers(&self) -> impl Iterator<Item = &LayerInstance> {
-        self.layers.iter().filter(|l| l.op.is_computational())
-    }
 }
 
 impl fmt::Display for Dnn {
@@ -219,14 +214,5 @@ mod tests {
             dnn.layer_count() + 1,
             "one header line plus one line per layer"
         );
-    }
-
-    #[test]
-    fn computational_layers_are_convs() {
-        let dnn = sample_dnn();
-        assert!(dnn.computational_layers().count() > 0);
-        for l in dnn.computational_layers() {
-            assert!(l.op.is_computational());
-        }
     }
 }

@@ -139,14 +139,15 @@ struct Site {
 
 /// A seeded, thread-safe schedule of injected faults.
 ///
-/// Built once via [`FaultPlan::builder`]; the site set is immutable
-/// after build, so concurrent [`decide`](Self::decide) calls contend
-/// only on per-site atomic counters.
+/// Parsed once from a spec string by [`FaultPlan::from_spec`] (the
+/// grammar is in the module docs); the site set is immutable after
+/// that, so concurrent [`decide`](Self::decide) calls contend only on
+/// per-site atomic counters.
 ///
 /// ```
 /// use codesign_faults::{FaultAction, FaultPlan};
 ///
-/// let plan = FaultPlan::builder(42).io_failures("store.append", 0.5).build();
+/// let plan = FaultPlan::from_spec("seed=42;store.append=io%0.5").unwrap();
 /// // The schedule is a pure function of (seed, site, index):
 /// let first: Vec<FaultAction> = (0..8).map(|k| plan.decide_at("store.append", k)).collect();
 /// let again: Vec<FaultAction> = (0..8).map(|k| plan.decide_at("store.append", k)).collect();
@@ -160,106 +161,7 @@ pub struct FaultPlan {
     sites: BTreeMap<String, Site>,
 }
 
-/// Configures and builds a [`FaultPlan`].
-#[derive(Debug)]
-pub struct FaultPlanBuilder {
-    seed: u64,
-    sites: BTreeMap<String, Site>,
-}
-
-impl FaultPlanBuilder {
-    fn add(mut self, site: &str, kind: FaultKind, rate: f64, delay: Duration) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&rate),
-            "fault rate must be in [0, 1], got {rate}"
-        );
-        self.sites.insert(
-            site.to_string(),
-            Site {
-                kind,
-                rate,
-                at: None,
-                delay,
-                calls: AtomicU64::new(0),
-                injected: AtomicU64::new(0),
-            },
-        );
-        self
-    }
-
-    fn add_at(mut self, site: &str, kind: FaultKind, indices: &[u64], delay: Duration) -> Self {
-        self.sites.insert(
-            site.to_string(),
-            Site {
-                kind,
-                rate: 1.0,
-                at: Some(indices.iter().copied().collect()),
-                delay,
-                calls: AtomicU64::new(0),
-                injected: AtomicU64::new(0),
-            },
-        );
-        self
-    }
-
-    /// Injected `io::Error`s at `site` with probability `rate`.
-    pub fn io_failures(self, site: &str, rate: f64) -> Self {
-        self.add(site, FaultKind::IoError, rate, Duration::ZERO)
-    }
-
-    /// Injected panics at `site` with probability `rate`.
-    pub fn panics(self, site: &str, rate: f64) -> Self {
-        self.add(site, FaultKind::Panic, rate, Duration::ZERO)
-    }
-
-    /// Injected sleeps of `delay` at `site` with probability `rate`.
-    pub fn delays(self, site: &str, rate: f64, delay: Duration) -> Self {
-        self.add(site, FaultKind::Delay, rate, delay)
-    }
-
-    /// Injected connection drops at `site` with probability `rate`.
-    pub fn connection_drops(self, site: &str, rate: f64) -> Self {
-        self.add(site, FaultKind::DropConnection, rate, Duration::ZERO)
-    }
-
-    /// Injected `io::Error`s at exactly the given invocation `indices`
-    /// of `site` — for tests that need a fault at a known position
-    /// rather than a seeded rate.
-    pub fn io_failures_at(self, site: &str, indices: &[u64]) -> Self {
-        self.add_at(site, FaultKind::IoError, indices, Duration::ZERO)
-    }
-
-    /// Injected panics at exactly the given invocation `indices` of
-    /// `site`.
-    pub fn panics_at(self, site: &str, indices: &[u64]) -> Self {
-        self.add_at(site, FaultKind::Panic, indices, Duration::ZERO)
-    }
-
-    /// Injected sleeps of `delay` at exactly the given invocation
-    /// `indices` of `site`.
-    pub fn delays_at(self, site: &str, indices: &[u64], delay: Duration) -> Self {
-        self.add_at(site, FaultKind::Delay, indices, delay)
-    }
-
-    /// Finalizes the plan, wrapped for cheap sharing across threads.
-    pub fn build(self) -> Arc<FaultPlan> {
-        Arc::new(FaultPlan {
-            seed: self.seed,
-            sites: self.sites,
-        })
-    }
-}
-
 impl FaultPlan {
-    /// Starts a plan for `seed`. The same seed and site configuration
-    /// always produce the same schedule.
-    pub fn builder(seed: u64) -> FaultPlanBuilder {
-        FaultPlanBuilder {
-            seed,
-            sites: BTreeMap::new(),
-        }
-    }
-
     /// The seed this plan's schedule derives from.
     pub fn seed(&self) -> u64 {
         self.seed
@@ -400,7 +302,7 @@ impl FaultPlan {
             .ok_or_else(|| spec_err(format!("must start with seed=<n>, got {head:?}")))?
             .parse()
             .map_err(|_| spec_err(format!("unparsable seed in {head:?}")))?;
-        let mut builder = FaultPlan::builder(seed);
+        let mut sites = BTreeMap::new();
         for entry in entries {
             let entry = entry.trim();
             if entry.is_empty() {
@@ -412,17 +314,13 @@ impl FaultPlan {
             if site.is_empty() {
                 return Err(spec_err(format!("entry {entry:?} has an empty site name")));
             }
-            enum Sched {
-                At(Vec<u64>),
-                Rate(f64),
-            }
-            let (kind_text, sched) = if let Some((k, idx)) = rest.split_once('@') {
+            let (kind_text, rate, at) = if let Some((k, idx)) = rest.split_once('@') {
                 let indices = idx
                     .split(',')
                     .map(|i| i.trim().parse::<u64>())
-                    .collect::<Result<Vec<u64>, _>>()
+                    .collect::<Result<BTreeSet<u64>, _>>()
                     .map_err(|_| spec_err(format!("unparsable index list in {entry:?}")))?;
-                (k, Sched::At(indices))
+                (k, 1.0, Some(indices))
             } else if let Some((k, r)) = rest.split_once('%') {
                 let rate: f64 = r
                     .trim()
@@ -431,9 +329,9 @@ impl FaultPlan {
                 if !(0.0..=1.0).contains(&rate) {
                     return Err(spec_err(format!("rate {rate} out of [0, 1] in {entry:?}")));
                 }
-                (k, Sched::Rate(rate))
+                (k, rate, None)
             } else {
-                (rest, Sched::Rate(1.0))
+                (rest, 1.0, None)
             };
             let (kind_name, delay) = match kind_text.split_once('(') {
                 Some((k, ms)) => {
@@ -458,12 +356,19 @@ impl FaultPlan {
                     )))
                 }
             };
-            builder = match sched {
-                Sched::At(indices) => builder.add_at(site.trim(), kind, &indices, delay),
-                Sched::Rate(rate) => builder.add(site.trim(), kind, rate, delay),
-            };
+            sites.insert(
+                site.trim().to_string(),
+                Site {
+                    kind,
+                    rate,
+                    at,
+                    delay,
+                    calls: AtomicU64::new(0),
+                    injected: AtomicU64::new(0),
+                },
+            );
         }
-        Ok(builder.build())
+        Ok(Arc::new(FaultPlan { seed, sites }))
     }
 }
 
@@ -559,7 +464,7 @@ mod tests {
 
     #[test]
     fn unconfigured_sites_always_proceed() {
-        let plan = FaultPlan::builder(7).build();
+        let plan = FaultPlan::from_spec("seed=7").unwrap();
         for k in 0..100 {
             assert_eq!(plan.decide_at("anything", k), FaultAction::Proceed);
         }
@@ -570,8 +475,8 @@ mod tests {
 
     #[test]
     fn rate_edges_are_exact() {
-        let never = FaultPlan::builder(1).io_failures("s", 0.0).build();
-        let always = FaultPlan::builder(1).io_failures("s", 1.0).build();
+        let never = FaultPlan::from_spec("seed=1;s=io%0").unwrap();
+        let always = FaultPlan::from_spec("seed=1;s=io%1").unwrap();
         for k in 0..200 {
             assert_eq!(never.decide_at("s", k), FaultAction::Proceed);
             assert_eq!(always.decide_at("s", k), FaultAction::FailIo);
@@ -580,7 +485,7 @@ mod tests {
 
     #[test]
     fn counter_mode_walks_the_pure_schedule() {
-        let plan = FaultPlan::builder(99).io_failures("s", 0.5).build();
+        let plan = FaultPlan::from_spec("seed=99;s=io%0.5").unwrap();
         let pure = plan.schedule("s", 64);
         let walked: Vec<FaultAction> = (0..64).map(|_| plan.decide("s")).collect();
         assert_eq!(walked, pure);
@@ -588,10 +493,7 @@ mod tests {
 
     #[test]
     fn different_sites_get_different_schedules() {
-        let plan = FaultPlan::builder(5)
-            .io_failures("a", 0.5)
-            .io_failures("b", 0.5)
-            .build();
+        let plan = FaultPlan::from_spec("seed=5;a=io%0.5;b=io%0.5").unwrap();
         let a = plan.schedule("a", 256);
         let b = plan.schedule("b", 256);
         assert_ne!(a, b, "independent sites must not share a schedule");
@@ -599,7 +501,7 @@ mod tests {
 
     #[test]
     fn rates_land_near_the_target_frequency() {
-        let plan = FaultPlan::builder(1234).io_failures("s", 0.25).build();
+        let plan = FaultPlan::from_spec("seed=1234;s=io%0.25").unwrap();
         let fired = plan
             .schedule("s", 4096)
             .iter()
@@ -614,7 +516,7 @@ mod tests {
 
     #[test]
     fn index_targeted_sites_fire_exactly_where_asked() {
-        let plan = FaultPlan::builder(0).io_failures_at("s", &[0, 3]).build();
+        let plan = FaultPlan::from_spec("seed=0;s=io@0,3").unwrap();
         let schedule = plan.schedule("s", 5);
         assert_eq!(
             schedule,
@@ -639,10 +541,7 @@ mod tests {
 
     #[test]
     fn injected_counters_track_fired_faults() {
-        let plan = FaultPlan::builder(3)
-            .io_failures("s", 1.0)
-            .delays("d", 1.0, Duration::ZERO)
-            .build();
+        let plan = FaultPlan::from_spec("seed=3;s=io%1;d=delay(0)%1").unwrap();
         for _ in 0..5 {
             let _ = plan.fail_io("s");
         }
@@ -653,33 +552,66 @@ mod tests {
 
     #[test]
     fn spec_round_trips_schedules_exactly() {
-        let plan = FaultPlan::builder(7)
-            .panics_at("shard.worker.crash", &[1, 3])
-            .io_failures("store.append", 0.25)
-            .delays("parallel.item", 1.0, Duration::from_millis(50))
-            .delays_at("shard.cell.delay", &[0, 2, 4], Duration::from_millis(5))
-            .connection_drops("serve.conn.drop", 0.125)
-            .build();
-        // The same plan, written by hand in the spec grammar.
         let spec = "seed=7;shard.worker.crash=panic@1,3;store.append=io%0.25;\
                     parallel.item=delay(50)%1;shard.cell.delay=delay(5)@0,2,4;\
                     serve.conn.drop=drop%0.125";
-        let parsed = FaultPlan::from_spec(spec).unwrap();
-        assert_eq!(parsed.seed(), plan.seed());
-        for site in [
-            "shard.worker.crash",
-            "store.append",
-            "parallel.item",
-            "shard.cell.delay",
-            "serve.conn.drop",
-            "unconfigured.site",
-        ] {
-            assert_eq!(
-                parsed.schedule(site, 256),
-                plan.schedule(site, 256),
-                "schedule mismatch at {site} for spec {spec:?}"
-            );
-        }
+        let plan = FaultPlan::from_spec(spec).unwrap();
+        assert_eq!(plan.seed(), 7);
+        // The indices of `schedule(site, 256)` that fire, as a 256-bit
+        // mask, each firing with `action`.
+        let fired = |site: &str, action: FaultAction| {
+            let mut mask = [0u64; 4];
+            for (k, got) in plan.schedule(site, 256).into_iter().enumerate() {
+                if got != FaultAction::Proceed {
+                    assert_eq!(got, action, "{site} index {k}");
+                    mask[k / 64] |= 1 << (k % 64);
+                }
+            }
+            mask
+        };
+        let at = |indices: &[usize]| {
+            let mut mask = [0u64; 4];
+            for &k in indices {
+                mask[k / 64] |= 1 << (k % 64);
+            }
+            mask
+        };
+        // `@` sites fire exactly at their listed indices.
+        assert_eq!(fired("shard.worker.crash", FaultAction::Panic), at(&[1, 3]));
+        assert_eq!(
+            fired(
+                "shard.cell.delay",
+                FaultAction::Delay(Duration::from_millis(5))
+            ),
+            at(&[0, 2, 4])
+        );
+        // `%` sites: goldens of the seeded 256-call schedules.
+        assert_eq!(
+            fired("store.append", FaultAction::FailIo),
+            [
+                0x5000_108e_2040_8016,
+                0x8011_8104_8331_00a7,
+                0x0081_1004_b022_3900,
+                0x4310_0490_8040_8007,
+            ]
+        );
+        assert_eq!(
+            fired("serve.conn.drop", FaultAction::DropConnection),
+            [
+                0x0082_8010_0840_0c40,
+                0x2200_0900_0400_0000,
+                0x6800_3008_0100_0000,
+                0x0020_0088_0000_0101,
+            ]
+        );
+        assert_eq!(
+            fired(
+                "parallel.item",
+                FaultAction::Delay(Duration::from_millis(50))
+            ),
+            [u64::MAX; 4]
+        );
+        assert_eq!(fired("unconfigured.site", FaultAction::Proceed), [0; 4]);
     }
 
     #[test]
@@ -722,9 +654,7 @@ mod tests {
         let _guard = GUARD.lock().unwrap();
         assert!(global().is_none());
         parallel_item_hook(); // no-op without a plan
-        let plan = FaultPlan::builder(11)
-            .delays("parallel.item", 1.0, Duration::ZERO)
-            .build();
+        let plan = FaultPlan::from_spec("seed=11;parallel.item=delay(0)%1").unwrap();
         install_global(Arc::clone(&plan));
         assert!(global().is_some());
         parallel_item_hook();

@@ -54,8 +54,9 @@ proptest! {
         n in 1u64..512,
     ) {
         let rate = rate_pct as f64 / 100.0;
-        let a = FaultPlan::builder(seed).io_failures("store.append", rate).build();
-        let b = FaultPlan::builder(seed).io_failures("store.append", rate).build();
+        let spec = format!("seed={seed};store.append=io%{rate}");
+        let a = FaultPlan::from_spec(&spec).unwrap();
+        let b = FaultPlan::from_spec(&spec).unwrap();
         let schedule = a.schedule("store.append", n);
         prop_assert_eq!(&schedule, &b.schedule("store.append", n));
         // Re-evaluating the same plan never changes its answers.
@@ -73,14 +74,15 @@ proptest! {
         calls in 1u64..256,
     ) {
         let rate = rate_pct as f64 / 100.0;
-        let reference = FaultPlan::builder(seed).io_failures("s", rate).build();
+        let spec = format!("seed={seed};s=io%{rate}");
+        let reference = FaultPlan::from_spec(&spec).unwrap();
         let expected_fired = reference
             .schedule("s", calls)
             .iter()
             .filter(|a| **a == FaultAction::FailIo)
             .count() as u64;
         for threads in [1usize, 2, 4] {
-            let plan = FaultPlan::builder(seed).io_failures("s", rate).build();
+            let plan = FaultPlan::from_spec(&spec).unwrap();
             let [fired, proceeded] = concurrent_decisions(&plan, "s", calls, threads);
             prop_assert_eq!(fired, expected_fired);
             prop_assert_eq!(fired + proceeded, calls);

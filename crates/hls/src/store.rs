@@ -465,9 +465,7 @@ mod tests {
         // store.append fails on the 4th call (indices 3..) — the first
         // three records land, the persist reports the failure, and the
         // already-written records survive a retry with a clean store.
-        let plan = codesign_faults::FaultPlan::builder(0)
-            .io_failures_at("store.append", &[3])
-            .build();
+        let plan = codesign_faults::FaultPlan::from_spec("seed=0;store.append=io@3").unwrap();
         let options = LogOptions {
             faults: Some(plan),
             ..LogOptions::default()
@@ -602,9 +600,7 @@ mod tests {
         let dir = TempDir::new("codesign_hls_store").unwrap();
         let path = dir.join("stamp_failure.log");
         let cache = cache_of(0..6);
-        let plan = codesign_faults::FaultPlan::builder(0)
-            .io_failures_at("store.append", &[3])
-            .build();
+        let plan = codesign_faults::FaultPlan::from_spec("seed=0;store.append=io@3").unwrap();
         let options = LogOptions {
             faults: Some(plan),
             ..LogOptions::default()
@@ -670,9 +666,7 @@ mod tests {
     fn a_retry_after_a_failed_sync_syncs_again() {
         let dir = TempDir::new("codesign_hls_store").unwrap();
         let path = dir.join("sync_retry.log");
-        let plan = codesign_faults::FaultPlan::builder(0)
-            .io_failures_at("store.sync", &[0, 1])
-            .build();
+        let plan = codesign_faults::FaultPlan::from_spec("seed=0;store.sync=io@0,1").unwrap();
         let options = LogOptions {
             faults: Some(plan.clone()),
             ..LogOptions::default()

@@ -28,7 +28,6 @@ proptest! {
         latency in 1u64..u64::MAX / 2,
         dsp in 0u64..1_000_000,
         lut in 0u64..10_000_000,
-        case_tag in 0u64..u64::MAX,
     ) {
         let bundle = bundle_by_id(BundleId(bundle_id)).unwrap();
         let mut point = DesignPoint::initial(bundle, reps);
@@ -44,7 +43,7 @@ proptest! {
         };
 
         let dir = TempDir::new("codesign_hls_store_prop").unwrap();
-        let path = dir.join(format!("case_{case_tag}.log"));
+        let path = dir.join("estimates.log");
 
         let cold = EstimateCache::new();
         cold.get_or_insert_with(&key, || Ok(est)).unwrap();
@@ -81,7 +80,6 @@ proptest! {
     fn prop_multi_record_log_preserves_snapshot(
         n in 1usize..40,
         seed in 0u64..u64::MAX / 2,
-        case_tag in 0u64..u64::MAX,
     ) {
         let cold = EstimateCache::new();
         let mut state = seed | 1;
@@ -102,7 +100,7 @@ proptest! {
         }
 
         let dir = TempDir::new("codesign_hls_store_prop").unwrap();
-        let path = dir.join(format!("case_{case_tag}.log"));
+        let path = dir.join("estimates.log");
         {
             let mut store = EstimateStore::open(&path).unwrap();
             prop_assert_eq!(store.persist_from(&cold).unwrap(), cold.len());

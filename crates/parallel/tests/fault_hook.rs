@@ -9,7 +9,6 @@
 use codesign_parallel::parallel_map;
 use std::panic::AssertUnwindSafe;
 use std::sync::Mutex;
-use std::time::Duration;
 
 static GLOBAL_PLAN: Mutex<()> = Mutex::new(());
 
@@ -24,9 +23,7 @@ fn hold_slot() -> std::sync::MutexGuard<'static, ()> {
 #[test]
 fn injected_item_panic_propagates_to_the_caller() {
     let _slot = hold_slot();
-    let plan = codesign_faults::FaultPlan::builder(21)
-        .panics_at("parallel.item", &[2])
-        .build();
+    let plan = codesign_faults::FaultPlan::from_spec("seed=21;parallel.item=panic@2").unwrap();
     codesign_faults::install_global(plan.clone());
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
         parallel_map(&[1u64, 2, 3, 4, 5, 6], 3, |_, v| v * 2)
@@ -50,9 +47,7 @@ fn injected_delays_leave_results_bit_identical() {
     let _slot = hold_slot();
     let input: Vec<u64> = (0..64).collect();
     let reference = parallel_map(&input, 4, |i, v| v.wrapping_mul(31).wrapping_add(i as u64));
-    let plan = codesign_faults::FaultPlan::builder(9)
-        .delays("parallel.item", 0.5, Duration::from_micros(200))
-        .build();
+    let plan = codesign_faults::FaultPlan::from_spec("seed=9;parallel.item=delay(1)%0.5").unwrap();
     codesign_faults::install_global(plan.clone());
     let delayed = parallel_map(&input, 4, |i, v| v.wrapping_mul(31).wrapping_add(i as u64));
     codesign_faults::clear_global();
@@ -63,9 +58,7 @@ fn injected_delays_leave_results_bit_identical() {
 #[test]
 fn later_calls_survive_an_injected_panic() {
     let _slot = hold_slot();
-    let plan = codesign_faults::FaultPlan::builder(4)
-        .panics_at("parallel.item", &[0])
-        .build();
+    let plan = codesign_faults::FaultPlan::from_spec("seed=4;parallel.item=panic@0").unwrap();
     codesign_faults::install_global(plan);
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
         parallel_map(&[1u32, 2, 3], 2, |_, v| *v)

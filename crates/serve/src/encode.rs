@@ -197,13 +197,12 @@ mod tests {
 
     #[test]
     fn result_encoding_is_byte_stable_across_runs() {
-        let config = FlowConfig::builder()
-            .device(pynq_z1())
-            .targets_fps([15.0])
-            .candidates_per_bundle(2)
-            .coarse_pf_sweep([16])
-            .build()
-            .unwrap();
+        let config = FlowConfig {
+            targets_fps: vec![15.0],
+            candidates_per_bundle: 2,
+            coarse_pf_sweep: vec![16],
+            ..FlowConfig::for_device(pynq_z1())
+        };
         let a = flow_result_body(&CoDesignFlow::new(config.clone()).run().unwrap());
         let b = flow_result_body(&CoDesignFlow::new(config).run().unwrap());
         assert_eq!(a, b, "same config must encode byte-identically");

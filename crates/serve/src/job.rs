@@ -888,13 +888,12 @@ mod tests {
     use codesign_sim::device::pynq_z1;
 
     fn small_config() -> FlowConfig {
-        FlowConfig::builder()
-            .device(pynq_z1())
-            .targets_fps([15.0])
-            .candidates_per_bundle(2)
-            .coarse_pf_sweep([16])
-            .build()
-            .unwrap()
+        FlowConfig {
+            targets_fps: vec![15.0],
+            candidates_per_bundle: 2,
+            coarse_pf_sweep: vec![16],
+            ..FlowConfig::for_device(pynq_z1())
+        }
     }
 
     #[test]
@@ -1191,9 +1190,7 @@ mod tests {
     #[test]
     fn every_ending_goes_through_one_terminal_transition() {
         // Job 3 on the running scheduler panics.
-        let plan = FaultPlan::builder(0)
-            .panics_at("serve.job.panic", &[3])
-            .build();
+        let plan = FaultPlan::from_spec("seed=0;serve.job.panic=panic@3").unwrap();
         let config = |executors| ServeConfig {
             executors,
             faults: Some(Arc::clone(&plan)),

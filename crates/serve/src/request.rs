@@ -1,11 +1,12 @@
 //! Co-design request parsing: wire JSON → validated [`FlowConfig`].
 //!
-//! Every field is optional — omitted knobs fall back to the paper's
-//! defaults via [`FlowConfig::builder`] — but present fields are
-//! strictly checked: unknown keys, wrong types, and out-of-domain
-//! values are all 400-class errors, surfaced with the flow API's typed
-//! [`ConfigError`](codesign_core::flow::ConfigError) text where
-//! applicable. The server never panics on client input.
+//! Every field is optional — each present field is assigned onto the
+//! paper's setup, [`FlowConfig::for_device`]`(pynq_z1())` — but present
+//! fields are strictly checked: unknown keys and wrong types are
+//! 400-class errors, and the assembled config must pass
+//! [`FlowConfig::validate`], whose typed
+//! [`ConfigError`](codesign_core::flow::ConfigError) text is the
+//! client's error. The server never panics on client input.
 
 use crate::json::Json;
 use codesign_core::flow::FlowConfig;
@@ -80,58 +81,54 @@ pub fn job_request_from_body(body: &str) -> Result<JobRequest, String> {
     let pairs = doc
         .as_obj()
         .ok_or_else(|| "request body must be a JSON object".to_string())?;
-    let mut builder = FlowConfig::builder();
+    let mut config = FlowConfig::for_device(pynq_z1());
     let mut deadline_ms = None;
     for (key, value) in pairs {
-        builder = match key.as_str() {
+        match key.as_str() {
             "deadline_ms" => {
                 let ms = uint_field(value, key)?;
                 if ms == 0 {
                     return Err("field `deadline_ms` must be positive".into());
                 }
                 deadline_ms = Some(ms);
-                builder
             }
             "device" => {
                 let name = value
                     .as_str()
                     .ok_or_else(|| "field `device` must be a device-name string".to_string())?;
-                let device = device_by_name(name).ok_or_else(|| {
+                config.device = device_by_name(name).ok_or_else(|| {
                     format!("unknown device `{name}` (known: pynq_z1, ultra96, zcu104)")
                 })?;
-                builder.device(device)
             }
-            "targets_fps" => builder.targets_fps(num_array_field(value, key)?),
-            "clock_mhz" => builder.clock_mhz(num_field(value, key)?),
-            "fps_tolerance" => builder.fps_tolerance(num_field(value, key)?),
+            "targets_fps" => config.targets_fps = num_array_field(value, key)?,
+            "clock_mhz" => config.clock_mhz = num_field(value, key)?,
+            "fps_tolerance" => config.fps_tolerance = num_field(value, key)?,
             "candidates_per_bundle" => {
-                builder.candidates_per_bundle(uint_field(value, key)? as usize)
+                config.candidates_per_bundle = uint_field(value, key)? as usize;
             }
             "coarse_pf_sweep" => {
-                let sweep: Vec<usize> = value
+                config.coarse_pf_sweep = value
                     .as_arr()
                     .ok_or_else(|| "field `coarse_pf_sweep` must be an array".to_string())?
                     .iter()
                     .map(|v| uint_field(v, key).map(|n| n as usize))
                     .collect::<Result<_, _>>()?;
-                builder.coarse_pf_sweep(sweep)
             }
-            "eval_replications" => builder.eval_replications(uint_field(value, key)? as usize),
-            "seed" => builder.seed(uint_field(value, key)?),
-            "parallelism" => match value {
-                Json::Str(s) if s == "auto" => builder.parallelism(Parallelism::Auto),
-                _ => {
-                    let n = uint_field(value, key)? as usize;
-                    if n == 0 {
-                        return Err("field `parallelism` must be positive or \"auto\"".into());
-                    }
-                    builder.parallelism(Parallelism::Fixed(n))
-                }
-            },
+            "eval_replications" => config.eval_replications = uint_field(value, key)? as usize,
+            "seed" => config.seed = uint_field(value, key)?,
+            "parallelism" => {
+                config.parallelism = match value {
+                    Json::Str(s) if s == "auto" => Parallelism::Auto,
+                    _ => match uint_field(value, key)? as usize {
+                        0 => return Err("field `parallelism` must be positive or \"auto\"".into()),
+                        n => Parallelism::Fixed(n),
+                    },
+                };
+            }
             other => return Err(format!("unknown field `{other}`")),
-        };
+        }
     }
-    let config = builder.build().map_err(|e| e.to_string())?;
+    config.validate().map_err(|e| e.to_string())?;
     Ok(JobRequest {
         config,
         deadline_ms,
@@ -141,6 +138,7 @@ pub fn job_request_from_body(body: &str) -> Result<JobRequest, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use codesign_core::flow::{ConfigError, FlowError};
 
     #[test]
     fn empty_object_is_the_paper_default() {
@@ -151,17 +149,26 @@ mod tests {
     #[test]
     fn full_request_parses() {
         let cfg = flow_config_from_body(
-            r#"{"device":"ultra96","targets_fps":[15.0],"clock_mhz":100,
-                "fps_tolerance":1.5,"candidates_per_bundle":2,
-                "coarse_pf_sweep":[16],"eval_replications":3,
+            r#"{"device":"ultra96","targets_fps":[15.0],"clock_mhz":150,
+                "fps_tolerance":2.5,"candidates_per_bundle":2,
+                "coarse_pf_sweep":[16],"eval_replications":4,
                 "seed":7,"parallelism":2}"#,
         )
         .unwrap();
-        assert_eq!(cfg.device, ultra96());
-        assert_eq!(cfg.targets_fps, vec![15.0]);
-        assert_eq!(cfg.candidates_per_bundle, 2);
-        assert_eq!(cfg.seed, 7);
-        assert_eq!(cfg.parallelism, Parallelism::Fixed(2));
+        assert_eq!(
+            cfg,
+            FlowConfig {
+                device: ultra96(),
+                targets_fps: vec![15.0],
+                clock_mhz: 150.0,
+                fps_tolerance: 2.5,
+                candidates_per_bundle: 2,
+                coarse_pf_sweep: vec![16],
+                eval_replications: 4,
+                seed: 7,
+                parallelism: Parallelism::Fixed(2),
+            }
+        );
     }
 
     #[test]
@@ -172,12 +179,36 @@ mod tests {
 
     #[test]
     fn typed_validation_errors_reach_the_client() {
-        let err = flow_config_from_body(r#"{"targets_fps":[]}"#).unwrap_err();
-        assert!(err.contains("targets_fps is empty"), "{err}");
-        let err = flow_config_from_body(r#"{"clock_mhz":0}"#).unwrap_err();
-        assert!(err.contains("clock_mhz"), "{err}");
-        let err = flow_config_from_body(r#"{"candidates_per_bundle":0}"#).unwrap_err();
-        assert!(err.contains("candidates_per_bundle is zero"), "{err}");
+        for (body, expected) in [
+            (r#"{"targets_fps":[]}"#, ConfigError::EmptyTargets),
+            (
+                r#"{"targets_fps":[15,-1]}"#,
+                ConfigError::NonPositiveTarget { fps: -1.0 },
+            ),
+            (
+                r#"{"clock_mhz":0}"#,
+                ConfigError::NonPositiveClock { clock_mhz: 0.0 },
+            ),
+            (
+                r#"{"fps_tolerance":-0.5}"#,
+                ConfigError::NonPositiveTolerance {
+                    fps_tolerance: -0.5,
+                },
+            ),
+            (
+                r#"{"candidates_per_bundle":0}"#,
+                ConfigError::ZeroCandidates,
+            ),
+            (r#"{"coarse_pf_sweep":[]}"#, ConfigError::EmptyPfSweep),
+            (r#"{"coarse_pf_sweep":[16,0]}"#, ConfigError::ZeroPf),
+            (r#"{"eval_replications":0}"#, ConfigError::ZeroReplications),
+        ] {
+            assert_eq!(
+                flow_config_from_body(body).unwrap_err(),
+                FlowError::from(expected).to_string(),
+                "{body}"
+            );
+        }
     }
 
     #[test]

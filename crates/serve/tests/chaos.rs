@@ -33,14 +33,13 @@ fn body_for_seed(seed: u64) -> String {
 }
 
 fn config_for_seed(seed: u64) -> FlowConfig {
-    FlowConfig::builder()
-        .device(pynq_z1())
-        .targets_fps([15.0])
-        .candidates_per_bundle(2)
-        .coarse_pf_sweep([16])
-        .seed(seed)
-        .build()
-        .unwrap()
+    FlowConfig {
+        targets_fps: vec![15.0],
+        candidates_per_bundle: 2,
+        coarse_pf_sweep: vec![16],
+        seed,
+        ..FlowConfig::for_device(pynq_z1())
+    }
 }
 
 /// The no-faults ground truth: a direct in-process run, encoded by the
@@ -60,14 +59,10 @@ fn wide_body(seed: u64) -> String {
 }
 
 fn wide_reference_body(seed: u64) -> String {
-    let config = FlowConfig::builder()
-        .device(pynq_z1())
-        .targets_fps([15.0])
-        .candidates_per_bundle(2)
-        .coarse_pf_sweep([32])
-        .seed(seed)
-        .build()
-        .unwrap();
+    let config = FlowConfig {
+        coarse_pf_sweep: vec![32],
+        ..config_for_seed(seed)
+    };
     flow_result_body(&CoDesignFlow::new(config).run().unwrap())
 }
 
@@ -125,12 +120,11 @@ fn chaos_soak_reaches_terminal_states_and_preserves_faultfree_results() {
     let seeds = [11u64, 12];
     let dir = TempDir::new("codesign_serve_chaos").unwrap();
     let store_path = dir.join("soak.log");
-    let plan = FaultPlan::builder(0xC0DE)
-        .panics("serve.job.panic", 0.2)
-        .delays("serve.job.delay", 0.3, Duration::from_millis(5))
-        .connection_drops("serve.conn.drop", 0.15)
-        .io_failures("store.append", 0.05)
-        .build();
+    let plan = FaultPlan::from_spec(
+        "seed=49374;serve.job.panic=panic%0.2;serve.job.delay=delay(5)%0.3;\
+         serve.conn.drop=drop%0.15;store.append=io%0.05",
+    )
+    .unwrap();
 
     let mut server = Server::start(ServeConfig {
         max_queue: 32,
@@ -277,9 +271,7 @@ fn chaos_soak_reaches_terminal_states_and_preserves_faultfree_results() {
 fn deadlines_expire_in_queue_and_report_timed_out() {
     // One executor; the plan pins job 1 on an injected delay, so job
     // 2's 1 ms deadline expires while it waits in the queue.
-    let plan = FaultPlan::builder(7)
-        .delays_at("serve.job.delay", &[1], Duration::from_millis(120))
-        .build();
+    let plan = FaultPlan::from_spec("seed=7;serve.job.delay=delay(120)@1").unwrap();
     let mut server = Server::start(ServeConfig {
         max_queue: 4,
         executors: 1,
@@ -317,9 +309,7 @@ fn deadlines_expire_in_queue_and_report_timed_out() {
 
 #[test]
 fn injected_panic_fails_one_job_and_the_executor_survives() {
-    let plan = FaultPlan::builder(3)
-        .panics_at("serve.job.panic", &[1])
-        .build();
+    let plan = FaultPlan::from_spec("seed=3;serve.job.panic=panic@1").unwrap();
     let mut server = Server::start(ServeConfig {
         max_queue: 4,
         executors: 1,
@@ -356,9 +346,7 @@ fn injected_panic_fails_one_job_and_the_executor_survives() {
 fn store_write_failures_degrade_to_read_only_while_serving_continues() {
     let dir = TempDir::new("codesign_serve_chaos").unwrap();
     let path = dir.join("degraded.log");
-    let plan = FaultPlan::builder(9)
-        .io_failures("store.append", 1.0)
-        .build();
+    let plan = FaultPlan::from_spec("seed=9;store.append=io%1").unwrap();
     let mut server = Server::start(ServeConfig {
         max_queue: 8,
         executors: 1,
@@ -455,9 +443,7 @@ fn torn_tail_plus_write_failures_leave_store_readable_and_server_serving() {
     drop(file);
 
     // Second life under a hostile disk: every append fails.
-    let plan = FaultPlan::builder(13)
-        .io_failures("store.append", 1.0)
-        .build();
+    let plan = FaultPlan::from_spec("seed=13;store.append=io%1").unwrap();
     let mut server = Server::start(ServeConfig {
         max_queue: 4,
         executors: 1,

@@ -23,14 +23,13 @@ fn small_body(seed: u64) -> String {
 }
 
 fn small_config(seed: u64) -> FlowConfig {
-    FlowConfig::builder()
-        .device(pynq_z1())
-        .targets_fps([15.0])
-        .candidates_per_bundle(2)
-        .coarse_pf_sweep([16])
-        .seed(seed)
-        .build()
-        .unwrap()
+    FlowConfig {
+        targets_fps: vec![15.0],
+        candidates_per_bundle: 2,
+        coarse_pf_sweep: vec![16],
+        seed,
+        ..FlowConfig::for_device(pynq_z1())
+    }
 }
 
 #[test]

@@ -613,9 +613,7 @@ mod tests {
         let dir = TempDir::new("codesign_store_log").unwrap();
         let path = dir.join("inject_append");
         // Rate 1.0: every store.append decision fires.
-        let plan = codesign_faults::FaultPlan::builder(7)
-            .io_failures("store.append", 1.0)
-            .build();
+        let plan = codesign_faults::FaultPlan::from_spec("seed=7;store.append=io%1").unwrap();
         let options = LogOptions {
             faults: Some(plan.clone()),
             ..LogOptions::default()
@@ -641,9 +639,7 @@ mod tests {
     fn injected_open_failure_fires_before_touching_disk() {
         let dir = TempDir::new("codesign_store_log").unwrap();
         let path = dir.join("inject_open");
-        let plan = codesign_faults::FaultPlan::builder(11)
-            .io_failures("store.open", 1.0)
-            .build();
+        let plan = codesign_faults::FaultPlan::from_spec("seed=11;store.open=io%1").unwrap();
         let options = LogOptions {
             faults: Some(plan),
             ..LogOptions::default()

@@ -3,7 +3,8 @@
 //! Runs the automatic flow of Fig. 1 end to end on a PYNQ-Z1 — coarse
 //! Bundle evaluation, Pareto selection, SCD search per FPS target —
 //! and prints the explored candidates and the winning design per
-//! target, like Fig. 6. Uses the validated builder and the output
+//! target, like Fig. 6. The config is a struct update over the paper's
+//! setup, which the run validates first; results go through the output
 //! accessors, so this example and the job server share one
 //! presentation path.
 //!
@@ -13,12 +14,12 @@ use fpga_dnn_codesign::core::flow::{CoDesignFlow, FlowConfig};
 use fpga_dnn_codesign::sim::device::pynq_z1;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let config = FlowConfig::builder()
-        .device(pynq_z1())
-        .targets_fps([10.0, 15.0, 20.0])
-        .candidates_per_bundle(3)
-        .coarse_pf_sweep([16])
-        .build()?;
+    let config = FlowConfig {
+        targets_fps: vec![10.0, 15.0, 20.0],
+        candidates_per_bundle: 3,
+        coarse_pf_sweep: vec![16],
+        ..FlowConfig::for_device(pynq_z1())
+    };
     let flow = CoDesignFlow::new(config);
     println!(
         "exploring DNNs for {:?} FPS targets at {} MHz on {}",

@@ -25,11 +25,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn config() -> FlowConfig {
-    FlowConfig::builder()
-        .device(pynq_z1())
-        .targets_fps([10.0, 15.0, 20.0])
-        .build()
-        .expect("valid demo config")
+    FlowConfig::for_device(pynq_z1())
 }
 
 fn run_with_cache(cache: &Arc<EstimateCache>) -> (FlowOutput, Duration) {
