@@ -21,7 +21,7 @@ use codesign_dnn::builder::DnnBuilder;
 use codesign_dnn::bundle::Bundle;
 use codesign_dnn::quant::Activation;
 use codesign_dnn::space::{DesignPoint, MAX_PARALLEL_FACTOR, PARALLEL_FACTOR_STEP};
-use codesign_hls::cache::ProbeTally;
+use codesign_hls::cache::{KeyBuf, ProbeTally};
 use codesign_hls::incremental::{EstimatePlan, MoveCoord};
 use codesign_hls::model::{Estimate, HlsEstimator};
 use rand::rngs::StdRng;
@@ -132,7 +132,9 @@ const RESTART_DEPTHS: usize = 6;
 /// A restart depends on its depth alone, so a repeat restart to the
 /// depth replays this instead of probing again (see the `cache` module
 /// docs, "Restart replay"). Without a cache the skipped probes would
-/// only have priced the same points again.
+/// only have priced the same points again. A replay copies `plan` and
+/// `point` into the search's own plan and point with `clone_from`, so it
+/// reuses their buffers and allocates nothing once they have held `N`.
 struct Restart {
     plan: EstimatePlan,
     point: DesignPoint,
@@ -202,8 +204,12 @@ pub fn scd_search(
         let gap = cfg.latency_target_ms - lat;
         if gap.abs() < cfg.tolerance_ms && estimator.fits(&est) {
             // A duplicate would be discarded: build and score only new
-            // points.
-            if seen.insert(point.canonical_key()) {
+            // points. The key is written on the stack, and allocated
+            // only for a point the set does not hold yet.
+            let mut key = KeyBuf::new();
+            point.encode_canonical(&mut |w| key.push_u64(w));
+            if !seen.contains(key.as_bytes()) {
+                seen.insert(key.as_bytes().to_vec());
                 let dnn = builder.build(&point).expect("estimated points build");
                 candidates.push(Candidate {
                     accuracy: model.estimate(&point, &dnn),
@@ -263,7 +269,7 @@ pub fn scd_search(
                 Some(restart) => {
                     // Every probe of the first restart would be a memo
                     // hit that changes no plan state: count them, and
-                    // take their result.
+                    // take their result, in the live plan's buffers.
                     plan.clone_from(&restart.plan);
                     plan.replay_probes(restart.lookups);
                     point.clone_from(&restart.point);

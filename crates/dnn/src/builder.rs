@@ -128,8 +128,9 @@ impl DnnBuilder {
 
     /// Elaborates the stem segment — 3 input channels to the base width,
     /// with one fixed 2x2 down-sampling to shed the full-resolution
-    /// compute (standard detector practice) — returning its layers and
-    /// the shape entering the first Bundle replication.
+    /// compute (standard detector practice) — appending its layers to
+    /// `layers` and returning the shape entering the first Bundle
+    /// replication.
     ///
     /// Together with [`replication`](Self::replication) and
     /// [`head`](Self::head) this exposes the exact per-segment
@@ -142,29 +143,27 @@ impl DnnBuilder {
     ///
     /// Returns [`DnnError::ShapeMismatch`] when the input is smaller
     /// than the stem kernel.
-    pub fn stem(&self, point: &DesignPoint) -> Result<(Vec<LayerInstance>, TensorShape), DnnError> {
-        let mut layers = Vec::new();
+    pub fn stem(
+        &self,
+        point: &DesignPoint,
+        layers: &mut Vec<LayerInstance>,
+    ) -> Result<TensorShape, DnnError> {
         let mut shape = self.input;
         shape = push(
-            &mut layers,
+            layers,
             LayerOp::conv(self.stem_kernel, point.base_channels),
             shape,
             None,
         )?;
-        shape = push(&mut layers, LayerOp::BatchNorm, shape, None)?;
-        shape = push(
-            &mut layers,
-            LayerOp::activation(point.activation),
-            shape,
-            None,
-        )?;
-        shape = push(&mut layers, LayerOp::max_pool(2), shape, None)?;
-        Ok((layers, shape))
+        shape = push(layers, LayerOp::BatchNorm, shape, None)?;
+        shape = push(layers, LayerOp::activation(point.activation), shape, None)?;
+        push(layers, LayerOp::max_pool(2), shape, None)
     }
 
     /// Elaborates Bundle replication `rep` from the shape its
-    /// predecessor produced, returning the replication's layers and its
-    /// output shape. See [`stem`](Self::stem) for the segment contract.
+    /// predecessor produced, appending the replication's layers to
+    /// `layers` and returning its output shape. See [`stem`](Self::stem)
+    /// for the segment contract.
     ///
     /// # Errors
     ///
@@ -175,43 +174,47 @@ impl DnnBuilder {
         point: &DesignPoint,
         rep: usize,
         input: TensorShape,
-    ) -> Result<(Vec<LayerInstance>, TensorShape), DnnError> {
-        let mut layers = Vec::new();
+        layers: &mut Vec<LayerInstance>,
+    ) -> Result<TensorShape, DnnError> {
         let mut shape = input;
         let width = point.channels_at(rep);
         for op in point.bundle.elaborate(width, point.activation) {
-            shape = push(&mut layers, op, shape, Some(rep))?;
+            shape = push(layers, op, shape, Some(rep))?;
         }
         // Depth-wise-only bundles cannot widen channels themselves;
         // Bundle-Arch reserves channel-expansion spots between IPs,
         // realized as a pointwise conv when the width must change.
         if shape.c != width {
-            shape = push(&mut layers, LayerOp::conv(1, width), shape, Some(rep))?;
+            shape = push(layers, LayerOp::conv(1, width), shape, Some(rep))?;
             shape = push(
-                &mut layers,
+                layers,
                 LayerOp::activation(point.activation),
                 shape,
                 Some(rep),
             )?;
         }
         if self.downsample_at(point, rep) {
-            shape = push(&mut layers, LayerOp::max_pool(2), shape, Some(rep))?;
+            shape = push(layers, LayerOp::max_pool(2), shape, Some(rep))?;
         }
-        Ok((layers, shape))
+        Ok(shape)
     }
 
     /// Elaborates the detection head — 1x1 conv to 4 box outputs plus
     /// global average pooling — from the final replication's output
-    /// shape. See [`stem`](Self::stem) for the segment contract.
+    /// shape, appending its layers to `layers` and returning the
+    /// network's output shape. See [`stem`](Self::stem) for the segment
+    /// contract.
     ///
     /// # Errors
     ///
     /// Returns [`DnnError::ShapeMismatch`] for an empty input shape.
-    pub fn head(&self, input: TensorShape) -> Result<Vec<LayerInstance>, DnnError> {
-        let mut layers = Vec::new();
-        let shape = push(&mut layers, LayerOp::conv(1, BOX_OUTPUTS), input, None)?;
-        push(&mut layers, LayerOp::GlobalAvgPool, shape, None)?;
-        Ok(layers)
+    pub fn head(
+        &self,
+        input: TensorShape,
+        layers: &mut Vec<LayerInstance>,
+    ) -> Result<TensorShape, DnnError> {
+        let shape = push(layers, LayerOp::conv(1, BOX_OUTPUTS), input, None)?;
+        push(layers, LayerOp::GlobalAvgPool, shape, None)
     }
 
     /// Elaborates `point` into a concrete DNN.
@@ -223,14 +226,18 @@ impl DnnBuilder {
     /// down-sampling shrinks feature maps below the Bundle's kernels.
     pub fn build(&self, point: &DesignPoint) -> Result<Dnn, DnnError> {
         point.validate()?;
-        let (mut layers, mut shape) = self.stem(point)?;
         let reps = self.body_replications(point);
+        // Stem and head have 4 and 2 layers; a replication has at most
+        // three per Bundle IP plus an expansion conv, its activation and
+        // a pooling layer.
+        let capacity = 6 + reps * (3 * point.bundle.computational_ip_count() + 3);
+        let mut layers = Vec::with_capacity(capacity);
+        let mut shape = self.stem(point, &mut layers)?;
         for rep in 0..reps {
-            let (rep_layers, out) = self.replication(point, rep, shape)?;
-            layers.extend(rep_layers);
-            shape = out;
+            shape = self.replication(point, rep, shape, &mut layers)?;
         }
-        layers.extend(self.head(shape)?);
+        self.head(shape, &mut layers)?;
+        debug_assert!(layers.len() <= capacity, "the layer Vec grew");
 
         let name = format!(
             "{} x{} pf{} {}",
@@ -343,13 +350,16 @@ mod tests {
             let b = bundle_by_id(BundleId(13)).unwrap();
             let point = DesignPoint::initial(b, 4);
             let dnn = builder.build(&point).unwrap();
-            let (mut layers, mut shape) = builder.stem(&point).unwrap();
+            let mut layers = Vec::new();
+            let mut shape = builder.stem(&point, &mut layers).unwrap();
             for rep in 0..builder.body_replications(&point) {
-                let (rep_layers, out) = builder.replication(&point, rep, shape).unwrap();
+                let mut rep_layers = Vec::new();
+                shape = builder
+                    .replication(&point, rep, shape, &mut rep_layers)
+                    .unwrap();
                 layers.extend(rep_layers);
-                shape = out;
             }
-            layers.extend(builder.head(shape).unwrap());
+            builder.head(shape, &mut layers).unwrap();
             assert_eq!(dnn.layers(), &layers[..], "method1={method1}");
         }
     }

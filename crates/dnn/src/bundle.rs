@@ -116,13 +116,23 @@ impl Bundle {
                 limit: MAX_COMPUTATIONAL_IPS,
             });
         }
+        Ok(Self::inline(id, &ops))
+    }
+
+    /// The Bundle of a skeleton of 1 to [`MAX_COMPUTATIONAL_IPS`] ops
+    /// (any other length panics, at compile time in a constant).
+    const fn inline(id: BundleId, ops: &[SkeletonOp]) -> Self {
         let mut inline = [ops[0]; MAX_COMPUTATIONAL_IPS];
-        inline[..ops.len()].copy_from_slice(&ops);
-        Ok(Self {
+        let mut i = 1;
+        while i < ops.len() {
+            inline[i] = ops[i];
+            i += 1;
+        }
+        Self {
             id,
             len: ops.len(),
             ops: inline,
-        })
+        }
     }
 
     /// The Bundle's identifier in the paper's 1..=18 numbering.
@@ -152,18 +162,18 @@ impl Bundle {
     ///
     /// `out_channels` sets the output width of channel-expanding
     /// convolutions; depth-wise convolutions keep their input width.
-    pub fn elaborate(&self, out_channels: usize, act: Activation) -> Vec<LayerOp> {
-        let mut layers = Vec::with_capacity(self.len * 3);
-        for op in self.ops() {
+    pub fn elaborate(
+        &self,
+        out_channels: usize,
+        act: Activation,
+    ) -> impl Iterator<Item = LayerOp> + '_ {
+        self.ops().iter().flat_map(move |op| {
             let layer = match *op {
                 SkeletonOp::Conv { k } => LayerOp::conv(k, out_channels),
                 SkeletonOp::DwConv { k } => LayerOp::dw_conv(k),
             };
-            layers.push(layer);
-            layers.push(LayerOp::BatchNorm);
-            layers.push(LayerOp::activation(act));
-        }
-        layers
+            [layer, LayerOp::BatchNorm, LayerOp::activation(act)]
+        })
     }
 }
 
@@ -189,6 +199,38 @@ impl fmt::Display for Bundle {
     }
 }
 
+/// The paper's Bundle candidates in identifier order: see
+/// [`enumerate_bundles`].
+const PAPER_BUNDLES: [Bundle; PAPER_BUNDLE_COUNT] = {
+    use SkeletonOp::{Conv, DwConv};
+    const fn b(id: usize, ops: &[SkeletonOp]) -> Bundle {
+        Bundle::inline(BundleId(id), ops)
+    }
+    [
+        // 1-6: single computational IP.
+        b(1, &[Conv { k: 3 }]),
+        b(2, &[Conv { k: 1 }]),
+        b(3, &[Conv { k: 5 }]),
+        b(4, &[DwConv { k: 3 }]),
+        b(5, &[DwConv { k: 5 }]),
+        b(6, &[DwConv { k: 7 }]),
+        // 7-12: two standard convolutions.
+        b(7, &[Conv { k: 1 }, Conv { k: 3 }]),
+        b(8, &[Conv { k: 3 }, Conv { k: 1 }]),
+        b(9, &[Conv { k: 1 }, Conv { k: 5 }]),
+        b(10, &[Conv { k: 3 }, Conv { k: 3 }]),
+        b(11, &[Conv { k: 5 }, Conv { k: 1 }]),
+        b(12, &[Conv { k: 3 }, Conv { k: 5 }]),
+        // 13-18: depth-wise / point-wise combinations.
+        b(13, &[DwConv { k: 3 }, Conv { k: 1 }]),
+        b(14, &[DwConv { k: 5 }, Conv { k: 1 }]),
+        b(15, &[Conv { k: 1 }, DwConv { k: 3 }]),
+        b(16, &[DwConv { k: 7 }, Conv { k: 1 }]),
+        b(17, &[Conv { k: 1 }, DwConv { k: 5 }]),
+        b(18, &[DwConv { k: 3 }, Conv { k: 3 }]),
+    ]
+};
+
 /// Enumerates the 18 Bundle candidates used in the paper's experiments
 /// (Sec. 4.2), ordered so that `result[i]` has `BundleId(i + 1)`.
 ///
@@ -209,48 +251,14 @@ impl fmt::Display for Bundle {
 /// assert_eq!(bundles.len(), 18);
 /// ```
 pub fn enumerate_bundles() -> Vec<Bundle> {
-    use SkeletonOp::{Conv, DwConv};
-    let skeletons: [&[SkeletonOp]; PAPER_BUNDLE_COUNT] = [
-        // 1-6: single computational IP.
-        &[Conv { k: 3 }],
-        &[Conv { k: 1 }],
-        &[Conv { k: 5 }],
-        &[DwConv { k: 3 }],
-        &[DwConv { k: 5 }],
-        &[DwConv { k: 7 }],
-        // 7-12: two standard convolutions.
-        &[Conv { k: 1 }, Conv { k: 3 }],
-        &[Conv { k: 3 }, Conv { k: 1 }],
-        &[Conv { k: 1 }, Conv { k: 5 }],
-        &[Conv { k: 3 }, Conv { k: 3 }],
-        &[Conv { k: 5 }, Conv { k: 1 }],
-        &[Conv { k: 3 }, Conv { k: 5 }],
-        // 13-18: depth-wise / point-wise combinations.
-        &[DwConv { k: 3 }, Conv { k: 1 }],
-        &[DwConv { k: 5 }, Conv { k: 1 }],
-        &[Conv { k: 1 }, DwConv { k: 3 }],
-        &[DwConv { k: 7 }, Conv { k: 1 }],
-        &[Conv { k: 1 }, DwConv { k: 5 }],
-        &[DwConv { k: 3 }, Conv { k: 3 }],
-    ];
-    skeletons
-        .iter()
-        .enumerate()
-        .map(|(i, ops)| {
-            Bundle::new(BundleId(i + 1), ops.to_vec())
-                .expect("static bundle table is within template limits")
-        })
-        .collect()
+    PAPER_BUNDLES.to_vec()
 }
 
 /// Looks up a Bundle candidate by its paper identifier.
 ///
 /// Returns `None` when `id` is outside `1..=18`.
 pub fn bundle_by_id(id: BundleId) -> Option<Bundle> {
-    if id.0 == 0 || id.0 > PAPER_BUNDLE_COUNT {
-        return None;
-    }
-    Some(enumerate_bundles().swap_remove(id.0 - 1))
+    PAPER_BUNDLES.get(id.0.checked_sub(1)?).copied()
 }
 
 #[cfg(test)]
@@ -323,7 +331,7 @@ mod tests {
     #[test]
     fn elaboration_interleaves_norm_and_activation() {
         let b = bundle_by_id(BundleId(13)).unwrap();
-        let layers = b.elaborate(64, Activation::Relu4);
+        let layers: Vec<_> = b.elaborate(64, Activation::Relu4).collect();
         assert_eq!(layers.len(), 6);
         assert_eq!(layers[0], LayerOp::dw_conv(3));
         assert_eq!(layers[1], LayerOp::BatchNorm);
@@ -345,8 +353,8 @@ mod tests {
         #[test]
         fn prop_elaboration_length(id in 1usize..=18, ch in 1usize..256) {
             let b = bundle_by_id(BundleId(id)).unwrap();
-            let layers = b.elaborate(ch, Activation::Relu);
-            prop_assert_eq!(layers.len(), b.computational_ip_count() * 3);
+            let layers = b.elaborate(ch, Activation::Relu).count();
+            prop_assert_eq!(layers, b.computational_ip_count() * 3);
         }
 
         #[test]

@@ -158,14 +158,6 @@ impl LayerOp {
         matches!(self, LayerOp::Conv { .. } | LayerOp::DwConv { .. })
     }
 
-    /// Kernel size of the operator, if it has one.
-    pub fn kernel(&self) -> Option<usize> {
-        match self {
-            LayerOp::Conv { k, .. } | LayerOp::DwConv { k } | LayerOp::Pool { k, .. } => Some(*k),
-            _ => None,
-        }
-    }
-
     /// Infers the output shape for an input of shape `input`.
     ///
     /// # Errors

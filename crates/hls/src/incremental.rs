@@ -33,6 +33,11 @@
 //! 3. [`EstimatePlan::commit`] / [`EstimatePlan::apply_move`] re-stage a
 //!    target the same way and make it the plan's new base point (no
 //!    cache interaction — the caller usually just probed the target).
+//! 4. A clone shares the plan's estimator, probe memo and body memo, and
+//!    `clone_from` copies the rest into the destination's own buffers.
+//!    So an SCD restart replay, which resets the search's plan to the
+//!    copy its first restart to that depth kept, reuses the plan's
+//!    point, slot and staged buffers instead of allocating new ones.
 //!
 //! # Slot-body memo
 //!
@@ -272,15 +277,15 @@ impl SlotTerms {
 }
 
 /// One pipeline group: its shared invariants (reused slots cost one
-/// `Arc` bump) plus the terms derived under the plan's current config.
+/// `Rc` bump) plus the terms derived under the plan's current config.
 #[derive(Debug, Clone)]
 struct Slot {
-    body: Arc<SlotBody>,
+    body: Rc<SlotBody>,
     terms: SlotTerms,
 }
 
 impl Slot {
-    fn new(body: Arc<SlotBody>, cfg: &AccelConfig) -> Self {
+    fn new(body: Rc<SlotBody>, cfg: &AccelConfig) -> Self {
         let terms = SlotTerms::derive(&body, cfg);
         Self { body, terms }
     }
@@ -288,7 +293,7 @@ impl Slot {
     /// The slot re-priced under another config (structure reused).
     fn repriced(&self, cfg: &AccelConfig) -> Self {
         Self {
-            body: Arc::clone(&self.body),
+            body: Rc::clone(&self.body),
             terms: SlotTerms::derive(&self.body, cfg),
         }
     }
@@ -341,17 +346,39 @@ impl Hash for BodyKey {
 }
 
 /// A plan's slot-body memo: one body per key a search has elaborated.
-type BodyMemo = HashMap<BodyKey, Arc<SlotBody>, BuildHasherDefault<PassThrough>>;
+type BodyMemo = HashMap<BodyKey, Rc<SlotBody>, BuildHasherDefault<PassThrough>>;
 
 /// A staged (not yet committed) re-estimation of a target point. The
 /// slot list is absolute — it fully describes the staged point, not a
 /// delta — so a memoized `Staged` stays valid no matter how the plan
 /// moves afterwards.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Staged {
     cfg: AccelConfig,
     slots: Vec<Slot>,
     estimate: Estimate,
+}
+
+impl Clone for Staged {
+    fn clone(&self) -> Self {
+        Self {
+            cfg: self.cfg,
+            slots: self.slots.clone(),
+            estimate: self.estimate,
+        }
+    }
+
+    /// Copies `source` into `self`'s slot buffer.
+    fn clone_from(&mut self, source: &Self) {
+        let Self {
+            cfg,
+            slots,
+            estimate,
+        } = source;
+        self.cfg = *cfg;
+        self.slots.clone_from(slots);
+        self.estimate = *estimate;
+    }
 }
 
 /// An incrementally updatable analytic estimate of one design point.
@@ -387,7 +414,7 @@ struct Staged {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct EstimatePlan {
     estimator: Rc<HlsEstimator>,
     /// The logical base point ([`point`](Self::point)) with its
@@ -401,10 +428,11 @@ pub struct EstimatePlan {
     slots_point: DesignPoint,
     cfg: AccelConfig,
     slots: Vec<Slot>,
-    /// The most recent stage computed by a probe miss, kept so a
-    /// following commit of the same target is free. Interior-mutable
-    /// because probing is logically `&self`.
-    staged: RefCell<Option<(DesignPoint, Staged)>>,
+    /// The target of the most recent probe miss and its stage, kept
+    /// until a commit of that target takes the stage for free. The
+    /// target stays to lend its buffers to the next miss's target.
+    /// Interior-mutable because probing is logically `&self`.
+    staged: RefCell<(DesignPoint, Option<Staged>)>,
     /// The probe memo in front of the estimator's cache (`None` without
     /// one), shared by every clone of the plan — in `scd_search`, the
     /// run's plan and its restart plans — and dropped with the last.
@@ -438,7 +466,7 @@ impl EstimatePlan {
             slots_point: point.clone(),
             cfg: AccelConfig::new(point.parallel_factor, point.quantization()),
             slots: Vec::new(),
-            staged: RefCell::new(None),
+            staged: RefCell::new((point.clone(), None)),
             memo: estimator
                 .cache()
                 .map(|cache| Rc::new(RefCell::new(ProbeMemo::new(Arc::clone(cache))))),
@@ -506,7 +534,9 @@ impl EstimatePlan {
         };
         if let Some(staged) = fresh {
             // Remember the stage so a commit of this target is free.
-            *self.staged.borrow_mut() = Some((target.clone(), staged));
+            let (point, last) = &mut *self.staged.borrow_mut();
+            point.clone_from(target);
+            *last = Some(staged);
         }
         result
     }
@@ -570,13 +600,11 @@ impl EstimatePlan {
 
     /// Takes the memoized stage if it belongs to `target`.
     fn take_staged(&self, target: &DesignPoint) -> Option<Staged> {
-        let mut memo = self.staged.borrow_mut();
-        match memo.take() {
-            Some((point, staged)) if point == *target => Some(staged),
-            other => {
-                *memo = other;
-                None
-            }
+        let (point, staged) = &mut *self.staged.borrow_mut();
+        if point == target {
+            staged.take()
+        } else {
+            None
         }
     }
 
@@ -626,8 +654,9 @@ impl EstimatePlan {
         }
 
         if slots.is_empty() {
-            let (layers, _) = builder.stem(target)?;
-            slots.push(Slot::new(Arc::new(SlotBody::of(&layers, &cfg)?), &cfg));
+            let mut layers = Vec::new();
+            builder.stem(target, &mut layers)?;
+            slots.push(Slot::new(Rc::new(SlotBody::of(&layers, &cfg)?), &cfg));
         }
         let mut shape = slots.last().expect("stem pushed").output_shape();
         let done_reps = (slots.len() - 1).min(reps);
@@ -639,16 +668,16 @@ impl EstimatePlan {
                 channels: target.channels_at(rep),
                 downsample: builder.downsample_at(target, rep),
             };
-            let body = self.body(key, &cfg, || {
-                builder
-                    .replication(target, rep, shape)
-                    .map(|(layers, _)| layers)
+            let body = self.body(key, &cfg, |layers| {
+                builder.replication(target, rep, shape, layers)
             })?;
             shape = body.output;
             slots.push(Slot::new(body, &cfg));
         }
         if slots.len() < reps + 2 {
-            let body = self.body(BodyKey::Head { input: shape }, &cfg, || builder.head(shape))?;
+            let body = self.body(BodyKey::Head { input: shape }, &cfg, |layers| {
+                builder.head(shape, layers)
+            })?;
             slots.push(Slot::new(body, &cfg));
         }
 
@@ -665,19 +694,21 @@ impl EstimatePlan {
         })
     }
 
-    /// The body `key` names: from the body memo, or elaborated from
-    /// `layers` and remembered.
+    /// The body `key` names: from the body memo, or elaborated by
+    /// `elaborate` (which appends the group's layers) and remembered.
     fn body(
         &self,
         key: BodyKey,
         cfg: &AccelConfig,
-        layers: impl FnOnce() -> Result<Vec<LayerInstance>, DnnError>,
-    ) -> Result<Arc<SlotBody>, EstimateError> {
+        elaborate: impl FnOnce(&mut Vec<LayerInstance>) -> Result<TensorShape, DnnError>,
+    ) -> Result<Rc<SlotBody>, EstimateError> {
         if let Some(body) = self.bodies.borrow().get(&key) {
-            return Ok(Arc::clone(body));
+            return Ok(Rc::clone(body));
         }
-        let body = Arc::new(SlotBody::of(&layers()?, cfg)?);
-        self.bodies.borrow_mut().insert(key, Arc::clone(&body));
+        let mut layers = Vec::new();
+        elaborate(&mut layers)?;
+        let body = Rc::new(SlotBody::of(&layers, cfg)?);
+        self.bodies.borrow_mut().insert(key, Rc::clone(&body));
         Ok(body)
     }
 
@@ -712,6 +743,53 @@ impl EstimatePlan {
         } else {
             1 + matching_reps // stem + the matching replication prefix
         }
+    }
+}
+
+impl Clone for EstimatePlan {
+    /// A plan sharing this one's estimator, probe memo and body memo.
+    fn clone(&self) -> Self {
+        Self {
+            estimator: Rc::clone(&self.estimator),
+            point: self.point.clone(),
+            estimate: self.estimate,
+            slots_point: self.slots_point.clone(),
+            cfg: self.cfg,
+            slots: self.slots.clone(),
+            staged: self.staged.clone(),
+            memo: self.memo.clone(),
+            bodies: Rc::clone(&self.bodies),
+        }
+    }
+
+    /// Copies `source` into `self`'s point, slot and staged buffers: a
+    /// restart replay in `scd_search` resets its plan this way, and
+    /// allocates only when a buffer outgrows every `N` it held before.
+    fn clone_from(&mut self, source: &Self) {
+        // Destructured, so a new field cannot be left out here.
+        let Self {
+            estimator,
+            point,
+            estimate,
+            slots_point,
+            cfg,
+            slots,
+            staged,
+            memo,
+            bodies,
+        } = source;
+        self.estimator.clone_from(estimator);
+        self.point.clone_from(point);
+        self.estimate = *estimate;
+        self.slots_point.clone_from(slots_point);
+        self.cfg = *cfg;
+        self.slots.clone_from(slots);
+        let (target, stage) = self.staged.get_mut();
+        let (source_target, source_stage) = &*staged.borrow();
+        target.clone_from(source_target);
+        stage.clone_from(source_stage);
+        self.memo.clone_from(memo);
+        self.bodies.clone_from(bodies);
     }
 }
 

@@ -331,9 +331,14 @@ impl HlsEstimator {
         salt
     }
 
-    /// True when the estimate fits the target device.
+    /// True when the estimate fits the target device: exactly when
+    /// [`FpgaDevice::check_fit`] passes, without building its error.
     pub fn fits(&self, estimate: &Estimate) -> bool {
-        self.device.check_fit(&estimate.resources).is_ok()
+        let (used, device) = (&estimate.resources, &self.device);
+        used.dsp <= device.dsp
+            && used.lut <= device.lut
+            && used.ff <= device.ff
+            && used.bram_18k <= device.bram_18k
     }
 }
 
@@ -416,6 +421,38 @@ mod tests {
         p.activation = Activation::Relu;
         let e = est.estimate_point(&p).unwrap();
         assert!(!est.fits(&e));
+    }
+
+    #[test]
+    fn fits_agrees_with_check_fit_on_each_resource() {
+        let est = estimator_for(13);
+        let budget = pynq_z1().budget();
+        let at = |resources| Estimate {
+            latency_cycles: 1,
+            resources,
+        };
+        assert!(est.fits(&at(budget)));
+        for over in [
+            ResourceUsage {
+                dsp: budget.dsp + 1,
+                ..budget
+            },
+            ResourceUsage {
+                lut: budget.lut + 1,
+                ..budget
+            },
+            ResourceUsage {
+                ff: budget.ff + 1,
+                ..budget
+            },
+            ResourceUsage {
+                bram_18k: budget.bram_18k + 1,
+                ..budget
+            },
+        ] {
+            assert!(!est.fits(&at(over)), "{over:?}");
+            assert!(pynq_z1().check_fit(&over).is_err(), "{over:?}");
+        }
     }
 
     #[test]

@@ -31,7 +31,8 @@ use crate::report::{LayerCycles, ResourceUsage, SimReport};
 use codesign_dnn::layer::LayerOp;
 use codesign_dnn::quant::Quantization;
 use codesign_dnn::space::DesignPoint;
-use codesign_dnn::{Dnn, LayerInstance};
+use codesign_dnn::Dnn;
+use std::fmt::Write as _;
 
 /// Default spatial tile height (on the post-stem 180x320 feature map a
 /// 10x20 tile yields an 18x16 tile grid; the tile is sized so deep,
@@ -171,22 +172,6 @@ pub fn control_overhead(distinct_ips: usize) -> ResourceUsage {
     }
 }
 
-/// Groups a DNN's layers into pipeline groups: one group per Bundle
-/// replication, with stem and head layers forming their own groups.
-fn pipeline_groups(dnn: &Dnn) -> Vec<Vec<&LayerInstance>> {
-    let mut groups: Vec<Vec<&LayerInstance>> = Vec::new();
-    let mut current_key: Option<Option<usize>> = None;
-    for layer in dnn.layers() {
-        let key = Some(layer.bundle_rep);
-        if current_key != key {
-            groups.push(Vec::new());
-            current_key = key;
-        }
-        groups.last_mut().expect("group pushed above").push(layer);
-    }
-    groups
-}
-
 /// Computes the accelerator's total resource usage for a DNN: the union
 /// of IP instances (layer-level reuse), the shared weight buffer, the
 /// ping-pong tile data buffers and control overhead (the `Γ` term of
@@ -282,7 +267,9 @@ pub fn simulate(dnn: &Dnn, cfg: &AccelConfig, device: &FpgaDevice) -> Result<Sim
     let mut prev_group_compute: u64 = 0;
     let mut stage_cycles: Vec<u64> = Vec::new();
 
-    for group in pipeline_groups(dnn) {
+    // Pipeline groups: one per Bundle replication, with stem and head
+    // layers forming their own groups.
+    for group in dnn.layers().chunk_by(|a, b| a.bundle_rep == b.bundle_rep) {
         let first = group.first().expect("groups are non-empty");
         let last = group.last().expect("groups are non-empty");
 
@@ -302,7 +289,7 @@ pub fn simulate(dnn: &Dnn, cfg: &AccelConfig, device: &FpgaDevice) -> Result<Sim
         stage_cycles.push((in_tile_bytes as f64 / bw).ceil() as u64);
         let mut group_weight_load: u64 = 0;
         let mut group_compute_per_tile: u64 = 0;
-        for layer in &group {
+        for layer in group {
             let ip = cfg.instance_for(&layer.op)?;
             // Effective tile dims on this layer's (possibly smaller) map.
             let th = layer.output.h.div_ceil(tiles_h).clamp(1, layer.output.h);
@@ -339,13 +326,14 @@ pub fn simulate(dnn: &Dnn, cfg: &AccelConfig, device: &FpgaDevice) -> Result<Sim
             in_tile_bytes * n_tiles + out_tile_bytes * n_tiles + group_weight_load * bw as u64;
         prev_group_compute = group_compute;
 
+        let mut op = String::new();
+        for (i, layer) in group.iter().enumerate() {
+            let sep = if i == 0 { "" } else { " + " };
+            let _ = write!(op, "{sep}{}", layer.op);
+        }
         layer_cycles.push(LayerCycles {
             layer: layer_cycles.len(),
-            op: group
-                .iter()
-                .map(|l| l.op.to_string())
-                .collect::<Vec<_>>()
-                .join(" + "),
+            op,
             compute_cycles: group_compute,
             memory_cycles: group_total.saturating_sub(group_compute.min(group_total)),
             total_cycles: group_total,
@@ -551,6 +539,26 @@ mod tests {
         let r = simulate(&dnn, &AccelConfig::new(64, Quantization::Int8), &pynq_z1()).unwrap();
         // stem group + 3 bundle groups + head group.
         assert_eq!(r.layer_cycles.len(), 5);
+    }
+
+    #[test]
+    fn group_labels_join_their_layers() {
+        // A replication group's label joins its layers with " + ", and
+        // the chart prints it cut to 28 columns.
+        let dnn = dnn_for(13, 3, 64, Activation::Relu4);
+        let r = simulate(&dnn, &AccelConfig::new(64, Quantization::Int8), &pynq_z1()).unwrap();
+        assert_eq!(
+            r.layer_cycles[1].op,
+            "dw-conv3x3 + batchnorm + relu4 + conv1x1(32) + batchnorm + relu4 + max-pool2x2"
+        );
+        assert_eq!(
+            r.gantt(60),
+            "conv3x3(32) + batchnorm + re |##############################| 3140237 cyc\n\
+             dw-conv3x3 + batchnorm + rel |####################| 2088132 cyc\n\
+             dw-conv3x3 + batchnorm + rel |#####| 532964 cyc\n\
+             dw-conv3x3 + batchnorm + rel |#####| 486923 cyc\n\
+             conv1x1(4) + global-avg-pool |#| 47596 cyc\n"
+        );
     }
 
     #[test]
