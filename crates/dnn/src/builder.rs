@@ -227,17 +227,12 @@ impl DnnBuilder {
     pub fn build(&self, point: &DesignPoint) -> Result<Dnn, DnnError> {
         point.validate()?;
         let reps = self.body_replications(point);
-        // Stem and head have 4 and 2 layers; a replication has at most
-        // three per Bundle IP plus an expansion conv, its activation and
-        // a pooling layer.
-        let capacity = 6 + reps * (3 * point.bundle.computational_ip_count() + 3);
-        let mut layers = Vec::with_capacity(capacity);
+        let mut layers = Vec::new();
         let mut shape = self.stem(point, &mut layers)?;
         for rep in 0..reps {
             shape = self.replication(point, rep, shape, &mut layers)?;
         }
         self.head(shape, &mut layers)?;
-        debug_assert!(layers.len() <= capacity, "the layer Vec grew");
 
         let name = format!(
             "{} x{} pf{} {}",

@@ -16,7 +16,7 @@
 //! * `Γ` — is carried inside the resource model's buffer terms, which
 //!   the simulator and the estimator share.
 
-use crate::model::{group_compute_cycles, group_data_bytes, pipeline_groups};
+use crate::model::{group_compute_cycles, group_data_bytes};
 use codesign_dnn::builder::DnnBuilder;
 use codesign_dnn::bundle::Bundle;
 use codesign_dnn::space::DesignPoint;
@@ -102,10 +102,10 @@ pub fn calibrate_bundle_with(
         let cfg = AccelConfig::for_point(&point);
         let report = simulate(&dnn, &cfg, device)?;
 
-        let groups = pipeline_groups(&dnn);
-        debug_assert_eq!(groups.len(), report.layer_cycles.len());
+        let groups = || dnn.layers().chunk_by(|a, b| a.bundle_rep == b.bundle_rep);
+        debug_assert_eq!(groups().count(), report.layer_cycles.len());
         let mut est_total = 0.0f64;
-        for (group, observed) in groups.iter().zip(&report.layer_cycles) {
+        for (group, observed) in groups().zip(&report.layer_cycles) {
             let comp = group_compute_cycles(group, &cfg)? as f64;
             let data = group_data_bytes(group, &cfg) as f64 / device.dram_bytes_per_cycle;
             comp_obs.push((comp, data, observed.total_cycles as f64));
@@ -114,8 +114,7 @@ pub fn calibrate_bundle_with(
 
         // phi: regress (observed total - compute part) on inter-bundle
         // data movement.
-        let inter_bytes: f64 = groups
-            .iter()
+        let inter_bytes: f64 = groups()
             .map(|g| {
                 let last = g.last().expect("non-empty");
                 (last.output.elements() * cfg.quant.bytes()) as f64

@@ -99,20 +99,17 @@ impl From<SimError> for EstimateError {
 }
 
 /// Sequential compute cycles of one pipeline group (Eq. 3): each layer's
-/// per-tile invocation latency times its tile reuse count. Generic over
-/// the layer borrow so both `pipeline_groups` slices (`&[&_]`) and the
-/// incremental plan's owned slots (`&[_]`) share one implementation.
-pub(crate) fn group_compute_cycles<L: std::borrow::Borrow<LayerInstance>>(
-    group: &[L],
+/// per-tile invocation latency times its tile reuse count.
+pub(crate) fn group_compute_cycles(
+    group: &[LayerInstance],
     cfg: &AccelConfig,
 ) -> Result<u64, SimError> {
-    let first = group.first().expect("non-empty group").borrow();
+    let first = group.first().expect("non-empty group");
     let tiles_h = first.input.h.div_ceil(cfg.tile_h).max(1);
     let tiles_w = first.input.w.div_ceil(cfg.tile_w).max(1);
     let n_tiles = (tiles_h * tiles_w) as u64;
     let mut cycles = 0u64;
     for layer in group {
-        let layer = layer.borrow();
         let ip = cfg.instance_for(&layer.op)?;
         let th = layer.output.h.div_ceil(tiles_h).clamp(1, layer.output.h);
         let tw = layer.output.w.div_ceil(tiles_w).clamp(1, layer.output.w);
@@ -123,36 +120,13 @@ pub(crate) fn group_compute_cycles<L: std::borrow::Borrow<LayerInstance>>(
 
 /// Data volume `Θ(Data_i)` of a group in bytes: Bundle input + output
 /// feature maps plus streamed weights.
-pub(crate) fn group_data_bytes<L: std::borrow::Borrow<LayerInstance>>(
-    group: &[L],
-    cfg: &AccelConfig,
-) -> u64 {
-    let first = group.first().expect("non-empty group").borrow();
-    let last = group.last().expect("non-empty group").borrow();
+pub(crate) fn group_data_bytes(group: &[LayerInstance], cfg: &AccelConfig) -> u64 {
+    let first = group.first().expect("non-empty group");
+    let last = group.last().expect("non-empty group");
     let qbytes = cfg.quant.bytes() as u64;
     let fm = (first.input.elements() + last.output.elements()) as u64 * qbytes;
-    let weights: u64 = group
-        .iter()
-        .map(|l| {
-            let l = l.borrow();
-            l.op.params(l.input) * qbytes
-        })
-        .sum();
+    let weights: u64 = group.iter().map(|l| l.op.params(l.input) * qbytes).sum();
     fm + weights
-}
-
-pub(crate) fn pipeline_groups(dnn: &Dnn) -> Vec<Vec<&LayerInstance>> {
-    let mut groups: Vec<Vec<&LayerInstance>> = Vec::new();
-    let mut current_key: Option<Option<usize>> = None;
-    for layer in dnn.layers() {
-        let key = Some(layer.bundle_rep);
-        if current_key != key {
-            groups.push(Vec::new());
-            current_key = key;
-        }
-        groups.last_mut().expect("pushed above").push(layer);
-    }
-    groups
 }
 
 /// The Auto-HLS analytic estimator: applies the calibrated Eqs. 1-5 to
@@ -234,9 +208,9 @@ impl HlsEstimator {
 
         let mut latency = 0.0f64;
         let mut inter_bundle_bytes = 0u64;
-        for group in pipeline_groups(dnn) {
-            let comp = group_compute_cycles(&group, &cfg)? as f64;
-            let data = group_data_bytes(&group, &cfg) as f64;
+        for group in dnn.layers().chunk_by(|a, b| a.bundle_rep == b.bundle_rep) {
+            let comp = group_compute_cycles(group, &cfg)? as f64;
+            let data = group_data_bytes(group, &cfg) as f64;
             // Eq. 2 with the Bundle's fitted alpha / beta.
             latency += self.params.alpha * comp + self.params.beta * data / bw;
             let last = group.last().expect("non-empty");
@@ -331,14 +305,10 @@ impl HlsEstimator {
         salt
     }
 
-    /// True when the estimate fits the target device: exactly when
-    /// [`FpgaDevice::check_fit`] passes, without building its error.
+    /// True when the estimate fits the target device
+    /// ([`FpgaDevice::check_fit`] passes).
     pub fn fits(&self, estimate: &Estimate) -> bool {
-        let (used, device) = (&estimate.resources, &self.device);
-        used.dsp <= device.dsp
-            && used.lut <= device.lut
-            && used.ff <= device.ff
-            && used.bram_18k <= device.bram_18k
+        self.device.check_fit(&estimate.resources).is_ok()
     }
 }
 
@@ -421,38 +391,6 @@ mod tests {
         p.activation = Activation::Relu;
         let e = est.estimate_point(&p).unwrap();
         assert!(!est.fits(&e));
-    }
-
-    #[test]
-    fn fits_agrees_with_check_fit_on_each_resource() {
-        let est = estimator_for(13);
-        let budget = pynq_z1().budget();
-        let at = |resources| Estimate {
-            latency_cycles: 1,
-            resources,
-        };
-        assert!(est.fits(&at(budget)));
-        for over in [
-            ResourceUsage {
-                dsp: budget.dsp + 1,
-                ..budget
-            },
-            ResourceUsage {
-                lut: budget.lut + 1,
-                ..budget
-            },
-            ResourceUsage {
-                ff: budget.ff + 1,
-                ..budget
-            },
-            ResourceUsage {
-                bram_18k: budget.bram_18k + 1,
-                ..budget
-            },
-        ] {
-            assert!(!est.fits(&at(over)), "{over:?}");
-            assert!(pynq_z1().check_fit(&over).is_err(), "{over:?}");
-        }
     }
 
     #[test]

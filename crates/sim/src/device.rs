@@ -92,7 +92,7 @@ impl FpgaDevice {
         for (name, requested, available) in pairs {
             if requested > available {
                 return Err(SimError::ResourceOverflow {
-                    resource: name.into(),
+                    resource: name,
                     requested,
                     available,
                 });
@@ -217,9 +217,7 @@ mod tests {
         d.check_fit(&usage).unwrap();
         usage.dsp += 1;
         let err = d.check_fit(&usage).unwrap_err();
-        assert!(
-            matches!(err, SimError::ResourceOverflow { ref resource, .. } if resource == "DSP")
-        );
+        assert!(matches!(err, SimError::ResourceOverflow { resource, .. } if resource == "DSP"));
     }
 
     #[test]

@@ -10,7 +10,7 @@ pub enum SimError {
     /// a single IP instance already exceeds the DSP budget).
     ResourceOverflow {
         /// Resource that overflowed (e.g. `"DSP"`).
-        resource: String,
+        resource: &'static str,
         /// Amount requested.
         requested: u64,
         /// Device budget.
@@ -60,7 +60,7 @@ mod tests {
     #[test]
     fn display_mentions_resource() {
         let e = SimError::ResourceOverflow {
-            resource: "DSP".into(),
+            resource: "DSP",
             requested: 300,
             available: 220,
         };
