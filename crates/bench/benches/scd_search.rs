@@ -9,7 +9,11 @@
 //! * one SCD-shaped probe walk (three unit-move probes, then one
 //!   committed move — exactly the query pattern of Algorithm 1) per
 //!   sample, priced by full rebuilds and through the incremental plan,
-//!   uncached, with the incremental-vs-rebuild speedup (target ≥ 3x);
+//!   uncached, with the incremental-vs-rebuild speedup (target ≥ 3x).
+//!   A full rebuild (`probe_walk_full_rebuild`) elaborates the whole
+//!   DNN, derives every pipeline group's slot afresh and folds them;
+//!   the plan runs the same derivation and fold on the slots it does
+//!   not keep;
 //! * the same walk on a warm estimate cache, every probe a hit, also
 //!   reported as ns per probe. One plan prices every sample, so after
 //!   the first sample each probe is a hit in the plan's own probe memo:
@@ -138,7 +142,8 @@ fn walk_targets() -> Vec<DesignPoint> {
 }
 
 /// Prices the walk's `targets` in order with `price`: by full rebuilds
-/// (the pre-incremental behavior of `scd_search`), or by plan probes on
+/// (the pre-incremental behavior of `scd_search`: elaborate, derive
+/// every slot, fold), or by plan probes on
 /// a warm cache, where every probe is a hit and the timed work is the
 /// hit path alone — key assembly, one hash, one shard probe. Returns a
 /// latency checksum so the arms can be compared for bit-identity.

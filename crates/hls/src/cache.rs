@@ -37,9 +37,8 @@
 //! writes no line shared across threads. It counts an entry only after
 //! the entry is in its shard and the shard lock is released, so a reader
 //! who sees the count include an insert and then locks that shard finds
-//! the entry there. It never goes down, not even on
-//! [`EstimateCache::clear`], so an unchanged stamp means no `Ok` entry
-//! was added since it was read. The persistent
+//! the entry there. It never goes down, so an unchanged stamp means no
+//! `Ok` entry was added since it was read. The persistent
 //! [`EstimateStore`](crate::store::EstimateStore) compares stamps to skip
 //! a persist that has nothing new to write.
 //!
@@ -56,8 +55,7 @@
 //! * every memo entry was resolved through the shared cache by the same
 //!   search, and holds the value and `preloaded` flag of the resident
 //!   entry;
-//! * the shared cache never evicts, and [`EstimateCache::clear`] is
-//!   only for use between runs, not while a search runs;
+//! * the shared cache never evicts or clears;
 //! * so a key the memo holds is resident in the cache, and a memo hit
 //!   is exactly a cache hit. It is counted as one (and as a store hit
 //!   when the entry was preloaded), on the calling thread's stripe.
@@ -510,23 +508,6 @@ impl EstimateCache {
         self.len() == 0
     }
 
-    /// Drops all entries and resets the lookup counters. Only for use
-    /// between runs: a live search's [`ProbeMemo`] would go on answering
-    /// keys the cache no longer holds, counting hits where the cache
-    /// would count misses. The insert count of the
-    /// [version stamp](crate::cache#version-stamp) is kept: it never goes
-    /// down, so a stamp is never read twice for different contents.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().expect("cache shard lock").clear();
-        }
-        for stripe in self.stripes.iter() {
-            for counter in [&stripe.hits, &stripe.misses, &stripe.store_hits] {
-                counter.store(0, Ordering::Relaxed);
-            }
-        }
-    }
-
     /// Hits served by entries that were [`preload`](Self::preload)ed
     /// from a persistent store (a subset of `stats().hits`). This is
     /// the number the warm-start acceptance gate measures: how much of
@@ -875,15 +856,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_counters_and_entries() {
-        let cache = EstimateCache::new();
-        cache.get_or_insert_with(&[1], || estimate(1)).unwrap();
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats().total(), 0);
-    }
-
-    #[test]
     fn shard_count_rounds_to_power_of_two() {
         assert_eq!(EstimateCache::with_shards(0).shard_count(), 1);
         assert_eq!(EstimateCache::with_shards(1).shard_count(), 1);
@@ -1039,15 +1011,13 @@ mod tests {
             ))
         });
         assert_eq!(inserts(), 2);
-        // Inserts on other threads are summed; clear keeps the count.
+        // Inserts on other threads are summed.
         std::thread::scope(|s| {
             for t in 0..3u8 {
                 let cache = &cache;
                 s.spawn(move || cache.get_or_insert_with(&[10 + t], || estimate(1)));
             }
         });
-        assert_eq!(inserts(), 5);
-        cache.clear();
         assert_eq!(inserts(), 5);
         assert_ne!(cache.stamp(), EstimateCache::new().stamp());
     }
@@ -1121,8 +1091,6 @@ mod tests {
             }
         });
         assert_eq!((cache.stats().hits, cache.stats().misses), (15, 1));
-        cache.clear();
-        assert_eq!(cache.stats().total(), 0);
     }
 
     #[test]

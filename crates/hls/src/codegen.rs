@@ -13,7 +13,7 @@
 use codesign_dnn::layer::LayerOp;
 use codesign_dnn::quant::Quantization;
 use codesign_dnn::Dnn;
-use codesign_sim::pipeline::AccelConfig;
+use codesign_sim::pipeline::{group_tiles, AccelConfig, TILE_H, TILE_W};
 use std::fmt::Write as _;
 
 /// Generates HLS-style C for DNNs mapped onto Tile-Arch.
@@ -208,16 +208,16 @@ impl CodeGenerator {
             dnn.name(),
             self.cfg.quant,
             self.cfg.pf,
-            self.cfg.tile_h,
-            self.cfg.tile_w,
+            TILE_H,
+            TILE_W,
             dnn.layer_count(),
             dnn.total_macs(),
         );
         let _ = writeln!(out, "#include <stdint.h>");
         let _ = writeln!(out, "#include \"tile_arch.h\"\n");
         let _ = writeln!(out, "typedef {} data_t;\n", self.data_type());
-        let _ = writeln!(out, "#define TILE_H {}", self.cfg.tile_h);
-        let _ = writeln!(out, "#define TILE_W {}\n", self.cfg.tile_w);
+        let _ = writeln!(out, "#define TILE_H {TILE_H}");
+        let _ = writeln!(out, "#define TILE_W {TILE_W}\n");
     }
 
     fn emit_prototypes(&self, out: &mut String) {
@@ -265,8 +265,8 @@ impl CodeGenerator {
             .layers()
             .iter()
             .map(|l| {
-                let th = self.cfg.tile_h.min(l.input.h);
-                let tw = self.cfg.tile_w.min(l.input.w);
+                let th = TILE_H.min(l.input.h);
+                let tw = TILE_W.min(l.input.w);
                 th * tw * l.input.c
             })
             .max()
@@ -307,8 +307,7 @@ impl CodeGenerator {
                     }
                 }
             }
-            let tiles_h = layer.input.h.div_ceil(self.cfg.tile_h).max(1);
-            let tiles_w = layer.input.w.div_ceil(self.cfg.tile_w).max(1);
+            let (tiles_h, tiles_w) = group_tiles(layer.input);
             let th = layer.output.h.div_ceil(tiles_h).max(1);
             let tw = layer.output.w.div_ceil(tiles_w).max(1);
             let n_tiles = tiles_h * tiles_w;

@@ -14,10 +14,11 @@
 //! 1. [`EstimatePlan::new`] elaborates the design point into *slots* —
 //!    the stem, one slot per Bundle replication, and the detection head,
 //!    exactly the pipeline groups of the analytic model (Eqs. 2-4) —
-//!    and derives each slot's closed-form terms: sequential compute
-//!    cycles (Eq. 3), data volume `Θ(Data)`, inter-bundle traffic
-//!    bytes, and the slot's resource contributions (IP kinds, largest
-//!    weight tensor, largest tile footprint).
+//!    and prices each slot with the model's own group pricing (see the
+//!    [`model` module docs](crate::model)): sequential compute cycles
+//!    (Eq. 3), data volume `Θ(Data)`, inter-bundle traffic bytes, and
+//!    the slot's resource contributions (IP kinds, largest weight
+//!    tensor, largest tile footprint).
 //! 2. [`EstimatePlan::probe`] estimates a neighboring point without
 //!    committing to it: slots before the first changed replication are
 //!    reused verbatim, and only the affected replication and its
@@ -56,31 +57,30 @@
 //! equality compares every field, so a collision costs a comparison,
 //! never a wrong body.
 //!
-//! # Why re-summing in canonical order keeps bit-identity
+//! # What the plan adds, and what pins it
 //!
 //! The repo's determinism contract requires the incremental path to be
-//! **bit-identical** to `estimate_point` on a freshly rebuilt DNN.
-//! Integer terms are order-insensitive, but the Eq. 2/4 latency fold is
-//! an `f64` accumulation, and floating-point addition is not
-//! associative — summing "old total minus old slot plus new slot" would
-//! drift in the last ulp. The plan therefore re-sums **all** slot terms
-//! in the canonical group order (stem, replication 0‥N, head) on every
-//! fold; what is incremental is the *derivation* of the per-slot terms,
-//! not the final reduction. The reduction is a handful of flops per
-//! probe, so bit-identity costs nothing measurable. The
-//! `incremental_equivalence` proptest pins this contract over random
-//! coordinate walks.
+//! **bit-identical** to `estimate_point` on a freshly rebuilt DNN. The
+//! plan writes none of the model: it prices slots with the model's
+//! `SlotBody::of` and `SlotTerms::derive` and sums them with the
+//! model's `fold`, the code
+//! [`estimate_dnn_at`](crate::model::HlsEstimator::estimate_dnn_at)
+//! runs over freshly derived groups. `fold` re-sums **all** slot terms
+//! in canonical group order on every probe (its `f64` latency sum is
+//! not associative, so "old total minus old slot plus new slot" would
+//! drift in the last ulp); what is incremental is only which slots are
+//! kept, re-priced or re-elaborated. So the plan is right exactly when
+//! every slot it keeps equals the one a fresh derivation would give,
+//! and the `incremental_equivalence` proptest checks that reuse over
+//! random coordinate walks against the full rebuild.
 
 use crate::cache::{folded_multiply, KeyBuf, PassThrough, ProbeMemo, ProbeTally};
-use crate::calibrate::CalibratedParams;
-use crate::model::{Estimate, EstimateError, HlsEstimator};
+use crate::model::{fold, Estimate, EstimateError, HlsEstimator, SlotBody, SlotTerms};
 use codesign_dnn::bundle::Bundle;
 use codesign_dnn::quant::Activation;
 use codesign_dnn::space::DesignPoint;
 use codesign_dnn::{DnnError, LayerInstance, TensorShape};
-use codesign_sim::device::FpgaDevice;
-use codesign_sim::ip::{IpKind, INVOCATION_OVERHEAD};
-use codesign_sim::pipeline::{bram_blocks, control_overhead, tile_buffer_blocks, AccelConfig};
+use codesign_sim::pipeline::AccelConfig;
 use codesign_sim::report::ResourceUsage;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -113,169 +113,6 @@ impl MoveCoord {
     }
 }
 
-/// Distinct IP kinds one slot can contain: at most two Bundle
-/// computational IPs, the element-wise engine, an expansion pointwise
-/// conv, and a pooling engine.
-const SLOT_KINDS: usize = 8;
-
-/// Distinct IP kinds a whole DNN can contain (conv 1/3/5/7, dw-conv
-/// 3/5/7, pool, element-wise), with slack.
-const UNION_KINDS: usize = 16;
-
-/// A tiny insertion-ordered set of IP kinds with inline storage — the
-/// incremental fold must not heap-allocate per probe.
-#[derive(Debug, Clone, Copy)]
-struct KindSet<const N: usize> {
-    len: usize,
-    items: [IpKind; N],
-}
-
-impl<const N: usize> KindSet<N> {
-    fn new() -> Self {
-        Self {
-            len: 0,
-            items: [IpKind::Pool; N],
-        }
-    }
-
-    fn insert(&mut self, kind: IpKind) {
-        if !self.items[..self.len].contains(&kind) {
-            assert!(self.len < N, "IP-kind set overflow");
-            self.items[self.len] = kind;
-            self.len += 1;
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn iter(&self) -> impl Iterator<Item = IpKind> + '_ {
-        self.items[..self.len].iter().copied()
-    }
-}
-
-/// The configuration-independent invariants of one pipeline group,
-/// extracted once when the group is elaborated. Everything Eqs. 1-5
-/// read from a group is derivable from these plus the accelerator
-/// config (`PF` and quantization), so re-pricing a slot at another PF
-/// is pure arithmetic — no shape walk, no re-elaboration.
-#[derive(Debug)]
-struct SlotBody {
-    /// Output shape of the group's last layer (feeds the next slot).
-    output: TensorShape,
-    /// Tile count of the group's input feature map.
-    n_tiles: u64,
-    /// Per-layer lane-independent invocation work (Eq. 3's `lat` before
-    /// the lane division) and the IP kind whose lanes divide it, in
-    /// layer order.
-    works: Vec<(u64, IpKind)>,
-    /// Elements of the group's boundary feature maps (input + output).
-    fm_elems: u64,
-    /// Total weight parameters across the group's layers.
-    params_sum: u64,
-    /// Elements of the group's output feature map (inter-bundle
-    /// traffic).
-    out_elems: u64,
-    /// Largest single-layer weight parameter count (sizes the shared
-    /// weight buffer of Eq. 1).
-    max_params: u64,
-    /// Largest (input + output) tile footprint in elements (sizes the
-    /// ping-pong data buffers of Eq. 1).
-    max_tile_elems: u64,
-    /// Distinct IP kinds the group instantiates.
-    kinds: KindSet<SLOT_KINDS>,
-}
-
-impl SlotBody {
-    /// Extracts the invariants of an elaborated group. The tile
-    /// geometry of `cfg` is the fixed default (every config the plan
-    /// builds comes from [`AccelConfig::new`]); `PF` and quantization
-    /// are *not* baked in.
-    fn of(layers: &[LayerInstance], cfg: &AccelConfig) -> Result<Self, EstimateError> {
-        let first = layers.first().expect("slots are non-empty");
-        let last = layers.last().expect("slots are non-empty");
-        let tiles_h = first.input.h.div_ceil(cfg.tile_h).max(1);
-        let tiles_w = first.input.w.div_ceil(cfg.tile_w).max(1);
-        let n_tiles = (tiles_h * tiles_w) as u64;
-        let mut works = Vec::with_capacity(layers.len());
-        let mut kinds = KindSet::new();
-        let mut params_sum = 0u64;
-        let mut max_params = 0u64;
-        let mut max_tile_elems = 0u64;
-        for layer in layers {
-            let kind = IpKind::for_op(&layer.op)?;
-            kinds.insert(kind);
-            let ip = cfg.instance_for_kind(kind);
-            let th = layer.output.h.div_ceil(tiles_h).clamp(1, layer.output.h);
-            let tw = layer.output.w.div_ceil(tiles_w).clamp(1, layer.output.w);
-            works.push((
-                ip.invocation_work(&layer.op, th, tw, layer.input.c, layer.output.c),
-                kind,
-            ));
-            let params = layer.op.params(layer.input);
-            params_sum += params;
-            max_params = max_params.max(params);
-            let th_in = cfg.tile_h.min(layer.input.h);
-            let tw_in = cfg.tile_w.min(layer.input.w);
-            let th_out = cfg.tile_h.min(layer.output.h);
-            let tw_out = cfg.tile_w.min(layer.output.w);
-            max_tile_elems = max_tile_elems
-                .max((th_in * tw_in * layer.input.c + th_out * tw_out * layer.output.c) as u64);
-        }
-        Ok(Self {
-            output: last.output,
-            n_tiles,
-            works,
-            fm_elems: (first.input.elements() + last.output.elements()) as u64,
-            params_sum,
-            out_elems: last.output.elements() as u64,
-            max_params,
-            max_tile_elems,
-            kinds,
-        })
-    }
-}
-
-/// The closed-form terms of one pipeline group under a concrete
-/// accelerator config, derived from the group's [`SlotBody`].
-#[derive(Debug, Clone, Copy)]
-struct SlotTerms {
-    /// Sequential compute cycles `Σ reuse·lat` (Eq. 3).
-    compute_cycles: u64,
-    /// Data volume `Θ(Data)` in bytes (feature maps + streamed weights).
-    data_bytes: u64,
-    /// Bytes this group contributes to inter-bundle data movement.
-    inter_bundle_bytes: u64,
-    /// Largest single-layer weight tensor in bytes.
-    max_weight_bytes: u64,
-    /// Largest (input + output) tile footprint in bytes.
-    max_tile_bytes: u64,
-}
-
-impl SlotTerms {
-    /// Prices a group's invariants under `cfg` — bit-identical to
-    /// walking the elaborated layers with the full model's Eq. 2/3
-    /// helpers (`⌈work/lanes⌉ + overhead` per layer times the tile
-    /// count; byte terms scale element counts by the quantization
-    /// width, which distributes exactly over integer sums and maxima).
-    fn derive(body: &SlotBody, cfg: &AccelConfig) -> Self {
-        let qbytes = cfg.quant.bytes() as u64;
-        let mut compute_cycles = 0u64;
-        for &(work, kind) in &body.works {
-            let lanes = cfg.instance_for_kind(kind).lanes();
-            compute_cycles += (work.div_ceil(lanes) + INVOCATION_OVERHEAD) * body.n_tiles;
-        }
-        Self {
-            compute_cycles,
-            data_bytes: (body.fm_elems + body.params_sum) * qbytes,
-            inter_bundle_bytes: body.out_elems * qbytes,
-            max_weight_bytes: body.max_params * qbytes,
-            max_tile_bytes: body.max_tile_elems * qbytes,
-        }
-    }
-}
-
 /// One pipeline group: its shared invariants (reused slots cost one
 /// `Rc` bump) plus the terms derived under the plan's current config.
 #[derive(Debug, Clone)]
@@ -288,18 +125,6 @@ impl Slot {
     fn new(body: Rc<SlotBody>, cfg: &AccelConfig) -> Self {
         let terms = SlotTerms::derive(&body, cfg);
         Self { body, terms }
-    }
-
-    /// The slot re-priced under another config (structure reused).
-    fn repriced(&self, cfg: &AccelConfig) -> Self {
-        Self {
-            body: Rc::clone(&self.body),
-            terms: SlotTerms::derive(&self.body, cfg),
-        }
-    }
-
-    fn output_shape(&self) -> TensorShape {
-        self.body.output
     }
 }
 
@@ -649,7 +474,7 @@ impl EstimatePlan {
                 // PF / quantization changed: the elaborated structure is
                 // untouched, only the terms are re-derived (pure
                 // arithmetic over the slot's invariants).
-                slot.repriced(&cfg)
+                Slot::new(Rc::clone(&slot.body), &cfg)
             });
         }
 
@@ -658,7 +483,7 @@ impl EstimatePlan {
             builder.stem(target, &mut layers)?;
             slots.push(Slot::new(Rc::new(SlotBody::of(&layers, &cfg)?), &cfg));
         }
-        let mut shape = slots.last().expect("stem pushed").output_shape();
+        let mut shape = slots.last().expect("stem pushed").body.output;
         let done_reps = (slots.len() - 1).min(reps);
         for rep in done_reps..reps {
             let key = BodyKey::Replication {
@@ -682,7 +507,7 @@ impl EstimatePlan {
         }
 
         let estimate = fold(
-            &slots,
+            slots.iter().map(|slot| (&*slot.body, slot.terms)),
             &cfg,
             self.estimator.params(),
             self.estimator.device(),
@@ -790,58 +615,6 @@ impl Clone for EstimatePlan {
         stage.clone_from(source_stage);
         self.memo.clone_from(memo);
         self.bodies.clone_from(bodies);
-    }
-}
-
-/// Re-sums every slot's terms in canonical group order — Eqs. 2 and 4
-/// for latency, Eqs. 1 and 5 for resources — reproducing
-/// `HlsEstimator::estimate_dnn_at` bit-for-bit.
-fn fold(
-    slots: &[Slot],
-    cfg: &AccelConfig,
-    params: &CalibratedParams,
-    device: &FpgaDevice,
-) -> Estimate {
-    let bw = device.dram_bytes_per_cycle;
-    let mut latency = 0.0f64;
-    let mut inter_bundle_bytes = 0u64;
-    for slot in slots {
-        // f64 addition is not associative: fold in group order, never
-        // "subtract old slot, add new slot".
-        latency += params.alpha * (slot.terms.compute_cycles as f64)
-            + params.beta * (slot.terms.data_bytes as f64) / bw;
-        inter_bundle_bytes += slot.terms.inter_bundle_bytes;
-    }
-    let lat_dm = inter_bundle_bytes as f64 / bw;
-    latency += params.phi * lat_dm;
-
-    let mut union: KindSet<UNION_KINDS> = KindSet::new();
-    let mut max_weight_bytes = 0u64;
-    let mut max_tile_bytes = 0u64;
-    for slot in slots {
-        for kind in slot.body.kinds.iter() {
-            union.insert(kind);
-        }
-        max_weight_bytes = max_weight_bytes.max(slot.terms.max_weight_bytes);
-        max_tile_bytes = max_tile_bytes.max(slot.terms.max_tile_bytes);
-    }
-    let mut base = ResourceUsage::zero();
-    for kind in union.iter() {
-        base += cfg.instance_for_kind(kind).resources();
-    }
-    base.bram_18k += bram_blocks(max_weight_bytes);
-    base.bram_18k += tile_buffer_blocks(max_tile_bytes);
-    base += control_overhead(union.len());
-
-    let resources = ResourceUsage {
-        dsp: base.dsp,
-        lut: (base.lut as f64 * params.gamma).round() as u64,
-        ff: (base.ff as f64 * params.gamma).round() as u64,
-        bram_18k: base.bram_18k,
-    };
-    Estimate {
-        latency_cycles: latency.max(0.0).round() as u64,
-        resources,
     }
 }
 

@@ -11,15 +11,20 @@
 //! * [`model`] — the analytic latency and resource models of the paper's
 //!   Eqs. 1-5: `Res_bund = Σ Res_j + Γ`, `Lat_bund = α·Σ Comp_j +
 //!   β·Θ(Data)/bw`, `Lat_DNN = Σ Lat_bund + φ·Lat_DM`, `Res_DNN =
-//!   Res_bund + γ·Res_ctl`.
+//!   Res_bund + γ·Res_ctl`. They are written once, as a per-group
+//!   pricing and a fold over the groups, on top of sim's tile geometry
+//!   and Eq. 1 rule; a full estimate folds freshly priced groups.
 //! * [`incremental`] — the incremental estimation engine: an
 //!   [`incremental::EstimatePlan`] elaborates a design point once into
-//!   per-pipeline-group terms and re-derives only what an SCD move
-//!   touched, bit-identical to the full model.
-//! * [`calibrate`] — determines the model coefficients α, β, Γ, φ, γ per
+//!   per-pipeline-group terms and re-prices only what an SCD move
+//!   touched, with the model's own pricing and fold, bit-identical to
+//!   the full estimate.
+//! * [`calibrate`] — determines the model coefficients α, β, φ per
 //!   Bundle by *Auto-HLS sampling*: a handful of sample designs are run
 //!   through the Tile-Arch simulator (the stand-in for HLS synthesis +
-//!   board measurement) and the coefficients are fit by least squares.
+//!   board measurement) and the coefficients are fit by least squares
+//!   (`Γ` sits in the shared buffer terms, and `γ` is 1 against the
+//!   simulator).
 //!
 //! # Example
 //!

@@ -16,15 +16,27 @@
 //!   plus inter-bundle data-movement latency weighted by `φ`.
 //! * Eq. 5: `Res_DNN = Res_bund + γ · Res_ctl` — accelerator resources
 //!   plus control overhead weighted by `γ`.
+//!
+//! The model is written once, in three steps. `SlotBody::of` extracts
+//! the invariants of one pipeline group (the stem, one Bundle
+//! replication, or the head) with sim's tile geometry;
+//! `SlotTerms::derive` prices them at a parallel factor and
+//! quantization (Eq. 3 compute, `Θ(Data)`, inter-bundle bytes); `fold`
+//! sums every group in canonical order into latency (Eqs. 2 and 4) and
+//! resources (sim's Eq. 1 rule, then Eq. 5). [`HlsEstimator::estimate_dnn_at`] folds
+//! freshly derived groups; an
+//! [`EstimatePlan`](crate::incremental::EstimatePlan) folds groups it
+//! kept from earlier probes.
 
 use crate::cache::{EstimateCache, KeyBuf};
 use crate::calibrate::CalibratedParams;
 use codesign_dnn::builder::DnnBuilder;
 use codesign_dnn::space::DesignPoint;
-use codesign_dnn::{Dnn, DnnError, LayerInstance};
+use codesign_dnn::{Dnn, DnnError, LayerInstance, TensorShape};
 use codesign_sim::device::FpgaDevice;
 use codesign_sim::error::SimError;
-use codesign_sim::pipeline::{accelerator_resources, AccelConfig};
+use codesign_sim::ip::{IpKind, INVOCATION_OVERHEAD};
+use codesign_sim::pipeline::{group_tiles, layer_tile, resources_of, tile_elems, AccelConfig};
 use codesign_sim::report::ResourceUsage;
 use std::fmt;
 use std::sync::Arc;
@@ -98,35 +110,197 @@ impl From<SimError> for EstimateError {
     }
 }
 
-/// Sequential compute cycles of one pipeline group (Eq. 3): each layer's
-/// per-tile invocation latency times its tile reuse count.
-pub(crate) fn group_compute_cycles(
-    group: &[LayerInstance],
-    cfg: &AccelConfig,
-) -> Result<u64, SimError> {
-    let first = group.first().expect("non-empty group");
-    let tiles_h = first.input.h.div_ceil(cfg.tile_h).max(1);
-    let tiles_w = first.input.w.div_ceil(cfg.tile_w).max(1);
-    let n_tiles = (tiles_h * tiles_w) as u64;
-    let mut cycles = 0u64;
-    for layer in group {
-        let ip = cfg.instance_for(&layer.op)?;
-        let th = layer.output.h.div_ceil(tiles_h).clamp(1, layer.output.h);
-        let tw = layer.output.w.div_ceil(tiles_w).clamp(1, layer.output.w);
-        cycles += ip.invocation_cycles(&layer.op, th, tw, layer.input.c, layer.output.c) * n_tiles;
-    }
-    Ok(cycles)
+/// Distinct IP kinds one slot can contain: at most two Bundle
+/// computational IPs, the element-wise engine, an expansion pointwise
+/// conv, and a pooling engine.
+const SLOT_KINDS: usize = 8;
+
+/// Distinct IP kinds a whole DNN can contain (conv 1/3/5/7, dw-conv
+/// 3/5/7, pool, element-wise), with slack.
+const UNION_KINDS: usize = 16;
+
+/// A tiny insertion-ordered set of IP kinds with inline storage — the
+/// incremental fold must not heap-allocate per probe.
+#[derive(Debug, Clone, Copy)]
+struct KindSet<const N: usize> {
+    len: usize,
+    items: [IpKind; N],
 }
 
-/// Data volume `Θ(Data_i)` of a group in bytes: Bundle input + output
-/// feature maps plus streamed weights.
-pub(crate) fn group_data_bytes(group: &[LayerInstance], cfg: &AccelConfig) -> u64 {
-    let first = group.first().expect("non-empty group");
-    let last = group.last().expect("non-empty group");
-    let qbytes = cfg.quant.bytes() as u64;
-    let fm = (first.input.elements() + last.output.elements()) as u64 * qbytes;
-    let weights: u64 = group.iter().map(|l| l.op.params(l.input) * qbytes).sum();
-    fm + weights
+impl<const N: usize> KindSet<N> {
+    fn new() -> Self {
+        Self {
+            len: 0,
+            items: [IpKind::Pool; N],
+        }
+    }
+
+    fn insert(&mut self, kind: IpKind) {
+        if !self.items[..self.len].contains(&kind) {
+            assert!(self.len < N, "IP-kind set overflow");
+            self.items[self.len] = kind;
+            self.len += 1;
+        }
+    }
+
+    fn as_slice(&self) -> &[IpKind] {
+        &self.items[..self.len]
+    }
+}
+
+/// The configuration-independent invariants of one pipeline group,
+/// extracted once when the group is elaborated. Everything Eqs. 1-5
+/// read from a group is derivable from these plus the accelerator
+/// config (`PF` and quantization), so re-pricing a slot at another PF
+/// is pure arithmetic — no shape walk, no re-elaboration.
+#[derive(Debug)]
+pub(crate) struct SlotBody {
+    /// Output shape of the group's last layer (feeds the next slot).
+    pub(crate) output: TensorShape,
+    /// Tile count of the group's input feature map.
+    n_tiles: u64,
+    /// Per-layer lane-independent invocation work (Eq. 3's `lat` before
+    /// the lane division) and the IP kind whose lanes divide it, in
+    /// layer order.
+    works: Vec<(u64, IpKind)>,
+    /// Elements of the group's boundary feature maps (input + output).
+    fm_elems: u64,
+    /// Total weight parameters across the group's layers.
+    params_sum: u64,
+    /// Elements of the group's output feature map (inter-bundle
+    /// traffic).
+    out_elems: u64,
+    /// Largest single-layer weight parameter count (sizes the shared
+    /// weight buffer of Eq. 1).
+    max_params: u64,
+    /// Largest (input + output) tile footprint in elements (sizes the
+    /// ping-pong data buffers of Eq. 1).
+    max_tile_elems: u64,
+    /// Distinct IP kinds the group instantiates.
+    kinds: KindSet<SLOT_KINDS>,
+}
+
+impl SlotBody {
+    /// Extracts the invariants of an elaborated group. `PF` and
+    /// quantization are *not* baked in: `cfg` only names each layer's
+    /// IP, whose work does not depend on them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::UnsupportedLayer`] for an operator outside
+    /// the IP pool.
+    pub(crate) fn of(layers: &[LayerInstance], cfg: &AccelConfig) -> Result<Self, SimError> {
+        let first = layers.first().expect("slots are non-empty");
+        let last = layers.last().expect("slots are non-empty");
+        let grid = group_tiles(first.input);
+        let mut works = Vec::with_capacity(layers.len());
+        let mut kinds = KindSet::new();
+        let mut params_sum = 0u64;
+        let mut max_params = 0u64;
+        let mut max_tile_elems = 0u64;
+        for layer in layers {
+            let kind = IpKind::for_op(&layer.op)?;
+            kinds.insert(kind);
+            let (th, tw) = layer_tile(layer, grid);
+            let ip = cfg.instance_for_kind(kind);
+            works.push((
+                ip.invocation_work(&layer.op, th, tw, layer.input.c, layer.output.c),
+                kind,
+            ));
+            let params = layer.op.params(layer.input);
+            params_sum += params;
+            max_params = max_params.max(params);
+            max_tile_elems = max_tile_elems.max(tile_elems(layer));
+        }
+        Ok(Self {
+            output: last.output,
+            n_tiles: (grid.0 * grid.1) as u64,
+            works,
+            fm_elems: (first.input.elements() + last.output.elements()) as u64,
+            params_sum,
+            out_elems: last.output.elements() as u64,
+            max_params,
+            max_tile_elems,
+            kinds,
+        })
+    }
+}
+
+/// The closed-form terms of one pipeline group under a concrete
+/// accelerator config, derived from the group's [`SlotBody`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SlotTerms {
+    /// Sequential compute cycles `Σ reuse·lat` (Eq. 3).
+    pub(crate) compute_cycles: u64,
+    /// Data volume `Θ(Data)` in bytes (feature maps + streamed weights).
+    pub(crate) data_bytes: u64,
+    /// Bytes this group contributes to inter-bundle data movement.
+    pub(crate) inter_bundle_bytes: u64,
+}
+
+impl SlotTerms {
+    /// Prices a group's invariants under `cfg`: `⌈work/lanes⌉ +
+    /// overhead` per layer times the tile count (sim's
+    /// `invocation_cycles`); byte terms scale element counts by the
+    /// quantization width, which distributes exactly over integer sums.
+    pub(crate) fn derive(body: &SlotBody, cfg: &AccelConfig) -> Self {
+        let qbytes = cfg.quant.bytes() as u64;
+        let mut compute_cycles = 0u64;
+        for &(work, kind) in &body.works {
+            let lanes = cfg.instance_for_kind(kind).lanes();
+            compute_cycles += (work.div_ceil(lanes) + INVOCATION_OVERHEAD) * body.n_tiles;
+        }
+        Self {
+            compute_cycles,
+            data_bytes: (body.fm_elems + body.params_sum) * qbytes,
+            inter_bundle_bytes: body.out_elems * qbytes,
+        }
+    }
+}
+
+/// Sums every group's terms in canonical group order (stem, replication
+/// 0‥N, head) — Eqs. 2 and 4 for latency, Eqs. 1 and 5 for resources.
+///
+/// The latency is an `f64` accumulation, and floating-point addition is
+/// not associative, so every caller re-sums all groups in this order;
+/// "subtract the old group, add the new one" would drift in the last
+/// ulp.
+pub(crate) fn fold<'a>(
+    slots: impl IntoIterator<Item = (&'a SlotBody, SlotTerms)>,
+    cfg: &AccelConfig,
+    params: &CalibratedParams,
+    device: &FpgaDevice,
+) -> Estimate {
+    let bw = device.dram_bytes_per_cycle;
+    let mut latency = 0.0f64;
+    let mut inter_bundle_bytes = 0u64;
+    let mut kinds: KindSet<UNION_KINDS> = KindSet::new();
+    let mut max_params = 0u64;
+    let mut max_tile_elems = 0u64;
+    for (body, terms) in slots {
+        latency += params.alpha * (terms.compute_cycles as f64)
+            + params.beta * (terms.data_bytes as f64) / bw;
+        inter_bundle_bytes += terms.inter_bundle_bytes;
+        for &kind in body.kinds.as_slice() {
+            kinds.insert(kind);
+        }
+        max_params = max_params.max(body.max_params);
+        max_tile_elems = max_tile_elems.max(body.max_tile_elems);
+    }
+    let lat_dm = inter_bundle_bytes as f64 / bw;
+    latency += params.phi * lat_dm;
+
+    let base = resources_of(kinds.as_slice(), max_params, max_tile_elems, cfg);
+    let resources = ResourceUsage {
+        dsp: base.dsp,
+        lut: (base.lut as f64 * params.gamma).round() as u64,
+        ff: (base.ff as f64 * params.gamma).round() as u64,
+        bram_18k: base.bram_18k,
+    };
+    Estimate {
+        latency_cycles: latency.max(0.0).round() as u64,
+        resources,
+    }
 }
 
 /// The Auto-HLS analytic estimator: applies the calibrated Eqs. 1-5 to
@@ -187,7 +361,9 @@ impl HlsEstimator {
     }
 
     /// Estimates latency (Eqs. 2-4) and resources (Eqs. 1 and 5) of an
-    /// elaborated DNN at an explicit parallel factor.
+    /// elaborated DNN at an explicit parallel factor: every pipeline
+    /// group is derived afresh and folded, with no reuse, so this is the
+    /// reference the incremental plan is checked against.
     ///
     /// The PF is threaded through as an argument — design-point
     /// estimation substitutes the *point's* PF for the calibration-time
@@ -196,44 +372,24 @@ impl HlsEstimator {
     ///
     /// # Errors
     ///
-    /// Returns [`EstimateError::Sim`] when the DNN contains operators
-    /// outside the IP pool.
+    /// Returns [`EstimateError::Sim`] for a zero parallel factor or an
+    /// operator outside the IP pool.
     pub fn estimate_dnn_at(
         &self,
         dnn: &Dnn,
         parallel_factor: usize,
     ) -> Result<Estimate, EstimateError> {
         let cfg = AccelConfig::new(parallel_factor, dnn.quantization());
-        let bw = self.device.dram_bytes_per_cycle;
-
-        let mut latency = 0.0f64;
-        let mut inter_bundle_bytes = 0u64;
-        for group in dnn.layers().chunk_by(|a, b| a.bundle_rep == b.bundle_rep) {
-            let comp = group_compute_cycles(group, &cfg)? as f64;
-            let data = group_data_bytes(group, &cfg) as f64;
-            // Eq. 2 with the Bundle's fitted alpha / beta.
-            latency += self.params.alpha * comp + self.params.beta * data / bw;
-            let last = group.last().expect("non-empty");
-            inter_bundle_bytes += last.output.elements() as u64 * cfg.quant.bytes() as u64;
-        }
-        // Eq. 4: phi-weighted inter-bundle data movement.
-        let lat_dm = inter_bundle_bytes as f64 / bw;
-        latency += self.params.phi * lat_dm;
-
-        // Eqs. 1 and 5: IP instances + buffers, plus gamma-weighted
-        // control overhead.
-        let base = accelerator_resources(dnn, &cfg)?;
-        let resources = ResourceUsage {
-            dsp: base.dsp,
-            lut: (base.lut as f64 * self.params.gamma).round() as u64,
-            ff: (base.ff as f64 * self.params.gamma).round() as u64,
-            bram_18k: base.bram_18k,
-        };
-
-        Ok(Estimate {
-            latency_cycles: latency.max(0.0).round() as u64,
-            resources,
-        })
+        cfg.validate()?;
+        let bodies = dnn
+            .layers()
+            .chunk_by(|a, b| a.bundle_rep == b.bundle_rep)
+            .map(|group| SlotBody::of(group, &cfg))
+            .collect::<Result<Vec<_>, _>>()?;
+        let slots = bodies
+            .iter()
+            .map(|body| (body, SlotTerms::derive(body, &cfg)));
+        Ok(fold(slots, &cfg, &self.params, &self.device))
     }
 
     /// Builds the design point's DNN (with the point's own parallel

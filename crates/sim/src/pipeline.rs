@@ -23,6 +23,12 @@
 //! the device's bandwidth; intra-Bundle traffic stays in BRAM. Weights
 //! stream in once per Bundle pass and half of the load is hidden behind
 //! the previous group's compute (double buffering).
+//!
+//! Every design uses the same [`TILE_H`]` x `[`TILE_W`] tile. The tile
+//! geometry ([`group_tiles`], [`layer_tile`], [`tile_elems`]) and the
+//! Eq. 1 resource rule ([`resources_of`]) are written here once; the
+//! analytic estimator in `codesign-hls` prices pipeline groups with the
+//! same functions.
 
 use crate::device::FpgaDevice;
 use crate::error::SimError;
@@ -31,15 +37,15 @@ use crate::report::{LayerCycles, ResourceUsage, SimReport};
 use codesign_dnn::layer::LayerOp;
 use codesign_dnn::quant::Quantization;
 use codesign_dnn::space::DesignPoint;
-use codesign_dnn::Dnn;
+use codesign_dnn::{Dnn, LayerInstance, TensorShape};
 use std::fmt::Write as _;
 
-/// Default spatial tile height (on the post-stem 180x320 feature map a
-/// 10x20 tile yields an 18x16 tile grid; the tile is sized so deep,
-/// channel-wide layers still fit the BRAM data buffers).
-pub const DEFAULT_TILE_H: usize = 10;
-/// Default spatial tile width.
-pub const DEFAULT_TILE_W: usize = 20;
+/// Spatial tile height of every design (on the post-stem 180x320
+/// feature map a 10x20 tile yields an 18x16 tile grid; the tile is
+/// sized so deep, channel-wide layers still fit the BRAM data buffers).
+pub const TILE_H: usize = 10;
+/// Spatial tile width of every design (see [`TILE_H`]).
+pub const TILE_W: usize = 20;
 
 /// Lane-balancing divisor for depth-wise engines: a depth-wise layer
 /// performs `~out_channels/k^2` times less work than the point-wise
@@ -49,7 +55,8 @@ pub const DEFAULT_TILE_W: usize = 20;
 pub const DW_LANE_DIVISOR: usize = 8;
 
 /// Accelerator configuration: the hardware-side variables of Table 1
-/// (shared parallel factor, quantization, tile geometry).
+/// (shared parallel factor and quantization; the tile is the fixed
+/// [`TILE_H`]` x `[`TILE_W`]).
 ///
 /// # Example
 ///
@@ -66,21 +73,12 @@ pub struct AccelConfig {
     pub pf: usize,
     /// Quantization scheme of weights and feature maps.
     pub quant: Quantization,
-    /// Tile height.
-    pub tile_h: usize,
-    /// Tile width.
-    pub tile_w: usize,
 }
 
 impl AccelConfig {
-    /// Creates a configuration with the default tile geometry.
+    /// Creates a configuration.
     pub fn new(pf: usize, quant: Quantization) -> Self {
-        Self {
-            pf,
-            quant,
-            tile_h: DEFAULT_TILE_H,
-            tile_w: DEFAULT_TILE_W,
-        }
+        Self { pf, quant }
     }
 
     /// Derives the configuration from a design point (PF and activation
@@ -98,14 +96,8 @@ impl AccelConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] for zero tile dimensions or a
-    /// zero parallel factor.
+    /// Returns [`SimError::InvalidConfig`] for a zero parallel factor.
     pub fn validate(&self) -> Result<(), SimError> {
-        if self.tile_h == 0 || self.tile_w == 0 {
-            return Err(SimError::InvalidConfig {
-                reason: "zero tile dimension".into(),
-            });
-        }
         if self.pf == 0 {
             return Err(SimError::InvalidConfig {
                 reason: "zero parallel factor".into(),
@@ -140,13 +132,39 @@ impl AccelConfig {
     }
 }
 
+/// The tile grid of a pipeline group whose first layer reads `input`:
+/// `(rows, columns)` of [`TILE_H`]` x `[`TILE_W`] tiles, at least one
+/// each. Every layer of the group processes that many tiles.
+pub fn group_tiles(input: TensorShape) -> (usize, usize) {
+    (
+        input.h.div_ceil(TILE_H).max(1),
+        input.w.div_ceil(TILE_W).max(1),
+    )
+}
+
+/// The tile `layer` computes inside a group tiled `(rows, columns)`
+/// ways: its own output map split over the group's grid (a
+/// down-sampling layer's tiles shrink with its map), at least 1x1.
+pub fn layer_tile(layer: &LayerInstance, (rows, columns): (usize, usize)) -> (usize, usize) {
+    let out = layer.output;
+    (
+        out.h.div_ceil(rows).clamp(1, out.h),
+        out.w.div_ceil(columns).clamp(1, out.w),
+    )
+}
+
+/// Elements of `layer`'s (input + output) tile: what the ping-pong data
+/// buffers of Eq. 1 must hold for it.
+pub fn tile_elems(layer: &LayerInstance) -> u64 {
+    let tile = |s: TensorShape| TILE_H.min(s.h) * TILE_W.min(s.w) * s.c;
+    (tile(layer.input) + tile(layer.output)) as u64
+}
+
 /// Bytes of one 18 Kbit BRAM block.
 const BRAM_BLOCK_BYTES: u64 = 18 * 1024 / 8;
 
-/// Number of 18 Kbit BRAM blocks needed to hold `bytes` bytes — the
-/// buffer-sizing rule shared by [`accelerator_resources`] and the
-/// analytic resource model in `codesign-hls`.
-pub fn bram_blocks(bytes: u64) -> u64 {
+/// Number of 18 Kbit BRAM blocks needed to hold `bytes` bytes.
+fn bram_blocks(bytes: u64) -> u64 {
     bytes.div_ceil(BRAM_BLOCK_BYTES)
 }
 
@@ -154,16 +172,14 @@ pub fn bram_blocks(bytes: u64) -> u64 {
 /// (input + output) tile footprint plus half a buffer of overlap — the
 /// next tile streams into the half being drained, so the ping-pong
 /// overhead is a factor 1.5, not a full second copy.
-pub fn tile_buffer_blocks(max_tile_bytes: u64) -> u64 {
+fn tile_buffer_blocks(max_tile_bytes: u64) -> u64 {
     bram_blocks(max_tile_bytes + max_tile_bytes / 2)
 }
 
 /// Control-logic overhead of the accelerator (the `Γ` term of Eq. 1):
 /// FSMs, DMA descriptors and the multiplexers that grow with the number
-/// of distinct IP instances. Shared by [`accelerator_resources`] and
-/// the incremental estimator in `codesign-hls` so the two resource
-/// models cannot drift apart.
-pub fn control_overhead(distinct_ips: usize) -> ResourceUsage {
+/// of distinct IP instances.
+fn control_overhead(distinct_ips: usize) -> ResourceUsage {
     ResourceUsage {
         dsp: 0,
         lut: 1_800 + 150 * distinct_ips as u64,
@@ -172,52 +188,50 @@ pub fn control_overhead(distinct_ips: usize) -> ResourceUsage {
     }
 }
 
-/// Computes the accelerator's total resource usage for a DNN: the union
-/// of IP instances (layer-level reuse), the shared weight buffer, the
-/// ping-pong tile data buffers and control overhead (the `Γ` term of
-/// Eq. 1).
+/// Eq. 1 without the control weight `γ` of Eq. 5: one IP instance per
+/// distinct kind in `kinds` (layer-level reuse), the shared weight
+/// buffer sized for the largest layer's `max_params` weights, the
+/// ping-pong tile data buffers sized for the largest
+/// [`tile_elems`] footprint, both at `cfg`'s quantization width, and
+/// the control overhead `Γ`. [`accelerator_resources`] and the analytic
+/// estimator in `codesign-hls` both price a design with it.
+pub fn resources_of(
+    kinds: &[IpKind],
+    max_params: u64,
+    max_tile_elems: u64,
+    cfg: &AccelConfig,
+) -> ResourceUsage {
+    let qbytes = cfg.quant.bytes() as u64;
+    let mut total = ResourceUsage::zero();
+    for &kind in kinds {
+        total += cfg.instance_for_kind(kind).resources();
+    }
+    total.bram_18k +=
+        bram_blocks(max_params * qbytes) + tile_buffer_blocks(max_tile_elems * qbytes);
+    total + control_overhead(kinds.len())
+}
+
+/// Computes the accelerator's total resource usage for a DNN
+/// ([`resources_of`] over its layers).
+///
+/// # Errors
+///
+/// Returns [`SimError::InvalidConfig`] for an invalid `cfg` and
+/// [`SimError::UnsupportedLayer`] for an operator outside the IP pool.
 pub fn accelerator_resources(dnn: &Dnn, cfg: &AccelConfig) -> Result<ResourceUsage, SimError> {
     cfg.validate()?;
-    // One instance per distinct IP kind: layer-level IP reuse.
     let mut kinds: Vec<IpKind> = Vec::new();
+    let mut max_params = 0;
+    let mut max_tile_elems = 0;
     for layer in dnn.layers() {
         let kind = IpKind::for_op(&layer.op)?;
         if !kinds.contains(&kind) {
             kinds.push(kind);
         }
+        max_params = max_params.max(layer.op.params(layer.input));
+        max_tile_elems = max_tile_elems.max(tile_elems(layer));
     }
-    let mut total = ResourceUsage::zero();
-    for &kind in &kinds {
-        total += cfg.instance_for_kind(kind).resources();
-    }
-
-    // Shared weight buffer: sized for the largest layer's weights.
-    let max_weight_bytes = dnn
-        .layers()
-        .iter()
-        .map(|l| l.op.params(l.input) * cfg.quant.bytes() as u64)
-        .max()
-        .unwrap_or(0);
-    total.bram_18k += bram_blocks(max_weight_bytes);
-
-    // Tile data buffers: the largest (input + output) tile footprint
-    // across layers, ping-pong factor included.
-    let max_tile_bytes = dnn
-        .layers()
-        .iter()
-        .map(|l| {
-            let th_in = cfg.tile_h.min(l.input.h);
-            let tw_in = cfg.tile_w.min(l.input.w);
-            let th_out = cfg.tile_h.min(l.output.h);
-            let tw_out = cfg.tile_w.min(l.output.w);
-            ((th_in * tw_in * l.input.c + th_out * tw_out * l.output.c) * cfg.quant.bytes()) as u64
-        })
-        .max()
-        .unwrap_or(0);
-    total.bram_18k += tile_buffer_blocks(max_tile_bytes);
-
-    total += control_overhead(kinds.len());
-    Ok(total)
+    Ok(resources_of(&kinds, max_params, max_tile_elems, cfg))
 }
 
 /// Makespan of `n_tiles` identical tiles through a pipeline whose stage
@@ -273,12 +287,10 @@ pub fn simulate(dnn: &Dnn, cfg: &AccelConfig, device: &FpgaDevice) -> Result<Sim
         let first = group.first().expect("groups are non-empty");
         let last = group.last().expect("groups are non-empty");
 
-        // Tile grid from the group's input feature map.
         let in_shape = first.input;
         let out_shape = last.output;
-        let tiles_h = in_shape.h.div_ceil(cfg.tile_h).max(1);
-        let tiles_w = in_shape.w.div_ceil(cfg.tile_w).max(1);
-        let n_tiles = (tiles_h * tiles_w) as u64;
+        let grid = group_tiles(in_shape);
+        let n_tiles = (grid.0 * grid.1) as u64;
 
         // Per-stage per-tile cycle cost. Stage 0 loads the input tile
         // from DRAM, the final stage writes the output tile back:
@@ -291,9 +303,7 @@ pub fn simulate(dnn: &Dnn, cfg: &AccelConfig, device: &FpgaDevice) -> Result<Sim
         let mut group_compute_per_tile: u64 = 0;
         for layer in group {
             let ip = cfg.instance_for(&layer.op)?;
-            // Effective tile dims on this layer's (possibly smaller) map.
-            let th = layer.output.h.div_ceil(tiles_h).clamp(1, layer.output.h);
-            let tw = layer.output.w.div_ceil(tiles_w).clamp(1, layer.output.w);
+            let (th, tw) = layer_tile(layer, grid);
             let cycles = ip.invocation_cycles(&layer.op, th, tw, layer.input.c, layer.output.c);
             stage_cycles.push(cycles);
             group_compute_per_tile += cycles;
@@ -499,10 +509,9 @@ mod tests {
     }
 
     #[test]
-    fn invalid_tile_rejected() {
+    fn zero_parallel_factor_rejected() {
         let dnn = dnn_for(1, 2, 16, Activation::Relu);
-        let mut cfg = AccelConfig::new(16, Quantization::Int16);
-        cfg.tile_h = 0;
+        let cfg = AccelConfig::new(0, Quantization::Int16);
         assert!(matches!(
             simulate(&dnn, &cfg, &pynq_z1()),
             Err(SimError::InvalidConfig { .. })
