@@ -23,7 +23,7 @@ use codesign_core::observe::{CancelToken, FlowEvent};
 use codesign_hls::cache::EstimateCache;
 use codesign_hls::store::EstimateStore;
 use codesign_sim::device::pynq_z1;
-use codesign_store::{LogOptions, TempDir};
+use codesign_store::TempDir;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -115,18 +115,13 @@ fn main() {
 
     // No-op persist: a warm-started cache holds only what the store
     // wrote, so persisting it writes nothing. The store and cache are
-    // returned so they drop outside the clock; `measure` keeps the last
-    // sample's until the next set-up, so the store takes no lock.
-    let unlocked = LogOptions {
-        lock: false,
-        ..LogOptions::default()
-    };
+    // returned so they drop outside the clock; `measure` drops them
+    // before the next set-up, which releases the store's lock.
     let noop = measure(
         5,
         || {
             let cache = EstimateCache::new();
-            let mut store =
-                EstimateStore::open_with(&store_path, unlocked.clone()).expect("reopen store");
+            let mut store = EstimateStore::open(&store_path).expect("reopen store");
             store.load_into(&cache);
             (cache, store)
         },

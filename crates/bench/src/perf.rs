@@ -76,7 +76,8 @@ pub struct Measured<T> {
 /// more times timing only `run`, and returns the last output with the
 /// timing. `setup` builds fresh state for each sample (a new cache, an
 /// interrupted checkpoint) outside the clock; arms that need none pass
-/// `|| ()`. An output is dropped outside the clock too.
+/// `|| ()`. Each output is dropped outside the clock too, before the
+/// next sample's `setup`, so no sample's state outlives its sample.
 ///
 /// # Panics
 ///
@@ -93,13 +94,13 @@ pub fn measure<S, T>(
     let mut output = run(setup());
     let mut times = Vec::with_capacity(samples);
     for _ in 0..samples {
+        drop(output);
         let state = setup();
         let t0 = Instant::now();
         // `black_box` keeps the compiler from dropping the work of a
         // sample whose output the next sample overwrites.
-        let out = black_box(run(black_box(state)));
+        output = black_box(run(black_box(state)));
         times.push(t0.elapsed());
-        output = out;
     }
     Measured {
         output,

@@ -75,8 +75,7 @@ use codesign_hls::model::Estimate;
 use codesign_sim::device::FpgaDevice;
 use codesign_sim::report::ResourceUsage;
 use codesign_store::{
-    fnv1a, ByteReader, ByteWriter, CodecError, LockFile, LogError, LogOptions, RecordLog,
-    StreamKind,
+    fnv1a, ByteReader, ByteWriter, CodecError, LockFile, LogError, RecordLog, StreamKind,
 };
 use std::collections::BTreeMap;
 use std::fmt;
@@ -292,14 +291,8 @@ impl FlowCheckpoint {
         let mut state = self.state();
         let log = match &mut state.segment {
             Some(log) => log,
-            closed => closed.insert(
-                RecordLog::open_with(
-                    &segment_path(&self.dir, 0),
-                    StreamKind::ShardSegment,
-                    LogOptions::default(),
-                )?
-                .0,
-            ),
+            closed => closed
+                .insert(RecordLog::open(&segment_path(&self.dir, 0), StreamKind::ShardSegment)?.0),
         };
         Ok(log.append(w.as_bytes())?)
     }

@@ -21,7 +21,7 @@
 
 use super::{decode_cell, CheckpointError};
 use crate::search::Candidate;
-use codesign_store::{ByteReader, LogOptions, RecordLog, StreamKind};
+use codesign_store::{ByteReader, RecordLog, StreamKind};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -42,8 +42,7 @@ pub fn segment_path(dir: &Path, shard: usize) -> PathBuf {
 pub fn open_segment(
     path: &Path,
 ) -> Result<(RecordLog, BTreeMap<usize, Vec<Candidate>>), CheckpointError> {
-    let (log, records, _recovery) =
-        RecordLog::open_with(path, StreamKind::ShardSegment, LogOptions::default())?;
+    let (log, records, _recovery) = RecordLog::open(path, StreamKind::ShardSegment)?;
     Ok((log, decode_cells(&records)))
 }
 

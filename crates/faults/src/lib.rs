@@ -402,8 +402,8 @@ pub fn is_injected(err: &io::Error) -> bool {
 
 // --- Process-global plan -------------------------------------------------
 //
-// Most injection points take the plan explicitly (the store's
-// `LogOptions`, the scheduler's `ServeConfig`). The work queue cannot:
+// Most injection points take the plan explicitly (the record log's
+// `open_with`, the scheduler's `ServeConfig`). The work queue cannot:
 // `parallel_map` is a free function called from inside the flow's
 // stages with no plan to pass, so it consults a process-global slot
 // instead. The slot is guarded by a relaxed `AtomicBool` checked

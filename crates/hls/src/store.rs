@@ -27,24 +27,23 @@
 //!
 //! Appends go through the record log's checksummed framing; a crash
 //! mid-append loses at most the record being written, and the torn tail
-//! is truncated on the next [`open`](EstimateStore::open). Duplicate
-//! keys across records are harmless (last write wins on load, and all
-//! writes for a key carry the same deterministic value) but accumulate
-//! bytes forever; [`compact`](EstimateStore::compact) rewrites the log
-//! with exactly one record per live key — a fresh log is written
-//! beside the original and atomically renamed over it, so a crash
-//! mid-compaction leaves either the old file or the new one, never a
-//! mix.
+//! is truncated on the next [`open`](EstimateStore::open). Each key is
+//! written once: [`persist_from`](EstimateStore::persist_from) skips
+//! every key already on disk, and the log's single-writer lock keeps a
+//! second store off the file. A duplicate record written by other means
+//! loads last write wins (every write of a key carries the same
+//! deterministic value), and there is no compaction.
 
 use crate::cache::{CacheStamp, EstimateCache};
 use crate::model::Estimate;
 use codesign_sim::report::ResourceUsage;
 use codesign_store::{
-    ByteReader, ByteWriter, CodecError, LogError, LogOptions, RecordLog, StreamKind,
+    ByteReader, ByteWriter, CodecError, FaultPlan, LogError, RecordLog, StreamKind,
 };
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Counters describing a store's activity since it was opened.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -57,9 +56,6 @@ pub struct StoreStats {
     /// Bytes of torn tail truncated during open (0 after a clean
     /// shutdown).
     pub recovered_tail_bytes: u64,
-    /// Bytes reclaimed by [`EstimateStore::compact`] since open
-    /// (duplicate records dropped from the rewritten log).
-    pub reclaimed_bytes: u64,
 }
 
 /// A disk-backed extension of the in-memory [`EstimateCache`].
@@ -77,19 +73,11 @@ pub struct StoreStats {
 #[derive(Debug)]
 pub struct EstimateStore {
     log: RecordLog,
-    /// Decoded records from disk, retained until first `load_into`.
-    pending: Vec<(Vec<u8>, Estimate)>,
-    /// Live value per key on disk (last write wins), in sorted-key
-    /// order — exactly what [`compact`](Self::compact) rewrites.
+    /// Value per key on disk (last write wins).
     live: BTreeMap<Vec<u8>, Estimate>,
     /// Stamp of a cache all of whose `Ok` entries, as the stamp counts
     /// them, are in `live`.
     stamp: Option<CacheStamp>,
-    /// Records on disk that a compaction would drop (duplicates).
-    dead_records: usize,
-    /// Options the log was opened with; compaction reuses them for the
-    /// replacement log.
-    options: LogOptions,
     stats: StoreStats,
 }
 
@@ -130,52 +118,47 @@ impl EstimateStore {
     /// not an estimate-store log (wrong magic, kind, or a future format
     /// version).
     pub fn open(path: &Path) -> Result<Self, LogError> {
-        Self::open_with(path, LogOptions::default())
+        Self::open_with(path, None)
     }
 
-    /// [`open`](Self::open) with explicit durability and
-    /// fault-injection [`LogOptions`] for the underlying record log.
+    /// [`open`](Self::open) with a fault-injection plan for the
+    /// underlying record log.
     ///
     /// # Errors
     ///
     /// Everything [`open`](Self::open) returns, plus injected I/O
-    /// errors when `options` carry an active fault plan.
-    pub fn open_with(path: &Path, options: LogOptions) -> Result<Self, LogError> {
+    /// errors when `faults` is an active plan.
+    pub fn open_with(path: &Path, faults: Option<Arc<FaultPlan>>) -> Result<Self, LogError> {
         let (log, raw_records, recovery) =
-            RecordLog::open_with(path, StreamKind::EstimateStore, options.clone())?;
-        let mut pending = Vec::with_capacity(raw_records.len());
+            RecordLog::open_with(path, StreamKind::EstimateStore, faults)?;
+        let mut loaded = 0;
         let mut live = BTreeMap::new();
         for payload in &raw_records {
             // A record that framed and checksummed correctly but does
             // not decode is a schema mismatch within the same log
             // version — skip it rather than poison the whole store.
             if let Ok((key, est)) = decode_record(payload) {
-                live.insert(key.clone(), est);
-                pending.push((key, est));
+                live.insert(key, est);
+                loaded += 1;
             }
         }
         let stats = StoreStats {
-            loaded: pending.len(),
+            loaded,
             persisted: 0,
             recovered_tail_bytes: recovery.truncated_bytes,
-            reclaimed_bytes: 0,
         };
-        let dead_records = pending.len() - live.len();
         Ok(Self {
             log,
-            pending,
             live,
             stamp: None,
-            dead_records,
-            options,
             stats,
         })
     }
 
-    /// Preloads every record decoded at open time into `cache`,
-    /// returning how many entries were actually inserted (keys already
-    /// resident in the cache are left untouched). Idempotent: a second
-    /// call inserts nothing.
+    /// Preloads every key on disk into `cache`, returning how many
+    /// entries were actually inserted (keys already resident in the
+    /// cache are left untouched). Idempotent: a second call into the
+    /// same cache inserts nothing.
     ///
     /// Records the cache's [version stamp](crate::cache#version-stamp),
     /// so the first persist after a warm start skips the scan too, when
@@ -189,8 +172,8 @@ impl EstimateStore {
         let before = cache.stamp();
         let clean = before.ok_inserts == 0 || self.stamp == Some(before);
         let mut inserted = 0;
-        for (key, est) in self.pending.drain(..) {
-            if cache.preload(&key, est) {
+        for (key, est) in &self.live {
+            if cache.preload(key, *est) {
                 inserted += 1;
             }
         }
@@ -255,56 +238,6 @@ impl EstimateStore {
         self.log.sync()
     }
 
-    /// Rewrites the log keeping exactly one record per live key (in
-    /// sorted-key order), dropping the duplicates that accumulate when
-    /// the same entries are re-persisted across runs. The replacement
-    /// is written to a `.compact` sibling, synced, and atomically
-    /// renamed over the original — the advisory writer lock stays held
-    /// throughout, and a crash mid-compaction leaves a complete file
-    /// either way. Returns the bytes reclaimed (also accumulated in
-    /// [`StoreStats::reclaimed_bytes`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures (including injected ones); on error the
-    /// original log is still open and intact.
-    pub fn compact(&mut self) -> io::Result<u64> {
-        let old_bytes = self.log.len_bytes();
-        let path = self.log.path().to_path_buf();
-        let mut tmp_name = path
-            .file_name()
-            .map(|n| n.to_os_string())
-            .unwrap_or_default();
-        tmp_name.push(".compact");
-        let tmp = path.with_file_name(tmp_name);
-        // A stale .compact from a crashed earlier attempt is garbage.
-        let _ = std::fs::remove_file(&tmp);
-        {
-            // The original's lock already guards the store; the
-            // scratch file needs none (and must not collide with it).
-            let tmp_options = LogOptions {
-                lock: false,
-                ..self.options.clone()
-            };
-            let (mut fresh, _, _) =
-                RecordLog::open_with(&tmp, StreamKind::EstimateStore, tmp_options).map_err(
-                    |e| match e {
-                        LogError::Io(e) => e,
-                        other => io::Error::other(other.to_string()),
-                    },
-                )?;
-            for (key, est) in &self.live {
-                fresh.append(&encode_record(key, est))?;
-            }
-            fresh.sync()?;
-        }
-        self.log.swap_in(&tmp)?;
-        self.dead_records = 0;
-        let reclaimed = old_bytes.saturating_sub(self.log.len_bytes());
-        self.stats.reclaimed_bytes += reclaimed;
-        Ok(reclaimed)
-    }
-
     /// Releases the advisory single-writer lock without closing the
     /// store, so another process (or another handle in this one) may
     /// open the log. For graceful shutdown when the store handle
@@ -312,12 +245,6 @@ impl EstimateStore {
     /// persist afterwards. Idempotent.
     pub fn unlock(&mut self) {
         self.log.unlock();
-    }
-
-    /// Records on disk that [`compact`](Self::compact) would drop —
-    /// duplicates superseded by a later write of the same key.
-    pub fn duplicate_records(&self) -> usize {
-        self.dead_records
     }
 
     /// Activity counters since open.
@@ -466,12 +393,8 @@ mod tests {
         // three records land, the persist reports the failure, and the
         // already-written records survive a retry with a clean store.
         let plan = codesign_faults::FaultPlan::from_spec("seed=0;store.append=io@3").unwrap();
-        let options = LogOptions {
-            faults: Some(plan),
-            ..LogOptions::default()
-        };
         {
-            let mut store = EstimateStore::open_with(&path, options).unwrap();
+            let mut store = EstimateStore::open_with(&path, Some(plan)).unwrap();
             let err = store.persist_from(&cache).unwrap_err();
             assert!(codesign_faults::is_injected(&err));
         }
@@ -487,56 +410,32 @@ mod tests {
     }
 
     #[test]
-    fn compact_drops_duplicates_and_preserves_live_entries() {
+    fn repeated_keys_load_once_and_are_not_rewritten() {
         let dir = TempDir::new("codesign_hls_store").unwrap();
-        let path = dir.join("compact.log");
-        let cache = EstimateCache::new();
-        for k in 0u8..8 {
-            cache
-                .get_or_insert_with(&[k], || Ok(est(k as u64 + 7)))
-                .unwrap();
-        }
-        {
-            let mut store = EstimateStore::open(&path).unwrap();
-            store.persist_from(&cache).unwrap();
-        }
-        // Duplicate every record by appending the same entries again
-        // through a raw log handle (simulating the historical
-        // append-only growth pattern across many runs).
+        let path = dir.join("duplicates.log");
+        // Each of 8 keys written twice through a raw log handle; the
+        // second write of a key is the one that loads.
         {
             let (mut log, _, _) = RecordLog::open(&path, StreamKind::EstimateStore).unwrap();
-            for k in 0u8..8 {
-                log.append(&encode_record(&[k], &est(k as u64 + 7)))
-                    .unwrap();
+            for pass in 0..2u64 {
+                for k in 0u8..8 {
+                    log.append(&encode_record(&[k], &est(k as u64 + pass * 100)))
+                        .unwrap();
+                }
             }
         }
         let mut store = EstimateStore::open(&path).unwrap();
         assert_eq!(store.stats().loaded, 16);
-        assert_eq!(store.duplicate_records(), 8);
         assert_eq!(store.len(), 8);
-        let reclaimed = store.compact().unwrap();
-        assert!(reclaimed > 0, "dropping 8 duplicate records frees bytes");
-        assert_eq!(store.stats().reclaimed_bytes, reclaimed);
-        assert_eq!(store.duplicate_records(), 0);
-        // Compacting an already-compact store reclaims nothing.
-        assert_eq!(store.compact().unwrap(), 0);
-        // The store keeps working after the swap: new entries append.
-        let more = EstimateCache::new();
-        more.get_or_insert_with(&[99], || Ok(est(500))).unwrap();
-        assert_eq!(store.persist_from(&more).unwrap(), 1);
-        drop(store);
-        // A reopen sees exactly the live set.
-        let warm = EstimateCache::new();
-        let mut reopened = EstimateStore::open(&path).unwrap();
-        assert_eq!(reopened.stats().loaded, 9);
-        assert_eq!(reopened.duplicate_records(), 0);
-        assert_eq!(reopened.load_into(&warm), 9);
+        let cache = EstimateCache::new();
+        assert_eq!(store.load_into(&cache), 8);
         for k in 0u8..8 {
-            let v = warm
+            let v = cache
                 .get_or_insert_with(&[k], || panic!("must hit"))
                 .unwrap();
-            assert_eq!(v, est(k as u64 + 7));
+            assert_eq!(v, est(k as u64 + 100), "last write wins");
         }
+        assert_eq!(store.persist_from(&cache).unwrap(), 0);
     }
 
     /// A cache with keys `[k]` for `k` in `keys`.
@@ -550,10 +449,10 @@ mod tests {
         cache
     }
 
-    /// Records on disk at `path`, and how many of them are duplicates.
+    /// Records on disk at `path`, and how many distinct keys they hold.
     fn on_disk(path: &Path) -> (usize, usize) {
         let store = EstimateStore::open(path).unwrap();
-        (store.stats().loaded, store.duplicate_records())
+        (store.stats().loaded, store.len())
     }
 
     #[test]
@@ -575,7 +474,7 @@ mod tests {
         assert_eq!(store.persist_from(&cache).unwrap(), 0);
         assert_eq!(store.stats().persisted, 6);
         drop(store);
-        assert_eq!(on_disk(&path), (6, 0), "each entry written exactly once");
+        assert_eq!(on_disk(&path), (6, 6), "each entry written exactly once");
     }
 
     #[test]
@@ -592,7 +491,7 @@ mod tests {
         assert_eq!(store.persist_from(&first).unwrap(), 4);
         assert_eq!(store.persist_from(&second).unwrap(), 4);
         drop(store);
-        assert_eq!(on_disk(&path), (8, 0));
+        assert_eq!(on_disk(&path), (8, 8));
     }
 
     #[test]
@@ -601,11 +500,7 @@ mod tests {
         let path = dir.join("stamp_failure.log");
         let cache = cache_of(0..6);
         let plan = codesign_faults::FaultPlan::from_spec("seed=0;store.append=io@3").unwrap();
-        let options = LogOptions {
-            faults: Some(plan),
-            ..LogOptions::default()
-        };
-        let mut store = EstimateStore::open_with(&path, options).unwrap();
+        let mut store = EstimateStore::open_with(&path, Some(plan)).unwrap();
         let err = store.persist_from(&cache).unwrap_err();
         assert!(codesign_faults::is_injected(&err));
         assert_eq!(store.stamp, None);
@@ -613,7 +508,7 @@ mod tests {
         assert_eq!(store.persist_from(&cache).unwrap(), 3);
         assert_eq!(store.stamp, Some(cache.stamp()));
         drop(store);
-        assert_eq!(on_disk(&path), (6, 0));
+        assert_eq!(on_disk(&path), (6, 6));
     }
 
     #[test]
@@ -640,7 +535,7 @@ mod tests {
         assert_eq!(store.stamp, None);
         assert_eq!(store.persist_from(&held).unwrap(), 1);
         drop(store);
-        assert_eq!(on_disk(&path), (6, 0));
+        assert_eq!(on_disk(&path), (6, 6));
     }
 
     #[test]
@@ -667,11 +562,7 @@ mod tests {
         let dir = TempDir::new("codesign_hls_store").unwrap();
         let path = dir.join("sync_retry.log");
         let plan = codesign_faults::FaultPlan::from_spec("seed=0;store.sync=io@0,1").unwrap();
-        let options = LogOptions {
-            faults: Some(plan.clone()),
-            ..LogOptions::default()
-        };
-        let mut store = EstimateStore::open_with(&path, options).unwrap();
+        let mut store = EstimateStore::open_with(&path, Some(plan.clone())).unwrap();
         let cache = cache_of(0..4);
         // Every record is appended, then the sync fails.
         assert!(store.persist_from(&cache).is_err());

@@ -44,7 +44,7 @@ use codesign_core::observe::{CancelState, CancelToken, FlowEvent};
 use codesign_faults::{FaultAction, FaultPlan};
 use codesign_hls::cache::EstimateCache;
 use codesign_hls::store::EstimateStore;
-use codesign_store::{LogError, LogOptions};
+use codesign_store::LogError;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -419,19 +419,7 @@ impl Scheduler {
         let cache = Arc::new(EstimateCache::new());
         let store = match &config.store {
             Some(path) => {
-                let options = LogOptions {
-                    faults: config.faults.clone(),
-                    ..LogOptions::default()
-                };
-                let mut store = EstimateStore::open_with(path, options)?;
-                // Startup is the safe moment to reclaim dead (duplicate)
-                // records: no executor holds the store yet, and
-                // compaction swaps a complete replacement file in
-                // atomically. A store with no duplicates is left alone
-                // so startup stays O(live set).
-                if store.duplicate_records() > 0 {
-                    store.compact().map_err(LogError::from)?;
-                }
+                let mut store = EstimateStore::open_with(path, config.faults.clone())?;
                 store.load_into(&cache);
                 Some(StoreState {
                     store: Mutex::new(store),
@@ -571,14 +559,6 @@ impl Scheduler {
             (
                 "recovered_tail_bytes".into(),
                 Json::num(stats.recovered_tail_bytes as f64),
-            ),
-            (
-                "reclaimed_bytes".into(),
-                Json::num(stats.reclaimed_bytes as f64),
-            ),
-            (
-                "duplicate_records".into(),
-                Json::num(store.duplicate_records() as f64),
             ),
             (
                 "store_hits".into(),
@@ -1119,6 +1099,12 @@ mod tests {
             store.get("store_hits").unwrap().as_uint().unwrap() > 0,
             "warm run must hit preloaded estimates"
         );
+        // Shutdown persists once more; a restarted server writes none
+        // of what it loaded.
+        scheduler.shutdown();
+        let store = scheduler.store_json().unwrap();
+        assert_eq!(store.get("persisted").unwrap().as_uint(), Some(0));
+        assert_eq!(store.get("entries"), store.get("loaded"));
     }
 
     #[test]

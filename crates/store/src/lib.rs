@@ -16,9 +16,9 @@
 //!   from the start, keeps every record whose length frame and FNV-1a
 //!   checksum validate, and truncates the torn tail.
 //! * [`lock`] — [`LockFile`], the advisory single-writer lock every
-//!   record log acquires by default so two processes can never
-//!   interleave appends into one file; stale locks left by dead
-//!   processes are taken over automatically.
+//!   record log holds, so two processes can never interleave appends
+//!   into one file; stale locks left by dead processes are taken over
+//!   automatically.
 //! * [`temp`] — [`TempDir`], the drop-guarded scratch directory every
 //!   test, bench and example writes its logs and run directories into.
 //!
@@ -38,13 +38,18 @@ pub mod temp;
 
 pub use codec::{ByteReader, ByteWriter, CodecError};
 pub use lock::{LockError, LockFile};
-pub use log::{LogError, LogOptions, RecordLog, StreamKind};
+pub use log::{LogError, RecordLog, StreamKind};
 pub use temp::TempDir;
 
 /// FNV-1a over `bytes` — the checksum used for log records and the
 /// fingerprint hash used by flow checkpoints. The one implementation
 /// lives in `codesign-faults`, which folds fault-site names with it.
 pub use codesign_faults::fnv1a;
+
+/// The fault-injection plan [`RecordLog::open_with`] consults at the
+/// log's I/O sites, named here so a crate that opens logs needs no
+/// dependency on `codesign-faults` of its own.
+pub use codesign_faults::FaultPlan;
 
 #[cfg(test)]
 mod tests {

@@ -17,7 +17,7 @@
 //! that was being written, never an earlier one.
 //!
 //! The header's [`StreamKind`] tags what the records mean (estimate
-//! store vs flow checkpoint vs shard coordination), so pointing one
+//! store vs run-directory segment), so pointing one
 //! subsystem at the other's file is a typed [`LogError::WrongKind`]
 //! instead of garbage decodes.
 //!
@@ -25,12 +25,10 @@
 //!
 //! Appends are positioned writes from an in-memory `end` offset, so
 //! two processes appending to one file would silently interleave and
-//! corrupt each other's frames. By default every open therefore
-//! acquires an advisory [`LockFile`] at
-//! `<path>.lock`; a second writer gets a typed [`LogError::Locked`]
-//! instead of a corrupted log, and locks abandoned by dead processes
-//! are taken over automatically. [`LogOptions::lock`] opts out for
-//! callers that coordinate exclusivity themselves, and
+//! corrupt each other's frames. Every open therefore acquires an
+//! advisory [`LockFile`] at `<path>.lock`; a second writer gets a typed
+//! [`LogError::Locked`] instead of a corrupted log, and locks abandoned
+//! by dead processes are taken over automatically.
 //! [`RecordLog::read`] replays a log without opening it for writing.
 
 use crate::fnv1a;
@@ -52,17 +50,16 @@ const HEADER_LEN: u64 = 16;
 const FRAME_LEN: u64 = 12;
 
 /// What a log's records contain. Stored in the header; checked on open.
+///
+/// Tags 2 and 3 stay unassigned: they named the retired single-file
+/// flow checkpoint and shard manifest, and a file written under either
+/// must keep failing as [`LogError::WrongKind`], never decode as a new
+/// stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum StreamKind {
     /// Analytic-estimate records of `codesign_hls::store`.
     EstimateStore,
-    /// The retired single-file flow checkpoint; a checkpoint is now a
-    /// run directory of [`ShardSegment`](Self::ShardSegment) logs. Kept
-    /// so its tag is never reused.
-    FlowCheckpoint,
-    /// Shard supervisor manifest records of `codesign_shard`.
-    ShardManifest,
     /// Per-shard cell segments of a run directory
     /// (`codesign_core::checkpoint`).
     ShardSegment,
@@ -72,8 +69,6 @@ impl StreamKind {
     fn to_u32(self) -> u32 {
         match self {
             StreamKind::EstimateStore => 1,
-            StreamKind::FlowCheckpoint => 2,
-            StreamKind::ShardManifest => 3,
             StreamKind::ShardSegment => 4,
         }
     }
@@ -81,8 +76,6 @@ impl StreamKind {
     fn from_u32(v: u32) -> Option<Self> {
         match v {
             1 => Some(StreamKind::EstimateStore),
-            2 => Some(StreamKind::FlowCheckpoint),
-            3 => Some(StreamKind::ShardManifest),
             4 => Some(StreamKind::ShardSegment),
             _ => None,
         }
@@ -93,8 +86,6 @@ impl fmt::Display for StreamKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StreamKind::EstimateStore => write!(f, "estimate-store"),
-            StreamKind::FlowCheckpoint => write!(f, "flow-checkpoint"),
-            StreamKind::ShardManifest => write!(f, "shard-manifest"),
             StreamKind::ShardSegment => write!(f, "shard-segment"),
         }
     }
@@ -187,40 +178,9 @@ impl From<io::Error> for LogError {
 /// What [`RecordLog::open`] found on disk.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Recovery {
-    /// Records that validated and were kept.
-    pub records: usize,
     /// Bytes of torn tail that were truncated away (0 after a clean
     /// shutdown).
     pub truncated_bytes: u64,
-}
-
-/// Fault-injection and locking knobs for a [`RecordLog`].
-///
-/// Durability is not a knob: every [`append`](RecordLog::append) is
-/// flushed to the OS, and records reach stable storage at explicit
-/// [`sync`](RecordLog::sync) points (an estimate store syncs before it
-/// reports a batch persisted).
-#[derive(Debug, Clone)]
-pub struct LogOptions {
-    /// Fault-injection plan consulted at the log's I/O sites
-    /// (`store.open`, `store.append`, `store.sync`). `None` — the
-    /// production configuration — costs one `Option` check per call.
-    pub faults: Option<Arc<FaultPlan>>,
-    /// Acquire the advisory single-writer [`LockFile`] at
-    /// `<path>.lock` for the lifetime of the log. On by default; a
-    /// second writer then fails with [`LogError::Locked`] instead of
-    /// interleaving appends. Turn off only when the caller guarantees
-    /// exclusivity by other means.
-    pub lock: bool,
-}
-
-impl Default for LogOptions {
-    fn default() -> Self {
-        Self {
-            faults: None,
-            lock: true,
-        }
-    }
 }
 
 /// An append-only log open for reading and appending.
@@ -231,7 +191,8 @@ pub struct RecordLog {
     /// Byte offset appends go to (end of last valid record).
     end: u64,
     faults: Option<Arc<FaultPlan>>,
-    /// Advisory single-writer lock; releases on drop.
+    /// Advisory single-writer lock; releases on drop or
+    /// [`unlock`](Self::unlock).
     lock: Option<LockFile>,
 }
 
@@ -247,30 +208,27 @@ impl RecordLog {
     /// / [`WrongKind`](LogError::WrongKind) for a file that is not this
     /// stream, and I/O failures.
     pub fn open(path: &Path, kind: StreamKind) -> Result<(Self, Vec<Vec<u8>>, Recovery), LogError> {
-        Self::open_with(path, kind, LogOptions::default())
+        Self::open_with(path, kind, None)
     }
 
-    /// [`open`](Self::open) with explicit durability and
-    /// fault-injection [`LogOptions`].
+    /// [`open`](Self::open) with a fault-injection plan consulted at the
+    /// log's I/O sites (`store.open`, `store.append`, `store.sync`).
+    /// `None`, the production configuration, costs one `Option` check
+    /// per call.
     ///
     /// # Errors
     ///
     /// Everything [`open`](Self::open) returns, plus an injected I/O
-    /// error when the options carry a fault plan whose `store.open`
-    /// schedule fires.
+    /// error when the plan's `store.open` schedule fires.
     pub fn open_with(
         path: &Path,
         kind: StreamKind,
-        options: LogOptions,
+        faults: Option<Arc<FaultPlan>>,
     ) -> Result<(Self, Vec<Vec<u8>>, Recovery), LogError> {
-        if let Some(plan) = &options.faults {
+        if let Some(plan) = &faults {
             plan.fail_io("store.open")?;
         }
-        let lock = if options.lock {
-            Some(LockFile::acquire(&lock_path(path))?)
-        } else {
-            None
-        };
+        let lock = Some(LockFile::acquire(&lock_path(path))?);
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -291,7 +249,7 @@ impl RecordLog {
                     file,
                     path: path.to_path_buf(),
                     end: HEADER_LEN,
-                    faults: options.faults,
+                    faults,
                     lock,
                 },
                 Vec::new(),
@@ -307,20 +265,16 @@ impl RecordLog {
             file.set_len(offset as u64)?;
         }
         file.seek(SeekFrom::Start(offset as u64))?;
-        let recovery = Recovery {
-            records: records.len(),
-            truncated_bytes,
-        };
         Ok((
             Self {
                 file,
                 path: path.to_path_buf(),
                 end: offset as u64,
-                faults: options.faults,
+                faults,
                 lock,
             },
             records,
-            recovery,
+            Recovery { truncated_bytes },
         ))
     }
 
@@ -366,16 +320,6 @@ impl RecordLog {
         Ok(())
     }
 
-    /// Flushes buffered writes to the OS without forcing them to
-    /// stable storage.
-    ///
-    /// # Errors
-    ///
-    /// Propagates flush failures.
-    pub fn flush(&mut self) -> io::Result<()> {
-        self.file.flush()
-    }
-
     /// Forces written records to stable storage (`fsync`).
     ///
     /// # Errors
@@ -393,44 +337,13 @@ impl RecordLog {
         &self.path
     }
 
-    /// Current end-of-log offset in bytes (header included).
-    pub fn len_bytes(&self) -> u64 {
-        self.end
-    }
-
     /// Releases the advisory single-writer lock without closing the
     /// log. After this another writer may open the same path, so the
     /// caller must guarantee no further appends race it — the intended
     /// use is a graceful shutdown that keeps the handle alive (e.g. a
-    /// server whose owner outlives its final sync). Idempotent; a
-    /// no-op for logs opened with [`LogOptions::lock`] off.
+    /// server whose owner outlives its final sync). Idempotent.
     pub fn unlock(&mut self) {
         self.lock = None;
-    }
-
-    /// Atomically replaces this log's backing file with the
-    /// already-written log at `replacement` (a `rename`), keeping the
-    /// advisory lock held across the swap. Compaction uses this: write
-    /// a fresh log beside the original, then swap it in so readers
-    /// only ever see a complete file.
-    ///
-    /// The caller guarantees `replacement` is a complete, synced log
-    /// of the same stream kind whose own handle (and lock) has been
-    /// dropped.
-    ///
-    /// # Errors
-    ///
-    /// Propagates rename/reopen failures; on error the original file
-    /// may already have been replaced, but the log is reopened from
-    /// whatever is at its path on the next open.
-    pub fn swap_in(&mut self, replacement: &Path) -> io::Result<()> {
-        std::fs::rename(replacement, &self.path)?;
-        let mut file = OpenOptions::new().read(true).write(true).open(&self.path)?;
-        let end = file.metadata()?.len();
-        file.seek(SeekFrom::Start(end))?;
-        self.file = file;
-        self.end = end;
-        Ok(())
     }
 }
 
@@ -519,7 +432,7 @@ mod tests {
             let (mut log, _, _) = RecordLog::open(&path, StreamKind::EstimateStore).unwrap();
             log.append(b"first").unwrap();
             log.append(b"second record").unwrap();
-            log.len_bytes()
+            std::fs::metadata(&path).unwrap().len()
         };
         // Chop bytes off the tail one at a time: every prefix must
         // recover cleanly, losing only the record the cut lands in.
@@ -598,7 +511,7 @@ mod tests {
             log.append(b"payload").unwrap();
         }
         assert!(matches!(
-            RecordLog::open(&path, StreamKind::FlowCheckpoint),
+            RecordLog::open(&path, StreamKind::ShardSegment),
             Err(LogError::WrongKind { .. })
         ));
         std::fs::write(&path, b"definitely not a log file").unwrap();
@@ -614,15 +527,11 @@ mod tests {
         let path = dir.join("inject_append");
         // Rate 1.0: every store.append decision fires.
         let plan = codesign_faults::FaultPlan::from_spec("seed=7;store.append=io%1").unwrap();
-        let options = LogOptions {
-            faults: Some(plan.clone()),
-            ..LogOptions::default()
-        };
         let (mut log, _, _) =
-            RecordLog::open_with(&path, StreamKind::EstimateStore, options).unwrap();
+            RecordLog::open_with(&path, StreamKind::EstimateStore, Some(plan.clone())).unwrap();
         let err = log.append(b"blocked").unwrap_err();
         assert!(codesign_faults::is_injected(&err));
-        assert_eq!(log.len_bytes(), HEADER_LEN);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), HEADER_LEN);
         // A log without the plan picks up where the failed one left
         // off: no partial frame was written.
         drop(log);
@@ -640,11 +549,7 @@ mod tests {
         let dir = TempDir::new("codesign_store_log").unwrap();
         let path = dir.join("inject_open");
         let plan = codesign_faults::FaultPlan::from_spec("seed=11;store.open=io%1").unwrap();
-        let options = LogOptions {
-            faults: Some(plan),
-            ..LogOptions::default()
-        };
-        let err = RecordLog::open_with(&path, StreamKind::EstimateStore, options).unwrap_err();
+        let err = RecordLog::open_with(&path, StreamKind::EstimateStore, Some(plan)).unwrap_err();
         assert!(matches!(err, LogError::Io(_)));
         assert!(!path.exists());
         assert!(!lock_path(&path).exists());
@@ -669,48 +574,6 @@ mod tests {
         assert!(!lock_path(&path).exists());
         let (_, records, _) = RecordLog::open(&path, StreamKind::EstimateStore).unwrap();
         assert_eq!(records, vec![b"one".to_vec()]);
-    }
-
-    #[test]
-    fn lock_opt_out_allows_a_second_handle() {
-        let dir = TempDir::new("codesign_store_log").unwrap();
-        let path = dir.join("lock_opt_out");
-        let options = LogOptions {
-            lock: false,
-            ..LogOptions::default()
-        };
-        let (_a, _, _) =
-            RecordLog::open_with(&path, StreamKind::EstimateStore, options.clone()).unwrap();
-        let (_b, _, _) = RecordLog::open_with(&path, StreamKind::EstimateStore, options).unwrap();
-        assert!(!lock_path(&path).exists());
-    }
-
-    #[test]
-    fn swap_in_replaces_contents_atomically() {
-        let dir = TempDir::new("codesign_store_log").unwrap();
-        let path = dir.join("swap_in");
-        let tmp = dir.join("swap_in_tmp");
-        let (mut log, _, _) = RecordLog::open(&path, StreamKind::EstimateStore).unwrap();
-        log.append(b"old-a").unwrap();
-        log.append(b"old-b").unwrap();
-        {
-            let options = LogOptions {
-                lock: false,
-                ..LogOptions::default()
-            };
-            let (mut fresh, _, _) =
-                RecordLog::open_with(&tmp, StreamKind::EstimateStore, options).unwrap();
-            fresh.append(b"compacted").unwrap();
-            fresh.sync().unwrap();
-        }
-        log.swap_in(&tmp).unwrap();
-        // Appends continue into the swapped-in file.
-        log.append(b"after-swap").unwrap();
-        drop(log);
-        let (_, records, recovery) = RecordLog::open(&path, StreamKind::EstimateStore).unwrap();
-        assert_eq!(records, vec![b"compacted".to_vec(), b"after-swap".to_vec()]);
-        assert_eq!(recovery.truncated_bytes, 0);
-        assert!(!tmp.exists());
     }
 
     #[test]
