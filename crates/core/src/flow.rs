@@ -29,7 +29,9 @@ use crate::pipeline;
 use crate::search::Candidate;
 use codesign_dnn::bundle::{enumerate_bundles, BundleId};
 use codesign_dnn::quant::Activation;
-use codesign_dnn::space::DesignPoint;
+use codesign_dnn::space::{
+    is_legal_parallel_factor, DesignPoint, MAX_PARALLEL_FACTOR, PARALLEL_FACTOR_STEP,
+};
 use codesign_dnn::Dnn;
 use codesign_hls::cache::EstimateCache;
 use codesign_sim::device::FpgaDevice;
@@ -142,6 +144,13 @@ impl FlowConfig {
         }
         if self.coarse_pf_sweep.contains(&0) {
             return Err(ConfigError::ZeroPf.into());
+        }
+        if let Some(&pf) = self
+            .coarse_pf_sweep
+            .iter()
+            .find(|&&pf| !is_legal_parallel_factor(pf))
+        {
+            return Err(ConfigError::PfOffLadder { pf }.into());
         }
         if self.eval_replications == 0 {
             return Err(ConfigError::ZeroReplications.into());
@@ -377,6 +386,13 @@ pub enum ConfigError {
     EmptyPfSweep,
     /// `coarse_pf_sweep` contains a zero parallel factor.
     ZeroPf,
+    /// `coarse_pf_sweep` contains a parallel factor off the legal
+    /// ladder (a multiple of `PARALLEL_FACTOR_STEP` up to
+    /// `MAX_PARALLEL_FACTOR`), which no accelerator is built with.
+    PfOffLadder {
+        /// The first offending parallel factor.
+        pf: usize,
+    },
     /// `eval_replications` is zero — method#2 evaluation DNNs cannot be
     /// built.
     ZeroReplications,
@@ -406,6 +422,11 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroCandidates => write!(f, "candidates_per_bundle is zero"),
             ConfigError::EmptyPfSweep => write!(f, "coarse_pf_sweep is empty"),
             ConfigError::ZeroPf => write!(f, "coarse_pf_sweep contains a zero parallel factor"),
+            ConfigError::PfOffLadder { pf } => write!(
+                f,
+                "coarse_pf_sweep value {pf} is off the parallel-factor ladder \
+                 (multiples of {PARALLEL_FACTOR_STEP} up to {MAX_PARALLEL_FACTOR})"
+            ),
             ConfigError::ZeroReplications => write!(f, "eval_replications is zero"),
             ConfigError::InvalidDevice { reason } => write!(f, "invalid device: {reason}"),
         }
@@ -958,6 +979,14 @@ mod tests {
         assert_eq!(
             err(|c| c.coarse_pf_sweep = vec![16, 0]),
             ConfigError::ZeroPf
+        );
+        assert_eq!(
+            err(|c| c.coarse_pf_sweep = vec![16, 6]),
+            ConfigError::PfOffLadder { pf: 6 }
+        );
+        assert_eq!(
+            err(|c| c.coarse_pf_sweep = vec![1_000_000_000]),
+            ConfigError::PfOffLadder { pf: 1_000_000_000 }
         );
         assert_eq!(
             err(|c| c.eval_replications = 0),

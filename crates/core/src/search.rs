@@ -15,13 +15,23 @@
 //! [`EstimatePlan`] — the DNN is elaborated once per accepted
 //! trajectory, not once per probe — with results bit-identical to the
 //! full analytic rebuild.
+//!
+//! A search walks back over the same few points most of the time: in
+//! the paper flow at seed 1, 88% of its unit-move iterations stand on a
+//! point it already stood on. What an iteration probes is a function of
+//! the point it stands on and of the move it draws, so the search keeps
+//! a graph of its points and the moves it made between them, and prices
+//! each point's unit moves and each move once. A revisit replays the
+//! lookup counts of those probes (the "Revisit replay" section of the
+//! `codesign_hls::cache` module docs) and follows the recorded move, so
+//! the results and every counted lookup are those of probing again.
 
 use crate::accuracy::AccuracyModel;
 use codesign_dnn::builder::DnnBuilder;
 use codesign_dnn::bundle::Bundle;
 use codesign_dnn::quant::Activation;
 use codesign_dnn::space::{DesignPoint, MAX_PARALLEL_FACTOR, PARALLEL_FACTOR_STEP};
-use codesign_hls::cache::{KeyBuf, ProbeTally};
+use codesign_hls::cache::{KeyBuf, KeyIds, ProbeTally};
 use codesign_hls::incremental::{EstimatePlan, MoveCoord};
 use codesign_hls::model::{Estimate, HlsEstimator};
 use rand::rngs::StdRng;
@@ -126,20 +136,108 @@ pub fn choose_max_parallel_factor_with(plan: &EstimatePlan, point: &mut DesignPo
 /// `DesignPoint::initial(n)` with `n` drawn from `1..=RESTART_DEPTHS`.
 const RESTART_DEPTHS: usize = 6;
 
-/// The first restart of a search to one depth: the plan rebased on
-/// `DesignPoint::initial(n)`, and what the restart did from there — the
-/// point after the PF ladder, its estimate, and the lookups it made.
-/// A restart depends on its depth alone, so a repeat restart to the
-/// depth replays this instead of probing again (see the `cache` module
-/// docs, "Restart replay"). Without a cache the skipped probes would
-/// only have priced the same points again. A replay copies `plan` and
-/// `point` into the search's own plan and point with `clone_from`, so it
-/// reuses their buffers and allocates nothing once they have held `N`.
-struct Restart {
-    plan: EstimatePlan,
-    point: DesignPoint,
-    estimate: Option<Estimate>,
+/// The most moves out of one node: a perturbation per coordinate and
+/// direction in the target window, and outside it a scaled move per
+/// coordinate or, when no unit move changes the latency, a restart per
+/// depth.
+const OUT_EDGES: usize = 6;
+const _: () = assert!(RESTART_DEPTHS <= OUT_EDGES);
+
+/// The three coordinates, in the order the search draws them.
+const COORDS: [MoveCoord; 3] = [
+    MoveCoord::Replications,
+    MoveCoord::Expansion,
+    MoveCoord::Downsampling,
+];
+
+/// A move the search has made once: the lookups it counted, and the
+/// node it ended on (its own start when it stayed).
+#[derive(Debug, Clone, Copy)]
+struct Edge {
     lookups: ProbeTally,
+    to: usize,
+}
+
+/// What the search does on a node. It depends on the node's estimate
+/// alone, so it is settled on the first visit.
+#[derive(Debug, Clone, Copy)]
+enum Visits {
+    /// Not stood on yet.
+    New,
+    /// In the target window, and so collected.
+    Window,
+    /// Outside the window: the unit moves that change the latency, and
+    /// the lookups their probes counted.
+    Moves {
+        deltas: [(MoveCoord, isize, f64); 3],
+        movable: usize,
+        lookups: ProbeTally,
+    },
+}
+
+/// A state of the search: the point it stands on and the estimate it
+/// prices moves against. That is the point's own estimate, except after
+/// a restart to a point that does not estimate, where the search keeps
+/// the estimate it had.
+#[derive(Debug)]
+struct Node {
+    point: DesignPoint,
+    estimate: Estimate,
+    visits: Visits,
+    /// The moves made out of this node, by index: see [`OUT_EDGES`].
+    edges: [Option<Edge>; OUT_EDGES],
+}
+
+/// The distinct states one search has been in and the moves it has made
+/// between them. Both are bounded by the iteration budget.
+#[derive(Debug, Default)]
+struct Graph {
+    ids: KeyIds,
+    nodes: Vec<Node>,
+}
+
+impl Graph {
+    /// The node of `point` priced at `estimate`, added if it is new.
+    fn node(&mut self, point: &DesignPoint, estimate: Estimate) -> usize {
+        let mut key = KeyBuf::new();
+        point.encode_canonical(&mut |w| key.push_u64(w));
+        let r = estimate.resources;
+        for w in [estimate.latency_cycles, r.dsp, r.lut, r.ff, r.bram_18k] {
+            key.push_u64(w);
+        }
+        let (id, new) = self.ids.id(key.as_bytes());
+        if new {
+            self.nodes.push(Node {
+                point: point.clone(),
+                estimate,
+                visits: Visits::New,
+                edges: [None; OUT_EDGES],
+            });
+        }
+        id
+    }
+
+    /// Takes edge `edge` out of node `at`: the first time by running
+    /// `step`, which probes through `plan` and returns the node the
+    /// search moves to, and after that by replaying the lookups that
+    /// run counted (see the `cache` module docs, "Revisit replay").
+    fn follow(
+        &mut self,
+        plan: &mut EstimatePlan,
+        at: usize,
+        edge: usize,
+        step: impl FnOnce(&mut EstimatePlan, &mut Self) -> usize,
+    ) -> usize {
+        if let Some(Edge { lookups, to }) = self.nodes[at].edges[edge] {
+            plan.replay_probes(lookups);
+            return to;
+        }
+        let before = plan.probe_tally();
+        let to = step(plan, self);
+        let lookups = plan.probe_tally().since(before);
+        self.nodes[at].edges[edge] = Some(Edge { lookups, to });
+        to
+    }
 }
 
 /// Runs the SCD unit (Algorithm 1) for one Bundle under one
@@ -150,12 +248,15 @@ struct Restart {
 /// within `ε` of the target under the resource budget of the
 /// estimator's device. The run is deterministic for a given seed.
 ///
-/// Every probe goes through an incremental [`EstimatePlan`] instead of
+/// Every probe goes through one incremental [`EstimatePlan`] instead of
 /// rebuilding a DNN per query: the plan elaborates the current point
 /// once and re-derives only the pipeline groups a unit move touches,
-/// bit-identical to the full model (so results — and, estimator cache
-/// attached, the deterministic lookup count — are unchanged from the
-/// rebuild-per-probe implementation).
+/// bit-identical to the full model. The search keeps a graph of the
+/// points it has stood on: a point's unit moves, and each move out of
+/// it (restarts included), are probed on the first visit only. A later
+/// visit replays the lookup counts of those probes and follows the
+/// recorded move. So results and, estimator cache attached, every hit,
+/// miss and store-hit count are those of probing on every iteration.
 pub fn scd_search(
     bundle: &Bundle,
     estimator: &HlsEstimator,
@@ -165,6 +266,7 @@ pub fn scd_search(
 ) -> Vec<Candidate> {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let builder = DnnBuilder::new();
+    let mut candidates: Vec<Candidate> = Vec::new();
 
     // DNN initialization (Sec. 5.2.1) + maximum-PF selection. The run
     // owns ONE plan: PF-ladder selection, every probe, and every
@@ -172,155 +274,142 @@ pub fn scd_search(
     // from-scratch one in the whole search.
     let mut point = DesignPoint::initial(*bundle, 3);
     point.activation = activation;
-    // Every probe target is written into this scratch point (a copy of
-    // `point` moved in place), so a probe allocates nothing; an
-    // accepted move swaps it with `point`.
-    let mut target = point.clone();
-
-    let mut candidates: Vec<Candidate> = Vec::new();
-    let mut seen: HashSet<Vec<u8>> = HashSet::new();
-    // The first restart to each depth: there are only `RESTART_DEPTHS`
-    // per search, and later restarts to a depth replay it.
-    let mut restarts: [Option<Restart>; RESTART_DEPTHS] = Default::default();
-
     let Ok(mut plan) = EstimatePlan::new(estimator, &point) else {
         return candidates;
     };
     choose_max_parallel_factor_with(&plan, &mut point);
-
-    // One cached probe per priced point, exactly like the old
-    // `estimate_point`-per-probe loop; `plan.commit` (accepted moves
-    // only) recomputes incrementally without touching the cache.
-    let Ok(mut est) = plan.probe(&point) else {
+    let Ok(est) = plan.probe(&point) else {
         return candidates;
     };
     plan.commit_probed(&point, est);
-    let mut lat = est.latency_ms(cfg.clock_mhz);
+    let mut graph = Graph::default();
+    let mut at = graph.node(&point, est);
+    // Every probe target is written into this scratch point, so a probe
+    // allocates nothing; only a new node copies it.
+    let mut target = point;
 
     for _iter in 0..cfg.max_iterations {
         if candidates.len() >= cfg.candidates {
             break;
         }
+        let node = &mut graph.nodes[at];
+        let est = node.estimate;
+        let lat = est.latency_ms(cfg.clock_mhz);
         let gap = cfg.latency_target_ms - lat;
         if gap.abs() < cfg.tolerance_ms && estimator.fits(&est) {
-            // A duplicate would be discarded: build and score only new
-            // points. The key is written on the stack, and allocated
-            // only for a point the set does not hold yet.
-            let mut key = KeyBuf::new();
-            point.encode_canonical(&mut |w| key.push_u64(w));
-            if !seen.contains(key.as_bytes()) {
-                seen.insert(key.as_bytes().to_vec());
-                let dnn = builder.build(&point).expect("estimated points build");
+            // A node is collected on its first visit. An in-window node
+            // holds its point's own estimate, so it is the only node of
+            // its point, and the candidates are distinct.
+            if let Visits::New = node.visits {
+                node.visits = Visits::Window;
+                let dnn = builder.build(&node.point).expect("estimated points build");
                 candidates.push(Candidate {
-                    accuracy: model.estimate(&point, &dnn),
-                    point: point.clone(),
+                    accuracy: model.estimate(&node.point, &dnn),
+                    point: node.point.clone(),
                     estimate: est,
                     latency_ms: lat,
                 });
             }
             // Perturb to hunt for the next distinct candidate.
-            let coord = match rng.random_range(0..3u8) {
-                0 => MoveCoord::Replications,
-                1 => MoveCoord::Expansion,
-                _ => MoveCoord::Downsampling,
-            };
-            let dir = if rng.random_bool(0.5) { 1 } else { -1 };
-            target.clone_from(&point);
-            coord.apply(&mut target, dir);
-            if let Ok(e2) = plan.probe(&target) {
+            let c = usize::from(rng.random_range(0..3u8));
+            let up = rng.random_bool(0.5);
+            at = graph.follow(&mut plan, at, 2 * c + usize::from(up), |plan, graph| {
+                target.clone_from(&graph.nodes[at].point);
+                COORDS[c].apply(&mut target, if up { 1 } else { -1 });
+                let Ok(e2) = plan.probe(&target) else {
+                    return at;
+                };
                 plan.commit_probed(&target, e2);
-                std::mem::swap(&mut point, &mut target);
-                est = e2;
-                lat = e2.latency_ms(cfg.clock_mhz);
-            }
+                graph.node(&target, e2)
+            });
             continue;
         }
 
-        // Unit moves in the direction that closes the gap: positive gap
-        // (target above latency) means the design may grow.
-        let grow = gap > 0.0;
-        let unit: isize = if grow { 1 } else { -1 };
-        // Down-sampling acts inversely: more down-sampling -> faster.
-        let coords = [
-            (MoveCoord::Replications, unit),
-            (MoveCoord::Expansion, unit),
-            (MoveCoord::Downsampling, -unit),
-        ];
-        let mut deltas = [(MoveCoord::Replications, 0isize, 0.0f64); 3];
-        let mut movable = 0;
-        for &(coord, dir) in &coords {
-            target.clone_from(&point);
-            coord.apply(&mut target, dir);
-            if target == point {
-                continue; // saturated coordinate
+        let (deltas, movable) = match node.visits {
+            Visits::Moves {
+                deltas,
+                movable,
+                lookups,
+            } => {
+                plan.replay_probes(lookups);
+                (deltas, movable)
             }
-            if let Ok(e2) = plan.probe(&target) {
-                let dlat = e2.latency_ms(cfg.clock_mhz) - lat;
-                if dlat.abs() > f64::EPSILON {
-                    deltas[movable] = (coord, dir, dlat);
-                    movable += 1;
+            _ => {
+                // Unit moves in the direction that closes the gap:
+                // positive gap (target above latency) means the design
+                // may grow. Down-sampling acts inversely: more
+                // down-sampling -> faster.
+                let before = plan.probe_tally();
+                let unit: isize = if gap > 0.0 { 1 } else { -1 };
+                let mut deltas = [(MoveCoord::Replications, 0isize, 0.0f64); 3];
+                let mut movable = 0;
+                for (coord, dir) in COORDS.into_iter().zip([unit, unit, -unit]) {
+                    target.clone_from(&node.point);
+                    coord.apply(&mut target, dir);
+                    if target == node.point {
+                        continue; // saturated coordinate
+                    }
+                    if let Ok(e2) = plan.probe(&target) {
+                        let dlat = e2.latency_ms(cfg.clock_mhz) - lat;
+                        if dlat.abs() > f64::EPSILON {
+                            deltas[movable] = (coord, dir, dlat);
+                            movable += 1;
+                        }
+                    }
                 }
+                let lookups = plan.probe_tally().since(before);
+                node.visits = Visits::Moves {
+                    deltas,
+                    movable,
+                    lookups,
+                };
+                (deltas, movable)
             }
-        }
+        };
         if movable == 0 {
             // No coordinate can move: restart from a fresh random depth.
             let n = rng.random_range(1..=RESTART_DEPTHS);
-            let estimate = match &restarts[n - 1] {
-                Some(restart) => {
-                    // Every probe of the first restart would be a memo
-                    // hit that changes no plan state: count them, and
-                    // take their result, in the live plan's buffers.
-                    plan.clone_from(&restart.plan);
-                    plan.replay_probes(restart.lookups);
-                    point.clone_from(&restart.point);
-                    restart.estimate
-                }
-                None => {
-                    point = DesignPoint::initial(*bundle, n);
-                    point.activation = activation;
-                    // Rebase the plan on the restart structure first (no
-                    // cache interaction), so the PF-ladder rungs below
-                    // are pure term repricings instead of re-elaborating
-                    // the structural diff on every probe. On a
-                    // (theoretical) unelaborable restart the plan keeps
-                    // its old base, the ladder falls back to
-                    // diff-probing, and nothing is kept for a replay.
-                    let rebased = plan.commit(&point).is_ok().then(|| plan.clone());
-                    let before = plan.probe_tally();
-                    choose_max_parallel_factor_with(&plan, &mut point);
-                    let estimate = plan.probe(&point).ok();
-                    let lookups = plan.probe_tally().since(before);
-                    restarts[n - 1] = rebased.map(|plan| Restart {
-                        plan,
-                        point: point.clone(),
-                        estimate,
-                        lookups,
-                    });
-                    estimate
-                }
-            };
-            if let Some(e2) = estimate {
-                plan.commit_probed(&point, e2);
-                est = e2;
-                lat = e2.latency_ms(cfg.clock_mhz);
-            }
+            at = graph.follow(&mut plan, at, n - 1, |plan, graph| {
+                target = DesignPoint::initial(*bundle, n);
+                target.activation = activation;
+                // Rebase the plan on the restart structure first (no
+                // cache interaction), so the PF-ladder rungs below are
+                // pure term repricings instead of re-elaborating the
+                // structural diff on every probe. On an unelaborable
+                // restart the plan keeps its old base, the ladder falls
+                // back to diff-probing, and the search keeps its
+                // estimate.
+                let _ = plan.commit(&target);
+                choose_max_parallel_factor_with(plan, &mut target);
+                let estimate = match plan.probe(&target) {
+                    Ok(e2) => {
+                        plan.commit_probed(&target, e2);
+                        e2
+                    }
+                    Err(_) => est,
+                };
+                graph.node(&target, estimate)
+            });
             continue;
         }
 
         // Pick one coordinate uniformly at random (the "stochastic" in
         // SCD) and scale the move: Δ = ⌊|Lat_targ − Lat| / ΔLat⌋.
-        let (coord, dir, dlat) = deltas[rng.random_range(0..movable)];
-        let steps = ((gap.abs() / dlat.abs()).floor() as isize).clamp(1, 4);
-        target.clone_from(&point);
-        coord.apply(&mut target, dir * steps);
-        if let Ok(e2) = plan.probe(&target) {
-            if estimator.fits(&e2) || e2.resources.dsp <= est.resources.dsp {
-                plan.commit_probed(&target, e2);
-                std::mem::swap(&mut point, &mut target);
-                est = e2;
-                lat = e2.latency_ms(cfg.clock_mhz);
+        let k = rng.random_range(0..movable);
+        at = graph.follow(&mut plan, at, k, |plan, graph| {
+            let (coord, dir, dlat) = deltas[k];
+            let steps = ((gap.abs() / dlat.abs()).floor() as isize).clamp(1, 4);
+            target.clone_from(&graph.nodes[at].point);
+            coord.apply(&mut target, dir * steps);
+            let Ok(e2) = plan.probe(&target) else {
+                return at;
+            };
+            if !estimator.fits(&e2) && e2.resources.dsp > est.resources.dsp {
+                return at;
             }
-        }
+            plan.commit_probed(&target, e2);
+            graph.node(&target, e2)
+        });
     }
     candidates
 }
@@ -480,9 +569,9 @@ mod tests {
     #[test]
     fn restart_heavy_search_lookups_are_pinned() {
         // An unreachable target keeps SCD stuck, so most iterations end
-        // in a random restart. The restart memo must not change a single
-        // cache lookup: totals and misses recorded before it existed,
-        // one shared cache, single-threaded, both arms.
+        // in a random restart. Replaying repeat restarts must not change
+        // a single cache lookup: totals and misses recorded before any
+        // replay existed, one shared cache, single-threaded, both arms.
         let (b, est) = estimator(13);
         let cache = Arc::new(EstimateCache::new());
         let est = est.with_cache(Arc::clone(&cache));
@@ -499,6 +588,29 @@ mod tests {
             let stats = cache.stats();
             assert_eq!((stats.total(), stats.misses), (total, misses), "{arm:?}");
         }
+    }
+
+    #[test]
+    fn unelaborable_restart_lookups_are_pinned() {
+        // Bundle 6 does not elaborate at N = 6, so a restart to that
+        // depth finds no estimate: the search stands on the restart
+        // point and prices its next moves against the estimate it had.
+        // Totals recorded before revisits were replayed; staying put
+        // instead would read (1994, 46).
+        let b = bundle_by_id(BundleId(6)).unwrap();
+        let params = crate::pipeline::calibrate(&b, &pynq_z1()).unwrap();
+        let cache = Arc::new(EstimateCache::new());
+        let est = HlsEstimator::new(params, pynq_z1()).with_cache(Arc::clone(&cache));
+        let cfg = ScdConfig {
+            latency_target_ms: 100.0,
+            tolerance_ms: 100.0 - 1000.0 / 11.5,
+            candidates: 5,
+            seed: 1,
+            ..ScdConfig::default()
+        };
+        assert!(relu_search(&b, &est, &cfg).is_empty());
+        let stats = cache.stats();
+        assert_eq!((stats.total(), stats.misses), (1900, 51));
     }
 
     #[test]

@@ -48,9 +48,9 @@
 //! 91% of the paper flow's lookups at seed 1. A [`ProbeMemo`] answers
 //! those without locking a shard. Each
 //! [`EstimatePlan`](crate::incremental::EstimatePlan) over a cached
-//! estimator owns one, shared by its clones, so one `scd_search` call
-//! (its plan and its restart plans) has one memo, dropped when the
-//! search ends. The contract that keeps the counters exact:
+//! estimator owns one, so one `scd_search` call (which owns one plan)
+//! has one memo, dropped when the search ends. The contract that keeps
+//! the counters exact:
 //!
 //! * every memo entry was resolved through the shared cache by the same
 //!   search, and holds the value and `preloaded` flag of the resident
@@ -66,24 +66,28 @@
 //! It hashes keys with the cache's own seeded hash, and a memo miss
 //! passes that hash on to the cache.
 //!
-//! # Restart replay
+//! # Revisit replay
 //!
-//! A stuck SCD search restarts from `DesignPoint::initial(n)` for a
-//! random depth `n`, and most restarts go to a depth the same search
-//! has already restarted to (95% of the paper flow's at seed 1). What a
-//! restart looks up is a function of the depth alone: the parallel-factor
-//! ladder probes the same points in the same order, since each rung's
-//! answer decides the next. So the first restart to a depth reads its
-//! memo's [`ProbeTally`] before and after, and keeps the difference with
-//! the restart's outcome; a repeat restart calls [`ProbeMemo::replay`]
-//! instead of probing. The replay counts exactly the hits and store hits
-//! its skipped probes would have counted:
+//! An SCD search keeps standing on points it has stood on before (88%
+//! of its unit-move iterations in the paper flow at seed 1), and keeps
+//! restarting to depths it has restarted to. What a stretch of a search
+//! looks up there is a function of where it stands and of the move it
+//! draws alone: the unit moves around a point, one scaled move or
+//! perturbation out of it, and a restart's parallel-factor ladder (each
+//! rung's answer decides the next) probe the same keys in the same
+//! order every time. So `scd_search` reads its memo's [`ProbeTally`]
+//! before and after the first run of each such stretch and keeps the
+//! difference with the stretch's outcome; a repeat calls
+//! [`ProbeMemo::replay`] instead of probing. The replay counts exactly
+//! the hits and store hits its skipped probes would have counted:
 //!
 //! * every skipped probe is a key the same memo already served, so it
-//!   would have been a memo hit — one cache hit, and no other effect on
-//!   the memo, the shared cache or the search's plan;
+//!   would have been a memo hit — one cache hit that changes neither the
+//!   memo nor the shared cache. Its only other effect would have been
+//!   to move the search's plan, and a plan gives the same estimates from
+//!   any base;
 //! * a memo hit counts a store hit exactly when its entry is preloaded,
-//!   and the entry's flag is the one the first restart's lookup saw;
+//!   and the entry's flag is the one the first run's lookup saw;
 //! * so the replay adds the tally's lookups to the hits and its
 //!   preloaded lookups to the store hits, on the calling thread's
 //!   stripe, and the counters read the same as if the probes had run.
@@ -312,6 +316,32 @@ pub(crate) fn folded_multiply(a: u64, b: u64) -> u64 {
     (full as u64) ^ ((full >> 64) as u64)
 }
 
+/// A fresh secret for [`hash_key`], drawn from [`RandomState`].
+fn hash_seeds() -> [u64; 2] {
+    let state = RandomState::new();
+    [state.hash_one(0u64), state.hash_one(1u64)]
+}
+
+/// The key hash of the [module docs](crate::cache#one-hash-per-lookup):
+/// one seeded folded multiply per 16-byte chunk, the tail zero-padded
+/// into one last chunk.
+fn hash_key([s0, s1]: [u64; 2], key: &[u8]) -> u64 {
+    let mut h = s0 ^ key.len() as u64;
+    let mut chunks = key.chunks_exact(16);
+    for chunk in &mut chunks {
+        let (a, b) = words(chunk);
+        h = folded_multiply(h ^ a, s1 ^ b);
+    }
+    let tail = chunks.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 16];
+        last[..tail.len()].copy_from_slice(tail);
+        let (a, b) = words(&last);
+        h = folded_multiply(h ^ a, s1 ^ b);
+    }
+    h
+}
+
 /// Two little-endian words of a 16-byte chunk.
 fn words(chunk: &[u8]) -> (u64, u64) {
     let (a, b) = chunk.split_at(8);
@@ -391,10 +421,9 @@ impl EstimateCache {
     pub fn with_shards(shards: usize) -> Self {
         static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         let n = shards.max(1).next_power_of_two();
-        let state = RandomState::new();
         Self {
             shards: (0..n).map(|_| Mutex::new(ShardMap::default())).collect(),
-            seeds: [state.hash_one(0u64), state.hash_one(1u64)],
+            seeds: hash_seeds(),
             stripes: Box::default(),
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
         }
@@ -405,25 +434,10 @@ impl EstimateCache {
         self.shards.len()
     }
 
-    /// The key's hash: one seeded folded multiply per 16-byte chunk,
-    /// the tail zero-padded into one last chunk. Computed once per
-    /// lookup; it selects the shard and is the shard map's hash too.
+    /// The key's [`hash_key`] under this cache's seeds. Computed once
+    /// per lookup; it selects the shard and is the shard map's hash too.
     fn hash(&self, key: &[u8]) -> u64 {
-        let [s0, s1] = self.seeds;
-        let mut h = s0 ^ key.len() as u64;
-        let mut chunks = key.chunks_exact(16);
-        for chunk in &mut chunks {
-            let (a, b) = words(chunk);
-            h = folded_multiply(h ^ a, s1 ^ b);
-        }
-        let tail = chunks.remainder();
-        if !tail.is_empty() {
-            let mut last = [0u8; 16];
-            last[..tail.len()].copy_from_slice(tail);
-            let (a, b) = words(&last);
-            h = folded_multiply(h ^ a, s1 ^ b);
-        }
-        h
+        hash_key(self.seeds, key)
     }
 
     /// The shard owning a key of hash `hash`. It reads bits 32 and up:
@@ -644,7 +658,7 @@ pub struct ProbeMemo {
 /// preloaded from a store answered. The difference of two readings is
 /// what a stretch of a search looked up, so a search can replay that
 /// stretch's counts (see
-/// [restart replay](crate::cache#restart-replay)).
+/// [revisit replay](crate::cache#revisit-replay)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProbeTally {
     /// Lookups served.
@@ -687,7 +701,7 @@ impl ProbeMemo {
     /// `tally.lookups` cache hits, `tally.preloaded` of them store hits.
     /// Exact when every one of those lookups would be a memo hit — a
     /// repeat of lookups this memo already served (see
-    /// [restart replay](crate::cache#restart-replay)).
+    /// [revisit replay](crate::cache#revisit-replay)).
     pub fn replay(&mut self, tally: ProbeTally) {
         let stripe = self.cache.stripe();
         stripe.hits.fetch_add(tally.lookups, Ordering::Relaxed);
@@ -728,6 +742,40 @@ impl ProbeMemo {
             entry,
         );
         value
+    }
+}
+
+/// Dense ids for byte keys: the first key gets 0, each new key the next
+/// id. A lookup hashes its key once with the cache's seeded hash (see
+/// [one hash per lookup](crate::cache#one-hash-per-lookup)), and only a
+/// new key is copied to the heap. `scd_search` numbers the points its
+/// search stands on this way.
+#[derive(Debug)]
+pub struct KeyIds {
+    seeds: [u64; 2],
+    ids: HashMap<StoredKey, usize, BuildHasherDefault<PassThrough>>,
+}
+
+impl Default for KeyIds {
+    fn default() -> Self {
+        Self {
+            seeds: hash_seeds(),
+            ids: HashMap::default(),
+        }
+    }
+}
+
+impl KeyIds {
+    /// The id of `key`, and whether this lookup gave it out first.
+    pub fn id(&mut self, key: &[u8]) -> (usize, bool) {
+        let hash = hash_key(self.seeds, key);
+        if let Some(&id) = self.ids.get(&(hash, key) as &dyn KeyView) {
+            return (id, false);
+        }
+        let id = self.ids.len();
+        let bytes = key.into();
+        self.ids.insert(StoredKey { hash, bytes }, id);
+        (id, true)
     }
 }
 

@@ -34,11 +34,13 @@
 //! 3. [`EstimatePlan::commit`] / [`EstimatePlan::apply_move`] re-stage a
 //!    target the same way and make it the plan's new base point (no
 //!    cache interaction — the caller usually just probed the target).
-//! 4. A clone shares the plan's estimator, probe memo and body memo, and
-//!    `clone_from` copies the rest into the destination's own buffers.
-//!    So an SCD restart replay, which resets the search's plan to the
-//!    copy its first restart to that depth kept, reuses the plan's
-//!    point, slot and staged buffers instead of allocating new ones.
+//! 4. A plan is never copied. One `scd_search` call owns one plan, and
+//!    a move it has made before does not touch it: the search replays
+//!    the move's lookup counts and steps on (see the
+//!    [`cache` module docs](crate::cache#revisit-replay), "Revisit
+//!    replay"). The plan's slot base may then lag behind the search,
+//!    which costs reuse on the next stage, never correctness: a stage
+//!    gives the same result from any base.
 //!
 //! # Slot-body memo
 //!
@@ -49,10 +51,9 @@
 //! reads of the point — the Bundle, the activation, the input shape, the
 //! replication's channel width and its down-sampling flag — and the
 //! head's only on its input shape. So a plan keeps one body per such key,
-//! shared by its clones like the probe memo, and a stage elaborates only
-//! bodies the search has never seen; for the others it re-derives the
-//! terms and folds. The memo holds one entry per distinct body the
-//! search elaborates and is dropped with the plan's last clone. Its key
+//! and a stage elaborates only bodies the search has never seen; for the
+//! others it re-derives the terms and folds. The memo holds one entry per
+//! distinct body the search elaborates and is dropped with the plan. Its key
 //! hashes to one folded multiply of the shape, width and flag, and
 //! equality compares every field, so a collision costs a comparison,
 //! never a wrong body.
@@ -184,28 +185,6 @@ struct Staged {
     estimate: Estimate,
 }
 
-impl Clone for Staged {
-    fn clone(&self) -> Self {
-        Self {
-            cfg: self.cfg,
-            slots: self.slots.clone(),
-            estimate: self.estimate,
-        }
-    }
-
-    /// Copies `source` into `self`'s slot buffer.
-    fn clone_from(&mut self, source: &Self) {
-        let Self {
-            cfg,
-            slots,
-            estimate,
-        } = source;
-        self.cfg = *cfg;
-        self.slots.clone_from(slots);
-        self.estimate = *estimate;
-    }
-}
-
 /// An incrementally updatable analytic estimate of one design point.
 ///
 /// Construction elaborates the point once; afterwards
@@ -241,7 +220,7 @@ impl Clone for Staged {
 /// ```
 #[derive(Debug)]
 pub struct EstimatePlan {
-    estimator: Rc<HlsEstimator>,
+    estimator: HlsEstimator,
     /// The logical base point ([`point`](Self::point)) with its
     /// estimate. May run ahead of `slots_point` after cheap
     /// [`commit_probed`](Self::commit_probed) calls.
@@ -259,20 +238,18 @@ pub struct EstimatePlan {
     /// Interior-mutable because probing is logically `&self`.
     staged: RefCell<(DesignPoint, Option<Staged>)>,
     /// The probe memo in front of the estimator's cache (`None` without
-    /// one), shared by every clone of the plan — in `scd_search`, the
-    /// run's plan and its restart plans — and dropped with the last.
-    memo: Option<Rc<RefCell<ProbeMemo>>>,
-    /// Every replication and head body the plan has elaborated, shared
-    /// by its clones like `memo`: a stage re-derives the terms of a body
-    /// it has seen before instead of elaborating it again.
-    bodies: Rc<RefCell<BodyMemo>>,
+    /// one), dropped with the plan.
+    memo: Option<RefCell<ProbeMemo>>,
+    /// Every replication and head body the plan has elaborated: a stage
+    /// re-derives the terms of a body it has seen before instead of
+    /// elaborating it again.
+    bodies: RefCell<BodyMemo>,
 }
 
 impl EstimatePlan {
     /// Elaborates `point` into per-slot terms under `estimator`'s
     /// calibration, device and builder (the estimator is cloned once,
-    /// and shared by the plan's clones — not cloned per probe or per
-    /// restart).
+    /// not per probe or per restart).
     ///
     /// # Errors
     ///
@@ -282,7 +259,7 @@ impl EstimatePlan {
     /// outside the IP pool to [`EstimateError::Sim`].
     pub fn new(estimator: &HlsEstimator, point: &DesignPoint) -> Result<Self, EstimateError> {
         let mut plan = Self {
-            estimator: Rc::new(estimator.clone()),
+            estimator: estimator.clone(),
             point: point.clone(),
             estimate: Estimate {
                 latency_cycles: 0,
@@ -294,8 +271,8 @@ impl EstimatePlan {
             staged: RefCell::new((point.clone(), None)),
             memo: estimator
                 .cache()
-                .map(|cache| Rc::new(RefCell::new(ProbeMemo::new(Arc::clone(cache))))),
-            bodies: Rc::default(),
+                .map(|cache| RefCell::new(ProbeMemo::new(Arc::clone(cache)))),
+            bodies: RefCell::default(),
         };
         let staged = plan.stage(point)?;
         plan.adopt(point, staged);
@@ -366,9 +343,8 @@ impl EstimatePlan {
         result
     }
 
-    /// Every lookup the plan's [`ProbeMemo`] has served, shared with the
-    /// plan's clones (zero without a cache). Two readings bracket the
-    /// lookups of a stretch of probes.
+    /// Every lookup the plan's [`ProbeMemo`] has served (zero without a
+    /// cache). Two readings bracket the lookups of a stretch of probes.
     pub fn probe_tally(&self) -> ProbeTally {
         self.memo
             .as_ref()
@@ -377,7 +353,7 @@ impl EstimatePlan {
 
     /// Counts a stretch of probes this plan's memo already answered as
     /// if it ran again, without probing: see [`ProbeMemo::replay`] and
-    /// the [restart replay](crate::cache#restart-replay) contract.
+    /// the [revisit replay](crate::cache#revisit-replay) contract.
     pub fn replay_probes(&self, tally: ProbeTally) {
         if let Some(memo) = &self.memo {
             memo.borrow_mut().replay(tally);
@@ -568,53 +544,6 @@ impl EstimatePlan {
         } else {
             1 + matching_reps // stem + the matching replication prefix
         }
-    }
-}
-
-impl Clone for EstimatePlan {
-    /// A plan sharing this one's estimator, probe memo and body memo.
-    fn clone(&self) -> Self {
-        Self {
-            estimator: Rc::clone(&self.estimator),
-            point: self.point.clone(),
-            estimate: self.estimate,
-            slots_point: self.slots_point.clone(),
-            cfg: self.cfg,
-            slots: self.slots.clone(),
-            staged: self.staged.clone(),
-            memo: self.memo.clone(),
-            bodies: Rc::clone(&self.bodies),
-        }
-    }
-
-    /// Copies `source` into `self`'s point, slot and staged buffers: a
-    /// restart replay in `scd_search` resets its plan this way, and
-    /// allocates only when a buffer outgrows every `N` it held before.
-    fn clone_from(&mut self, source: &Self) {
-        // Destructured, so a new field cannot be left out here.
-        let Self {
-            estimator,
-            point,
-            estimate,
-            slots_point,
-            cfg,
-            slots,
-            staged,
-            memo,
-            bodies,
-        } = source;
-        self.estimator.clone_from(estimator);
-        self.point.clone_from(point);
-        self.estimate = *estimate;
-        self.slots_point.clone_from(slots_point);
-        self.cfg = *cfg;
-        self.slots.clone_from(slots);
-        let (target, stage) = self.staged.get_mut();
-        let (source_target, source_stage) = &*staged.borrow();
-        target.clone_from(source_target);
-        stage.clone_from(source_stage);
-        self.memo.clone_from(memo);
-        self.bodies.clone_from(bodies);
     }
 }
 

@@ -201,6 +201,14 @@ mod tests {
             ),
             (r#"{"coarse_pf_sweep":[]}"#, ConfigError::EmptyPfSweep),
             (r#"{"coarse_pf_sweep":[16,0]}"#, ConfigError::ZeroPf),
+            (
+                r#"{"coarse_pf_sweep":[1024]}"#,
+                ConfigError::PfOffLadder { pf: 1024 },
+            ),
+            (
+                r#"{"coarse_pf_sweep":[16,6]}"#,
+                ConfigError::PfOffLadder { pf: 6 },
+            ),
             (r#"{"eval_replications":0}"#, ConfigError::ZeroReplications),
         ] {
             assert_eq!(

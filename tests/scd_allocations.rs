@@ -5,19 +5,13 @@
 //! (PYNQ-Z1, 10/15/20 FPS, seed 1), then runs the same cells again:
 //! every lookup of that second pass is a cache hit, so whatever it
 //! allocates is the search loop's own overhead. The bound keeps the
-//! probe loop and restart replays allocation-free: what is left is
-//! per-search set-up (the plan, its probe memo, the first restart to
-//! each depth) and candidate collection. The replay test pins the
-//! reset a repeat restart makes: none at all.
+//! probe loop and revisit replays allocation-free: what is left is
+//! per-search set-up (the plan and its probe memo), the first restart
+//! out of a point to each depth, one copy of each point the search
+//! stands on, and candidate collection.
 
 use codesign_bench::experiments::ScdSweep;
-use codesign_dnn::bundle::{bundle_by_id, BundleId};
-use codesign_dnn::space::DesignPoint;
 use codesign_hls::cache::EstimateCache;
-use codesign_hls::calibrate::calibrate_bundle;
-use codesign_hls::incremental::{EstimatePlan, MoveCoord};
-use codesign_hls::model::HlsEstimator;
-use codesign_sim::device::pynq_z1;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -94,32 +88,4 @@ fn warm_scd_sweep_allocates_at_most_0_55_per_lookup() {
         per_lookup <= 0.55,
         "{allocated} allocations over {lookups} warm lookups: {per_lookup:.2} per lookup"
     );
-}
-
-#[test]
-fn restart_replay_clone_from_allocates_nothing() {
-    // Two plans of one search at the same `N`, each holding a staged
-    // probe miss, as the live plan and a kept restart plan do.
-    let bundle = bundle_by_id(BundleId(13)).expect("paper Bundle");
-    let params = calibrate_bundle(&bundle, &pynq_z1()).expect("calibrates");
-    let estimator = HlsEstimator::new(params, pynq_z1()).with_cache(Arc::new(EstimateCache::new()));
-    let point = DesignPoint::initial(bundle, 3);
-    let mut live = EstimatePlan::new(&estimator, &point).expect("elaborates");
-    let mut kept = live.clone();
-    let mut wider = point.clone();
-    MoveCoord::Expansion.apply(&mut wider, 2);
-    kept.commit(&wider).expect("elaborates");
-    for (plan, pf) in [(&live, 32), (&kept, 64)] {
-        let mut probe = plan.point().clone();
-        probe.parallel_factor = pf;
-        plan.probe(&probe).expect("elaborates");
-    }
-
-    let start = allocations();
-    live.clone_from(&kept);
-    let allocated = allocations() - start;
-
-    assert_eq!(allocated, 0, "a restart replay allocated");
-    assert_eq!(live.point(), kept.point());
-    assert_eq!(live.estimate(), kept.estimate());
 }
